@@ -127,15 +127,17 @@ void Heap::Collect() {
   }
 
   // --- extended weak references: persist dying referents first ------------
+  // An entry leaves the table with its cell: when the holder drops it, or
+  // when its referent dies (persist runs once; the cell clears below).
   {
     size_t write = 0;
     for (size_t read = 0; read < extended_cells_.size(); ++read) {
       std::shared_ptr<WeakCell> cell = extended_cells_[read].cell.lock();
-      if (cell == nullptr) continue;  // holder dropped the reference
-      if (cell->target_ != nullptr && !cell->target_->marked_) {
+      if (cell == nullptr || cell->target_ == nullptr) continue;
+      if (!cell->target_->marked_) {
         ++stats_.extended_persists;
         extended_cells_[read].persist(cell->target_);
-        // The cell clears in the regular weak pass below.
+        continue;
       }
       if (write != read)
         extended_cells_[write] = std::move(extended_cells_[read]);
@@ -145,15 +147,21 @@ void Heap::Collect() {
   }
 
   // --- clear dead weak cells ----------------------------------------------
+  // A cell leaves the table when it clears or when its holder drops it.
+  // Only the heap writes target_, so a cleared cell stays cleared and needs
+  // no further visits: a collection costs the live objects plus the live
+  // cells. All clears happen here, before the sweep runs any finalizer.
   size_t write = 0;
   for (size_t read = 0; read < weak_cells_.size(); ++read) {
     std::shared_ptr<WeakCell> cell = weak_cells_[read].lock();
-    if (cell == nullptr) continue;  // holder dropped the weak ref
-    if (cell->target_ != nullptr && !cell->target_->marked_) {
+    if (cell == nullptr || cell->target_ == nullptr) continue;
+    if (!cell->target_->marked_) {
       cell->target_ = nullptr;
       ++stats_.weakrefs_cleared;
+      continue;
     }
-    weak_cells_[write++] = weak_cells_[read];
+    if (write != read) weak_cells_[write] = std::move(weak_cells_[read]);
+    ++write;
   }
   weak_cells_.resize(write);
 

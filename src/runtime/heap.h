@@ -21,7 +21,8 @@
 namespace obiswap::runtime {
 
 /// Target cell of a weak reference. `get()` is nullptr once the referent has
-/// been collected. Holders keep the shared_ptr; the heap keeps a weak_ptr.
+/// been collected. Holders keep the shared_ptr; the heap keeps a weak_ptr
+/// until the cell clears (only the heap clears it, and never re-sets it).
 class WeakCell {
  public:
   explicit WeakCell(Object* target) : target_(target) {}
@@ -134,6 +135,12 @@ class Heap {
   /// finalizers: no allocation, no resurrection.
   using PersistFn = std::function<void(Object*)>;
   WeakRef NewExtendedWeakRef(Object* target, PersistFn persist);
+
+  /// Cells the collector still visits: created since the last collection,
+  /// or alive at it (holder kept and referent reachable). Cleared and
+  /// dropped cells leave at the collection that finds them.
+  size_t tracked_weak_cells() const { return weak_cells_.size(); }
+  size_t tracked_extended_cells() const { return extended_cells_.size(); }
 
   // --- local handle scopes (thread-stack roots) ---------------------------
   size_t LocalDepth() const { return locals_.size(); }

@@ -334,7 +334,7 @@ size_t SwappingManager::InboundProxyCount(SwapClusterId id) {
   if (it == inbound_.end()) return 0;
   size_t write = 0;
   size_t live = 0;
-  auto& list = it->second;
+  auto& list = it->second.cells;
   for (size_t read = 0; read < list.size(); ++read) {
     Object* proxy = list[read]->get();
     if (proxy == nullptr) continue;
@@ -345,6 +345,11 @@ size_t SwappingManager::InboundProxyCount(SwapClusterId id) {
   }
   list.resize(write);
   return live;
+}
+
+size_t SwappingManager::InboundListSize(SwapClusterId id) const {
+  auto it = inbound_.find(id);
+  return it == inbound_.end() ? 0 : it->second.cells.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -384,8 +389,22 @@ void SwappingManager::RegisterProxy(Object* proxy, SwapClusterId target_sc,
                                     ObjectId target_oid,
                                     SwapClusterId source) {
   runtime::WeakRef weak = rt_.heap().NewWeakRef(proxy);
-  inbound_[target_sc].push_back(weak);
-  reuse_[ReuseKey{source.value(), target_oid.value()}] = weak;
+  AddInbound(target_sc, weak);
+  reuse_[ReuseKey{source.value(), target_oid.value()}] = std::move(weak);
+}
+
+void SwappingManager::AddInbound(SwapClusterId target,
+                                 runtime::WeakRef proxy) {
+  InboundProxies& list = inbound_[target];
+  list.cells.push_back(std::move(proxy));
+  if (list.cells.size() < list.prune_at) return;
+  // Amortized O(1) per append: every consumer already skips cleared
+  // entries, so dropping them changes nothing but the list's length.
+  std::erase_if(list.cells, [](const runtime::WeakRef& cell) {
+    return cell->get() == nullptr;
+  });
+  list.prune_at =
+      std::max(InboundProxies::kMinPruneAt, 2 * list.cells.size());
 }
 
 Result<Object*> SwappingManager::CreateProxy(SwapClusterId source,
@@ -533,7 +552,7 @@ Status SwappingManager::MergeSwapClusters(SwapClusterId into,
     if (ProxyTargetSc(proxy) == from) {
       proxy->RawSlotMutable(kProxySlotTargetSc) =
           Value::Int(static_cast<int64_t>(into.value()));
-      inbound_[into].push_back(rt_.heap().NewWeakRef(proxy));
+      AddInbound(into, rt_.heap().NewWeakRef(proxy));
     }
     if (ProxySource(proxy) == from) {
       proxy->RawSlotMutable(kProxySlotSource) =
@@ -630,7 +649,7 @@ Result<SwapClusterId> SwappingManager::SplitSwapCluster(
     if (moving_oids.count(ProxyTargetOid(proxy).value()) == 0) return;
     proxy->RawSlotMutable(kProxySlotTargetSc) =
         Value::Int(static_cast<int64_t>(fresh.value()));
-    inbound_[fresh].push_back(rt_.heap().NewWeakRef(proxy));
+    AddInbound(fresh, rt_.heap().NewWeakRef(proxy));
   });
 
   // Raw references that now cross the new boundary acquire proxies, in
@@ -763,7 +782,7 @@ Result<Value> SwappingManager::MediateReturn(Object* proxy, Value result) {
         Value::Int(static_cast<int64_t>(resolved.sc.value()));
     proxy->RawSlotMutable(kProxySlotTargetOid) =
         Value::Int(static_cast<int64_t>(resolved.oid.value()));
-    inbound_[resolved.sc].push_back(rt_.heap().NewWeakRef(proxy));
+    AddInbound(resolved.sc, rt_.heap().NewWeakRef(proxy));
     ++stats_.assigned_patches;
     result.set_ref(proxy);
     return result;
@@ -912,7 +931,7 @@ std::vector<uint64_t> SwappingManager::LiveInboundProxyOids(SwapClusterId id) {
   std::vector<uint64_t> oids;
   auto it = inbound_.find(id);
   if (it == inbound_.end()) return oids;
-  for (const runtime::WeakRef& weak : it->second) {
+  for (const runtime::WeakRef& weak : it->second.cells) {
     Object* proxy = weak->get();
     if (proxy == nullptr || ProxyTargetSc(proxy) != id) continue;
     oids.push_back(proxy->oid().value());
@@ -1997,7 +2016,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   // Patch every inbound swap-cluster-proxy to target the replacement
   // ("every swap-cluster referencing objects contained in swap-cluster-2
   // will be made to reference ReplacementObject-2 instead").
-  auto& inbound = inbound_[id];
+  auto& inbound = inbound_[id].cells;
   size_t write = 0;
   std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
   Status patch_fault = OkStatus();
@@ -2239,7 +2258,7 @@ std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
   for (Object* proxy : outbound) replacement->AppendSlot(Value::Ref(proxy));
   rt_.heap().RefreshAccounting(replacement);
 
-  auto& inbound = inbound_[id];
+  auto& inbound = inbound_[id].cells;
   size_t write = 0;
   std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
   Status patch_fault = OkStatus();
@@ -2728,7 +2747,7 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   // pointing at fresh replicas, others still at the replacement. The
   // restored objects are unrooted past this frame; the collector reclaims
   // them on failure.
-  auto& inbound = inbound_[id];
+  auto& inbound = inbound_[id].cells;
   for (const runtime::WeakRef& weak : inbound) {
     Object* proxy = weak->get();
     if (proxy == nullptr || ProxyTargetSc(proxy) != id) continue;
@@ -3585,7 +3604,8 @@ void SwappingManager::OnProxyFinalized(Object* proxy) {
   ReuseKey key{ProxySource(proxy).value(), ProxyTargetOid(proxy).value()};
   auto it = reuse_.find(key);
   if (it != reuse_.end() && it->second->get() == nullptr) reuse_.erase(it);
-  // inbound_ entries are weak and pruned lazily on traversal.
+  // inbound_ entries are weak: they clear with the proxy and are pruned
+  // lazily (AddInbound, swaps, InboundProxyCount).
 }
 
 void SwappingManager::OnReplacementFinalized(Object* replacement) {

@@ -554,6 +554,8 @@ class SwappingManager final : public runtime::Interceptor,
   SwapState StateOf(SwapClusterId id) const;
   /// Live proxies currently targeting cluster `id` (prunes dead entries).
   size_t InboundProxyCount(SwapClusterId id);
+  /// Entries of cluster `id`'s inbound-proxy list, cleared ones included.
+  size_t InboundListSize(SwapClusterId id) const;
 
  private:
   struct ReuseKey {
@@ -584,6 +586,9 @@ class SwappingManager final : public runtime::Interceptor,
   runtime::Object* FindReusableProxy(SwapClusterId source, ObjectId oid);
   void RegisterProxy(runtime::Object* proxy, SwapClusterId target_sc,
                      ObjectId target_oid, SwapClusterId source);
+  /// Appends to `target`'s inbound list, pruning cleared entries whenever
+  /// the list has doubled since its last prune.
+  void AddInbound(SwapClusterId target, runtime::WeakRef proxy);
 
   Result<runtime::Value> ProxyInvoke(runtime::Object* proxy,
                                      std::string_view method,
@@ -790,8 +795,17 @@ class SwappingManager final : public runtime::Interceptor,
 
   /// (source swap-cluster, target oid) → proxy, for stored-reference reuse.
   std::unordered_map<ReuseKey, runtime::WeakRef, ReuseKeyHash> reuse_;
+  /// Weak refs to the proxies mediating into one swap-cluster. Dead
+  /// proxies' entries go when the cluster swaps, on InboundProxyCount, and
+  /// on AddInbound once `cells` reaches `prune_at`, so a cluster that never
+  /// swaps keeps at most about twice its live proxies.
+  struct InboundProxies {
+    static constexpr size_t kMinPruneAt = 16;
+    std::vector<runtime::WeakRef> cells;
+    size_t prune_at = kMinPruneAt;
+  };
   /// target swap-cluster → proxies currently mediating into it.
-  std::unordered_map<SwapClusterId, std::vector<runtime::WeakRef>> inbound_;
+  std::unordered_map<SwapClusterId, InboundProxies> inbound_;
 
   /// Grouping state for replication-driven swap-cluster formation.
   SwapClusterId current_group_;

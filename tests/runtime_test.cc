@@ -301,6 +301,83 @@ TEST_F(RuntimeFixture, DroppedWeakRefsArePruned) {
   SUCCEED();
 }
 
+TEST_F(RuntimeFixture, ClearedWeakRefStaysClearedAndCountsOnce) {
+  WeakRef weak = rt_.heap().NewWeakRef(rt_.New(node_cls_));
+  rt_.heap().Collect();
+  ASSERT_TRUE(weak->cleared());
+  EXPECT_EQ(rt_.heap().stats().weakrefs_cleared, 1u);
+  // The holder keeps the cell; later collections (with fresh garbage) must
+  // neither revisit nor recount it.
+  for (int i = 0; i < 100; ++i) {
+    rt_.New(node_cls_);
+    rt_.heap().Collect();
+    EXPECT_TRUE(weak->cleared());
+  }
+  EXPECT_EQ(rt_.heap().stats().weakrefs_cleared, 1u);
+  EXPECT_EQ(rt_.heap().tracked_weak_cells(), 0u);
+}
+
+TEST_F(RuntimeFixture, TrackedWeakCellsFallToLiveReferents) {
+  rt_.heap().Collect();
+  const size_t base = rt_.heap().tracked_weak_cells();
+  LocalScope scope(rt_.heap());
+  std::vector<WeakRef> held;
+  for (int i = 0; i < 10; ++i) {
+    Object* obj = rt_.New(node_cls_);
+    if (i < 3) scope.Add(obj);  // three referents stay reachable
+    held.push_back(rt_.heap().NewWeakRef(obj));
+  }
+  EXPECT_EQ(rt_.heap().tracked_weak_cells(), base + 10);
+  rt_.heap().Collect();
+  // Every holder still keeps its cell, but only live referents are tracked.
+  EXPECT_EQ(rt_.heap().tracked_weak_cells(), base + 3);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(held[i]->cleared(), i >= 3);
+}
+
+TEST_F(RuntimeFixture, ExtendedWeakRefPersistsOnceWhileHeld) {
+  int persists = 0;
+  WeakRef cell = rt_.heap().NewExtendedWeakRef(
+      rt_.New(node_cls_), [&persists](Object*) { ++persists; });
+  for (int i = 0; i < 10; ++i) rt_.heap().Collect();
+  EXPECT_EQ(persists, 1);
+  EXPECT_TRUE(cell->cleared());
+  EXPECT_EQ(rt_.heap().stats().extended_persists, 1u);
+  EXPECT_EQ(rt_.heap().tracked_extended_cells(), 0u);
+}
+
+TEST_F(RuntimeFixture, WeakRefsClearBeforeAnyFinalizerRuns) {
+  // A and B die in the same collection and A's finalizer reads a weak ref
+  // to B: it must see null whichever of the two the sweep reaches first.
+  WeakRef to_b;
+  int runs = 0;
+  int saw_live_b = 0;
+  const ClassInfo* watcher_cls = *rt_.types().Register(
+      ClassBuilder("WatchesB").OnFinalize([&](Object*) {
+        ++runs;
+        if (to_b->get() != nullptr) ++saw_live_b;
+      }));
+  for (bool a_first : {true, false}) {
+    {
+      LocalScope scope(rt_.heap());
+      Object* a = nullptr;
+      Object* b = nullptr;
+      if (a_first) {
+        a = *scope.Add(rt_.New(watcher_cls));
+        b = *scope.Add(rt_.New(node_cls_));
+      } else {
+        b = *scope.Add(rt_.New(node_cls_));
+        a = *scope.Add(rt_.New(watcher_cls));
+      }
+      ASSERT_NE(a, nullptr);
+      to_b = rt_.heap().NewWeakRef(b);
+    }
+    rt_.heap().Collect();
+    EXPECT_TRUE(to_b->cleared());
+  }
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(saw_live_b, 0);
+}
+
 // ------------------------------------------------------------ finalizers --
 
 TEST_F(RuntimeFixture, FinalizerRunsOnceOnDeath) {

@@ -1021,6 +1021,87 @@ TEST(SwapReentrancyTest, SwapInUnderPressureEvictsAnotherCluster) {
   EXPECT_LE(world.rt.heap().used_bytes(), 48u * 1024 + 32 * 1024);
 }
 
+TEST(SwapParityTest, SwapHeavyRunMatchesPinnedCounters) {
+  // A fixed swap-heavy run through a capped heap: five clusters of 60
+  // nodes, of which at most two fit, traversed repeatedly with one write
+  // per round so both clean and dirty swap-outs occur. The collector and
+  // manager counters and the virtual clock are pinned: a change to the
+  // collector's internals (e.g. how it tracks weak cells) must leave what
+  // it frees, finalizes and clears, and so every swap decision, unchanged.
+  MiddlewareWorld world{swap::SwappingManager::Options(),
+                        /*heap_capacity=*/48 * 1024};
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  world.AddStore(2, 10 * 1024 * 1024);
+  world.manager.InstallPressureHandler();
+  BuildClusteredList(world.rt, world.manager, node_cls, 300, 60, "head");
+  for (int round = 0; round < 20; ++round) {
+    auto sum = SumList(world.rt, "head");
+    ASSERT_TRUE(sum.ok()) << "round " << round << ": "
+                          << sum.status().ToString();
+    ASSERT_EQ(*sum, 300 * 299 / 2);
+    // Rewrite the head's value unchanged: dirties its cluster.
+    ASSERT_TRUE(world.rt
+                    .Invoke(world.rt.GetGlobal("head")->ref(), "set_value",
+                            {Value::Int(0)})
+                    .ok());
+  }
+  ASSERT_GE(world.manager.stats().swap_outs, 50u);
+  ASSERT_GE(world.manager.stats().swap_ins, 50u);
+
+  const runtime::Heap::Stats& heap = world.rt.heap().stats();
+  EXPECT_EQ(heap.collections, 1673u);
+  EXPECT_EQ(heap.objects_freed, 12077u);
+  EXPECT_EQ(heap.finalizers_run, 6077u);
+  EXPECT_EQ(heap.weakrefs_cleared, 11980u);
+  EXPECT_EQ(world.manager.StatsJson(),
+      "{\"proxies_created\":5985,\"proxies_reused\":6000,"
+      "\"proxies_dismantled\":0,\"proxies_finalized\":5980,"
+      "\"boundary_crossings\":12020,\"assigned_patches\":0,"
+      "\"swap_outs\":100,\"swap_ins\":98,\"drops\":0,\"drop_failures\":0,"
+      "\"swap_out_failures\":0,\"bytes_swapped_out\":162874,"
+      "\"bytes_swapped_in\":667802,\"local_swap_outs\":0,\"merges\":0,"
+      "\"splits\":0,\"replicas_placed\":24,\"under_replicated_outs\":0,"
+      "\"failover_fetches\":0,\"data_loss_failovers\":0,"
+      "\"replicas_forgotten\":0,\"re_replications\":0,"
+      "\"bytes_re_replicated\":0,\"evacuated_replicas\":0,"
+      "\"drops_deferred\":0,\"drops_drained\":0,\"clean_swap_outs\":76,"
+      "\"clean_image_invalidations\":20,\"clean_images_reaped\":0,"
+      "\"cache_hits\":0,\"bytes_swap_transfer_saved\":518586,"
+      "\"prefetched_swap_ins\":0,\"prefetch_stages\":0,"
+      "\"prefetch_stage_bytes\":0,\"prefetch_hits\":0,"
+      "\"prefetch_wastes\":0,\"demand_fault_stall_us\":0,"
+      "\"prefetch_fetch_us\":0,\"recoveries\":0,\"recovery_us\":0,"
+      "\"journal_append_us\":0,\"journal_bytes\":0,\"hedged_fetches\":0,"
+      "\"hedge_wins\":0,\"hedge_wastes\":0,\"deadline_aborts\":0,"
+      "\"brownout_entries\":0,\"brownout_exits\":0,"
+      "\"brownout_swap_outs\":0,\"pending_drop_overflow\":0,"
+      "\"delta_swap_outs\":0,\"delta_fallbacks\":0,"
+      "\"delta_bytes_shipped\":0,\"delta_bytes_saved\":0,"
+      "\"delta_base_cache_hits\":0,\"fields_marked_dirty\":0,"
+      "\"tier_swap_outs\":0,\"tier_swap_ins\":0,\"fleet_selections\":0,"
+      "\"fleet_placements\":0,\"write_backs_paced\":0,"
+      "\"payload_cache_hits\":0,\"payload_cache_misses\":98,"
+      "\"payload_cache_insertions\":0,\"payload_cache_evictions\":0,"
+      "\"payload_cache_invalidations\":0,\"payload_cache_bytes\":0,"
+      "\"payload_cache_entries\":0,\"tier_ram_admits\":0,"
+      "\"tier_ram_rejects\":0,\"tier_ram_hits\":0,\"tier_ram_misses\":0,"
+      "\"tier_ram_evictions\":0,\"tier_ram_bytes_saved\":0,"
+      "\"tier_ram_entries_lost\":0,\"tier_ram_bytes\":0,"
+      "\"tier_flash_admits\":0,\"tier_flash_rejects\":0,"
+      "\"tier_flash_hits\":0,\"tier_flash_misses\":0,"
+      "\"tier_flash_evictions\":0,\"tier_flash_discards\":0,"
+      "\"tier_flash_slots_used\":0,\"tier_promotions\":0,"
+      "\"tier_demotions\":0,\"tier_write_backs\":0,"
+      "\"tier_write_back_bytes\":0,\"tier_pending_write_backs\":0,"
+      "\"net.pushbacks\":0,\"net.pushback_retries\":0,"
+      "\"net.retry_budget_exhausted\":0,\"net.retry_budget_earned\":0,"
+      "\"net.retry_budget_spent\":0,\"net.shed_demand\":0,"
+      "\"net.shed_swap_out\":0,\"net.shed_hedge\":0,"
+      "\"net.shed_prefetch\":0,\"net.shed_maintenance\":0,"
+      "\"store_queue_depth\":0}");
+  EXPECT_EQ(world.network.clock().now_us(), 20692415u);
+}
+
 // ----------------------------------------------------------- misc surface --
 
 TEST_F(SwapFixture, InboundProxyCountTracksLiveProxies) {
@@ -1034,6 +1115,24 @@ TEST_F(SwapFixture, InboundProxyCountTracksLiveProxies) {
   world_.rt.RemoveGlobal("head");
   world_.rt.heap().Collect();
   EXPECT_EQ(world_.manager.InboundProxyCount(clusters[0]), 0u);
+}
+
+TEST_F(SwapFixture, InboundListStaysBoundedUnderProxyChurn) {
+  // B1-style churn into a cluster that never swaps: every reference
+  // returned across the boundary gets a fresh proxy, which dies at the next
+  // collection. InboundProxyCount never runs, so the list must prune
+  // itself as it grows.
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     /*n=*/2, /*per_cluster=*/1, "head");
+  const uint64_t before = world_.manager.stats().proxies_created;
+  for (int i = 0; i < 50000; ++i) {
+    ASSERT_TRUE(world_.rt.Invoke(HeadRef(), "next").ok());
+    world_.rt.heap().Collect();
+  }
+  EXPECT_EQ(world_.manager.stats().proxies_created - before, 50000u);
+  EXPECT_LE(world_.manager.InboundListSize(clusters[1]), 32u);
+  // Only the node0 -> node1 boundary proxy is still alive.
+  EXPECT_EQ(world_.manager.InboundProxyCount(clusters[1]), 1u);
 }
 
 TEST_F(SwapFixture, DirectInvocationOnReplacementIsRejected) {
