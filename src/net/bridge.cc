@@ -62,38 +62,63 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// What the retry loop needs to know about a pushback envelope, peeked
-/// without disturbing the normal ParseResponse path.
-struct PushbackInfo {
-  bool is_pushback = false;
-  uint64_t retry_after_us = 0;
-  uint64_t depth = 0;
-  std::string message;
-};
-
-PushbackInfo PeekPushback(const std::string& response_xml) {
-  PushbackInfo info;
-  auto parsed = xml::Parse(response_xml);
-  if (!parsed.ok()) return info;
-  const xml::Node& response = **parsed;
-  const std::string* status_name = response.FindAttr("status");
-  if (status_name == nullptr ||
-      *status_name != StatusCodeName(StatusCode::kResourceExhausted)) {
-    return info;
-  }
-  const std::string* message = response.FindAttr("message");
-  if (message == nullptr || message->rfind("pushback", 0) != 0) return info;
-  info.is_pushback = true;
-  info.message = *message;
-  auto retry_after = response.GetIntAttr("retry_after_us");
-  if (retry_after.ok() && *retry_after > 0)
-    info.retry_after_us = static_cast<uint64_t>(*retry_after);
-  auto depth = response.GetIntAttr("depth");
-  if (depth.ok() && *depth > 0) info.depth = static_cast<uint64_t>(*depth);
-  return info;
+/// The request envelope every op shares; `payload` only for stores.
+std::string Request(const char* op, SwapKey key, const std::string* payload,
+                    std::optional<Priority> priority) {
+  auto request = xml::Node::Element("request");
+  request->SetAttr("op", op);
+  request->SetIntAttr("key", static_cast<int64_t>(key.value()));
+  // Content checksum: transit integrity + retry idempotency (see
+  // StoreService::Handle).
+  if (payload != nullptr)
+    request->SetIntAttr("checksum", static_cast<int64_t>(Adler32(*payload)));
+  if (priority.has_value())
+    request->SetIntAttr("pri", static_cast<int64_t>(*priority));
+  if (payload != nullptr) request->AddElement("payload")->AddText(*payload);
+  return xml::Write(*request);
 }
 
 }  // namespace
+
+std::string StoreRequest(SwapKey key, const std::string& payload,
+                         std::optional<Priority> priority) {
+  return Request("store", key, &payload, priority);
+}
+
+std::string FetchRequest(SwapKey key, std::optional<Priority> priority) {
+  return Request("fetch", key, nullptr, priority);
+}
+
+std::string DropRequest(SwapKey key, std::optional<Priority> priority) {
+  return Request("drop", key, nullptr, priority);
+}
+
+Result<Response> ParseResponse(std::string_view response_xml) {
+  OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> parsed,
+                           xml::Parse(response_xml));
+  const xml::Node& envelope = *parsed;
+  const std::string* status_name = envelope.FindAttr("status");
+  if (status_name == nullptr) return DataLossError("response missing status");
+  Response response;
+  if (*status_name != "OK") {
+    const std::string* message = envelope.FindAttr("message");
+    response.status = Status(CodeFromName(*status_name),
+                             message != nullptr ? *message : "remote error");
+    if (IsPushback(response.status)) {
+      response.pushback = true;
+      auto retry_after = envelope.GetIntAttr("retry_after_us");
+      if (retry_after.ok() && *retry_after > 0)
+        response.retry_after_us = static_cast<uint64_t>(*retry_after);
+      auto depth = envelope.GetIntAttr("depth");
+      if (depth.ok() && *depth > 0)
+        response.depth = static_cast<uint64_t>(*depth);
+    }
+  } else if (const xml::Node* payload = envelope.FindChild("payload")) {
+    response.has_payload = true;
+    response.payload = payload->InnerText();
+  }
+  return response;
+}
 
 std::string StoreService::Handle(const std::string& request_xml,
                                  uint64_t now_us, uint64_t* queue_wait_us) {
@@ -229,11 +254,10 @@ std::vector<StoreNode*> Discovery::NearbyStores(DeviceId from,
   return out;
 }
 
-Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
-                                      const char* op,
-                                      const std::string& request_xml,
-                                      uint64_t deadline_us,
-                                      Priority priority) {
+Result<Response> StoreClient::Call(DeviceId device, SwapKey key,
+                                   const char* op,
+                                   const std::string& request_xml,
+                                   uint64_t deadline_us, Priority priority) {
   telemetry::ScopedSpan rpc_span(telemetry_, std::string("rpc:") + op, "net",
                                  telemetry::Hist(telemetry_, "rpc_us"));
   if (telemetry_ != nullptr)
@@ -259,10 +283,8 @@ Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
     return used >= deadline_us ? 0 : deadline_us - used;
   };
   Status last = UnavailableError("no attempt made");
-  // While the last attempt was shed, this holds its envelope (returned
-  // verbatim on exhaustion so wrappers parse the real pushback status) and
+  // While the last attempt was shed, `last` holds its pushback status and
   // the store's retry-after hint replaces the exponential backoff series.
-  std::string pushback_response;
   uint64_t pushback_wait_us = 0;
   for (int attempt = 0; attempt < max_attempts_; ++attempt) {
     if (attempt > 0) {
@@ -271,7 +293,6 @@ Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
       // backoff sleep. This is what bounds retry amplification in a storm.
       if (budget_options_.enabled && !SpendRetryToken(device)) {
         ++stats_.retry_budget_exhausted;
-        if (!pushback_response.empty()) return pushback_response;
         return last;
       }
       ++stats_.retries;
@@ -320,7 +341,6 @@ Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
       }
     }
     pushback_wait_us = 0;
-    pushback_response.clear();
     // One child span per wire attempt: a traced retry storm shows each
     // retransmission (and its backoff gap) inside the enclosing rpc span.
     telemetry::ScopedSpan attempt_span(telemetry_, "rpc_attempt", "net");
@@ -344,29 +364,28 @@ Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
     } else {
       stats_.bytes_sent += request_xml.size();
       uint64_t queue_wait_us = 0;
-      std::string response = service->Handle(
+      const std::string response_xml = service->Handle(
           request_xml, network_.clock().now_us(), &queue_wait_us);
-      Result<uint64_t> back =
-          network_.Transfer(device, self_, response.size(), budget_left());
+      Result<uint64_t> back = network_.Transfer(
+          device, self_, response_xml.size(), budget_left());
       if (!back.ok()) {
         fail_attempt(back.status());
       } else {
-        stats_.bytes_received += response.size();
-        PushbackInfo pushback = PeekPushback(response);
-        if (pushback.is_pushback) {
+        stats_.bytes_received += response_xml.size();
+        Result<Response> response = ParseResponse(response_xml);
+        if (response.ok() && response->pushback) {
           // Shed, not served. Neutral for the circuit breaker — an
           // overloaded store is not a broken one, and tripping breakers
           // on shed traffic would amplify the very storm the shedding is
           // damping.
           ++stats_.pushbacks;
           ++stats_.pushbacks_by_class[static_cast<int>(priority)];
-          if (pushback.depth > stats_.max_store_queue_depth)
-            stats_.max_store_queue_depth = pushback.depth;
+          if (response->depth > stats_.max_store_queue_depth)
+            stats_.max_store_queue_depth = response->depth;
           if (health_ != nullptr) health_->RecordPushback(device);
-          last = ResourceExhaustedError(pushback.message);
+          last = std::move(response->status);
           pushback_wait_us =
-              pushback.retry_after_us > 0 ? pushback.retry_after_us : 1;
-          pushback_response = std::move(response);
+              response->retry_after_us > 0 ? response->retry_after_us : 1;
           continue;
         }
         // Queue delay is real slowness: fold it into the health latency
@@ -390,7 +409,6 @@ Result<std::string> StoreClient::Call(DeviceId device, SwapKey key,
     // this call would only burn backoff time — fail fast instead.
     if (health_ != nullptr && health_->IsOpen(device)) break;
   }
-  if (!pushback_response.empty()) return pushback_response;
   return last;
 }
 
@@ -414,77 +432,35 @@ void StoreClient::EarnRetryToken(DeviceId device) {
   stats_.retry_budget_earned += earned;
 }
 
-namespace {
-/// Parses a response envelope into Status + optional payload.
-Result<std::string> ParseResponse(const std::string& response_xml,
-                                  bool expect_payload) {
-  auto parsed = xml::Parse(response_xml);
-  if (!parsed.ok()) return parsed.status();
-  const xml::Node& response = **parsed;
-  const std::string* status_name = response.FindAttr("status");
-  if (status_name == nullptr)
-    return DataLossError("response missing status");
-  if (*status_name != "OK") {
-    const std::string* message = response.FindAttr("message");
-    return Status(CodeFromName(*status_name),
-                  message != nullptr ? *message : "remote error");
-  }
-  if (!expect_payload) return std::string();
-  const xml::Node* payload = response.FindChild("payload");
-  if (payload == nullptr) return DataLossError("response missing payload");
-  return payload->InnerText();
-}
-}  // namespace
-
 Status StoreClient::Store(DeviceId device, SwapKey key,
                           const std::string& text, uint64_t deadline_us,
                           Priority priority) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "store");
-  request->SetIntAttr("key", static_cast<int64_t>(key.value()));
-  // Content checksum: transit integrity + retry idempotency (see
-  // StoreService::Handle).
-  request->SetIntAttr("checksum", static_cast<int64_t>(Adler32(text)));
-  if (annotate_priority_)
-    request->SetIntAttr("pri", static_cast<int64_t>(priority));
-  request->AddElement("payload")->AddText(text);
   OBISWAP_ASSIGN_OR_RETURN(
-      std::string response,
-      Call(device, key, "store", xml::Write(*request), deadline_us, priority));
-  OBISWAP_ASSIGN_OR_RETURN(std::string ignored,
-                           ParseResponse(response, /*expect_payload=*/false));
-  (void)ignored;
-  return OkStatus();
+      Response response,
+      Call(device, key, "store", StoreRequest(key, text, Stamp(priority)),
+           deadline_us, priority));
+  return response.status;
 }
 
 Result<std::string> StoreClient::Fetch(DeviceId device, SwapKey key,
                                        uint64_t deadline_us,
                                        Priority priority) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "fetch");
-  request->SetIntAttr("key", static_cast<int64_t>(key.value()));
-  if (annotate_priority_)
-    request->SetIntAttr("pri", static_cast<int64_t>(priority));
   OBISWAP_ASSIGN_OR_RETURN(
-      std::string response,
-      Call(device, key, "fetch", xml::Write(*request), deadline_us, priority));
-  return ParseResponse(response, /*expect_payload=*/true);
+      Response response,
+      Call(device, key, "fetch", FetchRequest(key, Stamp(priority)),
+           deadline_us, priority));
+  OBISWAP_RETURN_IF_ERROR(response.status);
+  if (!response.has_payload) return DataLossError("response missing payload");
+  return std::move(response.payload);
 }
 
 Status StoreClient::Drop(DeviceId device, SwapKey key, uint64_t deadline_us,
                          Priority priority) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "drop");
-  request->SetIntAttr("key", static_cast<int64_t>(key.value()));
-  if (annotate_priority_)
-    request->SetIntAttr("pri", static_cast<int64_t>(priority));
   OBISWAP_ASSIGN_OR_RETURN(
-      std::string response,
-      Call(device, key, "drop", xml::Write(*request), deadline_us, priority));
-  OBISWAP_ASSIGN_OR_RETURN(std::string ignored,
-                           ParseResponse(response, /*expect_payload=*/false));
-  (void)ignored;
-  return OkStatus();
+      Response response,
+      Call(device, key, "drop", DropRequest(key, Stamp(priority)),
+           deadline_us, priority));
+  return response.status;
 }
 
 }  // namespace obiswap::net

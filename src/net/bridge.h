@@ -8,7 +8,9 @@
 // — no VM, no middleware (§3).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/ids.h"
@@ -28,6 +30,37 @@ inline bool IsPushback(const Status& status) {
   return status.code() == StatusCode::kResourceExhausted &&
          status.message().rfind("pushback", 0) == 0;
 }
+
+// --- envelopes --------------------------------------------------------------
+// Every call is one XML request envelope out and one XML response envelope
+// back. Their bytes are a compatibility surface: wire sizes set transfer
+// times on the virtual clock, so a changed byte moves every virtual-time
+// result that ships a swap-cluster.
+
+/// The request envelopes StoreClient sends. `priority` rides as the `pri`
+/// attribute when given; `StoreRequest` also carries the payload's
+/// Adler-32 as `checksum`.
+std::string StoreRequest(SwapKey key, const std::string& payload,
+                         std::optional<Priority> priority = std::nullopt);
+std::string FetchRequest(SwapKey key,
+                         std::optional<Priority> priority = std::nullopt);
+std::string DropRequest(SwapKey key,
+                        std::optional<Priority> priority = std::nullopt);
+
+/// One response envelope, parsed once: the retry loop reads its pushback
+/// fields and the caller its status and payload from the same parse.
+struct Response {
+  Status status;                ///< OK or the remote error
+  bool has_payload = false;     ///< a <payload> child was present
+  std::string payload;          ///< its text
+  bool pushback = false;        ///< IsPushback(status): shed, not served
+  uint64_t retry_after_us = 0;  ///< the store's hint (pushback only)
+  uint64_t depth = 0;           ///< queue depth at arrival (pushback only)
+};
+
+/// Reads a response envelope. kDataLoss when it is not well-formed XML
+/// or carries no status.
+Result<Response> ParseResponse(std::string_view response_xml);
 
 /// Server side: turns request envelopes into StoreNode operations. This is
 /// the entirety of the software a swapping device needs.
@@ -190,9 +223,18 @@ class StoreClient {
   void AttachTelemetry(telemetry::Telemetry* t) { telemetry_ = t; }
 
  private:
-  Result<std::string> Call(DeviceId device, SwapKey key, const char* op,
-                           const std::string& request_xml,
-                           uint64_t deadline_us, Priority priority);
+  /// Ships `request_xml` with retries. Returns the parsed response of the
+  /// attempt that was served (its status may be a remote error), or the
+  /// transport, deadline or pushback failure that ended the call.
+  Result<Response> Call(DeviceId device, SwapKey key, const char* op,
+                        const std::string& request_xml,
+                        uint64_t deadline_us, Priority priority);
+
+  /// The `pri` attribute this client stamps: `priority` while annotating.
+  std::optional<Priority> Stamp(Priority priority) const {
+    return annotate_priority_ ? std::optional<Priority>(priority)
+                              : std::nullopt;
+  }
 
   /// True if the bucket for `device` covers one retry (and charges it).
   bool SpendRetryToken(DeviceId device);

@@ -19,10 +19,13 @@ std::unique_ptr<Node> Node::Text(std::string text) {
 void Node::SetAttr(std::string_view name, std::string_view value) {
   for (auto& attr : attrs_) {
     if (attr.name == name) {
-      attr.value = std::string(value);
+      attr.value.assign(value);
       return;
     }
   }
+  // Elements here carry one to four attributes: one allocation, not a
+  // regrowth per attribute.
+  if (attrs_.empty()) attrs_.reserve(4);
   attrs_.push_back(Attr{std::string(name), std::string(value)});
 }
 
@@ -37,17 +40,23 @@ const std::string* Node::FindAttr(std::string_view name) const {
   return nullptr;
 }
 
+namespace {
+Status MissingAttr(std::string_view name, const std::string& element) {
+  return NotFoundError("missing attribute '" + std::string(name) + "' on <" +
+                       element + ">");
+}
+}  // namespace
+
 Result<std::string> Node::GetAttr(std::string_view name) const {
   const std::string* value = FindAttr(name);
-  if (value == nullptr)
-    return NotFoundError("missing attribute '" + std::string(name) +
-                         "' on <" + name_ + ">");
+  if (value == nullptr) return MissingAttr(name, name_);
   return *value;
 }
 
 Result<int64_t> Node::GetIntAttr(std::string_view name) const {
-  OBISWAP_ASSIGN_OR_RETURN(std::string text, GetAttr(name));
-  return ParseInt64(text);
+  const std::string* value = FindAttr(name);
+  if (value == nullptr) return MissingAttr(name, name_);
+  return ParseInt64(*value);
 }
 
 Result<int64_t> Node::GetIntAttrOr(std::string_view name,

@@ -241,6 +241,183 @@ TEST_F(BridgeFixture, ServiceRejectsMalformedRequests) {
             std::string::npos);
 }
 
+// ----------------------------------------------------------- wire parity --
+//
+// Envelope bytes are a compatibility surface: wire sizes set transfer
+// times on the virtual clock. Every envelope below was recorded before the
+// bridge moved to one parse per response; the payload holds every byte
+// value 0x00-0xFF.
+
+std::string AllBytes() {
+  std::string bytes;
+  for (int c = 0; c < 256; ++c) bytes += static_cast<char>(c);
+  return bytes;
+}
+
+/// AllBytes() as element text: control bytes as character references,
+/// markup as entities, bytes >= 0x80 raw.
+const std::string kEscapedAllBytes =
+    "&#x0;&#x1;&#x2;&#x3;&#x4;&#x5;&#x6;&#x7;&#x8;&#x9;&#xA;&#xB;&#xC;"
+    "&#xD;&#xE;&#xF;&#x10;&#x11;&#x12;&#x13;&#x14;&#x15;&#x16;&#x17;"
+    "&#x18;&#x19;&#x1A;&#x1B;&#x1C;&#x1D;&#x1E;&#x1F; !\"#$%&amp;'()*+,"
+    "-./0123456789:;&lt;=&gt;?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefg"
+    "hijklmnopqrstuvwxyz{|}~&#x7F;\x80\x81\x82\x83\x84\x85\x86\x87\x88"
+    "\x89\x8A\x8B\x8C\x8D\x8E\x8F\x90\x91\x92\x93\x94\x95\x96\x97\x98"
+    "\x99\x9A\x9B\x9C\x9D\x9E\x9F\xA0\xA1\xA2\xA3\xA4\xA5\xA6\xA7\xA8"
+    "\xA9\xAA\xAB\xAC\xAD\xAE\xAF\xB0\xB1\xB2\xB3\xB4\xB5\xB6\xB7\xB8"
+    "\xB9\xBA\xBB\xBC\xBD\xBE\xBF\xC0\xC1\xC2\xC3\xC4\xC5\xC6\xC7\xC8"
+    "\xC9\xCA\xCB\xCC\xCD\xCE\xCF\xD0\xD1\xD2\xD3\xD4\xD5\xD6\xD7\xD8"
+    "\xD9\xDA\xDB\xDC\xDD\xDE\xDF\xE0\xE1\xE2\xE3\xE4\xE5\xE6\xE7\xE8"
+    "\xE9\xEA\xEB\xEC\xED\xEE\xEF\xF0\xF1\xF2\xF3\xF4\xF5\xF6\xF7\xF8"
+    "\xF9\xFA\xFB\xFC\xFD\xFE\xFF";
+
+constexpr SwapKey kWireKey(7);
+constexpr Priority kWirePriority = Priority::kPrefetch;
+
+TEST(WireParityTest, RequestEnvelopesAreByteIdentical) {
+  const std::string payload = AllBytes();
+  EXPECT_EQ(StoreRequest(kWireKey, payload),
+            "<request op=\"store\" key=\"7\" checksum=\"2918612865\">"
+            "<payload>" + kEscapedAllBytes + "</payload></request>");
+  EXPECT_EQ(StoreRequest(kWireKey, payload, kWirePriority),
+            "<request op=\"store\" key=\"7\" checksum=\"2918612865\" "
+            "pri=\"3\"><payload>" + kEscapedAllBytes + "</payload></request>");
+  EXPECT_EQ(StoreRequest(SwapKey(11), ""),
+            "<request op=\"store\" key=\"11\" checksum=\"1\"><payload>"
+            "</payload></request>");
+  EXPECT_EQ(FetchRequest(kWireKey), "<request op=\"fetch\" key=\"7\"/>");
+  EXPECT_EQ(FetchRequest(kWireKey, kWirePriority),
+            "<request op=\"fetch\" key=\"7\" pri=\"3\"/>");
+  EXPECT_EQ(DropRequest(kWireKey), "<request op=\"drop\" key=\"7\"/>");
+  EXPECT_EQ(DropRequest(kWireKey, kWirePriority),
+            "<request op=\"drop\" key=\"7\" pri=\"3\"/>");
+}
+
+TEST_F(BridgeFixture, ClientSendsAndReceivesThePinnedSizes) {
+  const std::string payload = AllBytes();
+  for (bool annotate : {false, true}) {
+    client_.set_annotate_priority(annotate);
+    const size_t pri_bytes = annotate ? 8 : 0;  // ` pri="3"`
+    uint64_t sent = client_.stats().bytes_sent;
+    uint64_t received = client_.stats().bytes_received;
+    ASSERT_TRUE(
+        client_.Store(kStoreA, kWireKey, payload, 0, kWirePriority).ok());
+    EXPECT_EQ(client_.stats().bytes_sent - sent, 494 + pri_bytes);
+    EXPECT_EQ(client_.stats().bytes_received - received, 23u);
+    sent = client_.stats().bytes_sent;
+    received = client_.stats().bytes_received;
+    auto fetched = client_.Fetch(kStoreA, kWireKey, 0, kWirePriority);
+    ASSERT_TRUE(fetched.ok());
+    EXPECT_EQ(*fetched, payload);
+    EXPECT_EQ(client_.stats().bytes_sent - sent, 29 + pri_bytes);
+    EXPECT_EQ(client_.stats().bytes_received - received, 467u);
+    sent = client_.stats().bytes_sent;
+    received = client_.stats().bytes_received;
+    ASSERT_TRUE(client_.Drop(kStoreA, kWireKey, 0, kWirePriority).ok());
+    EXPECT_EQ(client_.stats().bytes_sent - sent, 28 + pri_bytes);
+    EXPECT_EQ(client_.stats().bytes_received - received, 23u);
+  }
+}
+
+TEST_F(BridgeFixture, ResponseEnvelopesAreByteIdentical) {
+  StoreService* service = discovery_.ServiceFor(kStoreA);
+  ASSERT_NE(service, nullptr);
+  const std::string payload = AllBytes();
+  EXPECT_EQ(service->Handle(StoreRequest(kWireKey, payload)),
+            "<response status=\"OK\"/>");
+  EXPECT_EQ(service->Handle(FetchRequest(kWireKey)),
+            "<response status=\"OK\"><payload>" + kEscapedAllBytes +
+                "</payload></response>");
+  EXPECT_EQ(service->Handle(DropRequest(kWireKey)),
+            "<response status=\"OK\"/>");
+  EXPECT_EQ(service->Handle(FetchRequest(kWireKey)),
+            "<response status=\"NOT_FOUND\" message=\"key 7 not stored\"/>");
+  ASSERT_EQ(service->Handle(StoreRequest(SwapKey(11), "")),
+            "<response status=\"OK\"/>");
+  EXPECT_EQ(service->Handle(FetchRequest(SwapKey(11))),
+            "<response status=\"OK\"><payload></payload></response>");
+  EXPECT_EQ(service->Handle(StoreRequest(SwapKey(11), "x")),
+            "<response status=\"ALREADY_EXISTS\" "
+            "message=\"key 11 already stored\"/>");
+  EXPECT_EQ(service->Handle("<request op=\"z&lt;&quot;\" key=\"1\"/>"),
+            "<response status=\"INVALID_ARGUMENT\" "
+            "message=\"unknown op &apos;z&lt;&quot;&apos;\"/>");
+  EXPECT_EQ(service->Handle("<request op=\"fetch\" key=\"1\">\n<x></y>"),
+            "<response status=\"INVALID_ARGUMENT\" message=\"bad request: "
+            "xml parse error at line 2: mismatched close tag &lt;/y&gt; for "
+            "&lt;x&gt;\"/>");
+}
+
+StoreNode::QueueOptions OneSlotQueue() {
+  StoreNode::QueueOptions queue;
+  queue.enabled = true;
+  queue.concurrency = 1;
+  queue.queue_limit = 2;
+  queue.service_time_us = 1'000'000;
+  return queue;
+}
+
+TEST_F(BridgeFixture, PushbackEnvelopeIsByteIdentical) {
+  store_a_.ConfigureQueue(OneSlotQueue());
+  StoreService* service = discovery_.ServiceFor(kStoreA);
+  ASSERT_NE(service, nullptr);
+  // One in service and two waiting fill the queue at time 0...
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service->Handle(FetchRequest(kWireKey, kWirePriority), 0),
+              "<response status=\"NOT_FOUND\" message=\"key 7 not stored\"/>");
+  }
+  // ...so the fourth arrival is shed with the store's hint and depth.
+  EXPECT_EQ(service->Handle(FetchRequest(kWireKey, kWirePriority), 0),
+            "<response status=\"RESOURCE_EXHAUSTED\" message=\"pushback: "
+            "store saturated\" retry_after_us=\"1000000\" depth=\"3\"/>");
+}
+
+// A shed reply is read from the one parse of its envelope: the call
+// surfaces kResourceExhausted with the store's message, and a retrying
+// client waits exactly the retry-after hint the envelope carried (values
+// recorded before the bridge stopped parsing each response twice).
+TEST_F(BridgeFixture, ShedReplyYieldsPushbackAndHonoursRetryAfter) {
+  store_a_.ConfigureQueue(OneSlotQueue());
+  for (uint64_t k = 1; k <= 3; ++k)
+    ASSERT_TRUE(client_.Store(kStoreA, SwapKey(k), "x").ok());
+
+  StoreClient one_shot(network_, discovery_, kPda, /*max_attempts=*/1);
+  Status shed = one_shot.Store(kStoreA, SwapKey(4), "x");
+  EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(IsPushback(shed));
+  EXPECT_EQ(shed.message(), "pushback: store saturated");
+  EXPECT_EQ(one_shot.stats().pushbacks, 1u);
+  EXPECT_EQ(one_shot.stats().max_store_queue_depth, 3u);
+  EXPECT_EQ(one_shot.stats().bytes_received, 109u);
+
+  const uint64_t backoff_before = client_.stats().backoff_us;
+  ASSERT_TRUE(client_.Store(kStoreA, SwapKey(5), "x").ok());
+  EXPECT_EQ(client_.stats().pushbacks, 1u);
+  EXPECT_EQ(client_.stats().pushback_retries, 1u);
+  EXPECT_EQ(client_.stats().backoff_us - backoff_before, 754'449u);
+
+  auto fetch_shed = one_shot.Fetch(kStoreA, SwapKey(5));
+  EXPECT_EQ(fetch_shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(IsPushback(fetch_shed.status()));
+}
+
+TEST(WireParityTest, UnparsableResponseIsDataLoss) {
+  auto truncated = ParseResponse("<response status=\"OK\"><payload>ab");
+  EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(truncated.status().message(),
+            "xml parse error at line 1: unterminated element <payload>");
+  auto no_status = ParseResponse("<response/>");
+  EXPECT_EQ(no_status.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(no_status.status().message(), "response missing status");
+  auto ok = ParseResponse("<response status=\"OK\"><payload>a&lt;b</payload>"
+                          "</response>");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok->status.ok());
+  EXPECT_TRUE(ok->has_payload);
+  EXPECT_EQ(ok->payload, "a<b");
+  EXPECT_FALSE(ok->pushback);
+}
+
 // ------------------------------------------------------------- discovery --
 
 TEST_F(BridgeFixture, NearbyStoresFiltersByRangeAndCapacity) {

@@ -1,12 +1,10 @@
-// Parser rejection cases whose test IDs are the same on every build.
+// Parser rejection cases, each with its exact error message.
 //
 // gtest appends the printed parameter to a value-parameterized test's
-// listed name. XmlParserErrorTest in xml_test.cc takes a struct of raw
-// `const char*` with no printer, so its IDs carry the strings' addresses,
-// which change from run to run under ASLR. The cases below print their
-// label instead. They repeat six cases of that table; the table itself is
-// left as it is, because removing entries moves the strings of the others
-// and so renames their tests too.
+// listed name, so the parameter prints its label: a struct of raw
+// `const char*` with no printer would list the strings' addresses, which
+// change from run to run under ASLR. These six cases repeat entries of
+// XmlParserErrorTest in xml_test.cc, which prints its labels the same way.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -19,6 +17,7 @@ namespace {
 struct RejectCase {
   const char* label;
   const char* text;
+  const char* message;
 };
 
 void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.label; }
@@ -27,19 +26,27 @@ class XmlParserRejectTest : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(XmlParserRejectTest, RejectsMalformedInput) {
   auto result = Parse(GetParam().text);
-  EXPECT_FALSE(result.ok()) << GetParam().label;
+  ASSERT_FALSE(result.ok()) << GetParam().label;
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(result.status().message(), GetParam().message);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, XmlParserRejectTest,
     ::testing::Values(
-        RejectCase{"empty", ""},
-        RejectCase{"text_only", "just text"},
-        RejectCase{"bad_entity", "<a>&nope;</a>"},
-        RejectCase{"lt_in_attr", "<a x=\"<\"/>"},
-        RejectCase{"unquoted_attr", "<a x=1/>"},
-        RejectCase{"bad_char_ref", "<a>&#xZZ;</a>"}),
+        RejectCase{"empty", "",
+                   "xml parse error at line 1: document has no root element"},
+        RejectCase{"text_only", "just text",
+                   "xml parse error at line 1: expected '<'"},
+        RejectCase{"bad_entity", "<a>&nope;</a>",
+                   "xml parse error at line 1: unknown entity '&nope;'"},
+        RejectCase{"lt_in_attr", "<a x=\"<\"/>",
+                   "xml parse error at line 1: '<' in attribute value"},
+        RejectCase{"unquoted_attr", "<a x=1/>",
+                   "xml parse error at line 1: expected quoted attribute "
+                   "value"},
+        RejectCase{"bad_char_ref", "<a>&#xZZ;</a>",
+                   "xml parse error at line 1: bad character reference"}),
     [](const ::testing::TestParamInfo<RejectCase>& info) {
       return info.param.label;
     });
