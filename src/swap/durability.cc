@@ -52,10 +52,32 @@ void DurabilityMonitor::AttachFleet(fleet::PlacementDirectory* directory) {
       }));
 }
 
+namespace {
+/// Replica count of the cluster's thinnest store group — the one a repair
+/// must top up; 0 when the state holds no groups.
+size_t FewestReplicas(const SwapClusterInfo* info) {
+  if (info == nullptr) return 0;
+  size_t fewest = SIZE_MAX;
+  for (const ConstStoreGroup& group : info->Groups())
+    fewest = std::min(fewest, group.replicas->size());
+  return fewest == SIZE_MAX ? 0 : fewest;
+}
+
+/// Some store group of the cluster holds fewer than `want` replicas.
+bool UnderReplicated(const SwapClusterInfo* info, size_t want) {
+  if (info == nullptr) return false;
+  for (const ConstStoreGroup& group : info->Groups())
+    if (group.replicas->size() < want) return true;
+  return false;
+}
+}  // namespace
+
 size_t DurabilityMonitor::ReplicaRecords(const SwapClusterInfo* info) {
   if (info == nullptr) return 0;
-  const std::vector<ReplicaLocation>* active = info->ActiveReplicas();
-  return active == nullptr ? 0 : active->size();
+  size_t records = 0;
+  for (const ConstStoreGroup& group : info->Groups())
+    records += group.replicas->size();
+  return records;
 }
 
 void DurabilityMonitor::RefreshCluster(SwapClusterId id) {
@@ -64,11 +86,9 @@ void DurabilityMonitor::RefreshCluster(SwapClusterId id) {
     EvictClusterFromIndex(id);
     return;
   }
-  const std::vector<ReplicaLocation>* active = info->ActiveReplicas();
   std::vector<DeviceId> devices;
-  if (active != nullptr) {
-    devices.reserve(active->size());
-    for (const ReplicaLocation& replica : *active) {
+  for (const ConstStoreGroup& group : info->Groups()) {
+    for (const ReplicaLocation& replica : *group.replicas) {
       if (std::find(devices.begin(), devices.end(), replica.device) ==
           devices.end())
         devices.push_back(replica.device);
@@ -88,7 +108,7 @@ void DurabilityMonitor::RefreshCluster(SwapClusterId id) {
   }
   for (DeviceId device : devices) index_[device].insert(id);
 
-  const size_t records = active == nullptr ? 0 : active->size();
+  const size_t records = ReplicaRecords(info);
   auto rec_it = cluster_records_.find(id);
   total_records_ -= rec_it == cluster_records_.end() ? 0 : rec_it->second;
   total_records_ += records;
@@ -101,9 +121,8 @@ void DurabilityMonitor::RefreshCluster(SwapClusterId id) {
   else
     cluster_records_[id] = records;
 
-  size_t want = manager_.options().replication_factor;
-  if (want == 0) want = 1;
-  if (active != nullptr && active->size() < want)
+  const size_t want = manager_.options().replication_factor;
+  if (UnderReplicated(info, want))
     under_replicated_.insert(id);
   else
     under_replicated_.erase(id);
@@ -140,8 +159,7 @@ void DurabilityMonitor::RebuildIndex() {
 }
 
 void DurabilityMonitor::DrainDirtyClusters() {
-  size_t want = manager_.options().replication_factor;
-  if (want == 0) want = 1;
+  const size_t want = manager_.options().replication_factor;
   // Events only name clusters; a recovery replaces the whole registry and
   // a replication-factor change moves the under-replication threshold for
   // every cluster at once. Both force a rebuild.
@@ -268,8 +286,7 @@ void DurabilityMonitor::Poll() {
   // Only active once a tracker is attached — an unwired monitor keeps the
   // exact pre-degraded-mode behavior.
   if (health_ != nullptr) {
-    size_t want = manager_.options().replication_factor;
-    if (want == 0) want = 1;
+    const size_t want = manager_.options().replication_factor;
     size_t healthy = 0;
     for (DeviceId device : announced) {
       if (device == self_) continue;
@@ -300,8 +317,7 @@ void DurabilityMonitor::Poll() {
                                         under_replicated_.end());
     for (SwapClusterId id : suspects) {
       const SwapClusterInfo* info = manager_.registry().Find(id);
-      if (info == nullptr || info->ActiveReplicas() == nullptr)
-        RefreshCluster(id);
+      if (info == nullptr || info->Groups().empty()) RefreshCluster(id);
     }
   }
 
@@ -321,14 +337,9 @@ void DurabilityMonitor::Poll() {
     if (FleetActive()) {
       under = static_cast<int64_t>(under_replicated_.size());
     } else {
-      size_t want = manager_.options().replication_factor;
-      if (want == 0) want = 1;
-      for (SwapClusterId id : manager_.registry().Ids()) {
-        const SwapClusterInfo* info = manager_.registry().Find(id);
-        if (info == nullptr) continue;
-        const std::vector<ReplicaLocation>* active = info->ActiveReplicas();
-        if (active != nullptr && active->size() < want) ++under;
-      }
+      const size_t want = manager_.options().replication_factor;
+      for (SwapClusterId id : manager_.registry().Ids())
+        if (UnderReplicated(manager_.registry().Find(id), want)) ++under;
     }
     props_->SetInt("swap.store_churn",
                    static_cast<int64_t>(stats_.stores_departed));
@@ -378,7 +389,7 @@ void DurabilityMonitor::HandleDeparture(DeviceId device) {
     const SwapClusterInfo* info = manager_.registry().Find(id);
     stats_.scan_replicas += ReplicaRecords(info);
     // Both swapped payloads and retained clean images hold store replicas;
-    // HasReplicaOn / ForgetReplica cover whichever list is active.
+    // HasReplicaOn / ForgetReplica cover every group the state holds.
     if (info == nullptr || !info->HasReplicaOn(device)) {
       if (fleet) RefreshCluster(id);  // stale index entry: drop it now
       continue;
@@ -387,15 +398,12 @@ void DurabilityMonitor::HandleDeparture(DeviceId device) {
     if (fleet) RefreshCluster(id);
     if (forgotten == 0) continue;
     stats_.replicas_lost += forgotten;
-    info = manager_.registry().Find(id);
-    const std::vector<ReplicaLocation>* active =
-        info == nullptr ? nullptr : info->ActiveReplicas();
-    bus_.Publish(context::Event(context::kEventReplicaLost)
-                     .Set("swap_cluster", static_cast<int64_t>(id.value()))
-                     .Set("device", static_cast<int64_t>(device.value()))
-                     .Set("survivors",
-                          static_cast<int64_t>(
-                              active != nullptr ? active->size() : 0)));
+    bus_.Publish(
+        context::Event(context::kEventReplicaLost)
+            .Set("swap_cluster", static_cast<int64_t>(id.value()))
+            .Set("device", static_cast<int64_t>(device.value()))
+            .Set("survivors", static_cast<int64_t>(FewestReplicas(
+                                  manager_.registry().Find(id)))));
   }
   // A departed store holds nothing; whatever the index still maps to it is
   // pure staleness. Drop the bucket wholesale — re-placements on a
@@ -412,8 +420,7 @@ void DurabilityMonitor::HandleDeparture(DeviceId device) {
 }
 
 void DurabilityMonitor::ReReplicationSweep() {
-  size_t want = manager_.options().replication_factor;
-  if (want == 0) want = 1;
+  const size_t want = manager_.options().replication_factor;
   // Legacy mode scans every cluster; incremental mode only the maintained
   // under-replicated set (ascending, like the full scan). The superset
   // invariant — every genuinely under-K cluster is in the set — holds
@@ -438,8 +445,7 @@ void DurabilityMonitor::ReReplicationSweep() {
       if (fleet) EvictClusterFromIndex(id);
       continue;
     }
-    const std::vector<ReplicaLocation>* active = info->ActiveReplicas();
-    if (active == nullptr || active->size() >= want) {
+    if (!UnderReplicated(info, want)) {
       if (fleet) RefreshCluster(id);  // stale set entry: reconcile it
       continue;
     }
@@ -467,7 +473,6 @@ void DurabilityMonitor::ReReplicationSweep() {
     if (!added.ok() || *added == 0) continue;  // retried next poll
     ++stats_.clusters_re_replicated;
     stats_.replicas_re_replicated += *added;
-    active = info->ActiveReplicas();
     bus_.Publish(
         context::Event(context::kEventReReplicated)
             .Set("swap_cluster", static_cast<int64_t>(id.value()))
@@ -475,9 +480,7 @@ void DurabilityMonitor::ReReplicationSweep() {
             .Set("bytes", static_cast<int64_t>(
                               manager_.stats().bytes_re_replicated -
                               bytes_before))
-            .Set("replicas",
-                 static_cast<int64_t>(active != nullptr ? active->size()
-                                                        : 0)));
+            .Set("replicas", static_cast<int64_t>(FewestReplicas(info))));
   }
 }
 

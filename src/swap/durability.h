@@ -135,7 +135,8 @@ class DurabilityMonitor {
 
   // --- incremental-mode internals -------------------------------------------
   bool FleetActive() const { return incremental_; }
-  /// Records currently backing `info` (the active replica list's size).
+  /// Records currently backing `info`: the replicas of every store group
+  /// its state holds.
   static size_t ReplicaRecords(const SwapClusterInfo* info);
   /// Re-reads one cluster's registry state into the reverse index, the
   /// record totals and the under-replicated set (removing it everywhere

@@ -50,6 +50,7 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
       write_back_pacer_(options_.write_back_pacer),
       alive_(std::make_shared<SwappingManager*>(this)) {
   OBISWAP_CHECK(options_.clusters_per_swap_cluster > 0);
+  set_replication_factor(options_.replication_factor);
   OBISWAP_CHECK(compress::FindCodec(options_.codec) != nullptr);
 
   std::shared_ptr<SwappingManager*> alive = alive_;
@@ -143,8 +144,7 @@ void SwappingManager::AttachHealth(net::HealthTracker* health) {
 // ---------------------------------------------------------------------------
 
 size_t SwappingManager::EffectiveReplicationFactor() const {
-  size_t full = options_.replication_factor > 0 ? options_.replication_factor
-                                                : size_t{1};
+  const size_t full = options_.replication_factor;
   if (!brownout_) return full;
   size_t reduced = options_.brownout_replication_factor > 0
                        ? options_.brownout_replication_factor
@@ -286,17 +286,14 @@ void SwappingManager::ObserveFieldWrite(runtime::Runtime& rt, Object* holder,
 void SwappingManager::InvalidateCleanImage(SwapClusterInfo* info,
                                            bool count_as_drop) {
   if (!info->clean_image.has_value()) return;
-  if (store_ != nullptr || local_ != nullptr) {
-    JournaledRelease(info->id, info->clean_image->replicas, count_as_drop);
-    if (info->clean_image->HasDelta())
-      JournaledRelease(info->id, info->clean_image->base_replicas,
-                       count_as_drop);
+  for (const StoreGroup& group : info->clean_image->Groups()) {
+    if (store_ != nullptr || local_ != nullptr)
+      JournaledRelease(info->id, *group.replicas, count_as_drop);
+    // The tier copy of this exact payload generation dies with the image
+    // (epoch-scoped: a fresh swap-out's just-admitted newer entry
+    // survives).
+    if (tier_ != nullptr) tier_->Release(info->id, group.epoch, group.checksum);
   }
-  // The tier copy of this exact payload generation dies with the image
-  // (epoch-scoped: a fresh swap-out's just-admitted newer entry survives).
-  if (tier_ != nullptr)
-    tier_->Release(info->id, info->clean_image->payload_epoch,
-                   info->clean_image->payload_checksum);
   info->clean_image.reset();
   info->dirty_fields.clear();
   cache_.Invalidate(info->id);
@@ -833,7 +830,7 @@ Status SwappingManager::DropAt(DeviceId device, SwapKey key) {
 // ---------------------------------------------------------------------------
 
 Status SwappingManager::CheckFaultPoint(const char* point) {
-  if (faults_ == nullptr) return OkStatus();
+  if (faults_ == nullptr || point == nullptr) return OkStatus();
   FaultInjector::Outcome outcome = faults_->Hit(point);
   switch (outcome.action) {
     case FaultInjector::Action::kError:
@@ -850,6 +847,270 @@ Status SwappingManager::CheckFaultPoint(const char* point) {
       break;  // delays already advanced the injector's clock
   }
   return OkStatus();
+}
+
+// ---------------------------------------------------------------------------
+// The fetch ladder
+// ---------------------------------------------------------------------------
+
+namespace {
+enum class TierStep : uint8_t {
+  kNone,
+  kProbe,  ///< RAM then flash, while a tier is admitting
+  kServe,  ///< kProbe, plus the swap_in.tier_fetch fault point after a hit
+           ///< and promotion of a flash hit into the RAM pool
+  kWriteBack,  ///< only for a group with no replicas: the tier is its copy
+};
+
+/// Which ladder steps and counters apply to one fetch purpose. Fault-point
+/// names are the ones the crash sweeps enumerate.
+struct LadderSteps {
+  bool cache = false;  ///< the payload cache at the group's epoch first
+  TierStep tier = TierStep::kNone;
+  const char* fetch_fault = nullptr;       ///< before each replica fetch
+  const char* decompress_fault = nullptr;  ///< before each decompress
+  bool budget = false;  ///< Options::op_deadline_us caps every fetch
+  bool hedge = false;   ///< Options::hedged_fetch applies
+  /// Swap-ins only: the span category of the per-step spans. Also turns on
+  /// failover_fetches and the unusable-replica warnings.
+  const char* swap_in = nullptr;
+  /// A replica copy must match the group checksum, not only its frame's.
+  bool checksum = false;
+  bool data_loss = true;  ///< kDataLoss failures count data_loss_failovers
+};
+
+/// Indexed by SwappingManager::FetchPurpose. Each row keeps its caller's
+/// fault-point names and counters, which the crash sweeps and benches key
+/// on. The delta base probes the tiers because a tier-admitted full
+/// payload becomes a delta base with no remote replica until the
+/// write-back runs.
+constexpr LadderSteps kLadderSteps[] = {
+    // kDemand
+    {.cache = true, .tier = TierStep::kServe, .fetch_fault = "swap_in.fetch",
+     .decompress_fault = "swap_in.decompress", .budget = true, .hedge = true,
+     .swap_in = "swap"},
+    // kSpeculative
+    {.cache = true, .tier = TierStep::kServe, .fetch_fault = "swap_in.fetch",
+     .decompress_fault = "swap_in.decompress", .budget = true,
+     .swap_in = "prefetch"},
+    // kStage
+    {.tier = TierStep::kProbe, .fetch_fault = "prefetch_stage.fetch",
+     .decompress_fault = "prefetch_stage.decompress", .checksum = true},
+    // kDeltaBase
+    {.cache = true, .tier = TierStep::kServe,
+     .fetch_fault = "swap_in.fetch_base", .budget = true, .checksum = true},
+    // kRepairSource
+    {.tier = TierStep::kWriteBack},
+    // kRecoveryVerify
+    {.checksum = true, .data_loss = false},
+};
+}  // namespace
+
+template <typename Accept>
+Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
+    const SwapClusterInfo& info, const StoreGroup& group, FetchPurpose purpose,
+    uint64_t op_start_us, Accept&& accept, const ReplicaLocation* first) {
+  const LadderSteps& steps = kLadderSteps[static_cast<size_t>(purpose)];
+  const SwapClusterId id = info.id;
+  telemetry::Telemetry* trace =
+      steps.swap_in != nullptr ? telemetry_ : nullptr;
+  const char* category = steps.swap_in != nullptr ? steps.swap_in : "";
+  Status last = UnavailableError("swap-cluster " + id.ToString() +
+                                 " has no copy to fetch from");
+  FetchedCopy copy;
+
+  // Payload cache: a retained decompressed payload for this exact epoch
+  // skips both the radio and the codec, if its checksum still matches. A
+  // delta group's entry is the full MERGED document (cached when the delta
+  // shipped or was merged), so it verifies against merged_checksum, where
+  // 0 means unknown.
+  if (steps.cache) {
+    const uint32_t expect = group.delta ? info.merged_checksum : group.checksum;
+    if (const std::string* cached = cache_.Get(id, group.epoch)) {
+      if (expect != 0 && Adler32(*cached) == expect) {
+        copy.source = FetchSource::kCache;
+        copy.cached = cached;
+        Status accepted = accept(copy);
+        if (crashed_) return accepted;
+        if (accepted.ok()) return copy;
+        copy.cached = nullptr;
+      }
+      // Stale or unusable. A delta group's cluster keeps its base document
+      // in the cache under the base epoch: evicting it would force a base
+      // refetch for the merge.
+      if (!group.delta) cache_.Invalidate(id);
+    }
+  }
+
+  // Local tiers, fastest first, before any radio traffic. The tiers only
+  // ever hold full documents. A flash hit is promoted into the RAM pool so
+  // the next re-fault is served at memory speed; a copy that fails its
+  // checksum is retired so it cannot shadow the replicas again.
+  const bool tier_step =
+      !group.delta &&
+      (steps.tier == TierStep::kWriteBack
+           ? tier_ != nullptr && group.replicas->empty()
+           : steps.tier != TierStep::kNone && TierActive());
+  if (tier_step) {
+    const uint64_t tier_begin_us = clock_ != nullptr ? clock_->now_us() : 0;
+    telemetry::ScopedSpan tier_span(trace, "tier_fetch", category,
+                                    telemetry::Hist(trace, "tier_fetch_us"));
+    tier::TierHit hit = tier::TierHit::kNone;
+    Result<std::string> probed =
+        tier_->Probe(id, group.epoch, group.checksum, &hit);
+    const bool serve = steps.tier == TierStep::kServe;
+    Status fault = probed.ok() && serve ? CheckFaultPoint("swap_in.tier_fetch")
+                                        : OkStatus();
+    if (crashed_) return fault;
+    if (!fault.ok()) {
+      last = fault;  // injected miss: fall through to the replicas
+    } else if (probed.ok()) {
+      Result<std::string> text = compress::FrameDecompress(*probed);
+      if (text.ok() && Adler32(*text) == group.checksum) {
+        copy.source = FetchSource::kTier;
+        copy.decompressed = std::move(*text);
+        copy.stored = std::move(*probed);
+        Status accepted = accept(copy);
+        if (crashed_) return accepted;
+        if (accepted.ok()) {
+          if (hit == tier::TierHit::kFlash && serve) {
+            // Volatile-only — crash-safe at any instruction; the flash copy
+            // stays.
+            Status promote = CheckFaultPoint("tier.promote");
+            if (crashed_) return promote;
+            if (promote.ok()) tier_->PromoteToRam(id, copy.stored);
+          }
+          tier_span.Close();
+          if (trace != nullptr && clock_ != nullptr) {
+            telemetry::Hist(trace, hit == tier::TierHit::kRam
+                                       ? "tier_ram_fetch_us"
+                                       : "tier_flash_fetch_us")
+                ->Record(clock_->now_us() - tier_begin_us);
+          }
+          return copy;
+        }
+        last = accepted;
+      } else {
+        tier_->Release(id, group.epoch, group.checksum);
+        last = text.ok() ? DataLossError("tier payload checksum mismatch for "
+                                         "swap-cluster " +
+                                         id.ToString())
+                         : text.status();
+      }
+    }
+  }
+
+  // Replica failover: reachable stores first, until one copy survives its
+  // checks and `accept`. Hedged fetch (demand faults only): the first
+  // attempt is capped at the HealthTracker's p95-derived deadline; past it
+  // the next healthy replica is tried immediately and the abandoned one is
+  // re-queued at the back for one final uncapped attempt — a slow primary
+  // costs one hedge window, never the full retry pyramid, and availability
+  // matches the sequential walk's.
+  std::vector<ReplicaLocation> order = ReplicaFetchOrder(*group.replicas);
+  if (first != nullptr) order.insert(order.begin(), *first);
+  const uint64_t hedge_deadline_us =
+      (steps.hedge && options_.hedged_fetch && health_ != nullptr &&
+       order.size() > 1)
+          ? health_->HedgeDeadlineUs()
+          : 0;
+  bool hedge_fired = false;
+  size_t hedge_retry_index = SIZE_MAX;
+  for (size_t attempt = 0; attempt < order.size(); ++attempt) {
+    const ReplicaLocation replica = order[attempt];
+    uint64_t fetch_cap = steps.budget ? OpBudgetLeft(op_start_us) : UINT64_MAX;
+    if (fetch_cap == 0) {
+      // End-to-end budget spent: fail fast and cleanly (callers mutate
+      // nothing before a copy is accepted).
+      last = DeadlineExceededError("budget exhausted at replica " +
+                                   std::to_string(attempt) +
+                                   " of swap-cluster " + id.ToString());
+      break;
+    }
+    bool hedge_capped = false;
+    if (attempt == 0 && hedge_deadline_us > 0 &&
+        hedge_deadline_us < fetch_cap) {
+      fetch_cap = hedge_deadline_us;
+      hedge_capped = true;
+    }
+    // The first replica tried is the plain fetch; every further attempt is
+    // a failover, except the one a fired hedge launched.
+    const char* attempt_name =
+        attempt == 0 ? "fetch"
+                     : (hedge_fired && attempt == 1 ? "hedged_fetch"
+                                                    : "failover_fetch");
+    telemetry::ScopedSpan attempt_span(
+        trace, attempt_name, category,
+        telemetry::Hist(trace, "swap_in_fetch_us"));
+    // A fired hedge is speculative work: it demotes from demand class so a
+    // saturated failover target sheds it before anyone's blocking fault.
+    std::optional<PriorityScope> hedge_priority;
+    if (hedge_fired && attempt == 1)
+      hedge_priority.emplace(this, net::Priority::kHedgedFetch);
+    Status failure = CheckFaultPoint(steps.fetch_fault);
+    if (crashed_) return failure;
+    Result<std::string> fetched{std::string()};
+    if (failure.ok()) {
+      fetched = FetchFrom(replica.device, replica.key,
+                          fetch_cap == UINT64_MAX ? 0 : fetch_cap);
+      failure = fetched.status();
+    }
+    if (failure.ok()) {
+      telemetry::ScopedSpan decompress_span(
+          trace, "decompress", category,
+          telemetry::Hist(trace, "swap_in_decompress_us"));
+      Status fault = CheckFaultPoint(steps.decompress_fault);
+      if (crashed_) return fault;
+      Result<std::string> text = fault.ok()
+                                     ? compress::FrameDecompress(*fetched)
+                                     : Result<std::string>(fault);
+      decompress_span.Close();
+      if (text.ok() && steps.checksum && Adler32(*text) != group.checksum) {
+        text = DataLossError("payload checksum mismatch for swap-cluster " +
+                             id.ToString());
+      }
+      failure = text.status();
+      if (failure.ok()) {
+        copy.source = FetchSource::kReplica;
+        copy.decompressed = std::move(*text);
+        copy.stored = std::move(*fetched);
+        failure = accept(copy);
+        if (crashed_) return failure;
+      }
+    }
+    if (failure.ok()) {
+      if (steps.swap_in != nullptr && attempt > 0) ++stats_.failover_fetches;
+      // Served by the re-queued primary after all: the hedge only burned
+      // its window. Served by anyone else: the hedge won.
+      if (hedge_fired) {
+        if (attempt == hedge_retry_index)
+          ++stats_.hedge_wastes;
+        else
+          ++stats_.hedge_wins;
+      }
+      return copy;
+    }
+    if (steps.data_loss && failure.code() == StatusCode::kDataLoss)
+      ++stats_.data_loss_failovers;
+    if (failure.code() == StatusCode::kDeadlineExceeded) {
+      if (!hedge_capped) {
+        last = failure;  // the op budget, not the hedge, ran out
+        break;
+      }
+      hedge_fired = true;
+      ++stats_.hedged_fetches;
+      hedge_retry_index = order.size();
+      order.push_back(replica);
+    }
+    if (steps.swap_in != nullptr) {
+      OBISWAP_LOG(kWarn) << "replica of swap-cluster " << id.ToString()
+                         << " on device " << replica.device.value()
+                         << " unusable: " << failure.ToString();
+    }
+    last = failure;
+  }
+  if (hedge_fired) ++stats_.hedge_wastes;
+  return last;
 }
 
 namespace {
@@ -909,22 +1170,24 @@ Result<bool> SwappingManager::TryTierAdmit(SwapClusterInfo* info, uint64_t seq,
 
 void SwappingManager::MaybeCompleteTierWriteBack(SwapClusterInfo* info) {
   if (tier_ == nullptr || !tier_->PendingWriteBack(info->id)) return;
-  const std::vector<ReplicaLocation>* active = info->ActiveReplicas();
-  if (active == nullptr) return;
-  const size_t want = options_.replication_factor > 0
-                          ? options_.replication_factor
-                          : size_t{1};
-  // Only off-device copies count toward durability: a local-flash replica
-  // (or the tier's own key adopted by recovery) is still this device.
-  size_t remote = 0;
-  for (const ReplicaLocation& replica : *active) {
-    if (IsLocalDevice(replica.device)) continue;
-    if (tier_->flash_device().valid() &&
-        replica.device == tier_->flash_device())
+  // The tier entry backs the one group whose payload it holds — for a
+  // delta-swapped cluster usually the base, not the shipped delta.
+  for (const StoreGroup& group : info->Groups()) {
+    if (!tier_->PendingWriteBack(info->id, group.epoch, group.checksum))
       continue;
-    ++remote;
+    // Only off-device copies count toward durability: a local-flash
+    // replica (or the tier's own key adopted by recovery) is still this
+    // device.
+    const auto remote = std::count_if(
+        group.replicas->begin(), group.replicas->end(),
+        [this](const ReplicaLocation& replica) {
+          return !IsLocalDevice(replica.device) &&
+                 !(tier_->flash_device().valid() &&
+                   replica.device == tier_->flash_device());
+        });
+    if (static_cast<size_t>(remote) >= options_.replication_factor)
+      tier_->MarkWrittenBack(info->id);
   }
-  if (remote >= want) tier_->MarkWrittenBack(info->id);
 }
 
 std::vector<uint64_t> SwappingManager::LiveInboundProxyOids(SwapClusterId id) {
@@ -977,11 +1240,11 @@ bool IntentsContain(const std::vector<ReplicaLocation>& intents,
     if (intent == replica) return true;
   return false;
 }
-bool IntentsIntersect(const std::vector<ReplicaLocation>& a,
-                      const std::vector<ReplicaLocation>& b) {
-  for (const ReplicaLocation& replica : b)
-    if (IntentsContain(a, replica)) return true;
-  return false;
+/// Appends the entries of `from` that `into` does not list yet.
+void AppendNew(std::vector<ReplicaLocation>& into,
+               const std::vector<ReplicaLocation>& from) {
+  for (const ReplicaLocation& replica : from)
+    if (!IntentsContain(into, replica)) into.push_back(replica);
 }
 }  // namespace
 
@@ -1047,25 +1310,8 @@ const char* SwappingManager::RecoverTornSwapOut(
     // swap-out and the restart. Rolling back retires every one of them —
     // including a delta swap-out's carried base group; the next swap-out
     // ships a full payload.
-    EnqueueOrphanDrops(info->replicas, report);
-    info->replicas.clear();
-    EnqueueOrphanDrops(info->base_replicas, report);
-    info->base_replicas.clear();
-    info->base_epoch = 0;
-    info->base_checksum = 0;
-    info->base_payload_bytes = 0;
-    info->merged_checksum = 0;
-    info->swapped_oids.clear();
-    info->replacement = runtime::WeakRef();
-    if (info->clean_image.has_value()) {
-      EnqueueOrphanDrops(info->clean_image->replicas, report);
-      EnqueueOrphanDrops(info->clean_image->base_replicas, report);
-      info->clean_image->replicas.clear();
-      info->clean_image.reset();
-      ++stats_.clean_image_invalidations;
-    }
+    RetireListedKeys(info, report);
     info->dirty_fields.clear();
-    cache_.Invalidate(info->id);
     EnqueueOrphanDrops(op.replica_intents, report);
     ++report->rolled_back;
     return "rolled_back";
@@ -1075,51 +1321,29 @@ const char* SwappingManager::RecoverTornSwapOut(
   // plus any keys committed maintenance ops added to the registry after
   // the torn op, which carry the same payload — if one of them verifiably
   // serves the journaled payload.
+  const bool delta = op.op == IntentOp::kDeltaSwapOut;
   std::vector<ReplicaLocation> intents;
-  for (const ReplicaLocation& intent : op.replica_intents)
-    if (!IntentsContain(intents, intent)) intents.push_back(intent);
-  for (const ReplicaLocation& replica : info->replicas)
-    if (!IntentsContain(intents, replica)) intents.push_back(replica);
-  size_t verified_bytes = 0;
-  bool verified = false;
-  for (const ReplicaLocation& replica : ReplicaFetchOrder(intents)) {
-    Result<std::string> fetched = FetchFrom(replica.device, replica.key);
-    if (!fetched.ok()) continue;
-    Result<std::string> xml_text = compress::FrameDecompress(*fetched);
-    if (!xml_text.ok() || Adler32(*xml_text) != op.payload_checksum)
-      continue;
-    verified_bytes = fetched->size();
-    verified = true;
-    break;
-  }
+  AppendNew(intents, op.replica_intents);
+  AppendNew(intents, info->replicas);
+  Result<FetchedCopy> verified =
+      FetchGroup(*info, {&intents, op.swap_epoch, op.payload_checksum, delta},
+                 FetchPurpose::kRecoveryVerify);
   // A torn delta swap-out is only recoverable if a full base document also
   // survives: the journaled base epoch/checksum identify it, and its keys
   // live in the registry record — base_replicas if the state transition
-  // happened, otherwise the retained image's base group (which is the
-  // image's own replicas when the image held a full payload).
+  // happened, otherwise the retained image's full-document group. A flash
+  // tier copy of that document (re-verified by the tier reconcile) backs
+  // the group as well as a store copy would.
   std::vector<ReplicaLocation> base_intents;
   bool base_verified = true;
-  if (op.op == IntentOp::kDeltaSwapOut) {
-    for (const ReplicaLocation& replica : info->base_replicas)
-      if (!IntentsContain(base_intents, replica))
-        base_intents.push_back(replica);
-    if (info->clean_image.has_value()) {
-      const CleanImage& image = *info->clean_image;
-      const std::vector<ReplicaLocation>& group =
-          image.HasDelta() ? image.base_replicas : image.replicas;
-      for (const ReplicaLocation& replica : group)
-        if (!IntentsContain(base_intents, replica))
-          base_intents.push_back(replica);
-    }
-    base_verified = false;
-    for (const ReplicaLocation& replica : ReplicaFetchOrder(base_intents)) {
-      Result<std::string> fetched = FetchFrom(replica.device, replica.key);
-      if (!fetched.ok()) continue;
-      Result<std::string> text = compress::FrameDecompress(*fetched);
-      if (!text.ok() || Adler32(*text) != op.base_checksum) continue;
-      base_verified = true;
-      break;
-    }
+  if (delta) {
+    AppendNew(base_intents, info->base_replicas);
+    if (info->clean_image.has_value())
+      AppendNew(base_intents, *info->clean_image->Groups().back().replicas);
+    const StoreGroup base{&base_intents, op.base_epoch, op.base_checksum};
+    base_verified =
+        FetchGroup(*info, base, FetchPurpose::kRecoveryVerify).ok() ||
+        FlashBacked(info->id, base);
   }
   // The torn op's replacement survives as the heap object labelled with
   // this cluster id — found by scan, since the crash may have hit before
@@ -1131,7 +1355,7 @@ const char* SwappingManager::RecoverTornSwapOut(
       replacement = obj;
     }
   });
-  if (!verified || !base_verified || replacement == nullptr) {
+  if (!verified.ok() || !base_verified || replacement == nullptr) {
     // Either no candidate replica holds a usable copy (for a delta: of the
     // delta or of its base), or there is no replacement to carry the
     // outbound references a future swap-in would need. With the heap copy
@@ -1139,22 +1363,7 @@ const char* SwappingManager::RecoverTornSwapOut(
     EnqueueOrphanDrops(intents, report);
     EnqueueOrphanDrops(base_intents, report);
     info->state = SwapState::kDropped;
-    info->replicas.clear();
-    info->base_replicas.clear();
-    info->base_epoch = 0;
-    info->base_checksum = 0;
-    info->base_payload_bytes = 0;
-    info->merged_checksum = 0;
-    info->swapped_oids.clear();
-    info->replacement = runtime::WeakRef();
-    if (info->clean_image.has_value()) {
-      EnqueueOrphanDrops(info->clean_image->replicas, report);
-      EnqueueOrphanDrops(info->clean_image->base_replicas, report);
-      info->clean_image->replicas.clear();
-      info->clean_image.reset();
-      ++stats_.clean_image_invalidations;
-    }
-    cache_.Invalidate(info->id);
+    RetireListedKeys(info, report);
     ++report->clusters_lost;
     return "lost";
   }
@@ -1169,50 +1378,56 @@ const char* SwappingManager::RecoverTornSwapOut(
   info->state = SwapState::kSwapped;
   info->replicas = std::move(intents);  // the sweep prunes unverifiable ones
   info->swap_epoch = std::max(info->swap_epoch, op.swap_epoch);
-  if (op.op == IntentOp::kSwapOut || op.op == IntentOp::kDeltaSwapOut)
-    info->payload_epoch = op.swap_epoch;
+  if (op.op == IntentOp::kSwapOut || delta) info->payload_epoch = op.swap_epoch;
   info->payload_checksum = op.payload_checksum;
   info->swapped_oids = op.member_oids;
   info->swapped_object_count = op.member_oids.size();
-  info->swapped_payload_bytes = verified_bytes;
+  info->swapped_payload_bytes = verified->stored.size();
   info->replacement = rt_.heap().NewWeakRef(replacement);
   replacement->RawSlotMutable(kReplSlotEpoch) =
       Value::Int(static_cast<int64_t>(info->swap_epoch));
-  if (op.op == IntentOp::kDeltaSwapOut) {
+  info->ClearBaseGroup();
+  if (delta) {
     // Adopt the verified base group alongside the delta; the sweep prunes
     // whatever fails verification against the journaled base checksum.
+    // The base's compressed size is unknown after a crash (telemetry only)
+    // and so is the merged document's checksum: a zero sends the next
+    // swap-in down the verified fetch path.
     info->base_replicas = std::move(base_intents);
     info->base_epoch = op.base_epoch;
     info->base_checksum = op.base_checksum;
-    info->base_payload_bytes = 0;  // unknown after a crash; telemetry only
-  } else {
-    info->base_replicas.clear();
-    info->base_epoch = 0;
-    info->base_checksum = 0;
-    info->base_payload_bytes = 0;
   }
-  // The merged document's checksum cannot be recomputed from the journal;
-  // a zero sends the next swap-in down the verified fetch path.
-  info->merged_checksum = 0;
   if (info->clean_image.has_value()) {
     // Any image replica not adopted above (into the delta or base group)
     // serves a stale payload now.
     std::vector<ReplicaLocation> remnants;
-    for (const ReplicaLocation& replica : info->clean_image->replicas)
-      if (!IntentsContain(info->replicas, replica) &&
-          !IntentsContain(info->base_replicas, replica))
-        remnants.push_back(replica);
-    for (const ReplicaLocation& replica : info->clean_image->base_replicas)
-      if (!IntentsContain(info->replicas, replica) &&
-          !IntentsContain(info->base_replicas, replica))
-        remnants.push_back(replica);
+    for (const StoreGroup& group : info->clean_image->Groups()) {
+      for (const ReplicaLocation& replica : *group.replicas)
+        if (!info->Lists(replica)) remnants.push_back(replica);
+    }
     EnqueueOrphanDrops(remnants, report);
-    info->clean_image->replicas.clear();
     info->clean_image.reset();
     ++stats_.clean_image_invalidations;
   }
   ++report->rolled_forward;
   return "rolled_forward";
+}
+
+void SwappingManager::RetireListedKeys(SwapClusterInfo* info,
+                                       RecoveryReport* report) {
+  EnqueueOrphanDrops(info->replicas, report);
+  EnqueueOrphanDrops(info->base_replicas, report);
+  info->replicas.clear();
+  info->ClearBaseGroup();
+  info->swapped_oids.clear();
+  info->replacement = runtime::WeakRef();
+  if (info->clean_image.has_value()) {
+    for (const StoreGroup& group : info->clean_image->Groups())
+      EnqueueOrphanDrops(*group.replicas, report);
+    info->clean_image.reset();
+    ++stats_.clean_image_invalidations;
+  }
+  cache_.Invalidate(info->id);
 }
 
 const char* SwappingManager::RecoverTornSwapIn(
@@ -1228,15 +1443,8 @@ const char* SwappingManager::RecoverTornSwapIn(
     // no image was retained, the stale-replica release) is missing. Any
     // journaled key the cluster no longer accounts for is an orphan.
     std::vector<ReplicaLocation> orphans;
-    for (const ReplicaLocation& intent : op.replica_intents) {
-      bool kept =
-          IntentsContain(info->replicas, intent) ||
-          IntentsContain(info->base_replicas, intent) ||
-          (info->clean_image.has_value() &&
-           (IntentsContain(info->clean_image->replicas, intent) ||
-            IntentsContain(info->clean_image->base_replicas, intent)));
-      if (!kept) orphans.push_back(intent);
-    }
+    for (const ReplicaLocation& intent : op.replica_intents)
+      if (!info->Accounts(intent)) orphans.push_back(intent);
     EnqueueOrphanDrops(orphans, report);
     ++report->rolled_forward;
     return "rolled_forward";
@@ -1268,16 +1476,11 @@ const char* SwappingManager::RecoverTornSwapIn(
     info->members.push_back(rt_.heap().NewWeakRef(obj));
   });
   std::vector<ReplicaLocation> stale = std::move(info->replicas);
-  for (const ReplicaLocation& replica : info->base_replicas)
-    stale.push_back(replica);
+  AppendNew(stale, info->base_replicas);
   info->state = SwapState::kLoaded;
   info->dirty = true;
   info->replicas.clear();
-  info->base_replicas.clear();
-  info->base_epoch = 0;
-  info->base_checksum = 0;
-  info->base_payload_bytes = 0;
-  info->merged_checksum = 0;
+  info->ClearBaseGroup();
   info->swapped_oids.clear();
   info->replacement = runtime::WeakRef();
   EnqueueOrphanDrops(stale, report);
@@ -1292,53 +1495,41 @@ const char* SwappingManager::RecoverTornDrop(
     RecoveryReport* report) {
   // A drop's outcome was decided before its first RPC; finish reclaiming.
   EnqueueOrphanDrops(op.replica_intents, report);
+  // When the torn op was releasing `groups`, queues the keys they list
+  // beyond its intents (a delta image releases its two groups as separate
+  // drop ops) and returns true.
+  auto finish = [&](const auto& groups) {
+    std::vector<ReplicaLocation> rest;
+    bool torn = false;
+    for (const StoreGroup& group : groups) {
+      for (const ReplicaLocation& replica : *group.replicas) {
+        if (IntentsContain(op.replica_intents, replica))
+          torn = true;
+        else
+          rest.push_back(replica);
+      }
+    }
+    if (torn) EnqueueOrphanDrops(rest, report);
+    return torn;
+  };
   if (info != nullptr) {
     if (info->clean_image.has_value() &&
-        (IntentsIntersect(op.replica_intents, info->clean_image->replicas) ||
-         IntentsIntersect(op.replica_intents,
-                          info->clean_image->base_replicas))) {
-      // Torn image release: the journaled keys are queued above, but a
-      // delta image releases its two groups as separate drop ops — queue
-      // whichever group keys the torn op's intents missed, then drop the
-      // remnant without re-releasing.
-      std::vector<ReplicaLocation> rest;
-      for (const ReplicaLocation& replica : info->clean_image->replicas)
-        if (!IntentsContain(op.replica_intents, replica))
-          rest.push_back(replica);
-      for (const ReplicaLocation& replica : info->clean_image->base_replicas)
-        if (!IntentsContain(op.replica_intents, replica))
-          rest.push_back(replica);
-      EnqueueOrphanDrops(rest, report);
-      info->clean_image->replicas.clear();
+        finish(info->clean_image->Groups())) {
+      // Torn image release: drop the remnant without re-releasing.
       info->clean_image.reset();
       cache_.Invalidate(info->id);
       ++stats_.clean_image_invalidations;
     }
-    if (info->state == SwapState::kSwapped &&
-        (IntentsIntersect(op.replica_intents, info->replicas) ||
-         IntentsIntersect(op.replica_intents, info->base_replicas))) {
+    if (info->state == SwapState::kSwapped && finish(info->Groups())) {
       // Torn GC drop (the replacement died): finish retiring the cluster,
       // both payload groups included.
-      std::vector<ReplicaLocation> rest;
-      for (const ReplicaLocation& replica : info->replicas)
-        if (!IntentsContain(op.replica_intents, replica))
-          rest.push_back(replica);
-      for (const ReplicaLocation& replica : info->base_replicas)
-        if (!IntentsContain(op.replica_intents, replica))
-          rest.push_back(replica);
-      EnqueueOrphanDrops(rest, report);
       info->state = SwapState::kDropped;
-      info->replicas.clear();
-      info->base_replicas.clear();
-      info->base_epoch = 0;
-      info->base_checksum = 0;
-      info->base_payload_bytes = 0;
-      info->merged_checksum = 0;
       info->replacement = runtime::WeakRef();
       cache_.Invalidate(info->id);
-    } else if (info->state == SwapState::kDropped) {
+    }
+    if (info->state == SwapState::kDropped) {
       info->replicas.clear();
-      info->base_replicas.clear();
+      info->ClearBaseGroup();
     }
   }
   ++report->rolled_forward;
@@ -1351,18 +1542,8 @@ const char* SwappingManager::RecoverTornMaintenance(
   // Keys a replica list adopted before the crash stay; the rest (placed
   // but never adopted, or evacuated away) are orphans.
   std::vector<ReplicaLocation> orphans;
-  for (const ReplicaLocation& intent : op.replica_intents) {
-    bool adopted = false;
-    if (info != nullptr) {
-      adopted =
-          IntentsContain(info->replicas, intent) ||
-          IntentsContain(info->base_replicas, intent) ||
-          (info->clean_image.has_value() &&
-           (IntentsContain(info->clean_image->replicas, intent) ||
-            IntentsContain(info->clean_image->base_replicas, intent)));
-    }
-    if (!adopted) orphans.push_back(intent);
-  }
+  for (const ReplicaLocation& intent : op.replica_intents)
+    if (info == nullptr || !info->Accounts(intent)) orphans.push_back(intent);
   EnqueueOrphanDrops(orphans, report);
   ++report->rolled_back;
   return "rolled_back";
@@ -1406,12 +1587,12 @@ void SwappingManager::VerifySwappedClusters(RecoveryReport* report) {
     // Each group verifies against its own checksum: the shipped payload
     // (full document or delta) and — for a delta-swapped cluster — the
     // base document the delta applies to.
-    auto verify_group = [&](std::vector<ReplicaLocation>& group,
-                            uint32_t checksum) -> bool {
-      const bool was_nonempty = !group.empty();
+    bool lost = false;
+    for (const StoreGroup& group : info->Groups()) {
+      const bool was_empty = group.replicas->empty();
       std::vector<ReplicaLocation> keep;
       bool any_unverifiable = false;
-      for (const ReplicaLocation& replica : group) {
+      for (const ReplicaLocation& replica : *group.replicas) {
         Result<std::string> fetched = FetchFrom(replica.device, replica.key);
         if (!fetched.ok()) {
           if (fetched.status().code() == StatusCode::kNotFound) {
@@ -1426,7 +1607,7 @@ void SwappingManager::VerifySwappedClusters(RecoveryReport* report) {
           continue;
         }
         Result<std::string> xml_text = compress::FrameDecompress(*fetched);
-        if (xml_text.ok() && Adler32(*xml_text) == checksum) {
+        if (xml_text.ok() && Adler32(*xml_text) == group.checksum) {
           keep.push_back(replica);
           ++report->replicas_verified;
         } else {
@@ -1437,86 +1618,67 @@ void SwappingManager::VerifySwappedClusters(RecoveryReport* report) {
             ++stats_.drops_deferred;
         }
       }
-      group = std::move(keep);
-      // Every copy gone (none left unverifiable): the swap-in will fail.
-      return group.empty() && !any_unverifiable && was_nonempty;
-    };
-    bool lost = verify_group(info->replicas, info->payload_checksum);
-    if (verify_group(info->base_replicas, info->base_checksum)) lost = true;
-    // A flash-tier copy (already re-verified by the tier reconcile, which
-    // runs first) still holds the payload: the probe serves it and the
-    // durability sweep re-replicates from it — not lost.
-    if (lost && tier_ != nullptr &&
-        tier_->HasFlashCopy(id, info->payload_epoch, info->payload_checksum))
-      lost = false;
+      *group.replicas = std::move(keep);
+      if (!group.replicas->empty() || any_unverifiable) continue;
+      // No copy left. A flash-tier copy (already re-verified by the tier
+      // reconcile, which runs first) still serves the group and the
+      // durability sweep writes it back. A group that had no replica to
+      // begin with only ever lived in a tier: without a flash copy, its
+      // payload was in the RAM pool, which did not survive the restart.
+      if (!FlashBacked(id, group) && (!was_empty || tier_ != nullptr))
+        lost = true;
+    }
     if (lost) ++report->clusters_lost;
   }
 }
 
 void SwappingManager::ReconcileCleanImages(RecoveryReport* report) {
-  const bool can_check = store_ != nullptr && discovery_ != nullptr;
   for (SwapClusterId id : registry_.Ids()) {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr || info->state != SwapState::kLoaded) continue;
     if (!info->clean_image.has_value()) continue;
-    CleanImage& image = *info->clean_image;
-    const bool had_delta = image.HasDelta();
-    auto prune = [&](std::vector<ReplicaLocation>& group) {
-      std::vector<ReplicaLocation> live;
-      for (const ReplicaLocation& replica : group) {
-        if (IsLocalDevice(replica.device)) {
-          if (local_ != nullptr && local_->Contains(replica.key)) {
-            live.push_back(replica);
-          } else {
-            if (EnqueuePendingDrop(replica.device, replica.key))
-              ++stats_.drops_deferred;
-          }
-          continue;
-        }
-        net::StoreNode* node =
-            can_check && discovery_->IsNearby(store_->self(), replica.device)
-                ? discovery_->NodeFor(replica.device)
-                : nullptr;
-        if (node == nullptr) {
-          live.push_back(replica);  // out of range: benefit of the doubt
-          continue;
-        }
-        if (!node->crashed() && node->Contains(replica.key)) {
-          live.push_back(replica);
-        } else {
-          if (EnqueuePendingDrop(replica.device, replica.key))
-            ++stats_.drops_deferred;
-        }
-      }
-      group = std::move(live);
-    };
-    prune(image.replicas);
-    prune(image.base_replicas);
-    // A verified flash-tier copy backs a replica-less image the same way a
-    // store copy would (the tier probe serves the next swap-in and the
-    // durability sweep re-replicates from it) — delta images excluded, the
-    // tiers only hold full payloads.
-    const bool tier_backed =
-        !had_delta && tier_ != nullptr &&
-        tier_->HasFlashCopy(id, image.payload_epoch, image.payload_checksum);
-    // A delta image is only usable as a pair: losing every base copy (or
-    // every delta copy) strands whatever survived in the other group.
-    if ((image.replicas.empty() && !tier_backed) ||
-        (had_delta && image.base_replicas.empty())) {
-      for (const ReplicaLocation& replica : image.replicas)
-        if (EnqueuePendingDrop(replica.device, replica.key))
-          ++stats_.drops_deferred;
-      for (const ReplicaLocation& replica : image.base_replicas)
-        if (EnqueuePendingDrop(replica.device, replica.key))
-          ++stats_.drops_deferred;
-      if (tier_ != nullptr)
-        tier_->Release(id, image.payload_epoch, image.payload_checksum);
-      info->clean_image.reset();
-      cache_.Invalidate(id);
-      ++stats_.clean_image_invalidations;
-      ++report->clean_images_dropped;
+    // The image is only usable while every group keeps a copy: a delta is
+    // useless without its base, and a base without its delta. A verified
+    // flash-tier copy backs a replica-less group the same way a store copy
+    // would (the ladder serves it and the durability sweep writes it back).
+    const StoreGroups<StoreGroup> groups = info->clean_image->Groups();
+    bool usable = true;
+    for (const StoreGroup& group : groups) {
+      // Out of range: the benefit of the doubt.
+      PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/true);
+      if (group.replicas->empty() && !FlashBacked(id, group)) usable = false;
     }
+    if (usable) continue;
+    for (const StoreGroup& group : groups) {
+      for (const ReplicaLocation& replica : *group.replicas)
+        if (EnqueuePendingDrop(replica.device, replica.key))
+          ++stats_.drops_deferred;
+      if (tier_ != nullptr) tier_->Release(id, group.epoch, group.checksum);
+    }
+    info->clean_image.reset();
+    cache_.Invalidate(id);
+    ++stats_.clean_image_invalidations;
+    ++report->clean_images_dropped;
   }
+}
+
+void SwappingManager::PruneUnconfirmed(std::vector<ReplicaLocation>& replicas,
+                                       bool keep_unreachable) {
+  const bool can_check = store_ != nullptr && discovery_ != nullptr;
+  std::erase_if(replicas, [&](const ReplicaLocation& replica) {
+    bool keep = keep_unreachable;
+    if (IsLocalDevice(replica.device)) {
+      keep = local_->Contains(replica.key);
+    } else if (can_check &&
+               discovery_->IsNearby(store_->self(), replica.device)) {
+      net::StoreNode* node = discovery_->NodeFor(replica.device);
+      if (node != nullptr)
+        keep = !node->crashed() && node->Contains(replica.key);
+    }
+    if (!keep && EnqueuePendingDrop(replica.device, replica.key))
+      ++stats_.drops_deferred;
+    return !keep;
+  });
 }
 
 void SwappingManager::ReconcilePayloadCache() {
@@ -1524,24 +1686,16 @@ void SwappingManager::ReconcilePayloadCache() {
   for (SwapClusterId id : registry_.Ids()) {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr) continue;
-    uint64_t epoch = 0;
-    uint32_t checksum = 0;
-    if (info->state == SwapState::kSwapped) {
-      // A delta-swapped cluster's legitimate cache entry is the BASE
-      // document under the base epoch, not the shipped delta.
-      epoch = info->DeltaSwapped() ? info->base_epoch : info->payload_epoch;
-      checksum =
-          info->DeltaSwapped() ? info->base_checksum : info->payload_checksum;
-    } else if (info->state == SwapState::kLoaded &&
-               info->clean_image.has_value()) {
-      epoch = info->clean_image->BaseEpoch();
-      checksum = info->clean_image->BaseChecksum();
-    } else {
+    const StoreGroups<StoreGroup> groups = info->Groups();
+    if (groups.empty()) {
       cache_.Invalidate(id);
       continue;
     }
-    const std::string* cached = cache_.Get(id, epoch);
-    if (cached != nullptr && Adler32(*cached) != checksum)
+    // The legitimate entry is the full document: for a delta, the BASE
+    // document under the base epoch, not the shipped delta.
+    const StoreGroup& document = groups.back();
+    const std::string* cached = cache_.Get(id, document.epoch);
+    if (cached != nullptr && Adler32(*cached) != document.checksum)
       cache_.Invalidate(id);
   }
 }
@@ -1582,14 +1736,13 @@ Result<SwappingManager::RecoveryReport> SwappingManager::Recover() {
         [this](SwapClusterId id, uint64_t epoch, uint32_t checksum) {
           const SwapClusterInfo* info = registry_.Find(id);
           if (info == nullptr) return false;
-          if (info->state == SwapState::kSwapped)
-            return !info->DeltaSwapped() && info->payload_epoch == epoch &&
-                   info->payload_checksum == checksum;
-          if (info->state == SwapState::kLoaded &&
-              info->clean_image.has_value())
-            return !info->clean_image->HasDelta() &&
-                   info->clean_image->payload_epoch == epoch &&
-                   info->clean_image->payload_checksum == checksum;
+          // The tiers hold full documents: a plain payload or a delta's
+          // base.
+          for (const ConstStoreGroup& group : info->Groups()) {
+            if (!group.delta && group.epoch == epoch &&
+                group.checksum == checksum)
+              return true;
+          }
           return false;
         });
     report.tier_flash_verified = outcome.verified;
@@ -1610,24 +1763,8 @@ Result<SwappingManager::RecoveryReport> SwappingManager::Recover() {
         return replica.device == tier_->flash_device() &&
                replica.key == tier_key;
       };
-      std::erase_if(info->replicas, alias);
-      if (info->clean_image.has_value())
-        std::erase_if(info->clean_image->replicas, alias);
-    }
-    // A swapped cluster whose every copy was the RAM tier is gone: RAM
-    // does not survive a restart and write-back had not reached anything
-    // durable. VerifySwappedClusters never counts empty groups (they were
-    // never non-empty to begin with), so the loss is counted here — before
-    // the verify sweep, so a cluster whose replica list it empties is not
-    // counted twice.
-    for (SwapClusterId id : registry_.Ids()) {
-      SwapClusterInfo* info = registry_.Find(id);
-      if (info == nullptr || info->state != SwapState::kSwapped) continue;
-      if (!info->replicas.empty() || !info->base_replicas.empty()) continue;
-      if (tier_->HasFlashCopy(id, info->payload_epoch,
-                              info->payload_checksum))
-        continue;
-      ++report.clusters_lost;
+      for (const StoreGroup& group : info->Groups())
+        std::erase_if(*group.replicas, alias);
     }
   }
   VerifySwappedClusters(&report);
@@ -1671,6 +1808,53 @@ Result<serialization::SerializedCluster> SwappingManager::SerializeForWire(
                                                  members, describe);
   return serialization::SerializeCluster(rt_, cluster_attr_id, members,
                                          describe);
+}
+
+Result<Object*> SwappingManager::NewReplacement(
+    SwapClusterInfo* info, const std::vector<Object*>& outbound,
+    const char* fault_point, LocalScope& scope) {
+  OBISWAP_RETURN_IF_ERROR(CheckFaultPoint(fault_point));
+  OBISWAP_ASSIGN_OR_RETURN(Object* replacement,
+                           rt_.TryNewMiddleware(replacement_cls_));
+  scope.Add(replacement);
+  ++info->swap_epoch;
+  replacement->RawSlotMutable(kReplSlotCluster) =
+      Value::Int(static_cast<int64_t>(info->id.value()));
+  replacement->RawSlotMutable(kReplSlotEpoch) =
+      Value::Int(static_cast<int64_t>(info->swap_epoch));
+  for (Object* proxy : outbound) replacement->AppendSlot(Value::Ref(proxy));
+  rt_.heap().RefreshAccounting(replacement);
+  return replacement;
+}
+
+template <typename Target>
+Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
+                                     const char* patch_point,
+                                     const char* finalize_point) {
+  auto& inbound = inbound_[id].cells;
+  size_t write = 0;
+  std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
+  Status fault = OkStatus();
+  for (size_t read = 0; read < inbound.size(); ++read) {
+    Object* proxy = inbound[read]->get();
+    if (proxy == nullptr) continue;
+    if (ProxyTargetSc(proxy) == id && fault.ok()) {
+      fault = CheckFaultPoint(patch_point);
+      if (fault.ok()) {
+        patched.emplace_back(proxy, proxy->RawSlot(kProxySlotTarget).ref());
+        proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(target(proxy));
+      }
+    }
+    inbound[write++] = inbound[read];
+  }
+  inbound.resize(write);
+  if (fault.ok()) fault = CheckFaultPoint(finalize_point);
+  // A crash leaves the patch torn for Recover(); a clean error unwinds it.
+  if (!fault.ok() && !crashed_) {
+    for (const auto& [proxy, old_target] : patched)
+      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(old_target);
+  }
+  return fault;
 }
 
 Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
@@ -1767,8 +1951,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   // already on the stores are carried over; only the delta is placed.
   bool ship_delta = false;
   std::string wire_doc;  // what actually goes on the link
-  uint64_t ship_base_epoch = 0;
-  uint32_t ship_base_checksum = 0;
+  ConstStoreGroup base;  // the image's full-document group, when shipping
   size_t ship_base_payload_bytes = 0;
   std::vector<ReplicaLocation> base_group;       // carried base replicas
   std::vector<ReplicaLocation> old_delta_group;  // superseded delta replicas
@@ -1776,28 +1959,26 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
       serialization::IsBinaryClusterPayload(serialized.payload)) {
     const CleanImage& image = *info->clean_image;
     OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.diff"));
-    const std::string* base = cache_.Get(id, image.BaseEpoch());
-    if (base != nullptr && serialization::IsBinaryClusterPayload(*base) &&
-        Adler32(*base) == image.BaseChecksum()) {
+    const ConstStoreGroup document = image.Groups().back();
+    const std::string* cached = cache_.Get(id, document.epoch);
+    if (cached != nullptr && serialization::IsBinaryClusterPayload(*cached) &&
+        Adler32(*cached) == document.checksum) {
       ++stats_.delta_base_cache_hits;
       auto delta =
-          serialization::DiffClusterPayloads(*base, serialized.payload);
+          serialization::DiffClusterPayloads(*cached, serialized.payload);
       if (delta.ok() && delta->size() < serialized.payload.size()) {
         // Pre-ship insurance: the merged document must be byte-identical
         // to the fresh serialization before the delta may replace it.
-        auto merged = serialization::ApplyClusterDelta(*base, *delta);
+        auto merged = serialization::ApplyClusterDelta(*cached, *delta);
         if (merged.ok() && *merged == serialized.payload) {
           ship_delta = true;
           wire_doc = *std::move(delta);
-          ship_base_epoch = image.BaseEpoch();
-          ship_base_checksum = image.BaseChecksum();
+          base = document;
+          base_group = *document.replicas;
+          ship_base_payload_bytes = image.payload_bytes;
           if (image.HasDelta()) {
-            base_group = image.base_replicas;
             ship_base_payload_bytes = image.base_payload_bytes;
             old_delta_group = image.replicas;
-          } else {
-            base_group = image.replicas;
-            ship_base_payload_bytes = image.payload_bytes;
           }
         }
       }
@@ -1833,7 +2014,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
     seq = journal_->BeginOp(
         ship_delta ? IntentOp::kDeltaSwapOut : IntentOp::kSwapOut, id,
         info->swap_epoch + 1, wire_checksum, std::move(member_oids),
-        LiveInboundProxyOids(id), ship_base_epoch, ship_base_checksum);
+        LiveInboundProxyOids(id), base.epoch, base.checksum);
   }
   if (Status fault = CheckFaultPoint("swap_out.journal_begin"); !fault.ok()) {
     // A clean (non-crash) error must seal the op or the dangling begin
@@ -1845,8 +2026,8 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   // Tiered hierarchy: the payload lands in the fastest local tier with
   // headroom; the remote replicas become write-back debt the durability
   // sweep repays on its virtual-time ticks (remote stores stay the sole
-  // durability tier). A delta ship bypasses the tiers — a delta is useless
-  // without its remote base group, so it takes the normal placement path.
+  // durability tier). A delta ship bypasses the tiers, which hold full
+  // documents only (a delta's base may be one of them).
   bool tier_admitted = false;
   SwapKey tier_key;
   if (TierActive() && !ship_delta) {
@@ -1867,9 +2048,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
     need = options_.store_min_free_bytes;
   // Brownout lowers the placement target; the shortfall is re-replication
   // debt the DurabilityMonitor repays once the neighborhood recovers.
-  const size_t full_want = options_.replication_factor > 0
-                               ? options_.replication_factor
-                               : size_t{1};
+  const size_t full_want = options_.replication_factor;
   size_t want = EffectiveReplicationFactor();
   std::vector<ReplicaLocation> placed;
   Status stored = UnavailableError("no nearby store device with " +
@@ -1982,76 +2161,36 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
       telemetry::Hist(telemetry_, "swap_out_patch_us"));
   // Build the replacement-object: "simply an array of references ... filled
   // with references to every swap-cluster-proxy referenced by" the cluster.
-  Result<Object*> replacement_or(nullptr);
-  if (Status fault = CheckFaultPoint("swap_out.build_replacement");
-      !fault.ok()) {
-    if (crashed_) return fault;
-    replacement_or = fault;  // injected allocation failure
-  } else {
-    replacement_or = rt_.TryNewMiddleware(replacement_cls_);
+  Result<Object*> replacement = NewReplacement(
+      info, serialized.outbound, "swap_out.build_replacement", scope);
+  Status patched = replacement.status();
+  if (patched.ok()) {
+    // Patch every inbound swap-cluster-proxy to target the replacement
+    // ("every swap-cluster referencing objects contained in swap-cluster-2
+    // will be made to reference ReplacementObject-2 instead").
+    patched = PatchInbound(
+        id, [&](Object*) { return *replacement; }, "swap_out.patch_proxy",
+        "swap_out.finalize");
   }
-  if (!replacement_or.ok()) {
-    // Roll back the store entries; the cluster stays loaded. Failed drops
-    // (store out of range) are queued for retry — a placed replica must
-    // never leak just because the rollback could not reach its store.
+  if (!patched.ok()) {
+    // A crash leaves the op torn for Recover(). A clean error (the patch
+    // already unwound) rolls back the store entries; the cluster stays
+    // loaded. Failed drops (store out of range) are queued for retry — a
+    // placed replica must never leak just because the rollback could not
+    // reach its store.
+    if (crashed_) return patched;
     ReleaseReplicas(placed, /*count_as_drop=*/false);
     if (tier_admitted) tier_->Release(id);
     if (crashed_) return InternalError("simulated crash during rollback");
     if (journal_ != nullptr) (void)journal_->Abort(seq);
     ++stats_.swap_out_failures;
-    return replacement_or.status();
-  }
-  Object* replacement = *replacement_or;
-  scope.Add(replacement);
-  ++info->swap_epoch;
-  replacement->RawSlotMutable(kReplSlotCluster) =
-      Value::Int(static_cast<int64_t>(id.value()));
-  replacement->RawSlotMutable(kReplSlotEpoch) =
-      Value::Int(static_cast<int64_t>(info->swap_epoch));
-  for (Object* outbound : serialized.outbound) {
-    replacement->AppendSlot(Value::Ref(outbound));
-  }
-  rt_.heap().RefreshAccounting(replacement);
-
-  // Patch every inbound swap-cluster-proxy to target the replacement
-  // ("every swap-cluster referencing objects contained in swap-cluster-2
-  // will be made to reference ReplacementObject-2 instead").
-  auto& inbound = inbound_[id].cells;
-  size_t write = 0;
-  std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
-  Status patch_fault = OkStatus();
-  for (size_t read = 0; read < inbound.size(); ++read) {
-    Object* proxy = inbound[read]->get();
-    if (proxy == nullptr) continue;
-    if (ProxyTargetSc(proxy) == id && patch_fault.ok()) {
-      patch_fault = CheckFaultPoint("swap_out.patch_proxy");
-      if (patch_fault.ok()) {
-        patched.emplace_back(proxy, proxy->RawSlot(kProxySlotTarget).ref());
-        proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(replacement);
-      }
-    }
-    inbound[write++] = inbound[read];
-  }
-  inbound.resize(write);
-  if (patch_fault.ok()) patch_fault = CheckFaultPoint("swap_out.finalize");
-  if (!patch_fault.ok()) {
-    // A crash leaves the patch torn for Recover(); a clean error unwinds
-    // it here — proxies back to their members, placements released.
-    if (crashed_) return patch_fault;
-    for (const auto& [proxy, old_target] : patched)
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(old_target);
-    ReleaseReplicas(placed, /*count_as_drop=*/false);
-    if (tier_admitted) tier_->Release(id);
-    if (crashed_) return InternalError("simulated crash during rollback");
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
-    ++stats_.swap_out_failures;
-    return patch_fault;
+    return patched;
   }
   patch_span.Close();
 
   info->state = SwapState::kSwapped;
   info->replicas = placed;
-  info->replacement = rt_.heap().NewWeakRef(replacement);
+  info->replacement = rt_.heap().NewWeakRef(*replacement);
   info->swapped_object_count = members.size();
   info->swapped_payload_bytes = payload.size();
   info->swapped_oids.clear();
@@ -2059,22 +2198,19 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   for (Object* member : members) info->swapped_oids.push_back(member->oid());
   info->payload_epoch = info->swap_epoch;
   info->payload_checksum = wire_checksum;
-  // For a delta ship, the cache below holds the fresh full document; its
-  // own checksum is what the next swap-in's cache probe must verify
-  // (payload_checksum is the delta's).
-  info->merged_checksum = ship_delta ? Adler32(serialized.payload) : 0;
+  info->ClearBaseGroup();
   if (ship_delta) {
-    // `placed` hold the delta; the base document stays on the stores that
-    // already had it (adopted from the retained image).
+    // `placed` hold the delta; the base document stays where it already
+    // was — the stores (and any tier entry) backing the retained image's
+    // document group. The group may have no remote replica yet: the delta
+    // facet is marked by base_epoch, not by the list.
     info->base_replicas = std::move(base_group);
-    info->base_epoch = ship_base_epoch;
-    info->base_checksum = ship_base_checksum;
+    info->base_epoch = base.epoch;
+    info->base_checksum = base.checksum;
     info->base_payload_bytes = ship_base_payload_bytes;
-  } else {
-    info->base_replicas.clear();
-    info->base_epoch = 0;
-    info->base_checksum = 0;
-    info->base_payload_bytes = 0;
+    // The cache below holds the fresh full document; its own checksum is
+    // what the next swap-in's cache probe verifies.
+    info->merged_checksum = Adler32(serialized.payload);
   }
   ++info->swap_out_count;
 
@@ -2118,7 +2254,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
     cache_.Put(id, info->payload_epoch, std::move(serialized.payload));
   } else {
     cache_.Put(id, info->payload_epoch, std::move(serialized.payload),
-               /*keep_epoch=*/ship_base_epoch);
+               /*keep_epoch=*/base.epoch);
   }
   if (bus_ != nullptr) {
     bus_->Publish(
@@ -2173,40 +2309,15 @@ std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
   // Revalidate the store entries: churn since the swap-in may have eaten
   // them without a departure event reaching us. A replica that cannot be
   // confirmed keeps its drop obligation (the store may merely be out of
-  // range) but is not trusted to serve a fetch.
-  const bool can_check = store_ != nullptr && discovery_ != nullptr;
-  auto revalidate = [&](std::vector<ReplicaLocation>& replicas) {
-    std::vector<ReplicaLocation> live;
-    for (const ReplicaLocation& replica : replicas) {
-      bool confirmed = false;
-      if (IsLocalDevice(replica.device)) {
-        confirmed = local_ != nullptr && local_->Contains(replica.key);
-      } else {
-        net::StoreNode* node =
-            can_check && discovery_->IsNearby(store_->self(), replica.device)
-                ? discovery_->NodeFor(replica.device)
-                : nullptr;
-        confirmed = node != nullptr && !node->crashed() &&
-                    node->Contains(replica.key);
-      }
-      if (confirmed) {
-        live.push_back(replica);
-      } else {
-        if (EnqueuePendingDrop(replica.device, replica.key))
-          ++stats_.drops_deferred;
-      }
+  // range) but is not trusted to serve a fetch — nor dropped twice by the
+  // invalidation. A delta image needs BOTH groups alive: the delta payload
+  // is useless without its base document.
+  for (const StoreGroup& group : image.Groups()) {
+    PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/false);
+    if (group.replicas->empty()) {
+      InvalidateCleanImage(info, /*count_as_drop=*/false);
+      return std::nullopt;
     }
-    replicas = std::move(live);
-    return !replicas.empty();
-  };
-  // A delta image needs BOTH groups alive: the delta payload is useless
-  // without its base document. (The obligations of unconfirmable replicas
-  // were queued above, so the lists are cleared of them before any
-  // invalidation — no double drops.)
-  if (!revalidate(image.replicas) ||
-      (image.HasDelta() && !revalidate(image.base_replicas))) {
-    InvalidateCleanImage(info, /*count_as_drop=*/false);
-    return std::nullopt;
   }
 
   // WAL boundary: a clean swap-out re-uses existing store bytes, so the
@@ -2232,75 +2343,32 @@ std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
 
   // From here the image is usable: failures are real swap-out failures,
   // not fall-through-to-full-path conditions (the cluster stays loaded and
-  // keeps its image).
-  Result<Object*> replacement_or(nullptr);
-  if (Status fault = CheckFaultPoint("clean_swap_out.build_replacement");
-      !fault.ok()) {
-    if (crashed_) return Result<SwapKey>(fault);
-    replacement_or = fault;
-  } else {
-    replacement_or = rt_.TryNewMiddleware(replacement_cls_);
+  // keeps its image). A fresh swap incarnation (stale replacement
+  // finalizers stay harmless), same payload epoch: the store bytes and the
+  // cache entry still serve.
+  Result<Object*> replacement = NewReplacement(
+      info, outbound, "clean_swap_out.build_replacement", scope);
+  Status patched = replacement.status();
+  if (patched.ok()) {
+    patched = PatchInbound(
+        id, [&](Object*) { return *replacement; },
+        "clean_swap_out.patch_proxy", "clean_swap_out.finalize");
   }
-  if (!replacement_or.ok()) {
+  if (!patched.ok()) {
+    if (crashed_) return Result<SwapKey>(patched);
     if (journal_ != nullptr) (void)journal_->Abort(seq);
     ++stats_.swap_out_failures;
-    return Result<SwapKey>(replacement_or.status());
-  }
-  Object* replacement = *replacement_or;
-  scope.Add(replacement);
-  // Fresh swap incarnation (stale replacement finalizers stay harmless),
-  // same payload epoch: the store bytes and the cache entry still serve.
-  ++info->swap_epoch;
-  replacement->RawSlotMutable(kReplSlotCluster) =
-      Value::Int(static_cast<int64_t>(id.value()));
-  replacement->RawSlotMutable(kReplSlotEpoch) =
-      Value::Int(static_cast<int64_t>(info->swap_epoch));
-  for (Object* proxy : outbound) replacement->AppendSlot(Value::Ref(proxy));
-  rt_.heap().RefreshAccounting(replacement);
-
-  auto& inbound = inbound_[id].cells;
-  size_t write = 0;
-  std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
-  Status patch_fault = OkStatus();
-  for (size_t read = 0; read < inbound.size(); ++read) {
-    Object* proxy = inbound[read]->get();
-    if (proxy == nullptr) continue;
-    if (ProxyTargetSc(proxy) == id && patch_fault.ok()) {
-      patch_fault = CheckFaultPoint("clean_swap_out.patch_proxy");
-      if (patch_fault.ok()) {
-        patched.emplace_back(proxy, proxy->RawSlot(kProxySlotTarget).ref());
-        proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(replacement);
-      }
-    }
-    inbound[write++] = inbound[read];
-  }
-  inbound.resize(write);
-  if (patch_fault.ok())
-    patch_fault = CheckFaultPoint("clean_swap_out.finalize");
-  if (!patch_fault.ok()) {
-    if (crashed_) return Result<SwapKey>(patch_fault);
-    for (const auto& [proxy, old_target] : patched)
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(old_target);
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
-    ++stats_.swap_out_failures;
-    return Result<SwapKey>(patch_fault);
+    return Result<SwapKey>(patched);
   }
 
   info->state = SwapState::kSwapped;
-  info->replicas = std::move(image.replicas);
-  info->replacement = rt_.heap().NewWeakRef(replacement);
+  // Both groups of a delta image are re-adopted (the stored payload is a
+  // delta against the base); a plain image clears the delta facet.
+  static_cast<StoredPayload&>(*info) = std::move(image);
+  info->replacement = rt_.heap().NewWeakRef(*replacement);
   info->swapped_object_count = image.object_count;
   info->swapped_payload_bytes = image.payload_bytes;
   info->swapped_oids = std::move(image.oids);
-  info->payload_epoch = image.payload_epoch;
-  info->payload_checksum = image.payload_checksum;
-  // A delta image re-adopts its base group too (the stored payload is a
-  // delta against it); a plain image clears the delta facet.
-  info->base_replicas = std::move(image.base_replicas);
-  info->base_epoch = image.base_epoch;
-  info->base_checksum = image.base_checksum;
-  info->base_payload_bytes = image.base_payload_bytes;
-  info->merged_checksum = image.merged_checksum;
   ++info->swap_out_count;
   info->clean_image.reset();  // `image` is dead from here
   info->dirty_fields.clear();
@@ -2312,9 +2380,8 @@ std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
   }
   if (journal_ != nullptr) (void)journal_->Commit(seq);
 
-  size_t want = options_.replication_factor > 0 ? options_.replication_factor
-                                                : size_t{1};
-  if (info->replicas.size() < want) ++stats_.under_replicated_outs;
+  if (info->replicas.size() < options_.replication_factor)
+    ++stats_.under_replicated_outs;
   ++stats_.swap_outs;
   ++stats_.clean_swap_outs;
   NotePrefetchDiscard(id);
@@ -2384,65 +2451,31 @@ Result<std::string> SwappingManager::ResolveDeltaBase(
   telemetry::ScopedSpan span(
       telemetry_, "resolve_delta_base", "swap",
       telemetry::Hist(telemetry_, "swap_in_delta_base_us"));
+  if (!info->DeltaSwapped()) {
+    return UnavailableError("swap-cluster " + info->id.ToString() +
+                            " has no base group to merge a delta over");
+  }
   // The payload cache holds full base documents under the base epoch (the
-  // delta swap-out that shipped this delta relied on the same entry).
-  std::string base;
-  bool have_base = false;
-  if (const std::string* cached = cache_.Get(info->id, info->base_epoch);
-      cached != nullptr && Adler32(*cached) == info->base_checksum) {
-    ++stats_.delta_base_cache_hits;
-    base = *cached;
-    have_base = true;
-  }
-  if (!have_base) {
-    Status last = UnavailableError("swap-cluster " + info->id.ToString() +
-                                   " has no base replicas to fetch from");
-    for (const ReplicaLocation& replica :
-         ReplicaFetchOrder(info->base_replicas)) {
-      uint64_t budget_left = OpBudgetLeft(op_start_us);
-      if (budget_left == 0) {
-        return DeadlineExceededError(
-            "swap-in budget exhausted fetching the delta base of "
-            "swap-cluster " +
-            info->id.ToString());
-      }
-      Result<std::string> fetched{std::string()};
-      if (Status fault = CheckFaultPoint("swap_in.fetch_base"); !fault.ok()) {
-        if (crashed_) return fault;
-        fetched = fault;  // injected base-fetch failure: fail over
-      } else {
-        fetched = FetchFrom(replica.device, replica.key,
-                            budget_left == UINT64_MAX ? 0 : budget_left);
-      }
-      if (!fetched.ok()) {
-        last = fetched.status();
-        continue;
-      }
-      Result<std::string> text = compress::FrameDecompress(*fetched);
-      if (!text.ok()) {
-        ++stats_.data_loss_failovers;
-        last = text.status();
-        continue;
-      }
-      if (Adler32(*text) != info->base_checksum) {
-        ++stats_.data_loss_failovers;
-        last = DataLossError("delta base checksum mismatch for swap-cluster " +
-                             info->id.ToString());
-        continue;
-      }
-      stats_.bytes_swapped_in += fetched->size();
-      base = std::move(*text);
-      have_base = true;
-      break;
-    }
-    if (!have_base) return last;
-    // Keep the base around: the retained image's next delta swap-out (and
-    // the next delta swap-in) diff/merge against this exact entry.
-    cache_.Put(info->id, info->base_epoch, base);
-  }
+  // delta swap-out that shipped this delta relied on the same entry); a
+  // tier holds the base when the full payload it was was tier-admitted.
+  const StoreGroup base = info->Groups().back();
+  OBISWAP_ASSIGN_OR_RETURN(
+      FetchedCopy copy,
+      FetchGroup(*info, base, FetchPurpose::kDeltaBase, op_start_us));
   // The merge verifies the embedded digests end-to-end: a wrong or damaged
   // base (or delta) surfaces as kDataLoss and the caller fails over.
-  return serialization::ApplyClusterDelta(base, delta_payload);
+  Result<std::string> merged =
+      serialization::ApplyClusterDelta(copy.text(), delta_payload);
+  if (copy.source == FetchSource::kCache) {
+    ++stats_.delta_base_cache_hits;
+  } else {
+    if (copy.source == FetchSource::kReplica)
+      stats_.bytes_swapped_in += copy.stored.size();
+    // Keep the base around: the retained image's next delta swap-out (and
+    // the next delta swap-in) diff/merge against this exact entry.
+    cache_.Put(info->id, base.epoch, std::move(copy.decompressed));
+  }
+  return merged;
 }
 
 Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
@@ -2486,255 +2519,46 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   options.expected_id = static_cast<int64_t>(id.value());
   options.assign_swap_cluster = id;
 
-  Status last = UnavailableError("swap-cluster " + id.ToString() +
-                                 " has no replicas to fetch from");
+  // One verified copy of the shipped payload, through the fetch ladder:
+  // payload cache, tiers, then replica failover (hedged on demand faults).
+  // A copy must also deserialize; one that does not falls through like a
+  // corrupt one — a partially deserialized attempt leaves only unrooted
+  // objects behind for the next collection. A delta payload is merged over
+  // its full base document first; the merged text then flows through
+  // exactly like a full payload.
   std::vector<Object*> members;
-  std::string decompressed;   // kept to feed the cache on the fetch path
-  size_t fetched_bytes = 0;   // compressed bytes actually transferred
-  bool restored = false;
-  bool from_cache = false;
-  bool via_delta = false;  // payload was a delta merged over a fetched base
-
-  // Swap-in payload cache: a retained decompressed payload for this exact
-  // (cluster, payload epoch) skips both the radio and the codec. The
-  // checksum must still match — a stale or damaged copy falls through to
-  // the fetch path below. A delta-swapped cluster's entry at the payload
-  // epoch is the full MERGED document (cached when the delta shipped), so
-  // it verifies against merged_checksum, not the delta's own.
-  const uint32_t cache_checksum =
-      info->DeltaSwapped() ? info->merged_checksum : info->payload_checksum;
-  if (const std::string* cached = cache_.Get(id, info->payload_epoch)) {
-    if (cache_checksum != 0 && Adler32(*cached) == cache_checksum) {
-      telemetry::ScopedSpan span(
-          telemetry_, "materialize", span_category,
-          telemetry::Hist(telemetry_, "swap_in_materialize_us"));
-      Status fault = CheckFaultPoint("swap_in.materialize");
-      if (crashed_) return fault;
-      if (fault.ok()) {
-        Result<std::vector<Object*>> members_or = serialization::
-            DeserializeClusterAny(rt_, *cached, options, resolve);
-        if (members_or.ok()) {
-          members = std::move(*members_or);
-          restored = true;
-          from_cache = true;
-        }
-      }
+  std::string merged;      // a delta payload merged over its base
+  bool via_delta = false;  // members came from `merged`
+  auto materialize = [&](const FetchedCopy& copy) -> Status {
+    const std::string* text = &copy.text();
+    if (serialization::IsClusterDeltaPayload(*text)) {
+      OBISWAP_ASSIGN_OR_RETURN(merged,
+                               ResolveDeltaBase(info, *text, begin_us));
+      text = &merged;
     }
-    // A delta-swapped cluster's cache entry is the BASE document under
-    // base_epoch (the lookup above misses by epoch) — evicting it here
-    // would force a base refetch on the delta path below.
-    if (!from_cache && !info->DeltaSwapped()) cache_.Invalidate(id);
-  }
-
-  // Tier probe: RAM then flash, fastest-first, before any radio traffic.
-  // A flash hit is promoted into the RAM pool so the next re-fault of the
-  // same cluster is served at memory speed. A delta-swapped cluster never
-  // probes — the tiers only ever hold full payloads.
-  bool from_tier = false;
-  if (!restored && TierActive() && !info->DeltaSwapped()) {
-    const uint64_t tier_begin_us = clock_ != nullptr ? clock_->now_us() : 0;
-    telemetry::ScopedSpan tier_span(
-        telemetry_, "tier_fetch", span_category,
-        telemetry::Hist(telemetry_, "tier_fetch_us"));
-    tier::TierHit hit = tier::TierHit::kNone;
-    Result<std::string> probed =
-        tier_->Probe(id, info->payload_epoch, info->payload_checksum, &hit);
-    if (probed.ok()) {
-      if (Status fault = CheckFaultPoint("swap_in.tier_fetch"); !fault.ok()) {
-        if (crashed_) return fault;
-        last = fault;  // injected miss: fall through to the replica fetch
-      } else {
-        Result<std::string> xml_text = compress::FrameDecompress(*probed);
-        if (xml_text.ok() && Adler32(*xml_text) == info->payload_checksum) {
-          Result<std::vector<Object*>> members_or =
-              serialization::DeserializeClusterAny(rt_, *xml_text, options,
-                                                   resolve);
-          if (members_or.ok()) {
-            members = std::move(*members_or);
-            decompressed = std::move(*xml_text);
-            restored = true;
-            from_tier = true;
-            if (hit == tier::TierHit::kFlash) {
-              // Promote the compressed payload up a tier (volatile-only —
-              // crash-safe at any instruction; the flash copy stays).
-              if (Status fault = CheckFaultPoint("tier.promote");
-                  !fault.ok()) {
-                if (crashed_) return fault;
-              } else {
-                tier_->PromoteToRam(id, *probed);
-              }
-            }
-          } else {
-            last = members_or.status();
-          }
-        } else {
-          // Stale or damaged behind the tier's metadata: retire the copy
-          // so it cannot shadow the authoritative replicas again.
-          tier_->Release(id, info->payload_epoch, info->payload_checksum);
-          last = xml_text.ok()
-                     ? DataLossError("tier payload checksum mismatch for "
-                                     "swap-cluster " +
-                                     id.ToString())
-                     : xml_text.status();
-        }
-      }
+    // A tier copy decodes inside its tier_fetch span, with no fault point.
+    std::optional<telemetry::ScopedSpan> span;
+    if (copy.source != FetchSource::kTier) {
+      span.emplace(telemetry_, "materialize", span_category,
+                   telemetry::Hist(telemetry_, "swap_in_materialize_us"));
+      OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_in.materialize"));
     }
-    tier_span.Close();
-    if (from_tier && clock_ != nullptr) {
-      telemetry::Histogram* per_tier = telemetry::Hist(
-          telemetry_, hit == tier::TierHit::kRam ? "tier_ram_fetch_us"
-                                                 : "tier_flash_fetch_us");
-      if (per_tier != nullptr)
-        per_tier->Record(clock_->now_us() - tier_begin_us);
-    }
-  }
-
-  // Failover fetch: try each replica (reachable ones first) until one
-  // yields a payload that survives the frame checksum AND deserializes. A
-  // partially-deserialized attempt leaves only unrooted objects behind —
-  // the next collection reclaims them.
-  //
-  // Hedged fetch (demand faults only): the first attempt is capped at the
-  // HealthTracker's p95-derived deadline; past it the fetch is abandoned
-  // and the next healthy replica tried immediately, with the abandoned
-  // replica re-queued at the back for one final uncapped attempt — a slow
-  // primary costs one hedge window, never the full retry pyramid, and
-  // availability matches the sequential walk's.
-  std::vector<ReplicaLocation> order = ReplicaFetchOrder(info->replicas);
-  const uint64_t hedge_deadline_us =
-      (options_.hedged_fetch && !prefetch && health_ != nullptr &&
-       order.size() > 1)
-          ? health_->HedgeDeadlineUs()
-          : 0;
-  bool hedge_fired = false;
-  size_t hedge_retry_index = SIZE_MAX;
-  for (size_t attempt = 0; attempt < order.size() && !restored; ++attempt) {
-    const ReplicaLocation replica = order[attempt];
-    uint64_t budget_left = OpBudgetLeft(begin_us);
-    if (budget_left == 0) {
-      // End-to-end budget spent: fail fast and cleanly (no journal op has
-      // begun yet — heap patching only starts after a successful fetch).
-      last = DeadlineExceededError("swap-in budget exhausted at replica " +
-                                   std::to_string(attempt));
+    OBISWAP_ASSIGN_OR_RETURN(members, serialization::DeserializeClusterAny(
+                                          rt_, *text, options, resolve));
+    via_delta = text == &merged;
+    return OkStatus();
+  };
+  Result<FetchedCopy> fetched = FetchGroup(
+      *info, info->Groups().front(),
+      prefetch ? FetchPurpose::kSpeculative : FetchPurpose::kDemand, begin_us,
+      materialize);
+  if (!fetched.ok()) {
+    if (fetched.status().code() == StatusCode::kDeadlineExceeded)
       ++stats_.deadline_aborts;
-      break;
-    }
-    uint64_t fetch_cap = budget_left;
-    bool hedge_capped = false;
-    if (attempt == 0 && hedge_deadline_us > 0 &&
-        hedge_deadline_us < fetch_cap) {
-      fetch_cap = hedge_deadline_us;
-      hedge_capped = true;
-    }
-    // The first replica tried is the plain fetch; every further attempt is
-    // a failover (the previous replica was unreachable or corrupt), except
-    // the fetch launched by a fired hedge, which gets its own span name.
-    const char* attempt_name =
-        attempt == 0 ? "fetch"
-                     : (hedge_fired && attempt == 1 ? "hedged_fetch"
-                                                    : "failover_fetch");
-    telemetry::ScopedSpan attempt_span(
-        telemetry_, attempt_name, span_category,
-        telemetry::Hist(telemetry_, "swap_in_fetch_us"));
-    // A fired hedge is speculative work: it demotes from demand class so a
-    // saturated failover target sheds it before anyone's blocking fault.
-    std::optional<PriorityScope> hedge_priority;
-    if (hedge_fired && attempt == 1)
-      hedge_priority.emplace(this, net::Priority::kHedgedFetch);
-    Status failure = OkStatus();
-    Result<std::string> fetched{std::string()};
-    if (Status fault = CheckFaultPoint("swap_in.fetch"); !fault.ok()) {
-      if (crashed_) return fault;
-      fetched = fault;  // injected fetch failure: fail over like any other
-    } else {
-      fetched = FetchFrom(replica.device, replica.key,
-                          fetch_cap == UINT64_MAX ? 0 : fetch_cap);
-    }
-    if (!fetched.ok()) {
-      failure = fetched.status();
-    } else {
-      telemetry::ScopedSpan decompress_span(
-          telemetry_, "decompress", span_category,
-          telemetry::Hist(telemetry_, "swap_in_decompress_us"));
-      Result<std::string> xml_text{std::string()};
-      if (Status fault = CheckFaultPoint("swap_in.decompress"); !fault.ok()) {
-        if (crashed_) return fault;
-        xml_text = fault;
-      } else {
-        xml_text = compress::FrameDecompress(*fetched);
-      }
-      decompress_span.Close();
-      // A delta payload is merged over its full base document (from the
-      // payload cache or a base-replica fetch) before it can materialize;
-      // the merged text then flows through exactly like a full payload.
-      bool merged_delta = false;
-      if (xml_text.ok() &&
-          serialization::IsClusterDeltaPayload(*xml_text)) {
-        Result<std::string> full =
-            ResolveDeltaBase(info, *xml_text, begin_us);
-        if (crashed_) return full.status();
-        xml_text = std::move(full);
-        merged_delta = xml_text.ok();
-      }
-      if (!xml_text.ok()) {
-        failure = xml_text.status();
-      } else {
-        telemetry::ScopedSpan materialize_span(
-            telemetry_, "materialize", span_category,
-            telemetry::Hist(telemetry_, "swap_in_materialize_us"));
-        Result<std::vector<Object*>> members_or(std::vector<Object*>{});
-        if (Status fault = CheckFaultPoint("swap_in.materialize");
-            !fault.ok()) {
-          if (crashed_) return fault;
-          members_or = fault;
-        } else {
-          members_or = serialization::DeserializeClusterAny(
-              rt_, *xml_text, options, resolve);
-        }
-        materialize_span.Close();
-        if (!members_or.ok()) {
-          failure = members_or.status();
-        } else {
-          fetched_bytes = fetched->size();
-          decompressed = std::move(*xml_text);
-          members = std::move(*members_or);
-          restored = true;
-          via_delta = merged_delta;
-          if (attempt > 0) ++stats_.failover_fetches;
-          if (hedge_fired) {
-            // Served by the re-queued primary after all: the hedge only
-            // burned its window. Served by anyone else: the hedge won.
-            if (attempt == hedge_retry_index)
-              ++stats_.hedge_wastes;
-            else
-              ++stats_.hedge_wins;
-          }
-        }
-      }
-    }
-    if (!restored) {
-      if (failure.code() == StatusCode::kDataLoss)
-        ++stats_.data_loss_failovers;
-      if (hedge_capped && failure.code() == StatusCode::kDeadlineExceeded) {
-        // The hedge deadline fired (not the op budget): move on to the
-        // next replica now and give this one a final uncapped shot later.
-        hedge_fired = true;
-        ++stats_.hedged_fetches;
-        hedge_retry_index = order.size();
-        order.push_back(replica);
-      } else if (failure.code() == StatusCode::kDeadlineExceeded) {
-        ++stats_.deadline_aborts;
-        last = failure;
-        break;
-      }
-      OBISWAP_LOG(kWarn) << "replica of swap-cluster " << id.ToString()
-                         << " on device " << replica.device.value()
-                         << " unusable: " << failure.ToString();
-      last = failure;
-    }
+    return fetched.status();
   }
-  if (!restored && hedge_fired) ++stats_.hedge_wastes;
-  if (!restored) return last;
+  const bool from_cache = fetched->source == FetchSource::kCache;
+  const bool from_tier = fetched->source == FetchSource::kTier;
   for (Object* member : members) scope.Add(member);
 
   std::unordered_map<uint64_t, Object*> by_oid;
@@ -2774,10 +2598,10 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // releasing them (no image retained) and crashes first, recovery can
     // still tell which keys the cluster stopped accounting for. A delta
     // swap-in accounts for both groups — delta and base.
-    for (const ReplicaLocation& replica : info->replicas)
-      journal_->NoteReplicaIntent(seq, replica.device, replica.key);
-    for (const ReplicaLocation& replica : info->base_replicas)
-      journal_->NoteReplicaIntent(seq, replica.device, replica.key);
+    for (const StoreGroup& group : info->Groups()) {
+      for (const ReplicaLocation& replica : *group.replicas)
+        journal_->NoteReplicaIntent(seq, replica.device, replica.key);
+    }
     (void)journal_->Persist();
   }
   if (Status fault = CheckFaultPoint("swap_in.journal_begin"); !fault.ok()) {
@@ -2790,31 +2614,16 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   // replicas being swapped-in"), then rebuild membership — proxies first,
   // so a torn patch can always be rolled back to the replacement without
   // having clobbered the members list.
-  size_t write = 0;
-  std::vector<Object*> patched;
-  Status patch_fault = OkStatus();
-  for (size_t read = 0; read < inbound.size(); ++read) {
-    Object* proxy = inbound[read]->get();
-    if (proxy == nullptr) continue;
-    if (ProxyTargetSc(proxy) == id && patch_fault.ok()) {
-      patch_fault = CheckFaultPoint("swap_in.patch_proxy");
-      if (patch_fault.ok()) {
-        proxy->RawSlotMutable(kProxySlotTarget) =
-            Value::Ref(by_oid.find(ProxyTargetOid(proxy).value())->second);
-        patched.push_back(proxy);
-      }
-    }
-    inbound[write++] = inbound[read];
-  }
-  inbound.resize(write);
-  if (patch_fault.ok()) patch_fault = CheckFaultPoint("swap_in.finalize");
+  Status patch_fault = PatchInbound(
+      id,
+      [&by_oid](Object* proxy) {
+        return by_oid.find(ProxyTargetOid(proxy).value())->second;
+      },
+      "swap_in.patch_proxy", "swap_in.finalize");
   if (!patch_fault.ok()) {
-    if (crashed_) return patch_fault;
-    // Clean error: unwind to the replacement; the materialized objects are
-    // unrooted past this frame and die at the next collection.
-    for (Object* proxy : patched)
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(replacement);
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
+    // A clean error was unwound to the replacement; the materialized
+    // objects are unrooted past this frame and die at the next collection.
+    if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
     return patch_fault;
   }
   info->members.clear();
@@ -2845,40 +2654,27 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   // consumed post-commit). Overwriting the image slot below would leak its
   // keys — retire every one the incoming groups do not carry forward.
   if (info->clean_image.has_value()) {
-    for (const ReplicaLocation& replica : info->clean_image->replicas) {
-      if (!IntentsContain(info->replicas, replica) &&
-          !IntentsContain(info->base_replicas, replica))
-        stale_replicas.push_back(replica);
+    for (const StoreGroup& group : info->clean_image->Groups()) {
+      for (const ReplicaLocation& replica : *group.replicas)
+        if (!info->Lists(replica)) stale_replicas.push_back(replica);
+      // Its tier copy goes too — unless that payload is the base the
+      // swapped delta carried forward.
+      if (tier_ != nullptr && group.epoch != info->base_epoch)
+        tier_->Release(id, group.epoch, group.checksum);
     }
-    for (const ReplicaLocation& replica : info->clean_image->base_replicas) {
-      if (!IntentsContain(info->replicas, replica) &&
-          !IntentsContain(info->base_replicas, replica))
-        stale_replicas.push_back(replica);
-    }
-    if (tier_ != nullptr)
-      tier_->Release(id, info->clean_image->payload_epoch,
-                     info->clean_image->payload_checksum);
-    info->clean_image->replicas.clear();
     info->clean_image.reset();
     ++stats_.clean_image_invalidations;
   }
   if (retain) {
+    // A delta swap-in retains both groups: the delta it just applied (the
+    // image's payload) and the base it applied it over — the next dirty
+    // swap-out diffs against that same base.
     CleanImage image;
-    image.replicas = std::move(info->replicas);
-    image.payload_epoch = info->payload_epoch;
-    image.payload_checksum = info->payload_checksum;
+    static_cast<StoredPayload&>(image) = std::move(*info);
     image.payload_bytes = info->swapped_payload_bytes;
     image.object_count = info->swapped_object_count;
     image.oids = std::move(info->swapped_oids);
     image.outbound = std::move(outbound_refs);
-    // A delta swap-in retains both groups: the delta it just applied (the
-    // image's payload) and the base it applied it over — the next dirty
-    // swap-out diffs against that same base.
-    image.base_replicas = std::move(info->base_replicas);
-    image.base_epoch = info->base_epoch;
-    image.base_checksum = info->base_checksum;
-    image.base_payload_bytes = info->base_payload_bytes;
-    image.merged_checksum = info->merged_checksum;
     info->clean_image = std::move(image);
     info->dirty = false;
   } else {
@@ -2888,11 +2684,10 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // copy of the now-dead payload goes the same way — left behind it
     // would sit pinned forever (nothing loaded-dirty is ever written
     // back).
-    if (tier_ != nullptr)
-      tier_->Release(id, info->payload_epoch, info->payload_checksum);
-    stale_replicas = std::move(info->replicas);
-    for (const ReplicaLocation& replica : info->base_replicas)
-      stale_replicas.push_back(replica);
+    for (const StoreGroup& group : info->Groups()) {
+      if (tier_ != nullptr) tier_->Release(id, group.epoch, group.checksum);
+      AppendNew(stale_replicas, *group.replicas);
+    }
     info->dirty = true;
   }
 
@@ -2902,11 +2697,7 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
           : 0;
   info->state = SwapState::kLoaded;
   info->replicas.clear();
-  info->base_replicas.clear();
-  info->base_epoch = 0;
-  info->base_checksum = 0;
-  info->base_payload_bytes = 0;
-  info->merged_checksum = 0;
+  info->ClearBaseGroup();
   info->dirty_fields.clear();
   info->replacement = runtime::WeakRef();
   info->swapped_oids.clear();
@@ -2931,9 +2722,11 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // Tier bytes never touch the radio either; per-tier hit counters live
     // in the TierManager's own stats.
     stats_.bytes_swap_transfer_saved += info->swapped_payload_bytes;
-    cache_.Put(id, info->payload_epoch, std::move(decompressed));
+    cache_.Put(id, info->payload_epoch, std::move(fetched->decompressed));
   } else {
-    stats_.bytes_swapped_in += fetched_bytes;
+    stats_.bytes_swapped_in += fetched->stored.size();
+    std::string decompressed =
+        via_delta ? std::move(merged) : std::move(fetched->decompressed);
     // A delta merge caches the merged text under the payload epoch while
     // pinning the base document ResolveDeltaBase cached at base_epoch —
     // the next swap-in decodes from the cache, the next diff still finds
@@ -3009,85 +2802,28 @@ Status SwappingManager::PrefetchStage(SwapClusterId id) {
   // fetch, and not the prefetcher's doing — no staging claimed.
   if (cache_.Get(id, info->payload_epoch) != nullptr) return OkStatus();
 
+  // A tier-resident payload fills the cache without touching the radio,
+  // making speculation nearly free; any tier problem falls through to the
+  // replica fetch.
   const uint64_t begin_us = clock_ != nullptr ? clock_->now_us() : 0;
-  Status last = UnavailableError("swap-cluster " + id.ToString() +
-                                 " has no replicas to fetch from");
-  // Tier-served staging: a tier-resident payload fills the cache without
-  // touching the radio, making speculation nearly free. Any tier problem
-  // simply falls through to the replica fetch below.
-  if (TierActive()) {
-    tier::TierHit hit = tier::TierHit::kNone;
-    Result<std::string> probed =
-        tier_->Probe(id, info->payload_epoch, info->payload_checksum, &hit);
-    if (probed.ok()) {
-      Result<std::string> xml_text = compress::FrameDecompress(*probed);
-      if (xml_text.ok() && Adler32(*xml_text) == info->payload_checksum) {
-        OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("prefetch_stage.stage"));
-        size_t payload_bytes = xml_text->size();
-        cache_.Put(id, info->payload_epoch, std::move(*xml_text));
-        if (cache_.Get(id, info->payload_epoch) == nullptr) {
-          return ResourceExhaustedError("staged payload (" +
-                                        FormatBytes(payload_bytes) +
-                                        ") exceeds the cache budget");
-        }
-        staged_.insert(id);
-        ++stats_.prefetch_stages;
-        stats_.prefetch_stage_bytes += payload_bytes;
-        if (clock_ != nullptr)
-          stats_.prefetch_fetch_us += clock_->now_us() - begin_us;
-        return OkStatus();
-      }
-    }
+  OBISWAP_ASSIGN_OR_RETURN(
+      FetchedCopy copy,
+      FetchGroup(*info, info->Groups().front(), FetchPurpose::kStage));
+  OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("prefetch_stage.stage"));
+  const size_t payload_bytes = copy.decompressed.size();
+  cache_.Put(id, info->payload_epoch, std::move(copy.decompressed));
+  if (cache_.Get(id, info->payload_epoch) == nullptr) {
+    // The cache refused it (payload alone exceeds the budget).
+    return ResourceExhaustedError("staged payload (" +
+                                  FormatBytes(payload_bytes) +
+                                  ") exceeds the cache budget");
   }
-  for (const ReplicaLocation& replica : ReplicaFetchOrder(info->replicas)) {
-    Result<std::string> fetched{std::string()};
-    if (Status fault = CheckFaultPoint("prefetch_stage.fetch"); !fault.ok()) {
-      if (crashed_) return fault;
-      fetched = fault;
-    } else {
-      fetched = FetchFrom(replica.device, replica.key);
-    }
-    if (!fetched.ok()) {
-      last = fetched.status();
-      continue;
-    }
-    Result<std::string> xml_text{std::string()};
-    if (Status fault = CheckFaultPoint("prefetch_stage.decompress");
-        !fault.ok()) {
-      if (crashed_) return fault;
-      xml_text = fault;
-    } else {
-      xml_text = compress::FrameDecompress(*fetched);
-    }
-    if (!xml_text.ok()) {
-      ++stats_.data_loss_failovers;
-      last = xml_text.status();
-      continue;
-    }
-    if (Adler32(*xml_text) != info->payload_checksum) {
-      ++stats_.data_loss_failovers;
-      last = DataLossError("staged payload checksum mismatch for "
-                           "swap-cluster " +
-                           id.ToString());
-      continue;
-    }
-    OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("prefetch_stage.stage"));
-    size_t payload_bytes = xml_text->size();
-    cache_.Put(id, info->payload_epoch, std::move(*xml_text));
-    if (cache_.Get(id, info->payload_epoch) == nullptr) {
-      // The cache refused it (payload alone exceeds the budget).
-      return ResourceExhaustedError("staged payload (" +
-                                    FormatBytes(payload_bytes) +
-                                    ") exceeds the cache budget");
-    }
-    staged_.insert(id);
-    ++stats_.prefetch_stages;
-    stats_.prefetch_stage_bytes += payload_bytes;
-    if (clock_ != nullptr)
-      stats_.prefetch_fetch_us += clock_->now_us() - begin_us;
-    return OkStatus();
-  }
-  return last;
+  staged_.insert(id);
+  ++stats_.prefetch_stages;
+  stats_.prefetch_stage_bytes += payload_bytes;
+  if (clock_ != nullptr)
+    stats_.prefetch_fetch_us += clock_->now_us() - begin_us;
+  return OkStatus();
 }
 
 void SwappingManager::NoteClusterEntered(SwapClusterId id) {
@@ -3164,26 +2900,6 @@ std::vector<ReplicaLocation> SwappingManager::ReplicaFetchOrder(
   for (const ReplicaLocation& replica : replicas)
     if (!in_reach(replica)) order.push_back(replica);
   return order;
-}
-
-Result<std::string> SwappingManager::FetchVerifiedPayload(
-    SwapClusterId id, const std::vector<ReplicaLocation>& replicas) {
-  Status last = UnavailableError("no fetchable replica for swap-cluster " +
-                                 id.ToString());
-  for (const ReplicaLocation& replica : ReplicaFetchOrder(replicas)) {
-    Result<std::string> fetched = FetchFrom(replica.device, replica.key);
-    if (!fetched.ok()) {
-      last = fetched.status();
-      continue;
-    }
-    // Never copy a corrupted payload onto fresh replicas: the frame
-    // checksum must hold before this copy is allowed to propagate.
-    Result<std::string> verified = compress::FrameDecompress(*fetched);
-    if (verified.ok()) return std::move(*fetched);
-    ++stats_.data_loss_failovers;
-    last = verified.status();
-  }
-  return last;
 }
 
 Result<ReplicaLocation> SwappingManager::PlaceReplica(
@@ -3308,40 +3024,21 @@ void SwappingManager::ReleaseReplicas(
 size_t SwappingManager::ForgetReplica(SwapClusterId id, DeviceId device) {
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr) return 0;
-  std::vector<std::vector<ReplicaLocation>*> groups;
-  bool image_backed = false;
-  bool image_had_delta = false;
-  if (info->state == SwapState::kSwapped) {
-    groups.push_back(&info->replicas);
-    groups.push_back(&info->base_replicas);
-  } else if (info->state == SwapState::kLoaded &&
-             info->clean_image.has_value()) {
-    groups.push_back(&info->clean_image->replicas);
-    groups.push_back(&info->clean_image->base_replicas);
-    image_backed = true;
-    image_had_delta = info->clean_image->HasDelta();
-  } else {
-    return 0;
-  }
   size_t forgotten = 0;
-  for (std::vector<ReplicaLocation>* replicas : groups) {
-    size_t write = 0;
-    for (size_t read = 0; read < replicas->size(); ++read) {
-      if ((*replicas)[read].device == device) {
-        // Should the store ever return, its now-orphaned payload must still
-        // be reclaimed — keep the drop obligation alive.
-        (void)EnqueuePendingDrop(device, (*replicas)[read].key);
-        ++forgotten;
-        continue;
-      }
-      (*replicas)[write++] = (*replicas)[read];
-    }
-    replicas->resize(write);
+  bool emptied = false;
+  for (const StoreGroup& group : info->Groups()) {
+    std::erase_if(*group.replicas, [&](const ReplicaLocation& replica) {
+      if (!(replica.device == device)) return false;
+      // Should the store ever return, its now-orphaned payload must still
+      // be reclaimed — keep the drop obligation alive.
+      (void)EnqueuePendingDrop(device, replica.key);
+      ++forgotten;
+      return true;
+    });
+    emptied = emptied || group.replicas->empty();
   }
   stats_.replicas_forgotten += forgotten;
-  if (image_backed &&
-      (info->clean_image->replicas.empty() ||
-       (image_had_delta && info->clean_image->base_replicas.empty()))) {
+  if (info->state == SwapState::kLoaded && emptied) {
     // Not a single backing store entry left for one of the image's groups:
     // the image can no longer serve a zero-transfer re-swap-out (a delta
     // image needs both the delta and its base). The drop obligations for
@@ -3360,80 +3057,49 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr)
     return NotFoundError("no swap-cluster " + id.ToString());
-  // Both store groups get the same durability maintenance: the shipped
+  // Every store group gets the same durability maintenance: the shipped
   // payload (full or delta) and — for delta-swapped state or a delta image
-  // — the base document group the delta is useless without.
-  struct Group {
-    std::vector<ReplicaLocation>* replicas;
-    uint64_t epoch;
-    uint32_t checksum;
-  };
-  std::vector<Group> groups;
-  if (info->state == SwapState::kSwapped) {
-    groups.push_back(
-        {&info->replicas, info->payload_epoch, info->payload_checksum});
-    if (!info->base_replicas.empty())
-      groups.push_back(
-          {&info->base_replicas, info->base_epoch, info->base_checksum});
-  } else if (info->LoadedClean()) {
-    // Retained clean images get the same durability maintenance as swapped
-    // payloads — a re-swap-out must find enough surviving replicas.
-    CleanImage& image = *info->clean_image;
-    groups.push_back(
-        {&image.replicas, image.payload_epoch, image.payload_checksum});
-    if (image.HasDelta())
-      groups.push_back(
-          {&image.base_replicas, image.base_epoch, image.base_checksum});
-  } else {
+  // — the base document group the delta is useless without. Retained
+  // clean images are maintained like swapped payloads (a re-swap-out must
+  // find enough surviving replicas); a dirty one is not.
+  const StoreGroups<StoreGroup> groups = info->Groups();
+  if (groups.empty() ||
+      (info->state == SwapState::kLoaded && !info->LoadedClean())) {
     return FailedPreconditionError("swap-cluster " + id.ToString() +
                                    " holds no store replicas (" +
                                    SwapStateName(info->state) + ")");
   }
-  size_t want = options_.replication_factor > 0 ? options_.replication_factor
-                                                : size_t{1};
+  const size_t want = options_.replication_factor;
   size_t added_total = 0;
-  for (const Group& group : groups) {
+  for (const StoreGroup& group : groups) {
     std::vector<ReplicaLocation>* replicas = group.replicas;
     if (replicas->size() >= want) continue;
-    // The tier write-back path: a tier-placed payload has no remote
-    // replicas at all, and the tier (not the stores) is the fetch source
-    // for its top-up. Also the second chance for a group whose last store
-    // copy died while a tier read-cache copy survives.
-    std::string tier_payload;
-    bool tier_sourced = false;
-    if (replicas->empty()) {
-      if (tier_ != nullptr) {
-        // AIMD write-back pacing: past this poll's cap the write-back
-        // waits for a later sweep. Nothing is lost by deferring — the
-        // tier still pins the payload until the group reaches K.
-        if (write_back_pacer_.enabled() && !write_back_pacer_.Admit()) {
-          ++stats_.write_backs_paced;
-          break;
-        }
-        OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("tier.write_back"));
-        Result<std::string> from_tier =
-            tier_->PayloadForWriteBack(id, group.epoch, group.checksum);
-        if (from_tier.ok()) {
-          tier_payload = *std::move(from_tier);
-          tier_sourced = true;
-        }
+    // The tier write-back path: a tier-placed payload (or a delta's base
+    // that was one) has no remote replicas at all, and the tier is the
+    // ladder's source for its top-up. Also the second chance for a group
+    // whose last store copy died while a tier read-cache copy survives.
+    if (replicas->empty() && tier_ != nullptr) {
+      // AIMD write-back pacing: past this poll's cap the write-back waits
+      // for a later sweep. Nothing is lost by deferring — the tier still
+      // pins the payload until the group reaches K.
+      if (write_back_pacer_.enabled() && !write_back_pacer_.Admit()) {
+        ++stats_.write_backs_paced;
+        break;
       }
-      if (!tier_sourced)
-        return DataLossError("swap-cluster " + id.ToString() +
-                             " has no surviving replica");
-    }
-    Result<std::string> payload_or{std::string()};
-    if (tier_sourced) {
-      payload_or = std::move(tier_payload);
-    } else {
+      OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("tier.write_back"));
+    } else if (!replicas->empty()) {
       OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("re_replicate.fetch"));
-      payload_or = FetchVerifiedPayload(id, *replicas);
     }
-    if (!payload_or.ok()) {
+    Result<FetchedCopy> source =
+        FetchGroup(*info, group, FetchPurpose::kRepairSource);
+    if (!source.ok()) {
       if (added_total > 0) break;  // partial progress across groups counts
-      return payload_or.status();
+      return source.status();
     }
-    const std::string& payload = *payload_or;
+    // Never copy a corrupted payload onto fresh replicas: the ladder has
+    // verified this copy before it may propagate.
+    const std::string& payload = source->stored;
+    const bool tier_sourced = source->source == FetchSource::kTier;
     // Maintenance intents: each fresh key is journaled before its store
     // RPC; an uncommitted maintenance op's keys that never made it into
     // the replica list are dropped at recovery.
@@ -3478,8 +3144,8 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
     if (journal_ != nullptr) (void)journal_->Commit(seq);
     added_total += added;
   }
-  // The remote group may have just reached K: the tier entry stops being
-  // the payload's only home and becomes an evictable read cache.
+  // A remote group may have just reached K: the tier entry stops being its
+  // payload's only home and becomes an evictable read cache.
   MaybeCompleteTierWriteBack(info);
   return added_total;
 }
@@ -3493,38 +3159,23 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
   for (SwapClusterId id : registry_.Ids()) {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr) continue;
-    // Both store groups evacuate: a base document stranded on a departing
+    if (info->state == SwapState::kLoaded && !info->LoadedClean()) continue;
+    // Every store group evacuates: a base document stranded on a departing
     // store would make every delta shipped against it unrecoverable.
-    std::vector<std::vector<ReplicaLocation>*> groups;
-    if (info->state == SwapState::kSwapped) {
-      groups.push_back(&info->replicas);
-      if (!info->base_replicas.empty())
-        groups.push_back(&info->base_replicas);
-    } else if (info->LoadedClean()) {
-      groups.push_back(&info->clean_image->replicas);
-      if (info->clean_image->HasDelta())
-        groups.push_back(&info->clean_image->base_replicas);
-    } else {
-      continue;
-    }
-    for (std::vector<ReplicaLocation>* replicas : groups) {
+    for (const StoreGroup& group : info->Groups()) {
+      std::vector<ReplicaLocation>& replicas = *group.replicas;
       size_t at = 0;
-      while (at < replicas->size() && !((*replicas)[at].device == leaving)) {
-        ++at;
-      }
-      if (at == replicas->size()) continue;
-      const ReplicaLocation old = (*replicas)[at];
+      while (at < replicas.size() && !(replicas[at].device == leaving)) ++at;
+      if (at == replicas.size()) continue;
+      const ReplicaLocation old = replicas[at];
       // Prefer copying straight off the withdrawing store — a graceful
       // withdrawal means it is still reachable; fall back to any replica.
-      Result<std::string> payload = FetchFrom(old.device, old.key);
-      if (payload.ok()) {
-        Result<std::string> verified = compress::FrameDecompress(*payload);
-        if (!verified.ok()) payload = verified.status();
-      }
-      if (!payload.ok()) payload = FetchVerifiedPayload(id, *replicas);
-      if (!payload.ok()) {
+      Result<FetchedCopy> source =
+          FetchGroup(*info, group, FetchPurpose::kRepairSource, 0,
+                     AcceptAny(), &old);
+      if (!source.ok()) {
         OBISWAP_LOG(kWarn) << "cannot evacuate swap-cluster " << id.ToString()
-                           << ": " << payload.status().ToString();
+                           << ": " << source.status().ToString();
         continue;
       }
       // One maintenance op per move. The old key is journaled up-front
@@ -3539,7 +3190,7 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
         journal_->NoteReplicaIntent(seq, old.device, old.key);
       }
       Result<ReplicaLocation> fresh = PlaceReplica(
-          id, *payload, *replicas, leaving, seq, "evacuate.place");
+          id, source->stored, replicas, leaving, seq, "evacuate.place");
       if (crashed_) return fresh.status();
       if (!fresh.ok()) {
         if (journal_ != nullptr) (void)journal_->Abort(seq);
@@ -3548,7 +3199,7 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
                            << fresh.status().ToString();
         continue;
       }
-      (*replicas)[at] = *fresh;
+      replicas[at] = *fresh;
       Status dropped = CheckFaultPoint("evacuate.drop_old");
       if (crashed_) return dropped;
       if (dropped.ok()) dropped = DropAt(old.device, old.key);
@@ -3625,18 +3276,13 @@ void SwappingManager::OnReplacementFinalized(Object* replacement) {
     // One journaled release covers both groups: the shipped payload and —
     // for a delta-swapped cluster — the base document it applied to.
     std::vector<ReplicaLocation> all = info->replicas;
-    for (const ReplicaLocation& replica : info->base_replicas)
-      all.push_back(replica);
+    AppendNew(all, info->base_replicas);
     JournaledRelease(id, all, /*count_as_drop=*/true);
   }
   // A dead cluster's tier copies (and their flash slots) go with it.
   if (tier_ != nullptr) tier_->Release(id);
   info->replicas.clear();
-  info->base_replicas.clear();
-  info->base_epoch = 0;
-  info->base_checksum = 0;
-  info->base_payload_bytes = 0;
-  info->merged_checksum = 0;
+  info->ClearBaseGroup();
   NotePrefetchDiscard(id);  // a staged payload for a dropped cluster is waste
   cache_.Invalidate(id);
   if (bus_ != nullptr) {

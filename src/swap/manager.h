@@ -387,8 +387,9 @@ class SwappingManager final : public runtime::Interceptor,
   const PayloadCache& payload_cache() const { return cache_; }
 
   // --- durability (replica maintenance under store churn) ------------------
-  /// Adapts the replication factor at runtime (policy action target).
-  /// Existing swapped clusters are topped up lazily by ReReplicate.
+  /// Adapts the replication factor at runtime (policy action target;
+  /// floored at 1). Existing swapped clusters are topped up lazily by
+  /// ReReplicate.
   void set_replication_factor(size_t k);
 
   /// Discards the replica records `id` holds on `device` (the store is
@@ -650,15 +651,48 @@ class SwappingManager final : public runtime::Interceptor,
   }
 
   /// Replica try order for fetches: reachable stores first (placement order
-  /// within each group) — the failover path and re-replication share it.
+  /// within each group) — every fetch-ladder caller shares it.
   std::vector<ReplicaLocation> ReplicaFetchOrder(
       const std::vector<ReplicaLocation>& replicas) const;
-  /// Fetches the payload from any of `replicas`, verifying frame
-  /// integrity; used by re-replication and evacuation (swap-in has its own
-  /// loop so it can also fail over on deserialization errors). Works for
-  /// swapped replicas and retained clean-image replicas alike.
-  Result<std::string> FetchVerifiedPayload(
-      SwapClusterId id, const std::vector<ReplicaLocation>& replicas);
+
+  // --- the fetch ladder ---------------------------------------------------
+  /// Why a store group is being read; selects the ladder's steps and
+  /// counters from one table (kLadderSteps in manager.cc).
+  enum class FetchPurpose : uint8_t {
+    kDemand,          ///< SwapIn of an application fault
+    kSpeculative,     ///< SwapIn on the prefetcher's behalf
+    kStage,           ///< PrefetchStage (cache fill, no heap objects)
+    kDeltaBase,       ///< the base document under a delta payload
+    kRepairSource,    ///< ReReplicate / EvacuateReplicas copy source
+    kRecoveryVerify,  ///< roll-forward check of journaled replicas
+  };
+  enum class FetchSource : uint8_t { kCache, kTier, kReplica };
+  /// One verified copy of a store group's payload.
+  struct FetchedCopy {
+    FetchSource source = FetchSource::kReplica;
+    /// Cache hit: the cached document (valid until the cache's next
+    /// mutation). Otherwise null and the document is `decompressed`.
+    const std::string* cached = nullptr;
+    std::string decompressed;
+    std::string stored;  ///< store form (tier and replica sources)
+    const std::string& text() const {
+      return cached != nullptr ? *cached : decompressed;
+    }
+  };
+  struct AcceptAny {
+    Status operator()(const FetchedCopy&) const { return OkStatus(); }
+  };
+  /// The one read path for a store group: payload cache, then the local
+  /// tiers (RAM then flash), then the replicas in ReplicaFetchOrder, each
+  /// step as `purpose` enables it. A copy must pass its checks and then
+  /// `accept` (a non-OK status falls through to the next copy, like a
+  /// corrupt one) to be returned. `op_start_us` anchors the op budget;
+  /// `first`, when set, is tried before the ordered replicas.
+  template <typename Accept = AcceptAny>
+  Result<FetchedCopy> FetchGroup(const SwapClusterInfo& info,
+                                 const StoreGroup& group, FetchPurpose purpose,
+                                 uint64_t op_start_us = 0, Accept&& accept = {},
+                                 const ReplicaLocation* first = nullptr);
   /// Stores `payload` on one nearby store not in `exclude_devices` under a
   /// fresh key. kUnavailable if no eligible store accepts it. The minted
   /// key is journaled under `journal_seq` (0 = unjournaled) before the
@@ -713,15 +747,39 @@ class SwappingManager final : public runtime::Interceptor,
   const char* RecoverTornMaintenance(const IntentJournal::PendingOp& op,
                                      SwapClusterInfo* info,
                                      RecoveryReport* report);
+  /// Recovery keeps nothing of the cluster's stored payload: queues a drop
+  /// for every key the record lists (both groups of the swapped state and
+  /// of a retained image) and forgets them.
+  void RetireListedKeys(SwapClusterInfo* info, RecoveryReport* report);
   /// Post-replay sweep: fetches and checksums every swapped cluster's
-  /// replicas, pruning dead or corrupt copies (unreachable stores get the
-  /// benefit of the doubt).
+  /// replicas, group by group, pruning dead or corrupt copies (unreachable
+  /// stores get the benefit of the doubt).
   void VerifySwappedClusters(RecoveryReport* report);
   /// Confirms retained clean-image replicas still exist; invalidates
   /// images left with none.
   void ReconcileCleanImages(RecoveryReport* report);
   /// Drops cached payloads that no longer match any live epoch/checksum.
   void ReconcilePayloadCache();
+  /// Removes from `replicas` every entry its store does not confirm it
+  /// still holds, queuing the drop obligation (the store may merely be out
+  /// of range). An entry on an out-of-range store stays when
+  /// `keep_unreachable` is set.
+  void PruneUnconfirmed(std::vector<ReplicaLocation>& replicas,
+                        bool keep_unreachable);
+  /// Builds the replacement-object of `info`'s next swap incarnation (the
+  /// swap_epoch is bumped) holding `outbound` in external-ref index order,
+  /// rooted in `scope`. `fault_point` models an allocation failure.
+  Result<runtime::Object*> NewReplacement(
+      SwapClusterInfo* info, const std::vector<runtime::Object*>& outbound,
+      const char* fault_point, runtime::LocalScope& scope);
+  /// Re-points every live inbound proxy of `id` at `target(proxy)`, pruning
+  /// dead entries; `patch_point` is consulted before each proxy and
+  /// `finalize_point` after the last. A clean error restores the patched
+  /// proxies' old targets before it returns; a crash leaves the patch torn
+  /// for Recover().
+  template <typename Target>
+  Status PatchInbound(SwapClusterId id, Target&& target,
+                      const char* patch_point, const char* finalize_point);
   /// The zero-transfer swap-out fast path. nullopt = image unusable
   /// (invalidated; caller falls through to the full serialize+ship path);
   /// otherwise the definitive swap-out result.
@@ -737,10 +795,10 @@ class SwappingManager final : public runtime::Interceptor,
   Result<serialization::SerializedCluster> SerializeForWire(
       uint32_t cluster_attr_id, const std::vector<runtime::Object*>& members,
       const serialization::DescribeExternalFn& describe);
-  /// Fetches and decompresses the base document of a delta-swapped
-  /// cluster (payload cache first, then base replica failover) and
-  /// applies `delta_payload` to it. Also re-primes the payload cache with
-  /// the base. Returns the merged full OSWB document.
+  /// Reads the base document of a delta-swapped cluster through the fetch
+  /// ladder (payload cache, tiers, base replicas) and applies
+  /// `delta_payload` to it. Also re-primes the payload cache with the
+  /// base. Returns the merged full OSWB document.
   Result<std::string> ResolveDeltaBase(SwapClusterInfo* info,
                                        const std::string& delta_payload,
                                        uint64_t op_start_us);
@@ -765,6 +823,12 @@ class SwappingManager final : public runtime::Interceptor,
   /// pipeline is gated on this so a detached (or mode-off) tier leaves the
   /// pipeline byte-identical to before.
   bool TierActive() const { return tier_ != nullptr && tier_->enabled(); }
+  /// A flash-tier copy of exactly this group's payload exists; it survives
+  /// restarts, so it backs a group that lost every store copy.
+  bool FlashBacked(SwapClusterId id, const StoreGroup& group) const {
+    return tier_ != nullptr &&
+           tier_->HasFlashCopy(id, group.epoch, group.checksum);
+  }
   /// Tier placement for a freshly serialized payload: RAM first, flash as
   /// spill, journaled before any flash write. True when a tier took the
   /// payload (the caller then skips remote placement; the durability sweep
@@ -772,8 +836,8 @@ class SwappingManager final : public runtime::Interceptor,
   Result<bool> TryTierAdmit(SwapClusterInfo* info, uint64_t seq,
                             uint32_t wire_checksum, const std::string& payload,
                             SwapKey* tier_key);
-  /// Unpins the tier entry once the cluster's active replica group has
-  /// reached the full replication factor (write-back complete).
+  /// Unpins the tier entry once the store group it backs (the one whose
+  /// epoch and checksum it holds) has K remote replicas (write-back done).
   void MaybeCompleteTierWriteBack(SwapClusterInfo* info);
 
   net::StoreClient* store_ = nullptr;

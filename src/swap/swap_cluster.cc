@@ -1,6 +1,7 @@
 #include "swap/swap_cluster.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_set>
 
 namespace obiswap::swap {
@@ -15,6 +16,57 @@ const char* SwapStateName(SwapState state) {
       return "dropped";
   }
   return "?";
+}
+
+namespace {
+/// The groups of `payload` (a StoredPayload, const or not).
+template <typename Payload>
+auto GroupsOf(Payload& payload) {
+  using Replicas = std::remove_reference_t<decltype((payload.replicas))>;
+  StoreGroups<BasicStoreGroup<Replicas>> groups;
+  groups.push_back({&payload.replicas, payload.payload_epoch,
+                    payload.payload_checksum, payload.HasDelta()});
+  if (payload.HasDelta()) {
+    groups.push_back(
+        {&payload.base_replicas, payload.base_epoch, payload.base_checksum});
+  }
+  return groups;
+}
+
+/// The groups `info`'s state holds: the swapped payload's or the image's.
+template <typename Info>
+auto StateGroupsOf(Info& info) -> decltype(GroupsOf(info)) {
+  if (info.state == SwapState::kSwapped) return GroupsOf(info);
+  if (info.state == SwapState::kLoaded && info.clean_image.has_value())
+    return GroupsOf(*info.clean_image);
+  return {};
+}
+}  // namespace
+
+StoreGroups<StoreGroup> StoredPayload::Groups() { return GroupsOf(*this); }
+StoreGroups<ConstStoreGroup> StoredPayload::Groups() const {
+  return GroupsOf(*this);
+}
+StoreGroups<StoreGroup> SwapClusterInfo::Groups() {
+  return StateGroupsOf(*this);
+}
+StoreGroups<ConstStoreGroup> SwapClusterInfo::Groups() const {
+  return StateGroupsOf(*this);
+}
+
+bool StoredPayload::Lists(const ReplicaLocation& replica) const {
+  return std::find(replicas.begin(), replicas.end(), replica) !=
+             replicas.end() ||
+         std::find(base_replicas.begin(), base_replicas.end(), replica) !=
+             base_replicas.end();
+}
+
+void StoredPayload::ClearBaseGroup() {
+  base_replicas.clear();
+  base_epoch = 0;
+  base_checksum = 0;
+  base_payload_bytes = 0;
+  merged_checksum = 0;
 }
 
 SwapClusterId SwapClusterRegistry::Create() {

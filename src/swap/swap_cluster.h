@@ -8,6 +8,7 @@
 // application crosses boundaries (used by victim selection).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,23 +42,92 @@ struct ReplicaLocation {
   }
 };
 
+/// One store group: the replicas holding one payload, plus that payload's
+/// identity. A cluster (or retained image) holds one group for the payload
+/// it shipped and, when that payload is a delta, a second group for the
+/// full base document the delta applies to. `Replicas` is the list type,
+/// const-qualified for read-only views.
+template <typename Replicas>
+struct BasicStoreGroup {
+  Replicas* replicas = nullptr;
+  uint64_t epoch = 0;     ///< payload epoch the store keys belong to
+  uint32_t checksum = 0;  ///< Adler-32 of the decompressed payload
+  bool delta = false;     ///< holds an OSWD delta, not a full document
+};
+using StoreGroup = BasicStoreGroup<std::vector<ReplicaLocation>>;
+using ConstStoreGroup = BasicStoreGroup<const std::vector<ReplicaLocation>>;
+
+/// The (at most two) store groups a state holds; a fixed array, so asking
+/// for them never allocates.
+template <typename Group>
+class StoreGroups {
+ public:
+  void push_back(const Group& group) { groups_[size_++] = group; }
+  const Group* begin() const { return groups_.data(); }
+  const Group* end() const { return groups_.data() + size_; }
+  const Group& front() const { return groups_[0]; }
+  /// The group holding the full document: the base group of a delta,
+  /// else the only group.
+  const Group& back() const { return groups_[size_ - 1]; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::array<Group, 2> groups_{};
+  size_t size_ = 0;
+};
+
+/// A payload held by the stores: its replica group and identity, plus the
+/// base group when the payload is a delta. A swapped cluster holds one
+/// (SwapClusterInfo derives from it) and so does a retained CleanImage.
+struct StoredPayload {
+  /// The payload's store entries, in placement order (first = primary).
+  /// Departure and re-replication mutate the list in place.
+  std::vector<ReplicaLocation> replicas;
+  /// Epoch under which the payload was serialized — the epoch its store
+  /// keys and payload-cache entry belong to. A zero-transfer re-swap-out
+  /// bumps the cluster's swap_epoch but keeps serving this payload epoch.
+  uint64_t payload_epoch = 0;
+  /// Frame checksum (Adler-32 of the decompressed payload).
+  uint32_t payload_checksum = 0;
+
+  // --- delta facet (binary wire format + delta swap-out only) --------------
+  /// When the payload is an OSWD delta, `replicas` above hold the delta
+  /// (payload_checksum is the delta's) and these hold the full BASE
+  /// document it applies to: a second store group. base_epoch != 0 is the
+  /// one fact that marks a delta; the base list may be empty while a local
+  /// tier holds the only base copy.
+  std::vector<ReplicaLocation> base_replicas;
+  uint64_t base_epoch = 0;        ///< payload epoch of the base document
+  uint32_t base_checksum = 0;     ///< Adler-32 of the decompressed base
+  size_t base_payload_bytes = 0;  ///< compressed base size on the store
+  /// Adler-32 of the full merged document the delta reconstructs (the
+  /// payload-cache copy of the merged text); 0 when unknown (e.g. after a
+  /// crash recovery, which cannot recompute it) — a zero never matches, so
+  /// the swap-in cache probe falls through to the fetch path.
+  uint32_t merged_checksum = 0;
+
+  bool HasDelta() const { return base_epoch != 0; }
+
+  /// The payload's group, then the base group of a delta.
+  StoreGroups<StoreGroup> Groups();
+  StoreGroups<ConstStoreGroup> Groups() const;
+  /// True when either group lists `replica`.
+  bool Lists(const ReplicaLocation& replica) const;
+
+  /// Forgets the base group (the payload is no longer a delta). The caller
+  /// accounts for the listed keys first.
+  void ClearBaseGroup();
+};
+
 /// The retained store image of a cluster that swapped back in and has not
 /// been written since (the loaded-clean facet). While it exists, the store
-/// copies listed in `replicas` are byte-identical to the resident objects,
-/// so the next swap-out can reuse them instead of serializing, compressing
-/// and shipping the cluster again. Invalidated (and the replicas released)
-/// by the first member write, by merge/split, or when every member dies.
-struct CleanImage {
-  /// The store entries still holding the payload, placement order.
-  std::vector<ReplicaLocation> replicas;
-  /// swap_epoch under which the payload was serialized — the epoch the
-  /// store keys and the payload-cache entry belong to. A zero-transfer
-  /// re-swap-out bumps the cluster's swap_epoch (replacement finalizers
-  /// stay guarded) but keeps serving this payload epoch.
-  uint64_t payload_epoch = 0;
-  /// Adler-32 of the decompressed payload (the frame checksum): lets a
-  /// cached copy be verified without refetching.
-  uint32_t payload_checksum = 0;
+/// copies it lists are byte-identical to the resident objects, so the next
+/// swap-out can reuse them instead of serializing, compressing and
+/// shipping the cluster again. Invalidated (and the replicas released) by
+/// the first member write, by merge/split, or when every member dies.
+/// Under delta swap-out it survives member writes (dirty, but diffable):
+/// the next swap-out diffs against its full document.
+struct CleanImage : StoredPayload {
   size_t payload_bytes = 0;  ///< compressed size on the store
   size_t object_count = 0;
   /// Identity of the serialized members, document order.
@@ -66,34 +136,9 @@ struct CleanImage {
   /// external-ref index order (the payload resolves references by index).
   /// Weak: if any dies, the image can no longer back a replacement.
   std::vector<runtime::WeakRef> outbound;
-
-  // --- delta facet (binary wire format + delta swap-out only) --------------
-  /// When the last swap-out shipped a delta, the image is two store groups:
-  /// `replicas` above hold the DELTA payload (what a re-adopting
-  /// TryCleanSwapOut or the next swap-in fetches alongside the base) and
-  /// these hold the full BASE document the delta was diffed against. Empty
-  /// when the image is a plain full payload.
-  std::vector<ReplicaLocation> base_replicas;
-  uint64_t base_epoch = 0;        ///< payload epoch of the base document
-  uint32_t base_checksum = 0;     ///< Adler-32 of the decompressed base
-  size_t base_payload_bytes = 0;  ///< compressed base size on the store
-  /// Adler-32 of the full merged document the delta reconstructs — what a
-  /// payload-cache copy of the merged text verifies against on the next
-  /// swap-in (payload_checksum above is the delta's own). 0 when unknown.
-  uint32_t merged_checksum = 0;
-
-  bool HasDelta() const { return !base_replicas.empty(); }
-
-  /// Epoch/checksum of the full base *document* a delta swap-out must diff
-  /// against: the base group's for a delta image, the image's own for a
-  /// plain full-payload image.
-  uint64_t BaseEpoch() const { return HasDelta() ? base_epoch : payload_epoch; }
-  uint32_t BaseChecksum() const {
-    return HasDelta() ? base_checksum : payload_checksum;
-  }
 };
 
-struct SwapClusterInfo {
+struct SwapClusterInfo : StoredPayload {
   SwapClusterId id;
   SwapState state = SwapState::kLoaded;
 
@@ -110,19 +155,12 @@ struct SwapClusterInfo {
   uint64_t last_crossing_seq = 0;  ///< logical time of last crossing
 
   // --- swapped state -------------------------------------------------------
-  /// Where the payload lives while swapped: one entry per replica, in
-  /// placement order (first = primary). Empty while loaded. Departure and
-  /// re-replication mutate this list while the cluster stays swapped.
-  std::vector<ReplicaLocation> replicas;
+  // The StoredPayload base says where the payload lives while swapped
+  // (empty while loaded).
   /// Monotonic swap incarnation: bumped by every swap-out, recorded in the
   /// replacement-object, so a stale replacement finalizer (from a previous
   /// swap of the same cluster) never drops the current replicas.
   uint64_t swap_epoch = 0;
-  /// Epoch under which the on-store payload was serialized (≤ swap_epoch:
-  /// a clean re-swap-out bumps swap_epoch but reuses the payload).
-  uint64_t payload_epoch = 0;
-  /// Frame checksum (Adler-32 of the decompressed payload) of that payload.
-  uint32_t payload_checksum = 0;
   runtime::WeakRef replacement;       ///< the stand-in, while swapped
   size_t swapped_object_count = 0;
   size_t swapped_payload_bytes = 0;
@@ -131,23 +169,8 @@ struct SwapClusterInfo {
   /// them to the server.
   std::vector<ObjectId> swapped_oids;
 
-  // --- delta-swapped state (binary wire format + delta swap-out only) ------
-  /// When the last swap-out shipped a delta, `replicas` above hold the
-  /// DELTA payload (payload_checksum is the delta's, so the generic fetch /
-  /// verify / failover machinery works unchanged) and these hold the full
-  /// BASE document the delta applies to. Swap-in must fetch one of each.
-  std::vector<ReplicaLocation> base_replicas;
-  uint64_t base_epoch = 0;        ///< payload epoch of the base document
-  uint32_t base_checksum = 0;     ///< Adler-32 of the decompressed base
-  size_t base_payload_bytes = 0;  ///< compressed base size on the store
-  /// Adler-32 of the full merged document the delta reconstructs (the
-  /// payload-cache copy of the merged text); 0 when unknown (e.g. after a
-  /// crash recovery, which cannot recompute it) — a zero never matches, so
-  /// the swap-in cache probe falls through to the fetch path.
-  uint32_t merged_checksum = 0;
-
   bool DeltaSwapped() const {
-    return state == SwapState::kSwapped && !base_replicas.empty();
+    return state == SwapState::kSwapped && HasDelta();
   }
 
   uint64_t swap_out_count = 0;
@@ -176,23 +199,33 @@ struct SwapClusterInfo {
     return state == SwapState::kLoaded && !dirty && clean_image.has_value();
   }
 
-  /// Replica list currently backed by store entries: the swapped-state list
-  /// while kSwapped, the retained clean image's while loaded; else null.
-  /// The durability layer maintains both the same way.
+  /// The store groups the current state holds: the swapped state's while
+  /// kSwapped, the retained clean image's while loaded; none otherwise. The
+  /// first group is the shipped payload, a second the base of a delta. The
+  /// durability layer maintains every group the same way.
+  StoreGroups<StoreGroup> Groups();
+  StoreGroups<ConstStoreGroup> Groups() const;
+
+  /// The shipped payload's replica list (the first group's); null when the
+  /// state holds no groups.
   const std::vector<ReplicaLocation>* ActiveReplicas() const {
-    if (state == SwapState::kSwapped) return &replicas;
-    if (state == SwapState::kLoaded && clean_image.has_value())
-      return &clean_image->replicas;
-    return nullptr;
+    StoreGroups<ConstStoreGroup> groups = Groups();
+    return groups.empty() ? nullptr : groups.front().replicas;
   }
 
   bool HasReplicaOn(DeviceId device) const {
-    const std::vector<ReplicaLocation>* active = ActiveReplicas();
-    if (active == nullptr) return false;
-    for (const ReplicaLocation& replica : *active) {
-      if (replica.device == device) return true;
+    for (const ConstStoreGroup& group : Groups()) {
+      for (const ReplicaLocation& replica : *group.replicas)
+        if (replica.device == device) return true;
     }
     return false;
+  }
+
+  /// True when the swapped-state groups or the retained image's list
+  /// `replica`, whatever the state.
+  bool Accounts(const ReplicaLocation& replica) const {
+    return Lists(replica) ||
+           (clean_image.has_value() && clean_image->Lists(replica));
   }
 };
 

@@ -411,11 +411,12 @@ bool TierManager::PendingWriteBack(SwapClusterId id) const {
   return it != entries_.end() && it->second.pinned;
 }
 
-Result<std::string> TierManager::PayloadForWriteBack(SwapClusterId id,
-                                                     uint64_t payload_epoch,
-                                                     uint32_t payload_checksum) {
-  TierHit hit = TierHit::kNone;
-  return Probe(id, payload_epoch, payload_checksum, &hit);
+bool TierManager::PendingWriteBack(SwapClusterId id, uint64_t payload_epoch,
+                                   uint32_t payload_checksum) const {
+  auto it = entries_.find(id);
+  return it != entries_.end() && it->second.pinned &&
+         it->second.payload_epoch == payload_epoch &&
+         it->second.payload_checksum == payload_checksum;
 }
 
 void TierManager::MarkWrittenBack(SwapClusterId id) {

@@ -195,11 +195,10 @@ class TierManager {
   /// True when the tier holds a payload for `id` that has not yet been
   /// written back to a full remote replica group.
   bool PendingWriteBack(SwapClusterId id) const;
-
-  /// The payload for the durability layer to replicate from, any tier.
-  Result<std::string> PayloadForWriteBack(SwapClusterId id,
-                                          uint64_t payload_epoch,
-                                          uint32_t payload_checksum);
+  /// Same, for exactly the (epoch, checksum) payload: which of a cluster's
+  /// store groups the pinned entry backs.
+  bool PendingWriteBack(SwapClusterId id, uint64_t payload_epoch,
+                        uint32_t payload_checksum) const;
 
   /// The remote replica group reached K: unpin, entry becomes read cache.
   void MarkWrittenBack(SwapClusterId id);

@@ -346,6 +346,68 @@ TEST(DurabilityMonitorTest, CleanImageLosingAllReplicasIsInvalidated) {
   EXPECT_EQ(*SumList(world.rt, "head"), kListSum);
 }
 
+TEST(DurabilityMonitorTest, DeltaBaseGroupIsMaintainedUnderChurn) {
+  // A delta-swapped cluster is two store groups: the shipped delta and the
+  // full base document it applies to. Stores holding only a base copy must
+  // be maintained like any other replica holder.
+  swap::SwappingManager::Options options = TwoReplicaOptions();
+  options.wire_format = "binary";
+  options.delta_swap_out = true;
+  options.swap_in_cache_bytes = 64 * 1024;
+  MiddlewareWorld world(options);
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  for (uint32_t device = 2; device <= 6; ++device)
+    world.AddStore(device, 1 << 20);
+  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
+                                     kListLength, kListLength, "head");
+  swap::SwappingManager& m = world.manager;
+  ASSERT_TRUE(m.SwapOut(clusters[0]).ok());
+  ASSERT_TRUE(m.SwapIn(clusters[0]).ok());
+  Value head = *world.rt.GetGlobal("head");
+  ASSERT_TRUE(world.rt.Invoke(head.ref(), "set_value", {Value::Int(100)}).ok());
+  ASSERT_TRUE(m.SwapOut(clusters[0]).ok());
+  ASSERT_EQ(m.stats().delta_swap_outs, 1u);
+  const swap::SwapClusterInfo* info = m.registry().Find(clusters[0]);
+  ASSERT_TRUE(info->DeltaSwapped());
+  ASSERT_EQ(info->base_replicas.size(), 2u);
+  // The delta lands on the emptiest stores, so the base is on two others.
+  std::vector<DeviceId> base_only;
+  for (const swap::ReplicaLocation& base : info->base_replicas) {
+    bool shared = false;
+    for (const swap::ReplicaLocation& delta : info->replicas)
+      shared = shared || delta.device == base.device;
+    if (!shared) base_only.push_back(base.device);
+  }
+  ASSERT_EQ(base_only.size(), 2u);
+  auto base_on = [&](DeviceId device) {
+    for (const swap::ReplicaLocation& replica : info->base_replicas)
+      if (replica.device == device) return true;
+    return false;
+  };
+
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus);
+  monitor.Poll();
+  for (DeviceId leaving : base_only) {
+    world.discovery.Withdraw(leaving);
+    monitor.Poll();  // forgets the base copy, then tops the group back up
+    EXPECT_FALSE(base_on(leaving)) << "device " << leaving.value();
+    EXPECT_FALSE(info->HasReplicaOn(leaving));
+    EXPECT_EQ(info->base_replicas.size(), 2u);
+    EXPECT_EQ(info->replicas.size(), 2u);
+  }
+  EXPECT_EQ(monitor.stats().replicas_lost, 2u);
+  EXPECT_EQ(m.stats().re_replications, 2u);
+
+  // Both original base stores are gone: the cold-cache fault must merge
+  // the delta over a re-replicated base copy.
+  m.set_swap_in_cache_bytes(0);
+  m.set_swap_in_cache_bytes(64 * 1024);
+  Status in = m.SwapIn(clusters[0]);
+  ASSERT_TRUE(in.ok()) << in.ToString();
+  EXPECT_EQ(*SumList(world.rt, "head"), kListSum + 100);
+}
+
 TEST(DurabilityTest, FinalizerDropBroadcastsToAllReplicas) {
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);

@@ -16,6 +16,7 @@ namespace {
 
 using policy::PolicyEngine;
 using policy::RegisterTierActions;
+using runtime::Value;
 using swap::ReplicaLocation;
 using tier::ParseTierMode;
 using tier::TierHit;
@@ -425,9 +426,10 @@ swap::SwappingManager::Options TierIntegrationOptions() {
 /// A MiddlewareWorld with the full tier stack wired in: local flash shared
 /// by the journal and the flash tier, TierManager, durability monitor.
 struct TierWorld {
-  explicit TierWorld(TierManager::Options tier_options,
-                     bool attach_tier = true)
-      : world(TierIntegrationOptions()),
+  explicit TierWorld(
+      TierManager::Options tier_options, bool attach_tier = true,
+      swap::SwappingManager::Options options = TierIntegrationOptions())
+      : world(options),
         flash(MiddlewareWorld::kDevice, 1 << 20, world.network.clock()),
         journal(&flash),
         tiers(&flash, tier_options),
@@ -575,6 +577,102 @@ TEST(TierIntegrationTest, StatsSnapshotAlwaysCarriesTierKeys) {
   }
   EXPECT_NE(json.find("\"tier_swap_outs\":0"), std::string::npos);
   EXPECT_NE(json.find("\"tier_swap_ins\":0"), std::string::npos);
+}
+
+// ------------------------------------------------ delta over a tier base --
+
+/// Binary wire format with delta swap-out and a payload cache (the delta
+/// diffs against the cached base), K = 2, flash-only tier admission.
+struct DeltaTierWorld : TierWorld {
+  static swap::SwappingManager::Options Options() {
+    swap::SwappingManager::Options options = TierIntegrationOptions();
+    options.wire_format = "binary";
+    options.delta_swap_out = true;
+    options.swap_in_cache_bytes = 64 * 1024;
+    // Cap 1 per window, windows opened by hand: the write-back test
+    // decides when the base may be written back.
+    options.write_back_pacer.enabled = true;
+    options.write_back_pacer.initial_cap = 1;
+    return options;
+  }
+  static TierManager::Options FlashOnly() {
+    TierManager::Options options = AllTiersOptions();
+    options.mode = TierMode::kFlash;
+    return options;
+  }
+  DeltaTierWorld() : TierWorld(FlashOnly(), /*attach_tier=*/true, Options()) {}
+
+  /// Tier-admitted full swap-out, swap-in, one mediated write to the head
+  /// (cluster 0), then the dirty swap-out that ships a delta against the
+  /// tier-held full payload.
+  void ShipDeltaOverTierBase() {
+    swap::SwappingManager& m = world.manager;
+    ASSERT_TRUE(m.SwapOut(clusters[0]).ok());
+    ASSERT_EQ(m.stats().tier_swap_outs, 1u);
+    ASSERT_TRUE(m.SwapIn(clusters[0]).ok());
+    Value head = *world.rt.GetGlobal("head");
+    ASSERT_TRUE(
+        world.rt.Invoke(head.ref(), "set_value", {Value::Int(100)}).ok());
+    ASSERT_TRUE(m.SwapOut(clusters[0]).ok());
+    ASSERT_EQ(m.stats().delta_swap_outs, 1u);
+  }
+};
+
+TEST(TierDeltaTest, DemandFaultMergesTheDeltaOverATierHeldBase) {
+  DeltaTierWorld w;
+  w.ShipDeltaOverTierBase();
+  swap::SwappingManager& m = w.world.manager;
+  const swap::SwapClusterInfo* info = m.registry().Find(w.clusters[0]);
+  ASSERT_NE(info, nullptr);
+  // The base document has no remote replica yet — only the tier holds it —
+  // and the cluster still counts as delta-swapped.
+  EXPECT_TRUE(info->DeltaSwapped());
+  EXPECT_TRUE(info->base_replicas.empty());
+  EXPECT_EQ(info->replicas.size(), 2u);
+
+  // Cold cache: the fault must fetch the delta and read the base from the
+  // flash tier.
+  m.set_swap_in_cache_bytes(0);
+  m.set_swap_in_cache_bytes(64 * 1024);
+  const uint64_t flash_hits = w.tiers.stats().flash_hits;
+  Status in = m.SwapIn(w.clusters[0]);
+  ASSERT_TRUE(in.ok()) << in.ToString();
+  EXPECT_EQ(w.tiers.stats().flash_hits, flash_hits + 1);
+  auto sum = SumList(w.world.rt, "head");
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(*sum, 30 * 29 / 2 + 100);
+}
+
+TEST(TierDeltaTest, BaseStaysPinnedUntilItsOwnGroupReachesK) {
+  DeltaTierWorld w;
+  w.ShipDeltaOverTierBase();
+  swap::SwappingManager& m = w.world.manager;
+  const SwapClusterId id = w.clusters[0];
+  const swap::SwapClusterInfo* info = m.registry().Find(id);
+  ASSERT_NE(info, nullptr);
+  ASSERT_EQ(info->replicas.size(), 2u);
+  ASSERT_TRUE(w.tiers.PendingWriteBack(id));
+
+  // The delta group is at K but the base group has no remote copy: a
+  // repair pass whose write-back is paced away must leave the tier entry
+  // pinned.
+  ASSERT_TRUE(m.write_back_pacer().Admit());  // spend this window's cap
+  ASSERT_TRUE(m.ReReplicate(id).ok());
+  EXPECT_EQ(m.stats().write_backs_paced, 1u);
+  EXPECT_TRUE(info->base_replicas.empty());
+  EXPECT_TRUE(w.tiers.PendingWriteBack(id));
+
+  // Next window: the empty base group is written back from the tier to K
+  // remote replicas, and only then is the entry unpinned.
+  m.write_back_pacer().BeginWindow();
+  Result<size_t> added = m.ReReplicate(id);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_EQ(*added, 2u);
+  EXPECT_EQ(info->base_replicas.size(), 2u);
+  for (const ReplicaLocation& replica : info->base_replicas)
+    EXPECT_NE(replica.device, MiddlewareWorld::kDevice);
+  EXPECT_FALSE(w.tiers.PendingWriteBack(id));
+  EXPECT_EQ(w.tiers.stats().write_backs, 1u);
 }
 
 // ----------------------------------------------------------- policy knobs --

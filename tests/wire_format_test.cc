@@ -767,16 +767,28 @@ swap::SwappingManager::Options DeltaCrashOptions() {
   return options;
 }
 
+tier::TierManager::Options FlashTierOptions() {
+  tier::TierManager::Options options;
+  options.mode = tier::TierMode::kFlash;
+  options.flash_slot_bytes = 512;
+  options.flash_slots = 64;
+  return options;
+}
+
 /// A MiddlewareWorld wired for delta crash testing: local flash, intent
 /// journal, fault injector; binary wire format with delta swap-out on.
+/// With `flash_tier`, full payloads land in a flash tier sharing the local
+/// flash, so every delta ships against a base only the tier holds.
 struct DeltaCrashWorld {
-  DeltaCrashWorld()
+  explicit DeltaCrashWorld(bool flash_tier)
       : world(DeltaCrashOptions()),
         flash(MiddlewareWorld::kDevice, 1 << 20, world.network.clock()),
-        journal(&flash) {
+        journal(&flash),
+        tiers(&flash, FlashTierOptions()) {
     world.manager.AttachClock(&world.network.clock());
     world.manager.AttachLocalStore(&flash);
     world.manager.AttachIntentJournal(&journal);
+    if (flash_tier) world.manager.AttachTierManager(&tiers);
     faults.AttachClock(&world.network.clock());
     world.manager.AttachFaultInjector(&faults);
     node_cls = RegisterNodeClass(world.rt);
@@ -797,6 +809,7 @@ struct DeltaCrashWorld {
   MiddlewareWorld world;
   persist::FlashStore flash;
   swap::IntentJournal journal;
+  tier::TierManager tiers;
   swap::FaultInjector faults;
   const runtime::ClassInfo* node_cls = nullptr;
   std::vector<SwapClusterId> clusters;
@@ -804,8 +817,8 @@ struct DeltaCrashWorld {
 
 /// The scripted delta pipeline the crash sweep replays: full round trip,
 /// two delta swap-outs against the same base (cache-hit merge, then a
-/// cold-cache merge that must fetch the base replicas). Tracks the sum the
-/// surviving heap must still produce.
+/// cold-cache merge that must read the base from its replicas or the
+/// tier). Tracks the sum the surviving heap must still produce.
 void RunDeltaScenario(DeltaCrashWorld& w, int64_t* expected_sum) {
   swap::SwappingManager& m = w.world.manager;
   SwapClusterId c0 = w.clusters[0];
@@ -822,10 +835,13 @@ void RunDeltaScenario(DeltaCrashWorld& w, int64_t* expected_sum) {
     m.set_swap_in_cache_bytes(0);     // purge the cached base
     m.set_swap_in_cache_bytes(64 * 1024);
   }
-  if (alive()) (void)m.SwapIn(c0);    // merge via swap_in.fetch_base
+  if (alive()) (void)m.SwapIn(c0);    // merge over a cold-cache base
 }
 
-size_t DeltaReplicaRecords(swap::SwappingManager& m) {
+/// Store keys the registry accounts for: every replica of every group,
+/// plus each flash key the tier owns.
+size_t DeltaKeyLedger(DeltaCrashWorld& w) {
+  swap::SwappingManager& m = w.world.manager;
   size_t total = 0;
   for (SwapClusterId id : m.registry().Ids()) {
     const swap::SwapClusterInfo* info = m.registry().Find(id);
@@ -837,6 +853,7 @@ size_t DeltaReplicaRecords(swap::SwappingManager& m) {
       total += info->clean_image->replicas.size() +
                info->clean_image->base_replicas.size();
     }
+    if (w.tiers.FlashKey(id).valid()) ++total;
   }
   return total;
 }
@@ -857,16 +874,19 @@ void ExpectDeltaWorldIntact(DeltaCrashWorld& w, int64_t expected_sum,
   EXPECT_EQ(*sum, expected_sum) << label;
   w.world.manager.FlushPendingDrops();
   EXPECT_EQ(w.world.manager.pending_drop_count(), 0u) << label;
-  EXPECT_EQ(DeltaStoredEntries(w), DeltaReplicaRecords(w.world.manager))
+  EXPECT_EQ(DeltaStoredEntries(w), DeltaKeyLedger(w))
       << label << ": leaked or lost store keys";
 }
 
-TEST(DeltaCrashSweepTest, EveryFaultPointCrashRecoversWithFullInvariants) {
+/// Parameter: whether a flash tier is attached.
+class DeltaCrashSweepTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DeltaCrashSweepTest, EveryFaultPointCrashRecoversWithFullInvariants) {
   // Clean run: enumerate the traversed (point, hits) universe — it must
   // include the delta-specific points or the scenario rotted.
   std::vector<std::pair<std::string, uint64_t>> universe;
   {
-    DeltaCrashWorld clean;
+    DeltaCrashWorld clean(GetParam());
     int64_t expected = 0;
     RunDeltaScenario(clean, &expected);
     ASSERT_FALSE(clean.world.manager.crashed());
@@ -874,7 +894,11 @@ TEST(DeltaCrashSweepTest, EveryFaultPointCrashRecoversWithFullInvariants) {
     for (const auto& [point, hits] : clean.faults.hit_counts())
       universe.emplace_back(point, hits);
     ASSERT_GE(clean.faults.hits("swap_out.diff"), 2u);
-    ASSERT_GE(clean.faults.hits("swap_in.fetch_base"), 1u);
+    ASSERT_EQ(clean.world.manager.stats().tier_swap_outs, GetParam() ? 1u : 0u);
+    // The cold-cache merge reads the base from the tier when one holds it.
+    ASSERT_GE(clean.faults.hits(GetParam() ? "swap_in.tier_fetch"
+                                           : "swap_in.fetch_base"),
+              1u);
     ExpectDeltaWorldIntact(clean, expected, "clean run");
   }
 
@@ -882,7 +906,7 @@ TEST(DeltaCrashSweepTest, EveryFaultPointCrashRecoversWithFullInvariants) {
     for (uint64_t nth = 1; nth <= hits; ++nth) {
       const std::string label =
           "crash at " + point + " hit " + std::to_string(nth);
-      DeltaCrashWorld w;
+      DeltaCrashWorld w(GetParam());
       w.faults.Arm(point, swap::FaultKind::kCrash, nth);
       int64_t expected = 0;
       RunDeltaScenario(w, &expected);
@@ -911,10 +935,10 @@ TEST(DeltaCrashSweepTest, EveryFaultPointCrashRecoversWithFullInvariants) {
   }
 }
 
-TEST(DeltaCrashSweepTest, EveryFaultPointErrorUnwindsCleanly) {
+TEST_P(DeltaCrashSweepTest, EveryFaultPointErrorUnwindsCleanly) {
   std::vector<std::pair<std::string, uint64_t>> universe;
   {
-    DeltaCrashWorld clean;
+    DeltaCrashWorld clean(GetParam());
     int64_t expected = 0;
     RunDeltaScenario(clean, &expected);
     for (const auto& [point, hits] : clean.faults.hit_counts())
@@ -925,7 +949,7 @@ TEST(DeltaCrashSweepTest, EveryFaultPointErrorUnwindsCleanly) {
     for (uint64_t nth = 1; nth <= hits; ++nth) {
       const std::string label =
           "error at " + point + " hit " + std::to_string(nth);
-      DeltaCrashWorld w;
+      DeltaCrashWorld w(GetParam());
       w.faults.Arm(point, swap::FaultKind::kError, nth);
       int64_t expected = 0;
       RunDeltaScenario(w, &expected);
@@ -942,6 +966,11 @@ TEST(DeltaCrashSweepTest, EveryFaultPointErrorUnwindsCleanly) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, DeltaCrashSweepTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FlashTier" : "NoTier";
+                         });
 
 }  // namespace
 }  // namespace obiswap
