@@ -2,6 +2,8 @@
 # Builds the tree with AddressSanitizer + UBSan and runs the full test
 # suite. A separate build dir keeps the instrumented artifacts away from
 # the regular build. Extra args are forwarded to the configure step.
+# Setting OBISWAP_SANITIZE also compiles the full-mark check that runs
+# after every Heap::Reclaim (nothing freed was reachable from a root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -15,13 +15,32 @@ constexpr int kMaxPressureRetries = 8;
 Heap::Heap(size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes), next_gc_bytes_(kInitialGcBytes) {}
 
+// The charge of every object starts at sizeof(Object) (ApproxBytes), and
+// every capacity decision follows from the charges.
+static_assert(sizeof(void*) != 8 || sizeof(Object) == 72,
+              "Object's size is part of every object's heap charge");
+
+WeakCell::~WeakCell() {
+  if (target_ == nullptr) return;  // cleared: already off every chain
+  if (prev_ != nullptr) {
+    prev_->next_ = next_;
+  } else {
+    target_->weak_cells_ = next_;
+  }
+  if (next_ != nullptr) next_->prev_ = prev_;
+}
+
 Heap::~Heap() {
-  // Free everything without running finalizers (process teardown).
-  Object* obj = all_objects_;
-  while (obj != nullptr) {
-    Object* next = obj->next_;
+  // Free everything without running finalizers (process teardown). Cells
+  // that outlive the heap read as cleared.
+  for (Object* obj : objects_) {
+    if (obj == nullptr) continue;
+    for (WeakCell* cell = obj->weak_cells_; cell != nullptr;) {
+      WeakCell* next = cell->next_;
+      cell->target_ = nullptr;
+      cell = next;
+    }
     delete obj;
-    obj = next;
   }
 }
 
@@ -49,7 +68,9 @@ Result<Object*> Heap::TryAllocate(const ClassInfo* cls, ObjectId oid,
              retries < kMaxPressureRetries) {
         ++stats_.pressure_events;
         if (!pressure_handler_(estimate)) break;
-        Collect();
+        // A swap-out frees its cluster at once (Reclaim); collect only
+        // when that did not make room.
+        if (!Fits(estimate)) Collect();
         ++retries;
       }
       in_pressure_ = false;
@@ -65,9 +86,10 @@ Result<Object*> Heap::TryAllocate(const ClassInfo* cls, ObjectId oid,
         capacity_bytes_));
   }
 
+  OBISWAP_CHECK(objects_.size() < UINT32_MAX);
   Object* obj = new Object(cls, oid);
-  obj->next_ = all_objects_;
-  all_objects_ = obj;
+  obj->heap_index_ = static_cast<uint32_t>(objects_.size());
+  objects_.push_back(obj);
   obj->accounted_bytes_ = obj->ApproxBytes();
   used_bytes_ += obj->accounted_bytes_;
   ++live_objects_;
@@ -104,8 +126,80 @@ void Heap::Collect() {
   if (in_collect_) return;
   in_collect_ = true;
   ++stats_.collections;
+  MarkFromRoots();
 
-  // --- mark --------------------------------------------------------------
+  // --- sweep: unmark the live, close Reclaim's holes, gather the dead ------
+  dying_.clear();
+  size_t write = 0;
+  for (Object* obj : objects_) {
+    if (obj == nullptr) continue;
+    if (!obj->marked_) {
+      dying_.push_back(obj);
+      continue;
+    }
+    obj->marked_ = false;
+    obj->heap_index_ = static_cast<uint32_t>(write);
+    objects_[write++] = obj;
+  }
+  objects_.resize(write);
+  holes_ = 0;
+  // Newest first: finalizers run in reverse allocation order.
+  std::reverse(dying_.begin(), dying_.end());
+  PersistThenClear(dying_);
+  FinalizeAndFree(dying_);
+
+  stats_.last_live_objects = live_objects_;
+  stats_.last_live_bytes = used_bytes_;
+  // Next scheduled collection: grow with the live set, bounded by capacity.
+  next_gc_bytes_ = std::max(kInitialGcBytes, used_bytes_ * 2);
+  if (capacity_bytes_ != SIZE_MAX)
+    next_gc_bytes_ = std::min(next_gc_bytes_, capacity_bytes_);
+  in_collect_ = false;
+}
+
+bool Heap::Reclaim(const std::vector<Object*>& set, SwapClusterId cluster) {
+  if (in_collect_) return false;
+  auto labelled = [cluster](const Object* obj) {
+    return obj != nullptr && obj->kind() == ObjectKind::kRegular &&
+           obj->swap_cluster() == cluster;
+  };
+  for (Object* local : locals_) {
+    if (labelled(local)) return false;
+  }
+  bool rooted = false;
+  for (RootProvider* provider : root_providers_) {
+    provider->EnumerateRoots(
+        [&](Object* root) { rooted = rooted || labelled(root); });
+  }
+  if (rooted) return false;
+#ifdef OBISWAP_VERIFY_RECLAIM
+  // Sanitizer builds prove the check above sufficient: a full mark from
+  // every root reaches no object of the set.
+  MarkFromRoots();
+  for (Object* obj : set)
+    OBISWAP_CHECK(!obj->marked_ && "Reclaim: object reachable from a root");
+  for (Object* obj : objects_) {
+    if (obj != nullptr) obj->marked_ = false;
+  }
+#endif
+
+  in_collect_ = true;  // persist and finalizers run as in a collection
+  ++stats_.reclaims;
+  for (Object* obj : set) {
+    // The root check above covers only objects carrying the label.
+    OBISWAP_CHECK(labelled(obj));
+    OBISWAP_CHECK(objects_[obj->heap_index_] == obj);  // live, listed once
+    objects_[obj->heap_index_] = nullptr;
+  }
+  holes_ += set.size();
+  PersistThenClear(set);
+  FinalizeAndFree(set);
+  if (holes_ > objects_.size() / 2) Compact();
+  in_collect_ = false;
+  return true;
+}
+
+void Heap::MarkFromRoots() {
   std::vector<Object*> worklist;
   auto mark = [&worklist](Object* obj) {
     if (obj != nullptr && !obj->marked_) {
@@ -125,56 +219,43 @@ void Heap::Collect() {
       if (slot.is_ref()) mark(slot.ref());
     }
   }
+}
 
+void Heap::PersistThenClear(const std::vector<Object*>& set) {
   // --- extended weak references: persist dying referents first ------------
-  // An entry leaves the table with its cell: when the holder drops it, or
-  // when its referent dies (persist runs once; the cell clears below).
-  {
-    size_t write = 0;
-    for (size_t read = 0; read < extended_cells_.size(); ++read) {
-      std::shared_ptr<WeakCell> cell = extended_cells_[read].cell.lock();
-      if (cell == nullptr || cell->target_ == nullptr) continue;
-      if (!cell->target_->marked_) {
-        ++stats_.extended_persists;
-        extended_cells_[read].persist(cell->target_);
+  // Each runs once, with every object of the set intact. The callback may
+  // drop cells (a dropped cell never persists), so the chain is re-read
+  // after each call; a persisted cell no longer holds its callback.
+  for (Object* obj : set) {
+    WeakCell* cell = obj->weak_cells_;
+    while (cell != nullptr) {
+      if (!cell->persist_) {
+        cell = cell->next_;
         continue;
       }
-      if (write != read)
-        extended_cells_[write] = std::move(extended_cells_[read]);
-      ++write;
+      std::unique_ptr<PersistFn> persist = std::move(cell->persist_);
+      ++stats_.extended_persists;
+      (*persist)(obj);
+      cell = obj->weak_cells_;
     }
-    extended_cells_.resize(write);
   }
+  for (Object* obj : set) ClearCells(obj);
+}
 
-  // --- clear dead weak cells ----------------------------------------------
-  // A cell leaves the table when it clears or when its holder drops it.
-  // Only the heap writes target_, so a cleared cell stays cleared and needs
-  // no further visits: a collection costs the live objects plus the live
-  // cells. All clears happen here, before the sweep runs any finalizer.
-  size_t write = 0;
-  for (size_t read = 0; read < weak_cells_.size(); ++read) {
-    std::shared_ptr<WeakCell> cell = weak_cells_[read].lock();
-    if (cell == nullptr || cell->target_ == nullptr) continue;
-    if (!cell->target_->marked_) {
-      cell->target_ = nullptr;
-      ++stats_.weakrefs_cleared;
-      continue;
-    }
-    if (write != read) weak_cells_[write] = std::move(weak_cells_[read]);
-    ++write;
+void Heap::ClearCells(Object* obj) {
+  for (WeakCell* cell = obj->weak_cells_; cell != nullptr;) {
+    WeakCell* next = cell->next_;
+    cell->target_ = nullptr;
+    cell->prev_ = nullptr;
+    cell->next_ = nullptr;
+    ++stats_.weakrefs_cleared;
+    cell = next;
   }
-  weak_cells_.resize(write);
+  obj->weak_cells_ = nullptr;
+}
 
-  // --- sweep ---------------------------------------------------------------
-  Object** link = &all_objects_;
-  while (*link != nullptr) {
-    Object* obj = *link;
-    if (obj->marked_) {
-      obj->marked_ = false;
-      link = &obj->next_;
-      continue;
-    }
-    *link = obj->next_;
+void Heap::FinalizeAndFree(const std::vector<Object*>& set) {
+  for (Object* obj : set) {
     if (obj->cls().has_finalizer() && !obj->finalized_) {
       obj->finalized_ = true;
       ++stats_.finalizers_run;
@@ -184,14 +265,6 @@ void Heap::Collect() {
     }
     Free(obj);
   }
-
-  stats_.last_live_objects = live_objects_;
-  stats_.last_live_bytes = used_bytes_;
-  // Next scheduled collection: grow with the live set, bounded by capacity.
-  next_gc_bytes_ = std::max(kInitialGcBytes, used_bytes_ * 2);
-  if (capacity_bytes_ != SIZE_MAX)
-    next_gc_bytes_ = std::min(next_gc_bytes_, capacity_bytes_);
-  in_collect_ = false;
 }
 
 void Heap::Free(Object* obj) {
@@ -200,6 +273,29 @@ void Heap::Free(Object* obj) {
   ++stats_.objects_freed;
   stats_.bytes_freed += obj->accounted_bytes_;
   delete obj;
+}
+
+void Heap::Compact() {
+  size_t write = 0;
+  for (Object* obj : objects_) {
+    if (obj == nullptr) continue;
+    obj->heap_index_ = static_cast<uint32_t>(write);
+    objects_[write++] = obj;
+  }
+  objects_.resize(write);
+  holes_ = 0;
+}
+
+size_t Heap::CountCells(bool extended_only) const {
+  size_t count = 0;
+  for (Object* obj : objects_) {
+    if (obj == nullptr) continue;
+    for (WeakCell* cell = obj->weak_cells_; cell != nullptr;
+         cell = cell->next_) {
+      if (!extended_only || cell->persist_) ++count;
+    }
+  }
+  return count;
 }
 
 void Heap::AddRootProvider(RootProvider* provider) {
@@ -214,13 +310,17 @@ void Heap::RemoveRootProvider(RootProvider* provider) {
 
 WeakRef Heap::NewWeakRef(Object* target) {
   auto cell = std::make_shared<WeakCell>(target);
-  weak_cells_.push_back(cell);
+  if (target != nullptr) {
+    cell->next_ = target->weak_cells_;
+    if (cell->next_ != nullptr) cell->next_->prev_ = cell.get();
+    target->weak_cells_ = cell.get();
+  }
   return cell;
 }
 
 WeakRef Heap::NewExtendedWeakRef(Object* target, PersistFn persist) {
   WeakRef cell = NewWeakRef(target);
-  extended_cells_.push_back(ExtendedCell{cell, std::move(persist)});
+  cell->persist_ = std::make_unique<PersistFn>(std::move(persist));
   return cell;
 }
 
@@ -235,8 +335,8 @@ void Heap::TruncateLocals(size_t depth) {
 }
 
 void Heap::ForEachObject(const std::function<void(Object*)>& visit) const {
-  for (Object* obj = all_objects_; obj != nullptr; obj = obj->next_) {
-    visit(obj);
+  for (size_t i = objects_.size(); i-- > 0;) {
+    if (Object* obj = objects_[i]; obj != nullptr) visit(obj);
   }
 }
 

@@ -21,17 +21,33 @@
 namespace obiswap::runtime {
 
 /// Target cell of a weak reference. `get()` is nullptr once the referent has
-/// been collected. Holders keep the shared_ptr; the heap keeps a weak_ptr
-/// until the cell clears (only the heap clears it, and never re-sets it).
+/// been collected. Holders keep the shared_ptr. A cell with a live referent
+/// sits on that referent's intrusive cell chain, so the heap clears exactly
+/// the cells of the objects it frees; a holder dropping the cell unlinks it.
+/// Only the heap clears a cell, and it never re-sets it.
 class WeakCell {
  public:
+  /// Extended weak references run this on their dying referent.
+  using PersistFn = std::function<void(Object*)>;
+
   explicit WeakCell(Object* target) : target_(target) {}
+  ~WeakCell();
+
+  WeakCell(const WeakCell&) = delete;
+  WeakCell& operator=(const WeakCell&) = delete;
+
   Object* get() const { return target_; }
   bool cleared() const { return target_ == nullptr; }
 
  private:
   friend class Heap;
+
   Object* target_;
+  WeakCell* prev_ = nullptr;  // the referent's cell chain
+  WeakCell* next_ = nullptr;
+  // Extended weak references only. Boxed: every proxy and member carries a
+  // plain cell, so a plain cell stays three pointers and a null.
+  std::unique_ptr<PersistFn> persist_;
 };
 
 using WeakRef = std::shared_ptr<WeakCell>;
@@ -48,6 +64,7 @@ class Heap {
  public:
   struct Stats {
     uint64_t collections = 0;
+    uint64_t reclaims = 0;  ///< explicit sets freed by Reclaim
     uint64_t objects_allocated = 0;
     uint64_t objects_freed = 0;
     uint64_t bytes_allocated = 0;
@@ -108,6 +125,18 @@ class Heap {
   /// finalizer must only touch middleware bookkeeping), frees the rest.
   void Collect();
 
+  /// Frees an explicit set of distinct live regular objects, every one
+  /// labelled `cluster` (checked), without tracing the heap: a swap-out
+  /// hands over the members it just detached. Refuses, freeing nothing,
+  /// when a local slot or a root provider points at a regular object
+  /// labelled `cluster` (nothing else may reach the set:
+  /// every other path into a swapped cluster went through a proxy the
+  /// swap-out re-targeted). Otherwise runs Collect's protocol on the set
+  /// alone — extended-ref `persist` first, then every cell of the set
+  /// cleared before the first finalizer runs, then free — and returns true.
+  /// Costs the set, its cells and the roots, not the heap.
+  bool Reclaim(const std::vector<Object*>& set, SwapClusterId cluster);
+
   const Stats& stats() const { return stats_; }
 
   void AddRootProvider(RootProvider* provider);
@@ -133,14 +162,13 @@ class Heap {
   /// intact (typically serializing it to local flash), then the cell
   /// clears like a regular weak reference. Same restrictions as
   /// finalizers: no allocation, no resurrection.
-  using PersistFn = std::function<void(Object*)>;
+  using PersistFn = WeakCell::PersistFn;
   WeakRef NewExtendedWeakRef(Object* target, PersistFn persist);
 
-  /// Cells the collector still visits: created since the last collection,
-  /// or alive at it (holder kept and referent reachable). Cleared and
-  /// dropped cells leave at the collection that finds them.
-  size_t tracked_weak_cells() const { return weak_cells_.size(); }
-  size_t tracked_extended_cells() const { return extended_cells_.size(); }
+  /// Cells still linked to a live referent (held and not yet cleared).
+  /// Walks every chain: white-box tests only.
+  size_t tracked_weak_cells() const { return CountCells(false); }
+  size_t tracked_extended_cells() const { return CountCells(true); }
 
   // --- local handle scopes (thread-stack roots) ---------------------------
   size_t LocalDepth() const { return locals_.size(); }
@@ -149,29 +177,44 @@ class Heap {
   Object** PushLocal(Object* obj);
   void TruncateLocals(size_t depth);
 
-  /// Iterates every live object (white-box tests, replication patching).
+  /// Iterates every object not yet freed, newest first (white-box tests,
+  /// replication patching). Dead objects are visited until the next
+  /// collection, and after a Reclaim a dead one may point at freed
+  /// memory: a scan that follows slot targets must Collect first.
   void ForEachObject(const std::function<void(Object*)>& visit) const;
 
  private:
   bool Fits(size_t bytes) const {
     return used_bytes_ + bytes <= capacity_bytes_;
   }
+  /// Marks everything reachable from the locals and the root providers.
+  void MarkFromRoots();
+  /// Runs the extended-ref `persist` callbacks of the dying `set`, every
+  /// object still intact, then clears every cell of the set.
+  void PersistThenClear(const std::vector<Object*>& set);
+  /// Clears and detaches every cell targeting `obj`.
+  void ClearCells(Object* obj);
+  /// Runs the set's finalizers and frees it, in `set` order. Every cell of
+  /// the set must already be clear (invariant 6 in ARCHITECTURE.md).
+  void FinalizeAndFree(const std::vector<Object*>& set);
   void Free(Object* obj);
+  /// Drops the holes Reclaim left in `objects_`, keeping allocation order.
+  void Compact();
+  size_t CountCells(bool extended_only) const;
 
   size_t capacity_bytes_;
   size_t used_bytes_ = 0;
   size_t live_objects_ = 0;
   size_t next_gc_bytes_;
 
-  Object* all_objects_ = nullptr;  // intrusive singly-linked list
+  // Every live object in allocation order, each at its `heap_index_`, so
+  // Reclaim unlinks in O(1); it leaves a null hole that the next sweep or
+  // Compact() closes.
+  std::vector<Object*> objects_;
+  size_t holes_ = 0;
+  std::vector<Object*> dying_;     // Collect's scratch list
   std::deque<Object*> locals_;     // deque: stable slot addresses
   std::vector<RootProvider*> root_providers_;
-  std::vector<std::weak_ptr<WeakCell>> weak_cells_;
-  struct ExtendedCell {
-    std::weak_ptr<WeakCell> cell;
-    PersistFn persist;
-  };
-  std::vector<ExtendedCell> extended_cells_;
   PressureHandler pressure_handler_;
   bool in_collect_ = false;
   bool in_pressure_ = false;

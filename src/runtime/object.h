@@ -4,7 +4,8 @@
 // two cluster labels that drive replication and swapping: the replication
 // cluster they arrived in (OBIWAN §2) and the swap-cluster they belong to
 // (paper §3). They are NOT movable: the collector never relocates, so raw
-// Object* stays valid while the object is reachable.
+// Object* stays valid while the object is reachable and, for a swap-cluster
+// member, until its cluster swaps out (the swap-out frees its members).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 namespace obiswap::runtime {
 
 class Heap;
+class WeakCell;
 
 class Object {
  public:
@@ -60,6 +62,7 @@ class Object {
 
  private:
   friend class Heap;
+  friend class WeakCell;
 
   Object(const ClassInfo* cls, ObjectId oid)
       : cls_(cls), oid_(oid), slots_(cls->fields().size()) {}
@@ -72,8 +75,9 @@ class Object {
 
   bool marked_ = false;
   bool finalized_ = false;
+  uint32_t heap_index_ = 0;     // position in the heap's object table
   size_t accounted_bytes_ = 0;  // bytes charged to the heap for this object
-  Object* next_ = nullptr;      // intrusive all-objects list
+  WeakCell* weak_cells_ = nullptr;  // weak cells targeting this object
 };
 
 }  // namespace obiswap::runtime

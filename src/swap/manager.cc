@@ -467,15 +467,11 @@ Object* SwappingManager::MediateStore(runtime::Runtime& rt, Object* holder,
       info->dirty_fields[holder->oid().value()] = ~uint64_t{0};
     }
   }
+  // A mediating proxy is a middleware allocation, which overcommits rather
+  // than fail. A raw cross-cluster reference stored here would dangle once
+  // its target's cluster swapped out and was reclaimed.
   Result<Object*> mediated = ResolveForContext(context, value);
-  if (!mediated.ok()) {
-    // Allocation of the mediating proxy failed; store the raw reference —
-    // referential integrity beats mediation (and the cluster then simply
-    // cannot swap until memory recovers).
-    OBISWAP_LOG(kWarn) << "store mediation failed: "
-                       << mediated.status().ToString();
-    return value;
-  }
+  OBISWAP_CHECK(mediated.ok());
   return *mediated;
 }
 
@@ -514,6 +510,10 @@ Status SwappingManager::Assign(Object* proxy) {
 Status SwappingManager::MergeSwapClusters(SwapClusterId into,
                                           SwapClusterId from) {
   if (into == from) return InvalidArgumentError("merge of a cluster with itself");
+  // The scans below read the slots of every labelled object. Collect first:
+  // a dead object of a once-swapped cluster may still point at members its
+  // swap-out freed (ARCHITECTURE.md invariant 5).
+  rt_.heap().Collect();
   SwapClusterInfo* into_info = registry_.Find(into);
   SwapClusterInfo* from_info = registry_.Find(from);
   if (into_info == nullptr || from_info == nullptr)
@@ -604,6 +604,12 @@ Status SwappingManager::MergeSwapClusters(SwapClusterId into,
 
 Result<SwapClusterId> SwappingManager::SplitSwapCluster(
     SwapClusterId id, const std::vector<Object*>& members_to_move) {
+  // The scan below reads the slots of every labelled object. Collect first:
+  // a dead object of a once-swapped cluster may still point at members its
+  // swap-out freed (ARCHITECTURE.md invariant 5).
+  LocalScope scope(rt_.heap());
+  for (Object* member : members_to_move) scope.Add(member);
+  rt_.heap().Collect();
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr) return NotFoundError("unknown swap-cluster in split");
   if (info->state != SwapState::kLoaded)
@@ -673,7 +679,6 @@ Result<SwapClusterId> SwappingManager::SplitSwapCluster(
       pending.push_back(PendingMediation{holder, i, target});
     }
   });
-  LocalScope scope(rt_.heap());
   for (const PendingMediation& entry : pending) {
     scope.Add(entry.holder);
     scope.Add(entry.target);
@@ -1858,6 +1863,17 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
 }
 
 Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
+  Result<SwapKey> key = DetachCluster(id);
+  // Committed: every inbound proxy now targets the replacement and the
+  // swap-out's LocalScope is closed, so only a root can still reach a
+  // member. Free them now rather than at the next collection. The full
+  // path registered every member it folded in, so LiveMembers is the set
+  // it serialized (or, on the clean path, the set the image holds).
+  if (key.ok() && !crashed_) rt_.heap().Reclaim(registry_.LiveMembers(id), id);
+  return key;
+}
+
+Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
   if (crashed_) return CrashedError();
   PriorityScope priority_scope(this, net::Priority::kSwapOut);
   telemetry::ScopedSpan op_span(telemetry_, "swap_out", "swap",
@@ -2272,8 +2288,8 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
             .Set("tier", tier_admitted ? int64_t{1} : int64_t{0})
             .Set("delta", ship_delta ? int64_t{1} : int64_t{0}));
   }
-  // The members are now detached from the application graph; the next
-  // collection reclaims them (the LocalScope roots die with this frame).
+  // The members are now detached from the application graph; SwapOut
+  // frees them once this frame's LocalScope roots are gone.
   return tier_admitted ? tier_key : placed.front().key;
 }
 

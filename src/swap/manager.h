@@ -298,8 +298,11 @@ class SwappingManager final : public runtime::Interceptor,
   /// Detaches swap-cluster `id`, ships its XML to up to
   /// `replication_factor` nearby stores (distinct devices, local flash only
   /// as last resort), installs the replacement-object and patches inbound
-  /// proxies. Returns the primary replica's store key. The freed memory is
-  /// reclaimed by the next collection.
+  /// proxies. Returns the primary replica's store key. Once the swap-out
+  /// has committed, the detached members are freed at once
+  /// (Heap::Reclaim), so used_bytes() drops before this returns and
+  /// unrooted Object* pointers into the cluster die here. A local or root
+  /// still holding a member leaves them to the next collection.
   Result<SwapKey> SwapOut(SwapClusterId id);
 
   /// Swap-out the least-recently-crossed eligible cluster (not executing,
@@ -780,6 +783,8 @@ class SwappingManager final : public runtime::Interceptor,
   template <typename Target>
   Status PatchInbound(SwapClusterId id, Target&& target,
                       const char* patch_point, const char* finalize_point);
+  /// SwapOut up to its commit: everything but freeing the members.
+  Result<SwapKey> DetachCluster(SwapClusterId id);
   /// The zero-transfer swap-out fast path. nullopt = image unusable
   /// (invalidated; caller falls through to the full serialize+ship path);
   /// otherwise the definitive swap-out result.

@@ -114,8 +114,9 @@ std::vector<runtime::Object*> SwapClusterRegistry::LiveMembers(
   size_t write = 0;
   for (size_t read = 0; read < info->members.size(); ++read) {
     runtime::Object* target = info->members[read]->get();
-    if (target == nullptr) continue;           // collected: prune
-    if (!seen.insert(target).second) continue;  // duplicate registration
+    if (target == nullptr) continue;             // collected: prune
+    if (target->swap_cluster() != id) continue;  // moved (split): prune
+    if (!seen.insert(target).second) continue;   // duplicate registration
     out.push_back(target);
     info->members[write++] = info->members[read];
   }

@@ -244,7 +244,8 @@ class SwapClusterRegistry {
   Status AddMember(runtime::Heap& heap, runtime::Object* obj,
                    SwapClusterId id);
 
-  /// Live members of a cluster (pruning cleared weak refs as it goes).
+  /// Live objects still labelled `id` (pruning cleared weak refs, and
+  /// entries whose object a split moved to another cluster, as it goes).
   std::vector<runtime::Object*> LiveMembers(SwapClusterId id);
 
   /// Records a boundary crossing into `id` at logical time `seq`.

@@ -2,6 +2,8 @@
 // actions driving the swapping layer.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "test_support.h"
 
 namespace obiswap::policy {
@@ -286,6 +288,41 @@ TEST(PolicyIntegrationTest, MemoryPressurePolicyDrivesSwapOut) {
   auto sum = ::obiswap::testing::SumList(world.rt, "head");
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, 400 * 399 / 2);
+}
+
+TEST(PolicyIntegrationTest, SwapOutVictimLowersUsedRatioAtOnce) {
+  // A swap-out frees its members itself: mem.used_ratio falls by the
+  // cluster's bytes (less the replacement it leaves) with no collection.
+  constexpr size_t kCapacity = 200 * 1024;
+  MiddlewareWorld world{swap::SwappingManager::Options(), kCapacity};
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  world.AddStore(2, 10 * 1024 * 1024);
+  context::PropertyRegistry props;
+  context::MemoryMonitor memory(world.rt.heap(), world.bus, props);
+  std::vector<SwapClusterId> clusters =
+      BuildClusteredList(world.rt, world.manager, node_cls, 200, 50, "head");
+  world.rt.heap().Collect();
+  std::map<SwapClusterId, size_t> member_bytes;
+  for (SwapClusterId id : clusters) {
+    for (runtime::Object* member : world.manager.registry().LiveMembers(id))
+      member_bytes[id] += member->ApproxBytes();
+  }
+  memory.Poll();
+  const double ratio_before = *props.GetReal("mem.used_ratio");
+  const runtime::Heap::Stats before = world.rt.heap().stats();
+
+  auto victim = world.manager.SwapOutVictim();
+  ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+  const runtime::Heap::Stats& after = world.rt.heap().stats();
+  EXPECT_EQ(after.collections, before.collections);
+  EXPECT_EQ(after.bytes_freed - before.bytes_freed, member_bytes[*victim]);
+  const size_t replacement_bytes =
+      after.bytes_allocated - before.bytes_allocated;
+  memory.Poll();
+  EXPECT_NEAR(ratio_before - *props.GetReal("mem.used_ratio"),
+              static_cast<double>(member_bytes[*victim] - replacement_bytes) /
+                  kCapacity,
+              1e-12);
 }
 
 TEST(PolicyIntegrationTest, ExplicitSwapActionsWork) {

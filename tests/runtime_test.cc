@@ -511,6 +511,220 @@ TEST(ValueTest, Equality) {
   EXPECT_EQ(Value::Str("a"), Value::Str("a"));
 }
 
+// ---------------------------------------------------- explicit reclamation --
+
+constexpr SwapClusterId kReclaimed = SwapClusterId(7);
+
+/// Every collector counter, for "changed nothing" comparisons.
+std::vector<uint64_t> Counters(const Heap::Stats& s) {
+  return {s.collections,    s.reclaims,          s.objects_freed,
+          s.bytes_freed,    s.finalizers_run,    s.weakrefs_cleared,
+          s.extended_persists, s.pressure_events};
+}
+
+/// A root provider holding one object (a replication registry stand-in).
+class OneRoot : public RootProvider {
+ public:
+  explicit OneRoot(Object* root) : root_(root) {}
+  void EnumerateRoots(const std::function<void(Object*)>& visit) override {
+    visit(root_);
+  }
+
+ private:
+  Object* root_;
+};
+
+class ReclaimFixture : public RuntimeFixture {
+ protected:
+  /// `n` unrooted nodes labelled kReclaimed, chained through "next".
+  std::vector<Object*> MakeSet(int n) {
+    LocalScope scope(rt_.heap());
+    std::vector<Object*> set;
+    for (int i = 0; i < n; ++i) {
+      Object* node = rt_.New(node_cls_);
+      scope.Add(node);
+      node->set_swap_cluster(kReclaimed);
+      OBISWAP_CHECK(rt_.SetField(node, "value", Value::Int(i)).ok());
+      if (!set.empty())
+        OBISWAP_CHECK(rt_.SetField(set.back(), "next", Value::Ref(node)).ok());
+      set.push_back(node);
+    }
+    return set;
+  }
+};
+
+TEST_F(ReclaimFixture, RefusesWhileALocalHoldsAMember) {
+  std::vector<Object*> set = MakeSet(3);
+  WeakRef weak = rt_.heap().NewWeakRef(set[0]);
+  const std::vector<uint64_t> before = Counters(rt_.heap().stats());
+  {
+    LocalScope scope(rt_.heap());
+    scope.Add(set[2]);
+    EXPECT_FALSE(rt_.heap().Reclaim(set, kReclaimed));
+  }
+  EXPECT_EQ(Counters(rt_.heap().stats()), before);
+  EXPECT_EQ(rt_.heap().live_objects(), 3u);
+  EXPECT_FALSE(weak->cleared());
+  EXPECT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(rt_.heap().live_objects(), 0u);
+  EXPECT_TRUE(weak->cleared());
+}
+
+TEST_F(ReclaimFixture, RefusesWhileAGlobalHoldsAMember) {
+  std::vector<Object*> set = MakeSet(3);
+  const size_t used = rt_.heap().used_bytes();
+  const std::vector<uint64_t> before = Counters(rt_.heap().stats());
+  ASSERT_TRUE(rt_.SetGlobal("g", Value::Ref(set[1])).ok());
+  EXPECT_FALSE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(Counters(rt_.heap().stats()), before);
+  EXPECT_EQ(rt_.heap().used_bytes(), used);
+  rt_.RemoveGlobal("g");
+  EXPECT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(rt_.heap().used_bytes(), 0u);
+}
+
+TEST_F(ReclaimFixture, RefusesWhileARootProviderHoldsAMember) {
+  std::vector<Object*> set = MakeSet(3);
+  const std::vector<uint64_t> before = Counters(rt_.heap().stats());
+  OneRoot root(set[0]);
+  rt_.heap().AddRootProvider(&root);
+  EXPECT_FALSE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(Counters(rt_.heap().stats()), before);
+  EXPECT_EQ(rt_.heap().live_objects(), 3u);
+  rt_.heap().RemoveRootProvider(&root);
+  EXPECT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(rt_.heap().live_objects(), 0u);
+  EXPECT_EQ(rt_.heap().stats().objects_freed, 3u);
+  EXPECT_EQ(rt_.heap().stats().reclaims, 1u);
+  EXPECT_EQ(rt_.heap().stats().collections, before[0]);
+}
+
+TEST_F(ReclaimFixture, RootsOutsideTheClusterDoNotBlock) {
+  std::vector<Object*> set = MakeSet(2);
+  LocalScope scope(rt_.heap());
+  Object* bystander = rt_.New(node_cls_);
+  scope.Add(bystander);
+  EXPECT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(rt_.heap().live_objects(), 1u);
+}
+
+TEST(ReclaimFinalizerTest, FinalizerSeesWeakRefToAnotherMemberCleared) {
+  // Each member's finalizer reads a weak ref to the other: both must read
+  // null, whichever runs first.
+  Runtime rt;
+  std::vector<bool> saw_null;
+  std::vector<WeakRef> peer;  // indexed by the member's "value"
+  const ClassInfo* cls = *rt.types().Register(
+      ClassBuilder("Finalized")
+          .Field("value", ValueKind::kInt)
+          .OnFinalize([&](Object* dying) {
+            const int64_t self = dying->RawSlot(0).as_int();
+            saw_null.push_back(peer[1 - self]->get() == nullptr);
+          }));
+  std::vector<Object*> set;
+  {
+    LocalScope scope(rt.heap());
+    for (int i = 0; i < 2; ++i) {
+      Object* obj = rt.New(cls);
+      scope.Add(obj);
+      obj->set_swap_cluster(kReclaimed);
+      obj->RawSlotMutable(0) = Value::Int(i);
+      set.push_back(obj);
+    }
+  }
+  peer = {rt.heap().NewWeakRef(set[0]), rt.heap().NewWeakRef(set[1])};
+  ASSERT_TRUE(rt.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(saw_null, std::vector<bool>({true, true}));
+  EXPECT_EQ(rt.heap().stats().finalizers_run, 2u);
+  EXPECT_EQ(rt.heap().stats().weakrefs_cleared, 2u);
+}
+
+TEST_F(ReclaimFixture, ExtendedWeakRefPersistsOnceWithTheObjectIntact) {
+  std::vector<Object*> set = MakeSet(2);
+  int persists = 0;
+  int64_t seen_value = -1;
+  WeakRef cell = rt_.heap().NewExtendedWeakRef(set[1], [&](Object* dying) {
+    ++persists;
+    seen_value = dying->RawSlot(1).as_int();
+  });
+  ASSERT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  EXPECT_EQ(persists, 1);
+  EXPECT_EQ(seen_value, 1);
+  EXPECT_TRUE(cell->cleared());
+  EXPECT_EQ(rt_.heap().stats().extended_persists, 1u);
+  rt_.heap().Collect();
+  EXPECT_EQ(persists, 1);
+  EXPECT_EQ(rt_.heap().stats().extended_persists, 1u);
+}
+
+TEST_F(ReclaimFixture, LaterCollectCountsNothingTwice) {
+  std::vector<Object*> set = MakeSet(5);
+  std::vector<WeakRef> weak;
+  for (Object* obj : set) weak.push_back(rt_.heap().NewWeakRef(obj));
+  ASSERT_TRUE(rt_.heap().Reclaim(set, kReclaimed));
+  const Heap::Stats after = rt_.heap().stats();
+  EXPECT_EQ(after.objects_freed, 5u);
+  EXPECT_EQ(after.weakrefs_cleared, 5u);
+  EXPECT_EQ(rt_.heap().used_bytes(), 0u);
+  rt_.heap().Collect();
+  EXPECT_EQ(rt_.heap().stats().objects_freed, after.objects_freed);
+  EXPECT_EQ(rt_.heap().stats().bytes_freed, after.bytes_freed);
+  EXPECT_EQ(rt_.heap().stats().weakrefs_cleared, after.weakrefs_cleared);
+  EXPECT_EQ(rt_.heap().live_objects(), 0u);
+}
+
+TEST_F(ReclaimFixture, SurvivorsKeepAllocationOrderAcrossReclaims) {
+  // Reclaiming most of the heap compacts its object table; the survivors
+  // must still be visited exactly once, newest first, and still collect.
+  MakeList(4, "kept");
+  std::vector<Object*> set = MakeSet(20);
+  std::vector<Object*> kept;
+  rt_.heap().ForEachObject([&](Object* obj) {
+    if (obj->swap_cluster() != kReclaimed) kept.push_back(obj);
+  });
+  ASSERT_EQ(kept.size(), 4u);
+  ASSERT_TRUE(rt_.heap().Reclaim(
+      std::vector<Object*>(set.begin(), set.begin() + 10), kReclaimed));
+  ASSERT_TRUE(rt_.heap().Reclaim(
+      std::vector<Object*>(set.begin() + 10, set.end()), kReclaimed));
+  std::vector<Object*> seen;
+  rt_.heap().ForEachObject([&](Object* obj) { seen.push_back(obj); });
+  EXPECT_EQ(seen, kept);
+  rt_.RemoveGlobal("kept");
+  rt_.heap().Collect();
+  EXPECT_EQ(rt_.heap().live_objects(), 0u);
+  EXPECT_EQ(rt_.heap().stats().objects_freed, 24u);
+}
+
+TEST(ReclaimPressureTest, PressureLoopSkipsCollectWhenTheAllocationFits) {
+  Runtime rt(1, /*capacity_bytes=*/64 * 1024);
+  const ClassInfo* cls =
+      *rt.types().Register(ClassBuilder("Big").PayloadBytes(8 * 1024));
+  LocalScope scope(rt.heap());
+  std::vector<Object**> pinned;
+  for (;;) {
+    auto result = rt.TryNew(cls);
+    if (!result.ok()) break;
+    // One cluster per object: the others stay rooted.
+    (*result)->set_swap_cluster(
+        SwapClusterId(static_cast<uint32_t>(100 + pinned.size())));
+    pinned.push_back(scope.Add(*result));
+  }
+  // The handler frees one object the way a swap-out does: unroot, Reclaim.
+  uint64_t collections_in_handler = 0;
+  rt.heap().SetPressureHandler([&](size_t) {
+    Object* victim = *pinned.back();
+    *pinned.back() = nullptr;
+    pinned.pop_back();
+    collections_in_handler = rt.heap().stats().collections;
+    return rt.heap().Reclaim({victim}, victim->swap_cluster());
+  });
+  ASSERT_TRUE(rt.TryNew(cls).ok());
+  EXPECT_EQ(rt.heap().stats().pressure_events, 1u);
+  EXPECT_EQ(rt.heap().stats().reclaims, 1u);
+  EXPECT_EQ(rt.heap().stats().collections, collections_in_handler);
+}
+
 // --------------------------------------------------------- middleware bits --
 
 TEST_F(RuntimeFixture, AppendedSlotsAreTracedByGc) {

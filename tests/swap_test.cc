@@ -827,12 +827,13 @@ TEST_F(SwapFixture, IdentityHoldsWhileSwapped) {
   auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
                                      10, 5, "head");
   Object* head = HeadRef();
-  Object* raw = ProxyTarget(head);
+  // The swap-out frees the member: keep its oid, not the pointer.
+  const ObjectId raw_oid = ProxyTarget(head)->oid();
   ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
   // head proxy now targets the replacement but keeps the identity.
   Object* head_after = HeadRef();
   EXPECT_TRUE(world_.rt.SameObject(head_after, head));
-  EXPECT_EQ(ProxyTargetOid(head_after).value(), raw->oid().value());
+  EXPECT_EQ(ProxyTargetOid(head_after).value(), raw_oid.value());
 }
 
 // -------------------------------------------------------------- compression --
@@ -966,6 +967,88 @@ TEST_F(SwapFixture, SplitErrorCases) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(SwapFixture, SwapOutOfASplitSourceFreesOnlyItsOwnMembers) {
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     20, 20, "head");
+  std::vector<Object*> tail;
+  Object* cursor = ProxyTarget(HeadRef());
+  for (int i = 0; i < 20; ++i) {
+    if (i >= 10) tail.push_back(cursor);
+    cursor = world_.rt.GetFieldAt(cursor, 0).ref();
+  }
+  auto fresh = world_.manager.SplitSwapCluster(clusters[0], tail);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  // The source's registry list still names the moved members; its
+  // swap-out must free only the ten objects that kept its label.
+  size_t live = world_.rt.heap().live_objects();
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  EXPECT_EQ(world_.rt.heap().live_objects(), live - 10 + 1);  // + replacement
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);
+  ASSERT_TRUE(world_.manager.SwapOut(*fresh).ok());
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);
+}
+
+/// A dead object labelled `id` that no member reaches, pointing raw at a
+/// member — what a temporary allocated by a member's method looks like.
+/// Unrooted and unregistered, so `id`'s swap-out does not free it.
+Object* PlantDeadTemporary(runtime::Runtime& rt,
+                           const runtime::ClassInfo* node_cls,
+                           SwapClusterId id, Object* member) {
+  Object* temp = rt.New(node_cls);
+  temp->set_swap_cluster(id);
+  temp->RawSlotMutable(0) = Value::Ref(member);
+  return temp;
+}
+
+bool InHeap(runtime::Heap& heap, const Object* obj) {
+  bool found = false;
+  heap.ForEachObject([&](Object* each) { found = found || each == obj; });
+  return found;
+}
+
+TEST_F(SwapFixture, SplitAfterSwapRoundTripIgnoresDeadTemporaries) {
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     20, 20, "head");
+  Object* temp = PlantDeadTemporary(world_.rt, node_cls_, clusters[0],
+                                    ProxyTarget(HeadRef()));
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);  // swaps back in
+  // The temporary outlived the swap-out; its slot names a freed member.
+  ASSERT_TRUE(InHeap(world_.rt.heap(), temp));
+  std::vector<Object*> tail;
+  Object* cursor = ProxyTarget(HeadRef());
+  for (int i = 0; i < 20; ++i) {
+    if (i >= 10) tail.push_back(cursor);
+    cursor = world_.rt.GetFieldAt(cursor, 0).ref();
+  }
+  auto fresh = world_.manager.SplitSwapCluster(clusters[0], tail);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(CheckMediationInvariant(world_.rt), "");
+  EXPECT_EQ(world_.manager.InboundProxyCount(*fresh), 1u);
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);
+}
+
+TEST_F(SwapFixture, MergeAfterSwapRoundTripIgnoresDeadTemporaries) {
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     20, 10, "head");
+  ASSERT_EQ(clusters.size(), 2u);
+  Object* cursor = ProxyTarget(HeadRef());
+  for (int i = 0; i < 10; ++i) cursor = world_.rt.GetFieldAt(cursor, 0).ref();
+  Object* second = ProxyTarget(cursor);  // node10, first of clusters[1]
+  Object* temp =
+      PlantDeadTemporary(world_.rt, node_cls_, clusters[1], second);
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[1]).ok());
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);  // swaps back in
+  ASSERT_TRUE(InHeap(world_.rt.heap(), temp));
+  // Merging must neither read the temporary's slot nor adopt it: the
+  // merged cluster's swap-out would serialize it.
+  ASSERT_TRUE(world_.manager.MergeSwapClusters(clusters[0], clusters[1]).ok());
+  EXPECT_EQ(CheckMediationInvariant(world_.rt), "");
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  EXPECT_EQ(*SumList(world_.rt, "head"), 190);
+}
+
 TEST(SwapQuantitativeTest, InnerRecursionProxyRateMatchesPaperPrediction) {
   // Paper §5 on test A2 at cluster size 20: an extra swap-cluster-proxy is
   // created "for roughly half of the object references returned by the
@@ -1049,7 +1132,10 @@ TEST(SwapParityTest, SwapHeavyRunMatchesPinnedCounters) {
   ASSERT_GE(world.manager.stats().swap_ins, 50u);
 
   const runtime::Heap::Stats& heap = world.rt.heap().stats();
-  EXPECT_EQ(heap.collections, 1673u);
+  // Each of the 100 pressure-driven swap-outs frees its own members, so
+  // the allocation then fits and the pressure loop runs no follow-up
+  // collection.
+  EXPECT_EQ(heap.collections, 1573u);
   EXPECT_EQ(heap.objects_freed, 12077u);
   EXPECT_EQ(heap.finalizers_run, 6077u);
   EXPECT_EQ(heap.weakrefs_cleared, 11980u);
