@@ -181,17 +181,18 @@ fi
 
 # Fleet-scale contract: re-check the gate row the bench computed in-process
 # (the bare-rerun fallback above would mask a nonzero bench exit): the
-# rendezvous placement must keep max/mean store fill <= 1.35, the
-# incremental monitors must touch <= 10% of the legacy baseline's per-poll
-# replica records under the outage churn, and every cluster must be back at
-# K replicas with none lost.
+# rendezvous placement must keep max/mean store fill <= 1.35, the indexed
+# monitors must touch <= 10% of the per-poll replica records full registry
+# scans would have examined over the same outage churn (the directory row's
+# computed full-scan meter), and every cluster must be back at K replicas
+# with none lost.
 if command -v python3 >/dev/null 2>&1 && [ -f BENCH_fleet_scale.json ]; then
   if ! python3 - BENCH_fleet_scale.json <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as fh:
     rows = json.load(fh)["rows"]
 by_config = {r["config"]: r for r in rows}
-for config in ("directory", "legacy-walk", "gate"):
+for config in ("directory", "walk", "gate"):
     if config not in by_config:
         sys.exit(f"fleet_scale: missing '{config}' row")
 gate = by_config["gate"]

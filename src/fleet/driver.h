@@ -43,8 +43,8 @@ struct FleetOptions {
   size_t store_capacity_bytes = 8 * 1024 * 1024;
   uint64_t poll_period_us = 250'000;  ///< durability poll cadence (4 Hz)
   int miss_threshold = 3;             ///< silent-departure detection window
-  /// true: rendezvous directory placement + incremental monitor scans.
-  /// false: the legacy nearby-store walk + full monitor scans (baseline).
+  /// true: rendezvous directory placement (the monitors keep the
+  /// directory in sync). false: the nearby-store walk (baseline).
   bool use_directory = true;
   uint64_t seed = 11;              ///< network RNG seed
   /// Client/producer-side overload controls: per-store retry budgets,

@@ -218,28 +218,7 @@ Status RegisterTierActions(PolicyEngine& engine, tier::TierManager& tiers) {
 }
 
 Status RegisterFleetActions(PolicyEngine& engine,
-                            swap::SwappingManager& manager,
                             fleet::PlacementDirectory& directory) {
-  OBISWAP_RETURN_IF_ERROR(engine.RegisterAction(
-      "set-placement-mode",
-      [&manager](const context::Event&,
-                 const ActionParams& params) -> Status {
-        OBISWAP_ASSIGN_OR_RETURN(std::string mode,
-                                 RequiredStringParam(params, "mode"));
-        if (mode == "directory") {
-          if (manager.placement_directory() == nullptr) {
-            return FailedPreconditionError(
-                "no placement directory attached to the manager");
-          }
-          manager.set_placement_via_directory(true);
-        } else if (mode == "walk") {
-          manager.set_placement_via_directory(false);
-        } else {
-          return InvalidArgumentError(
-              "mode must be 'directory' or 'walk', got '" + mode + "'");
-        }
-        return OkStatus();
-      }));
   OBISWAP_RETURN_IF_ERROR(engine.RegisterAction(
       "set-fleet",
       [&directory](const context::Event&,

@@ -59,20 +59,15 @@ Status RegisterPrefetchActions(PolicyEngine& engine,
 Status RegisterTierActions(PolicyEngine& engine, tier::TierManager& tiers);
 
 /// Registers:
-///   set-placement-mode (param "mode" = "directory" | "walk") — switches
-///       replica placement between the rendezvous directory and the legacy
-///       nearby-store walk. "directory" fails (kFailedPrecondition) while no
-///       directory is attached to the manager.
 ///   set-fleet (params "op" = "join" | "leave" | "weight" | "healthy",
 ///              "store" = <device id>, plus "weight" for op=weight/join and
 ///              "healthy" 0/1 for op=healthy) — edits the fleet view
-///       directly. Note a DurabilityMonitor with AttachFleet active re-syncs
-///       membership with discovery each poll, so join/leave of stores that
-///       are (or are not) announced will be reverted there; weight overrides
-///       persist.
-/// Directory and manager must outlive the engine.
+///       directly. Note a DurabilityMonitor handed the directory
+///       (AttachFleet) re-syncs membership with discovery each poll, so
+///       join/leave of stores that are (or are not) announced will be
+///       reverted there; weight overrides persist.
+/// The directory must outlive the engine.
 Status RegisterFleetActions(PolicyEngine& engine,
-                            swap::SwappingManager& manager,
                             fleet::PlacementDirectory& directory);
 
 /// Registers the overload-resilience knobs (all default-off):

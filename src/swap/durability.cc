@@ -1,7 +1,6 @@
 #include "swap/durability.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "fleet/placement.h"
 
@@ -18,17 +17,7 @@ DurabilityMonitor::DurabilityMonitor(SwappingManager& manager,
       bus_(bus),
       props_(props),
       options_(options),
-      repair_pacer_(options.repair_pacer) {}
-
-DurabilityMonitor::~DurabilityMonitor() {
-  for (uint64_t token : bus_tokens_) bus_.Unsubscribe(token);
-}
-
-void DurabilityMonitor::AttachFleet(fleet::PlacementDirectory* directory) {
-  directory_ = directory;
-  if (incremental_) return;  // re-attach only swaps the directory pointer
-  incremental_ = true;
-  rebuild_pending_ = true;
+      repair_pacer_(options.repair_pacer) {
   // Replica state changes flow through the bus; the monitor only re-reads
   // the clusters those events name. A handler never touches the registry
   // directly — Publish is synchronous and may run mid-swap, so it just
@@ -41,7 +30,7 @@ void DurabilityMonitor::AttachFleet(fleet::PlacementDirectory* directory) {
   for (const char* type :
        {context::kEventClusterSwappedOut, context::kEventClusterSwappedIn,
         context::kEventClusterDropped, context::kEventReReplicated,
-        context::kEventReplicaLost}) {
+        context::kEventReplicaLost, context::kEventReplicasEvacuated}) {
     bus_tokens_.push_back(bus_.Subscribe(type, mark_cluster));
   }
   bus_tokens_.push_back(bus_.Subscribe(
@@ -52,17 +41,11 @@ void DurabilityMonitor::AttachFleet(fleet::PlacementDirectory* directory) {
       }));
 }
 
-namespace {
-/// Replica count of the cluster's thinnest store group — the one a repair
-/// must top up; 0 when the state holds no groups.
-size_t FewestReplicas(const SwapClusterInfo* info) {
-  if (info == nullptr) return 0;
-  size_t fewest = SIZE_MAX;
-  for (const ConstStoreGroup& group : info->Groups())
-    fewest = std::min(fewest, group.replicas->size());
-  return fewest == SIZE_MAX ? 0 : fewest;
+DurabilityMonitor::~DurabilityMonitor() {
+  for (uint64_t token : bus_tokens_) bus_.Unsubscribe(token);
 }
 
+namespace {
 /// Some store group of the cluster holds fewer than `want` replicas.
 bool UnderReplicated(const SwapClusterInfo* info, size_t want) {
   if (info == nullptr) return false;
@@ -158,21 +141,24 @@ void DurabilityMonitor::RebuildIndex() {
   stats_.scan_replicas += total_records_;
 }
 
-void DurabilityMonitor::DrainDirtyClusters() {
+bool DurabilityMonitor::RebuildIfStale() {
   const size_t want = manager_.options().replication_factor;
   // Events only name clusters; a recovery replaces the whole registry and
   // a replication-factor change moves the under-replication threshold for
-  // every cluster at once. Both force a rebuild.
+  // every cluster at once. Both force a rebuild, as does the first poll.
   if (want != last_want_ || manager_.stats().recoveries != last_recoveries_)
     rebuild_pending_ = true;
   last_want_ = want;
   last_recoveries_ = manager_.stats().recoveries;
-  if (rebuild_pending_) {
-    rebuild_pending_ = false;
-    dirty_clusters_.clear();
-    RebuildIndex();
-    return;
-  }
+  if (!rebuild_pending_) return false;
+  rebuild_pending_ = false;
+  dirty_clusters_.clear();
+  RebuildIndex();
+  return true;
+}
+
+void DurabilityMonitor::DrainDirtyClusters() {
+  if (RebuildIfStale()) return;
   std::set<SwapClusterId> dirty;
   dirty.swap(dirty_clusters_);
   for (SwapClusterId id : dirty) {
@@ -210,6 +196,9 @@ void DurabilityMonitor::SyncDirectory(const std::vector<DeviceId>& announced) {
 }
 
 void DurabilityMonitor::Poll() {
+  // The bus is the index's only input: a manager publishing elsewhere
+  // would leave every repair silently undone.
+  OBISWAP_CHECK(manager_.bus() == &bus_);
   // A crashed manager must not be driven by maintenance: every repair
   // action would hit the crash gate anyway, and the poll's own bookkeeping
   // would drift from the state recovery is about to rebuild.
@@ -222,32 +211,22 @@ void DurabilityMonitor::Poll() {
 
   std::vector<DeviceId> announced = discovery_.AnnouncedDevices();
 
-  if (FleetActive()) {
-    // Pure bookkeeping — no RPCs, no clock: replaying the event-fed queues
-    // up front means the departure/sweep passes below see exactly the
-    // registry view a legacy full scan would.
-    DrainDirtyClusters();
-    std::set<DeviceId> flipped;
-    flipped.swap(dirty_stores_);
-    for (DeviceId device : flipped) {
-      ++stats_.dirty_stores;
-      auto bucket = index_.find(device);
-      if (bucket == index_.end()) continue;
-      std::vector<SwapClusterId> ids(bucket->second.begin(),
-                                     bucket->second.end());
-      for (SwapClusterId id : ids) {
-        stats_.scan_replicas += ReplicaRecords(manager_.registry().Find(id));
-        RefreshCluster(id);
-      }
+  // Pure bookkeeping — no RPCs, no clock: replaying the event-fed queues
+  // up front means the departure/sweep passes below see the registry as
+  // it stands.
+  DrainDirtyClusters();
+  std::set<DeviceId> flipped;
+  flipped.swap(dirty_stores_);
+  for (DeviceId device : flipped) {
+    ++stats_.dirty_stores;
+    auto bucket = index_.find(device);
+    if (bucket == index_.end()) continue;
+    std::vector<SwapClusterId> ids(bucket->second.begin(),
+                                   bucket->second.end());
+    for (SwapClusterId id : ids) {
+      stats_.scan_replicas += ReplicaRecords(manager_.registry().Find(id));
+      RefreshCluster(id);
     }
-    stats_.full_scan_replicas += total_records_;
-  } else {
-    // What one full pass over the registry would examine right now — the
-    // denominator of the incremental mode's savings claim.
-    uint64_t total = 0;
-    for (SwapClusterId id : manager_.registry().Ids())
-      total += ReplicaRecords(manager_.registry().Find(id));
-    stats_.full_scan_replicas += total;
   }
 
   // A withdrawn announcement is an explicit departure.
@@ -276,7 +255,7 @@ void DurabilityMonitor::Poll() {
       it = misses_.erase(it);
   }
 
-  if (FleetActive()) SyncDirectory(announced);
+  SyncDirectory(announced);
 
   // Degraded-mode gate: count *healthy* stores — announced, reachable and
   // (with a tracker attached) breaker-closed. Fewer healthy stores than
@@ -309,7 +288,7 @@ void DurabilityMonitor::Poll() {
   // the sweep so the re-replication budget is not spent on dead payloads.
   const size_t reaped = manager_.ReapDeadCleanImages();
   stats_.clean_images_reaped += reaped;
-  if (FleetActive() && reaped > 0) {
+  if (reaped > 0) {
     // A reaped image leaves no bus trace; the affected clusters had empty
     // active lists (that is what made them reapable), so they are all
     // sitting in the under-replicated set — re-check just those.
@@ -321,6 +300,9 @@ void DurabilityMonitor::Poll() {
     }
   }
 
+  // A policy listener (store-departed, replica-lost) may have moved K
+  // since the poll began; the sweep and the gauge need the set at this K.
+  RebuildIfStale();
   if (manager_.brownout()) {
     // Re-replication debt is deferred, not forgiven: placing extra copies
     // on a neighborhood already below K would compete with demand traffic
@@ -333,14 +315,15 @@ void DurabilityMonitor::Poll() {
   stats_.drops_drained += manager_.FlushPendingDrops();
 
   if (props_ != nullptr) {
-    int64_t under = 0;
-    if (FleetActive()) {
-      under = static_cast<int64_t>(under_replicated_.size());
-    } else {
-      const size_t want = manager_.options().replication_factor;
-      for (SwapClusterId id : manager_.registry().Ids())
-        if (UnderReplicated(manager_.registry().Find(id), want)) ++under;
-    }
+    RebuildIfStale();  // a re-replicated listener may have moved K too
+    // The set is a superset (a brownout poll reconciles no stale entry),
+    // so the gauge counts the members that really are below K.
+    const size_t want = manager_.options().replication_factor;
+    const int64_t under = std::count_if(
+        under_replicated_.begin(), under_replicated_.end(),
+        [&](SwapClusterId id) {
+          return UnderReplicated(manager_.registry().Find(id), want);
+        });
     props_->SetInt("swap.store_churn",
                    static_cast<int64_t>(stats_.stores_departed));
     props_->SetInt("swap.under_replicated", under);
@@ -350,7 +333,7 @@ void DurabilityMonitor::Poll() {
                    static_cast<int64_t>(stats_.scan_replicas));
     props_->SetInt("durability.dirty_stores",
                    static_cast<int64_t>(stats_.dirty_stores));
-    if (FleetActive() && directory_ != nullptr) {
+    if (directory_ != nullptr) {
       props_->SetInt("fleet.view_epoch",
                      static_cast<int64_t>(directory_->view_epoch()));
       props_->SetInt("fleet.stores",
@@ -372,81 +355,59 @@ void DurabilityMonitor::HandleDeparture(DeviceId device) {
   }
   bus_.Publish(context::Event(context::kEventStoreDeparted)
                    .Set("device", static_cast<int64_t>(device.value())));
-  // Legacy mode asks every cluster; incremental mode asks only the ones
-  // the reverse index maps to the departed store. Both visit in ascending
-  // cluster order with the identical HasReplicaOn guard, so the repair
-  // sequence — and every manager-side effect — is the same.
-  const bool fleet = FleetActive();
+  // What a full scan of the registry would examine here.
+  stats_.full_scan_replicas += total_records_;
+  // Only the clusters the reverse index maps to the departed store, in
+  // ascending cluster order, each re-checked against the registry.
   std::vector<SwapClusterId> candidates;
-  if (fleet) {
-    auto bucket = index_.find(device);
-    if (bucket != index_.end())
-      candidates.assign(bucket->second.begin(), bucket->second.end());
-  } else {
-    candidates = manager_.registry().Ids();
-  }
+  auto bucket = index_.find(device);
+  if (bucket != index_.end())
+    candidates.assign(bucket->second.begin(), bucket->second.end());
   for (SwapClusterId id : candidates) {
     const SwapClusterInfo* info = manager_.registry().Find(id);
     stats_.scan_replicas += ReplicaRecords(info);
     // Both swapped payloads and retained clean images hold store replicas;
     // HasReplicaOn / ForgetReplica cover every group the state holds.
-    if (info == nullptr || !info->HasReplicaOn(device)) {
-      if (fleet) RefreshCluster(id);  // stale index entry: drop it now
-      continue;
-    }
-    size_t forgotten = manager_.ForgetReplica(id, device);
-    if (fleet) RefreshCluster(id);
-    if (forgotten == 0) continue;
-    stats_.replicas_lost += forgotten;
-    bus_.Publish(
-        context::Event(context::kEventReplicaLost)
-            .Set("swap_cluster", static_cast<int64_t>(id.value()))
-            .Set("device", static_cast<int64_t>(device.value()))
-            .Set("survivors", static_cast<int64_t>(FewestReplicas(
-                                  manager_.registry().Find(id)))));
+    if (info != nullptr && info->HasReplicaOn(device))
+      stats_.replicas_lost += manager_.ForgetReplica(id, device);
+    RefreshCluster(id);  // a stale index entry drops out here too
   }
   // A departed store holds nothing; whatever the index still maps to it is
   // pure staleness. Drop the bucket wholesale — re-placements on a
   // returning store re-index through the swap-out events.
-  if (fleet) {
-    auto bucket = index_.find(device);
-    if (bucket != index_.end()) {
-      std::vector<SwapClusterId> leftover(bucket->second.begin(),
-                                          bucket->second.end());
-      for (SwapClusterId id : leftover) RefreshCluster(id);
-      index_.erase(device);
-    }
+  bucket = index_.find(device);
+  if (bucket != index_.end()) {
+    std::vector<SwapClusterId> leftover(bucket->second.begin(),
+                                        bucket->second.end());
+    for (SwapClusterId id : leftover) RefreshCluster(id);
+    index_.erase(device);
   }
 }
 
 void DurabilityMonitor::ReReplicationSweep() {
   const size_t want = manager_.options().replication_factor;
-  // Legacy mode scans every cluster; incremental mode only the maintained
-  // under-replicated set (ascending, like the full scan). The superset
-  // invariant — every genuinely under-K cluster is in the set — holds
-  // because every path that sheds a replica either refreshes inline
-  // (departures, withdrawals) or queues a dirty-cluster event drained at
-  // the top of the poll.
-  const bool fleet = FleetActive();
   // Each sweep is one AIMD window for both background producers that run
   // under it: the repair pacer bounds how many clusters this poll repairs,
   // the manager's write-back pacer how many tier payloads ship to K.
   repair_pacer_.BeginWindow();
   manager_.write_back_pacer().BeginWindow();
-  std::vector<SwapClusterId> candidates;
-  if (fleet)
-    candidates.assign(under_replicated_.begin(), under_replicated_.end());
-  else
-    candidates = manager_.registry().Ids();
+  // What a full scan of the registry would examine here.
+  stats_.full_scan_replicas += total_records_;
+  // Only the under-replicated set, ascending. The superset invariant —
+  // every genuinely under-K cluster is in the set — holds because every
+  // path that sheds a replica either refreshes inline (departures) or
+  // publishes an event drained at the top of the poll.
+  std::vector<SwapClusterId> candidates(under_replicated_.begin(),
+                                        under_replicated_.end());
   for (SwapClusterId id : candidates) {
     const SwapClusterInfo* info = manager_.registry().Find(id);
     stats_.scan_replicas += ReplicaRecords(info);
     if (info == nullptr) {
-      if (fleet) EvictClusterFromIndex(id);
+      EvictClusterFromIndex(id);
       continue;
     }
     if (!UnderReplicated(info, want)) {
-      if (fleet) RefreshCluster(id);  // stale set entry: reconcile it
+      RefreshCluster(id);  // stale set entry: reconcile it
       continue;
     }
     // Past this poll's repair cap: the cluster stays in the sweep set and
@@ -455,9 +416,8 @@ void DurabilityMonitor::ReReplicationSweep() {
       ++stats_.repairs_paced;
       continue;
     }
-    uint64_t bytes_before = manager_.stats().bytes_re_replicated;
     // Feedback reads pushback-counter deltas — ReReplicate folds shed
-    // placements into its fallback walk, so statuses alone cannot tell a
+    // placements into its placement walk, so statuses alone cannot tell a
     // saturated store from a departed one.
     const net::StoreClient::Stats* client = manager_.StoreClientStats();
     const uint64_t pushbacks_before =
@@ -469,35 +429,19 @@ void DurabilityMonitor::ReReplicationSweep() {
       else if (added.ok() && *added > 0)
         repair_pacer_.OnSuccess();
     }
-    if (fleet) RefreshCluster(id);
+    RefreshCluster(id);
     if (!added.ok() || *added == 0) continue;  // retried next poll
     ++stats_.clusters_re_replicated;
     stats_.replicas_re_replicated += *added;
-    bus_.Publish(
-        context::Event(context::kEventReReplicated)
-            .Set("swap_cluster", static_cast<int64_t>(id.value()))
-            .Set("new_replicas", static_cast<int64_t>(*added))
-            .Set("bytes", static_cast<int64_t>(
-                              manager_.stats().bytes_re_replicated -
-                              bytes_before))
-            .Set("replicas", static_cast<int64_t>(FewestReplicas(info))));
   }
 }
 
 Result<size_t> DurabilityMonitor::OnStoreWithdrawing(DeviceId device) {
-  std::vector<SwapClusterId> affected;
-  if (FleetActive()) {
-    ++stats_.dirty_stores;
-    auto bucket = index_.find(device);
-    if (bucket != index_.end())
-      affected.assign(bucket->second.begin(), bucket->second.end());
-  }
+  ++stats_.dirty_stores;
+  // The moved clusters reach the index through the manager's
+  // replicas-evacuated events, drained by the next poll.
   OBISWAP_ASSIGN_OR_RETURN(size_t moved, manager_.EvacuateReplicas(device));
   stats_.evacuated_replicas += moved;
-  for (SwapClusterId id : affected) {
-    stats_.scan_replicas += ReplicaRecords(manager_.registry().Find(id));
-    RefreshCluster(id);
-  }
   return moved;
 }
 

@@ -7,38 +7,35 @@
 // (mirroring ConnectivityMonitor's Poll idiom), treats a withdrawn
 // announcement — or a store unreachable for `miss_threshold` consecutive
 // polls — as a permanent departure, forgets the replicas that died with it
-// (publishing "replica-lost"), and tops under-replicated clusters back up
-// to K from a surviving copy (publishing "re-replicated"). A store that
-// announces a *graceful* withdrawal can instead be evacuated proactively
-// while it is still reachable. Each poll also drains the manager's
-// deferred-drop queue and refreshes policy-visible gauges
-// ("swap.store_churn", "swap.under_replicated", "swap.pending_drops") so
-// rules can, e.g., raise the replication factor when churn is high.
+// (the manager publishes "replica-lost"), and tops under-replicated
+// clusters back up to K from a surviving copy (the manager publishes
+// "re-replicated"). A store that announces a *graceful* withdrawal can
+// instead be evacuated proactively while it is still reachable. Each poll
+// also drains the manager's deferred-drop queue and refreshes
+// policy-visible gauges ("swap.store_churn", "swap.under_replicated",
+// "swap.pending_drops") so rules can, e.g., raise the replication factor
+// when churn is high.
 //
-// Two scan modes:
+// The scan is incremental. The monitor keeps a per-store reverse index
+// (store → clusters holding a replica there) plus an ordered under-
+// replicated set, both fed by a dirty-cluster queue. The bus fills that
+// queue: the manager publishes cluster-swapped-out/in/dropped,
+// replica-lost (ForgetReplica), re-replicated (ReReplicate) and
+// replicas-evacuated (EvacuateReplicas), so direct calls of those paths
+// reach the index too. The first poll rebuilds the index in one pass, as
+// do a recovery and a replication-factor change. A departure then touches
+// only the departed store's indexed clusters and the sweep only the
+// under-replicated set, both in ascending cluster order, so poll cost
+// scales with *changed* stores, not fleet size. The index is maintained as
+// a superset (every handler re-checks registry state before acting), so a
+// stale entry costs one lookup and never a wrong repair. The monitor must
+// share its manager's bus; Poll checks that.
 //
-//  * Legacy (default): every poll walks every registered cluster — once per
-//    departure, once for the re-replication sweep — O(clusters × replicas)
-//    per poll regardless of how much actually changed.
-//  * Incremental (AttachFleet): the monitor keeps a per-store reverse index
-//    (store → clusters holding a replica there) plus an ordered under-
-//    replicated set, both fed by a dirty-cluster queue hooked to the bus's
-//    cluster-swapped-out/in/dropped events and by the monitor's own
-//    repairs. A departure then touches only the departed store's indexed
-//    clusters and the sweep only the under-replicated set, so poll cost
-//    scales with *changed* stores, not fleet size. The index is maintained
-//    as a superset (every handler re-checks registry state before acting),
-//    so a stale entry costs one lookup and never a wrong repair; the
-//    resulting repair sequence is byte-identical to the legacy scan's.
-//    AttachFleet also hands the monitor the fleet's PlacementDirectory to
-//    keep in sync with discovery: announced stores join (weighted by
-//    capacity), departed stores leave, and an attached HealthTracker
-//    drives the per-store healthy bit.
-//
-// Both modes meter their work: `scan_replicas` counts replica records the
-// poll actually examined and `full_scan_replicas` what one full scan would
-// have examined, so the sub-linear claim is measurable (and, detached, the
-// two advance in lockstep minus churn).
+// `scan_replicas` counts replica records the poll actually examined and
+// `full_scan_replicas` what a full registry scan would have examined in
+// its place — the indexed record total at the start of every departure
+// handled and of every sweep that runs — so the sub-linear claim is
+// measurable.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +80,7 @@ class DurabilityMonitor {
     uint64_t clean_images_reaped = 0;  ///< dead retained images released
     uint64_t sweeps_deferred = 0;  ///< re-replication skipped in brownout
     uint64_t repairs_paced = 0;    ///< sweep repairs deferred by the AIMD cap
-    // --- scan-cost visibility (both modes) ----------------------------------
+    // --- scan-cost visibility -----------------------------------------------
     uint64_t scan_replicas = 0;      ///< replica records actually examined
     uint64_t full_scan_replicas = 0;  ///< records a full scan would examine
     uint64_t dirty_stores = 0;  ///< departed/withdrawn/breaker-flip stores
@@ -119,13 +116,13 @@ class DurabilityMonitor {
   /// "swap.healthy_stores" / "swap.open_breakers" gauges.
   void AttachHealth(net::HealthTracker* health) { health_ = health; }
 
-  /// Switches the monitor to incremental scanning (see file comment) and —
-  /// when `directory` is non-null — keeps that placement directory's
-  /// membership/health view synced with discovery each poll. The repair
-  /// sequence stays byte-identical to the legacy scan's; only the poll's
-  /// examined-record count shrinks.
-  void AttachFleet(fleet::PlacementDirectory* directory);
-  bool incremental() const { return incremental_; }
+  /// Hands the monitor the fleet's placement directory (null detaches):
+  /// each poll then keeps its membership in step with discovery —
+  /// announced stores join (weighted by capacity), departed stores leave —
+  /// and an attached HealthTracker drives the per-store healthy bit.
+  void AttachFleet(fleet::PlacementDirectory* directory) {
+    directory_ = directory;
+  }
 
   const Stats& stats() const { return stats_; }
 
@@ -133,8 +130,7 @@ class DurabilityMonitor {
   void HandleDeparture(DeviceId device);
   void ReReplicationSweep();
 
-  // --- incremental-mode internals -------------------------------------------
-  bool FleetActive() const { return incremental_; }
+  // --- the reverse index ----------------------------------------------------
   /// Records currently backing `info`: the replicas of every store group
   /// its state holds.
   static size_t ReplicaRecords(const SwapClusterInfo* info);
@@ -144,9 +140,12 @@ class DurabilityMonitor {
   void RefreshCluster(SwapClusterId id);
   /// Drops every trace of `id` from the index structures.
   void EvictClusterFromIndex(SwapClusterId id);
-  /// Full rebuild: one honest O(clusters) pass (attach, recovery,
+  /// Full rebuild: one honest O(clusters) pass (first poll, recovery,
   /// replication-factor change).
   void RebuildIndex();
+  /// Rebuilds when one is pending or the registry/K moved under the index;
+  /// true if it did.
+  bool RebuildIfStale();
   /// Drains the event-fed dirty-cluster queue into RefreshCluster calls,
   /// plus a pending full rebuild if one is queued.
   void DrainDirtyClusters();
@@ -169,13 +168,12 @@ class DurabilityMonitor {
   /// AIMD cap on sweep repairs per poll (options_.repair_pacer).
   AimdPacer repair_pacer_;
 
-  // --- incremental-mode state ----------------------------------------------
-  bool incremental_ = false;
   fleet::PlacementDirectory* directory_ = nullptr;
+
+  // --- the reverse index ----------------------------------------------------
   std::vector<uint64_t> bus_tokens_;
   /// store → clusters believed to hold a replica there (superset; ordered
-  /// so departure repairs run in ascending-cluster order, matching the
-  /// legacy full scan).
+  /// so departure repairs run in ascending-cluster order).
   std::unordered_map<DeviceId, std::set<SwapClusterId>> index_;
   /// cluster → devices it is indexed under, for cheap index updates.
   std::unordered_map<SwapClusterId, std::vector<DeviceId>> cluster_devices_;
@@ -183,14 +181,14 @@ class DurabilityMonitor {
   std::unordered_map<SwapClusterId, size_t> cluster_records_;
   uint64_t total_records_ = 0;
   /// Clusters below K at last refresh (ordered: the sweep visits them in
-  /// the legacy scan's ascending order).
+  /// ascending order).
   std::set<SwapClusterId> under_replicated_;
   /// Bus-fed queue of clusters whose replica state changed since the last
   /// poll (ordered set: drained ascending, deduplicated).
   std::set<SwapClusterId> dirty_clusters_;
   /// Bus-fed queue of stores whose breaker flipped since the last poll.
   std::set<DeviceId> dirty_stores_;
-  bool rebuild_pending_ = false;
+  bool rebuild_pending_ = true;  // the first poll builds the index
   size_t last_want_ = 0;
   uint64_t last_recoveries_ = 0;
 };

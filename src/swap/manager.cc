@@ -39,6 +39,15 @@ std::string RenderEventDetail(const context::Event& event) {
   }
   return out;
 }
+
+/// Replica count of the cluster's thinnest store group — the one a repair
+/// must top up; 0 when the state holds no groups.
+size_t FewestReplicas(const SwapClusterInfo& info) {
+  size_t fewest = SIZE_MAX;
+  for (const ConstStoreGroup& group : info.Groups())
+    fewest = std::min(fewest, group.replicas->size());
+  return fewest == SIZE_MAX ? 0 : fewest;
+}
 }  // namespace
 
 SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
@@ -2059,80 +2068,20 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
   // first placement is mandatory; extra replicas are best-effort durability
   // against store departure. The local flash is last resort only — it is
   // part of the device's own scarce resources.
-  size_t need = payload.size();
-  if (need < options_.store_min_free_bytes)
-    need = options_.store_min_free_bytes;
   // Brownout lowers the placement target; the shortfall is re-replication
   // debt the DurabilityMonitor repays once the neighborhood recovers.
   const size_t full_want = options_.replication_factor;
   size_t want = EffectiveReplicationFactor();
   std::vector<ReplicaLocation> placed;
-  Status stored = UnavailableError("no nearby store device with " +
-                                   FormatBytes(need) + " free");
   telemetry::ScopedSpan ship_span(
       telemetry_, "ship", "swap",
       telemetry::Hist(telemetry_, "swap_out_ship_us"));
-  if (!tier_admitted && store_ != nullptr && discovery_ != nullptr) {
-    // A key minted for a failed store attempt is reused for the next
-    // candidate (the failed store never recorded it) — the key space is not
-    // burned by flaky placements. A run of consecutive failures aborts the
-    // loop: every candidate failing in a row means the network is sick, and
-    // retrying down a long discovery list only stalls the caller.
-    const bool via_directory = DirectoryActive();
-    std::vector<net::StoreNode*> candidates =
-        via_directory ? DirectoryCandidates(id, want, need)
-                      : discovery_->NearbyStores(store_->self(), need);
-    if (health_ != nullptr) {
-      // Healthy stores first (most-free order within each group); stores
-      // with a tripped breaker sink to the back — still reachable as
-      // last-resort probe pressure, never the first choice.
-      std::stable_partition(candidates.begin(), candidates.end(),
-                            [this](net::StoreNode* node) {
-                              return health_->IsHealthy(node->device());
-                            });
-    }
-    SwapKey key;
-    bool key_minted = false;
-    size_t consecutive_failures = 0;
-    for (net::StoreNode* candidate : candidates) {
-      if (placed.size() >= want) break;
-      if (consecutive_failures >= options_.max_consecutive_store_failures)
-        break;
-      uint64_t budget = OpBudgetLeft(op_begin_us);
-      if (budget == 0) {
-        // The operation's end-to-end budget is spent: fail fast rather
-        // than stacking retries across the remaining candidates. A partial
-        // placement still completes the swap-out (under-replicated).
-        stored = DeadlineExceededError("swap-out budget exhausted after " +
-                                       std::to_string(placed.size()) +
-                                       " replicas");
-        break;
-      }
-      if (!key_minted) {
-        key = NextKey();
-        key_minted = true;
-      }
-      if (journal_ != nullptr) {
-        // Intent before RPC: if the crash lands inside the store call, the
-        // persisted intent is the only record this key ever existed.
-        journal_->NoteReplicaIntent(seq, candidate->device(), key);
-        (void)journal_->Persist();
-      }
-      Status attempt = CheckFaultPoint("swap_out.ship_replica");
-      if (attempt.ok())
-        attempt = store_->Store(candidate->device(), key, payload,
-                                budget == UINT64_MAX ? 0 : budget);
-      if (crashed_) return attempt;
-      if (attempt.ok()) {
-        placed.push_back(ReplicaLocation{candidate->device(), key});
-        if (via_directory) ++stats_.fleet_placements;
-        key_minted = false;
-        consecutive_failures = 0;
-      } else {
-        stored = attempt;
-        ++consecutive_failures;
-      }
-    }
+  Status stored = OkStatus();
+  if (!tier_admitted) {
+    // A partial placement still completes the swap-out (under-replicated).
+    stored = PlaceReplicas(id, payload, want, placed, seq,
+                           "swap_out.ship_replica", op_begin_us);
+    if (crashed_) return stored;
   }
   if (!tier_admitted && placed.empty() && local_ != nullptr &&
       local_->free_bytes() >= payload.size()) {
@@ -2918,59 +2867,83 @@ std::vector<ReplicaLocation> SwappingManager::ReplicaFetchOrder(
   return order;
 }
 
-Result<ReplicaLocation> SwappingManager::PlaceReplica(
-    SwapClusterId id, const std::string& payload,
-    const std::vector<ReplicaLocation>& existing, DeviceId exclude,
-    uint64_t journal_seq, const char* fault_point) {
-  size_t need = payload.size();
-  if (need < options_.store_min_free_bytes)
-    need = options_.store_min_free_bytes;
+Status SwappingManager::PlaceReplicas(SwapClusterId id,
+                                      const std::string& payload, size_t want,
+                                      std::vector<ReplicaLocation>& group,
+                                      uint64_t journal_seq,
+                                      const char* fault_point,
+                                      std::optional<uint64_t> op_begin_us) {
+  const size_t need = std::max(payload.size(), options_.store_min_free_bytes);
   Status last = UnavailableError("no nearby store device with " +
                                  FormatBytes(need) + " free");
   if (store_ == nullptr || discovery_ == nullptr) return last;
   const bool via_directory = DirectoryActive();
   std::vector<net::StoreNode*> candidates =
-      via_directory
-          ? DirectoryCandidates(id, options_.replication_factor, need)
-          : discovery_->NearbyStores(store_->self(), need);
+      via_directory ? DirectoryCandidates(id, want, need)
+                    : discovery_->NearbyStores(store_->self(), need);
   if (health_ != nullptr) {
-    // Same health-aware preference as the swap-out placement walk.
+    // Healthy stores first (rank or most-free order within each group);
+    // stores with a tripped breaker sink to the back — still reachable as
+    // last-resort probe pressure, never the first choice.
     std::stable_partition(candidates.begin(), candidates.end(),
                           [this](net::StoreNode* node) {
                             return health_->IsHealthy(node->device());
                           });
   }
+  // A key minted for a failed store attempt is reused for the next
+  // candidate (the failed store never recorded it) — the key space is not
+  // burned by flaky placements. A run of consecutive failures aborts the
+  // walk: every candidate failing in a row means the network is sick, and
+  // retrying down a long candidate list only stalls the caller.
+  SwapKey key;
+  size_t consecutive_failures = 0;
   for (net::StoreNode* candidate : candidates) {
-    DeviceId device = candidate->device();
-    if (device == exclude) continue;
-    bool taken = false;
-    for (const ReplicaLocation& replica : existing) {
-      if (replica.device == device) {
-        taken = true;
-        break;
-      }
+    if (group.size() >= want) break;
+    if (consecutive_failures >= options_.max_consecutive_store_failures)
+      break;
+    const DeviceId device = candidate->device();
+    if (std::any_of(group.begin(), group.end(),
+                    [&](const ReplicaLocation& replica) {
+                      return replica.device == device;
+                    }))
+      continue;
+    const uint64_t budget =
+        op_begin_us.has_value() ? OpBudgetLeft(*op_begin_us) : UINT64_MAX;
+    if (budget == 0) {
+      // The operation's end-to-end budget is spent: fail fast rather than
+      // stacking retries across the remaining candidates.
+      return DeadlineExceededError("placement budget exhausted after " +
+                                   std::to_string(group.size()) +
+                                   " replicas");
     }
-    if (taken) continue;
-    SwapKey key = NextKey();
+    if (!key.valid()) key = NextKey();
     if (journal_ != nullptr && journal_seq != 0) {
+      // Intent before RPC: if the crash lands inside the store call, the
+      // persisted intent is the only record this key ever existed.
       journal_->NoteReplicaIntent(journal_seq, device, key);
       (void)journal_->Persist();
     }
-    Status stored = CheckFaultPoint(fault_point);
-    if (stored.ok()) stored = store_->Store(device, key, payload);
-    if (crashed_) return stored;
-    if (stored.ok()) {
+    Status attempt = CheckFaultPoint(fault_point);
+    if (attempt.ok())
+      attempt =
+          StoreAt(device, key, payload, budget == UINT64_MAX ? 0 : budget);
+    if (crashed_) return attempt;
+    if (attempt.ok()) {
+      group.push_back(ReplicaLocation{device, key});
       if (via_directory) ++stats_.fleet_placements;
-      return ReplicaLocation{device, key};
+      key = SwapKey();
+      consecutive_failures = 0;
+    } else {
+      last = attempt;
+      ++consecutive_failures;
     }
-    last = stored;
   }
-  return last;
+  return group.size() >= want ? OkStatus() : last;
 }
 
 bool SwappingManager::DirectoryActive() const {
-  return directory_ != nullptr && placement_via_directory_ &&
-         directory_->size() > 0 && store_ != nullptr && discovery_ != nullptr;
+  return directory_ != nullptr && directory_->size() > 0 &&
+         store_ != nullptr && discovery_ != nullptr;
 }
 
 std::vector<net::StoreNode*> SwappingManager::DirectoryCandidates(
@@ -3061,6 +3034,13 @@ size_t SwappingManager::ForgetReplica(SwapClusterId id, DeviceId device) {
     // the forgotten keys were queued above; invalidation releases the rest.
     InvalidateCleanImage(info, /*count_as_drop=*/false);
   }
+  if (forgotten > 0 && bus_ != nullptr) {
+    bus_->Publish(
+        context::Event(context::kEventReplicaLost)
+            .Set("swap_cluster", static_cast<int64_t>(id.value()))
+            .Set("device", static_cast<int64_t>(device.value()))
+            .Set("survivors", static_cast<int64_t>(FewestReplicas(*info))));
+  }
   return forgotten;
 }
 
@@ -3086,6 +3066,7 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
                                    SwapStateName(info->state) + ")");
   }
   const size_t want = options_.replication_factor;
+  const uint64_t bytes_before = stats_.bytes_re_replicated;
   size_t added_total = 0;
   for (const StoreGroup& group : groups) {
     std::vector<ReplicaLocation>* replicas = group.replicas;
@@ -3125,27 +3106,19 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
                               info->swap_epoch, info->payload_checksum, {},
                               {});
     }
-    size_t added = 0;
-    Status place_failure = OkStatus();
     // Pacer feedback reads pushback-counter deltas, not statuses —
-    // PlaceReplica folds per-store failures into its fallback walk.
+    // PlaceReplicas folds per-store failures into its walk.
     const net::StoreClient::Stats* client = StoreClientStats();
     const uint64_t pushbacks_before = client != nullptr ? client->pushbacks
                                                         : 0;
-    while (replicas->size() < want) {
-      Result<ReplicaLocation> fresh = PlaceReplica(
-          id, payload, *replicas, DeviceId(), seq, "re_replicate.place");
-      if (crashed_) return fresh.status();
-      if (!fresh.ok()) {
-        // A partial top-up still counts as progress.
-        place_failure = fresh.status();
-        break;
-      }
-      replicas->push_back(*fresh);
-      ++added;
-      ++stats_.re_replications;
-      stats_.bytes_re_replicated += payload.size();
-    }
+    const size_t before = replicas->size();
+    Status place_failure =
+        PlaceReplicas(id, payload, want, *replicas, seq, "re_replicate.place");
+    // A partial top-up still counts as progress.
+    const size_t added = replicas->size() - before;
+    stats_.re_replications += added;
+    stats_.bytes_re_replicated += added * payload.size();
+    if (crashed_) return place_failure;
     if (tier_sourced && write_back_pacer_.enabled()) {
       if (client != nullptr && client->pushbacks > pushbacks_before)
         write_back_pacer_.OnPushback();
@@ -3163,6 +3136,16 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
   // A remote group may have just reached K: the tier entry stops being its
   // payload's only home and becomes an evictable read cache.
   MaybeCompleteTierWriteBack(info);
+  op_span.Close();
+  if (added_total > 0 && bus_ != nullptr) {
+    bus_->Publish(
+        context::Event(context::kEventReReplicated)
+            .Set("swap_cluster", static_cast<int64_t>(id.value()))
+            .Set("new_replicas", static_cast<int64_t>(added_total))
+            .Set("bytes", static_cast<int64_t>(stats_.bytes_re_replicated -
+                                               bytes_before))
+            .Set("replicas", static_cast<int64_t>(FewestReplicas(*info))));
+  }
   return added_total;
 }
 
@@ -3176,6 +3159,7 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr) continue;
     if (info->state == SwapState::kLoaded && !info->LoadedClean()) continue;
+    size_t cluster_moved = 0;
     // Every store group evacuates: a base document stranded on a departing
     // store would make every delta shipped against it unrecoverable.
     for (const StoreGroup& group : info->Groups()) {
@@ -3205,17 +3189,19 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
                                 {});
         journal_->NoteReplicaIntent(seq, old.device, old.key);
       }
-      Result<ReplicaLocation> fresh = PlaceReplica(
-          id, source->stored, replicas, leaving, seq, "evacuate.place");
-      if (crashed_) return fresh.status();
-      if (!fresh.ok()) {
+      // The walk appends the fresh copy (it never picks a listed device,
+      // so never `leaving`); it then takes the old replica's slot.
+      Status placed = PlaceReplicas(id, source->stored, replicas.size() + 1,
+                                    replicas, seq, "evacuate.place");
+      if (crashed_) return placed;
+      if (!placed.ok()) {
         if (journal_ != nullptr) (void)journal_->Abort(seq);
         OBISWAP_LOG(kWarn) << "no evacuation target for swap-cluster "
-                           << id.ToString() << ": "
-                           << fresh.status().ToString();
+                           << id.ToString() << ": " << placed.ToString();
         continue;
       }
-      replicas[at] = *fresh;
+      replicas[at] = replicas.back();
+      replicas.pop_back();
       Status dropped = CheckFaultPoint("evacuate.drop_old");
       if (crashed_) return dropped;
       if (dropped.ok()) dropped = DropAt(old.device, old.key);
@@ -3224,8 +3210,16 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
           ++stats_.drops_deferred;
       }
       if (journal_ != nullptr) (void)journal_->Commit(seq);
-      ++moved;
+      ++cluster_moved;
       ++stats_.evacuated_replicas;
+    }
+    moved += cluster_moved;
+    if (cluster_moved > 0 && bus_ != nullptr) {
+      bus_->Publish(
+          context::Event(context::kEventReplicasEvacuated)
+              .Set("swap_cluster", static_cast<int64_t>(id.value()))
+              .Set("device", static_cast<int64_t>(leaving.value()))
+              .Set("moved", static_cast<int64_t>(cluster_moved)));
     }
   }
   return moved;

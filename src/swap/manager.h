@@ -242,6 +242,8 @@ class SwappingManager final : public runtime::Interceptor,
   void AttachLocalStore(persist::FlashStore* store) { local_ = store; }
   /// Joins the middleware event bus (replication grouping + swap events).
   void AttachBus(context::EventBus* bus);
+  /// The bus the manager publishes on (null until AttachBus).
+  context::EventBus* bus() const { return bus_; }
   /// Makes heap exhaustion swap out LRU victims automatically.
   void InstallPressureHandler();
   /// Virtual time source for the stall/prefetch timing counters (the same
@@ -263,25 +265,20 @@ class SwappingManager final : public runtime::Interceptor,
   /// the bus as a breaker-transition event.
   void AttachHealth(net::HealthTracker* health);
   net::HealthTracker* health() const { return health_; }
-  /// Rendezvous placement directory over the store fleet. While attached,
-  /// populated and in "directory" placement mode, SwapOut / ReReplicate /
-  /// EvacuateReplicas pick replica targets from the directory's weighted-
-  /// HRW rank (bounded-load order against actual store fill) instead of
-  /// walking every nearby store most-free-first — O(fleet) sorts and
-  /// free-byte-sensitive orders are gone from the placement path. With the
-  /// directory detached, empty, or the mode set to "walk"
-  /// (set_placement_via_directory(false), policy "set-placement-mode"),
-  /// behavior is byte-identical to before.
+  /// Rendezvous placement directory over the store fleet. While attached
+  /// and populated, the placement walk that SwapOut / ReReplicate /
+  /// EvacuateReplicas share takes its candidates from the directory's
+  /// weighted-HRW rank (bounded-load order against actual store fill)
+  /// instead of every nearby store most-free-first — O(fleet) sorts and
+  /// free-byte-sensitive orders are gone from the placement path. Detached
+  /// (null) or empty, the walk uses the nearby stores; attaching or
+  /// detaching is the one switch between the two.
   void AttachPlacementDirectory(fleet::PlacementDirectory* directory) {
     directory_ = directory;
   }
   fleet::PlacementDirectory* placement_directory() const {
     return directory_;
   }
-  void set_placement_via_directory(bool enabled) {
-    placement_via_directory_ = enabled;
-  }
-  bool placement_via_directory() const { return placement_via_directory_; }
 
   // --- swap-cluster management ----------------------------------------------
   /// Creates a fresh swap-cluster for locally built graphs.
@@ -400,20 +397,25 @@ class SwappingManager final : public runtime::Interceptor,
   /// alike. The orphaned store entries are queued as pending drops, so if
   /// the device ever returns its stale payloads are reclaimed. A clean
   /// image that loses its last replica is invalidated (the next swap-out
-  /// re-serializes — never a stale fetch). Returns records forgotten.
+  /// re-serializes — never a stale fetch). Publishes "replica-lost"
+  /// ("swap_cluster", "device", "survivors") when it forgot any. Returns
+  /// records forgotten.
   size_t ForgetReplica(SwapClusterId id, DeviceId device);
 
-  /// Restores up to `replication_factor` replicas for a swapped cluster by
-  /// copying the payload from a surviving replica to additional nearby
-  /// stores. Returns the number of new replicas placed (0 if already at
-  /// K or no eligible store is in range); fails only when the payload
-  /// cannot be read back from any replica.
+  /// Tops every store group of `id` back up to `replication_factor` with
+  /// the placement walk (priority class maintenance, no op budget),
+  /// copying a verified payload from the fetch ladder. Publishes
+  /// "re-replicated" ("swap_cluster", "new_replicas", "bytes", "replicas")
+  /// when it placed any. Returns the number of new replicas placed (0 if
+  /// already at K or no eligible store is in range); fails only when the
+  /// payload cannot be read back from any replica.
   Result<size_t> ReReplicate(SwapClusterId id);
 
   /// Proactive evacuation: moves every replica held by `leaving` (which
-  /// announced its withdrawal and is still reachable) onto other nearby
-  /// stores. Returns the number of replicas moved; clusters whose payload
-  /// could not be re-homed keep their replica on `leaving`.
+  /// announced its withdrawal and is still reachable) onto a store the
+  /// placement walk picks, and publishes one "replicas-evacuated" event
+  /// per cluster it moved. Returns the number of replicas moved; clusters
+  /// whose payload could not be re-homed keep their replica on `leaving`.
   Result<size_t> EvacuateReplicas(DeviceId leaving);
 
   /// Retries queued drop notifications (stores that were unreachable when
@@ -696,17 +698,24 @@ class SwappingManager final : public runtime::Interceptor,
                                  const StoreGroup& group, FetchPurpose purpose,
                                  uint64_t op_start_us = 0, Accept&& accept = {},
                                  const ReplicaLocation* first = nullptr);
-  /// Stores `payload` on one nearby store not in `exclude_devices` under a
-  /// fresh key. kUnavailable if no eligible store accepts it. The minted
-  /// key is journaled under `journal_seq` (0 = unjournaled) before the
-  /// store RPC; `fault_point` is consulted before each attempt. `id` names
-  /// the owning cluster so directory placement ranks against its key.
-  Result<ReplicaLocation> PlaceReplica(
-      SwapClusterId id, const std::string& payload,
-      const std::vector<ReplicaLocation>& existing, DeviceId exclude,
-      uint64_t journal_seq, const char* fault_point);
+  /// The one replica placement walk (swap-out, ReReplicate and
+  /// EvacuateReplicas): appends copies of `payload` to `group` until it
+  /// holds `want`, each on a device the group does not list yet. One
+  /// candidate list per walk — the directory rank for cluster `id`, else
+  /// nearby stores most-free-first; healthy stores first either way. A key
+  /// minted for a failed attempt is reused for the next candidate, and
+  /// `max_consecutive_store_failures` failures in a row end the walk. Each
+  /// key is journaled under `journal_seq` (0 = unjournaled) before its
+  /// StoreAt write, `fault_point` is consulted before each attempt, and
+  /// with `op_begin_us` set the operation's budget caps the walk. OK once
+  /// the group holds `want`; otherwise the last failure (kUnavailable if
+  /// no store was tried). Returns at once on a crash.
+  Status PlaceReplicas(SwapClusterId id, const std::string& payload,
+                       size_t want, std::vector<ReplicaLocation>& group,
+                       uint64_t journal_seq, const char* fault_point,
+                       std::optional<uint64_t> op_begin_us = std::nullopt);
 
-  /// Directory placement is attached, populated, and switched on.
+  /// Directory placement is attached and populated.
   bool DirectoryActive() const;
   /// Store candidates for placing `k` replicas of cluster `id`: the
   /// directory's HRW rank filtered to reachable stores with `need` free
@@ -915,7 +924,6 @@ class SwappingManager final : public runtime::Interceptor,
 
   /// Fleet placement directory (optional; null = nearby-store walk).
   fleet::PlacementDirectory* directory_ = nullptr;
-  bool placement_via_directory_ = true;
 
   /// Finalizers capture this handle; the destructor nulls it so a GC after
   /// manager teardown cannot call into a dead manager.

@@ -1,8 +1,8 @@
 // Durability layer tests: K-replica placement, failover swap-in under
 // departure / corruption / crash, the DurabilityMonitor's churn recovery
-// (forget + re-replicate + evacuate), the deferred-drop retry queue, the
-// store retry idempotency + backoff satellites, and the policy hook that
-// raises the replication factor when stores churn.
+// (forget + re-replicate + evacuate) and its bus-fed index, the
+// deferred-drop retry queue, store retry idempotency and backoff, and the
+// policy hooks that raise the replication factor when stores churn.
 #include <gtest/gtest.h>
 
 #include "test_support.h"
@@ -408,6 +408,70 @@ TEST(DurabilityMonitorTest, DeltaBaseGroupIsMaintainedUnderChurn) {
   EXPECT_EQ(*SumList(world.rt, "head"), kListSum + 100);
 }
 
+// The reverse index learns about replica changes only from the bus, so
+// the manager's maintenance paths must publish even when called directly.
+
+TEST(DurabilityIndexTest, DirectForgetReplicaIsRepairedByTheNextPoll) {
+  MiddlewareWorld world(TwoReplicaOptions());
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  for (uint32_t id = 2; id <= 4; ++id) world.AddStore(id, 1 << 20);
+  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
+                                     kListLength, kListLength, "head");
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus);
+  ASSERT_TRUE(world.manager.SwapOut(clusters[0]).ok());
+  monitor.Poll();
+  const swap::SwapClusterInfo* info =
+      world.manager.registry().Find(clusters[0]);
+  ASSERT_EQ(info->replicas.size(), 2u);
+
+  ASSERT_EQ(world.manager.ForgetReplica(clusters[0], info->replicas[0].device),
+            1u);
+  ASSERT_EQ(info->replicas.size(), 1u);
+  monitor.Poll();
+  EXPECT_EQ(info->replicas.size(), 2u);
+  EXPECT_EQ(monitor.stats().clusters_re_replicated, 1u);
+}
+
+TEST(DurabilityIndexTest, DirectEvacuationIndexesTheNewHolder) {
+  MiddlewareWorld world(TwoReplicaOptions());
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  for (uint32_t id = 2; id <= 5; ++id) world.AddStore(id, 1 << 20);
+  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
+                                     kListLength, kListLength, "head");
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus);
+  ASSERT_TRUE(world.manager.SwapOut(clusters[0]).ok());
+  monitor.Poll();
+  const swap::SwapClusterInfo* info =
+      world.manager.registry().Find(clusters[0]);
+  ASSERT_EQ(info->replicas.size(), 2u);
+
+  const DeviceId leaving = info->replicas[0].device;
+  Result<size_t> moved = world.manager.EvacuateReplicas(leaving);
+  ASSERT_TRUE(moved.ok());
+  ASSERT_EQ(*moved, 1u);
+  const DeviceId holder = info->replicas[0].device;
+  ASSERT_NE(holder, leaving);
+  monitor.Poll();
+
+  // The new holder departs: the monitor must know it held the replica.
+  world.discovery.Withdraw(holder);
+  monitor.Poll();
+  EXPECT_EQ(monitor.stats().stores_departed, 1u);
+  EXPECT_EQ(monitor.stats().replicas_lost, 1u);
+  EXPECT_FALSE(info->HasReplicaOn(holder));
+  EXPECT_EQ(info->replicas.size(), 2u);  // topped up in the same poll
+}
+
+TEST(DurabilityIndexDeathTest, PollOnAnotherBusThanTheManagerAborts) {
+  MiddlewareWorld world;
+  context::EventBus other;
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, other);
+  EXPECT_DEATH(monitor.Poll(), "CHECK");
+}
+
 TEST(DurabilityTest, FinalizerDropBroadcastsToAllReplicas) {
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
@@ -521,6 +585,47 @@ TEST(PolicyTest, StoreChurnRaisesReplicationFactorThroughRule) {
 
   EXPECT_EQ(engine.stats().actions_fired, 1u);
   EXPECT_EQ(world.manager.options().replication_factor, 3u);
+}
+
+TEST(PolicyTest, ReplicationFactorRaisedMidPollIsRepairedThatPoll) {
+  MiddlewareWorld world;  // K = 1
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  for (uint32_t id = 2; id <= 4; ++id) world.AddStore(id, 1 << 20);
+  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
+                                     kListLength, kListLength, "head");
+  context::PropertyRegistry props;
+  policy::PolicyEngine engine(world.bus, props);
+  ASSERT_TRUE(policy::RegisterSwapActions(engine, world.rt, world.manager)
+                  .ok());
+  ASSERT_TRUE(engine.LoadXml(R"(
+    <policies>
+      <policy name="replicate-harder" on="store-departed">
+        <action name="set-replication-factor">
+          <param name="factor" value="2"/>
+        </action>
+      </policy>
+    </policies>)").ok());
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus,
+                                  &props);
+  ASSERT_TRUE(world.manager.SwapOut(clusters[0]).ok());
+  monitor.Poll();
+  const swap::SwapClusterInfo* info =
+      world.manager.registry().Find(clusters[0]);
+  ASSERT_EQ(info->replicas.size(), 1u);
+
+  // A store without the replica leaves; the rule raises K to 2 inside the
+  // poll, whose sweep must already work to the new K.
+  for (uint32_t id = 2; id <= 4; ++id) {
+    if (!info->HasReplicaOn(DeviceId(id))) {
+      world.discovery.Withdraw(DeviceId(id));
+      break;
+    }
+  }
+  monitor.Poll();
+  EXPECT_EQ(world.manager.options().replication_factor, 2u);
+  EXPECT_EQ(info->replicas.size(), 2u);
+  EXPECT_EQ(*props.GetInt("swap.under_replicated"), 0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Fleet layer tests: the rendezvous placement directory (determinism,
 // weighting, bounded rebalance, epochs, the bounded-load cap), the
-// manager's directory-driven placement with its detached-mode parity, the
-// incremental DurabilityMonitor's byte-identical equivalence with the
-// legacy full scan, the fleet policy actions, and the FleetDriver
+// manager's directory-driven placement and its detached walk, the
+// indexed DurabilityMonitor pinned to the repair figures of the legacy
+// full scan it replaced, the fleet policy actions, and the FleetDriver
 // simulation harness.
 #include <gtest/gtest.h>
 
@@ -175,7 +175,6 @@ TEST(FleetPlacementTest, SwapOutFollowsTheDirectoryRankOrder) {
   PlacementDirectory directory;
   for (uint32_t id = 2; id <= 5; ++id) directory.AddStore(DeviceId(id));
   world.manager.AttachPlacementDirectory(&directory);
-  ASSERT_TRUE(world.manager.placement_via_directory());
 
   auto clusters =
       BuildClusteredList(world.rt, world.manager, cls, 24, 12, "head");
@@ -201,122 +200,170 @@ TEST(FleetPlacementTest, SwapOutFollowsTheDirectoryRankOrder) {
 }
 
 TEST(FleetPlacementTest, DetachedAndWalkModeWorldsAreByteIdentical) {
-  // Three configurations of the same scenario: no directory at all,
-  // directory attached but switched to walk mode — the manager stats and
-  // the virtual clock must not diverge, and the frozen stats snapshot
-  // carries the (zeroed) fleet keys either way.
-  auto run = [](MiddlewareWorld& world) {
-    const runtime::ClassInfo* cls = RegisterNodeClass(world.rt);
-    for (uint32_t id = 2; id <= 4; ++id) world.AddStore(id, 1 << 20);
-    auto clusters =
-        BuildClusteredList(world.rt, world.manager, cls, 24, 12, "head");
-    swap::DurabilityMonitor monitor(world.manager, world.discovery,
-                                    MiddlewareWorld::kDevice, world.bus);
-    for (SwapClusterId id : clusters)
-      OBISWAP_CHECK(world.manager.SwapOut(id).ok());
-    monitor.Poll();
-    OBISWAP_CHECK(world.manager.SwapIn(clusters[0]).ok());
-    world.manager.MarkDirty(clusters[0]);
-    OBISWAP_CHECK(world.manager.SwapOut(clusters[0]).ok());
-    monitor.Poll();
-  };
-
-  MiddlewareWorld detached(TwoReplicaOptions());
-  MiddlewareWorld walk(TwoReplicaOptions());
-  PlacementDirectory directory;
-  for (uint32_t id = 2; id <= 4; ++id) directory.AddStore(DeviceId(id));
-  walk.manager.AttachPlacementDirectory(&directory);
-  walk.manager.set_placement_via_directory(false);
-
-  run(detached);
-  run(walk);
-  EXPECT_EQ(detached.manager.StatsJson(), walk.manager.StatsJson());
-  EXPECT_EQ(detached.network.clock().now_us(),
-            walk.network.clock().now_us());
-  std::string json = detached.manager.StatsJson();
+  // With no directory attached the manager walks the nearby stores, and
+  // the frozen stats snapshot carries the fleet keys at zero.
+  MiddlewareWorld world(TwoReplicaOptions());
+  const runtime::ClassInfo* cls = RegisterNodeClass(world.rt);
+  for (uint32_t id = 2; id <= 4; ++id) world.AddStore(id, 1 << 20);
+  auto clusters =
+      BuildClusteredList(world.rt, world.manager, cls, 24, 12, "head");
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus);
+  for (SwapClusterId id : clusters)
+    ASSERT_TRUE(world.manager.SwapOut(id).ok());
+  monitor.Poll();
+  ASSERT_TRUE(world.manager.SwapIn(clusters[0]).ok());
+  world.manager.MarkDirty(clusters[0]);
+  ASSERT_TRUE(world.manager.SwapOut(clusters[0]).ok());
+  monitor.Poll();
+  std::string json = world.manager.StatsJson();
   EXPECT_NE(json.find("\"fleet_selections\":0"), std::string::npos);
   EXPECT_NE(json.find("\"fleet_placements\":0"), std::string::npos);
 }
 
 // ------------------------------------------- incremental durability scans --
 
-/// Runs the equivalence scenario against one world; `incremental` wires
-/// the monitor's fleet mode (with the manager pinned to walk placement so
-/// only the *scan* strategy differs between the two worlds).
+/// Walk placement (no directory) under the monitor, with the policy
+/// gauges wired.
 struct MonitorWorld {
-  explicit MonitorWorld(bool incremental)
+  MonitorWorld()
       : world(TwoReplicaOptions()),
         monitor(world.manager, world.discovery, MiddlewareWorld::kDevice,
-                world.bus) {
+                world.bus, &props) {
     cls = RegisterNodeClass(world.rt);
     for (uint32_t id = 2; id <= 5; ++id) world.AddStore(id, 1 << 20);
-    if (incremental) {
-      world.manager.AttachPlacementDirectory(&directory);
-      world.manager.set_placement_via_directory(false);
-      monitor.AttachFleet(&directory);
-    }
     clusters =
         BuildClusteredList(world.rt, world.manager, cls, 48, 12, "head");
   }
 
   MiddlewareWorld world;
   PlacementDirectory directory;
+  context::PropertyRegistry props;
   swap::DurabilityMonitor monitor;
   const runtime::ClassInfo* cls = nullptr;
   std::vector<SwapClusterId> clusters;
 };
 
+/// Clusters with a store group below K, counted over the whole registry.
+int64_t BruteForceUnderReplicated(const swap::SwappingManager& manager) {
+  int64_t under = 0;
+  for (SwapClusterId id : manager.registry().Ids()) {
+    for (const swap::ConstStoreGroup& group :
+         manager.registry().Find(id)->Groups()) {
+      if (group.replicas->size() < manager.options().replication_factor) {
+        ++under;
+        break;
+      }
+    }
+  }
+  return under;
+}
+
+// The figures the deleted legacy full-scan monitor produced for this
+// scenario: the indexed monitor must reproduce its repairs exactly.
+constexpr const char* kLegacyStatsJson =
+    R"({"proxies_created":4,"proxies_reused":0,"proxies_dismantled":0,)"
+    R"("proxies_finalized":0,"boundary_crossings":0,)"
+    R"("assigned_patches":0,"swap_outs":5,"swap_ins":1,"drops":0,)"
+    R"("drop_failures":0,"swap_out_failures":0,)"
+    R"("bytes_swapped_out":7221,"bytes_swapped_in":1451,)"
+    R"("local_swap_outs":0,"merges":0,"splits":0,"replicas_placed":10,)"
+    R"("under_replicated_outs":0,"failover_fetches":0,)"
+    R"("data_loss_failovers":0,"replicas_forgotten":2,)"
+    R"("re_replications":2,"bytes_re_replicated":2910,)"
+    R"("evacuated_replicas":0,"drops_deferred":0,"drops_drained":0,)"
+    R"("clean_swap_outs":0,"clean_image_invalidations":1,)"
+    R"("clean_images_reaped":0,"cache_hits":0,)"
+    R"("bytes_swap_transfer_saved":0,"prefetched_swap_ins":0,)"
+    R"("prefetch_stages":0,"prefetch_stage_bytes":0,"prefetch_hits":0,)"
+    R"("prefetch_wastes":0,"demand_fault_stall_us":0,)"
+    R"("prefetch_fetch_us":0,"recoveries":0,"recovery_us":0,)"
+    R"("journal_append_us":0,"journal_bytes":0,"hedged_fetches":0,)"
+    R"("hedge_wins":0,"hedge_wastes":0,"deadline_aborts":0,)"
+    R"("brownout_entries":1,"brownout_exits":1,"brownout_swap_outs":0,)"
+    R"("pending_drop_overflow":0,"delta_swap_outs":0,)"
+    R"("delta_fallbacks":0,"delta_bytes_shipped":0,)"
+    R"("delta_bytes_saved":0,"delta_base_cache_hits":0,)"
+    R"("fields_marked_dirty":0,"tier_swap_outs":0,"tier_swap_ins":0,)"
+    R"("fleet_selections":0,"fleet_placements":0,)"
+    R"("write_backs_paced":0,"payload_cache_hits":0,)"
+    R"("payload_cache_misses":1,"payload_cache_insertions":0,)"
+    R"("payload_cache_evictions":0,"payload_cache_invalidations":0,)"
+    R"("payload_cache_bytes":0,"payload_cache_entries":0,)"
+    R"("tier_ram_admits":0,"tier_ram_rejects":0,"tier_ram_hits":0,)"
+    R"("tier_ram_misses":0,"tier_ram_evictions":0,)"
+    R"("tier_ram_bytes_saved":0,"tier_ram_entries_lost":0,)"
+    R"("tier_ram_bytes":0,"tier_flash_admits":0,)"
+    R"("tier_flash_rejects":0,"tier_flash_hits":0,)"
+    R"("tier_flash_misses":0,"tier_flash_evictions":0,)"
+    R"("tier_flash_discards":0,"tier_flash_slots_used":0,)"
+    R"("tier_promotions":0,"tier_demotions":0,"tier_write_backs":0,)"
+    R"("tier_write_back_bytes":0,"tier_pending_write_backs":0,)"
+    R"("net.pushbacks":0,"net.pushback_retries":0,)"
+    R"("net.retry_budget_exhausted":0,"net.retry_budget_earned":0,)"
+    R"("net.retry_budget_spent":0,"net.shed_demand":0,)"
+    R"("net.shed_swap_out":0,"net.shed_hedge":0,"net.shed_prefetch":0,)"
+    R"("net.shed_maintenance":0,"store_queue_depth":0})";
+constexpr uint64_t kLegacyClockUs = 2001755;
+constexpr uint64_t kLegacyScanReplicas = 46;
+
 TEST(IncrementalDurabilityTest, RepairSequenceMatchesLegacyByteForByte) {
-  MonitorWorld legacy(false);
-  MonitorWorld incremental(true);
-  ASSERT_FALSE(legacy.monitor.incremental());
-  ASSERT_TRUE(incremental.monitor.incremental());
-
-  auto run = [](MonitorWorld& w) {
-    for (SwapClusterId id : w.clusters)
-      OBISWAP_CHECK(w.world.manager.SwapOut(id).ok());
+  MonitorWorld w;
+  std::vector<int64_t> gauges;
+  auto poll = [&] {
     w.monitor.Poll();
-    // Silent departure: the store with the first cluster's primary goes
-    // dark (same device in both worlds — placement is identical).
-    DeviceId victim =
-        w.world.manager.registry().Find(w.clusters[0])->replicas[0].device;
-    w.world.network.SetOnline(victim, false);
-    for (int i = 0; i < 4; ++i) w.monitor.Poll();  // detect + re-replicate
-    // Post-recovery activity: swap-in, dirty, swap-out, one more poll —
-    // exercises the event-fed dirty-cluster queue.
-    OBISWAP_CHECK(w.world.manager.SwapIn(w.clusters[0]).ok());
-    w.world.manager.MarkDirty(w.clusters[0]);
-    OBISWAP_CHECK(w.world.manager.SwapOut(w.clusters[0]).ok());
-    w.monitor.Poll();
+    const int64_t gauge = *w.props.GetInt("swap.under_replicated");
+    EXPECT_EQ(gauge, BruteForceUnderReplicated(w.world.manager))
+        << "poll " << w.monitor.stats().polls;
+    gauges.push_back(gauge);
   };
-  run(legacy);
-  run(incremental);
+  for (SwapClusterId id : w.clusters)
+    ASSERT_TRUE(w.world.manager.SwapOut(id).ok());
+  poll();
+  // Silent departure: the store with the first cluster's primary goes
+  // dark. The third missed poll presumes it gone, in brownout: its
+  // replicas are forgotten and the repair waits for the next poll.
+  DeviceId victim =
+      w.world.manager.registry().Find(w.clusters[0])->replicas[0].device;
+  w.world.network.SetOnline(victim, false);
+  poll();
+  poll();
+  w.world.manager.EnterBrownout("test");
+  poll();
+  w.world.manager.ExitBrownout();
+  poll();
+  // Post-recovery activity: swap-in, dirty, swap-out, one more poll —
+  // exercises the event-fed dirty-cluster queue.
+  ASSERT_TRUE(w.world.manager.SwapIn(w.clusters[0]).ok());
+  w.world.manager.MarkDirty(w.clusters[0]);
+  ASSERT_TRUE(w.world.manager.SwapOut(w.clusters[0]).ok());
+  poll();
+  EXPECT_EQ(gauges, (std::vector<int64_t>{0, 0, 0, 2, 0, 0}));
 
-  // The manager-visible world must be byte-identical: same stats snapshot,
-  // same virtual clock, same repair effects.
-  EXPECT_EQ(legacy.world.manager.StatsJson(),
-            incremental.world.manager.StatsJson());
-  EXPECT_EQ(legacy.world.network.clock().now_us(),
-            incremental.world.network.clock().now_us());
-  EXPECT_EQ(legacy.monitor.stats().stores_departed,
-            incremental.monitor.stats().stores_departed);
-  EXPECT_EQ(legacy.monitor.stats().replicas_lost,
-            incremental.monitor.stats().replicas_lost);
-  EXPECT_EQ(legacy.monitor.stats().clusters_re_replicated,
-            incremental.monitor.stats().clusters_re_replicated);
-  EXPECT_EQ(legacy.monitor.stats().replicas_re_replicated,
-            incremental.monitor.stats().replicas_re_replicated);
+  EXPECT_EQ(w.world.manager.StatsJson(), kLegacyStatsJson);
+  EXPECT_EQ(w.world.network.clock().now_us(), kLegacyClockUs);
+  const swap::DurabilityMonitor::Stats& stats = w.monitor.stats();
+  EXPECT_EQ(stats.polls, 6u);
+  EXPECT_EQ(stats.stores_departed, 1u);
+  EXPECT_EQ(stats.replicas_lost, 2u);
+  EXPECT_EQ(stats.clusters_re_replicated, 2u);
+  EXPECT_EQ(stats.replicas_re_replicated, 2u);
+  EXPECT_EQ(stats.sweeps_deferred, 1u);
+  EXPECT_EQ(stats.evacuated_replicas, 0u);
+  EXPECT_EQ(stats.drops_drained, 0u);
+  EXPECT_EQ(stats.clean_images_reaped, 0u);
+  EXPECT_EQ(stats.repairs_paced, 0u);
+  EXPECT_EQ(stats.dirty_stores, 1u);
 
-  // Same work, fewer records examined: that is the whole point.
-  EXPECT_GT(legacy.monitor.stats().scan_replicas, 0u);
-  EXPECT_LT(incremental.monitor.stats().scan_replicas,
-            legacy.monitor.stats().scan_replicas);
-  EXPECT_EQ(legacy.monitor.stats().full_scan_replicas,
-            incremental.monitor.stats().full_scan_replicas);
+  // Same work, fewer records examined: the computed full-scan meter is
+  // what the legacy monitor actually examined.
+  EXPECT_EQ(stats.full_scan_replicas, kLegacyScanReplicas);
+  EXPECT_GT(stats.scan_replicas, 0u);
+  EXPECT_LT(stats.scan_replicas, kLegacyScanReplicas);
 }
 
 TEST(IncrementalDurabilityTest, QuietPollsExamineNothingAfterTheRebuild) {
-  MonitorWorld w(true);
+  MonitorWorld w;
   for (SwapClusterId id : w.clusters)
     OBISWAP_CHECK(w.world.manager.SwapOut(id).ok());
   w.monitor.Poll();  // first poll: one honest rebuild scan
@@ -329,21 +376,8 @@ TEST(IncrementalDurabilityTest, QuietPollsExamineNothingAfterTheRebuild) {
   EXPECT_GT(w.monitor.stats().full_scan_replicas, 10 * after_rebuild);
 }
 
-TEST(IncrementalDurabilityTest, LegacyScanCountersAdvanceInLockstep) {
-  MonitorWorld w(false);
-  for (SwapClusterId id : w.clusters)
-    OBISWAP_CHECK(w.world.manager.SwapOut(id).ok());
-  for (int i = 0; i < 5; ++i) w.monitor.Poll();
-  // Without churn the legacy sweep examines exactly what a full scan
-  // examines — the meter proves the O(clusters) cost, poll after poll.
-  EXPECT_GT(w.monitor.stats().scan_replicas, 0u);
-  EXPECT_EQ(w.monitor.stats().scan_replicas,
-            w.monitor.stats().full_scan_replicas);
-  EXPECT_EQ(w.monitor.stats().dirty_stores, 0u);
-}
-
 TEST(IncrementalDurabilityTest, FleetPollSyncsTheDirectoryFromDiscovery) {
-  MonitorWorld w(true);
+  MonitorWorld w;
   context::PropertyRegistry props;
   swap::DurabilityMonitor monitor(w.world.manager, w.world.discovery,
                                   MiddlewareWorld::kDevice, w.world.bus,
@@ -374,8 +408,7 @@ TEST(FleetPolicyTest, ActionsEditTheViewAndSwitchPlacementModes)
   world.manager.AttachPlacementDirectory(&directory);
   context::PropertyRegistry props;
   PolicyEngine engine(world.bus, props);
-  ASSERT_TRUE(
-      RegisterFleetActions(engine, world.manager, directory).ok());
+  ASSERT_TRUE(RegisterFleetActions(engine, directory).ok());
   auto added = engine.LoadXml(R"(
     <policies>
       <policy name="join-big-store" on="store-found">
@@ -392,16 +425,6 @@ TEST(FleetPolicyTest, ActionsEditTheViewAndSwitchPlacementModes)
           <param name="healthy" value="0"/>
         </action>
       </policy>
-      <policy name="fall-back" on="fleet-trouble">
-        <action name="set-placement-mode">
-          <param name="mode" value="walk"/>
-        </action>
-      </policy>
-      <policy name="restore" on="fleet-ok">
-        <action name="set-placement-mode">
-          <param name="mode" value="directory"/>
-        </action>
-      </policy>
     </policies>)");
   ASSERT_TRUE(added.ok()) << added.status().ToString();
 
@@ -410,31 +433,7 @@ TEST(FleetPolicyTest, ActionsEditTheViewAndSwitchPlacementModes)
   EXPECT_EQ(directory.WeightOf(DeviceId(42)), 5.0);
   world.bus.Publish(context::Event("store-sick"));
   EXPECT_FALSE(directory.IsHealthy(DeviceId(42)));
-  world.bus.Publish(context::Event("fleet-trouble"));
-  EXPECT_FALSE(world.manager.placement_via_directory());
-  world.bus.Publish(context::Event("fleet-ok"));
-  EXPECT_TRUE(world.manager.placement_via_directory());
   EXPECT_EQ(engine.stats().action_failures, 0u);
-}
-
-TEST(FleetPolicyTest, DirectoryModeWithoutADirectoryFailsLoudly) {
-  MiddlewareWorld world;  // nothing attached
-  PlacementDirectory directory;
-  context::PropertyRegistry props;
-  PolicyEngine engine(world.bus, props);
-  ASSERT_TRUE(
-      RegisterFleetActions(engine, world.manager, directory).ok());
-  auto added = engine.LoadXml(R"(
-    <policies>
-      <policy name="impossible" on="tick">
-        <action name="set-placement-mode">
-          <param name="mode" value="directory"/>
-        </action>
-      </policy>
-    </policies>)");
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  world.bus.Publish(context::Event("tick"));
-  EXPECT_EQ(engine.stats().action_failures, 1u);
 }
 
 // ----------------------------------------------------------- fleet driver --
@@ -501,8 +500,6 @@ TEST(FleetDriverTest, LegacyBaselineRunsWithoutTheDirectory) {
   EXPECT_EQ(report.fleet_placements, 0u);
   EXPECT_GT(report.swap_outs, 0u);
   EXPECT_EQ(report.clusters_lost, 0u);
-  // Legacy monitors pay the full scan every poll.
-  EXPECT_EQ(report.scan_replicas, report.full_scan_replicas);
 }
 
 }  // namespace

@@ -113,6 +113,47 @@ TEST(StoreAdmissionTest, PrioritySheddingDropsLowestClassesFirst) {
   EXPECT_GT(maintenance_wait, demand_wait);
 }
 
+TEST(StoreAdmissionTest, PlacementsAreShedInTheirOperationsClass) {
+  MiddlewareWorld world;  // K = 1
+  world.client.set_annotate_priority(true);
+  const runtime::ClassInfo* cls = RegisterNodeClass(world.rt);
+  auto clusters = BuildClusteredList(world.rt, world.manager, cls, 20, 10,
+                                     "head");
+  StoreNode* busy = world.AddStore(3, 1 << 20);
+  StoreNode::QueueOptions queue = TightQueue(/*shedding=*/true);
+  queue.queue_limit = 4;  // depth limits: demand 5 ... maintenance 1
+  busy->ConfigureQueue(queue);
+  // Four queued demand requests: a fifth demand request would still be
+  // admitted, a swap-out or maintenance request is shed.
+  auto fill = [&] {
+    for (int i = 0; i < 4; ++i)
+      busy->Admit(world.network.clock().now_us(), Priority::kDemandSwapIn);
+  };
+
+  fill();
+  (void)world.manager.SwapOut(clusters[0]);  // may succeed after retries
+  EXPECT_GE(busy->stats().shed_by_class[1], 1u);
+  EXPECT_EQ(busy->stats().shed_by_class[0], 0u);
+
+  // A second store holds the next cluster; raising K sends its top-up to
+  // the busy store under the maintenance class.
+  world.AddStore(2, 1 << 20);
+  ASSERT_TRUE(world.manager.SwapOut(clusters[1]).ok());
+  ASSERT_NE(world.manager.registry().Find(clusters[1])->replicas[0].device,
+            busy->device());
+  world.manager.set_replication_factor(2);
+  world.network.clock().Advance(60'000'000);  // let the busy store drain
+  fill();
+  (void)world.manager.ReReplicate(clusters[1]);
+  EXPECT_GE(busy->stats().shed_by_class[4], 1u);
+  EXPECT_EQ(busy->stats().shed_by_class[0], 0u);
+
+  const std::string json = world.manager.StatsJson();
+  EXPECT_EQ(json.find("\"net.shed_swap_out\":0"), std::string::npos);
+  EXPECT_EQ(json.find("\"net.shed_maintenance\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"net.shed_demand\":0"), std::string::npos);
+}
+
 // ----------------------------------------------- client pushback handling --
 
 TEST(PushbackClientTest, RetryHonorsTheRetryAfterHint) {
