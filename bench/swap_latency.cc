@@ -74,7 +74,7 @@ void SizeSweep(benchjson::JsonWriter& json, telemetry::Telemetry* trace) {
       uint64_t out_us = world.network.clock().now_us() - clock0;
       const swap::SwapClusterInfo* info =
           manager.registry().Find(clusters[0]);
-      size_t payload = info->swapped_payload_bytes;
+      size_t payload = info->payload_bytes;
 
       clock0 = world.network.clock().now_us();
       OBISWAP_CHECK(manager.SwapIn(clusters[0]).ok());

@@ -68,7 +68,7 @@ int main() {
     const swap::SwapClusterInfo* info = manager.registry().Find(id);
     std::printf("  cluster %u -> device %u (%zu B)\n", id.value(),
                 info->replicas[0].device.value(),
-                info->swapped_payload_bytes);
+                info->payload_bytes);
   }
   rt.heap().Collect();
   std::printf("placement: frame=%zu printer=%zu kiosk=%zu entries\n",

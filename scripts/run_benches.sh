@@ -3,8 +3,10 @@
 # machine-readable contract drop their BENCH_<name>.json next to the repo
 # root, and --trace so the telemetry-instrumented benches additionally dump
 # BENCH_<name>_trace.json (Chrome trace_event format, load at
-# chrome://tracing). CI diffs the json and archives both; humans read the
-# transcript.
+# chrome://tracing). CI validates and archives both; humans read the
+# transcript. To check that a change leaves every deterministic field as it
+# was, run this on both trees and compare the two artifact sets with
+# scripts/bench_diff.py PARENT_DIR CHANGE_DIR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -92,7 +92,7 @@ Result<size_t> DgcClient::RunCycle() {
     for (SwapClusterId id : swap_->registry().Ids()) {
       const swap::SwapClusterInfo* info = swap_->registry().Find(id);
       if (info->state != swap::SwapState::kSwapped) continue;
-      for (ObjectId oid : info->swapped_oids) held.insert(oid);
+      for (ObjectId oid : info->oids) held.insert(oid);
     }
   }
 

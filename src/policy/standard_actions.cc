@@ -1,5 +1,7 @@
 #include "policy/standard_actions.h"
 
+#include <optional>
+
 #include "common/string_util.h"
 
 namespace obiswap::policy {
@@ -117,13 +119,15 @@ Status RegisterSwapActions(PolicyEngine& engine, runtime::Runtime& rt,
                  const ActionParams& params) -> Status {
         OBISWAP_ASSIGN_OR_RETURN(std::string format,
                                  RequiredStringParam(params, "format"));
-        OBISWAP_RETURN_IF_ERROR(manager.set_wire_format(format));
         // Optional: flip delta swap-out in the same action (deltas only
-        // take effect on the binary format anyway).
+        // take effect on the binary format anyway). Parsed before anything
+        // applies, so a bad parameter leaves both settings as they were.
+        std::optional<int64_t> delta;
         if (auto it = params.find("delta"); it != params.end()) {
-          OBISWAP_ASSIGN_OR_RETURN(int64_t delta, ParseInt64(it->second));
-          manager.set_delta_swap_out(delta != 0);
+          OBISWAP_ASSIGN_OR_RETURN(delta, ParseInt64(it->second));
         }
+        OBISWAP_RETURN_IF_ERROR(manager.set_wire_format(format));
+        if (delta.has_value()) manager.set_delta_swap_out(*delta != 0);
         return OkStatus();
       }));
   OBISWAP_RETURN_IF_ERROR(engine.RegisterAction(

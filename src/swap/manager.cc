@@ -154,11 +154,7 @@ void SwappingManager::AttachHealth(net::HealthTracker* health) {
 
 size_t SwappingManager::EffectiveReplicationFactor() const {
   const size_t full = options_.replication_factor;
-  if (!brownout_) return full;
-  size_t reduced = options_.brownout_replication_factor > 0
-                       ? options_.brownout_replication_factor
-                       : size_t{1};
-  return std::min(full, reduced);
+  return brownout_ ? std::min(full, kBrownoutReplicationFactor) : full;
 }
 
 void SwappingManager::EnterBrownout(const char* reason) {
@@ -201,8 +197,7 @@ bool SwappingManager::EnqueuePendingDrop(DeviceId device, SwapKey key) {
   for (const PendingDrop& pending : pending_drops_) {
     if (pending.device == device && pending.key == key) return false;
   }
-  if (options_.max_pending_drops > 0 &&
-      pending_drops_.size() >= options_.max_pending_drops) {
+  if (pending_drops_.size() >= kMaxPendingDrops) {
     // A store that never returns must not grow the queue forever: the
     // oldest obligation is abandoned (its entry leaks on that store — the
     // store will reconcile it if it ever rejoins with state intact).
@@ -210,6 +205,7 @@ bool SwappingManager::EnqueuePendingDrop(DeviceId device, SwapKey key) {
     ++stats_.pending_drop_overflow;
   }
   pending_drops_.push_back(PendingDrop{device, key});
+  ++stats_.drops_deferred;
   return true;
 }
 
@@ -275,21 +271,17 @@ void SwappingManager::MarkDirty(SwapClusterId id) {
 }
 
 void SwappingManager::ObserveFieldWrite(runtime::Runtime& rt, Object* holder,
-                                        size_t slot) {
+                                        size_t /*slot*/) {
   (void)rt;
   if (holder == nullptr || holder->kind() != ObjectKind::kRegular) return;
   SwapClusterId id = holder->swap_cluster();
   MarkDirty(id);
-  // Per-field dirty accounting (telemetry/gating only — the delta itself
-  // is computed document-to-document at swap-out). Saturating: slots ≥ 64
-  // share the top bit.
+  // Telemetry only: a write into a cluster whose image survives it (delta
+  // swap-out diffs document-to-document, so no per-field record is kept).
   if (SwapClusterInfo* info = registry_.Find(id);
       info != nullptr && info->state == SwapState::kLoaded &&
-      info->clean_image.has_value()) {
-    info->dirty_fields[holder->oid().value()] |=
-        uint64_t{1} << (slot < 64 ? slot : 63);
+      info->clean_image.has_value())
     ++stats_.fields_marked_dirty;
-  }
 }
 
 void SwappingManager::InvalidateCleanImage(SwapClusterInfo* info,
@@ -304,7 +296,6 @@ void SwappingManager::InvalidateCleanImage(SwapClusterInfo* info,
     if (tier_ != nullptr) tier_->Release(info->id, group.epoch, group.checksum);
   }
   info->clean_image.reset();
-  info->dirty_fields.clear();
   cache_.Invalidate(info->id);
   ++stats_.clean_image_invalidations;
 }
@@ -468,14 +459,6 @@ Object* SwappingManager::MediateStore(runtime::Runtime& rt, Object* holder,
   // A reference store mutates the holder's cluster (belt to the write
   // barrier's braces — SetGlobal, for one, never raises the barrier).
   MarkDirty(context);
-  if (holder != nullptr && holder->kind() == ObjectKind::kRegular) {
-    // The mediated store does not name a slot: saturate the holder's mask.
-    if (SwapClusterInfo* info = registry_.Find(context);
-        info != nullptr && info->state == SwapState::kLoaded &&
-        info->clean_image.has_value()) {
-      info->dirty_fields[holder->oid().value()] = ~uint64_t{0};
-    }
-  }
   // A mediating proxy is a middleware allocation, which overcommits rather
   // than fail. A raw cross-cluster reference stored here would dangle once
   // its target's cluster swapped out and was reclaimed.
@@ -1268,9 +1251,8 @@ void SwappingManager::EnqueueOrphanDrops(
   // keys go through the pending-drop queue and drain once the system is
   // healthy again.
   for (const ReplicaLocation& intent : intents) {
-    if (!EnqueuePendingDrop(intent.device, intent.key)) continue;
-    ++stats_.drops_deferred;
-    ++report->orphan_drops_enqueued;
+    if (EnqueuePendingDrop(intent.device, intent.key))
+      ++report->orphan_drops_enqueued;
   }
 }
 
@@ -1325,7 +1307,6 @@ const char* SwappingManager::RecoverTornSwapOut(
     // including a delta swap-out's carried base group; the next swap-out
     // ships a full payload.
     RetireListedKeys(info, report);
-    info->dirty_fields.clear();
     EnqueueOrphanDrops(op.replica_intents, report);
     ++report->rolled_back;
     return "rolled_back";
@@ -1394,9 +1375,9 @@ const char* SwappingManager::RecoverTornSwapOut(
   info->swap_epoch = std::max(info->swap_epoch, op.swap_epoch);
   if (op.op == IntentOp::kSwapOut || delta) info->payload_epoch = op.swap_epoch;
   info->payload_checksum = op.payload_checksum;
-  info->swapped_oids = op.member_oids;
-  info->swapped_object_count = op.member_oids.size();
-  info->swapped_payload_bytes = verified->stored.size();
+  info->oids = op.member_oids;
+  info->object_count = op.member_oids.size();
+  info->payload_bytes = verified->stored.size();
   info->replacement = rt_.heap().NewWeakRef(replacement);
   replacement->RawSlotMutable(kReplSlotEpoch) =
       Value::Int(static_cast<int64_t>(info->swap_epoch));
@@ -1404,9 +1385,8 @@ const char* SwappingManager::RecoverTornSwapOut(
   if (delta) {
     // Adopt the verified base group alongside the delta; the sweep prunes
     // whatever fails verification against the journaled base checksum.
-    // The base's compressed size is unknown after a crash (telemetry only)
-    // and so is the merged document's checksum: a zero sends the next
-    // swap-in down the verified fetch path.
+    // The merged document's checksum is unknown after a crash: a zero
+    // sends the next swap-in down the verified fetch path.
     info->base_replicas = std::move(base_intents);
     info->base_epoch = op.base_epoch;
     info->base_checksum = op.base_checksum;
@@ -1433,7 +1413,7 @@ void SwappingManager::RetireListedKeys(SwapClusterInfo* info,
   EnqueueOrphanDrops(info->base_replicas, report);
   info->replicas.clear();
   info->ClearBaseGroup();
-  info->swapped_oids.clear();
+  info->oids.clear();
   info->replacement = runtime::WeakRef();
   if (info->clean_image.has_value()) {
     for (const StoreGroup& group : info->clean_image->Groups())
@@ -1495,7 +1475,7 @@ const char* SwappingManager::RecoverTornSwapIn(
   info->dirty = true;
   info->replicas.clear();
   info->ClearBaseGroup();
-  info->swapped_oids.clear();
+  info->oids.clear();
   info->replacement = runtime::WeakRef();
   EnqueueOrphanDrops(stale, report);
   cache_.Invalidate(info->id);
@@ -1628,8 +1608,7 @@ void SwappingManager::VerifySwappedClusters(RecoveryReport* report) {
           // Corrupt bytes under a live key: reclaim them.
           ++stats_.data_loss_failovers;
           ++report->replicas_discarded;
-          if (EnqueuePendingDrop(replica.device, replica.key))
-            ++stats_.drops_deferred;
+          (void)EnqueuePendingDrop(replica.device, replica.key);
         }
       }
       *group.replicas = std::move(keep);
@@ -1665,8 +1644,7 @@ void SwappingManager::ReconcileCleanImages(RecoveryReport* report) {
     if (usable) continue;
     for (const StoreGroup& group : groups) {
       for (const ReplicaLocation& replica : *group.replicas)
-        if (EnqueuePendingDrop(replica.device, replica.key))
-          ++stats_.drops_deferred;
+        (void)EnqueuePendingDrop(replica.device, replica.key);
       if (tier_ != nullptr) tier_->Release(id, group.epoch, group.checksum);
     }
     info->clean_image.reset();
@@ -1689,8 +1667,7 @@ void SwappingManager::PruneUnconfirmed(std::vector<ReplicaLocation>& replicas,
       if (node != nullptr)
         keep = !node->crashed() && node->Contains(replica.key);
     }
-    if (!keep && EnqueuePendingDrop(replica.device, replica.key))
-      ++stats_.drops_deferred;
+    if (!keep) (void)EnqueuePendingDrop(replica.device, replica.key);
     return !keep;
   });
 }
@@ -1871,6 +1848,23 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
   return fault;
 }
 
+namespace {
+/// Fault points of the swap-out commit tail. A re-adopted clean image keeps
+/// its own names, so fault scripts can target either path.
+struct SwapOutPoints {
+  const char* build_replacement;
+  const char* patch_proxy;
+  const char* finalize;
+  const char* journal_commit;
+};
+constexpr SwapOutPoints kSwapOutPoints{
+    "swap_out.build_replacement", "swap_out.patch_proxy", "swap_out.finalize",
+    "swap_out.journal_commit"};
+constexpr SwapOutPoints kCleanSwapOutPoints{
+    "clean_swap_out.build_replacement", "clean_swap_out.patch_proxy",
+    "clean_swap_out.finalize", "clean_swap_out.journal_commit"};
+}  // namespace
+
 Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   Result<SwapKey> key = DetachCluster(id);
   // Committed: every inbound proxy now targets the replacement and the
@@ -1912,20 +1906,36 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
     return FailedPreconditionError("swap-cluster " + id.ToString() +
                                    " has no live members");
 
-  // Zero-transfer fast path: a cluster untouched since its last swap-in
-  // whose store copies still exist reuses them — no serialize, no compress,
-  // no bytes on the radio.
+  // The payload to install comes from one of three sources: the retained
+  // image of a cluster untouched since its last swap-in (zero transfer — no
+  // serialize, no compress, no bytes on the radio), a delta over the
+  // image's base document, or a full serialization. One commit tail
+  // follows; only a shipped payload runs the ship step.
+  std::vector<Object*> outbound;  // the replacement's proxies, ref order
+  std::optional<telemetry::ScopedSpan> clean_span;
   if (info->LoadedClean()) {
-    if (std::optional<Result<SwapKey>> fast = TryCleanSwapOut(info))
-      return *std::move(fast);
-    // The image was unusable (dead outbound proxy or every replica lost)
-    // and has been invalidated; fall through to a full serialize+ship.
+    clean_span.emplace(telemetry_, "clean_swap_out", "swap",
+                       telemetry::Hist(telemetry_, "clean_swap_out_us"));
+    // Nothing mutated yet: the cluster stays loaded and keeps its image.
+    OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("clean_swap_out.revalidate"));
+    // An unusable image (dead outbound proxy or every replica of a group
+    // lost) has been invalidated; fall through to a full serialize+ship.
+    if (!RevalidateCleanImage(info, outbound)) clean_span.reset();
   }
+  const bool clean = clean_span.has_value();
+  LocalScope scope(rt_.heap());
+  for (Object* proxy : outbound) scope.Add(proxy);
 
-  // Objects allocated inside a member's methods inherit the cluster label
-  // without explicit registration; fold every same-cluster object reachable
-  // from the registered members into the swap unit.
-  {
+  StoredPayload shipped;  // the payload a ship places (delta or full)
+  bool ship_delta = false;
+  serialization::SerializedCluster serialized;
+  std::string wire_doc;  // what actually goes on the link
+  std::string payload;   // wire_doc compressed
+  std::vector<ReplicaLocation> old_delta_group;  // superseded delta replicas
+  if (!clean) {
+    // Objects allocated inside a member's methods inherit the cluster label
+    // without explicit registration; fold every same-cluster object
+    // reachable from the registered members into the swap unit.
     std::unordered_set<const Object*> seen(members.begin(), members.end());
     for (size_t scan = 0; scan < members.size(); ++scan) {
       Object* member = members[scan];
@@ -1940,211 +1950,239 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
         info->members.push_back(rt_.heap().NewWeakRef(target));
       }
     }
-  }
-  LocalScope scope(rt_.heap());
-  for (Object* member : members) scope.Add(member);
+    for (Object* member : members) scope.Add(member);
 
-  // Serialize. External targets must be mediation machinery — a raw
-  // reference to another swap-cluster would violate the §3 invariant.
-  auto describe =
-      [](Object* external) -> Result<serialization::ExternalRef> {
-    if (external->kind() != ObjectKind::kSwapClusterProxy &&
-        external->kind() != ObjectKind::kReplicationProxy) {
-      return InternalError(
-          "raw cross-swap-cluster reference found during swap-out "
-          "(mediation invariant violated): target class " +
-          external->cls().name());
+    // Serialize. External targets must be mediation machinery — a raw
+    // reference to another swap-cluster would violate the §3 invariant.
+    auto describe =
+        [](Object* external) -> Result<serialization::ExternalRef> {
+      if (external->kind() != ObjectKind::kSwapClusterProxy &&
+          external->kind() != ObjectKind::kReplicationProxy) {
+        return InternalError(
+            "raw cross-swap-cluster reference found during swap-out "
+            "(mediation invariant violated): target class " +
+            external->cls().name());
+      }
+      serialization::ExternalRef ref;
+      ref.oid = external->oid();
+      ref.class_name = external->cls().name();
+      return ref;
+    };
+    {
+      telemetry::ScopedSpan span(
+          telemetry_, "serialize", "swap",
+          telemetry::Hist(telemetry_, "swap_out_serialize_us"));
+      OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.serialize"));
+      OBISWAP_ASSIGN_OR_RETURN(
+          serialized, SerializeForWire(id.value(), members, describe));
     }
-    serialization::ExternalRef ref;
-    ref.oid = external->oid();
-    ref.class_name = external->cls().name();
-    return ref;
-  };
-  serialization::SerializedCluster serialized;
-  {
-    telemetry::ScopedSpan span(
-        telemetry_, "serialize", "swap",
-        telemetry::Hist(telemetry_, "swap_out_serialize_us"));
-    OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.serialize"));
-    OBISWAP_ASSIGN_OR_RETURN(
-        serialized, SerializeForWire(id.value(), members, describe));
-  }
+    outbound = std::move(serialized.outbound);
 
-  // Delta attempt: a dirty cluster whose clean image was retained (delta
-  // mode) diffs the fresh document against the image's base document (still
-  // in the payload cache) and ships only the difference. The base replicas
-  // already on the stores are carried over; only the delta is placed.
-  bool ship_delta = false;
-  std::string wire_doc;  // what actually goes on the link
-  ConstStoreGroup base;  // the image's full-document group, when shipping
-  size_t ship_base_payload_bytes = 0;
-  std::vector<ReplicaLocation> base_group;       // carried base replicas
-  std::vector<ReplicaLocation> old_delta_group;  // superseded delta replicas
-  if (DeltaRetainsImages() && info->clean_image.has_value() &&
-      serialization::IsBinaryClusterPayload(serialized.payload)) {
-    const CleanImage& image = *info->clean_image;
-    OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.diff"));
-    const ConstStoreGroup document = image.Groups().back();
-    const std::string* cached = cache_.Get(id, document.epoch);
-    if (cached != nullptr && serialization::IsBinaryClusterPayload(*cached) &&
-        Adler32(*cached) == document.checksum) {
-      ++stats_.delta_base_cache_hits;
-      auto delta =
-          serialization::DiffClusterPayloads(*cached, serialized.payload);
-      if (delta.ok() && delta->size() < serialized.payload.size()) {
-        // Pre-ship insurance: the merged document must be byte-identical
-        // to the fresh serialization before the delta may replace it.
-        auto merged = serialization::ApplyClusterDelta(*cached, *delta);
-        if (merged.ok() && *merged == serialized.payload) {
-          ship_delta = true;
-          wire_doc = *std::move(delta);
-          base = document;
-          base_group = *document.replicas;
-          ship_base_payload_bytes = image.payload_bytes;
-          if (image.HasDelta()) {
-            ship_base_payload_bytes = image.base_payload_bytes;
-            old_delta_group = image.replicas;
+    // Delta attempt: a dirty cluster whose clean image was retained (delta
+    // mode) diffs the fresh document against the image's base document
+    // (still in the payload cache) and ships only the difference. The base
+    // replicas already on the stores are carried over; only the delta is
+    // placed.
+    if (DeltaRetainsImages() && info->clean_image.has_value() &&
+        serialization::IsBinaryClusterPayload(serialized.payload)) {
+      const CleanImage& image = *info->clean_image;
+      OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.diff"));
+      const ConstStoreGroup document = image.Groups().back();
+      const std::string* cached = cache_.Get(id, document.epoch);
+      if (cached != nullptr &&
+          serialization::IsBinaryClusterPayload(*cached) &&
+          Adler32(*cached) == document.checksum) {
+        ++stats_.delta_base_cache_hits;
+        auto delta =
+            serialization::DiffClusterPayloads(*cached, serialized.payload);
+        if (delta.ok() && delta->size() < serialized.payload.size()) {
+          // Pre-ship insurance: the merged document must be byte-identical
+          // to the fresh serialization before the delta may replace it.
+          auto merged = serialization::ApplyClusterDelta(*cached, *delta);
+          if (merged.ok() && *merged == serialized.payload) {
+            ship_delta = true;
+            wire_doc = *std::move(delta);
+            // The base document stays where it already is — the stores
+            // (and any tier entry) backing the image's document group,
+            // which may have no remote replica yet: the delta facet is
+            // marked by base_epoch, not by the list.
+            shipped.base_replicas = *document.replicas;
+            shipped.base_epoch = document.epoch;
+            shipped.base_checksum = document.checksum;
+            // The cache holds the fresh full document once committed; its
+            // own checksum is what the next swap-in's cache probe verifies.
+            shipped.merged_checksum = Adler32(serialized.payload);
+            if (image.HasDelta()) old_delta_group = image.replicas;
           }
         }
       }
+      if (!ship_delta) ++stats_.delta_fallbacks;
     }
-    if (!ship_delta) ++stats_.delta_fallbacks;
-  }
-  if (!ship_delta) wire_doc = serialized.payload;
+    if (!ship_delta) wire_doc = serialized.payload;
 
-  std::string payload;
-  {
-    telemetry::ScopedSpan span(
-        telemetry_, "compress", "swap",
-        telemetry::Hist(telemetry_, "swap_out_compress_us"));
-    OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.compress"));
-    const compress::Codec* codec = compress::FindCodec(options_.codec);
-    OBISWAP_ASSIGN_OR_RETURN(payload,
-                             compress::FrameCompress(*codec, wire_doc));
+    {
+      telemetry::ScopedSpan span(
+          telemetry_, "compress", "swap",
+          telemetry::Hist(telemetry_, "swap_out_compress_us"));
+      OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.compress"));
+      const compress::Codec* codec = compress::FindCodec(options_.codec);
+      OBISWAP_ASSIGN_OR_RETURN(payload,
+                               compress::FrameCompress(*codec, wire_doc));
+    }
+    // The incarnation NewReplacement starts serializes this payload. Its
+    // checksum is of the decompressed bytes actually shipped (delta or
+    // full) — what fetch verification and failover check replica by
+    // replica.
+    shipped.payload_epoch = info->swap_epoch + 1;
+    shipped.payload_checksum = Adler32(wire_doc);
+    shipped.payload_bytes = payload.size();
+    shipped.object_count = members.size();
+    shipped.oids.reserve(members.size());
+    for (Object* member : members) shipped.oids.push_back(member->oid());
   }
-  // Checksum of the decompressed bytes actually shipped (delta or full) —
-  // what fetch verification and failover check replica-by-replica.
-  const uint32_t wire_checksum = Adler32(wire_doc);
+  StoredPayload& source = clean ? *info->clean_image : shipped;
 
   // WAL boundary: the operation's identity (new epoch, checksum, member and
-  // proxy oids) is journaled before any side effect; each replica key is
-  // journaled — and persisted — before its store RPC, so an orphaned store
-  // entry is always reclaimable.
+  // proxy oids) is journaled before any side effect. A ship journals — and
+  // persists — each replica key before its store RPC, so an orphaned store
+  // entry is always reclaimable; a re-adoption journals up front the keys
+  // it is about to re-adopt, so a torn op's recovery knows them. A
+  // re-adopted delta image journals as a delta swap-out (the base fields
+  // tell recovery which base document the payload applies to).
   uint64_t seq = 0;
   if (journal_ != nullptr) {
     std::vector<uint64_t> member_oids;
-    member_oids.reserve(members.size());
-    for (Object* member : members)
-      member_oids.push_back(member->oid().value());
-    seq = journal_->BeginOp(
-        ship_delta ? IntentOp::kDeltaSwapOut : IntentOp::kSwapOut, id,
-        info->swap_epoch + 1, wire_checksum, std::move(member_oids),
-        LiveInboundProxyOids(id), base.epoch, base.checksum);
-  }
-  if (Status fault = CheckFaultPoint("swap_out.journal_begin"); !fault.ok()) {
-    // A clean (non-crash) error must seal the op or the dangling begin
-    // record would be persisted by a later operation and replayed.
-    if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
-    return fault;
-  }
-
-  // Tiered hierarchy: the payload lands in the fastest local tier with
-  // headroom; the remote replicas become write-back debt the durability
-  // sweep repays on its virtual-time ticks (remote stores stay the sole
-  // durability tier). A delta ship bypasses the tiers, which hold full
-  // documents only (a delta's base may be one of them).
-  bool tier_admitted = false;
-  SwapKey tier_key;
-  if (TierActive() && !ship_delta) {
-    Result<bool> admit =
-        TryTierAdmit(info, seq, wire_checksum, payload, &tier_key);
-    if (!admit.ok()) return admit.status();  // injected crash mid-admission
-    tier_admitted = *admit;
-  }
-
-  // Place the payload on up to `replication_factor` nearby stores, each on
-  // a distinct device under its own key ("stores the swapped objects in any
-  // nearby device with wireless connectivity and available storage"). The
-  // first placement is mandatory; extra replicas are best-effort durability
-  // against store departure. The local flash is last resort only — it is
-  // part of the device's own scarce resources.
-  // Brownout lowers the placement target; the shortfall is re-replication
-  // debt the DurabilityMonitor repays once the neighborhood recovers.
-  const size_t full_want = options_.replication_factor;
-  size_t want = EffectiveReplicationFactor();
-  std::vector<ReplicaLocation> placed;
-  telemetry::ScopedSpan ship_span(
-      telemetry_, "ship", "swap",
-      telemetry::Hist(telemetry_, "swap_out_ship_us"));
-  Status stored = OkStatus();
-  if (!tier_admitted) {
-    // A partial placement still completes the swap-out (under-replicated).
-    stored = PlaceReplicas(id, payload, want, placed, seq,
-                           "swap_out.ship_replica", op_begin_us);
-    if (crashed_) return stored;
-  }
-  if (!tier_admitted && placed.empty() && local_ != nullptr &&
-      local_->free_bytes() >= payload.size()) {
-    SwapKey key = NextKey();
-    if (journal_ != nullptr) {
-      journal_->NoteReplicaIntent(seq, local_->device(), key);
+    member_oids.reserve(source.oids.size());
+    for (ObjectId oid : source.oids) member_oids.push_back(oid.value());
+    const IntentOp op = source.HasDelta() ? IntentOp::kDeltaSwapOut
+                        : clean           ? IntentOp::kCleanSwapOut
+                                          : IntentOp::kSwapOut;
+    seq = journal_->BeginOp(op, id, info->swap_epoch + 1,
+                            source.payload_checksum, std::move(member_oids),
+                            LiveInboundProxyOids(id), source.base_epoch,
+                            source.base_checksum);
+    if (clean) {
+      for (const ReplicaLocation& replica : source.replicas)
+        journal_->NoteReplicaIntent(seq, replica.device, replica.key);
       (void)journal_->Persist();
     }
-    stored = CheckFaultPoint("swap_out.local_store");
-    if (stored.ok()) stored = local_->Store(key, payload);
-    if (crashed_) return stored;
-    if (stored.ok()) {
-      placed.push_back(ReplicaLocation{local_->device(), key});
-      ++stats_.local_swap_outs;
-    }
-  }
-  ship_span.Close();
-  if (!tier_admitted && placed.empty()) {
-    // Clean placement failure: every journaled key is known-unstored (the
-    // failed stores never recorded them); seal the op as unwound.
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
-    ++stats_.swap_out_failures;
-    if (stored.code() == StatusCode::kDeadlineExceeded)
-      ++stats_.deadline_aborts;
-    return stored;
-  }
-  if (tier_admitted) {
-    // Tier placement is not under-replication debt in the brownout sense:
-    // the write-back obligation is tracked by the tier's pinned entries
-    // and repaid by the durability sweep.
-    ++stats_.tier_swap_outs;
-  } else {
-    stats_.replicas_placed += placed.size();
-    // Under-replication is always measured against the configured K: a
-    // brownout placement at reduced K is still debt to repay.
-    if (placed.size() < full_want) ++stats_.under_replicated_outs;
-    if (brownout_ && want < full_want) ++stats_.brownout_swap_outs;
   }
 
+  bool tier_admitted = false;
+  SwapKey tier_key;
+  if (!clean) {
+    if (Status fault = CheckFaultPoint("swap_out.journal_begin");
+        !fault.ok()) {
+      // A clean (non-crash) error must seal the op or the dangling begin
+      // record would be persisted by a later operation and replayed.
+      if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
+      return fault;
+    }
+
+    // Tiered hierarchy: the payload lands in the fastest local tier with
+    // headroom; the remote replicas become write-back debt the durability
+    // sweep repays on its virtual-time ticks (remote stores stay the sole
+    // durability tier). A delta ship bypasses the tiers, which hold full
+    // documents only (a delta's base may be one of them).
+    if (TierActive() && !ship_delta) {
+      Result<bool> admit = TryTierAdmit(info, seq, shipped.payload_checksum,
+                                        payload, &tier_key);
+      if (!admit.ok()) return admit.status();  // injected crash mid-admission
+      tier_admitted = *admit;
+    }
+
+    // Place the payload on up to `replication_factor` nearby stores, each
+    // on a distinct device under its own key ("stores the swapped objects
+    // in any nearby device with wireless connectivity and available
+    // storage"). The first placement is mandatory; extra replicas are
+    // best-effort durability against store departure. The local flash is
+    // last resort only — it is part of the device's own scarce resources.
+    // Brownout lowers the placement target; the shortfall is
+    // re-replication debt the DurabilityMonitor repays once the
+    // neighborhood recovers.
+    const size_t full_want = options_.replication_factor;
+    size_t want = EffectiveReplicationFactor();
+    std::vector<ReplicaLocation>& placed = shipped.replicas;
+    telemetry::ScopedSpan ship_span(
+        telemetry_, "ship", "swap",
+        telemetry::Hist(telemetry_, "swap_out_ship_us"));
+    Status stored = OkStatus();
+    if (!tier_admitted) {
+      // A partial placement still completes the swap-out (under-replicated).
+      stored = PlaceReplicas(id, payload, want, placed, seq,
+                             "swap_out.ship_replica", op_begin_us);
+      if (crashed_) return stored;
+    }
+    if (!tier_admitted && placed.empty() && local_ != nullptr &&
+        local_->free_bytes() >= payload.size()) {
+      SwapKey key = NextKey();
+      if (journal_ != nullptr) {
+        journal_->NoteReplicaIntent(seq, local_->device(), key);
+        (void)journal_->Persist();
+      }
+      stored = CheckFaultPoint("swap_out.local_store");
+      if (stored.ok()) stored = local_->Store(key, payload);
+      if (crashed_) return stored;
+      if (stored.ok()) {
+        placed.push_back(ReplicaLocation{local_->device(), key});
+        ++stats_.local_swap_outs;
+      }
+    }
+    ship_span.Close();
+    if (!tier_admitted && placed.empty()) {
+      // Clean placement failure: every journaled key is known-unstored (the
+      // failed stores never recorded them); seal the op as unwound.
+      if (journal_ != nullptr) (void)journal_->Abort(seq);
+      ++stats_.swap_out_failures;
+      if (stored.code() == StatusCode::kDeadlineExceeded)
+        ++stats_.deadline_aborts;
+      return stored;
+    }
+    if (tier_admitted) {
+      // Tier placement is not under-replication debt in the brownout sense:
+      // the write-back obligation is tracked by the tier's pinned entries
+      // and repaid by the durability sweep.
+      ++stats_.tier_swap_outs;
+    } else {
+      stats_.replicas_placed += placed.size();
+      // Under-replication is always measured against the configured K: a
+      // brownout placement at reduced K is still debt to repay.
+      if (placed.size() < full_want) ++stats_.under_replicated_outs;
+      if (brownout_ && want < full_want) ++stats_.brownout_swap_outs;
+    }
+  }
+
+  // From here a re-adopted image is committed to: failures are real
+  // swap-out failures (the cluster stays loaded and keeps its image). The
+  // re-adoption keeps its own fault-point names and has no "patch" span
+  // (its whole op is the clean_swap_out span).
+  const SwapOutPoints& points = clean ? kCleanSwapOutPoints : kSwapOutPoints;
+  telemetry::Telemetry* const patch_telemetry = clean ? nullptr : telemetry_;
   telemetry::ScopedSpan patch_span(
-      telemetry_, "patch", "swap",
-      telemetry::Hist(telemetry_, "swap_out_patch_us"));
+      patch_telemetry, "patch", "swap",
+      telemetry::Hist(patch_telemetry, "swap_out_patch_us"));
   // Build the replacement-object: "simply an array of references ... filled
   // with references to every swap-cluster-proxy referenced by" the cluster.
-  Result<Object*> replacement = NewReplacement(
-      info, serialized.outbound, "swap_out.build_replacement", scope);
+  // A fresh swap incarnation, so stale replacement finalizers stay harmless.
+  Result<Object*> replacement =
+      NewReplacement(info, outbound, points.build_replacement, scope);
   Status patched = replacement.status();
   if (patched.ok()) {
     // Patch every inbound swap-cluster-proxy to target the replacement
     // ("every swap-cluster referencing objects contained in swap-cluster-2
     // will be made to reference ReplacementObject-2 instead").
     patched = PatchInbound(
-        id, [&](Object*) { return *replacement; }, "swap_out.patch_proxy",
-        "swap_out.finalize");
+        id, [&](Object*) { return *replacement; }, points.patch_proxy,
+        points.finalize);
   }
   if (!patched.ok()) {
     // A crash leaves the op torn for Recover(). A clean error (the patch
-    // already unwound) rolls back the store entries; the cluster stays
-    // loaded. Failed drops (store out of range) are queued for retry — a
-    // placed replica must never leak just because the rollback could not
-    // reach its store.
+    // already unwound) rolls back the placed store entries (none for a
+    // re-adoption); the cluster stays loaded. Failed drops (store out of
+    // range) are queued for retry — a placed replica must never leak just
+    // because the rollback could not reach its store.
     if (crashed_) return patched;
-    ReleaseReplicas(placed, /*count_as_drop=*/false);
+    ReleaseReplicas(shipped.replicas, /*count_as_drop=*/false);
     if (tier_admitted) tier_->Release(id);
     if (crashed_) return InternalError("simulated crash during rollback");
     if (journal_ != nullptr) (void)journal_->Abort(seq);
@@ -2154,59 +2192,50 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
   patch_span.Close();
 
   info->state = SwapState::kSwapped;
-  info->replicas = placed;
   info->replacement = rt_.heap().NewWeakRef(*replacement);
-  info->swapped_object_count = members.size();
-  info->swapped_payload_bytes = payload.size();
-  info->swapped_oids.clear();
-  info->swapped_oids.reserve(members.size());
-  for (Object* member : members) info->swapped_oids.push_back(member->oid());
-  info->payload_epoch = info->swap_epoch;
-  info->payload_checksum = wire_checksum;
-  info->ClearBaseGroup();
-  if (ship_delta) {
-    // `placed` hold the delta; the base document stays where it already
-    // was — the stores (and any tier entry) backing the retained image's
-    // document group. The group may have no remote replica yet: the delta
-    // facet is marked by base_epoch, not by the list.
-    info->base_replicas = std::move(base_group);
-    info->base_epoch = base.epoch;
-    info->base_checksum = base.checksum;
-    info->base_payload_bytes = ship_base_payload_bytes;
-    // The cache below holds the fresh full document; its own checksum is
-    // what the next swap-in's cache probe verifies.
-    info->merged_checksum = Adler32(serialized.payload);
-  }
-  ++info->swap_out_count;
+  // A re-adopted delta image keeps both groups (the stored payload is a
+  // delta against the base); the same payload epoch, so the store bytes and
+  // the cache entry still serve.
+  static_cast<StoredPayload&>(*info) = std::move(source);
+  if (clean) info->clean_image.reset();  // moved into the swapped state
+  info->dirty = true;
 
   // Commit-last: once this record persists, recovery treats the swap-out
   // as fully applied. A crash here replays as a torn (uncommitted) op and
   // rolls forward off the verified replicas.
-  OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.journal_commit"));
+  OBISWAP_RETURN_IF_ERROR(CheckFaultPoint(points.journal_commit));
   if (journal_ != nullptr) (void)journal_->Commit(seq);
 
-  // A retained (dirty) image is consumed now, after commit. Delta ship
-  // adopted its base group above and merely drops a superseded previous
-  // delta; a full ship supersedes the whole image (replicas released,
-  // cached base evicted).
+  // A shipped payload supersedes a retained (dirty) image, consumed now,
+  // after commit. A delta ship adopted its base group above and merely
+  // drops a superseded previous delta; a full ship supersedes the whole
+  // image (replicas released, cached base evicted).
   if (info->clean_image.has_value()) {
     if (ship_delta) {
       if (!old_delta_group.empty())
         JournaledRelease(id, old_delta_group, /*count_as_drop=*/false);
       info->clean_image.reset();
-      info->dirty_fields.clear();
     } else {
       InvalidateCleanImage(info, /*count_as_drop=*/false);
     }
   }
 
   ++stats_.swap_outs;
-  stats_.bytes_swapped_out += payload.size();
-  if (ship_delta) {
-    ++stats_.delta_swap_outs;
-    stats_.delta_bytes_shipped += payload.size();
-    // Uncompressed document bytes the delta kept off the serialize path.
-    stats_.delta_bytes_saved += serialized.payload.size() - wire_doc.size();
+  if (clean) {
+    if (info->replicas.size() < options_.replication_factor)
+      ++stats_.under_replicated_outs;
+    ++stats_.clean_swap_outs;
+    // Every replica a ship would have placed stayed put.
+    stats_.bytes_swap_transfer_saved +=
+        info->payload_bytes * info->replicas.size();
+  } else {
+    stats_.bytes_swapped_out += payload.size();
+    if (ship_delta) {
+      ++stats_.delta_swap_outs;
+      stats_.delta_bytes_shipped += payload.size();
+      // Uncompressed document bytes the delta kept off the serialize path.
+      stats_.delta_bytes_saved += serialized.payload.size() - wire_doc.size();
+    }
   }
   // A speculatively loaded cluster evicted before the application touched
   // it was a wasted guess.
@@ -2214,63 +2243,50 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
   // The decompressed payload just shipped is the likeliest next swap-in.
   // A delta ship caches the fresh full document it reconstructs (so the
   // next swap-in skips the link entirely) while pinning the base document
-  // at base_epoch — what the next delta swap-out diffs against.
-  if (!ship_delta) {
-    cache_.Put(id, info->payload_epoch, std::move(serialized.payload));
-  } else {
+  // at base_epoch — what the next delta swap-out diffs against. A
+  // re-adoption's cache entry is already the payload's.
+  if (ship_delta) {
     cache_.Put(id, info->payload_epoch, std::move(serialized.payload),
-               /*keep_epoch=*/base.epoch);
+               /*keep_epoch=*/info->base_epoch);
+  } else if (!clean) {
+    cache_.Put(id, info->payload_epoch, std::move(serialized.payload));
   }
   if (bus_ != nullptr) {
-    bus_->Publish(
-        context::Event(context::kEventClusterSwappedOut)
-            .Set("swap_cluster", static_cast<int64_t>(id.value()))
-            .Set("objects", static_cast<int64_t>(members.size()))
-            .Set("bytes", static_cast<int64_t>(payload.size()))
-            .Set("device",
-                 tier_admitted
-                     ? (tier_->flash_device().valid()
-                            ? static_cast<int64_t>(tier_->flash_device().value())
-                            : int64_t{0})
-                     : static_cast<int64_t>(placed.front().device.value()))
-            .Set("replicas", static_cast<int64_t>(placed.size()))
-            .Set("tier", tier_admitted ? int64_t{1} : int64_t{0})
-            .Set("delta", ship_delta ? int64_t{1} : int64_t{0}));
+    int64_t device = 0;
+    if (!tier_admitted) {
+      device = static_cast<int64_t>(info->replicas.front().device.value());
+    } else if (tier_->flash_device().valid()) {
+      device = static_cast<int64_t>(tier_->flash_device().value());
+    }
+    context::Event event(context::kEventClusterSwappedOut);
+    event.Set("swap_cluster", static_cast<int64_t>(id.value()))
+        .Set("objects", static_cast<int64_t>(info->object_count))
+        .Set("bytes", static_cast<int64_t>(payload.size()))
+        .Set("device", device)
+        .Set("replicas", static_cast<int64_t>(info->replicas.size()));
+    if (clean) {
+      event.Set("clean", int64_t{1});
+    } else {
+      event.Set("tier", tier_admitted ? int64_t{1} : int64_t{0})
+          .Set("delta", ship_delta ? int64_t{1} : int64_t{0});
+    }
+    bus_->Publish(event);
   }
   // The members are now detached from the application graph; SwapOut
   // frees them once this frame's LocalScope roots are gone.
-  return tier_admitted ? tier_key : placed.front().key;
+  return tier_admitted ? tier_key : info->replicas.front().key;
 }
 
-std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
-    SwapClusterInfo* info) {
-  telemetry::ScopedSpan span(
-      telemetry_, "clean_swap_out", "swap",
-      telemetry::Hist(telemetry_, "clean_swap_out_us"));
-  const SwapClusterId id = info->id;
+bool SwappingManager::RevalidateCleanImage(SwapClusterInfo* info,
+                                           std::vector<Object*>& outbound) {
   CleanImage& image = *info->clean_image;
-  if (Status fault = CheckFaultPoint("clean_swap_out.revalidate");
-      !fault.ok()) {
-    // Nothing mutated yet: the cluster stays loaded and keeps its image.
-    return Result<SwapKey>(fault);
-  }
-
   // The retained payload resolves its external references by index through
   // the outbound proxies recorded at serialization time; if any has been
   // collected, the image can no longer back a replacement.
-  LocalScope scope(rt_.heap());
-  std::vector<Object*> outbound;
-  outbound.reserve(image.outbound.size());
-  for (const runtime::WeakRef& weak : image.outbound) {
-    Object* proxy = weak->get();
-    if (proxy == nullptr) {
-      InvalidateCleanImage(info, /*count_as_drop=*/false);
-      return std::nullopt;
-    }
-    scope.Add(proxy);
-    outbound.push_back(proxy);
-  }
-
+  for (const runtime::WeakRef& weak : image.outbound)
+    outbound.push_back(weak->get());
+  bool usable = std::find(outbound.begin(), outbound.end(), nullptr) ==
+                outbound.end();
   // Revalidate the store entries: churn since the swap-in may have eaten
   // them without a departure event reaching us. A replica that cannot be
   // confirmed keeps its drop obligation (the store may merely be out of
@@ -2278,94 +2294,14 @@ std::optional<Result<SwapKey>> SwappingManager::TryCleanSwapOut(
   // invalidation. A delta image needs BOTH groups alive: the delta payload
   // is useless without its base document.
   for (const StoreGroup& group : image.Groups()) {
+    if (!usable) break;
     PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/false);
-    if (group.replicas->empty()) {
-      InvalidateCleanImage(info, /*count_as_drop=*/false);
-      return std::nullopt;
-    }
+    usable = !group.replicas->empty();
   }
-
-  // WAL boundary: a clean swap-out re-uses existing store bytes, so the
-  // journaled intents are the retained image's replicas — a torn op's
-  // recovery must know which keys the cluster was about to re-adopt.
-  uint64_t seq = 0;
-  if (journal_ != nullptr) {
-    std::vector<uint64_t> member_oids;
-    member_oids.reserve(image.oids.size());
-    for (ObjectId oid : image.oids) member_oids.push_back(oid.value());
-    // Re-adopting a delta image journals as a delta swap-out (the base
-    // fields tell recovery which base document the payload applies to);
-    // the intents are the delta replicas being re-adopted.
-    seq = journal_->BeginOp(
-        image.HasDelta() ? IntentOp::kDeltaSwapOut : IntentOp::kCleanSwapOut,
-        id, info->swap_epoch + 1, image.payload_checksum,
-        std::move(member_oids), LiveInboundProxyOids(id), image.base_epoch,
-        image.base_checksum);
-    for (const ReplicaLocation& replica : image.replicas)
-      journal_->NoteReplicaIntent(seq, replica.device, replica.key);
-    (void)journal_->Persist();
-  }
-
-  // From here the image is usable: failures are real swap-out failures,
-  // not fall-through-to-full-path conditions (the cluster stays loaded and
-  // keeps its image). A fresh swap incarnation (stale replacement
-  // finalizers stay harmless), same payload epoch: the store bytes and the
-  // cache entry still serve.
-  Result<Object*> replacement = NewReplacement(
-      info, outbound, "clean_swap_out.build_replacement", scope);
-  Status patched = replacement.status();
-  if (patched.ok()) {
-    patched = PatchInbound(
-        id, [&](Object*) { return *replacement; },
-        "clean_swap_out.patch_proxy", "clean_swap_out.finalize");
-  }
-  if (!patched.ok()) {
-    if (crashed_) return Result<SwapKey>(patched);
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
-    ++stats_.swap_out_failures;
-    return Result<SwapKey>(patched);
-  }
-
-  info->state = SwapState::kSwapped;
-  // Both groups of a delta image are re-adopted (the stored payload is a
-  // delta against the base); a plain image clears the delta facet.
-  static_cast<StoredPayload&>(*info) = std::move(image);
-  info->replacement = rt_.heap().NewWeakRef(*replacement);
-  info->swapped_object_count = image.object_count;
-  info->swapped_payload_bytes = image.payload_bytes;
-  info->swapped_oids = std::move(image.oids);
-  ++info->swap_out_count;
-  info->clean_image.reset();  // `image` is dead from here
-  info->dirty_fields.clear();
-  info->dirty = true;
-
-  if (Status fault = CheckFaultPoint("clean_swap_out.journal_commit");
-      !fault.ok()) {
-    return Result<SwapKey>(fault);
-  }
-  if (journal_ != nullptr) (void)journal_->Commit(seq);
-
-  if (info->replicas.size() < options_.replication_factor)
-    ++stats_.under_replicated_outs;
-  ++stats_.swap_outs;
-  ++stats_.clean_swap_outs;
-  NotePrefetchDiscard(id);
-  // Every replica the full path would have re-shipped stayed put.
-  stats_.bytes_swap_transfer_saved +=
-      info->swapped_payload_bytes * info->replicas.size();
-  if (bus_ != nullptr) {
-    bus_->Publish(
-        context::Event(context::kEventClusterSwappedOut)
-            .Set("swap_cluster", static_cast<int64_t>(id.value()))
-            .Set("objects",
-                 static_cast<int64_t>(info->swapped_object_count))
-            .Set("bytes", int64_t{0})
-            .Set("device",
-                 static_cast<int64_t>(info->replicas.front().device.value()))
-            .Set("replicas", static_cast<int64_t>(info->replicas.size()))
-            .Set("clean", int64_t{1}));
-  }
-  return Result<SwapKey>(info->replicas.front().key);
+  if (usable) return true;
+  outbound.clear();
+  InvalidateCleanImage(info, /*count_as_drop=*/false);
+  return false;
 }
 
 Result<SwapClusterId> SwappingManager::SwapOutVictim() {
@@ -2553,9 +2489,8 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   uint64_t seq = 0;
   if (journal_ != nullptr) {
     std::vector<uint64_t> member_oids;
-    member_oids.reserve(info->swapped_oids.size());
-    for (ObjectId oid : info->swapped_oids)
-      member_oids.push_back(oid.value());
+    member_oids.reserve(info->oids.size());
+    for (ObjectId oid : info->oids) member_oids.push_back(oid.value());
     seq = journal_->BeginOp(IntentOp::kSwapIn, id, info->swap_epoch,
                             info->payload_checksum, std::move(member_oids),
                             LiveInboundProxyOids(id));
@@ -2636,9 +2571,6 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // swap-out diffs against that same base.
     CleanImage image;
     static_cast<StoredPayload&>(image) = std::move(*info);
-    image.payload_bytes = info->swapped_payload_bytes;
-    image.object_count = info->swapped_object_count;
-    image.oids = std::move(info->swapped_oids);
     image.outbound = std::move(outbound_refs);
     info->clean_image = std::move(image);
     info->dirty = false;
@@ -2663,10 +2595,8 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   info->state = SwapState::kLoaded;
   info->replicas.clear();
   info->ClearBaseGroup();
-  info->dirty_fields.clear();
   info->replacement = runtime::WeakRef();
-  info->swapped_oids.clear();
-  ++info->swap_in_count;
+  info->oids.clear();
   registry_.RecordCrossing(id, ++crossing_seq_);
 
   OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_in.journal_commit"));
@@ -2681,12 +2611,12 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   if (from_cache) {
     ++stats_.cache_hits;
     // The compressed payload would otherwise have crossed the radio.
-    stats_.bytes_swap_transfer_saved += info->swapped_payload_bytes;
+    stats_.bytes_swap_transfer_saved += info->payload_bytes;
   } else if (from_tier) {
     ++stats_.tier_swap_ins;
     // Tier bytes never touch the radio either; per-tier hit counters live
     // in the TierManager's own stats.
-    stats_.bytes_swap_transfer_saved += info->swapped_payload_bytes;
+    stats_.bytes_swap_transfer_saved += info->payload_bytes;
     cache_.Put(id, info->payload_epoch, std::move(fetched->decompressed));
   } else {
     stats_.bytes_swapped_in += fetched->stored.size();
@@ -2830,8 +2760,7 @@ void SwappingManager::set_replication_factor(size_t k) {
 
 bool SwappingManager::AnyStoreReachable() const {
   if (store_ != nullptr && discovery_ != nullptr &&
-      !discovery_->NearbyStores(store_->self(), options_.store_min_free_bytes)
-           .empty()) {
+      !discovery_->NearbyStores(store_->self()).empty()) {
     return true;
   }
   return local_ != nullptr && local_->free_bytes() > 0;
@@ -2873,7 +2802,7 @@ Status SwappingManager::PlaceReplicas(SwapClusterId id,
                                       uint64_t journal_seq,
                                       const char* fault_point,
                                       std::optional<uint64_t> op_begin_us) {
-  const size_t need = std::max(payload.size(), options_.store_min_free_bytes);
+  const size_t need = payload.size();
   Status last = UnavailableError("no nearby store device with " +
                                  FormatBytes(need) + " free");
   if (store_ == nullptr || discovery_ == nullptr) return last;
@@ -2899,8 +2828,7 @@ Status SwappingManager::PlaceReplicas(SwapClusterId id,
   size_t consecutive_failures = 0;
   for (net::StoreNode* candidate : candidates) {
     if (group.size() >= want) break;
-    if (consecutive_failures >= options_.max_consecutive_store_failures)
-      break;
+    if (consecutive_failures >= kMaxConsecutiveStoreFailures) break;
     const DeviceId device = candidate->device();
     if (std::any_of(group.begin(), group.end(),
                     [&](const ReplicaLocation& replica) {
@@ -3002,8 +2930,7 @@ void SwappingManager::ReleaseReplicas(
         net::IsPushback(dropped)) {
       // Store out of range (or shedding maintenance load) right now: park
       // the obligation; the queue drains on a later poll or reconnection.
-      if (EnqueuePendingDrop(replica.device, replica.key))
-        ++stats_.drops_deferred;
+      (void)EnqueuePendingDrop(replica.device, replica.key);
     } else {
       OBISWAP_LOG(kWarn) << "store drop failed: " << dropped.ToString();
     }
@@ -3206,8 +3133,7 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
       if (crashed_) return dropped;
       if (dropped.ok()) dropped = DropAt(old.device, old.key);
       if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
-        if (EnqueuePendingDrop(old.device, old.key))
-          ++stats_.drops_deferred;
+        (void)EnqueuePendingDrop(old.device, old.key);
       }
       if (journal_ != nullptr) (void)journal_->Commit(seq);
       ++cluster_moved;

@@ -81,8 +81,6 @@ class SwappingManager final : public runtime::Interceptor,
     /// rather than invalidating it. Policy: "set-wire-format" param
     /// "delta".
     bool delta_swap_out = false;
-    /// Free bytes a store must advertise before being chosen.
-    size_t store_min_free_bytes = 0;
     /// Stores a swap-out places the payload on (K, distinct devices).
     /// Nearby stores wander off permanently, so K > 1 buys durability at
     /// the cost of K transfers per swap-out. The first placement must
@@ -96,12 +94,6 @@ class SwappingManager final : public runtime::Interceptor,
     /// decompress). 0 disables — the cache competes with the application
     /// heap. Adaptable via the "set-swap-cache-bytes" policy action.
     size_t swap_in_cache_bytes = 0;
-    /// Swap-out placement gives up after this many consecutive failed
-    /// store attempts (stores that advertise space but fail the write —
-    /// crashed, racing another device, flaky link). Successes reset the
-    /// count. Guards against walking an arbitrarily long candidate list
-    /// when the neighborhood is sick.
-    size_t max_consecutive_store_failures = 4;
     /// Hedged failover fetch: a demand swap-in whose first replica fetch
     /// exceeds the HealthTracker's p95-derived hedge deadline abandons it
     /// and tries the next healthy replica immediately, instead of waiting
@@ -114,20 +106,27 @@ class SwappingManager final : public runtime::Interceptor,
     /// intent cleanly, rather than stacking worst-case retries across K
     /// replicas. Policy: "set-op-deadline".
     uint64_t op_deadline_us = 0;
-    /// Effective replication factor while in brownout (floored at 1):
-    /// degraded placement ships fewer copies now and queues the re-
-    /// replication debt for the DurabilityMonitor to repay on recovery.
-    size_t brownout_replication_factor = 1;
-    /// Bound on the deferred-drop retry queue. At the cap the oldest
-    /// obligation is evicted (counted as pending_drop_overflow) — a store
-    /// that never returns must not grow the queue forever.
-    size_t max_pending_drops = 1024;
     /// AIMD pacing of tier write-backs (ReReplicate's tier-sourced branch):
     /// each durability poll is one window; write-backs past the cap wait
     /// for the next poll, and store pushback halves the cap. Disabled by
     /// default — byte-parity.
     AimdPacer::Options write_back_pacer;
   };
+
+  /// Placement gives up after this many consecutive failed store attempts
+  /// (stores that advertise space but fail the write — crashed, racing
+  /// another device, flaky link). Successes reset the count. Guards against
+  /// walking an arbitrarily long candidate list when the neighborhood is
+  /// sick.
+  static constexpr size_t kMaxConsecutiveStoreFailures = 4;
+  /// Replicas a swap-out places while in brownout: degraded placement ships
+  /// fewer copies now and queues the re-replication debt for the
+  /// DurabilityMonitor to repay on recovery.
+  static constexpr size_t kBrownoutReplicationFactor = 1;
+  /// Bound on the deferred-drop retry queue. At the cap the oldest
+  /// obligation is evicted (counted as pending_drop_overflow) — a store
+  /// that never returns must not grow the queue forever.
+  static constexpr size_t kMaxPendingDrops = 1024;
 
   struct Stats {
     uint64_t proxies_created = 0;
@@ -292,12 +291,14 @@ class SwappingManager final : public runtime::Interceptor,
   const SwapClusterRegistry& registry() const { return registry_; }
 
   // --- swapping ----------------------------------------------------------------
-  /// Detaches swap-cluster `id`, ships its XML to up to
-  /// `replication_factor` nearby stores (distinct devices, local flash only
-  /// as last resort), installs the replacement-object and patches inbound
-  /// proxies. Returns the primary replica's store key. Once the swap-out
-  /// has committed, the detached members are freed at once
-  /// (Heap::Reclaim), so used_bytes() drops before this returns and
+  /// Detaches swap-cluster `id`: installs a payload, builds the
+  /// replacement-object and patches inbound proxies to it. The payload is
+  /// the retained clean image when one still backs the cluster (zero
+  /// transfer), else a delta over the image's base or the full document,
+  /// shipped to up to `replication_factor` nearby stores (distinct devices,
+  /// local flash only as last resort). Returns the primary replica's store
+  /// key. Once the swap-out has committed, the detached members are freed
+  /// at once (Heap::Reclaim), so used_bytes() drops before this returns and
   /// unrooted Object* pointers into the cluster die here. A local or root
   /// still holding a member leaves them to the next collection.
   Result<SwapKey> SwapOut(SwapClusterId id);
@@ -429,7 +430,7 @@ class SwappingManager final : public runtime::Interceptor,
   bool AnyStoreReachable() const;
 
   // --- degraded mode (brownout) ---------------------------------------------
-  /// Enters brownout: swap-outs place only brownout_replication_factor
+  /// Enters brownout: swap-outs place only kBrownoutReplicationFactor
   /// replicas (the shortfall is queued as re-replication debt), victim
   /// selection prefers clusters with a retained clean image (zero-transfer
   /// swap-out), and the DurabilityMonitor defers its re-replication sweep.
@@ -443,8 +444,7 @@ class SwappingManager final : public runtime::Interceptor,
   void ExitBrownout();
   bool brownout() const { return brownout_; }
   /// Replicas a swap-out aims for right now: replication_factor normally,
-  /// min(replication_factor, brownout_replication_factor) in brownout
-  /// (both floored at 1).
+  /// min(replication_factor, kBrownoutReplicationFactor) in brownout.
   size_t EffectiveReplicationFactor() const;
 
   /// Runtime toggles for the degraded-mode machinery (policy targets).
@@ -704,7 +704,7 @@ class SwappingManager final : public runtime::Interceptor,
   /// candidate list per walk — the directory rank for cluster `id`, else
   /// nearby stores most-free-first; healthy stores first either way. A key
   /// minted for a failed attempt is reused for the next candidate, and
-  /// `max_consecutive_store_failures` failures in a row end the walk. Each
+  /// kMaxConsecutiveStoreFailures failures in a row end the walk. Each
   /// key is journaled under `journal_seq` (0 = unjournaled) before its
   /// StoreAt write, `fault_point` is consulted before each attempt, and
   /// with `op_begin_us` set the operation's budget caps the walk. OK once
@@ -794,10 +794,13 @@ class SwappingManager final : public runtime::Interceptor,
                       const char* patch_point, const char* finalize_point);
   /// SwapOut up to its commit: everything but freeing the members.
   Result<SwapKey> DetachCluster(SwapClusterId id);
-  /// The zero-transfer swap-out fast path. nullopt = image unusable
-  /// (invalidated; caller falls through to the full serialize+ship path);
-  /// otherwise the definitive swap-out result.
-  std::optional<Result<SwapKey>> TryCleanSwapOut(SwapClusterInfo* info);
+  /// Whether `info`'s retained clean image can still back a zero-transfer
+  /// swap-out: every outbound proxy alive (appended to `outbound`, in
+  /// external-ref order) and every store group confirmed by
+  /// PruneUnconfirmed. An unusable image is invalidated and `outbound` left
+  /// empty.
+  bool RevalidateCleanImage(SwapClusterInfo* info,
+                            std::vector<runtime::Object*>& outbound);
 
   // --- binary delta internals -----------------------------------------------
   /// True when member writes should retain (not invalidate) clean images:
@@ -822,9 +825,9 @@ class SwappingManager final : public runtime::Interceptor,
     SwapKey key;
   };
 
-  /// Queues a drop obligation (deduplicated; bounded by max_pending_drops
-  /// — at the cap the oldest entry is evicted and counted). Returns true
-  /// if the obligation was newly queued.
+  /// Queues a drop obligation (deduplicated; bounded by kMaxPendingDrops
+  /// — at the cap the oldest entry is evicted and counted). Returns true,
+  /// and counts stats_.drops_deferred, if the obligation was newly queued.
   bool EnqueuePendingDrop(DeviceId device, SwapKey key);
 
   /// Remaining virtual time of the operation that started at

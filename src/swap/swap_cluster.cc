@@ -65,7 +65,6 @@ void StoredPayload::ClearBaseGroup() {
   base_replicas.clear();
   base_epoch = 0;
   base_checksum = 0;
-  base_payload_bytes = 0;
   merged_checksum = 0;
 }
 

@@ -76,9 +76,10 @@ class StoreGroups {
   size_t size_ = 0;
 };
 
-/// A payload held by the stores: its replica group and identity, plus the
-/// base group when the payload is a delta. A swapped cluster holds one
-/// (SwapClusterInfo derives from it) and so does a retained CleanImage.
+/// A payload held by the stores: its replica group, identity and the
+/// members it serializes, plus the base group when the payload is a delta.
+/// A swapped cluster holds one (SwapClusterInfo derives from it) and so does
+/// a retained CleanImage; swap-in and the re-swap-outs move it whole.
 struct StoredPayload {
   /// The payload's store entries, in placement order (first = primary).
   /// Departure and re-replication mutate the list in place.
@@ -89,6 +90,12 @@ struct StoredPayload {
   uint64_t payload_epoch = 0;
   /// Frame checksum (Adler-32 of the decompressed payload).
   uint32_t payload_checksum = 0;
+  size_t payload_bytes = 0;  ///< compressed size on the store
+  size_t object_count = 0;   ///< members the payload serializes
+  /// Identity of the serialized members, document order. While swapped
+  /// these objects are *held* by the device (on the store) even though not
+  /// resident — DGC must not release them to the server.
+  std::vector<ObjectId> oids;
 
   // --- delta facet (binary wire format + delta swap-out only) --------------
   /// When the payload is an OSWD delta, `replicas` above hold the delta
@@ -97,9 +104,8 @@ struct StoredPayload {
   /// one fact that marks a delta; the base list may be empty while a local
   /// tier holds the only base copy.
   std::vector<ReplicaLocation> base_replicas;
-  uint64_t base_epoch = 0;        ///< payload epoch of the base document
-  uint32_t base_checksum = 0;     ///< Adler-32 of the decompressed base
-  size_t base_payload_bytes = 0;  ///< compressed base size on the store
+  uint64_t base_epoch = 0;     ///< payload epoch of the base document
+  uint32_t base_checksum = 0;  ///< Adler-32 of the decompressed base
   /// Adler-32 of the full merged document the delta reconstructs (the
   /// payload-cache copy of the merged text); 0 when unknown (e.g. after a
   /// crash recovery, which cannot recompute it) — a zero never matches, so
@@ -128,10 +134,6 @@ struct StoredPayload {
 /// Under delta swap-out it survives member writes (dirty, but diffable):
 /// the next swap-out diffs against its full document.
 struct CleanImage : StoredPayload {
-  size_t payload_bytes = 0;  ///< compressed size on the store
-  size_t object_count = 0;
-  /// Identity of the serialized members, document order.
-  std::vector<ObjectId> oids;
   /// The outbound swap-cluster-proxies of the serialized document, in
   /// external-ref index order (the payload resolves references by index).
   /// Weak: if any dies, the image can no longer back a replacement.
@@ -155,26 +157,17 @@ struct SwapClusterInfo : StoredPayload {
   uint64_t last_crossing_seq = 0;  ///< logical time of last crossing
 
   // --- swapped state -------------------------------------------------------
-  // The StoredPayload base says where the payload lives while swapped
-  // (empty while loaded).
+  // The StoredPayload base says where the payload lives and what it holds
+  // while swapped (no replicas or oids while loaded).
   /// Monotonic swap incarnation: bumped by every swap-out, recorded in the
   /// replacement-object, so a stale replacement finalizer (from a previous
   /// swap of the same cluster) never drops the current replicas.
   uint64_t swap_epoch = 0;
-  runtime::WeakRef replacement;       ///< the stand-in, while swapped
-  size_t swapped_object_count = 0;
-  size_t swapped_payload_bytes = 0;
-  /// Identity of the members while swapped: these objects are *held* by the
-  /// device (on the store) even though not resident — DGC must not release
-  /// them to the server.
-  std::vector<ObjectId> swapped_oids;
+  runtime::WeakRef replacement;  ///< the stand-in, while swapped
 
   bool DeltaSwapped() const {
     return state == SwapState::kSwapped && HasDelta();
   }
-
-  uint64_t swap_out_count = 0;
-  uint64_t swap_in_count = 0;
 
   // --- clean-image facet ---------------------------------------------------
   /// Set by the first member write since the last swap round-trip (the
@@ -186,13 +179,6 @@ struct SwapClusterInfo : StoredPayload {
   /// Under delta swap-out the image survives member writes (dirty=true,
   /// image retained) so the next swap-out can diff against its base.
   std::optional<CleanImage> clean_image;
-
-  /// Which fields have been written since the image was captured, per
-  /// member oid: bit `min(slot, 63)` per written slot, all-ones when the
-  /// slot is unknown (reference stores mediated without a slot). Purely a
-  /// telemetry/gating signal — the delta itself is computed document-to-
-  /// document, so this never affects correctness. Cleared with the image.
-  std::unordered_map<uint64_t, uint64_t> dirty_fields;
 
   /// The loaded-clean facet: resident, untouched, image still live.
   bool LoadedClean() const {

@@ -337,8 +337,9 @@ TEST(ChurnChaosTest, LossyLinksAndChurningStoresLoseNoDataWithTwoReplicas) {
         SwapClusterId id = clusters[rng.NextBelow(clusters.size())];
         if (world.manager.StateOf(id) == swap::SwapState::kSwapped) {
           Status status = world.manager.SwapIn(id);
-          if (!status.ok())
+          if (!status.ok()) {
             ASSERT_EQ(status.code(), StatusCode::kUnavailable);
+          }
         }
         break;
       }

@@ -30,14 +30,6 @@ swap::SwappingManager::Options TwoReplicaOptions() {
   return options;
 }
 
-/// The StoreNode a world-owned store list holds for `device`.
-net::StoreNode* NodeFor(MiddlewareWorld& world, DeviceId device) {
-  for (auto& store : world.stores) {
-    if (store->device() == device) return store.get();
-  }
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // HealthTracker unit tests (virtual clock, no network)
 // ---------------------------------------------------------------------------
@@ -392,16 +384,17 @@ TEST(DegradedSwapTest, BrownoutPrefersCleanImageVictims) {
 }
 
 TEST(DegradedSwapTest, PendingDropQueueBoundedOnPermanentDeparture) {
-  swap::SwappingManager::Options options;
-  options.max_pending_drops = 4;
-  MiddlewareWorld world(options);
+  constexpr size_t kCap = swap::SwappingManager::kMaxPendingDrops;
+  MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
-  world.AddStore(2, 1 << 20);
+  world.AddStore(2, 64 << 20);
   swap::DurabilityMonitor monitor(world.manager, world.discovery,
                                   MiddlewareWorld::kDevice, world.bus);
-  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
-                                     kListLength, 2, "head");
-  ASSERT_EQ(clusters.size(), 6u);
+  // Two more single-replica clusters than the queue holds.
+  auto clusters =
+      BuildClusteredList(world.rt, world.manager, node_cls,
+                         static_cast<int>(2 * (kCap + 2)), 2, "head");
+  ASSERT_EQ(clusters.size(), kCap + 2);
   for (SwapClusterId id : clusters)
     ASSERT_TRUE(world.manager.SwapOut(id).ok());
 
@@ -410,14 +403,14 @@ TEST(DegradedSwapTest, PendingDropQueueBoundedOnPermanentDeparture) {
   world.network.SetOnline(DeviceId(2), false);
   for (int i = 0; i < 3; ++i) monitor.Poll();
   EXPECT_EQ(monitor.stats().stores_departed, 1u);
-  EXPECT_EQ(monitor.stats().replicas_lost, 6u);
+  EXPECT_EQ(monitor.stats().replicas_lost, kCap + 2);
   // The queue holds the cap; the oldest obligations were evicted, counted.
-  EXPECT_EQ(world.manager.pending_drop_count(), 4u);
+  EXPECT_EQ(world.manager.pending_drop_count(), kCap);
   EXPECT_EQ(world.manager.stats().pending_drop_overflow, 2u);
 
   // Further polls must not grow it.
   for (int i = 0; i < 5; ++i) monitor.Poll();
-  EXPECT_LE(world.manager.pending_drop_count(), 4u);
+  EXPECT_LE(world.manager.pending_drop_count(), kCap);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +445,41 @@ TEST(DegradedPolicyTest, DegradedKnobsAreActionTargets) {
   fire("set-brownout", "enabled", "0");
   EXPECT_FALSE(world.manager.brownout());
   EXPECT_EQ(engine.stats().action_failures, 0u);
+}
+
+TEST(DegradedPolicyTest, SetWireFormatAppliesBothParamsOrNeither) {
+  MiddlewareWorld world;
+  context::PropertyRegistry props;
+  policy::PolicyEngine engine(world.bus, props);
+  ASSERT_TRUE(
+      policy::RegisterSwapActions(engine, world.rt, world.manager).ok());
+
+  int fired = 0;
+  auto fire = [&](const std::string& format, const char* delta) {
+    policy::PolicyRule rule;
+    rule.name = "wire-rule-" + std::to_string(fired);
+    rule.on_event = "wire-" + std::to_string(fired);
+    rule.action = "set-wire-format";
+    rule.params["format"] = format;
+    if (delta != nullptr) rule.params["delta"] = delta;
+    ASSERT_TRUE(engine.AddRule(std::move(rule)).ok());
+    world.bus.Publish(context::Event("wire-" + std::to_string(fired++)));
+  };
+
+  fire("msgpack", nullptr);  // unknown format: nothing changes
+  EXPECT_EQ(world.manager.wire_format(), "xml");
+  EXPECT_FALSE(world.manager.delta_swap_out());
+  EXPECT_EQ(engine.stats().action_failures, 1u);
+
+  fire("binary", "x");  // bad delta: the format must not switch either
+  EXPECT_EQ(world.manager.wire_format(), "xml");
+  EXPECT_FALSE(world.manager.delta_swap_out());
+  EXPECT_EQ(engine.stats().action_failures, 2u);
+
+  fire("binary", "1");
+  EXPECT_EQ(world.manager.wire_format(), "binary");
+  EXPECT_TRUE(world.manager.delta_swap_out());
+  EXPECT_EQ(engine.stats().action_failures, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -408,6 +408,44 @@ TEST(DurabilityMonitorTest, DeltaBaseGroupIsMaintainedUnderChurn) {
   EXPECT_EQ(*SumList(world.rt, "head"), kListSum + 100);
 }
 
+TEST(DurabilityMonitorTest, EveryParkedDropIsCountedAsDeferred) {
+  // A departed store's orphaned keys are parked by ForgetReplica and
+  // drained once it returns: every obligation the queue ever held is
+  // counted in drops_deferred and leaves it drained, evicted, or not yet.
+  MiddlewareWorld world(TwoReplicaOptions());
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  for (uint32_t id = 2; id <= 4; ++id) world.AddStore(id, 1 << 20);
+  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
+                                     kListLength, 4, "head");
+  for (SwapClusterId id : clusters)
+    ASSERT_TRUE(world.manager.SwapOut(id).ok());
+  swap::DurabilityMonitor monitor(world.manager, world.discovery,
+                                  MiddlewareWorld::kDevice, world.bus);
+  auto poll_balanced = [&](int poll) {
+    monitor.Poll();
+    const swap::SwappingManager::Stats& stats = world.manager.stats();
+    EXPECT_EQ(stats.drops_deferred,
+              stats.drops_drained + stats.pending_drop_overflow +
+                  world.manager.pending_drop_count())
+        << "after poll " << poll;
+  };
+  int poll = 0;
+  poll_balanced(poll++);
+  const DeviceId lost =
+      world.manager.registry().Find(clusters[0])->replicas[0].device;
+  world.network.SetOnline(lost, false);
+  for (int i = 0; i < 3; ++i) poll_balanced(poll++);
+  EXPECT_EQ(monitor.stats().stores_departed, 1u);
+  EXPECT_GT(world.manager.stats().replicas_forgotten, 0u);
+  EXPECT_GT(world.manager.pending_drop_count(), 0u);
+
+  world.network.SetOnline(lost, true);
+  for (int i = 0; i < 2; ++i) poll_balanced(poll++);
+  EXPECT_EQ(world.manager.pending_drop_count(), 0u);
+  EXPECT_EQ(world.manager.stats().drops_drained,
+            world.manager.stats().replicas_forgotten);
+}
+
 // The reverse index learns about replica changes only from the bus, so
 // the manager's maintenance paths must publish even when called directly.
 

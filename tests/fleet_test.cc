@@ -271,7 +271,7 @@ constexpr const char* kLegacyStatsJson =
     R"("under_replicated_outs":0,"failover_fetches":0,)"
     R"("data_loss_failovers":0,"replicas_forgotten":2,)"
     R"("re_replications":2,"bytes_re_replicated":2910,)"
-    R"("evacuated_replicas":0,"drops_deferred":0,"drops_drained":0,)"
+    R"("evacuated_replicas":0,"drops_deferred":2,"drops_drained":0,)"
     R"("clean_swap_outs":0,"clean_image_invalidations":1,)"
     R"("clean_images_reaped":0,"cache_hits":0,)"
     R"("bytes_swap_transfer_saved":0,"prefetched_swap_ins":0,)"

@@ -466,13 +466,14 @@ TEST_F(SwapFixture, FailedStoreAttemptReusesTheMintedKey) {
 
 TEST(SwapPlacementTest, SwapOutGivesUpAfterBoundedStoreFailures) {
   // Regression: placement used to walk the entire candidate list however
-  // long, retrying forever against a sick neighborhood.
-  swap::SwappingManager::Options options;
-  options.max_consecutive_store_failures = 2;
-  MiddlewareWorld world{options};
+  // long, retrying forever against a sick neighborhood. Five dead stores,
+  // one more than the bound.
+  constexpr size_t kBound =
+      swap::SwappingManager::kMaxConsecutiveStoreFailures;
+  MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
   std::vector<net::StoreNode*> dead;
-  for (uint32_t device = 2; device <= 6; ++device) {
+  for (uint32_t device = 2; device <= kBound + 2; ++device) {
     net::StoreNode* node = world.AddStore(device, 1 << 20);
     net::StoreNode::FaultPlan plan;
     plan.crash_after_ops = 0;
@@ -486,11 +487,11 @@ TEST(SwapPlacementTest, SwapOutGivesUpAfterBoundedStoreFailures) {
   EXPECT_EQ(key.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(world.manager.StateOf(clusters[0]), swap::SwapState::kLoaded);
   EXPECT_EQ(world.manager.stats().swap_out_failures, 1u);
-  int stores_tried = 0;
+  size_t stores_tried = 0;
   for (net::StoreNode* node : dead) {
     if (node->stats().faulted_ops > 0) ++stores_tried;
   }
-  EXPECT_EQ(stores_tried, 2);  // the bound, not all five candidates
+  EXPECT_EQ(stores_tried, kBound);  // the bound, not all five candidates
   EXPECT_EQ(*SumList(world.rt, "head"), 45);  // data untouched
 }
 
@@ -849,7 +850,7 @@ TEST_F(SwapFixture, CompressedSwapRoundTrips) {
   ASSERT_TRUE(world.manager.SwapOut(clusters[1]).ok());
   // XML compresses well: stored payload much smaller than identity codec.
   const SwapClusterInfo* info = world.manager.registry().Find(clusters[1]);
-  EXPECT_LT(info->swapped_payload_bytes, 3000u);
+  EXPECT_LT(info->payload_bytes, 3000u);
   auto sum = SumList(world.rt, "head");
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(*sum, 50 * 49 / 2);
@@ -886,7 +887,7 @@ TEST_F(SwapFixture, MergedClusterSwapsAsOneUnit) {
       world_.manager.MergeSwapClusters(clusters[0], clusters[1]).ok());
   ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
   const SwapClusterInfo* info = world_.manager.registry().Find(clusters[0]);
-  EXPECT_EQ(info->swapped_object_count, 20u);  // all 20 in one unit
+  EXPECT_EQ(info->object_count, 20u);  // all 20 in one unit
   world_.rt.heap().Collect();
   EXPECT_EQ(*SumList(world_.rt, "head"), 190);
 }
@@ -1229,21 +1230,6 @@ TEST_F(SwapFixture, DirectInvocationOnReplacementIsRejected) {
   ASSERT_TRUE(IsReplacement(replacement));
   auto result = world_.rt.Invoke(replacement, "get_value");
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(SwapFixture, StoreMinFreeBytesOptionFiltersStores) {
-  swap::SwappingManager::Options options;
-  options.store_min_free_bytes = 1 << 20;  // demand 1 MiB free
-  MiddlewareWorld world{options};
-  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
-  world.AddStore(2, 64 * 1024);  // too small to qualify
-  auto clusters =
-      BuildClusteredList(world.rt, world.manager, node_cls, 10, 10, "head");
-  auto key = world.manager.SwapOut(clusters[0]);
-  ASSERT_FALSE(key.ok());
-  EXPECT_EQ(key.status().code(), StatusCode::kUnavailable);
-  world.AddStore(3, 4 * 1024 * 1024);  // qualifies
-  EXPECT_TRUE(world.manager.SwapOut(clusters[0]).ok());
 }
 
 TEST_F(SwapFixture, VictimSelectionRunsDryWhenAllSwapped) {
