@@ -3,18 +3,15 @@
 namespace obiswap {
 
 namespace {
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
-  for (auto& word : state_) word = SplitMix64(&seed);
+  // splitmix64 expansion: word i is Mix64(seed + i * golden ratio).
+  for (auto& word : state_) {
+    word = Mix64(seed);
+    seed += 0x9E3779B97F4A7C15ull;
+  }
 }
 
 uint64_t Rng::Next() {

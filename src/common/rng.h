@@ -6,6 +6,17 @@
 
 namespace obiswap {
 
+/// splitmix64 finalizer: a stateless avalanche mixer, cheap and stable
+/// across platforms. Rng seeds from it; the store client's backoff jitter
+/// and the placement directory's rendezvous hash use it where a value must
+/// depend only on its inputs, not on shared random state.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random generator. Same seed → same sequence on every
 /// platform (no reliance on std::mt19937 distribution details).
 class Rng {

@@ -1,5 +1,7 @@
 #include "common/status.h"
 
+#include <cstring>
+
 namespace obiswap {
 
 const char* StatusCodeName(StatusCode code) {
@@ -26,6 +28,17 @@ const char* StatusCodeName(StatusCode code) {
       return "DEADLINE_EXCEEDED";
   }
   return "UNKNOWN";
+}
+
+StatusCode StatusCodeFromName(std::string_view name) {
+  // The codes are dense from kOk, and StatusCodeName ends the walk at the
+  // first value past the last one, so every named code decodes.
+  for (int i = 0;; ++i) {
+    const auto code = static_cast<StatusCode>(i);
+    const char* known = StatusCodeName(code);
+    if (std::strcmp(known, "UNKNOWN") == 0) return StatusCode::kInternal;
+    if (name == known) return code;
+  }
 }
 
 std::string Status::ToString() const {

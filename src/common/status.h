@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace obiswap {
@@ -28,8 +29,13 @@ enum class StatusCode {
   kDeadlineExceeded,    ///< operation abandoned at its virtual-time budget
 };
 
-/// Human-readable name for a StatusCode (stable, used in logs and tests).
+/// Human-readable name for a StatusCode (stable, used in logs, tests and
+/// the `status` attribute of every response envelope).
 const char* StatusCodeName(StatusCode code);
+
+/// Inverse of StatusCodeName over every code; any other name decodes as
+/// kInternal.
+StatusCode StatusCodeFromName(std::string_view name);
 
 /// A success-or-error value. Cheap to copy on the success path.
 class Status {

@@ -218,13 +218,9 @@ Result<std::string> FrameCompress(const Codec& codec,
                                   std::string_view payload) {
   OBISWAP_ASSIGN_OR_RETURN(std::string compressed, codec.Compress(payload));
   std::string out = "OSWC";
-  std::string name = codec.name();
-  PutVarint64(&out, name.size());
-  out += name;
+  PutLengthPrefixed(&out, codec.name());
   PutVarint64(&out, payload.size());
-  uint32_t checksum = Adler32(payload);
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((checksum >> (8 * i)) & 0xFF));
+  PutFixed(&out, Adler32(payload), 4);
   out += compressed;
   return out;
 }
@@ -233,24 +229,19 @@ Result<std::string> FrameDecompress(std::string_view frame) {
   if (frame.substr(0, 4) != "OSWC")
     return DataLossError("frame: bad magic");
   std::string_view rest = frame.substr(4);
-  OBISWAP_ASSIGN_OR_RETURN(uint64_t name_len, GetVarint64(&rest));
-  if (name_len > rest.size()) return DataLossError("frame: truncated name");
-  std::string name(rest.substr(0, name_len));
-  rest.remove_prefix(name_len);
+  OBISWAP_ASSIGN_OR_RETURN(std::string_view name,
+                           GetLengthPrefixed(&rest, "frame: truncated name"));
   OBISWAP_ASSIGN_OR_RETURN(uint64_t original_size, GetVarint64(&rest));
-  if (rest.size() < 4) return DataLossError("frame: truncated checksum");
-  uint32_t expected = 0;
-  for (int i = 0; i < 4; ++i)
-    expected |= static_cast<uint32_t>(static_cast<unsigned char>(rest[i]))
-                << (8 * i);
-  rest.remove_prefix(4);
+  std::optional<uint64_t> expected = GetFixed(&rest, 4);
+  if (!expected.has_value())
+    return DataLossError("frame: truncated checksum");
   const Codec* codec = FindCodec(name);
   if (codec == nullptr)
-    return DataLossError("frame: unknown codec '" + name + "'");
+    return DataLossError("frame: unknown codec '" + std::string(name) + "'");
   OBISWAP_ASSIGN_OR_RETURN(std::string payload, codec->Decompress(rest));
   if (payload.size() != original_size)
     return DataLossError("frame: size mismatch");
-  if (Adler32(payload) != expected)
+  if (Adler32(payload) != *expected)
     return DataLossError("frame: checksum mismatch");
   return payload;
 }

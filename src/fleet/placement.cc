@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
+
 namespace obiswap::fleet {
 namespace {
-
-// splitmix64 finalizer: the same avalanche mixer the net layer uses for
-// retry jitter. Full-period, cheap, and stable across platforms.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Hash of (store, key) mapped into (0, 1): the top 53 bits make an exact
 // double in [0, 1); the +1/2^54 offset keeps it strictly positive so

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/checksum.h"
-#include "xml/node.h"
+#include "common/rng.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -11,20 +11,20 @@ namespace obiswap::net {
 
 namespace {
 
-std::string ErrorResponse(StatusCode code, const std::string& message) {
+std::unique_ptr<xml::Node> ErrorEnvelope(StatusCode code,
+                                         const std::string& message) {
   auto response = xml::Node::Element("response");
   response->SetAttr("status", StatusCodeName(code));
   response->SetAttr("message", message);
-  return xml::Write(*response);
+  return response;
 }
 
 /// Admission-control rejection: kResourceExhausted plus the retry-after
 /// hint and the queue depth at arrival. The "pushback" message prefix is
 /// the wire-level marker IsPushback() keys on client-side.
 std::string PushbackResponse(const StoreNode::AdmitResult& result) {
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", StatusCodeName(StatusCode::kResourceExhausted));
-  response->SetAttr("message", "pushback: store saturated");
+  auto response = ErrorEnvelope(StatusCode::kResourceExhausted,
+                                "pushback: store saturated");
   response->SetIntAttr("retry_after_us",
                        static_cast<int64_t>(result.retry_after_us));
   response->SetIntAttr("depth", static_cast<int64_t>(result.depth));
@@ -40,26 +40,18 @@ std::string OkResponse(const std::string* payload = nullptr) {
   return xml::Write(*response);
 }
 
-StatusCode CodeFromName(const std::string& name) {
-  for (StatusCode code :
-       {StatusCode::kOk, StatusCode::kNotFound, StatusCode::kAlreadyExists,
-        StatusCode::kInvalidArgument, StatusCode::kFailedPrecondition,
-        StatusCode::kResourceExhausted, StatusCode::kUnavailable,
-        StatusCode::kDataLoss, StatusCode::kInternal,
-        StatusCode::kDeadlineExceeded}) {
-    if (name == StatusCodeName(code)) return code;
+/// Reads the status a response envelope names into `*status`, which stays
+/// OK unless the envelope names a remote error. kDataLoss when it names
+/// none. The one status reader of every envelope on the bridge.
+Status ReadStatus(const xml::Node& envelope, Status* status) {
+  const std::string* name = envelope.FindAttr("status");
+  if (name == nullptr) return DataLossError("response missing status");
+  if (*name != "OK") {
+    const std::string* message = envelope.FindAttr("message");
+    *status = Status(StatusCodeFromName(*name),
+                     message != nullptr ? *message : "remote error");
   }
-  return StatusCode::kInternal;
-}
-
-/// splitmix64 finalizer — a stateless bit mixer for the per-key backoff
-/// jitter. Not Rng: the jitter must depend only on (key, device, attempt)
-/// so identical runs reproduce it without consuming shared random state.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
+  return OkStatus();
 }
 
 /// The request envelope every op shares; `payload` only for stores.
@@ -93,17 +85,27 @@ std::string DropRequest(SwapKey key, std::optional<Priority> priority) {
   return Request("drop", key, nullptr, priority);
 }
 
+std::string ErrorResponse(StatusCode code, const std::string& message) {
+  return xml::Write(*ErrorEnvelope(code, message));
+}
+
+Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
+    std::string_view response_xml) {
+  OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> envelope,
+                           xml::Parse(response_xml));
+  Status remote;
+  OBISWAP_RETURN_IF_ERROR(ReadStatus(*envelope, &remote));
+  OBISWAP_RETURN_IF_ERROR(remote);
+  return envelope;
+}
+
 Result<Response> ParseResponse(std::string_view response_xml) {
   OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> parsed,
                            xml::Parse(response_xml));
   const xml::Node& envelope = *parsed;
-  const std::string* status_name = envelope.FindAttr("status");
-  if (status_name == nullptr) return DataLossError("response missing status");
   Response response;
-  if (*status_name != "OK") {
-    const std::string* message = envelope.FindAttr("message");
-    response.status = Status(CodeFromName(*status_name),
-                             message != nullptr ? *message : "remote error");
+  OBISWAP_RETURN_IF_ERROR(ReadStatus(envelope, &response.status));
+  if (!response.status.ok()) {
     if (IsPushback(response.status)) {
       response.pushback = true;
       auto retry_after = envelope.GetIntAttr("retry_after_us");
@@ -324,7 +326,7 @@ Result<Response> StoreClient::Call(DeviceId device, SwapKey key,
         // Deterministic per-key jitter in [0, wait/2]: devices retrying
         // the same outage desynchronize instead of forming lockstep retry
         // storms, and the same (key, device, attempt) always jitters the
-        // same way, keeping runs reproducible.
+        // same way, keeping runs reproducible (Mix64, not a shared Rng).
         wait += Mix64(key.value() ^
                       (static_cast<uint64_t>(attempt) *
                        0x9E3779B97F4A7C15ull) ^

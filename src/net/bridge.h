@@ -8,6 +8,7 @@
 // — no VM, no middleware (§3).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "net/network.h"
 #include "net/store_node.h"
 #include "telemetry/telemetry.h"
+#include "xml/node.h"
 
 namespace obiswap::net {
 
@@ -36,6 +38,22 @@ inline bool IsPushback(const Status& status) {
 // back. Their bytes are a compatibility surface: wire sizes set transfer
 // times on the virtual clock, so a changed byte moves every virtual-time
 // result that ships a swap-cluster.
+//
+// The store, replication and transaction services share one status
+// encoding: a response's `status` attribute is StatusCodeName of its code,
+// and an error response also carries a `message`. A reader decodes an
+// unknown code name as kInternal and a missing message as "remote error";
+// an envelope with no status at all is kDataLoss "response missing
+// status".
+
+/// `<response status="CODE" message="..."/>`: the envelope every service
+/// on the bridge answers a failed request with.
+std::string ErrorResponse(StatusCode code, const std::string& message);
+
+/// Parses a response envelope and fails with its remote status unless it
+/// is OK: how the replication and transaction clients read their replies.
+Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
+    std::string_view response_xml);
 
 /// The request envelopes StoreClient sends. `priority` rides as the `pri`
 /// attribute when given; `StoreRequest` also carries the payload's

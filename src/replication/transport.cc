@@ -1,46 +1,14 @@
 #include "replication/transport.h"
 
-#include "common/string_util.h"
+#include "net/bridge.h"
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
 namespace obiswap::replication {
 
-namespace {
-
-std::string ErrorResponse(StatusCode code, const std::string& message) {
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", StatusCodeName(code));
-  response->SetAttr("message", message);
-  return xml::Write(*response);
-}
-
-StatusCode CodeFromName(const std::string& name) {
-  for (StatusCode code :
-       {StatusCode::kOk, StatusCode::kNotFound, StatusCode::kAlreadyExists,
-        StatusCode::kInvalidArgument, StatusCode::kFailedPrecondition,
-        StatusCode::kResourceExhausted, StatusCode::kUnavailable,
-        StatusCode::kDataLoss, StatusCode::kInternal}) {
-    if (name == StatusCodeName(code)) return code;
-  }
-  return StatusCode::kInternal;
-}
-
-Result<std::unique_ptr<xml::Node>> ParseOkResponse(
-    const std::string& response_xml) {
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, xml::Parse(response_xml));
-  const std::string* status_name = doc->FindAttr("status");
-  if (status_name == nullptr) return DataLossError("response missing status");
-  if (*status_name != "OK") {
-    const std::string* message = doc->FindAttr("message");
-    return Status(CodeFromName(*status_name),
-                  message != nullptr ? *message : "remote error");
-  }
-  return doc;
-}
-
-}  // namespace
+using net::ErrorResponse;
+using net::ParseOkEnvelope;
 
 std::string ReplicationService::Handle(const std::string& request_xml) {
   auto parsed = xml::Parse(request_xml);
@@ -109,20 +77,8 @@ std::string ReplicationService::Handle(const std::string& request_xml) {
       xml::Node* field_el = response->AddElement("f");
       field_el->SetAttr("n", field);
       field_el->SetAttr("t", runtime::ValueKindName(value.kind()));
-      switch (value.kind()) {
-        case runtime::ValueKind::kNil:
-        case runtime::ValueKind::kRef:
-          break;
-        case runtime::ValueKind::kInt:
-          field_el->AddText(std::to_string(value.as_int()));
-          break;
-        case runtime::ValueKind::kReal:
-          field_el->AddText(StrFormat("%.17g", value.as_real()));
-          break;
-        case runtime::ValueKind::kStr:
-          field_el->AddText(value.as_str());
-          break;
-      }
+      if (!value.is_nil() && !value.is_ref())
+        field_el->AddText(runtime::ScalarText(value));
     }
     return xml::Write(*response);
   }
@@ -161,7 +117,7 @@ Result<RootInfo> NetworkLink::GetRoot(const std::string& name) {
   request->SetAttr("op", "root");
   request->SetAttr("name", name);
   OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkResponse(response));
+  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
   OBISWAP_ASSIGN_OR_RETURN(int64_t oid, doc->GetIntAttr("oid"));
   OBISWAP_ASSIGN_OR_RETURN(std::string class_name, doc->GetAttr("class"));
   return RootInfo{ObjectId(static_cast<uint64_t>(oid)), class_name};
@@ -174,7 +130,7 @@ Result<ReplicationServer::ValueSnapshot> NetworkLink::SnapshotValues(
   request->SetIntAttr("device", device.value());
   request->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
   OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkResponse(response));
+  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
   ReplicationServer::ValueSnapshot snapshot;
   OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr, doc->GetIntAttr("oid"));
   snapshot.oid = ObjectId(static_cast<uint64_t>(oid_attr));
@@ -182,22 +138,14 @@ Result<ReplicationServer::ValueSnapshot> NetworkLink::SnapshotValues(
   snapshot.version = static_cast<uint64_t>(version);
   for (const xml::Node* field_el : doc->FindChildren("f")) {
     OBISWAP_ASSIGN_OR_RETURN(std::string name, field_el->GetAttr("n"));
-    OBISWAP_ASSIGN_OR_RETURN(std::string kind, field_el->GetAttr("t"));
-    std::string text = field_el->InnerText();
-    runtime::Value value;
-    if (kind == "nil") {
-      value = runtime::Value::Nil();
-    } else if (kind == "int") {
-      OBISWAP_ASSIGN_OR_RETURN(int64_t parsed, ParseInt64(text));
-      value = runtime::Value::Int(parsed);
-    } else if (kind == "real") {
-      OBISWAP_ASSIGN_OR_RETURN(double parsed, ParseDouble(text));
-      value = runtime::Value::Real(parsed);
-    } else if (kind == "str") {
-      value = runtime::Value::Str(std::move(text));
-    } else {
-      return DataLossError("bad snapshot field kind '" + kind + "'");
-    }
+    OBISWAP_ASSIGN_OR_RETURN(std::string kind_name, field_el->GetAttr("t"));
+    std::optional<runtime::ValueKind> kind =
+        runtime::ParseValueKind(kind_name);
+    if (!kind.has_value() || *kind == runtime::ValueKind::kRef)
+      return DataLossError("bad snapshot field kind '" + kind_name + "'");
+    OBISWAP_ASSIGN_OR_RETURN(
+        runtime::Value value,
+        runtime::ParseScalar(*kind, field_el->InnerText()));
     snapshot.fields.emplace_back(std::move(name), std::move(value));
   }
   return snapshot;
@@ -210,7 +158,7 @@ Result<ClusterReply> NetworkLink::FetchCluster(DeviceId device,
   request->SetIntAttr("device", device.value());
   request->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
   OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkResponse(response));
+  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
   OBISWAP_ASSIGN_OR_RETURN(int64_t cluster, doc->GetIntAttr("cluster"));
   OBISWAP_ASSIGN_OR_RETURN(int64_t count, doc->GetIntAttr("count"));
   OBISWAP_ASSIGN_OR_RETURN(const xml::Node* payload, doc->GetChild("payload"));

@@ -2,22 +2,6 @@
 
 namespace obiswap::runtime {
 
-const char* ValueKindName(ValueKind kind) {
-  switch (kind) {
-    case ValueKind::kNil:
-      return "nil";
-    case ValueKind::kRef:
-      return "ref";
-    case ValueKind::kInt:
-      return "int";
-    case ValueKind::kReal:
-      return "real";
-    case ValueKind::kStr:
-      return "str";
-  }
-  return "?";
-}
-
 bool Value::operator==(const Value& other) const {
   if (kind_ != other.kind_) return false;
   switch (kind_) {

@@ -6,8 +6,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+
+#include "common/status.h"
+#include "common/string_util.h"
 
 namespace obiswap::runtime {
 
@@ -22,7 +27,31 @@ enum class ValueKind : uint8_t {
 };
 
 /// Stable kind names used by the XML serializer ("nil", "ref", ...).
-const char* ValueKindName(ValueKind kind);
+inline const char* ValueKindName(ValueKind kind) {
+  switch (kind) {
+    case ValueKind::kNil:
+      return "nil";
+    case ValueKind::kRef:
+      return "ref";
+    case ValueKind::kInt:
+      return "int";
+    case ValueKind::kReal:
+      return "real";
+    case ValueKind::kStr:
+      return "str";
+  }
+  return "?";
+}
+
+/// Inverse of ValueKindName over every kind; nullopt for any other name.
+inline std::optional<ValueKind> ParseValueKind(std::string_view name) {
+  for (uint8_t i = 0;; ++i) {
+    const auto kind = static_cast<ValueKind>(i);
+    const std::string_view known = ValueKindName(kind);
+    if (known == "?") return std::nullopt;
+    if (name == known) return kind;
+  }
+}
 
 /// A tagged value. Copyable; copying a kRef copies the pointer (object
 /// identity), copying a kStr copies the bytes.
@@ -104,5 +133,50 @@ class Value {
   };
   std::string str_;
 };
+
+// --- scalar text form ---------------------------------------------------
+// How the XML envelopes and cluster documents carry a non-ref value: a `t`
+// attribute naming its kind (ValueKindName) and text holding its payload.
+// Ints are decimal, reals printed with 17 significant digits (so they
+// round-trip), strings verbatim; nil has no text.
+
+/// The text form of a nil, int, real or str value ("" for nil and ref).
+inline std::string ScalarText(const Value& value) {
+  switch (value.kind()) {
+    case ValueKind::kInt:
+      return std::to_string(value.as_int());
+    case ValueKind::kReal:
+      return StrFormat("%.17g", value.as_real());
+    case ValueKind::kStr:
+      return value.as_str();
+    case ValueKind::kNil:
+    case ValueKind::kRef:
+      break;
+  }
+  return std::string();
+}
+
+/// The nil, int, real or str value whose text form is `text` (nil ignores
+/// it). A malformed number fails with ParseInt64's or ParseDouble's error;
+/// kRef has no text form and is kInvalidArgument.
+inline Result<Value> ParseScalar(ValueKind kind, std::string text) {
+  switch (kind) {
+    case ValueKind::kNil:
+      return Value::Nil();
+    case ValueKind::kInt: {
+      OBISWAP_ASSIGN_OR_RETURN(int64_t parsed, ParseInt64(text));
+      return Value::Int(parsed);
+    }
+    case ValueKind::kReal: {
+      OBISWAP_ASSIGN_OR_RETURN(double parsed, ParseDouble(text));
+      return Value::Real(parsed);
+    }
+    case ValueKind::kStr:
+      return Value::Str(std::move(text));
+    case ValueKind::kRef:
+      break;
+  }
+  return InvalidArgumentError("a ref has no scalar text form");
+}
 
 }  // namespace obiswap::runtime

@@ -31,27 +31,7 @@ constexpr uint8_t kTagStr = 3;
 constexpr uint8_t kTagLocal = 4;
 constexpr uint8_t kTagExt = 5;
 
-/// Same order-sensitive mixing as the XML digest (graph_xml.cc), but over
-/// the binary document's semantics: reals are mixed by *bit pattern* (so
-/// NaN payloads and signed zeros are covered exactly), and field names are
-/// not mixed (they are not on the wire — the class schema supplies them).
-/// Computable from a parsed document alone, which is what lets delta apply
-/// verify the merged result without a runtime.
-class Digest {
- public:
-  void Mix(std::string_view text) {
-    hash_ = Fnv1a64(text) * 1099511628211ull ^ (hash_ << 1);
-  }
-  void Mix(uint64_t value) {
-    hash_ ^= value + 0x9E3779B97F4A7C15ull + (hash_ << 6) + (hash_ >> 2);
-  }
-  uint32_t Finish() const {
-    return static_cast<uint32_t>(hash_ ^ (hash_ >> 32));
-  }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+constexpr char kTruncatedString[] = "binary doc: truncated string";
 
 /// Identity of an external target as carried on the wire (index excluded —
 /// indices shift between documents, identity does not).
@@ -110,34 +90,6 @@ struct Doc {
   uint32_t embedded_digest = 0;
 };
 
-void PutString(std::string* out, std::string_view text) {
-  PutVarint64(out, text.size());
-  out->append(text);
-}
-
-Result<std::string> GetString(std::string_view* in) {
-  OBISWAP_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in));
-  if (len > in->size()) return DataLossError("binary doc: truncated string");
-  std::string text(in->substr(0, static_cast<size_t>(len)));
-  in->remove_prefix(static_cast<size_t>(len));
-  return text;
-}
-
-void PutFixed64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-Result<uint64_t> GetFixed64(std::string_view* in) {
-  if (in->size() < 8) return DataLossError("binary doc: truncated real");
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i)
-    value |= static_cast<uint64_t>(static_cast<unsigned char>((*in)[i]))
-             << (8 * i);
-  in->remove_prefix(8);
-  return value;
-}
-
 void EncodeField(std::string* out, const FieldRec& field) {
   out->push_back(static_cast<char>(field.tag));
   switch (field.tag) {
@@ -147,10 +99,10 @@ void EncodeField(std::string* out, const FieldRec& field) {
       PutVarint64(out, ZigZagEncode(field.int_value));
       break;
     case kTagReal:
-      PutFixed64(out, field.real_bits);
+      PutFixed(out, field.real_bits, 8);
       break;
     case kTagStr:
-      PutString(out, field.str_value);
+      PutLengthPrefixed(out, field.str_value);
       break;
     case kTagLocal:
       PutVarint64(out, field.index);
@@ -158,7 +110,7 @@ void EncodeField(std::string* out, const FieldRec& field) {
     case kTagExt:
       PutVarint64(out, field.index);
       PutVarint64(out, field.ext.oid);
-      PutString(out, field.ext.class_name);
+      PutLengthPrefixed(out, field.ext.class_name);
       PutVarint64(out, field.ext.cluster_plus1);
       break;
   }
@@ -178,11 +130,14 @@ Result<FieldRec> DecodeField(std::string_view* in) {
       break;
     }
     case kTagReal: {
-      OBISWAP_ASSIGN_OR_RETURN(field.real_bits, GetFixed64(in));
+      std::optional<uint64_t> bits = GetFixed(in, 8);
+      if (!bits.has_value()) return DataLossError("binary doc: truncated real");
+      field.real_bits = *bits;
       break;
     }
     case kTagStr: {
-      OBISWAP_ASSIGN_OR_RETURN(field.str_value, GetString(in));
+      OBISWAP_ASSIGN_OR_RETURN(field.str_value,
+                               GetLengthPrefixed(in, kTruncatedString));
       break;
     }
     case kTagLocal: {
@@ -192,7 +147,8 @@ Result<FieldRec> DecodeField(std::string_view* in) {
     case kTagExt: {
       OBISWAP_ASSIGN_OR_RETURN(field.index, GetVarint64(in));
       OBISWAP_ASSIGN_OR_RETURN(field.ext.oid, GetVarint64(in));
-      OBISWAP_ASSIGN_OR_RETURN(field.ext.class_name, GetString(in));
+      OBISWAP_ASSIGN_OR_RETURN(field.ext.class_name,
+                               GetLengthPrefixed(in, kTruncatedString));
       OBISWAP_ASSIGN_OR_RETURN(field.ext.cluster_plus1, GetVarint64(in));
       break;
     }
@@ -203,6 +159,11 @@ Result<FieldRec> DecodeField(std::string_view* in) {
   return field;
 }
 
+/// The binary document's digest (common/checksum.h): reals are mixed by
+/// *bit pattern* (so NaN payloads and signed zeros are covered exactly),
+/// and field names are not mixed (they are not on the wire — the class
+/// schema supplies them). Computable from a parsed document alone, which
+/// is what lets delta apply verify the merged result without a runtime.
 void MixField(Digest& digest, const FieldRec& field) {
   digest.Mix(static_cast<uint64_t>(field.tag));
   switch (field.tag) {
@@ -251,7 +212,7 @@ std::string EncodeDoc(const Doc& doc) {
   PutVarint64(&out, doc.members.size());
   for (const MemberRec& member : doc.members) {
     PutVarint64(&out, member.oid);
-    PutString(&out, member.class_name);
+    PutLengthPrefixed(&out, member.class_name);
     PutVarint64(&out, member.cluster_plus1);
     PutVarint64(&out, member.fields.size());
     for (const FieldRec& field : member.fields) EncodeField(&out, field);
@@ -281,7 +242,8 @@ Result<Doc> ParseDoc(std::string_view payload) {
   for (uint64_t m = 0; m < member_count; ++m) {
     MemberRec member;
     OBISWAP_ASSIGN_OR_RETURN(member.oid, GetVarint64(&rest));
-    OBISWAP_ASSIGN_OR_RETURN(member.class_name, GetString(&rest));
+    OBISWAP_ASSIGN_OR_RETURN(member.class_name,
+                             GetLengthPrefixed(&rest, kTruncatedString));
     OBISWAP_ASSIGN_OR_RETURN(member.cluster_plus1, GetVarint64(&rest));
     OBISWAP_ASSIGN_OR_RETURN(uint64_t field_count, GetVarint64(&rest));
     member.fields.reserve(
@@ -612,7 +574,7 @@ Result<std::string> DiffClusterPayloads(std::string_view base,
       const MemberRec& member = fresh_doc.members[i];
       member_ops.push_back(1);
       PutVarint64(&member_ops, member.oid);
-      PutString(&member_ops, member.class_name);
+      PutLengthPrefixed(&member_ops, member.class_name);
       PutVarint64(&member_ops, member.cluster_plus1);
       PutVarint64(&member_ops, member.fields.size());
       ++i;
@@ -733,7 +695,8 @@ Result<std::string> ApplyClusterDelta(std::string_view base,
     } else if (kind == 1) {
       MemberRec member;
       OBISWAP_ASSIGN_OR_RETURN(member.oid, GetVarint64(&rest));
-      OBISWAP_ASSIGN_OR_RETURN(member.class_name, GetString(&rest));
+      OBISWAP_ASSIGN_OR_RETURN(member.class_name,
+                               GetLengthPrefixed(&rest, kTruncatedString));
       OBISWAP_ASSIGN_OR_RETURN(member.cluster_plus1, GetVarint64(&rest));
       OBISWAP_ASSIGN_OR_RETURN(uint64_t field_count, GetVarint64(&rest));
       member.fields.resize(

@@ -16,34 +16,6 @@ using runtime::Runtime;
 using runtime::Value;
 using runtime::ValueKind;
 
-namespace {
-
-/// Order-sensitive digest over the semantic content of a cluster document.
-/// Serializer and deserializer feed it the same primitive sequence, so the
-/// checksum survives re-parsing (unlike a hash of the raw text).
-class Digest {
- public:
-  void Mix(std::string_view text) {
-    hash_ = Fnv1a64(text) * 1099511628211ull ^ (hash_ << 1);
-  }
-  void Mix(uint64_t value) {
-    hash_ ^= value + 0x9E3779B97F4A7C15ull + (hash_ << 6) + (hash_ >> 2);
-  }
-  uint32_t Finish() const {
-    return static_cast<uint32_t>(hash_ ^ (hash_ >> 32));
-  }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::string RealToText(double value) {
-  // Round-trippable double representation.
-  return StrFormat("%.17g", value);
-}
-
-}  // namespace
-
 Result<SerializedCluster> SerializeCluster(
     Runtime& rt, uint32_t cluster_attr_id,
     const std::vector<Object*>& members,
@@ -88,19 +60,17 @@ Result<SerializedCluster> SerializeCluster(
         case ValueKind::kNil:
           break;
         case ValueKind::kInt:
-          field_el->AddText(std::to_string(slot.as_int()));
-          digest.Mix(static_cast<uint64_t>(slot.as_int()));
-          break;
-        case ValueKind::kReal: {
-          std::string text = RealToText(slot.as_real());
-          field_el->AddText(text);
-          digest.Mix(text);
+        case ValueKind::kReal:
+        case ValueKind::kStr: {
+          // The digest mixes an int by value, a real or a string by text.
+          std::string text = ScalarText(slot);
+          if (slot.is_int())
+            digest.Mix(static_cast<uint64_t>(slot.as_int()));
+          else
+            digest.Mix(text);
+          field_el->AddText(std::move(text));
           break;
         }
-        case ValueKind::kStr:
-          field_el->AddText(slot.as_str());
-          digest.Mix(slot.as_str());
-          break;
         case ValueKind::kRef: {
           Object* target = slot.ref();
           auto member_it = member_index.find(target);
@@ -218,27 +188,21 @@ Result<std::vector<Object*>> DeserializeCluster(
       slot_seen[slot] = true;
       OBISWAP_ASSIGN_OR_RETURN(std::string kind_name, field_el->GetAttr("t"));
       digest.Mix(field_name);
-      std::string text = field_el->InnerText();
+      std::optional<ValueKind> kind = runtime::ParseValueKind(kind_name);
+      if (!kind.has_value())
+        return DataLossError("unknown field kind '" + kind_name + "'");
+      digest.Mix(static_cast<uint64_t>(*kind));
       Value value;
-      if (kind_name == "nil") {
-        digest.Mix(static_cast<uint64_t>(ValueKind::kNil));
-        value = Value::Nil();
-      } else if (kind_name == "int") {
-        digest.Mix(static_cast<uint64_t>(ValueKind::kInt));
-        OBISWAP_ASSIGN_OR_RETURN(int64_t parsed, ParseInt64(text));
-        value = Value::Int(parsed);
-        digest.Mix(static_cast<uint64_t>(parsed));
-      } else if (kind_name == "real") {
-        digest.Mix(static_cast<uint64_t>(ValueKind::kReal));
-        OBISWAP_ASSIGN_OR_RETURN(double parsed, ParseDouble(text));
-        value = Value::Real(parsed);
-        digest.Mix(RealToText(parsed));
-      } else if (kind_name == "str") {
-        digest.Mix(static_cast<uint64_t>(ValueKind::kStr));
-        digest.Mix(text);
-        value = Value::Str(std::move(text));
-      } else if (kind_name == "ref") {
-        digest.Mix(static_cast<uint64_t>(ValueKind::kRef));
+      if (*kind != ValueKind::kRef) {
+        OBISWAP_ASSIGN_OR_RETURN(value,
+                                 ParseScalar(*kind, field_el->InnerText()));
+        if (value.is_int())
+          digest.Mix(static_cast<uint64_t>(value.as_int()));
+        else if (value.is_real())
+          digest.Mix(ScalarText(value));  // re-printed, as it was written
+        else if (value.is_str())
+          digest.Mix(value.as_str());
+      } else {
         auto local_attr = field_el->GetIntAttrOr("local", -1);
         if (!local_attr.ok()) return local_attr.status();
         if (*local_attr >= 0) {
@@ -265,8 +229,6 @@ Result<std::vector<Object*>> DeserializeCluster(
           digest.Mix(ref.index);
           digest.Mix(ref.oid.value());
         }
-      } else {
-        return DataLossError("unknown field kind '" + kind_name + "'");
       }
       // Middleware-level write: swap-in must restore exactly what was
       // captured, without re-mediation.

@@ -10,18 +10,6 @@ using runtime::ClassBuilder;
 using runtime::ClassInfo;
 using runtime::ValueKind;
 
-namespace {
-Result<ValueKind> KindFromName(const std::string& name) {
-  if (name == "any" || name.empty()) return ValueKind::kNil;
-  if (name == "nil") return ValueKind::kNil;
-  if (name == "ref") return ValueKind::kRef;
-  if (name == "int") return ValueKind::kInt;
-  if (name == "real") return ValueKind::kReal;
-  if (name == "str") return ValueKind::kStr;
-  return InvalidArgumentError("unknown field type '" + name + "'");
-}
-}  // namespace
-
 Result<size_t> LoadClassesXml(runtime::Runtime& rt,
                               const std::string& xml_text,
                               const NativeMethods* methods) {
@@ -39,10 +27,14 @@ Result<size_t> LoadClassesXml(runtime::Runtime& rt,
     for (const xml::Node* field_el : class_el->FindChildren("field")) {
       OBISWAP_ASSIGN_OR_RETURN(std::string field_name,
                                field_el->GetAttr("name"));
+      // An absent, empty or "any" type declares an untyped (nil) field.
       const std::string* type = field_el->FindAttr("type");
-      OBISWAP_ASSIGN_OR_RETURN(
-          ValueKind kind, KindFromName(type != nullptr ? *type : "any"));
-      builder.Field(std::move(field_name), kind);
+      std::optional<ValueKind> kind = ValueKind::kNil;
+      if (type != nullptr && !type->empty() && *type != "any")
+        kind = runtime::ParseValueKind(*type);
+      if (!kind.has_value())
+        return InvalidArgumentError("unknown field type '" + *type + "'");
+      builder.Field(std::move(field_name), *kind);
     }
     for (const xml::Node* method_el : class_el->FindChildren("method")) {
       OBISWAP_ASSIGN_OR_RETURN(std::string method_name,

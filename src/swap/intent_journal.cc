@@ -17,24 +17,6 @@ constexpr char kMagic[4] = {'O', 'B', 'J', 'L'};
 // at end-of-body.
 constexpr uint64_t kFormatVersion = 2;
 
-void PutFixed32(std::string* out, uint32_t value) {
-  out->push_back(static_cast<char>(value & 0xFF));
-  out->push_back(static_cast<char>((value >> 8) & 0xFF));
-  out->push_back(static_cast<char>((value >> 16) & 0xFF));
-  out->push_back(static_cast<char>((value >> 24) & 0xFF));
-}
-
-bool GetFixed32(std::string_view* in, uint32_t* value) {
-  if (in->size() < 4) return false;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(in->data());
-  *value = static_cast<uint32_t>(bytes[0]) |
-           (static_cast<uint32_t>(bytes[1]) << 8) |
-           (static_cast<uint32_t>(bytes[2]) << 16) |
-           (static_cast<uint32_t>(bytes[3]) << 24);
-  in->remove_prefix(4);
-  return true;
-}
-
 bool DecodeBody(std::string_view body, JournalRecord* record) {
   auto take = [&body](uint64_t* out) {
     Result<uint64_t> value = GetVarint64(&body);
@@ -135,7 +117,7 @@ void IntentJournal::EncodeRecord(const JournalRecord& record,
 
   PutVarint64(out, body.size());
   out->append(body);
-  PutFixed32(out, Crc32(body));
+  PutFixed(out, Crc32(body), 4);
 }
 
 IntentJournal::ParseResult IntentJournal::Parse(std::string_view bytes) {
@@ -170,9 +152,8 @@ IntentJournal::ParseResult IntentJournal::Parse(std::string_view bytes) {
     }
     std::string_view body = in.substr(0, *body_len);
     in.remove_prefix(*body_len);
-    uint32_t stored_crc = 0;
-    (void)GetFixed32(&in, &stored_crc);  // length was pre-checked above
-    if (Crc32(body) != stored_crc) {
+    // The length was pre-checked above, so the CRC word is there.
+    if (Crc32(body) != GetFixed(&in, 4).value_or(0)) {
       // A flipped bit inside one record: skip it, keep reading — the
       // framing (length prefix) is still trusted because the next record
       // either parses and checksums or terminates the scan.

@@ -1,41 +1,15 @@
 #include "tx/transport.h"
 
-#include "common/string_util.h"
+#include "net/bridge.h"
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
 namespace obiswap::tx {
 
+using net::ErrorResponse;
 using runtime::Value;
 using runtime::ValueKind;
-
-namespace {
-
-std::string ErrorResponse(StatusCode code, const std::string& message) {
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", StatusCodeName(code));
-  response->SetAttr("message", message);
-  return xml::Write(*response);
-}
-
-Result<Value> DecodeValue(const xml::Node& set_el) {
-  OBISWAP_ASSIGN_OR_RETURN(std::string kind, set_el.GetAttr("t"));
-  std::string text = set_el.InnerText();
-  if (kind == "nil") return Value::Nil();
-  if (kind == "int") {
-    OBISWAP_ASSIGN_OR_RETURN(int64_t parsed, ParseInt64(text));
-    return Value::Int(parsed);
-  }
-  if (kind == "real") {
-    OBISWAP_ASSIGN_OR_RETURN(double parsed, ParseDouble(text));
-    return Value::Real(parsed);
-  }
-  if (kind == "str") return Value::Str(std::move(text));
-  return DataLossError("bad value kind '" + kind + "' in commit envelope");
-}
-
-}  // namespace
 
 std::string EncodeCommitRequest(const WriteSet& write_set) {
   auto request = xml::Node::Element("request");
@@ -51,21 +25,9 @@ std::string EncodeCommitRequest(const WriteSet& write_set) {
     set_el->SetIntAttr("oid", static_cast<int64_t>(update.oid.value()));
     set_el->SetAttr("f", update.field);
     set_el->SetAttr("t", ValueKindName(update.new_value.kind()));
-    switch (update.new_value.kind()) {
-      case ValueKind::kNil:
-        break;
-      case ValueKind::kInt:
-        set_el->AddText(std::to_string(update.new_value.as_int()));
-        break;
-      case ValueKind::kReal:
-        set_el->AddText(StrFormat("%.17g", update.new_value.as_real()));
-        break;
-      case ValueKind::kStr:
-        set_el->AddText(update.new_value.as_str());
-        break;
-      case ValueKind::kRef:
-        break;  // rejected earlier by TxManager::Write
-    }
+    // Nil has no text; a ref was rejected earlier by TxManager::Write.
+    if (!update.new_value.is_nil() && !update.new_value.is_ref())
+      set_el->AddText(ScalarText(update.new_value));
   }
   return xml::Write(*request);
 }
@@ -81,9 +43,10 @@ std::string TxService::Handle(const std::string& request_xml) {
     return ErrorResponse(StatusCode::kInvalidArgument, "bad commit request");
 
   WriteSet write_set;
-  write_set.tx_id = static_cast<uint64_t>(
-      request.GetIntAttrOr("tx", 0).ok() ? *request.GetIntAttrOr("tx", 0)
-                                         : 0);
+  Result<int64_t> tx_id = request.GetIntAttrOr("tx", 0);
+  if (!tx_id.ok())
+    return ErrorResponse(StatusCode::kInvalidArgument, "bad tx");
+  write_set.tx_id = static_cast<uint64_t>(*tx_id);
   for (const xml::Node* val_el : request.FindChildren("val")) {
     auto oid = val_el->GetIntAttr("oid");
     auto version = val_el->GetIntAttr("v");
@@ -98,7 +61,16 @@ std::string TxService::Handle(const std::string& request_xml) {
     auto field = set_el->GetAttr("f");
     if (!oid.ok() || !field.ok())
       return ErrorResponse(StatusCode::kInvalidArgument, "bad <set>");
-    Result<Value> value = DecodeValue(*set_el);
+    auto kind_name = set_el->GetAttr("t");
+    if (!kind_name.ok())
+      return ErrorResponse(kind_name.status().code(),
+                           kind_name.status().message());
+    std::optional<ValueKind> kind = runtime::ParseValueKind(*kind_name);
+    if (!kind.has_value() || *kind == ValueKind::kRef)
+      return ErrorResponse(StatusCode::kDataLoss,
+                           "bad value kind '" + *kind_name +
+                               "' in commit envelope");
+    Result<Value> value = ParseScalar(*kind, set_el->InnerText());
     if (!value.ok())
       return ErrorResponse(value.status().code(), value.status().message());
     write_set.updates.push_back(FieldUpdate{
@@ -148,12 +120,7 @@ CommitFn NetworkCommit(net::Network& network, DeviceId self,
             "commit outcome unknown: response lost (tx " +
             std::to_string(write_set.tx_id) + ")");
       }
-      OBISWAP_ASSIGN_OR_RETURN(auto doc, xml::Parse(response_xml));
-      const std::string* status_name = doc->FindAttr("status");
-      if (status_name == nullptr || *status_name != "OK") {
-        const std::string* message = doc->FindAttr("message");
-        return InternalError(message != nullptr ? *message : "remote error");
-      }
+      OBISWAP_ASSIGN_OR_RETURN(auto doc, net::ParseOkEnvelope(response_xml));
       CommitResult result;
       OBISWAP_ASSIGN_OR_RETURN(int64_t committed,
                                doc->GetIntAttr("committed"));

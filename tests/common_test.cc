@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/ids.h"
@@ -40,6 +41,19 @@ TEST(StatusTest, AllErrorConstructorsSetTheirCode) {
   EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);
   EXPECT_EQ(DataLossError("x").code(), StatusCode::kDataLoss);
   EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
+}
+
+TEST(StatusTest, EveryCodeNameDecodesBackToItsCode) {
+  const int last = static_cast<int>(StatusCode::kDeadlineExceeded);
+  for (int i = 0; i <= last; ++i) {
+    const auto code = static_cast<StatusCode>(i);
+    const std::string name = StatusCodeName(code);
+    EXPECT_NE(name, "UNKNOWN") << i;
+    EXPECT_EQ(StatusCodeFromName(name), code) << name;
+  }
+  EXPECT_EQ(StatusCodeFromName("NO_SUCH_CODE"), StatusCode::kInternal);
+  EXPECT_EQ(StatusCodeFromName("UNKNOWN"), StatusCode::kInternal);
+  EXPECT_EQ(StatusCodeFromName(""), StatusCode::kInternal);
 }
 
 TEST(ResultTest, HoldsValue) {
@@ -202,6 +216,15 @@ TEST(RngTest, DeterministicForSeed) {
   Rng a(123);
   Rng b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
+}
+
+TEST(RngTest, FirstOutputsOfSeedOneArePinned) {
+  Rng rng(1);
+  std::vector<uint64_t> got;
+  for (int i = 0; i < 4; ++i) got.push_back(rng.Next());
+  EXPECT_EQ(got, (std::vector<uint64_t>{
+                     0xb3f2af6d0fc710c5ull, 0x853b559647364ceaull,
+                     0x92f89756082a4514ull, 0x642e1c7bc266a3a7ull}));
 }
 
 TEST(RngTest, DifferentSeedsDiffer) {

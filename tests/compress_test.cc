@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "compress/codec.h"
 
@@ -178,6 +179,23 @@ TEST(FrameTest, RoundTripsEveryCodec) {
     auto decoded = FrameDecompress(frame);
     ASSERT_TRUE(decoded.ok()) << name << ": " << decoded.status().ToString();
     EXPECT_EQ(*decoded, payload);
+  }
+}
+
+// The frame bytes of each codec, pinned by FNV-1a: stored frames of
+// earlier runs must still decode, and their sizes set transfer times.
+TEST(FrameTest, FrameBytesArePinned) {
+  Rng rng(21);
+  const std::string payload = CompressibleText(rng, 600);
+  const std::vector<std::pair<const char*, uint64_t>> kPinned = {
+      {"identity", 0xec19de61443b24bdull},
+      {"rle", 0x094d7e2c31877555ull},
+      {"lz77", 0x1e19310d6e8b73caull},
+  };
+  for (const auto& [name, digest] : kPinned) {
+    std::string frame = MustFrame(*FindCodec(name), payload);
+    EXPECT_EQ(Fnv1a64(frame), digest)
+        << name << " (" << frame.size() << " bytes)";
   }
 }
 

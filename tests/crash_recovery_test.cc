@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "test_support.h"
 
 namespace obiswap {
@@ -631,6 +632,40 @@ IntentJournal::ParseResult BuildFuzzImage(std::string* image_out) {
   OBISWAP_CHECK(journal.Persist().ok());
   *image_out = *flash.Fetch(journal.flash_key());
   return IntentJournal::Parse(*image_out);
+}
+
+// The journal image bytes, pinned by FNV-1a: a restart must read the image
+// an earlier build wrote. One begin of each op, every record type.
+TEST(IntentJournalImageTest, ImageBytesArePinned) {
+  net::SimClock clock;
+  persist::FlashStore flash(DeviceId(1), 1 << 20, clock);
+  IntentJournal::Options options;
+  options.compact_record_limit = 64;
+  IntentJournal journal(&flash, options);
+  for (IntentOp op : {IntentOp::kSwapOut, IntentOp::kCleanSwapOut,
+                      IntentOp::kSwapIn, IntentOp::kDrop,
+                      IntentOp::kReplicaMaintenance,
+                      IntentOp::kDeltaSwapOut}) {
+    const uint64_t n = static_cast<uint64_t>(op);
+    uint64_t seq = journal.BeginOp(
+        op, SwapClusterId(static_cast<uint32_t>(10 + n)), n, 0xAB000000u + n,
+        {100 + n, 300 + n}, {900 + n},
+        op == IntentOp::kDeltaSwapOut ? 5 : 0,
+        op == IntentOp::kDeltaSwapOut ? 0xFEEDBEEFu : 0);
+    journal.NoteReplicaIntent(seq, DeviceId(static_cast<uint32_t>(2 + n)),
+                              SwapKey((uint64_t{1} << 32) | n));
+    journal.NoteProgress(seq, n);
+    if (n % 2 == 0) {
+      OBISWAP_CHECK(journal.Commit(seq).ok());
+    } else if (n == 5) {
+      OBISWAP_CHECK(journal.Abort(seq).ok());
+    }
+  }
+  OBISWAP_CHECK(journal.Persist().ok());
+  std::string image = *flash.Fetch(journal.flash_key());
+  EXPECT_EQ(image.size(), 506u);
+  EXPECT_EQ(Fnv1a64(image), 0x66480fcfc7915eaaull);
+  EXPECT_EQ(IntentJournal::Parse(image).records.size(), 22u);
 }
 
 TEST(IntentJournalTornWriteTest, TruncationAtEveryByteKeepsAnExactPrefix) {

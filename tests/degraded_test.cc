@@ -189,6 +189,32 @@ TEST(DegradedClientTest, BackoffJitterDeterministicPerKey) {
   EXPECT_NE(backoff_for(7), backoff_for(8));
 }
 
+// The jittered backoff waits, pinned: three keys, the waits before retries
+// 1..3 (a call with n attempts sleeps before retries 1..n-1).
+TEST(DegradedClientTest, BackoffWaitsArePinned) {
+  auto total_backoff = [](uint64_t key, int attempts) {
+    MiddlewareWorld world;
+    world.AddStore(2, 1 << 20);
+    world.network.SetOnline(DeviceId(2), false);
+    net::StoreClient client(world.network, world.discovery,
+                            MiddlewareWorld::kDevice, attempts);
+    EXPECT_FALSE(client.Fetch(DeviceId(2), SwapKey(key)).ok());
+    return client.stats().backoff_us;
+  };
+  const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> kPinned = {
+      {7, {43543, 66806, 158924}},
+      {8, {33265, 78491, 125020}},
+      {(uint64_t{1} << 32) | 3, {37543, 62050, 141894}},
+  };
+  for (const auto& [key, waits] : kPinned) {
+    std::vector<uint64_t> got;
+    for (int attempts = 2; attempts <= 4; ++attempts)
+      got.push_back(total_backoff(key, attempts) -
+                    total_backoff(key, attempts - 1));
+    EXPECT_EQ(got, waits) << key;
+  }
+}
+
 TEST(DegradedClientTest, CallDeadlineCapsVirtualTime) {
   MiddlewareWorld world;
   world.AddStore(2, 1 << 20);

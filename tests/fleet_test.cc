@@ -51,6 +51,28 @@ TEST(PlacementDirectoryTest, SameViewGivesIdenticalTargetsAcrossRestarts) {
   EXPECT_NE(key_a, key_b);
 }
 
+// The rendezvous ranks of a fixed view, pinned: a changed mixer would move
+// every stored replica's home across a fleet restart.
+TEST(PlacementDirectoryTest, RankAllIsPinned) {
+  PlacementDirectory directory;
+  const double kWeights[8] = {1.0, 1.0, 2.0, 1.0, 0.5, 1.0, 3.0, 1.0};
+  for (uint32_t i = 0; i < 8; ++i)
+    directory.AddStore(DeviceId(100 + i), kWeights[i]);
+  const std::vector<std::pair<uint64_t, std::vector<uint32_t>>> kPinned = {
+      {PlacementDirectory::KeyFor(DeviceId(1), SwapClusterId(1)),
+       {100, 106, 101, 102, 103, 107, 105, 104}},
+      {PlacementDirectory::KeyFor(DeviceId(7), SwapClusterId(42)),
+       {100, 105, 102, 103, 106, 101, 107, 104}},
+      {0, {106, 107, 105, 100, 103, 102, 104, 101}},
+      {0xFFFFFFFFFFFFFFFFull, {102, 106, 100, 105, 101, 103, 107, 104}},
+  };
+  for (const auto& [key, ranks] : kPinned) {
+    std::vector<uint32_t> got;
+    for (DeviceId store : directory.RankAll(key)) got.push_back(store.value());
+    EXPECT_EQ(got, ranks) << key;
+  }
+}
+
 TEST(PlacementDirectoryTest, LeaveAndJoinMoveOnlyTheirShareOfKeys) {
   constexpr size_t kStores = 20;
   constexpr size_t kKeys = 400;

@@ -418,6 +418,29 @@ TEST(WireParityTest, UnparsableResponseIsDataLoss) {
   EXPECT_FALSE(ok->pushback);
 }
 
+// Every error code crosses the shared envelope codec with its message; an
+// envelope that names no status is DATA_LOSS on every bridge.
+TEST(WireParityTest, EveryErrorCodeRoundTripsThroughTheEnvelope) {
+  const int last = static_cast<int>(StatusCode::kDeadlineExceeded);
+  for (int i = 1; i <= last; ++i) {
+    const auto code = static_cast<StatusCode>(i);
+    const std::string message = std::string("why <") + StatusCodeName(code);
+    auto parsed = ParseOkEnvelope(ErrorResponse(code, message));
+    ASSERT_FALSE(parsed.ok()) << StatusCodeName(code);
+    EXPECT_EQ(parsed.status().code(), code);
+    EXPECT_EQ(parsed.status().message(), message);
+  }
+  auto unknown = ParseOkEnvelope("<response status=\"NO_SUCH_CODE\"/>");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(unknown.status().message(), "remote error");
+  auto no_status = ParseOkEnvelope("<response/>");
+  EXPECT_EQ(no_status.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(no_status.status().message(), "response missing status");
+  auto ok = ParseOkEnvelope("<response status=\"OK\" oid=\"3\"/>");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*(*ok)->FindAttr("oid"), "3");
+}
+
 // ------------------------------------------------------------- discovery --
 
 TEST_F(BridgeFixture, NearbyStoresFiltersByRangeAndCapacity) {

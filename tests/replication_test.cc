@@ -2,6 +2,8 @@
 // replacement, the network transport, and integration with swapping.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "test_support.h"
 
 namespace obiswap::replication {
@@ -286,6 +288,119 @@ TEST_F(TransportFixture, ClusterPayloadSurvivesEnvelope) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->object_count, 4u);
   EXPECT_NE(reply->xml.find("<swap-cluster"), std::string::npos);
+}
+
+// A master holding two records, A -> B, served one object per cluster:
+// A's cluster document carries every scalar kind and an external ref.
+struct EnvelopeWorld {
+  EnvelopeWorld() : rt(9), server(rt, /*cluster_size=*/1), service(server) {
+    using runtime::ValueKind;
+    const runtime::ClassInfo* cls = *rt.types().Register(
+        runtime::ClassBuilder("Rec")
+            .Field("next", ValueKind::kRef)
+            .Field("a", ValueKind::kInt)
+            .Field("b", ValueKind::kInt)
+            .Field("r", ValueKind::kReal)
+            .Field("z", ValueKind::kReal)
+            .Field("s", ValueKind::kStr));
+    LocalScope scope(rt.heap());
+    Object* b = rt.New(cls);
+    scope.Add(b);
+    Object* a = rt.New(cls);
+    scope.Add(a);
+    OBISWAP_CHECK(rt.SetField(a, "next", Value::Ref(b)).ok());
+    OBISWAP_CHECK(rt.SetField(a, "a", Value::Int(7)).ok());
+    OBISWAP_CHECK(rt.SetField(a, "b", Value::Int(-42)).ok());
+    OBISWAP_CHECK(rt.SetField(a, "r", Value::Real(0.1)).ok());
+    OBISWAP_CHECK(rt.SetField(a, "z", Value::Real(-0.0)).ok());
+    OBISWAP_CHECK(rt.SetField(a, "s", Value::Str("x<&>\"y")).ok());
+    OBISWAP_CHECK(server.PublishRoot("rec", a).ok());
+  }
+
+  runtime::Runtime rt;
+  ReplicationServer server;
+  ReplicationService service;
+};
+
+// The exact request and response envelopes of each op: their sizes set
+// the transfer times of every replication on the virtual clock.
+TEST(ReplicationEnvelopeTest, EnvelopeBytesArePinned) {
+  const std::string kRootRequest = R"(<request op="root" name="rec"/>)";
+  const std::string kRootResponse =
+      R"(<response status="OK" oid="2533274790395906" class="Rec"/>)";
+  const std::string kClusterRequest =
+      R"(<request op="cluster" device="1" oid="2533274790395906"/>)";
+  const std::string kClusterResponse =
+      R"(<response status="OK" cluster="1" count="1"><payload>)"
+      R"(&lt;swap-cluster id="1" count="1" checksum="274333755"&gt;)"
+      R"(&lt;object oid="2533274790395906" class="Rec" cluster="1"&gt;)"
+      R"(&lt;f n="next" t="ref" out="0" oid="2533274790395905" )"
+      R"(class="Rec"/&gt;)"
+      R"(&lt;f n="a" t="int"&gt;7&lt;/f&gt;)"
+      R"(&lt;f n="b" t="int"&gt;-42&lt;/f&gt;)"
+      R"(&lt;f n="r" t="real"&gt;0.10000000000000001&lt;/f&gt;)"
+      R"(&lt;f n="z" t="real"&gt;-0&lt;/f&gt;)"
+      R"(&lt;f n="s" t="str"&gt;x&amp;lt;&amp;amp;&amp;gt;"y&lt;/f&gt;)"
+      R"(&lt;/object&gt;&lt;/swap-cluster&gt;</payload></response>)";
+  const std::string kSnapshotRequest =
+      R"(<request op="snapshot" device="1" oid="2533274790395906"/>)";
+  const std::string kSnapshotResponse =
+      R"(<response status="OK" oid="2533274790395906" v="0">)"
+      R"(<f n="a" t="int">7</f><f n="b" t="int">-42</f>)"
+      R"(<f n="r" t="real">0.10000000000000001</f>)"
+      R"(<f n="z" t="real">-0</f><f n="s" t="str">x&lt;&amp;&gt;"y</f>)"
+      R"(</response>)";
+  const std::string kMissingRequest = R"(<request op="root" name="missing"/>)";
+  const std::string kNotFoundResponse =
+      R"(<response status="NOT_FOUND" )"
+      R"(message="no published root &apos;missing&apos;"/>)";
+
+  EnvelopeWorld direct;
+  for (const auto& [request, response] :
+       {std::pair{kRootRequest, kRootResponse},
+        std::pair{kClusterRequest, kClusterResponse},
+        std::pair{kSnapshotRequest, kSnapshotResponse},
+        std::pair{kMissingRequest, kNotFoundResponse}}) {
+    std::string got = direct.service.Handle(request);
+    EXPECT_EQ(got, response) << "raw:\n" << got;
+  }
+
+  // NetworkLink sends exactly those requests and decodes those responses.
+  EnvelopeWorld linked;
+  net::Network network;
+  network.AddDevice(kPda);
+  network.AddDevice(kServerDev);
+  network.SetInRange(kPda, kServerDev, true);
+  NetworkLink link(network, kPda, kServerDev, linked.service);
+  uint64_t sent = 0;
+  uint64_t received = 0;
+  auto expect_bytes = [&](const std::string& request,
+                          const std::string& response) {
+    EXPECT_EQ(link.stats().bytes_sent - sent, request.size());
+    EXPECT_EQ(link.stats().bytes_received - received, response.size());
+    sent = link.stats().bytes_sent;
+    received = link.stats().bytes_received;
+  };
+  auto root = link.GetRoot("rec");
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  EXPECT_EQ(root->class_name, "Rec");
+  expect_bytes(kRootRequest, kRootResponse);
+  auto cluster = link.FetchCluster(kPda, root->oid);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  EXPECT_EQ(cluster->object_count, 1u);
+  expect_bytes(kClusterRequest, kClusterResponse);
+  auto snapshot = link.SnapshotValues(kPda, root->oid);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot->fields.size(), 5u);
+  EXPECT_EQ(snapshot->fields[1].second, Value::Int(-42));
+  EXPECT_EQ(snapshot->fields[2].second, Value::Real(0.1));
+  EXPECT_TRUE(std::signbit(snapshot->fields[3].second.as_real()));
+  EXPECT_EQ(snapshot->fields[4].second, Value::Str("x<&>\"y"));
+  expect_bytes(kSnapshotRequest, kSnapshotResponse);
+  auto missing = link.GetRoot("missing");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing.status().message(), "no published root 'missing'");
+  expect_bytes(kMissingRequest, kNotFoundResponse);
 }
 
 // ------------------------------------------- replication + swapping glue --

@@ -332,6 +332,30 @@ TEST_F(TxTransportFixture, MalformedEnvelopesRejected) {
             std::string::npos);
 }
 
+TEST_F(TxTransportFixture, MalformedTxIdIsRejected) {
+  EXPECT_EQ(service_.Handle("<request op=\"commit\" tx=\"x\"/>"),
+            "<response status=\"INVALID_ARGUMENT\" message=\"bad tx\"/>");
+  // A missing tx id still means 0.
+  EXPECT_EQ(service_.Handle("<request op=\"commit\"/>"),
+            "<response status=\"OK\" committed=\"1\"/>");
+}
+
+// A remote error keeps its code across the bridge: a commit the master
+// rejects in process (DirectCommit) fails the same way over the radio.
+TEST_F(TxTransportFixture, RemoteCommitErrorKeepsItsCode) {
+  WriteSet write_set;
+  write_set.tx_id = 9;
+  write_set.updates.push_back(
+      FieldUpdate{ObjectId(999), "value", Value::Int(1)});
+  Result<CommitResult> direct = DirectCommit(master_)(write_set);
+  Result<CommitResult> remote = NetworkCommit(
+      world_.network, MiddlewareWorld::kDevice, kServerDev, service_)(
+      write_set);
+  EXPECT_EQ(direct.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(remote.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(remote.status().message(), direct.status().message());
+}
+
 TEST_F(TxTransportFixture, EnvelopeRoundTripsAllValueKinds) {
   WriteSet write_set;
   write_set.tx_id = 7;
@@ -348,6 +372,54 @@ TEST_F(TxTransportFixture, EnvelopeRoundTripsAllValueKinds) {
   // decode got past validation into apply.
   std::string response = service_.Handle(encoded);
   EXPECT_NE(response.find("committed=\"0\""), std::string::npos);
+}
+
+// The exact commit envelopes: request, OK-with-conflicts response and
+// error responses. Their sizes set every commit's transfer time.
+TEST_F(TxTransportFixture, EnvelopeBytesArePinned) {
+  WriteSet write_set;
+  write_set.tx_id = 7;
+  write_set.validations.emplace_back(ObjectId(1), 3);
+  write_set.validations.emplace_back(ObjectId(2), 0);
+  write_set.validations.emplace_back(ObjectId(5), 1);
+  write_set.updates.push_back(FieldUpdate{ObjectId(1), "a", Value::Nil()});
+  write_set.updates.push_back(
+      FieldUpdate{ObjectId(1), "b", Value::Int(-42)});
+  write_set.updates.push_back(FieldUpdate{ObjectId(1), "c", Value::Real(0.1)});
+  write_set.updates.push_back(
+      FieldUpdate{ObjectId(2), "d", Value::Real(-0.0)});
+  write_set.updates.push_back(
+      FieldUpdate{ObjectId(2), "e", Value::Str("x<&>\"y")});
+  const std::string request = EncodeCommitRequest(write_set);
+  EXPECT_EQ(request,
+            R"(<request op="commit" tx="7">)"
+            R"(<val oid="1" v="3"/><val oid="2" v="0"/><val oid="5" v="1"/>)"
+            R"(<set oid="1" f="a" t="nil"/>)"
+            R"(<set oid="1" f="b" t="int">-42</set>)"
+            R"(<set oid="1" f="c" t="real">0.10000000000000001</set>)"
+            R"(<set oid="2" f="d" t="real">-0</set>)"
+            R"(<set oid="2" f="e" t="str">x&lt;&amp;&gt;"y</set></request>)")
+      << "raw:\n" << request;
+  const std::string conflicts = service_.Handle(request);
+  EXPECT_EQ(conflicts,
+            R"(<response status="OK" committed="0">)"
+            R"(<conflict oid="1"/><conflict oid="5"/></response>)")
+      << "raw:\n" << conflicts;
+
+  WriteSet unknown;
+  unknown.tx_id = 8;
+  unknown.updates.push_back(
+      FieldUpdate{ObjectId(999), "value", Value::Int(1)});
+  const std::string not_found = service_.Handle(EncodeCommitRequest(unknown));
+  EXPECT_EQ(not_found,
+            R"(<response status="NOT_FOUND" )"
+            R"(message="no master object with oid 999"/>)")
+      << "raw:\n" << not_found;
+  const std::string bad = service_.Handle("<request op=\"zap\"/>");
+  EXPECT_EQ(bad,
+            R"(<response status="INVALID_ARGUMENT" )"
+            R"(message="bad commit request"/>)")
+      << "raw:\n" << bad;
 }
 
 }  // namespace

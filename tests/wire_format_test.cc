@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/checksum.h"
 #include "serialization/graph_binary.h"
 #include "test_support.h"
 
@@ -293,6 +294,48 @@ TEST_F(WireFormatFixture, BinaryEncodingIsCanonical) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->payload, second->payload);
+}
+
+// The exact bytes of every cluster format, pinned by FNV-1a: a changed
+// byte moves every virtual-time result that ships a cluster, and the
+// stored documents of earlier runs must still decode.
+TEST_F(WireFormatFixture, DocumentBytesArePinned) {
+  LocalScope scope(rt_.heap());
+  Object* a = NewItem(scope, 7);
+  Object* b = NewItem(scope, -42);
+  Object* c = NewItem(scope, 0);
+  Object* external = rt_.New(ext_cls_);
+  scope.Add(external);
+  ASSERT_TRUE(rt_.SetField(a, "weight", Value::Real(0.1)).ok());
+  ASSERT_TRUE(rt_.SetField(b, "weight", Value::Real(-0.0)).ok());
+  ASSERT_TRUE(rt_.SetField(c, "weight", Value::Real(2.5)).ok());
+  ASSERT_TRUE(rt_.SetField(a, "label", Value::Str("x<&>\"y")).ok());
+  ASSERT_TRUE(rt_.SetField(c, "label", Value::Str(AllBytes())).ok());
+  ASSERT_TRUE(rt_.SetField(a, "extra", Value::Str("any")).ok());
+  ASSERT_TRUE(rt_.SetField(a, "next", Value::Ref(b)).ok());
+  ASSERT_TRUE(rt_.SetField(c, "next", Value::Ref(a)).ok());
+  b->RawSlotMutable(0) = Value::Ref(external);
+
+  auto xml = SerializeCluster(rt_, 5, {a, b, c}, DescribeAny);
+  auto base = SerializeClusterBinary(rt_, 5, {a, b, c}, DescribeAny);
+  ASSERT_TRUE(xml.ok()) << xml.status().ToString();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_TRUE(rt_.SetField(b, "count", Value::Int(43)).ok());
+  ASSERT_TRUE(rt_.SetField(c, "weight", Value::Real(-0.1)).ok());
+  auto fresh = SerializeClusterBinary(rt_, 5, {a, b, c}, DescribeAny);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto delta = DiffClusterPayloads(base->payload, fresh->payload);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+
+  EXPECT_EQ(xml->payload.size(), 1108u);
+  EXPECT_EQ(Fnv1a64(xml->payload), 0x973901ae8338ba51ull);
+  EXPECT_EQ(base->payload.size(), 381u);
+  EXPECT_EQ(Fnv1a64(base->payload), 0xf4977e44fa0d78b8ull);
+  EXPECT_EQ(delta->size(), 45u);
+  EXPECT_EQ(Fnv1a64(*delta), 0x96d144ef24ef71fcull);
+  // The XML document carries its semantic digest as `checksum`.
+  EXPECT_NE(xml->payload.find(" checksum=\"916520011\""), std::string::npos)
+      << xml->payload;
 }
 
 TEST_F(WireFormatFixture, BinaryRejectsTamperingIdMismatchAndGarbage) {
