@@ -14,6 +14,11 @@
 //        mediated by a *fresh* cluster-0 proxy (the §4 pathology).
 //   B2 — B1 with the assign() optimization: the proxy patches itself.
 //
+// Besides the wall time, each cell records what its timed runs did:
+// invocations, proxies created, boundary crossings and collections. These
+// counts are deterministic, so two builds that mean to behave the same must
+// report them identically (scripts/bench_diff.py).
+//
 // Paper values (ms): A1 43/38/36/35, A2 467/398/377/305, B1 339/331/296/36,
 // B2 64/51/49/36 for sizes 20/50/100/none. We reproduce the *shape* — see
 // EXPERIMENTS.md.
@@ -60,6 +65,40 @@ struct Config {
   std::unique_ptr<swap::SwappingManager> manager;
   const runtime::ClassInfo* node_cls = nullptr;
 };
+
+/// Deterministic work counts of one cell's timed runs.
+struct Counts {
+  uint64_t invocations = 0;
+  uint64_t proxies_created = 0;
+  uint64_t boundary_crossings = 0;
+  uint64_t collections = 0;
+};
+
+Counts ReadCounts(const Config& config) {
+  Counts counts;
+  const runtime::Runtime::Stats& rt_stats = config.rt->stats();
+  counts.invocations =
+      rt_stats.direct_invocations + rt_stats.intercepted_invocations;
+  counts.collections = config.rt->heap().stats().collections;
+  if (config.manager != nullptr) {
+    counts.proxies_created = config.manager->stats().proxies_created;
+    counts.boundary_crossings = config.manager->stats().boundary_crossings;
+  }
+  return counts;
+}
+
+/// Runs `test` on `config` and returns its time with the counts it added.
+double Measure(Config& config, double (*test)(Config&), Counts* added) {
+  const Counts before = ReadCounts(config);
+  const double ms = test(config);
+  const Counts after = ReadCounts(config);
+  added->invocations = after.invocations - before.invocations;
+  added->proxies_created = after.proxies_created - before.proxies_created;
+  added->boundary_crossings =
+      after.boundary_crossings - before.boundary_crossings;
+  added->collections = after.collections - before.collections;
+  return ms;
+}
 
 double RunA1(Config& config) {
   // A1 is fast on modern hardware; amplify each sample to escape timer and
@@ -126,22 +165,24 @@ int main(int argc, char** argv) {
 
     const std::optional<int> kSizes[] = {20, 50, 100, std::nullopt};
     double results[4][4] = {};
+    Counts counts[4][4] = {};
+    double (*run_b1)(Config&) = [](Config& c) { return RunB(c, false); };
+    double (*run_b2)(Config&) = [](Config& c) { return RunB(c, true); };
 
     for (int col = 0; col < 4; ++col) {
       {
         Config config(kSizes[col]);
-        results[0][col] = RunA1(config);
-        results[1][col] = RunA2(config);
+        results[0][col] = Measure(config, RunA1, &counts[0][col]);
+        results[1][col] = Measure(config, RunA2, &counts[1][col]);
       }
       {
         // Fresh graph for the B tests (A2 leaves proxy garbage behind).
+        // Without swap-clusters there is no assign(): B2 repeats B1.
         Config config(kSizes[col]);
-        results[2][col] = RunB(config, /*assign=*/false);
-        if (kSizes[col].has_value()) {
-          results[3][col] = RunB(config, /*assign=*/true);
-        } else {
-          results[3][col] = RunB(config, /*assign=*/false);
-        }
+        results[2][col] = Measure(config, run_b1, &counts[2][col]);
+        results[3][col] = Measure(
+            config, kSizes[col].has_value() ? run_b2 : run_b1,
+            &counts[3][col]);
       }
     }
 
@@ -159,6 +200,11 @@ int main(int argc, char** argv) {
                  static_cast<int64_t>(kSizes[col].value_or(0)));
         json.Add("measured_ms", results[row][col]);
         json.Add("paper_ms", kPaper[row][col]);
+        const Counts& cell = counts[row][col];
+        json.Add("invocations", cell.invocations);
+        json.Add("proxies_created", cell.proxies_created);
+        json.Add("boundary_crossings", cell.boundary_crossings);
+        json.Add("collections", cell.collections);
       }
     }
 
