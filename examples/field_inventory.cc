@@ -33,11 +33,11 @@ const runtime::ClassInfo* RegisterPart(runtime::Runtime& rt) {
           .Field("stock", ValueKind::kInt)
           .Field("next", ValueKind::kRef)
           .Method("stock",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 2));
                   }));
 }

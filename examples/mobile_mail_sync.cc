@@ -31,11 +31,11 @@ const runtime::ClassInfo* RegisterMessage(runtime::Runtime& rt) {
           .Field("body", ValueKind::kStr)
           .Field("next", ValueKind::kRef)
           .Method("subject",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 2));
                   }));
 }
@@ -47,15 +47,15 @@ const runtime::ClassInfo* RegisterFolder(runtime::Runtime& rt) {
           .Field("first", ValueKind::kRef)
           .Field("next", ValueKind::kRef)
           .Method("name",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("first",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 2));
                   }));
 }

@@ -28,11 +28,11 @@ const runtime::ClassInfo* RegisterPhoto(runtime::Runtime& rt) {
           .Field("thumbnail", ValueKind::kStr)  // opaque bytes
           .Field("next", ValueKind::kRef)
           .Method("caption",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 2));
                   }));
 }
@@ -44,15 +44,15 @@ const runtime::ClassInfo* RegisterAlbum(runtime::Runtime& rt) {
           .Field("first_photo", ValueKind::kRef)
           .Field("next_album", ValueKind::kRef)
           .Method("title",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("first_photo",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("next_album",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 2));
                   }));
 }

@@ -26,13 +26,13 @@ int main() {
                                .Field("next", ValueKind::kRef)
                                .Method("name",
                                        [](runtime::Runtime& r, Object* self,
-                                          std::vector<Value>&) {
+                                          runtime::Args) {
                                          return Result<Value>(
                                              r.GetFieldAt(self, 0));
                                        })
                                .Method("next",
                                        [](runtime::Runtime& r, Object* self,
-                                          std::vector<Value>&) {
+                                          runtime::Args) {
                                          return Result<Value>(
                                              r.GetFieldAt(self, 1));
                                        }));

@@ -165,14 +165,14 @@ Result<Object*> NaiveProxyManager::FaultObject(Object* proxy) {
 
 Result<Value> NaiveProxyManager::Invoke(runtime::Runtime& rt,
                                         Object* receiver,
-                                        std::string_view method,
-                                        std::vector<Value>& args) {
+                                        runtime::Selector method,
+                                        runtime::Args args) {
   ++stats_.mediated_invocations;
   Object* target = receiver->RawSlot(kSlotTarget).ref();
   if (receiver->RawSlot(kSlotTarget).is_nil() || target == nullptr) {
     OBISWAP_ASSIGN_OR_RETURN(target, FaultObject(receiver));
   }
-  Result<Value> result = rt.Invoke(target, method, std::move(args));
+  Result<Value> result = rt.Invoke(target, method, args);
   if (!result.ok()) return result;
   Value value = *std::move(result);
   if (value.is_ref() && value.ref() != nullptr &&

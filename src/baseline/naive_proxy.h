@@ -68,8 +68,8 @@ class NaiveProxyManager final : public runtime::Interceptor,
                                 runtime::Object* value) override;
   Result<runtime::Value> Invoke(runtime::Runtime& rt,
                                 runtime::Object* receiver,
-                                std::string_view method,
-                                std::vector<runtime::Value>& args) override;
+                                runtime::Selector method,
+                                runtime::Args args) override;
 
   /// Surrogate count currently alive (memory-overhead measurements).
   size_t LiveProxyCount() const { return proxies_.size(); }

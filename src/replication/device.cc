@@ -212,8 +212,8 @@ void DeviceEndpoint::ReplaceProxy(Object* proxy, Object* real) {
 }
 
 Result<Value> DeviceEndpoint::Invoke(runtime::Runtime& rt, Object* receiver,
-                                     std::string_view method,
-                                     std::vector<Value>& args) {
+                                     runtime::Selector method,
+                                     runtime::Args args) {
   ObjectId oid(
       static_cast<uint64_t>(receiver->RawSlot(kSlotOid).as_int()));
   Object* replica = FindReplica(oid);
@@ -224,7 +224,7 @@ Result<Value> DeviceEndpoint::Invoke(runtime::Runtime& rt, Object* receiver,
   }
   // Forward. Returned raw references get mediated when stored (the write
   // barrier) — transient use needs no proxy.
-  return rt.Invoke(replica, method, std::move(args));
+  return rt.Invoke(replica, method, args);
 }
 
 }  // namespace obiswap::replication

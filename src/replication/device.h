@@ -109,8 +109,8 @@ class DeviceEndpoint : public runtime::Interceptor {
   /// Interceptor: invocation on a replication proxy = object fault.
   Result<runtime::Value> Invoke(runtime::Runtime& rt,
                                 runtime::Object* receiver,
-                                std::string_view method,
-                                std::vector<runtime::Value>& args) override;
+                                runtime::Selector method,
+                                runtime::Args args) override;
 
   const Stats& stats() const { return stats_; }
   DeviceId self() const { return self_; }

@@ -10,6 +10,14 @@ namespace obiswap::replication {
 using net::ErrorResponse;
 using net::ParseOkEnvelope;
 
+namespace {
+/// A device id is 32 bits wide: a `device` attribute outside that range is
+/// malformed, not another device's id after truncation.
+bool IsDeviceValue(int64_t value) {
+  return value >= 0 && value <= static_cast<int64_t>(UINT32_MAX);
+}
+}  // namespace
+
 std::string ReplicationService::Handle(const std::string& request_xml) {
   auto parsed = xml::Parse(request_xml);
   if (!parsed.ok())
@@ -39,6 +47,8 @@ std::string ReplicationService::Handle(const std::string& request_xml) {
     if (!device_attr.ok() || !oid_attr.ok())
       return ErrorResponse(StatusCode::kInvalidArgument,
                            "missing device/oid");
+    if (!IsDeviceValue(*device_attr))
+      return ErrorResponse(StatusCode::kInvalidArgument, "bad device");
     Result<ClusterReply> reply = server_.FetchCluster(
         DeviceId(static_cast<uint32_t>(*device_attr)),
         ObjectId(static_cast<uint64_t>(*oid_attr)));
@@ -63,6 +73,8 @@ std::string ReplicationService::Handle(const std::string& request_xml) {
     if (!device_attr.ok() || !oid_attr.ok())
       return ErrorResponse(StatusCode::kInvalidArgument,
                            "missing device/oid");
+    if (!IsDeviceValue(*device_attr))
+      return ErrorResponse(StatusCode::kInvalidArgument, "bad device");
     Result<ReplicationServer::ValueSnapshot> snapshot =
         server_.SnapshotValues(DeviceId(static_cast<uint32_t>(*device_attr)),
                                ObjectId(static_cast<uint64_t>(*oid_attr)));

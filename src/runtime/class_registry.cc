@@ -7,13 +7,6 @@ size_t ClassInfo::FieldIndex(std::string_view name) const {
   return it == field_index_.end() ? kNpos : it->second;
 }
 
-const MethodInfo* ClassInfo::FindMethod(std::string_view name) const {
-  for (const MethodInfo& method : methods_) {
-    if (method.name == name) return &method;
-  }
-  return nullptr;
-}
-
 ClassBuilder::ClassBuilder(std::string name)
     : info_(std::make_unique<ClassInfo>()) {
   info_->name_ = std::move(name);
@@ -31,7 +24,15 @@ ClassBuilder& ClassBuilder::Field(std::string name, ValueKind kind) {
 }
 
 ClassBuilder& ClassBuilder::Method(std::string name, MethodFn fn) {
-  info_->methods_.push_back(MethodInfo{std::move(name), std::move(fn)});
+  const Selector selector(name);
+  std::vector<uint32_t>& index = info_->method_index_;
+  if (selector.id() >= index.size())
+    index.resize(selector.id() + 1, ClassInfo::kNoMethod);
+  // A repeated name keeps its first declaration.
+  if (index[selector.id()] == ClassInfo::kNoMethod)
+    index[selector.id()] = static_cast<uint32_t>(info_->methods_.size());
+  info_->methods_.push_back(
+      MethodInfo{std::move(name), selector, std::move(fn)});
   return *this;
 }
 

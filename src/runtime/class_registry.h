@@ -2,13 +2,16 @@
 //
 // The original system used the `obicomp` compiler to generate per-class
 // proxy code. We replace codegen with metadata: every class registers its
-// fields (traced and serialized by name/kind) and methods (invoked by name).
+// fields (traced and serialized by name/kind) and methods (invoked through
+// an interned selector, see selector.h).
 // Generic proxies driven by this metadata implement the same mediation
 // rules the generated code implemented (see DESIGN.md §4 Substitutions).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,6 +19,7 @@
 
 #include "common/ids.h"
 #include "common/status.h"
+#include "runtime/selector.h"
 #include "runtime/value.h"
 
 namespace obiswap::runtime {
@@ -38,12 +42,15 @@ struct FieldInfo {
   ValueKind kind = ValueKind::kNil;
 };
 
+/// A call's arguments: a view of the caller's storage, valid for the call.
+using Args = std::span<const Value>;
+
 /// A method body. `self` is always the *actual* object (proxies forward).
-using MethodFn =
-    std::function<Result<Value>(Runtime&, Object* self, std::vector<Value>&)>;
+using MethodFn = std::function<Result<Value>(Runtime&, Object* self, Args)>;
 
 struct MethodInfo {
   std::string name;
+  Selector selector;
   MethodFn fn;
 };
 
@@ -67,8 +74,13 @@ class ClassInfo {
   /// Field index by name, or npos.
   static constexpr size_t kNpos = static_cast<size_t>(-1);
   size_t FieldIndex(std::string_view name) const;
-  /// Method by name, or nullptr.
-  const MethodInfo* FindMethod(std::string_view name) const;
+  /// Method named by `selector`, or nullptr: one bounds check and one
+  /// index, no string compare.
+  const MethodInfo* FindMethod(Selector selector) const {
+    if (selector.id() >= method_index_.size()) return nullptr;
+    const uint32_t index = method_index_[selector.id()];
+    return index == kNoMethod ? nullptr : &methods_[index];
+  }
 
  private:
   friend class ClassBuilder;
@@ -79,6 +91,11 @@ class ClassInfo {
   ObjectKind kind_ = ObjectKind::kRegular;
   std::vector<FieldInfo> fields_;
   std::vector<MethodInfo> methods_;
+  /// Selector id -> index into methods_ (kNoMethod where the class has no
+  /// such method). A selector interned after the class was built names
+  /// none of its methods and falls past the end.
+  static constexpr uint32_t kNoMethod = UINT32_MAX;
+  std::vector<uint32_t> method_index_;
   std::unordered_map<std::string, size_t> field_index_;
   size_t payload_bytes_ = 0;
   Finalizer finalizer_;

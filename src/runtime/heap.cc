@@ -20,7 +20,14 @@ Heap::Heap(size_t capacity_bytes)
 static_assert(sizeof(void*) != 8 || sizeof(Object) == 72,
               "Object's size is part of every object's heap charge");
 
-WeakCell::~WeakCell() {
+WeakCell::WeakCell(Object* target) : target_(target) {
+  if (target_ == nullptr) return;
+  next_ = target_->weak_cells_;
+  if (next_ != nullptr) next_->prev_ = this;
+  target_->weak_cells_ = this;
+}
+
+void WeakCell::Unlink() {
   if (target_ == nullptr) return;  // cleared: already off every chain
   if (prev_ != nullptr) {
     prev_->next_ = next_;
@@ -28,6 +35,26 @@ WeakCell::~WeakCell() {
     target_->weak_cells_ = next_;
   }
   if (next_ != nullptr) next_->prev_ = prev_;
+  target_ = nullptr;
+  prev_ = nullptr;
+  next_ = nullptr;
+}
+
+void WeakCell::TakePlaceOf(WeakCell& other) {
+  target_ = other.target_;
+  prev_ = other.prev_;
+  next_ = other.next_;
+  persist_ = std::move(other.persist_);
+  other.target_ = nullptr;
+  other.prev_ = nullptr;
+  other.next_ = nullptr;
+  if (target_ == nullptr) return;
+  if (prev_ != nullptr) {
+    prev_->next_ = this;
+  } else {
+    target_->weak_cells_ = this;
+  }
+  if (next_ != nullptr) next_->prev_ = this;
 }
 
 Heap::~Heap() {
@@ -163,10 +190,9 @@ bool Heap::Reclaim(const std::vector<Object*>& set, SwapClusterId cluster) {
     return obj != nullptr && obj->kind() == ObjectKind::kRegular &&
            obj->swap_cluster() == cluster;
   };
-  for (Object* local : locals_) {
-    if (labelled(local)) return false;
-  }
   bool rooted = false;
+  ForEachLocal([&](Object* local) { rooted = rooted || labelled(local); });
+  if (rooted) return false;
   for (RootProvider* provider : root_providers_) {
     provider->EnumerateRoots(
         [&](Object* root) { rooted = rooted || labelled(root); });
@@ -207,7 +233,7 @@ void Heap::MarkFromRoots() {
       worklist.push_back(obj);
     }
   };
-  for (Object* local : locals_) mark(local);
+  ForEachLocal(mark);
   for (RootProvider* provider : root_providers_) {
     provider->EnumerateRoots(mark);
   }
@@ -309,13 +335,7 @@ void Heap::RemoveRootProvider(RootProvider* provider) {
 }
 
 WeakRef Heap::NewWeakRef(Object* target) {
-  auto cell = std::make_shared<WeakCell>(target);
-  if (target != nullptr) {
-    cell->next_ = target->weak_cells_;
-    if (cell->next_ != nullptr) cell->next_->prev_ = cell.get();
-    target->weak_cells_ = cell.get();
-  }
-  return cell;
+  return std::make_shared<WeakCell>(target);
 }
 
 WeakRef Heap::NewExtendedWeakRef(Object* target, PersistFn persist) {
@@ -324,14 +344,8 @@ WeakRef Heap::NewExtendedWeakRef(Object* target, PersistFn persist) {
   return cell;
 }
 
-Object** Heap::PushLocal(Object* obj) {
-  locals_.push_back(obj);
-  return &locals_.back();
-}
-
-void Heap::TruncateLocals(size_t depth) {
-  OBISWAP_CHECK(depth <= locals_.size());
-  locals_.resize(depth);
+void Heap::AddLocalChunk() {
+  local_chunks_.push_back(std::make_unique<Object*[]>(kLocalChunk));
 }
 
 void Heap::ForEachObject(const std::function<void(Object*)>& visit) const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -21,18 +20,31 @@
 namespace obiswap::runtime {
 
 /// Target cell of a weak reference. `get()` is nullptr once the referent has
-/// been collected. Holders keep the shared_ptr. A cell with a live referent
-/// sits on that referent's intrusive cell chain, so the heap clears exactly
-/// the cells of the objects it frees; a holder dropping the cell unlinks it.
-/// Only the heap clears a cell, and it never re-sets it.
+/// been collected. A cell with a live referent sits on that referent's
+/// intrusive cell chain, so the heap clears exactly the cells of the
+/// objects it frees; destroying a cell unlinks it. Holders either share it
+/// (WeakRef, from Heap::NewWeakRef) or own it by value: a move relinks the
+/// chain to the destination, so cells can live inline in a vector. Only
+/// the heap clears a cell, and it never re-sets it.
 class WeakCell {
  public:
   /// Extended weak references run this on their dying referent.
   using PersistFn = std::function<void(Object*)>;
 
-  explicit WeakCell(Object* target) : target_(target) {}
-  ~WeakCell();
+  /// Links the cell onto `target`'s chain (a null target reads as cleared).
+  explicit WeakCell(Object* target);
+  ~WeakCell() { Unlink(); }
 
+  /// The destination takes the source's place on the chain; the source
+  /// reads as cleared.
+  WeakCell(WeakCell&& other) noexcept { TakePlaceOf(other); }
+  WeakCell& operator=(WeakCell&& other) noexcept {
+    if (this != &other) {
+      Unlink();
+      TakePlaceOf(other);
+    }
+    return *this;
+  }
   WeakCell(const WeakCell&) = delete;
   WeakCell& operator=(const WeakCell&) = delete;
 
@@ -42,7 +54,10 @@ class WeakCell {
  private:
   friend class Heap;
 
-  Object* target_;
+  void Unlink();
+  void TakePlaceOf(WeakCell& other);
+
+  Object* target_ = nullptr;
   WeakCell* prev_ = nullptr;  // the referent's cell chain
   WeakCell* next_ = nullptr;
   // Extended weak references only. Boxed: every proxy and member carries a
@@ -171,11 +186,23 @@ class Heap {
   size_t tracked_extended_cells() const { return CountCells(true); }
 
   // --- local handle scopes (thread-stack roots) ---------------------------
-  size_t LocalDepth() const { return locals_.size(); }
+  size_t LocalDepth() const { return local_depth_; }
   /// Pushes `obj` as a root; returns a stable slot (valid until the
   /// enclosing LocalScope pops it). Middleware-level: no store mediation.
-  Object** PushLocal(Object* obj);
-  void TruncateLocals(size_t depth);
+  /// Every invocation roots through here, so it is inline and, once the
+  /// stack has reached a depth, allocation-free.
+  Object** PushLocal(Object* obj) {
+    if (local_depth_ == local_chunks_.size() * kLocalChunk) AddLocalChunk();
+    Object** slot = &local_chunks_[local_depth_ / kLocalChunk]
+                                  [local_depth_ % kLocalChunk];
+    *slot = obj;
+    ++local_depth_;
+    return slot;
+  }
+  void TruncateLocals(size_t depth) {
+    OBISWAP_CHECK(depth <= local_depth_);
+    local_depth_ = depth;
+  }
 
   /// Iterates every object not yet freed, newest first (white-box tests,
   /// replication patching). Dead objects are visited until the next
@@ -213,7 +240,17 @@ class Heap {
   std::vector<Object*> objects_;
   size_t holes_ = 0;
   std::vector<Object*> dying_;     // Collect's scratch list
-  std::deque<Object*> locals_;     // deque: stable slot addresses
+  // The local roots: a stack of fixed chunks, so slots never move, and
+  // kept at their deepest extent, so pushes stop allocating.
+  static constexpr size_t kLocalChunk = 256;
+  void AddLocalChunk();
+  template <typename Visit>
+  void ForEachLocal(Visit&& visit) const {
+    for (size_t i = 0; i < local_depth_; ++i)
+      visit(local_chunks_[i / kLocalChunk][i % kLocalChunk]);
+  }
+  std::vector<std::unique_ptr<Object*[]>> local_chunks_;
+  size_t local_depth_ = 0;
   std::vector<RootProvider*> root_providers_;
   PressureHandler pressure_handler_;
   bool in_collect_ = false;

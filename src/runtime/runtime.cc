@@ -93,23 +93,29 @@ Status Runtime::SetGlobal(std::string_view name, Value value) {
     scope.Add(value.ref());
     value.set_ref(ApplyStoreMediation(nullptr, value.ref()));
   }
-  globals_[std::string(name)] = std::move(value);
+  auto it = globals_.find(name);
+  if (it != globals_.end()) {
+    it->second = std::move(value);
+  } else {
+    globals_.emplace(std::string(name), std::move(value));
+  }
   return OkStatus();
 }
 
 Result<Value> Runtime::GetGlobal(std::string_view name) const {
-  auto it = globals_.find(std::string(name));
+  auto it = globals_.find(name);
   if (it == globals_.end())
     return NotFoundError("no global '" + std::string(name) + "'");
   return it->second;
 }
 
 bool Runtime::HasGlobal(std::string_view name) const {
-  return globals_.count(std::string(name)) > 0;
+  return globals_.find(name) != globals_.end();
 }
 
 void Runtime::RemoveGlobal(std::string_view name) {
-  globals_.erase(std::string(name));
+  auto it = globals_.find(name);
+  if (it != globals_.end()) globals_.erase(it);
 }
 
 std::vector<std::pair<std::string, Object*>> Runtime::GlobalRefs() const {
@@ -121,12 +127,8 @@ std::vector<std::pair<std::string, Object*>> Runtime::GlobalRefs() const {
   return out;
 }
 
-Result<Value> Runtime::Invoke(Object* receiver, std::string_view method,
-                              std::vector<Value> args) {
+Result<Value> Runtime::Invoke(Object* receiver, Selector method, Args args) {
   if (receiver == nullptr) return InvalidArgumentError("Invoke on null");
-  // Root the receiver and reference arguments for the duration of the call:
-  // allocation inside the callee (or inside proxy mediation) may trigger a
-  // collection, and neither is necessarily reachable otherwise.
   LocalScope scope(heap_);
   scope.Add(receiver);
   for (const Value& arg : args) {
@@ -144,8 +146,8 @@ Result<Value> Runtime::Invoke(Object* receiver, std::string_view method,
   }
   const MethodInfo* info = receiver->cls().FindMethod(method);
   if (info == nullptr)
-    return NotFoundError("no method '" + std::string(method) + "' on class " +
-                         receiver->cls().name());
+    return NotFoundError("no method '" + std::string(method.name()) +
+                         "' on class " + receiver->cls().name());
   ++stats_.direct_invocations;
   context_stack_.push_back(receiver->swap_cluster());
   Result<Value> result = info->fn(*this, receiver, args);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,12 +31,13 @@
 namespace obiswap::runtime {
 
 /// Handles invocations on non-regular object kinds (proxies, replacements).
+/// Runs inside Runtime::Invoke with the receiver and reference arguments
+/// already rooted; forwards to the real object through Runtime::Invoke.
 class Interceptor {
  public:
   virtual ~Interceptor() = default;
-  virtual Result<Value> Invoke(Runtime& rt, Object* receiver,
-                               std::string_view method,
-                               std::vector<Value>& args) = 0;
+  virtual Result<Value> Invoke(Runtime& rt, Object* receiver, Selector method,
+                               Args args) = 0;
 };
 
 /// Mediates reference stores. `holder` is the object whose field is being
@@ -127,10 +129,26 @@ class Runtime : public RootProvider {
   std::vector<std::pair<std::string, Object*>> GlobalRefs() const;
 
   // --- invocation ----------------------------------------------------------
-  /// Invokes `method` on `receiver`. Regular objects dispatch directly;
-  /// proxy/replacement kinds go through the registered Interceptor.
+  /// The invoke core, and the only code that runs a method body. Roots the
+  /// receiver and every reference argument for the call (the callee or a
+  /// proxy's mediation may allocate and so collect), then dispatches:
+  /// regular objects through their class's selector table, proxy and
+  /// replacement kinds through the registered Interceptor. `args` views
+  /// the caller's storage; a call allocates nothing on the C++ heap.
+  Result<Value> Invoke(Object* receiver, Selector method, Args args = {});
+  Result<Value> Invoke(Object* receiver, Selector method,
+                       std::initializer_list<Value> args) {
+    return Invoke(receiver, method, Args(args.begin(), args.size()));
+  }
+  /// By-name front of the same core: interns `method`, then calls it.
   Result<Value> Invoke(Object* receiver, std::string_view method,
-                       std::vector<Value> args = {});
+                       Args args = {}) {
+    return Invoke(receiver, Selector(method), args);
+  }
+  Result<Value> Invoke(Object* receiver, std::string_view method,
+                       std::initializer_list<Value> args) {
+    return Invoke(receiver, Selector(method), Args(args.begin(), args.size()));
+  }
 
   /// Reference identity test honoring swap-cluster-proxies.
   bool SameObject(const Object* a, const Object* b) const;
@@ -165,7 +183,14 @@ class Runtime : public RootProvider {
   uint64_t next_object_seq_ = 1;
   TypeRegistry types_;
   Heap heap_;
-  std::unordered_map<std::string, Value> globals_;
+  /// Transparent hashing: a lookup by std::string_view builds no string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  std::unordered_map<std::string, Value, NameHash, std::equal_to<>> globals_;
   Interceptor* interceptors_[4] = {nullptr, nullptr, nullptr, nullptr};
   StoreMediator* mediator_ = nullptr;
   IdentityHook* identity_ = nullptr;

@@ -56,26 +56,23 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
       own_telemetry_(std::make_unique<telemetry::Telemetry>()),
       telemetry_(own_telemetry_.get()),
       cache_(options_.swap_in_cache_bytes),
-      write_back_pacer_(options_.write_back_pacer),
-      alive_(std::make_shared<SwappingManager*>(this)) {
+      write_back_pacer_(options_.write_back_pacer) {
   OBISWAP_CHECK(options_.clusters_per_swap_cluster > 0);
   set_replication_factor(options_.replication_factor);
   OBISWAP_CHECK(compress::FindCodec(options_.codec) != nullptr);
-
-  std::shared_ptr<SwappingManager*> alive = alive_;
-  auto proxy_finalizer = [alive](Object* obj) {
-    if (*alive != nullptr) (*alive)->OnProxyFinalized(obj);
-  };
-  auto replacement_finalizer = [alive](Object* obj) {
-    if (*alive != nullptr) (*alive)->OnReplacementFinalized(obj);
-  };
 
   const ClassInfo* existing = rt_.types().Find(kSwapProxyClassName);
   if (existing != nullptr) {
     proxy_cls_ = existing;
     replacement_cls_ = rt_.types().Find(kReplacementClassName);
     OBISWAP_CHECK(replacement_cls_ != nullptr);
+    // An earlier manager registered the classes: take over their
+    // finalizers, so this manager's proxies leave its reuse index too.
+    const auto* call = existing->finalizer().target<FinalizerCall>();
+    OBISWAP_CHECK(call != nullptr);
+    owner_ = call->owner;
   } else {
+    owner_ = std::make_shared<SwappingManager*>(nullptr);
     proxy_cls_ = *rt_.types().Register(
         ClassBuilder(kSwapProxyClassName)
             .Kind(ObjectKind::kSwapClusterProxy)
@@ -84,14 +81,17 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
             .Field("target_sc", ValueKind::kInt)
             .Field("target_oid", ValueKind::kInt)
             .Field("assigned", ValueKind::kInt)
-            .OnFinalize(proxy_finalizer));
+            .OnFinalize(
+                FinalizerCall{owner_, &SwappingManager::OnProxyFinalized}));
     replacement_cls_ = *rt_.types().Register(
         ClassBuilder(kReplacementClassName)
             .Kind(ObjectKind::kReplacement)
             .Field("cluster", ValueKind::kInt)
             .Field("epoch", ValueKind::kInt)
-            .OnFinalize(replacement_finalizer));
+            .OnFinalize(FinalizerCall{
+                owner_, &SwappingManager::OnReplacementFinalized}));
   }
+  *owner_ = this;
 
   rt_.SetInterceptor(ObjectKind::kSwapClusterProxy, this);
   rt_.SetInterceptor(ObjectKind::kReplacement, this);
@@ -100,7 +100,7 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
 }
 
 SwappingManager::~SwappingManager() {
-  *alive_ = nullptr;
+  if (*owner_ == this) *owner_ = nullptr;
   rt_.SetInterceptor(ObjectKind::kSwapClusterProxy, nullptr);
   rt_.SetInterceptor(ObjectKind::kReplacement, nullptr);
   rt_.SetStoreMediator(nullptr);
@@ -333,14 +333,15 @@ size_t SwappingManager::InboundProxyCount(SwapClusterId id) {
   size_t live = 0;
   auto& list = it->second.cells;
   for (size_t read = 0; read < list.size(); ++read) {
-    Object* proxy = list[read]->get();
+    Object* proxy = list[read].get();
     if (proxy == nullptr) continue;
     // A patched assigned-proxy may have moved on to another target cluster.
     if (ProxyTargetSc(proxy) != id) continue;
     ++live;
-    list[write++] = list[read];
+    if (write != read) list[write] = std::move(list[read]);
+    ++write;
   }
-  list.resize(write);
+  list.erase(list.begin() + static_cast<ptrdiff_t>(write), list.end());
   return live;
 }
 
@@ -370,35 +371,21 @@ bool SwappingManager::ResolveUltimate(Object* value, Resolved* out) const {
   return false;
 }
 
-Object* SwappingManager::FindReusableProxy(SwapClusterId source,
-                                           ObjectId oid) {
-  auto it = reuse_.find(ReuseKey{source.value(), oid.value()});
-  if (it == reuse_.end()) return nullptr;
-  Object* proxy = it->second->get();
-  if (proxy == nullptr) {
-    reuse_.erase(it);
-    return nullptr;
-  }
-  return proxy;
-}
-
 void SwappingManager::RegisterProxy(Object* proxy, SwapClusterId target_sc,
                                     ObjectId target_oid,
                                     SwapClusterId source) {
-  runtime::WeakRef weak = rt_.heap().NewWeakRef(proxy);
-  AddInbound(target_sc, weak);
-  reuse_[ReuseKey{source.value(), target_oid.value()}] = std::move(weak);
+  AddInbound(target_sc, proxy);
+  reuse_.Put(source, target_oid, proxy);
 }
 
-void SwappingManager::AddInbound(SwapClusterId target,
-                                 runtime::WeakRef proxy) {
+void SwappingManager::AddInbound(SwapClusterId target, Object* proxy) {
   InboundProxies& list = inbound_[target];
-  list.cells.push_back(std::move(proxy));
+  list.cells.emplace_back(proxy);
   if (list.cells.size() < list.prune_at) return;
   // Amortized O(1) per append: every consumer already skips cleared
   // entries, so dropping them changes nothing but the list's length.
-  std::erase_if(list.cells, [](const runtime::WeakRef& cell) {
-    return cell->get() == nullptr;
+  std::erase_if(list.cells, [](const runtime::WeakCell& cell) {
+    return cell.cleared();
   });
   list.prune_at =
       std::max(InboundProxies::kMinPruneAt, 2 * list.cells.size());
@@ -442,7 +429,7 @@ Result<Object*> SwappingManager::ResolveForContext(SwapClusterId context,
   }
   // Rules i/ii: reuse the proxy for this (source, target) pair or create
   // one.
-  if (Object* reusable = FindReusableProxy(context, resolved.oid);
+  if (Object* reusable = reuse_.Find(context, resolved.oid);
       reusable != nullptr) {
     ++stats_.proxies_reused;
     return reusable;
@@ -541,19 +528,18 @@ Status SwappingManager::MergeSwapClusters(SwapClusterId into,
     if (ProxyTargetSc(proxy) == from) {
       proxy->RawSlotMutable(kProxySlotTargetSc) =
           Value::Int(static_cast<int64_t>(into.value()));
-      AddInbound(into, rt_.heap().NewWeakRef(proxy));
+      AddInbound(into, proxy);
     }
     if (ProxySource(proxy) == from) {
       proxy->RawSlotMutable(kProxySlotSource) =
           Value::Int(static_cast<int64_t>(into.value()));
       proxy->set_swap_cluster(into);
-      ReuseKey old_key{from.value(), ProxyTargetOid(proxy).value()};
-      auto it = reuse_.find(old_key);
-      if (it != reuse_.end() && it->second->get() == proxy) {
-        runtime::WeakRef weak = it->second;
-        reuse_.erase(it);
-        reuse_.emplace(
-            ReuseKey{into.value(), ProxyTargetOid(proxy).value()}, weak);
+      const ObjectId target_oid = ProxyTargetOid(proxy);
+      if (reuse_.Find(from, target_oid) == proxy) {
+        reuse_.EraseIf(from, target_oid, proxy);
+        // A proxy already registered for the merged pair keeps its entry.
+        if (reuse_.Find(into, target_oid) == nullptr)
+          reuse_.Put(into, target_oid, proxy);
       }
     }
   });
@@ -644,7 +630,7 @@ Result<SwapClusterId> SwappingManager::SplitSwapCluster(
     if (moving_oids.count(ProxyTargetOid(proxy).value()) == 0) return;
     proxy->RawSlotMutable(kProxySlotTargetSc) =
         Value::Int(static_cast<int64_t>(fresh.value()));
-    AddInbound(fresh, rt_.heap().NewWeakRef(proxy));
+    AddInbound(fresh, proxy);
   });
 
   // Raw references that now cross the new boundary acquire proxies, in
@@ -693,8 +679,8 @@ Result<SwapClusterId> SwappingManager::SplitSwapCluster(
 // ---------------------------------------------------------------------------
 
 Result<Value> SwappingManager::Invoke(runtime::Runtime& rt, Object* receiver,
-                                      std::string_view method,
-                                      std::vector<Value>& args) {
+                                      runtime::Selector method,
+                                      runtime::Args args) {
   (void)rt;
   if (IsReplacement(receiver)) {
     return FailedPreconditionError(
@@ -704,16 +690,24 @@ Result<Value> SwappingManager::Invoke(runtime::Runtime& rt, Object* receiver,
   return ProxyInvoke(receiver, method, args);
 }
 
-Result<Value> SwappingManager::ProxyInvoke(Object* proxy,
-                                           std::string_view method,
-                                           std::vector<Value>& args) {
+Result<Object*> SwappingManager::EnterTarget(Object* proxy) {
+  Object* target = ProxyTarget(proxy);
+  const SwapClusterId target_sc = ProxyTargetSc(proxy);
+  if (target != nullptr && !IsReplacement(target) && !crossing_observer_ &&
+      speculative_loaded_.empty()) {
+    // Fast path: the target is resident and the crossing has no observer
+    // and no speculative load to consume, so nothing can swap it out
+    // between here and the call.
+    ++stats_.boundary_crossings;
+    registry_.RecordCrossing(target_sc, ++crossing_seq_);
+    return target;
+  }
   // The mediated cluster may be swapped out: fault it back in as a whole
   // ("since one of the objects enclosed ... becomes needed again, there
   // is a high probability that the others will be as well"). A loop, not a
   // single attempt: the crossing observer below may run prefetch work whose
   // allocations pressure-swap the very cluster being entered, requiring a
   // second fault-in.
-  Object* target = nullptr;
   auto fault_in = [&]() -> Status {
     for (int attempt = 0; attempt < 4; ++attempt) {
       target = ProxyTarget(proxy);
@@ -725,23 +719,40 @@ Result<Value> SwappingManager::ProxyInvoke(Object* proxy,
     return InternalError("swap-in did not patch the faulting proxy");
   };
   OBISWAP_RETURN_IF_ERROR(fault_in());
-
-  SwapClusterId target_sc = ProxyTargetSc(proxy);
   ++stats_.boundary_crossings;
   registry_.RecordCrossing(target_sc, ++crossing_seq_);
   NoteClusterEntered(target_sc);
   OBISWAP_RETURN_IF_ERROR(fault_in());  // observer work may have re-swapped it
+  return target;
+}
+
+Result<Value> SwappingManager::ProxyInvoke(Object* proxy,
+                                           runtime::Selector method,
+                                           runtime::Args args) {
+  OBISWAP_ASSIGN_OR_RETURN(Object * target, EnterTarget(proxy));
 
   // Mediate reference arguments into the target's context (the generated
-  // proxy code "verifies references being passed as parameters").
-  for (Value& arg : args) {
+  // proxy code "verifies references being passed as parameters"). The
+  // caller's arguments stay as they are: the first argument that needs a
+  // different reference copies them, and every reference mediation
+  // produced is rooted here, because it may be a fresh proxy that only
+  // this frame holds while the next argument's mediation allocates.
+  const SwapClusterId target_sc = ProxyTargetSc(proxy);
+  LocalScope scope(rt_.heap());
+  std::vector<Value> mediated;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const Value& arg = args[i];
     if (!arg.is_ref() || arg.ref() == nullptr) continue;
-    OBISWAP_ASSIGN_OR_RETURN(Object * mediated,
+    OBISWAP_ASSIGN_OR_RETURN(Object * ref,
                              ResolveForContext(target_sc, arg.ref()));
-    arg.set_ref(mediated);
+    if (ref == arg.ref()) continue;
+    scope.Add(ref);
+    if (mediated.empty()) mediated.assign(args.begin(), args.end());
+    mediated[i].set_ref(ref);
   }
 
-  Result<Value> result = rt_.Invoke(target, method, std::move(args));
+  Result<Value> result = rt_.Invoke(
+      target, method, mediated.empty() ? args : runtime::Args(mediated));
   if (!result.ok()) return result;
   return MediateReturn(proxy, *std::move(result));
 }
@@ -768,15 +779,13 @@ Result<Value> SwappingManager::MediateReturn(Object* proxy, Value result) {
     // assign() optimization (§4): "instead of creating a new
     // swap-cluster-proxy to be returned to application code (discarding
     // itself), it patches itself."
-    ObjectId old_oid = ProxyTargetOid(proxy);
-    auto it = reuse_.find(ReuseKey{source.value(), old_oid.value()});
-    if (it != reuse_.end() && it->second->get() == proxy) reuse_.erase(it);
+    reuse_.EraseIf(source, ProxyTargetOid(proxy), proxy);
     proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(resolved.target);
     proxy->RawSlotMutable(kProxySlotTargetSc) =
         Value::Int(static_cast<int64_t>(resolved.sc.value()));
     proxy->RawSlotMutable(kProxySlotTargetOid) =
         Value::Int(static_cast<int64_t>(resolved.oid.value()));
-    AddInbound(resolved.sc, rt_.heap().NewWeakRef(proxy));
+    AddInbound(resolved.sc, proxy);
     ++stats_.assigned_patches;
     result.set_ref(proxy);
     return result;
@@ -1191,8 +1200,8 @@ std::vector<uint64_t> SwappingManager::LiveInboundProxyOids(SwapClusterId id) {
   std::vector<uint64_t> oids;
   auto it = inbound_.find(id);
   if (it == inbound_.end()) return oids;
-  for (const runtime::WeakRef& weak : it->second.cells) {
-    Object* proxy = weak->get();
+  for (const runtime::WeakCell& cell : it->second.cells) {
+    Object* proxy = cell.get();
     if (proxy == nullptr || ProxyTargetSc(proxy) != id) continue;
     oids.push_back(proxy->oid().value());
   }
@@ -1827,7 +1836,7 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
   std::vector<std::pair<Object*, Object*>> patched;  // (proxy, old target)
   Status fault = OkStatus();
   for (size_t read = 0; read < inbound.size(); ++read) {
-    Object* proxy = inbound[read]->get();
+    Object* proxy = inbound[read].get();
     if (proxy == nullptr) continue;
     if (ProxyTargetSc(proxy) == id && fault.ok()) {
       fault = CheckFaultPoint(patch_point);
@@ -1836,9 +1845,11 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
         proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(target(proxy));
       }
     }
-    inbound[write++] = inbound[read];
+    if (write != read) inbound[write] = std::move(inbound[read]);
+    ++write;
   }
-  inbound.resize(write);
+  inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(write),
+                inbound.end());
   if (fault.ok()) fault = CheckFaultPoint(finalize_point);
   // A crash leaves the patch torn for Recover(); a clean error unwinds it.
   if (!fault.ok() && !crashed_) {
@@ -2473,8 +2484,8 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   // restored objects are unrooted past this frame; the collector reclaims
   // them on failure.
   auto& inbound = inbound_[id].cells;
-  for (const runtime::WeakRef& weak : inbound) {
-    Object* proxy = weak->get();
+  for (const runtime::WeakCell& cell : inbound) {
+    Object* proxy = cell.get();
     if (proxy == nullptr || ProxyTargetSc(proxy) != id) continue;
     if (by_oid.count(ProxyTargetOid(proxy).value()) == 0) {
       return InternalError(
@@ -3188,11 +3199,9 @@ void SwappingManager::OnProxyFinalized(Object* proxy) {
   // Paper §4: "When a swap-cluster-proxy becomes unreachable, its finalizer
   // invokes code that eliminates entries referring to it."
   ++stats_.proxies_finalized;
-  ReuseKey key{ProxySource(proxy).value(), ProxyTargetOid(proxy).value()};
-  auto it = reuse_.find(key);
-  if (it != reuse_.end() && it->second->get() == nullptr) reuse_.erase(it);
-  // inbound_ entries are weak: they clear with the proxy and are pruned
-  // lazily (AddInbound, swaps, InboundProxyCount).
+  reuse_.EraseIf(ProxySource(proxy), ProxyTargetOid(proxy), proxy);
+  // inbound_ entries are weak cells: they clear with the proxy and are
+  // pruned lazily (AddInbound, swaps, InboundProxyCount).
 }
 
 void SwappingManager::OnReplacementFinalized(Object* replacement) {

@@ -49,6 +49,7 @@
 #include "swap/intent_journal.h"
 #include "swap/payload_cache.h"
 #include "swap/proxy.h"
+#include "swap/reuse_index.h"
 #include "swap/swap_cluster.h"
 #include "telemetry/telemetry.h"
 #include "tier/tier.h"
@@ -520,8 +521,8 @@ class SwappingManager final : public runtime::Interceptor,
   // --- runtime hooks ---------------------------------------------------------
   Result<runtime::Value> Invoke(runtime::Runtime& rt,
                                 runtime::Object* receiver,
-                                std::string_view method,
-                                std::vector<runtime::Value>& args) override;
+                                runtime::Selector method,
+                                runtime::Args args) override;
   runtime::Object* MediateStore(runtime::Runtime& rt, runtime::Object* holder,
                                 runtime::Object* value) override;
   void ObserveFieldWrite(runtime::Runtime& rt, runtime::Object* holder,
@@ -564,19 +565,6 @@ class SwappingManager final : public runtime::Interceptor,
   size_t InboundListSize(SwapClusterId id) const;
 
  private:
-  struct ReuseKey {
-    uint32_t source;
-    uint64_t oid;
-    bool operator==(const ReuseKey& other) const {
-      return source == other.source && oid == other.oid;
-    }
-  };
-  struct ReuseKeyHash {
-    size_t operator()(const ReuseKey& key) const {
-      return std::hash<uint64_t>()(key.oid * 1000003u + key.source);
-    }
-  };
-
   /// (ultimate target object, its swap-cluster, its identity) of a value.
   struct Resolved {
     runtime::Object* target;
@@ -589,16 +577,18 @@ class SwappingManager final : public runtime::Interceptor,
 
   Result<runtime::Object*> CreateProxy(SwapClusterId source,
                                        const Resolved& resolved);
-  runtime::Object* FindReusableProxy(SwapClusterId source, ObjectId oid);
   void RegisterProxy(runtime::Object* proxy, SwapClusterId target_sc,
                      ObjectId target_oid, SwapClusterId source);
   /// Appends to `target`'s inbound list, pruning cleared entries whenever
   /// the list has doubled since its last prune.
-  void AddInbound(SwapClusterId target, runtime::WeakRef proxy);
+  void AddInbound(SwapClusterId target, runtime::Object* proxy);
 
   Result<runtime::Value> ProxyInvoke(runtime::Object* proxy,
-                                     std::string_view method,
-                                     std::vector<runtime::Value>& args);
+                                     runtime::Selector method,
+                                     runtime::Args args);
+  /// Makes `proxy`'s target resident (faulting its cluster in) and records
+  /// the crossing; returns the resident target.
+  Result<runtime::Object*> EnterTarget(runtime::Object* proxy);
   Result<runtime::Value> MediateReturn(runtime::Object* proxy,
                                        runtime::Value result);
 
@@ -875,14 +865,15 @@ class SwappingManager final : public runtime::Interceptor,
   std::vector<PendingDrop> pending_drops_;
 
   /// (source swap-cluster, target oid) → proxy, for stored-reference reuse.
-  std::unordered_map<ReuseKey, runtime::WeakRef, ReuseKeyHash> reuse_;
-  /// Weak refs to the proxies mediating into one swap-cluster. Dead
-  /// proxies' entries go when the cluster swaps, on InboundProxyCount, and
-  /// on AddInbound once `cells` reaches `prune_at`, so a cluster that never
-  /// swaps keeps at most about twice its live proxies.
+  ReuseIndex reuse_;
+  /// Weak cells, held inline, on the proxies mediating into one
+  /// swap-cluster. Dead proxies' entries go when the cluster swaps, on
+  /// InboundProxyCount, and on AddInbound once `cells` reaches `prune_at`,
+  /// so a cluster that never swaps keeps at most about twice its live
+  /// proxies.
   struct InboundProxies {
     static constexpr size_t kMinPruneAt = 16;
-    std::vector<runtime::WeakRef> cells;
+    std::vector<runtime::WeakCell> cells;
     size_t prune_at = kMinPruneAt;
   };
   /// target swap-cluster → proxies currently mediating into it.
@@ -928,9 +919,20 @@ class SwappingManager final : public runtime::Interceptor,
   /// Fleet placement directory (optional; null = nearby-store walk).
   fleet::PlacementDirectory* directory_ = nullptr;
 
-  /// Finalizers capture this handle; the destructor nulls it so a GC after
-  /// manager teardown cannot call into a dead manager.
-  std::shared_ptr<SwappingManager*> alive_;
+  /// The proxy and replacement classes' finalizers, registered once per
+  /// runtime. They call the manager that currently owns the runtime's swap
+  /// classes: each new manager takes the handle over and its destructor
+  /// releases it, so a GC never calls into a dead manager. The reuse index
+  /// depends on this: its entries are raw pointers only the proxy
+  /// finalizer retires.
+  struct FinalizerCall {
+    std::shared_ptr<SwappingManager*> owner;
+    void (SwappingManager::*hook)(runtime::Object*);
+    void operator()(runtime::Object* obj) const {
+      if (*owner != nullptr) ((*owner)->*hook)(obj);
+    }
+  };
+  std::shared_ptr<SwappingManager*> owner_;
 };
 
 }  // namespace obiswap::swap

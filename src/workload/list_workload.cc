@@ -7,69 +7,74 @@
 
 namespace obiswap::workload {
 
+using runtime::Args;
 using runtime::ClassBuilder;
 using runtime::ClassInfo;
 using runtime::LocalScope;
 using runtime::Object;
+using runtime::Selector;
 using runtime::Value;
 using runtime::ValueKind;
 
 const ClassInfo* RegisterNodeClass(runtime::Runtime& rt) {
+  static const Selector kStep("step");
+  static const Selector kProbe("probe");
+  static const Selector kWalk("walk");
   return *rt.types().Register(
       ClassBuilder("Node")
           .Field("next", ValueKind::kRef)
           .Field("value", ValueKind::kInt)
           .PayloadBytes(64)
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("get_value",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("set_value",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     Args args) -> Result<Value> {
                     OBISWAP_RETURN_IF_ERROR(r.SetFieldAt(self, 1, args[0]));
                     return Value::Nil();
                   })
           .Method("step",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     Args args) -> Result<Value> {
                     int64_t depth = args.empty() ? 0 : args[0].as_int();
                     const Value& next = r.GetFieldAt(self, 0);
                     if (!next.is_ref() || next.ref() == nullptr)
                       return Value::Int(depth);
-                    return r.Invoke(next.ref(), "step",
+                    return r.Invoke(next.ref(), kStep,
                                     {Value::Int(depth + 1)});
                   })
           .Method("probe",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     Args args) -> Result<Value> {
                     int64_t remaining = args.empty() ? 0 : args[0].as_int();
                     const Value& next = r.GetFieldAt(self, 0);
                     if (remaining <= 0 || !next.is_ref() ||
                         next.ref() == nullptr)
                       return Value::Ref(self);
-                    return r.Invoke(next.ref(), "probe",
+                    return r.Invoke(next.ref(), kProbe,
                                     {Value::Int(remaining - 1)});
                   })
           .Method("walk",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     Args args) -> Result<Value> {
                     int64_t depth = args.empty() ? 0 : args[0].as_int();
                     // Inner recursion: reference returned and discarded
                     // ("the swap-cluster-proxy is later reclaimed by the
                     // LGC when the outer recursion advances").
                     OBISWAP_ASSIGN_OR_RETURN(
                         Value reached,
-                        r.Invoke(self, "probe", {Value::Int(10)}));
+                        r.Invoke(self, kProbe, {Value::Int(10)}));
                     (void)reached;
                     const Value& next = r.GetFieldAt(self, 0);
                     if (!next.is_ref() || next.ref() == nullptr)
                       return Value::Int(depth);
-                    return r.Invoke(next.ref(), "walk",
+                    return r.Invoke(next.ref(), kWalk,
                                     {Value::Int(depth + 1)});
                   }));
 }

@@ -32,22 +32,22 @@ const runtime::ClassInfo* RegisterChaosNode(runtime::Runtime& rt) {
           .Field("value", runtime::ValueKind::kInt)
           .PayloadBytes(64)
           .Method("get_value",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("set_value",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     OBISWAP_RETURN_IF_ERROR(r.SetFieldAt(self, 1, args[0]));
                     return Value::Nil();
                   })
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("link",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     OBISWAP_RETURN_IF_ERROR(r.SetFieldAt(self, 0, args[0]));
                     return Value::Nil();
                   }));

@@ -405,6 +405,28 @@ TEST(ReplicationEnvelopeTest, EnvelopeBytesArePinned) {
 
 // ------------------------------------------- replication + swapping glue --
 
+TEST(ReplicationEnvelopeTest, OutOfRangeDeviceIsRejected) {
+  // A device id is 32 bits wide. Truncated, device="4294967297" would
+  // address device 1's session and device="-1" device 4294967295's.
+  EnvelopeWorld world;
+  const std::string kRejected =
+      R"(<response status="INVALID_ARGUMENT" message="bad device"/>)";
+  for (const char* op : {"cluster", "snapshot"}) {
+    for (const char* device : {"-1", "4294967297"}) {
+      const std::string request = std::string("<request op=\"") + op +
+                                  "\" device=\"" + device +
+                                  "\" oid=\"2533274790395906\"/>";
+      EXPECT_EQ(world.service.Handle(request), kRejected) << request;
+    }
+  }
+  // Device 1's session is untouched: its first fetch of the root succeeds.
+  EXPECT_EQ(world.service
+                .Handle(R"(<request op="cluster" device="1" )"
+                        R"(oid="2533274790395906"/>)")
+                .rfind(R"(<response status="OK")", 0),
+            0u);
+}
+
 TEST(ReplicationSwapTest, ReplicatedClustersBecomeSwapClusters) {
   using ::obiswap::testing::MiddlewareWorld;
   runtime::Runtime server_rt(9);

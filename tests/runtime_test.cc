@@ -19,15 +19,15 @@ class RuntimeFixture : public ::testing::Test {
             .Field("name", ValueKind::kStr)
             .PayloadBytes(64)
             .Method("get_value",
-                    [](Runtime& rt, Object* self, std::vector<Value>&) {
+                    [](Runtime& rt, Object* self, runtime::Args) {
                       return Result<Value>(rt.GetFieldAt(self, 1));
                     })
             .Method("next",
-                    [](Runtime& rt, Object* self, std::vector<Value>&) {
+                    [](Runtime& rt, Object* self, runtime::Args) {
                       return Result<Value>(rt.GetFieldAt(self, 0));
                     })
             .Method("add",
-                    [](Runtime&, Object*, std::vector<Value>& args) {
+                    [](Runtime&, Object*, runtime::Args args) {
                       return Result<Value>(Value::Int(args[0].as_int() +
                                                       args[1].as_int()));
                     }));
@@ -63,8 +63,8 @@ TEST_F(RuntimeFixture, ClassRegistration) {
   EXPECT_EQ(node_cls_->fields().size(), 3u);
   EXPECT_EQ(node_cls_->FieldIndex("value"), 1u);
   EXPECT_EQ(node_cls_->FieldIndex("nope"), ClassInfo::kNpos);
-  EXPECT_NE(node_cls_->FindMethod("add"), nullptr);
-  EXPECT_EQ(node_cls_->FindMethod("nope"), nullptr);
+  EXPECT_NE(node_cls_->FindMethod(Selector("add")), nullptr);
+  EXPECT_EQ(node_cls_->FindMethod(Selector("nope")), nullptr);
 }
 
 TEST_F(RuntimeFixture, DuplicateClassNameRejected) {
@@ -175,7 +175,7 @@ TEST_F(RuntimeFixture, UnknownMethodErrors) {
 
 TEST_F(RuntimeFixture, CurrentSwapClusterTracksReceiver) {
   const ClassInfo* probe = *rt_.types().Register(ClassBuilder("Probe").Method(
-      "whoami", [](Runtime& rt, Object*, std::vector<Value>&) {
+      "whoami", [](Runtime& rt, Object*, runtime::Args) {
         return Result<Value>(
             Value::Int(static_cast<int64_t>(rt.CurrentSwapCluster().value())));
       }));
@@ -192,7 +192,7 @@ TEST_F(RuntimeFixture, NewObjectsInheritCreatorsSwapCluster) {
   const ClassInfo* node_cls = node_cls_;
   const ClassInfo* factory = *rt_.types().Register(
       ClassBuilder("Factory").Method(
-          "make", [node_cls](Runtime& rt, Object*, std::vector<Value>&) {
+          "make", [node_cls](Runtime& rt, Object*, runtime::Args) {
             return Result<Value>(Value::Ref(rt.New(node_cls)));
           }));
   LocalScope scope(rt_.heap());

@@ -30,7 +30,7 @@ const char* kSchema = R"(
 NativeMethods Methods() {
   NativeMethods methods;
   methods["Node.get_value"] = [](Runtime& rt, Object* self,
-                                 std::vector<Value>&) {
+                                 runtime::Args) {
     return Result<Value>(rt.GetFieldAt(self, 1));
   };
   return methods;

@@ -187,7 +187,7 @@ TEST_F(SwapFixture, ArgumentsAreMediatedIntoTargetContext) {
       runtime::ClassBuilder("Keeper")
           .Field("kept", runtime::ValueKind::kRef)
           .Method("keep", [](runtime::Runtime& rt, Object* self,
-                             std::vector<Value>& args) -> Result<Value> {
+                             runtime::Args args) -> Result<Value> {
             OBISWAP_RETURN_IF_ERROR(rt.SetFieldAt(self, 0, args[0]));
             return Value::Nil();
           }));
@@ -213,6 +213,97 @@ TEST_F(SwapFixture, ArgumentsAreMediatedIntoTargetContext) {
   EXPECT_EQ(ProxySource(stored), a);
   EXPECT_EQ(ProxyTargetSc(stored), b);
   EXPECT_EQ(CheckMediationInvariant(world_.rt), "");
+}
+
+TEST_F(SwapFixture, MediatedArgumentsSurviveACollectionBeforeTheCall) {
+  // Two reference arguments in cluster B enter cluster A through a proxy:
+  // each needs a fresh A->B proxy, and the heap sits just under its first
+  // scheduled-collection threshold, so the second proxy's allocation
+  // collects. The first proxy is then held only by the call in flight; it
+  // must still be alive, and mediated, when the callee runs.
+  constexpr size_t kFirstScheduledCollection = 256 * 1024;
+  constexpr size_t kProxyBytes = 352;
+  struct Seen {
+    uint64_t finalized = 0;
+    bool proxies = false;
+    ObjectId first;
+    ObjectId second;
+  } seen;
+  const runtime::ClassInfo* pair_cls = *world_.rt.types().Register(
+      runtime::ClassBuilder("PairSink")
+          .Method("take2", [&](runtime::Runtime&, Object*,
+                               runtime::Args args) -> Result<Value> {
+            seen.finalized = world_.manager.stats().proxies_finalized;
+            // Only look inside the arguments if nothing was freed.
+            if (seen.finalized == 0 && IsSwapProxy(args[0].ref()) &&
+                IsSwapProxy(args[1].ref())) {
+              seen.proxies = true;
+              seen.first = ProxyTargetOid(args[0].ref());
+              seen.second = ProxyTargetOid(args[1].ref());
+            }
+            return Value::Nil();
+          }));
+  SwapClusterId a = world_.manager.NewSwapCluster();
+  SwapClusterId b = world_.manager.NewSwapCluster();
+  LocalScope scope(world_.rt.heap());
+  Object* sink = world_.rt.New(pair_cls);
+  Object* x = world_.rt.New(node_cls_);
+  Object* y = world_.rt.New(node_cls_);
+  scope.Add(sink);
+  scope.Add(x);
+  scope.Add(y);
+  ASSERT_TRUE(world_.manager.Place(sink, a).ok());
+  ASSERT_TRUE(world_.manager.Place(x, b).ok());
+  ASSERT_TRUE(world_.manager.Place(y, b).ok());
+  ASSERT_TRUE(world_.rt.SetGlobal("sink", Value::Ref(sink)).ok());
+  Object* sink_proxy = world_.rt.GetGlobal("sink")->ref();
+
+  // Collect (finalizing any dead proxy and resetting the schedule), then
+  // add one filler object so that one more proxy fits under the threshold
+  // and a second does not.
+  world_.rt.heap().Collect();
+  ASSERT_EQ(world_.manager.stats().proxies_finalized, 0u);
+  const size_t used = world_.rt.heap().used_bytes();
+  ASSERT_LT(used, kFirstScheduledCollection / 2);
+  // A field-less object is charged its 72-byte header plus its payload.
+  runtime::ClassBuilder filler("Filler");
+  filler.PayloadBytes(kFirstScheduledCollection - used - kProxyBytes - 100 -
+                      72);
+  scope.Add(world_.rt.New(*world_.rt.types().Register(filler)));
+  ASSERT_EQ(world_.rt.heap().used_bytes(),
+            kFirstScheduledCollection - kProxyBytes - 100);
+  const uint64_t collections = world_.rt.heap().stats().collections;
+
+  ASSERT_TRUE(world_.rt
+                  .Invoke(sink_proxy, "take2", {Value::Ref(x), Value::Ref(y)})
+                  .ok());
+  // The scenario ran: the second argument's proxy collected.
+  EXPECT_EQ(world_.rt.heap().stats().collections, collections + 1);
+  EXPECT_EQ(seen.finalized, 0u);
+  EXPECT_TRUE(seen.proxies);
+  EXPECT_EQ(seen.first, x->oid());
+  EXPECT_EQ(seen.second, y->oid());
+}
+
+TEST(ChargedBytesTest, PinnedPerObjectCharges) {
+  // Every capacity and collection decision follows from these charges: a
+  // layout change must not move them.
+  MiddlewareWorld world;
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  world.AddStore(2, 1024 * 1024);
+  auto clusters =
+      BuildClusteredList(world.rt, world.manager, node_cls, 5, 5, "head");
+  Object* head = world.rt.GetGlobal("head")->ref();
+  ASSERT_TRUE(IsSwapProxy(head));
+  EXPECT_EQ(ProxyTarget(head)->ApproxBytes(), 248u);  // Node
+  EXPECT_EQ(head->ApproxBytes(), 352u);               // swap-cluster-proxy
+  // A cluster with no outbound references swaps out to an empty
+  // replacement-object.
+  ASSERT_TRUE(world.manager.SwapOut(clusters[0]).ok());
+  Object* replacement = ProxyTarget(head);
+  ASSERT_TRUE(IsReplacement(replacement));
+  EXPECT_EQ(replacement->slot_count(), kReplSlotFirstOutbound);
+  EXPECT_EQ(replacement->ApproxBytes(), 184u);
 }
 
 // ------------------------------------------------------------- swap-out --
@@ -1220,6 +1311,35 @@ TEST_F(SwapFixture, InboundListStaysBoundedUnderProxyChurn) {
   EXPECT_LE(world_.manager.InboundListSize(clusters[1]), 32u);
   // Only the node0 -> node1 boundary proxy is still alive.
   EXPECT_EQ(world_.manager.InboundProxyCount(clusters[1]), 1u);
+}
+
+TEST(SwapManagerTest, LaterManagerOnOneRuntimeGetsTheFinalizers) {
+  // The swap classes, and so their finalizers, are registered once per
+  // runtime. A manager that follows a destroyed one must still learn of its
+  // proxies' deaths, or its reuse index would keep naming freed proxies.
+  runtime::Runtime rt;
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(rt);
+  { SwappingManager first(rt); }
+  SwappingManager manager(rt);
+  BuildClusteredList(rt, manager, node_cls, /*n=*/2, /*per_cluster=*/1,
+                     "head");
+  Object* node1 = nullptr;
+  for (int i = 0; i < 10; ++i) {
+    // Each crossing returns a fresh cluster-0 proxy to node1, registered
+    // for reuse, that dies at the next collection.
+    auto next = rt.Invoke(rt.GetGlobal("head")->ref(), "next");
+    ASSERT_TRUE(next.ok());
+    node1 = ProxyTarget(next->ref());
+    rt.heap().Collect();
+  }
+  EXPECT_EQ(manager.stats().proxies_finalized, 10u);
+  // node1 is still reachable through node0; a cluster-0 store of it gets a
+  // live proxy, not a dead registration.
+  ASSERT_TRUE(rt.SetGlobal("n1", Value::Ref(node1)).ok());
+  Object* stored = rt.GetGlobal("n1")->ref();
+  ASSERT_TRUE(IsSwapProxy(stored));
+  EXPECT_EQ(ProxyTargetOid(stored), node1->oid());
+  EXPECT_EQ(rt.Invoke(stored, "get_value")->as_int(), 1);
 }
 
 TEST_F(SwapFixture, DirectInvocationOnReplacementIsRejected) {

@@ -28,23 +28,23 @@ inline const runtime::ClassInfo* RegisterNodeClass(runtime::Runtime& rt) {
           .Field("value", runtime::ValueKind::kInt)
           .PayloadBytes(64)
           .Method("next",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 0));
                   })
           .Method("get_value",
-                  [](runtime::Runtime& r, Object* self, std::vector<Value>&) {
+                  [](runtime::Runtime& r, Object* self, runtime::Args) {
                     return Result<Value>(r.GetFieldAt(self, 1));
                   })
           .Method("set_value",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     OBISWAP_RETURN_IF_ERROR(
                         r.SetFieldAt(self, 1, args[0]));
                     return Value::Nil();
                   })
           .Method("step",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     int64_t depth = args.empty() ? 0 : args[0].as_int();
                     const Value& next = r.GetFieldAt(self, 0);
                     if (!next.is_ref() || next.ref() == nullptr)
@@ -54,7 +54,7 @@ inline const runtime::ClassInfo* RegisterNodeClass(runtime::Runtime& rt) {
                   })
           .Method("probe",
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     int64_t remaining = args.empty() ? 0 : args[0].as_int();
                     const Value& next = r.GetFieldAt(self, 0);
                     if (remaining <= 0 || !next.is_ref() ||
@@ -65,7 +65,7 @@ inline const runtime::ClassInfo* RegisterNodeClass(runtime::Runtime& rt) {
                   })
           .Method("walk",  // test A2's outer recursion: probe(10) per step
                   [](runtime::Runtime& r, Object* self,
-                     std::vector<Value>& args) -> Result<Value> {
+                     runtime::Args args) -> Result<Value> {
                     int64_t depth = args.empty() ? 0 : args[0].as_int();
                     OBISWAP_ASSIGN_OR_RETURN(
                         Value reached,
