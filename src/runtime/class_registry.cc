@@ -31,8 +31,7 @@ ClassBuilder& ClassBuilder::Method(std::string name, MethodFn fn) {
   // A repeated name keeps its first declaration.
   if (index[selector.id()] == ClassInfo::kNoMethod)
     index[selector.id()] = static_cast<uint32_t>(info_->methods_.size());
-  info_->methods_.push_back(
-      MethodInfo{std::move(name), selector, std::move(fn)});
+  info_->methods_.push_back(MethodInfo{std::move(name), std::move(fn)});
   return *this;
 }
 

@@ -50,7 +50,6 @@ using MethodFn = std::function<Result<Value>(Runtime&, Object* self, Args)>;
 
 struct MethodInfo {
   std::string name;
-  Selector selector;
   MethodFn fn;
 };
 

@@ -142,11 +142,7 @@ class Runtime : public RootProvider {
   }
   /// By-name front of the same core: interns `method`, then calls it.
   Result<Value> Invoke(Object* receiver, std::string_view method,
-                       Args args = {}) {
-    return Invoke(receiver, Selector(method), args);
-  }
-  Result<Value> Invoke(Object* receiver, std::string_view method,
-                       std::initializer_list<Value> args) {
+                       std::initializer_list<Value> args = {}) {
     return Invoke(receiver, Selector(method), Args(args.begin(), args.size()));
   }
 

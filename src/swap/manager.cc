@@ -328,21 +328,7 @@ SwapState SwappingManager::StateOf(SwapClusterId id) const {
 
 size_t SwappingManager::InboundProxyCount(SwapClusterId id) {
   auto it = inbound_.find(id);
-  if (it == inbound_.end()) return 0;
-  size_t write = 0;
-  size_t live = 0;
-  auto& list = it->second.cells;
-  for (size_t read = 0; read < list.size(); ++read) {
-    Object* proxy = list[read].get();
-    if (proxy == nullptr) continue;
-    // A patched assigned-proxy may have moved on to another target cluster.
-    if (ProxyTargetSc(proxy) != id) continue;
-    ++live;
-    if (write != read) list[write] = std::move(list[read]);
-    ++write;
-  }
-  list.erase(list.begin() + static_cast<ptrdiff_t>(write), list.end());
-  return live;
+  return it == inbound_.end() ? 0 : PruneInbound(id, it->second);
 }
 
 size_t SwappingManager::InboundListSize(SwapClusterId id) const {
@@ -381,14 +367,21 @@ void SwappingManager::RegisterProxy(Object* proxy, SwapClusterId target_sc,
 void SwappingManager::AddInbound(SwapClusterId target, Object* proxy) {
   InboundProxies& list = inbound_[target];
   list.cells.emplace_back(proxy);
-  if (list.cells.size() < list.prune_at) return;
-  // Amortized O(1) per append: every consumer already skips cleared
-  // entries, so dropping them changes nothing but the list's length.
-  std::erase_if(list.cells, [](const runtime::WeakCell& cell) {
-    return cell.cleared();
+  // Amortized O(1) per append.
+  if (list.cells.size() >= list.prune_at) PruneInbound(target, list);
+}
+
+size_t SwappingManager::PruneInbound(SwapClusterId target,
+                                     InboundProxies& list) {
+  // Every consumer already skips both kinds of entry, so dropping them
+  // changes nothing but the list's length. A proxy patched back into
+  // `target` gets a fresh entry from AddInbound.
+  std::erase_if(list.cells, [target](const runtime::WeakCell& cell) {
+    return cell.cleared() || ProxyTargetSc(cell.get()) != target;
   });
   list.prune_at =
       std::max(InboundProxies::kMinPruneAt, 2 * list.cells.size());
+  return list.cells.size();
 }
 
 Result<Object*> SwappingManager::CreateProxy(SwapClusterId source,
@@ -535,11 +528,10 @@ Status SwappingManager::MergeSwapClusters(SwapClusterId into,
           Value::Int(static_cast<int64_t>(into.value()));
       proxy->set_swap_cluster(into);
       const ObjectId target_oid = ProxyTargetOid(proxy);
-      if (reuse_.Find(from, target_oid) == proxy) {
-        reuse_.EraseIf(from, target_oid, proxy);
-        // A proxy already registered for the merged pair keeps its entry.
-        if (reuse_.Find(into, target_oid) == nullptr)
-          reuse_.Put(into, target_oid, proxy);
+      // A proxy already registered for the merged pair keeps its entry.
+      if (reuse_.EraseIf(from, target_oid, proxy) &&
+          reuse_.Find(into, target_oid) == nullptr) {
+        reuse_.Put(into, target_oid, proxy);
       }
     }
   });
@@ -733,10 +725,10 @@ Result<Value> SwappingManager::ProxyInvoke(Object* proxy,
 
   // Mediate reference arguments into the target's context (the generated
   // proxy code "verifies references being passed as parameters"). The
-  // caller's arguments stay as they are: the first argument that needs a
-  // different reference copies them, and every reference mediation
-  // produced is rooted here, because it may be a fresh proxy that only
-  // this frame holds while the next argument's mediation allocates.
+  // caller's arguments stay as they are: the first one mediation changes
+  // copies them. Each changed reference is rooted here, since it may be a
+  // fresh proxy that only this frame holds while the next argument's
+  // mediation allocates and collects.
   const SwapClusterId target_sc = ProxyTargetSc(proxy);
   LocalScope scope(rt_.heap());
   std::vector<Value> mediated;

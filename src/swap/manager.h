@@ -579,8 +579,8 @@ class SwappingManager final : public runtime::Interceptor,
                                        const Resolved& resolved);
   void RegisterProxy(runtime::Object* proxy, SwapClusterId target_sc,
                      ObjectId target_oid, SwapClusterId source);
-  /// Appends to `target`'s inbound list, pruning cleared entries whenever
-  /// the list has doubled since its last prune.
+  /// Appends to `target`'s inbound list, pruning it whenever the list has
+  /// doubled since its last prune.
   void AddInbound(SwapClusterId target, runtime::Object* proxy);
 
   Result<runtime::Value> ProxyInvoke(runtime::Object* proxy,
@@ -867,15 +867,19 @@ class SwappingManager final : public runtime::Interceptor,
   /// (source swap-cluster, target oid) → proxy, for stored-reference reuse.
   ReuseIndex reuse_;
   /// Weak cells, held inline, on the proxies mediating into one
-  /// swap-cluster. Dead proxies' entries go when the cluster swaps, on
-  /// InboundProxyCount, and on AddInbound once `cells` reaches `prune_at`,
-  /// so a cluster that never swaps keeps at most about twice its live
-  /// proxies.
+  /// swap-cluster. Dead proxies' entries go when the cluster swaps; they
+  /// and the entries of proxies an assign() patch moved elsewhere go on
+  /// InboundProxyCount and on AddInbound once `cells` reaches `prune_at`.
+  /// So a cluster that never swaps keeps at most about twice its live
+  /// inbound proxies, however often a cursor is patched through it.
   struct InboundProxies {
     static constexpr size_t kMinPruneAt = 16;
     std::vector<runtime::WeakCell> cells;
     size_t prune_at = kMinPruneAt;
   };
+  /// Drops the entries of `target`'s list whose proxy died or now mediates
+  /// into another cluster; returns how many remain.
+  static size_t PruneInbound(SwapClusterId target, InboundProxies& list);
   /// target swap-cluster → proxies currently mediating into it.
   std::unordered_map<SwapClusterId, InboundProxies> inbound_;
 

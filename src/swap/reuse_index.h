@@ -36,12 +36,12 @@ class ReuseIndex {
     slot = Slot{oid.value(), source.value(), proxy};
   }
 
-  /// Drops the pair's entry if it names `proxy`.
-  void EraseIf(SwapClusterId source, ObjectId oid,
+  /// Drops the pair's entry if it names `proxy`; true if it did.
+  bool EraseIf(SwapClusterId source, ObjectId oid,
                const runtime::Object* proxy) {
-    if (slots_.empty()) return;
+    if (slots_.empty() || proxy == nullptr) return false;
     size_t hole = SlotOf(source.value(), oid.value());
-    if (slots_[hole].proxy == nullptr || slots_[hole].proxy != proxy) return;
+    if (slots_[hole].proxy != proxy) return false;
     // Backward-shift deletion: pull later members of the probe run into
     // the hole, so lookups never need tombstones.
     const size_t mask = slots_.size() - 1;
@@ -57,6 +57,7 @@ class ReuseIndex {
     }
     slots_[hole] = Slot{};
     --size_;
+    return true;
   }
 
   size_t size() const { return size_; }
