@@ -134,7 +134,7 @@ class Runtime : public RootProvider {
   /// proxy's mediation may allocate and so collect), then dispatches:
   /// regular objects through their class's selector table, proxy and
   /// replacement kinds through the registered Interceptor. `args` views
-  /// the caller's storage; a call allocates nothing on the C++ heap.
+  /// the caller's storage; the core allocates nothing on the C++ heap.
   Result<Value> Invoke(Object* receiver, Selector method, Args args = {});
   Result<Value> Invoke(Object* receiver, Selector method,
                        std::initializer_list<Value> args) {

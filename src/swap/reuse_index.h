@@ -60,8 +60,6 @@ class ReuseIndex {
     return true;
   }
 
-  size_t size() const { return size_; }
-
  private:
   struct Slot {
     uint64_t oid = 0;
