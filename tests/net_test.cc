@@ -2,9 +2,13 @@
 // discovery, and the XML web-service bridge.
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
+#include "common/string_util.h"
 #include "net/bridge.h"
 #include "net/network.h"
 #include "net/store_node.h"
+#include "xml/writer.h"
+#include "xml_mutations.h"
 
 namespace obiswap::net {
 namespace {
@@ -439,6 +443,160 @@ TEST(WireParityTest, EveryErrorCodeRoundTripsThroughTheEnvelope) {
   auto ok = ParseOkEnvelope("<response status=\"OK\" oid=\"3\"/>");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(*(*ok)->FindAttr("oid"), "3");
+}
+
+// ------------------------------------------------------ envelope verdicts --
+//
+// How ParseResponse and StoreService::Handle answer damaged envelopes: the
+// parsed response, or the reply envelope and what the store then holds.
+// Each base envelope is damaged every way tests/xml_mutations.h knows
+// (elements dropped, duplicated or given foreign content, attributes
+// removed or set to bad values, truncation at every tag boundary, bit
+// flips). The reference hashes were recorded before the bridge moved off
+// the Node tree.
+
+/// A cluster-like payload: markup, quotes and a control byte to escape.
+const std::string kVerdictPayload =
+    "<swap-cluster id=\"2\" count=\"1\"><f n='a'>x&amp;y\x01</f>"
+    "</swap-cluster>";
+
+std::vector<std::string> EnvelopeCorpus(const std::vector<std::string>& bases,
+                                        uint64_t seed) {
+  std::vector<std::string> corpus;
+  for (const std::string& base : bases) {
+    corpus.push_back(base);
+    for (auto&& part :
+         {testing::EditedDocuments(base, {"", "x", "-1", "99", "7", "fetch",
+                                          "OK"}),
+          testing::Truncations(base), testing::BitFlips(base, seed, 40)}) {
+      corpus.insert(corpus.end(), part.begin(), part.end());
+    }
+  }
+  return corpus;
+}
+
+std::string ResponseVerdict(const std::string& envelope) {
+  auto response = ParseResponse(envelope);
+  if (!response.ok()) return "error " + response.status().ToString();
+  return StrFormat("%s payload=%d:%s pushback=%d retry_after=%llu depth=%llu",
+                   response->status.ToString().c_str(),
+                   response->has_payload ? 1 : 0,
+                   response->payload.c_str(), response->pushback ? 1 : 0,
+                   (unsigned long long)response->retry_after_us,
+                   (unsigned long long)response->depth);
+}
+
+std::string HandleVerdict(const std::string& request, bool queue) {
+  StoreNode node(kStoreA, 4096);
+  OBISWAP_CHECK(node.Store(SwapKey(7), kVerdictPayload).ok());
+  if (queue) {
+    StoreNode::QueueOptions options;
+    options.enabled = true;
+    options.priority_shedding = true;
+    node.ConfigureQueue(options);
+  }
+  StoreService service(node);
+  uint64_t wait_us = 0;
+  std::string out = service.Handle(request, 5, &wait_us);
+  for (uint64_t key : {7, 8}) {
+    const std::string* entry = node.Peek(SwapKey(key));
+    out += StrFormat(" %llu:%s", (unsigned long long)key,
+                     entry == nullptr ? "-" : entry->c_str());
+  }
+  return out + StrFormat(" fetches=%llu wait=%llu",
+                         (unsigned long long)node.stats().fetches,
+                         (unsigned long long)wait_us);
+}
+
+TEST(EnvelopeVerdictTest, ParseResponseCorpusMatchesReference) {
+  const std::vector<std::string> bases = {
+      "<response status=\"OK\"/>",
+      "<response status=\"OK\"><payload>" + xml::EscapeText(kVerdictPayload) +
+          "</payload></response>",
+      ErrorResponse(StatusCode::kNotFound, "key 7 not stored"),
+      "<response status=\"RESOURCE_EXHAUSTED\" message=\"pushback: store "
+      "saturated\" retry_after_us=\"1000000\" depth=\"3\"/>"};
+  std::string all;
+  size_t parsed = 0;
+  for (const std::string& envelope : EnvelopeCorpus(bases, 22)) {
+    const std::string verdict = ResponseVerdict(envelope);
+    if (verdict.rfind("error ", 0) != 0) ++parsed;
+    all += verdict;
+    all += '\0';
+  }
+  EXPECT_EQ(parsed, 134u);
+  EXPECT_EQ(Fnv1a64(all), 0x15e2161e34f6bf41ull) << std::hex << Fnv1a64(all);
+}
+
+TEST(EnvelopeVerdictTest, HandleCorpusMatchesReference) {
+  const std::vector<std::string> bases = {
+      StoreRequest(SwapKey(8), kVerdictPayload),
+      StoreRequest(SwapKey(8), kVerdictPayload, Priority::kPrefetch),
+      FetchRequest(SwapKey(7)), FetchRequest(SwapKey(7), Priority::kPrefetch),
+      DropRequest(SwapKey(7))};
+  std::string all;
+  size_t served = 0;
+  for (const std::string& request : EnvelopeCorpus(bases, 23)) {
+    for (bool queue : {false, true}) {
+      const std::string verdict = HandleVerdict(request, queue);
+      if (verdict.rfind("<response status=\"OK\"", 0) == 0) ++served;
+      all += verdict;
+      all += '\0';
+    }
+  }
+  EXPECT_EQ(served, 99u);
+  EXPECT_EQ(Fnv1a64(all), 0xaa96356016d1812eull) << std::hex << Fnv1a64(all);
+}
+
+TEST(EnvelopeVerdictTest, NamedDamageGetsItsReply) {
+  // The reply alone, without the store state HandleVerdict appends.
+  auto reply = [](const std::string& request, bool queue) {
+    const std::string verdict = HandleVerdict(request, queue);
+    return verdict.substr(0, verdict.find(" 7:"));
+  };
+  auto invalid = [](const std::string& message) {
+    return "<response status=\"INVALID_ARGUMENT\" message=\"" + message +
+           "\"/>";
+  };
+  EXPECT_EQ(reply("<request op=\"fetch\"/>", false), invalid("missing key"));
+  EXPECT_EQ(reply("<request op=\"fetch\" key=\"x\"/>", false),
+            invalid("missing key"));
+  EXPECT_EQ(reply("<request key=\"7\"/>", false), invalid("missing op"));
+  EXPECT_EQ(reply("<req op=\"fetch\" key=\"7\"/>", false),
+            invalid("not a request"));
+  EXPECT_EQ(reply("<request op=\"fetch\" key=\"7\" pri=\"9\"/>", true),
+            invalid("bad pri"));
+  EXPECT_EQ(reply("<request op=\"store\" key=\"8\" checksum=\"x\">"
+                  "<payload>a</payload></request>",
+                  false),
+            invalid("bad checksum"));
+  EXPECT_EQ(reply("<request op=\"store\" key=\"8\" checksum=\"1\">"
+                  "<payload>a</payload></request>",
+                  false),
+            "<response status=\"DATA_LOSS\" message=\"store payload "
+            "corrupted in transit\"/>");
+  EXPECT_EQ(reply("<request op=\"fetch\" key=\"7\"", false),
+            invalid("bad request: xml parse error at line 1: unterminated "
+                    "start tag &lt;request&gt;"));
+  // A payload's text is its direct text, first <payload> only.
+  const std::string stored = HandleVerdict(
+      "<request op=\"store\" key=\"8\"><payload>a<zz/>b</payload>"
+      "<payload>c</payload></request>",
+      false);
+  EXPECT_EQ(stored.substr(0, 23), "<response status=\"OK\"/>");
+  EXPECT_NE(stored.find(" 8:ab fetches=0"), std::string::npos) << stored;
+  EXPECT_EQ(ResponseVerdict("<response status=\"OK\"><x/>junk<payload>a"
+                            "<zz/>&lt;b<!--c-->c</payload><payload>d"
+                            "</payload></response>"),
+            "OK payload=1:a<bc pushback=0 retry_after=0 depth=0");
+  EXPECT_EQ(ResponseVerdict("<response status=\"RESOURCE_EXHAUSTED\" "
+                            "message=\"pushback\" retry_after_us=\"x\" "
+                            "depth=\"-3\"/>"),
+            "RESOURCE_EXHAUSTED: pushback payload=0: pushback=1 "
+            "retry_after=0 depth=0");
+  EXPECT_EQ(ResponseVerdict("<response status=\"OK\"><payload>a</payload>"),
+            "error DATA_LOSS: xml parse error at line 1: unterminated "
+            "element <response>");
 }
 
 // ------------------------------------------------------------- discovery --

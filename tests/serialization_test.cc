@@ -1,9 +1,14 @@
 // Tests for object-graph <-> XML serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/checksum.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "serialization/graph_xml.h"
 #include "xml/parser.h"
+#include "xml_mutations.h"
 
 namespace obiswap::serialization {
 namespace {
@@ -315,6 +320,187 @@ TEST_P(SerializationPropertyTest, RandomGraphRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializationPropertyTest,
                          ::testing::Range(1, 16));
+
+// ------------------------------------------------------- decode verdicts --
+//
+// How DeserializeCluster answers a damaged cluster document: accept or
+// reject, and with which code and message. The corpus is one document
+// with every value kind, local and external refs and replication labels,
+// damaged every way tests/xml_mutations.h knows: each element dropped,
+// duplicated or given foreign content, each attribute removed or set to a
+// bad value (missing and duplicate <f>, unknown class and kind, bad local
+// and out, wrong count and checksum), truncated at every tag boundary, and
+// bit-flipped. The reference hash was recorded before the decoder moved
+// off the Node tree; any changed verdict, message or decoded value
+// changes it.
+
+/// The source document: three members of "Item" and two external targets.
+std::string VerdictCorpusDocument() {
+  Runtime rt;
+  const ClassInfo* item = *rt.types().Register(
+      ClassBuilder("Item")
+          .Field("next", ValueKind::kRef)
+          .Field("count", ValueKind::kInt)
+          .Field("weight", ValueKind::kReal)
+          .Field("label", ValueKind::kStr)
+          .Field("extra"));
+  const ClassInfo* ext = *rt.types().Register(
+      ClassBuilder("Ext").Kind(runtime::ObjectKind::kReplicationProxy));
+  LocalScope scope(rt.heap());
+  Object* a = rt.New(item);
+  Object* b = rt.New(item);
+  Object* c = rt.New(item);
+  Object* x = rt.New(ext);
+  Object* y = rt.New(ext);
+  for (Object* obj : {a, b, c, x, y}) scope.Add(obj);
+  a->set_cluster(ClusterId(5));
+  y->set_cluster(ClusterId(9));
+  a->RawSlotMutable(0) = Value::Ref(b);
+  a->RawSlotMutable(1) = Value::Int(42);
+  a->RawSlotMutable(2) = Value::Real(2.5);
+  a->RawSlotMutable(3) = Value::Str("hello <&> \"q\" 'a'\x01 world");
+  a->RawSlotMutable(4) = Value::Ref(x);
+  b->RawSlotMutable(0) = Value::Ref(c);
+  b->RawSlotMutable(1) = Value::Int(-7);
+  b->RawSlotMutable(3) = Value::Str("");
+  c->RawSlotMutable(0) = Value::Ref(a);
+  c->RawSlotMutable(2) = Value::Real(1e300);
+  c->RawSlotMutable(4) = Value::Ref(y);
+  auto describe = [](Object* target) -> Result<ExternalRef> {
+    ExternalRef ref;
+    ref.oid = target->oid();
+    ref.class_name = target->cls().name();
+    ref.cluster = target->cluster();
+    return ref;
+  };
+  auto serialized = SerializeCluster(rt, 3, {a, b, c}, describe);
+  OBISWAP_CHECK(serialized.ok());
+  return serialized->payload;
+}
+
+/// Decodes `document` into a fresh runtime and describes the outcome: the
+/// status, or each member's identity and slots plus every resolve call.
+std::string DecodeVerdict(const std::string& document, bool verify_checksum) {
+  Runtime rt;
+  *rt.types().Register(ClassBuilder("Item")
+                           .Field("next", ValueKind::kRef)
+                           .Field("count", ValueKind::kInt)
+                           .Field("weight", ValueKind::kReal)
+                           .Field("label", ValueKind::kStr)
+                           .Field("extra"));
+  const ClassInfo* ext = *rt.types().Register(
+      ClassBuilder("Ext").Kind(runtime::ObjectKind::kReplicationProxy));
+  LocalScope scope(rt.heap());
+  Object* sink = rt.New(ext);
+  scope.Add(sink);
+  std::string out;
+  auto resolve = [&](const ExternalRef& ref) -> Result<Object*> {
+    out += StrFormat("resolve(%zu,%llu,%s,%s) ", ref.index,
+                     (unsigned long long)ref.oid.value(),
+                     ref.class_name.c_str(), ref.cluster.ToString().c_str());
+    if (ref.class_name != "Ext")
+      return NotFoundError("no external class '" + ref.class_name + "'");
+    return sink;
+  };
+  DeserializeOptions options;
+  options.expected_id = 3;
+  options.assign_swap_cluster = SwapClusterId(4);
+  options.verify_checksum = verify_checksum;
+  auto members = DeserializeCluster(rt, document, options, resolve);
+  if (!members.ok()) return out + members.status().ToString();
+  for (Object* obj : *members) {
+    out += StrFormat("[%llu %s %s %s", (unsigned long long)obj->oid().value(),
+                     obj->cls().name().c_str(),
+                     obj->cluster().ToString().c_str(),
+                     obj->swap_cluster().ToString().c_str());
+    for (size_t i = 0; i < obj->cls().fields().size(); ++i) {
+      const Value& slot = obj->RawSlot(i);
+      out += ' ';
+      out += runtime::ValueKindName(slot.kind());
+      out += '=';
+      if (!slot.is_ref()) {
+        out += ScalarText(slot);
+      } else if (slot.ref() == sink) {
+        out += "sink";
+      } else {
+        auto it = std::find(members->begin(), members->end(), slot.ref());
+        out += std::to_string(it - members->begin());
+      }
+    }
+    out += ']';
+  }
+  return out;
+}
+
+std::vector<std::string> VerdictCorpus() {
+  const std::string valid = VerdictCorpusDocument();
+  std::vector<std::string> corpus = {valid};
+  for (auto&& part :
+       {testing::EditedDocuments(valid, {"", "x", "-1", "99", "str",
+                                         "count"}),
+        testing::Truncations(valid), testing::BitFlips(valid, 22, 200)}) {
+    corpus.insert(corpus.end(), part.begin(), part.end());
+  }
+  return corpus;
+}
+
+TEST(DecodeVerdictTest, NamedDamageGetsItsMessage) {
+  const std::string valid = VerdictCorpusDocument();
+  auto verdict = [&](const std::string& from, const std::string& to) {
+    std::string damaged = valid;
+    const size_t at = damaged.find(from);
+    OBISWAP_CHECK(at != std::string::npos);
+    damaged.replace(at, from.size(), to);
+    return DecodeVerdict(damaged, /*verify_checksum=*/true);
+  };
+  const std::string first_ext = "resolve(0,281474976710660,Ext,4294967295) ";
+  EXPECT_EQ(verdict("<f n=\"count\" t=\"int\">42</f>", ""),
+            first_ext + "DATA_LOSS: missing field 'count' for class Item");
+  EXPECT_EQ(verdict("<f n=\"count\" t=\"int\">42</f>",
+                    "<f n=\"count\" t=\"int\">42</f>"
+                    "<f n=\"count\" t=\"int\">42</f>"),
+            "DATA_LOSS: duplicate field 'count' for class Item");
+  EXPECT_EQ(verdict("class=\"Item\"", "class=\"Nope\""),
+            "DATA_LOSS: unknown class 'Nope' in document");
+  EXPECT_EQ(verdict("t=\"int\"", "t=\"integer\""),
+            "DATA_LOSS: unknown field kind 'integer'");
+  EXPECT_EQ(verdict("local=\"1\"", "local=\"3\""),
+            "DATA_LOSS: local ref index out of range");
+  EXPECT_EQ(verdict("local=\"1\"", "local=\"x\""),
+            "INVALID_ARGUMENT: trailing characters in integer: x");
+  EXPECT_EQ(verdict("local=\"1\"", "local=\"-1\""),
+            "NOT_FOUND: missing attribute 'out' on <f>");
+  EXPECT_EQ(verdict("out=\"0\"", "out=\"\""),
+            "INVALID_ARGUMENT: empty integer");
+  EXPECT_EQ(verdict("count=\"3\"", "count=\"4\""),
+            "DATA_LOSS: object count mismatch");
+  EXPECT_EQ(verdict("<swap-cluster id=\"3\"", "<swap-cluster id=\"2\""),
+            "DATA_LOSS: cluster id mismatch: got 2 want 3");
+  EXPECT_EQ(verdict(">42<", ">junk42<"),
+            "INVALID_ARGUMENT: trailing characters in integer: junk42");
+  EXPECT_EQ(verdict(">42<", "><zz/>4<!--c-->2<"),
+            DecodeVerdict(valid, /*verify_checksum=*/true));
+  EXPECT_EQ(verdict(">42<", ">43<"),
+            first_ext + "resolve(1,281474976710661,Ext,9) DATA_LOSS: cluster "
+            "checksum mismatch: store-side corruption?");
+  EXPECT_EQ(DecodeVerdict(valid.substr(0, valid.size() - 1), true),
+            "DATA_LOSS: xml parse error at line 1: expected '>' in close tag");
+}
+
+TEST(DecodeVerdictTest, CorpusVerdictsMatchReference) {
+  std::string all;
+  size_t accepted = 0;
+  for (const std::string& document : VerdictCorpus()) {
+    for (bool verify : {true, false}) {
+      const std::string verdict = DecodeVerdict(document, verify);
+      if (verdict.find("[") != std::string::npos) ++accepted;
+      all += verdict;
+      all += '\0';
+    }
+  }
+  EXPECT_EQ(accepted, 133u);
+  EXPECT_EQ(Fnv1a64(all), 0xc289559cc081d5f4ull) << std::hex << Fnv1a64(all);
+}
 
 }  // namespace
 }  // namespace obiswap::serialization
