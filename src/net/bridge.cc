@@ -11,11 +11,12 @@ namespace obiswap::net {
 
 namespace {
 
-std::unique_ptr<xml::Node> ErrorEnvelope(StatusCode code,
-                                         const std::string& message) {
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", StatusCodeName(code));
-  response->SetAttr("message", message);
+/// `<response status="CODE" message="..."`: the open start tag of an
+/// error envelope, for the caller to finish.
+std::string ErrorEnvelope(StatusCode code, const std::string& message) {
+  std::string response = "<response";
+  xml::AppendAttr(&response, "status", StatusCodeName(code));
+  xml::AppendAttr(&response, "message", message);
   return response;
 }
 
@@ -23,58 +24,86 @@ std::unique_ptr<xml::Node> ErrorEnvelope(StatusCode code,
 /// hint and the queue depth at arrival. The "pushback" message prefix is
 /// the wire-level marker IsPushback() keys on client-side.
 std::string PushbackResponse(const StoreNode::AdmitResult& result) {
-  auto response = ErrorEnvelope(StatusCode::kResourceExhausted,
-                                "pushback: store saturated");
-  response->SetIntAttr("retry_after_us",
-                       static_cast<int64_t>(result.retry_after_us));
-  response->SetIntAttr("depth", static_cast<int64_t>(result.depth));
-  return xml::Write(*response);
+  std::string response = ErrorEnvelope(StatusCode::kResourceExhausted,
+                                        "pushback: store saturated");
+  xml::AppendIntAttr(&response, "retry_after_us",
+                     static_cast<int64_t>(result.retry_after_us));
+  xml::AppendIntAttr(&response, "depth", static_cast<int64_t>(result.depth));
+  response += "/>";
+  return response;
 }
 
-std::string OkResponse(const std::string* payload = nullptr) {
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", "OK");
-  if (payload != nullptr) {
-    response->AddElement("payload")->AddText(*payload);
+/// `payload` and `</close>` after an open start tag: `/>` when there is no
+/// payload, else the payload escaped straight from its source.
+void FinishEnvelope(std::string* out, const std::string_view* payload,
+                    std::string_view close) {
+  if (payload == nullptr) {
+    *out += "/>";
+    return;
   }
-  return xml::Write(*response);
+  *out += "><payload>";
+  xml::AppendEscapedText(out, *payload);
+  *out += "</payload></";
+  *out += close;
+  *out += '>';
+}
+
+/// Room for an envelope around `payload` without regrowth in the common
+/// case: markup escapes to a few bytes more than it was.
+size_t EnvelopeCapacity(const std::string_view* payload) {
+  return payload == nullptr ? 64 : payload->size() + payload->size() / 2 + 96;
+}
+
+std::string OkResponse(const std::string_view* payload = nullptr) {
+  std::string response;
+  response.reserve(EnvelopeCapacity(payload));
+  response += "<response status=\"OK\"";
+  FinishEnvelope(&response, payload, "response");
+  return response;
 }
 
 /// Reads the status a response envelope names into `*status`, which stays
 /// OK unless the envelope names a remote error. kDataLoss when it names
 /// none. The one status reader of every envelope on the bridge.
-Status ReadStatus(const xml::Node& envelope, Status* status) {
-  const std::string* name = envelope.FindAttr("status");
+Status ReadStatus(const xml::Tape& envelope, Status* status) {
+  constexpr uint32_t kRoot = 0;
+  const std::string_view* name = envelope.FindAttr(kRoot, "status");
   if (name == nullptr) return DataLossError("response missing status");
   if (*name != "OK") {
-    const std::string* message = envelope.FindAttr("message");
+    const std::string_view* message = envelope.FindAttr(kRoot, "message");
     *status = Status(StatusCodeFromName(*name),
-                     message != nullptr ? *message : "remote error");
+                     message != nullptr ? std::string(*message)
+                                        : "remote error");
   }
   return OkStatus();
 }
 
 /// The request envelope every op shares; `payload` only for stores.
-std::string Request(const char* op, SwapKey key, const std::string* payload,
+std::string Request(const char* op, SwapKey key,
+                    const std::string_view* payload,
                     std::optional<Priority> priority) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", op);
-  request->SetIntAttr("key", static_cast<int64_t>(key.value()));
+  std::string request;
+  request.reserve(EnvelopeCapacity(payload));
+  request += "<request";
+  xml::AppendAttr(&request, "op", op);
+  xml::AppendIntAttr(&request, "key", static_cast<int64_t>(key.value()));
   // Content checksum: transit integrity + retry idempotency (see
   // StoreService::Handle).
   if (payload != nullptr)
-    request->SetIntAttr("checksum", static_cast<int64_t>(Adler32(*payload)));
+    xml::AppendIntAttr(&request, "checksum",
+                       static_cast<int64_t>(Adler32(*payload)));
   if (priority.has_value())
-    request->SetIntAttr("pri", static_cast<int64_t>(*priority));
-  if (payload != nullptr) request->AddElement("payload")->AddText(*payload);
-  return xml::Write(*request);
+    xml::AppendIntAttr(&request, "pri", static_cast<int64_t>(*priority));
+  FinishEnvelope(&request, payload, "request");
+  return request;
 }
 
 }  // namespace
 
 std::string StoreRequest(SwapKey key, const std::string& payload,
                          std::optional<Priority> priority) {
-  return Request("store", key, &payload, priority);
+  const std::string_view body(payload);
+  return Request("store", key, &body, priority);
 }
 
 std::string FetchRequest(SwapKey key, std::optional<Priority> priority) {
@@ -86,55 +115,62 @@ std::string DropRequest(SwapKey key, std::optional<Priority> priority) {
 }
 
 std::string ErrorResponse(StatusCode code, const std::string& message) {
-  return xml::Write(*ErrorEnvelope(code, message));
+  return ErrorEnvelope(code, message) + "/>";
 }
 
 Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
     std::string_view response_xml) {
-  OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> envelope,
-                           xml::Parse(response_xml));
+  xml::PooledTape envelope;
+  OBISWAP_RETURN_IF_ERROR(envelope->Parse(response_xml));
   Status remote;
   OBISWAP_RETURN_IF_ERROR(ReadStatus(*envelope, &remote));
   OBISWAP_RETURN_IF_ERROR(remote);
-  return envelope;
+  return xml::BuildTree(*envelope);
 }
 
 Result<Response> ParseResponse(std::string_view response_xml) {
-  OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> parsed,
-                           xml::Parse(response_xml));
-  const xml::Node& envelope = *parsed;
+  xml::PooledTape pooled;
+  OBISWAP_RETURN_IF_ERROR(pooled->Parse(response_xml));
+  const xml::Tape& envelope = *pooled;
+  constexpr uint32_t kRoot = 0;
   Response response;
   OBISWAP_RETURN_IF_ERROR(ReadStatus(envelope, &response.status));
   if (!response.status.ok()) {
     if (IsPushback(response.status)) {
       response.pushback = true;
-      auto retry_after = envelope.GetIntAttr("retry_after_us");
+      auto retry_after = envelope.GetIntAttr(kRoot, "retry_after_us");
       if (retry_after.ok() && *retry_after > 0)
         response.retry_after_us = static_cast<uint64_t>(*retry_after);
-      auto depth = envelope.GetIntAttr("depth");
+      auto depth = envelope.GetIntAttr(kRoot, "depth");
       if (depth.ok() && *depth > 0)
         response.depth = static_cast<uint64_t>(*depth);
     }
-  } else if (const xml::Node* payload = envelope.FindChild("payload")) {
+  } else if (const uint32_t payload = envelope.FindChild(kRoot, "payload");
+             payload != 0) {
     response.has_payload = true;
-    response.payload = payload->InnerText();
+    // The payload was unescaped once, into the tape; a payload split
+    // around markup is joined straight into the response.
+    const std::string_view text =
+        envelope.InnerText(payload, &response.payload);
+    if (text.data() != response.payload.data()) response.payload.assign(text);
   }
   return response;
 }
 
 std::string StoreService::Handle(const std::string& request_xml,
                                  uint64_t now_us, uint64_t* queue_wait_us) {
-  auto parsed = xml::Parse(request_xml);
-  if (!parsed.ok())
+  xml::PooledTape pooled;
+  if (Status parsed = pooled->Parse(request_xml); !parsed.ok())
     return ErrorResponse(StatusCode::kInvalidArgument,
-                         "bad request: " + parsed.status().message());
-  const xml::Node& request = **parsed;
-  if (request.name() != "request")
+                         "bad request: " + parsed.message());
+  const xml::Tape& request = *pooled;
+  constexpr uint32_t kRoot = 0;
+  if (!request.IsElement(kRoot, "request"))
     return ErrorResponse(StatusCode::kInvalidArgument, "not a request");
-  const std::string* op = request.FindAttr("op");
+  const std::string_view* op = request.FindAttr(kRoot, "op");
   if (op == nullptr)
     return ErrorResponse(StatusCode::kInvalidArgument, "missing op");
-  auto key_attr = request.GetIntAttr("key");
+  auto key_attr = request.GetIntAttr(kRoot, "key");
   if (!key_attr.ok())
     return ErrorResponse(StatusCode::kInvalidArgument, "missing key");
   SwapKey key(static_cast<uint64_t>(*key_attr));
@@ -145,8 +181,8 @@ std::string StoreService::Handle(const std::string& request_xml,
   // class — the strictest shedding applies only to traffic that opted in.
   if (node_.queue_options().enabled) {
     Priority priority = Priority::kDemandSwapIn;
-    if (request.FindAttr("pri") != nullptr) {
-      auto pri_attr = request.GetIntAttr("pri");
+    if (request.FindAttr(kRoot, "pri") != nullptr) {
+      auto pri_attr = request.GetIntAttr(kRoot, "pri");
       if (!pri_attr.ok() || *pri_attr < 0 || *pri_attr >= kPriorityClasses)
         return ErrorResponse(StatusCode::kInvalidArgument, "bad pri");
       priority = static_cast<Priority>(*pri_attr);
@@ -157,20 +193,21 @@ std::string StoreService::Handle(const std::string& request_xml,
   }
 
   if (*op == "store") {
-    const xml::Node* payload = request.FindChild("payload");
-    if (payload == nullptr)
+    const uint32_t payload = request.FindChild(kRoot, "payload");
+    if (payload == 0)
       return ErrorResponse(StatusCode::kInvalidArgument, "missing payload");
-    std::string text = payload->InnerText();
+    std::string joined;
+    std::string text(request.InnerText(payload, &joined));
     // The envelope carries an Adler-32 of the content. It guards the
     // payload in transit and — crucially — makes retried stores
     // idempotent: when the store executed but the response envelope was
     // lost, the retry hits kAlreadyExists on the dumb node; an existing
     // entry with the same content checksum means the payload is already
     // durably stored, so the retry reports success.
-    bool has_checksum = request.FindAttr("checksum") != nullptr;
+    bool has_checksum = request.FindAttr(kRoot, "checksum") != nullptr;
     int64_t checksum = 0;
     if (has_checksum) {
-      auto checksum_attr = request.GetIntAttr("checksum");
+      auto checksum_attr = request.GetIntAttr(kRoot, "checksum");
       if (!checksum_attr.ok())
         return ErrorResponse(StatusCode::kInvalidArgument, "bad checksum");
       checksum = *checksum_attr;
@@ -190,7 +227,8 @@ std::string StoreService::Handle(const std::string& request_xml,
     return OkResponse();
   }
   if (*op == "fetch") {
-    Result<std::string> text = node_.Fetch(key);
+    std::string corrupted;
+    Result<std::string_view> text = node_.FetchView(key, &corrupted);
     if (!text.ok())
       return ErrorResponse(text.status().code(), text.status().message());
     return OkResponse(&*text);
@@ -200,8 +238,8 @@ std::string StoreService::Handle(const std::string& request_xml,
     if (!status.ok()) return ErrorResponse(status.code(), status.message());
     return OkResponse();
   }
-  return ErrorResponse(StatusCode::kInvalidArgument, "unknown op '" + *op +
-                                                         "'");
+  return ErrorResponse(StatusCode::kInvalidArgument,
+                       "unknown op '" + std::string(*op) + "'");
 }
 
 void Discovery::Announce(StoreNode* node) {

@@ -47,17 +47,23 @@ Status StoreNode::Store(SwapKey key, std::string text) {
 }
 
 Result<std::string> StoreNode::Fetch(SwapKey key) {
+  std::string scratch;
+  OBISWAP_ASSIGN_OR_RETURN(std::string_view text, FetchView(key, &scratch));
+  return std::string(text);
+}
+
+Result<std::string_view> StoreNode::FetchView(SwapKey key,
+                                              std::string* scratch) {
   OBISWAP_RETURN_IF_ERROR(CheckAlive());
   auto it = entries_.find(key);
   if (it == entries_.end())
     return NotFoundError("key " + key.ToString() + " not stored");
   ++stats_.fetches;
-  std::string text = it->second;
-  if (faults_.corrupt_fetches) {
-    FlipOneBit(text);
-    ++stats_.corrupted_fetches;
-  }
-  return text;
+  if (!faults_.corrupt_fetches) return std::string_view(it->second);
+  *scratch = it->second;
+  FlipOneBit(*scratch);
+  ++stats_.corrupted_fetches;
+  return std::string_view(*scratch);
 }
 
 Status StoreNode::Drop(SwapKey key) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -103,6 +104,12 @@ class StoreNode {
 
   /// Returns the stored text. kNotFound if unknown.
   Result<std::string> Fetch(SwapKey key);
+
+  /// Fetch without the copy, for a server that escapes the text straight
+  /// into its reply: the same accounting and faults, but the text comes
+  /// back as a view of the stored entry (valid until the next Store or
+  /// Drop), or of `*scratch` when corrupt_fetches flipped a bit of a copy.
+  Result<std::string_view> FetchView(SwapKey key, std::string* scratch);
 
   /// Discards the stored text (paper: issued when the swap-cluster's
   /// replacement-object became unreachable). kNotFound if unknown.

@@ -159,7 +159,7 @@ inline std::string ScalarText(const Value& value) {
 /// The nil, int, real or str value whose text form is `text` (nil ignores
 /// it). A malformed number fails with ParseInt64's or ParseDouble's error;
 /// kRef has no text form and is kInvalidArgument.
-inline Result<Value> ParseScalar(ValueKind kind, std::string text) {
+inline Result<Value> ParseScalar(ValueKind kind, std::string_view text) {
   switch (kind) {
     case ValueKind::kNil:
       return Value::Nil();
@@ -172,7 +172,7 @@ inline Result<Value> ParseScalar(ValueKind kind, std::string text) {
       return Value::Real(parsed);
     }
     case ValueKind::kStr:
-      return Value::Str(std::move(text));
+      return Value::Str(std::string(text));
     case ValueKind::kRef:
       break;
   }

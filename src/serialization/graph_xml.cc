@@ -4,7 +4,6 @@
 
 #include "common/checksum.h"
 #include "common/string_util.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -15,6 +14,9 @@ using runtime::Object;
 using runtime::Runtime;
 using runtime::Value;
 using runtime::ValueKind;
+
+using xml::AppendAttr;
+using xml::AppendIntAttr;
 
 Result<SerializedCluster> SerializeCluster(
     Runtime& rt, uint32_t cluster_attr_id,
@@ -35,48 +37,61 @@ Result<SerializedCluster> SerializeCluster(
   digest.Mix(static_cast<uint64_t>(cluster_attr_id));
   digest.Mix(static_cast<uint64_t>(members.size()));
 
-  auto root = xml::Node::Element("swap-cluster");
-  root->SetIntAttr("id", cluster_attr_id);
-  root->SetIntAttr("count", static_cast<int64_t>(members.size()));
-
+  // The members' elements are written first; the root's start tag, which
+  // carries the digest of all of them, goes in front at the end.
+  std::string& doc = out.payload;
   for (Object* member : members) {
-    xml::Node* object_el = root->AddElement("object");
-    object_el->SetIntAttr("oid", static_cast<int64_t>(member->oid().value()));
-    object_el->SetAttr("class", member->cls().name());
+    doc += "<object";
+    AppendIntAttr(&doc, "oid", static_cast<int64_t>(member->oid().value()));
+    AppendAttr(&doc, "class", member->cls().name());
     if (member->cluster().valid())
-      object_el->SetIntAttr("cluster", member->cluster().value());
+      AppendIntAttr(&doc, "cluster", member->cluster().value());
     digest.Mix(member->oid().value());
     digest.Mix(member->cls().name());
 
     const auto& fields = member->cls().fields();
+    if (fields.empty()) {
+      doc += "/>";
+      continue;
+    }
+    doc += '>';
     for (size_t i = 0; i < fields.size(); ++i) {
       const Value& slot = member->RawSlot(i);
-      xml::Node* field_el = object_el->AddElement("f");
-      field_el->SetAttr("n", fields[i].name);
-      field_el->SetAttr("t", ValueKindName(slot.kind()));
+      doc += "<f";
+      AppendAttr(&doc, "n", fields[i].name);
+      AppendAttr(&doc, "t", ValueKindName(slot.kind()));
       digest.Mix(fields[i].name);
       digest.Mix(static_cast<uint64_t>(slot.kind()));
       switch (slot.kind()) {
         case ValueKind::kNil:
+          doc += "/>";
+          break;
+        case ValueKind::kStr:
+          digest.Mix(slot.as_str());
+          doc += '>';
+          xml::AppendEscapedText(&doc, slot.as_str());
+          doc += "</f>";
           break;
         case ValueKind::kInt:
-        case ValueKind::kReal:
-        case ValueKind::kStr: {
-          // The digest mixes an int by value, a real or a string by text.
-          std::string text = ScalarText(slot);
+        case ValueKind::kReal: {
+          // The digest mixes an int by value, a real by text.
+          const std::string text = ScalarText(slot);
           if (slot.is_int())
             digest.Mix(static_cast<uint64_t>(slot.as_int()));
           else
             digest.Mix(text);
-          field_el->AddText(std::move(text));
+          doc += '>';
+          doc += text;
+          doc += "</f>";
           break;
         }
         case ValueKind::kRef: {
           Object* target = slot.ref();
           auto member_it = member_index.find(target);
           if (member_it != member_index.end()) {
-            field_el->SetIntAttr("local",
-                                 static_cast<int64_t>(member_it->second));
+            AppendIntAttr(&doc, "local",
+                          static_cast<int64_t>(member_it->second));
+            doc += "/>";
             digest.Mix(member_it->second);
             break;
           }
@@ -96,21 +111,32 @@ Result<SerializedCluster> SerializeCluster(
             outbound_index.emplace(target, index);
             out.outbound.push_back(target);
           }
-          field_el->SetIntAttr("out", static_cast<int64_t>(index));
-          field_el->SetIntAttr("oid", static_cast<int64_t>(ref.oid.value()));
-          field_el->SetAttr("class", ref.class_name);
+          AppendIntAttr(&doc, "out", static_cast<int64_t>(index));
+          AppendIntAttr(&doc, "oid", static_cast<int64_t>(ref.oid.value()));
+          AppendAttr(&doc, "class", ref.class_name);
           if (ref.cluster.valid())
-            field_el->SetIntAttr("cluster", ref.cluster.value());
+            AppendIntAttr(&doc, "cluster", ref.cluster.value());
+          doc += "/>";
           digest.Mix(index);
           digest.Mix(ref.oid.value());
           break;
         }
       }
     }
+    doc += "</object>";
   }
 
-  root->SetIntAttr("checksum", digest.Finish());
-  out.payload = xml::Write(*root);
+  std::string root = "<swap-cluster";
+  AppendIntAttr(&root, "id", cluster_attr_id);
+  AppendIntAttr(&root, "count", static_cast<int64_t>(members.size()));
+  AppendIntAttr(&root, "checksum", digest.Finish());
+  if (members.empty()) {
+    root += "/>";
+  } else {
+    root += '>';
+    doc += "</swap-cluster>";
+  }
+  doc.insert(0, root);
   out.object_count = members.size();
   return out;
 }
@@ -119,43 +145,61 @@ Result<std::vector<Object*>> DeserializeCluster(
     Runtime& rt, const std::string& xml_text,
     const DeserializeOptions& options,
     const ResolveExternalFn& resolve_external) {
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
-  const xml::Node& root = *doc;
-  if (root.name() != "swap-cluster")
-    return DataLossError("expected <swap-cluster> root, got <" + root.name() +
-                         ">");
-  OBISWAP_ASSIGN_OR_RETURN(int64_t id_attr, root.GetIntAttr("id"));
+  xml::PooledTape pooled;
+  OBISWAP_RETURN_IF_ERROR(pooled->Parse(xml_text));
+  const xml::Tape& tape = *pooled;
+  constexpr uint32_t kRoot = 0;
+  const uint32_t root_end = tape[kRoot].end;
+  if (!tape.IsElement(kRoot, "swap-cluster"))
+    return DataLossError("expected <swap-cluster> root, got <" +
+                         std::string(tape[kRoot].text) + ">");
+  OBISWAP_ASSIGN_OR_RETURN(int64_t id_attr, tape.GetIntAttr(kRoot, "id"));
   if (options.expected_id >= 0 && id_attr != options.expected_id)
     return DataLossError(StrFormat("cluster id mismatch: got %lld want %lld",
                                    (long long)id_attr,
                                    (long long)options.expected_id));
-  OBISWAP_ASSIGN_OR_RETURN(int64_t count_attr, root.GetIntAttr("count"));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t count_attr,
+                           tape.GetIntAttr(kRoot, "count"));
 
-  std::vector<const xml::Node*> object_els = root.FindChildren("object");
-  if (static_cast<int64_t>(object_els.size()) != count_attr)
+  // The <object> children of the root, in order; anything else there is
+  // ignored.
+  auto next_object = [&](uint32_t from) {
+    while (from < root_end && !tape.IsElement(from, "object"))
+      from = tape.Next(from);
+    return from;
+  };
+  size_t object_count = 0;
+  for (uint32_t e = next_object(kRoot + 1); e < root_end;
+       e = next_object(tape.Next(e))) {
+    ++object_count;
+  }
+  if (static_cast<int64_t>(object_count) != count_attr)
     return DataLossError("object count mismatch");
 
   Digest digest;
   digest.Mix(static_cast<uint64_t>(id_attr));
-  digest.Mix(static_cast<uint64_t>(object_els.size()));
+  digest.Mix(static_cast<uint64_t>(object_count));
 
   // Pass 1: create all member objects (so local refs resolve in pass 2).
   runtime::LocalScope scope(rt.heap());
   std::vector<Object*> members;
-  members.reserve(object_els.size());
-  for (const xml::Node* object_el : object_els) {
-    OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr, object_el->GetIntAttr("oid"));
-    OBISWAP_ASSIGN_OR_RETURN(std::string class_name,
-                             object_el->GetAttr("class"));
+  members.reserve(object_count);
+  for (uint32_t object_el = next_object(kRoot + 1); object_el < root_end;
+       object_el = next_object(tape.Next(object_el))) {
+    OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr,
+                             tape.GetIntAttr(object_el, "oid"));
+    OBISWAP_ASSIGN_OR_RETURN(std::string_view class_name,
+                             tape.GetAttr(object_el, "class"));
     const ClassInfo* cls = rt.types().Find(class_name);
     if (cls == nullptr)
-      return DataLossError("unknown class '" + class_name + "' in document");
+      return DataLossError("unknown class '" + std::string(class_name) +
+                           "' in document");
     OBISWAP_ASSIGN_OR_RETURN(
         Object * obj,
         rt.TryNewWithId(cls, ObjectId(static_cast<uint64_t>(oid_attr))));
     scope.Add(obj);
     OBISWAP_ASSIGN_OR_RETURN(int64_t cluster_attr,
-                             object_el->GetIntAttrOr("cluster", -1));
+                             tape.GetIntAttrOr(object_el, "cluster", -1));
     if (cluster_attr >= 0)
       obj->set_cluster(ClusterId(static_cast<uint32_t>(cluster_attr)));
     if (options.assign_swap_cluster.valid())
@@ -164,38 +208,47 @@ Result<std::vector<Object*>> DeserializeCluster(
   }
 
   // Pass 2: fill slots.
-  for (size_t m = 0; m < members.size(); ++m) {
-    Object* obj = members[m];
-    const xml::Node* object_el = object_els[m];
+  std::vector<uint8_t> slot_seen;
+  std::string text_scratch;
+  ExternalRef ref;
+  uint32_t object_el = kRoot + 1;
+  for (Object* obj : members) {
+    object_el = next_object(object_el);
+    const uint32_t object_end = tape[object_el].end;
+    const ClassInfo& cls = obj->cls();
     digest.Mix(obj->oid().value());
-    digest.Mix(obj->cls().name());
+    digest.Mix(cls.name());
     // Every class field must appear exactly once. Without this, a document
     // missing a <f> element silently left that slot nil and a duplicated
     // element was last-write-wins — both only ever surfaced when
     // verify_checksum happened to be on. Structural damage is rejected
     // unconditionally instead.
-    std::vector<bool> slot_seen(obj->cls().fields().size(), false);
-    for (const xml::Node* field_el : object_el->FindChildren("f")) {
-      OBISWAP_ASSIGN_OR_RETURN(std::string field_name,
-                               field_el->GetAttr("n"));
-      size_t slot = obj->cls().FieldIndex(field_name);
+    slot_seen.assign(cls.fields().size(), 0);
+    for (uint32_t field_el = object_el + 1; field_el < object_end;
+         field_el = tape.Next(field_el)) {
+      if (!tape.IsElement(field_el, "f")) continue;
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view field_name,
+                               tape.GetAttr(field_el, "n"));
+      const size_t slot = cls.FieldIndex(field_name);
       if (slot == ClassInfo::kNpos)
-        return DataLossError("class " + obj->cls().name() +
-                             " has no field '" + field_name + "'");
+        return DataLossError("class " + cls.name() + " has no field '" +
+                             std::string(field_name) + "'");
       if (slot_seen[slot])
-        return DataLossError("duplicate field '" + field_name +
-                             "' for class " + obj->cls().name());
-      slot_seen[slot] = true;
-      OBISWAP_ASSIGN_OR_RETURN(std::string kind_name, field_el->GetAttr("t"));
+        return DataLossError("duplicate field '" + std::string(field_name) +
+                             "' for class " + cls.name());
+      slot_seen[slot] = 1;
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view kind_name,
+                               tape.GetAttr(field_el, "t"));
       digest.Mix(field_name);
       std::optional<ValueKind> kind = runtime::ParseValueKind(kind_name);
       if (!kind.has_value())
-        return DataLossError("unknown field kind '" + kind_name + "'");
+        return DataLossError("unknown field kind '" + std::string(kind_name) +
+                             "'");
       digest.Mix(static_cast<uint64_t>(*kind));
       Value value;
       if (*kind != ValueKind::kRef) {
-        OBISWAP_ASSIGN_OR_RETURN(value,
-                                 ParseScalar(*kind, field_el->InnerText()));
+        OBISWAP_ASSIGN_OR_RETURN(
+            value, ParseScalar(*kind, tape.InnerText(field_el, &text_scratch)));
         if (value.is_int())
           digest.Mix(static_cast<uint64_t>(value.as_int()));
         else if (value.is_real())
@@ -203,27 +256,28 @@ Result<std::vector<Object*>> DeserializeCluster(
         else if (value.is_str())
           digest.Mix(value.as_str());
       } else {
-        auto local_attr = field_el->GetIntAttrOr("local", -1);
-        if (!local_attr.ok()) return local_attr.status();
-        if (*local_attr >= 0) {
-          if (static_cast<size_t>(*local_attr) >= members.size())
+        OBISWAP_ASSIGN_OR_RETURN(int64_t local_attr,
+                                 tape.GetIntAttrOr(field_el, "local", -1));
+        if (local_attr >= 0) {
+          if (static_cast<size_t>(local_attr) >= members.size())
             return DataLossError("local ref index out of range");
-          value = Value::Ref(members[static_cast<size_t>(*local_attr)]);
-          digest.Mix(static_cast<uint64_t>(*local_attr));
+          value = Value::Ref(members[static_cast<size_t>(local_attr)]);
+          digest.Mix(static_cast<uint64_t>(local_attr));
         } else {
-          ExternalRef ref;
           OBISWAP_ASSIGN_OR_RETURN(int64_t out_attr,
-                                   field_el->GetIntAttr("out"));
+                                   tape.GetIntAttr(field_el, "out"));
           OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr,
-                                   field_el->GetIntAttr("oid"));
+                                   tape.GetIntAttr(field_el, "oid"));
           ref.index = static_cast<size_t>(out_attr);
           ref.oid = ObjectId(static_cast<uint64_t>(oid_attr));
-          OBISWAP_ASSIGN_OR_RETURN(ref.class_name,
-                                   field_el->GetAttr("class"));
+          OBISWAP_ASSIGN_OR_RETURN(std::string_view class_name,
+                                   tape.GetAttr(field_el, "class"));
+          ref.class_name.assign(class_name);
           OBISWAP_ASSIGN_OR_RETURN(int64_t cluster_attr,
-                                   field_el->GetIntAttrOr("cluster", -1));
-          if (cluster_attr >= 0)
-            ref.cluster = ClusterId(static_cast<uint32_t>(cluster_attr));
+                                   tape.GetIntAttrOr(field_el, "cluster", -1));
+          ref.cluster = cluster_attr >= 0
+                            ? ClusterId(static_cast<uint32_t>(cluster_attr))
+                            : ClusterId();
           OBISWAP_ASSIGN_OR_RETURN(Object * target, resolve_external(ref));
           value = Value::Ref(target);
           digest.Mix(ref.index);
@@ -236,14 +290,16 @@ Result<std::vector<Object*>> DeserializeCluster(
     }
     for (size_t i = 0; i < slot_seen.size(); ++i) {
       if (!slot_seen[i])
-        return DataLossError("missing field '" + obj->cls().fields()[i].name +
-                             "' for class " + obj->cls().name());
+        return DataLossError("missing field '" + cls.fields()[i].name +
+                             "' for class " + cls.name());
     }
     rt.heap().RefreshAccounting(obj);
+    object_el = tape.Next(object_el);
   }
 
   if (options.verify_checksum) {
-    OBISWAP_ASSIGN_OR_RETURN(int64_t expected, root.GetIntAttr("checksum"));
+    OBISWAP_ASSIGN_OR_RETURN(int64_t expected,
+                             tape.GetIntAttr(kRoot, "checksum"));
     if (static_cast<uint32_t>(expected) != digest.Finish())
       return DataLossError(
           "cluster checksum mismatch: store-side corruption?");

@@ -40,22 +40,20 @@ const std::string* Node::FindAttr(std::string_view name) const {
   return nullptr;
 }
 
-namespace {
-Status MissingAttr(std::string_view name, const std::string& element) {
-  return NotFoundError("missing attribute '" + std::string(name) + "' on <" +
-                       element + ">");
+Status MissingAttrError(std::string_view attr, std::string_view element) {
+  return NotFoundError("missing attribute '" + std::string(attr) + "' on <" +
+                       std::string(element) + ">");
 }
-}  // namespace
 
 Result<std::string> Node::GetAttr(std::string_view name) const {
   const std::string* value = FindAttr(name);
-  if (value == nullptr) return MissingAttr(name, name_);
+  if (value == nullptr) return MissingAttrError(name, name_);
   return *value;
 }
 
 Result<int64_t> Node::GetIntAttr(std::string_view name) const {
   const std::string* value = FindAttr(name);
-  if (value == nullptr) return MissingAttr(name, name_);
+  if (value == nullptr) return MissingAttrError(name, name_);
   return ParseInt64(*value);
 }
 

@@ -85,4 +85,8 @@ class Node {
   std::vector<std::unique_ptr<Node>> children_;
 };
 
+/// The kNotFound error of a missing attribute, as every reader of a
+/// document reports it: "missing attribute 'a' on <element>".
+Status MissingAttrError(std::string_view attr, std::string_view element);
+
 }  // namespace obiswap::xml

@@ -1,30 +1,67 @@
 #include "xml/parser.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <cstring>
 #include <string>
+
+#include "common/string_util.h"
 
 namespace obiswap::xml {
 
 namespace {
 
-// Scanning works on runs: character data is sized by its delimiter, plain
-// bytes are copied in bulk and entities decoded in place, tokens are matched
-// in place, names stay views into the input until a node stores them, and
-// the line number is counted only when an error is built. Parse cost is
-// linear in the input's bytes.
-class Parser {
- public:
-  explicit Parser(std::string_view input) : input_(input) {}
+// Byte classes of the "C" locale's isspace, isalpha and isdigit, as one
+// table lookup each: the scanner asks them of nearly every byte. kMarkup
+// marks the two bytes that end a plain run of character data.
+enum : uint8_t { kSpace = 1, kNameStart = 2, kNameChar = 4, kMarkup = 8 };
 
-  Result<std::unique_ptr<Node>> ParseDocument() {
+constexpr std::array<uint8_t, 256> BuildByteClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c : {' ', '\t', '\n', '\v', '\f', '\r'}) classes[c] = kSpace;
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kNameStart | kNameChar;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kNameStart | kNameChar;
+  for (int c : {'_', ':'}) classes[c] = kNameStart | kNameChar;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kNameChar;
+  for (int c : {'-', '.'}) classes[c] = kNameChar;
+  for (int c : {'&', '<'}) classes[c] = kMarkup;
+  return classes;
+}
+
+constexpr std::array<uint8_t, 256> kByteClasses = BuildByteClasses();
+
+bool Is(char c, uint8_t byte_class) {
+  return (kByteClasses[static_cast<unsigned char>(c)] & byte_class) != 0;
+}
+
+}  // namespace
+
+// Scanning works on runs: character data is sized by its delimiter, plain
+// runs stay views into the input, entities are decoded into the tape's
+// arena, tokens are matched in place, and the line number is counted only
+// when an error is built. Open elements sit on an explicit stack, so
+// nesting depth costs no call stack. Parse cost is linear in the input's
+// bytes.
+class Scanner {
+ public:
+  Scanner(Tape& tape, std::string_view input)
+      : tape_(tape),
+        events_(tape.events_),
+        attrs_(tape.attrs_),
+        open_(tape.open_),
+        input_(input) {
+    events_.clear();
+    attrs_.clear();
+    open_.clear();
+  }
+
+  Status ParseDocument() {
     SkipProlog();
     if (AtEnd()) return Error("document has no root element");
-    OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement());
+    OBISWAP_RETURN_IF_ERROR(ParseElements());
     SkipMisc();
     if (!AtEnd()) return Error("trailing content after root element");
-    return root;
+    return OkStatus();
   }
 
  private:
@@ -35,7 +72,9 @@ class Parser {
   }
 
   bool Consume(std::string_view token) {
-    if (input_.compare(pos_, token.size(), token) != 0) return false;
+    if (input_.size() - pos_ < token.size() ||
+        std::memcmp(input_.data() + pos_, token.data(), token.size()) != 0)
+      return false;
     pos_ += token.size();
     return true;
   }
@@ -58,8 +97,7 @@ class Parser {
   }
 
   void SkipWhitespace() {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek())))
-      ++pos_;
+    while (!AtEnd() && Is(Peek(), kSpace)) ++pos_;
   }
 
   Status Error(const std::string& message) const {
@@ -110,18 +148,10 @@ class Parser {
     }
   }
 
-  static bool IsNameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  }
-  static bool IsNameChar(char c) {
-    return IsNameStart(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-           c == '-' || c == '.';
-  }
-
   Result<std::string_view> ParseName() {
-    if (AtEnd() || !IsNameStart(Peek())) return Error("expected name");
+    if (AtEnd() || !Is(Peek(), kNameStart)) return Error("expected name");
     size_t start = pos_;
-    while (!AtEnd() && IsNameChar(Peek())) ++pos_;
+    while (!AtEnd() && Is(Peek(), kNameChar)) ++pos_;
     return input_.substr(start, pos_ - start);
   }
 
@@ -203,126 +233,337 @@ class Parser {
     return OkStatus();
   }
 
-  /// Decodes the character data from `pos_` up to `end` onto `out`: runs
-  /// of plain bytes are copied in bulk and entities decoded in place. As
-  /// decoding never lengthens text, `out` grows once. Stops at `end`, or at
-  /// the first error: a bad entity, or a '<' (which only an attribute
-  /// value's range can hold; element text ends at its first '<').
-  Status DecodeCharData(size_t end, std::string* out) {
-    const size_t base = out->size();
-    out->resize(base + (end - pos_));
-    char* dst = out->data() + base;
-    Status status = OkStatus();
-    while (pos_ < end) {
-      size_t run_end = pos_;
-      while (run_end < end && input_[run_end] != '&' &&
-             input_[run_end] != '<') {
-        ++run_end;
-      }
-      std::memcpy(dst, input_.data() + pos_, run_end - pos_);
-      dst += run_end - pos_;
-      pos_ = run_end;
-      if (pos_ == end) break;
-      status = input_[pos_] == '<' ? Error("'<' in attribute value")
-                                   : DecodeEntity(&dst);
-      if (!status.ok()) break;
+  /// Free arena space. The first use in a parse sizes the arena to the
+  /// input; no later use in that parse can outgrow it.
+  char* ArenaTail() {
+    if (arena_used_ == 0 && tape_.arena_capacity_ < input_.size()) {
+      tape_.arena_ = std::make_unique_for_overwrite<char[]>(input_.size());
+      tape_.arena_capacity_ = input_.size();
     }
-    out->resize(static_cast<size_t>(dst - out->data()));
-    return status;
+    return tape_.arena_.get() + arena_used_;
   }
 
-  /// Parses a quoted attribute value into `value_`.
-  Status ParseAttrValue() {
+  /// Decodes the input from `pos_` up to `end` at `*dst`, advancing it:
+  /// runs of plain bytes are copied in bulk and entities decoded in place.
+  /// Stops at `end`, or at the first error: a bad entity, or a '<' (which
+  /// only an attribute value's range can hold; element text ends at its
+  /// first '<').
+  Status DecodeInto(size_t end, char** dst) {
+    while (pos_ < end) {
+      size_t run_end = pos_;
+      while (run_end < end && !Is(input_[run_end], kMarkup)) ++run_end;
+      std::memcpy(*dst, input_.data() + pos_, run_end - pos_);
+      *dst += run_end - pos_;
+      pos_ = run_end;
+      if (pos_ == end) break;
+      OBISWAP_RETURN_IF_ERROR(input_[pos_] == '<'
+                                  ? Error("'<' in attribute value")
+                                  : DecodeEntity(dst));
+    }
+    return OkStatus();
+  }
+
+  /// Parses a quoted attribute value: a view of the input when it holds no
+  /// entity, else its decoding in the arena.
+  Result<std::string_view> ParseAttrValue() {
     if (AtEnd() || (Peek() != '"' && Peek() != '\''))
       return Error("expected quoted attribute value");
     const char quote = Peek();
     ++pos_;
-    value_.clear();
-    OBISWAP_RETURN_IF_ERROR(DecodeCharData(Find(quote), &value_));
+    size_t stop = pos_;
+    while (stop < input_.size() && input_[stop] != quote &&
+           !Is(input_[stop], kMarkup)) {
+      ++stop;
+    }
+    std::string_view value;
+    if (stop < input_.size() && input_[stop] == quote) {
+      value = input_.substr(pos_, stop - pos_);
+      pos_ = stop;
+    } else {
+      char* const begin = ArenaTail();
+      char* dst = begin;
+      OBISWAP_RETURN_IF_ERROR(DecodeInto(Find(quote), &dst));
+      arena_used_ += static_cast<size_t>(dst - begin);
+      value = std::string_view(begin, static_cast<size_t>(dst - begin));
+    }
     if (AtEnd()) return Error("unterminated attribute value");
     ++pos_;  // closing quote
-    return OkStatus();
+    return value;
   }
 
-  Result<std::unique_ptr<Node>> ParseElement() {
+  // --- pending text --------------------------------------------------------
+  // The text between two tags accumulates across comments, CDATA and
+  // processing instructions: a view of its one plain run, or the arena's
+  // tail once it needed decoding or joining.
+
+  /// Moves the pending text to the arena's tail, so more can follow it.
+  char* PendingTextTail() {
+    if (!text_in_arena_) {
+      char* dst = ArenaTail();
+      if (text_size_ > 0) std::memcpy(dst, text_data_, text_size_);
+      text_data_ = dst;
+      text_in_arena_ = true;
+      arena_used_ += text_size_;
+    }
+    return tape_.arena_.get() + arena_used_;
+  }
+
+  void AppendText(std::string_view run) {
+    if (run.empty()) return;
+    if (text_size_ == 0 && !text_in_arena_) {
+      text_data_ = run.data();
+      text_size_ = run.size();
+      return;
+    }
+    std::memcpy(PendingTextTail(), run.data(), run.size());
+    arena_used_ += run.size();
+    text_size_ += run.size();
+  }
+
+  /// Appends the character data from `pos_` up to the next '<' (or the
+  /// end of the input) to the pending text.
+  Status ScanText() {
+    size_t stop = pos_;
+    while (stop < input_.size() && !Is(input_[stop], kMarkup)) ++stop;
+    if (stop == input_.size() || input_[stop] == '<') {
+      AppendText(input_.substr(pos_, stop - pos_));
+      pos_ = stop;
+      return OkStatus();
+    }
+    char* const begin = PendingTextTail();
+    char* dst = begin;
+    const Status status = DecodeInto(Find('<'), &dst);
+    arena_used_ += static_cast<size_t>(dst - begin);
+    text_size_ += static_cast<size_t>(dst - begin);
+    return status;
+  }
+
+  /// Ends the pending text: a text event unless it is empty.
+  void FlushText() {
+    if (text_size_ > 0) {
+      Event text;
+      text.kind = Event::Kind::kText;
+      text.text = std::string_view(text_data_, text_size_);
+      events_.push_back(text);
+    }
+    text_data_ = nullptr;
+    text_size_ = 0;
+    text_in_arena_ = false;
+  }
+
+  void Close(uint32_t start) {
+    events_[start].end = static_cast<uint32_t>(events_.size());
+    Event end;
+    end.kind = Event::Kind::kEnd;
+    events_.push_back(end);
+  }
+
+  /// Parses the root element and everything inside it.
+  Status ParseElements() {
     if (!Consume("<")) return Error("expected '<'");
-    OBISWAP_ASSIGN_OR_RETURN(std::string_view name, ParseName());
-    auto node = Node::Element(std::string(name));
-    // Attributes.
     for (;;) {
-      SkipWhitespace();
-      if (AtEnd())
-        return Error("unterminated start tag <" + std::string(name) + ">");
-      if (Consume("/>")) return node;
-      if (Consume(">")) break;
-      OBISWAP_ASSIGN_OR_RETURN(std::string_view attr_name, ParseName());
-      SkipWhitespace();
-      if (!Consume("=")) return Error("expected '=' after attribute name");
-      SkipWhitespace();
-      OBISWAP_RETURN_IF_ERROR(ParseAttrValue());
-      if (node->FindAttr(attr_name) != nullptr)
-        return Error("duplicate attribute '" + std::string(attr_name) + "'");
-      node->SetAttr(attr_name, value_);
-    }
-    // Content.
-    std::string text;
-    auto flush_text = [&]() {
-      if (!text.empty()) {
-        node->AddText(std::move(text));
-        text.clear();
-      }
-    };
-    for (;;) {
-      OBISWAP_RETURN_IF_ERROR(DecodeCharData(Find('<'), &text));
-      if (AtEnd())
-        return Error("unterminated element <" + std::string(name) + ">");
-      if (Consume("</")) {
-        flush_text();
-        OBISWAP_ASSIGN_OR_RETURN(std::string_view close_name, ParseName());
-        if (close_name != name)
-          return Error("mismatched close tag </" + std::string(close_name) +
-                       "> for <" + std::string(name) + ">");
+      // A start tag, just past its '<'.
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view name, ParseName());
+      const auto start = static_cast<uint32_t>(events_.size());
+      Event event;
+      event.attr_begin = static_cast<uint32_t>(attrs_.size());
+      event.text = name;
+      events_.push_back(event);
+      bool empty_element = false;
+      for (;;) {
         SkipWhitespace();
-        if (!Consume(">")) return Error("expected '>' in close tag");
-        return node;
-      }
-      if (Consume("<!--")) {
-        OBISWAP_RETURN_IF_ERROR(SkipComment());
-        continue;
-      }
-      if (Consume("<![CDATA[")) {
-        const size_t start = pos_;
-        const size_t close = input_.find("]]>", start);
-        if (close == std::string_view::npos) {
-          pos_ = input_.size();
-          return Error("unterminated CDATA");
+        if (AtEnd())
+          return Error("unterminated start tag <" + std::string(name) + ">");
+        if (Consume("/>")) {
+          empty_element = true;
+          break;
         }
-        text.append(input_, start, close - start);
-        pos_ = close + 3;
-        continue;
+        if (Consume(">")) break;
+        OBISWAP_ASSIGN_OR_RETURN(std::string_view attr_name, ParseName());
+        SkipWhitespace();
+        if (!Consume("=")) return Error("expected '=' after attribute name");
+        SkipWhitespace();
+        OBISWAP_ASSIGN_OR_RETURN(std::string_view value, ParseAttrValue());
+        for (size_t a = event.attr_begin; a < attrs_.size(); ++a) {
+          if (attrs_[a].name == attr_name)
+            return Error("duplicate attribute '" + std::string(attr_name) +
+                         "'");
+        }
+        attrs_.push_back(TapeAttr{attr_name, value});
       }
-      if (PeekAt(1) == '?') {
-        pos_ += 2;  // "<?"
-        OBISWAP_RETURN_IF_ERROR(SkipPi());
-        continue;
+      events_[start].attr_end = static_cast<uint32_t>(attrs_.size());
+      if (empty_element) {
+        Close(start);
+      } else {
+        open_.push_back(start);
       }
-      flush_text();
-      OBISWAP_ASSIGN_OR_RETURN(std::unique_ptr<Node> child, ParseElement());
-      node->AddChild(std::move(child));
+      // Content of the innermost open element, until a child element
+      // starts or the root closes.
+      for (;;) {
+        if (open_.empty()) return OkStatus();
+        OBISWAP_RETURN_IF_ERROR(ScanText());
+        const std::string_view open_name = events_[open_.back()].text;
+        if (AtEnd())
+          return Error("unterminated element <" + std::string(open_name) +
+                       ">");
+        if (Consume("</")) {
+          FlushText();
+          OBISWAP_ASSIGN_OR_RETURN(std::string_view close_name, ParseName());
+          if (close_name != open_name)
+            return Error("mismatched close tag </" + std::string(close_name) +
+                         "> for <" + std::string(open_name) + ">");
+          SkipWhitespace();
+          if (!Consume(">")) return Error("expected '>' in close tag");
+          Close(open_.back());
+          open_.pop_back();
+          continue;
+        }
+        if (Consume("<!--")) {
+          OBISWAP_RETURN_IF_ERROR(SkipComment());
+          continue;
+        }
+        if (Consume("<![CDATA[")) {
+          const size_t close = input_.find("]]>", pos_);
+          if (close == std::string_view::npos) {
+            pos_ = input_.size();
+            return Error("unterminated CDATA");
+          }
+          AppendText(input_.substr(pos_, close - pos_));
+          pos_ = close + 3;
+          continue;
+        }
+        if (PeekAt(1) == '?') {
+          pos_ += 2;  // "<?"
+          OBISWAP_RETURN_IF_ERROR(SkipPi());
+          continue;
+        }
+        FlushText();
+        ++pos_;  // the child's '<'
+        break;
+      }
     }
   }
 
+  Tape& tape_;
+  std::vector<Event>& events_;
+  std::vector<TapeAttr>& attrs_;
+  std::vector<uint32_t>& open_;
   std::string_view input_;
   size_t pos_ = 0;
-  /// Scratch for the attribute value being decoded (reused per attribute).
-  std::string value_;
+  size_t arena_used_ = 0;
+  const char* text_data_ = nullptr;
+  size_t text_size_ = 0;
+  bool text_in_arena_ = false;
 };
 
+Status Tape::Parse(std::string_view input) {
+  Status status = Scanner(*this, input).ParseDocument();
+  if (!status.ok()) events_.clear();
+  return status;
+}
+
+const std::string_view* Tape::FindAttr(uint32_t start,
+                                       std::string_view name) const {
+  for (const TapeAttr& attr : attrs(start)) {
+    if (attr.name == name) return &attr.value;
+  }
+  return nullptr;
+}
+
+Result<std::string_view> Tape::GetAttr(uint32_t start,
+                                       std::string_view name) const {
+  const std::string_view* value = FindAttr(start, name);
+  if (value == nullptr) return MissingAttrError(name, events_[start].text);
+  return *value;
+}
+
+Result<int64_t> Tape::GetIntAttr(uint32_t start, std::string_view name) const {
+  OBISWAP_ASSIGN_OR_RETURN(std::string_view value, GetAttr(start, name));
+  return ParseInt64(value);
+}
+
+Result<int64_t> Tape::GetIntAttrOr(uint32_t start, std::string_view name,
+                                   int64_t fallback) const {
+  const std::string_view* value = FindAttr(start, name);
+  if (value == nullptr) return fallback;
+  return ParseInt64(*value);
+}
+
+uint32_t Tape::FindChild(uint32_t start, std::string_view name) const {
+  for (uint32_t child = start + 1; child < events_[start].end;
+       child = Next(child)) {
+    if (IsElement(child, name)) return child;
+  }
+  return 0;
+}
+
+std::string_view Tape::InnerText(uint32_t start, std::string* scratch) const {
+  std::string_view first;
+  size_t texts = 0;
+  for (uint32_t child = start + 1; child < events_[start].end;
+       child = Next(child)) {
+    const Event& event = events_[child];
+    if (event.kind != Event::Kind::kText) continue;
+    if (texts == 0) {
+      first = event.text;
+    } else {
+      if (texts == 1) scratch->assign(first);
+      scratch->append(event.text);
+    }
+    ++texts;
+  }
+  return texts <= 1 ? first : std::string_view(*scratch);
+}
+
+namespace {
+thread_local std::vector<std::unique_ptr<Tape>> tape_pool;
 }  // namespace
 
+PooledTape::PooledTape() {
+  if (tape_pool.empty()) {
+    tape_ = std::make_unique<Tape>();
+  } else {
+    tape_ = std::move(tape_pool.back());
+    tape_pool.pop_back();
+  }
+}
+
+PooledTape::~PooledTape() { tape_pool.push_back(std::move(tape_)); }
+
+std::unique_ptr<Node> BuildTree(const Tape& tape) {
+  std::unique_ptr<Node> root;
+  std::vector<Node*> open;
+  for (uint32_t i = 0; i < tape.size(); ++i) {
+    const Event& event = tape[i];
+    switch (event.kind) {
+      case Event::Kind::kStart: {
+        auto node = Node::Element(std::string(event.text));
+        for (const TapeAttr& attr : tape.attrs(i))
+          node->SetAttr(attr.name, attr.value);
+        Node* element = node.get();
+        if (open.empty()) {
+          root = std::move(node);
+        } else {
+          open.back()->AddChild(std::move(node));
+        }
+        open.push_back(element);
+        break;
+      }
+      case Event::Kind::kText:
+        open.back()->AddText(std::string(event.text));
+        break;
+      case Event::Kind::kEnd:
+        open.pop_back();
+        break;
+    }
+  }
+  return root;
+}
+
 Result<std::unique_ptr<Node>> Parse(std::string_view input) {
-  Parser parser(input);
-  return parser.ParseDocument();
+  PooledTape tape;
+  OBISWAP_RETURN_IF_ERROR(tape->Parse(input));
+  return BuildTree(*tape);
 }
 
 }  // namespace obiswap::xml

@@ -1,21 +1,141 @@
-// Recursive-descent XML parser.
+// The XML parser: one validating pass that fills a flat event tape.
 //
 // Supports the subset obiswap emits plus what hand-written policy files
 // need: elements, attributes (single or double quoted), text, comments,
 // CDATA sections, processing instructions / XML declaration, and the five
 // predefined entities plus numeric character references.
+//
+// Tape::Parse is the only scanner. Readers on the hot path (the cluster
+// decoder, the store envelopes) walk the tape directly; xml::Parse builds
+// a Node tree from it for readers that want one (policy, schema, tx,
+// replication).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "xml/node.h"
 
 namespace obiswap::xml {
 
-/// Parses a complete document: optional prolog followed by exactly one root
-/// element. Errors carry a line number.
+/// One event of a parsed document, in document order. Comments, processing
+/// instructions and the prolog leave no event.
+struct Event {
+  enum class Kind : uint8_t { kStart, kText, kEnd };
+  Kind kind = Kind::kStart;
+  /// kStart: [attr_begin, attr_end) in the tape's attributes.
+  uint32_t attr_begin = 0;
+  uint32_t attr_end = 0;
+  /// kStart: index of the matching kEnd event.
+  uint32_t end = 0;
+  /// kStart: the element name. kText: the decoded character data between
+  /// two tags (comments and processing instructions skipped, CDATA
+  /// included), never empty.
+  std::string_view text;
+};
+
+/// One attribute of a start event; the value is decoded.
+struct TapeAttr {
+  std::string_view name;
+  std::string_view value;
+};
+
+/// A parsed document as a flat event sequence. Event 0 is the root's
+/// start; a start's children run from the next event to its end, and
+/// Next() steps over a whole child. Names and plain values are views into
+/// the input; text or values that needed decoding or joining are views
+/// into the tape's arena. Both stay valid until the next Parse, and the
+/// input must outlive the tape's use.
+class Tape {
+ public:
+  /// Parses a complete document: optional prolog followed by exactly one
+  /// root element. Replaces the tape's events and reuses its storage.
+  /// Errors are kDataLoss and carry a line number; the first error in
+  /// document order is the one reported.
+  Status Parse(std::string_view input);
+
+  size_t size() const { return events_.size(); }
+  const Event& operator[](size_t index) const { return events_[index]; }
+
+  /// Index of the event after `index` and everything inside it: the next
+  /// sibling, or the parent's end.
+  uint32_t Next(uint32_t index) const {
+    const Event& event = events_[index];
+    return event.kind == Event::Kind::kStart ? event.end + 1 : index + 1;
+  }
+
+  /// True if event `index` starts an element named `name`.
+  bool IsElement(uint32_t index, std::string_view name) const {
+    const Event& event = events_[index];
+    return event.kind == Event::Kind::kStart && event.text == name;
+  }
+
+  std::span<const TapeAttr> attrs(uint32_t start) const {
+    const Event& event = events_[start];
+    return {attrs_.data() + event.attr_begin,
+            attrs_.data() + event.attr_end};
+  }
+
+  /// The value of attribute `name` of start event `start`, or nullptr.
+  const std::string_view* FindAttr(uint32_t start,
+                                   std::string_view name) const;
+  /// As Node::GetAttr, Node::GetIntAttr and Node::GetIntAttrOr: the
+  /// attribute, or parsed as an integer, with the same errors.
+  Result<std::string_view> GetAttr(uint32_t start,
+                                   std::string_view name) const;
+  Result<int64_t> GetIntAttr(uint32_t start, std::string_view name) const;
+  Result<int64_t> GetIntAttrOr(uint32_t start, std::string_view name,
+                               int64_t fallback) const;
+
+  /// First element child named `name` of start event `start`, or 0 (the
+  /// root, which is nobody's child).
+  uint32_t FindChild(uint32_t start, std::string_view name) const;
+
+  /// As Node::InnerText: the concatenation of the direct text children of
+  /// start event `start`. A view of the one text child when there is only
+  /// one; otherwise the children are joined in `*scratch`.
+  std::string_view InnerText(uint32_t start, std::string* scratch) const;
+
+ private:
+  friend class Scanner;
+
+  std::vector<Event> events_;
+  std::vector<TapeAttr> attrs_;
+  /// Decoded and joined text. A parse writes at most as many bytes here as
+  /// its input holds, so the arena is sized once per parse and the views
+  /// into it stay put.
+  std::unique_ptr<char[]> arena_;
+  size_t arena_capacity_ = 0;
+  /// Start events still open, innermost last (scratch for Parse).
+  std::vector<uint32_t> open_;
+};
+
+/// A tape borrowed for one parse from a per-thread pool, so repeated
+/// parses reuse storage. A nested borrower gets a tape of its own.
+class PooledTape {
+ public:
+  PooledTape();
+  ~PooledTape();
+  PooledTape(const PooledTape&) = delete;
+  PooledTape& operator=(const PooledTape&) = delete;
+
+  Tape& operator*() { return *tape_; }
+  Tape* operator->() { return tape_.get(); }
+
+ private:
+  std::unique_ptr<Tape> tape_;
+};
+
+/// Builds the Node tree of a parsed tape.
+std::unique_ptr<Node> BuildTree(const Tape& tape);
+
+/// Parses a complete document into a Node tree: Tape::Parse, then
+/// BuildTree. Errors carry a line number.
 Result<std::unique_ptr<Node>> Parse(std::string_view input);
 
 }  // namespace obiswap::xml

@@ -1,6 +1,7 @@
 #include "xml/writer.h"
 
 #include <array>
+#include <charconv>
 #include <cstring>
 
 namespace obiswap::xml {
@@ -101,13 +102,7 @@ void WriteNode(const Node& node, const WriteOptions& options, int depth,
   indent(depth);
   *out += '<';
   *out += node.name();
-  for (const Attr& attr : node.attrs()) {
-    *out += ' ';
-    *out += attr.name;
-    *out += "=\"";
-    AppendEscaped(out, attr.value, /*attr=*/true);
-    *out += '"';
-  }
+  for (const Attr& attr : node.attrs()) AppendAttr(out, attr.name, attr.value);
   if (node.children().empty()) {
     *out += "/>";
     if (options.pretty) *out += '\n';
@@ -129,6 +124,33 @@ void WriteNode(const Node& node, const WriteOptions& options, int depth,
   if (options.pretty) *out += '\n';
 }
 }  // namespace
+
+void AppendEscapedText(std::string* out, std::string_view text) {
+  AppendEscaped(out, text, /*attr=*/false);
+}
+
+void AppendEscapedAttr(std::string* out, std::string_view text) {
+  AppendEscaped(out, text, /*attr=*/true);
+}
+
+void AppendAttr(std::string* out, std::string_view name,
+                std::string_view value) {
+  *out += ' ';
+  *out += name;
+  *out += "=\"";
+  AppendEscaped(out, value, /*attr=*/true);
+  *out += '"';
+}
+
+void AppendIntAttr(std::string* out, std::string_view name, int64_t value) {
+  char digits[24];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  *out += ' ';
+  *out += name;
+  *out += "=\"";
+  out->append(digits, result.ptr);
+  *out += '"';
+}
 
 std::string EscapeText(std::string_view text) {
   std::string out;

@@ -1,6 +1,7 @@
 // XML serialization: Node tree → text, with escaping.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -20,6 +21,17 @@ std::string EscapeText(std::string_view text);
 
 /// Escapes `text` for use inside a double-quoted attribute value.
 std::string EscapeAttr(std::string_view text);
+
+/// Append forms of EscapeText and EscapeAttr, for code that writes a
+/// document straight into one string: `out` grows at most once per call.
+void AppendEscapedText(std::string* out, std::string_view text);
+void AppendEscapedAttr(std::string* out, std::string_view text);
+
+/// Appends ` name="value"` as Write writes an attribute: the value escaped,
+/// or an integer in decimal as Node::SetIntAttr stores it.
+void AppendAttr(std::string* out, std::string_view name,
+                std::string_view value);
+void AppendIntAttr(std::string* out, std::string_view name, int64_t value);
 
 /// Serializes the node tree. Text nodes are escaped; attribute order and
 /// child order are preserved, so Write(Parse(Write(n))) is stable.
