@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -31,5 +33,16 @@ std::string StrFormat(const char* format, ...)
 
 /// Human-readable byte count ("1.5 KiB").
 std::string FormatBytes(uint64_t bytes);
+
+/// A table keyed by name with transparent hashing: a lookup by
+/// std::string_view builds no string.
+struct NameHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view name) const {
+    return std::hash<std::string_view>()(name);
+  }
+};
+template <typename V>
+using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
 
 }  // namespace obiswap

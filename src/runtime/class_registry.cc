@@ -3,7 +3,7 @@
 namespace obiswap::runtime {
 
 size_t ClassInfo::FieldIndex(std::string_view name) const {
-  auto it = field_index_.find(std::string(name));
+  auto it = field_index_.find(name);
   return it == field_index_.end() ? kNpos : it->second;
 }
 
@@ -56,7 +56,7 @@ Result<const ClassInfo*> TypeRegistry::Register(ClassBuilder& builder) {
 }
 
 const ClassInfo* TypeRegistry::Find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : classes_[it->second].get();
 }
 

@@ -19,6 +19,7 @@
 
 #include "common/ids.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "runtime/selector.h"
 #include "runtime/value.h"
 
@@ -95,7 +96,7 @@ class ClassInfo {
   /// none of its methods and falls past the end.
   static constexpr uint32_t kNoMethod = UINT32_MAX;
   std::vector<uint32_t> method_index_;
-  std::unordered_map<std::string, size_t> field_index_;
+  NameMap<size_t> field_index_;
   size_t payload_bytes_ = 0;
   Finalizer finalizer_;
 };
@@ -143,7 +144,7 @@ class TypeRegistry {
 
  private:
   std::vector<std::unique_ptr<ClassInfo>> classes_;
-  std::unordered_map<std::string, size_t> by_name_;
+  NameMap<size_t> by_name_;
 };
 
 }  // namespace obiswap::runtime

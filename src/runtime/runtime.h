@@ -179,14 +179,7 @@ class Runtime : public RootProvider {
   uint64_t next_object_seq_ = 1;
   TypeRegistry types_;
   Heap heap_;
-  /// Transparent hashing: a lookup by std::string_view builds no string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>()(name);
-    }
-  };
-  std::unordered_map<std::string, Value, NameHash, std::equal_to<>> globals_;
+  NameMap<Value> globals_;
   Interceptor* interceptors_[4] = {nullptr, nullptr, nullptr, nullptr};
   StoreMediator* mediator_ = nullptr;
   IdentityHook* identity_ = nullptr;

@@ -6,6 +6,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/string_util.h"
+
 namespace obiswap::runtime {
 
 namespace {
@@ -29,15 +31,7 @@ SelectorTable& Table() {
 Selector::Selector(std::string_view name) {
   // By-name calls intern on every call: serve repeats from a per-thread
   // copy of the index, so only a thread's first use of a name locks.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view text) const {
-      return std::hash<std::string_view>()(text);
-    }
-  };
-  thread_local std::unordered_map<std::string, uint32_t, NameHash,
-                                  std::equal_to<>>
-      seen;
+  thread_local NameMap<uint32_t> seen;
   if (auto it = seen.find(name); it != seen.end()) {
     id_ = it->second;
     return;
