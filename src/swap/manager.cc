@@ -772,12 +772,15 @@ Result<Value> SwappingManager::MediateReturn(Object* proxy, Value result) {
     // swap-cluster-proxy to be returned to application code (discarding
     // itself), it patches itself."
     reuse_.EraseIf(source, ProxyTargetOid(proxy), proxy);
+    // The proxy already has an entry in its target cluster's inbound list;
+    // it needs one in the new cluster's only when it crosses to another.
+    const bool crosses = ProxyTargetSc(proxy) != resolved.sc;
     proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(resolved.target);
     proxy->RawSlotMutable(kProxySlotTargetSc) =
         Value::Int(static_cast<int64_t>(resolved.sc.value()));
     proxy->RawSlotMutable(kProxySlotTargetOid) =
         Value::Int(static_cast<int64_t>(resolved.oid.value()));
-    AddInbound(resolved.sc, proxy);
+    if (crosses) AddInbound(resolved.sc, proxy);
     ++stats_.assigned_patches;
     result.set_ref(proxy);
     return result;
@@ -1843,10 +1846,11 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
   inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(write),
                 inbound.end());
   if (fault.ok()) fault = CheckFaultPoint(finalize_point);
-  // A crash leaves the patch torn for Recover(); a clean error unwinds it.
+  // A crash leaves the patch torn for Recover(); a clean error unwinds it,
+  // last patch first, so a proxy listed twice ends on its first old target.
   if (!fault.ok() && !crashed_) {
-    for (const auto& [proxy, old_target] : patched)
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(old_target);
+    for (auto it = patched.rbegin(); it != patched.rend(); ++it)
+      it->first->RawSlotMutable(kProxySlotTarget) = Value::Ref(it->second);
   }
   return fault;
 }

@@ -887,6 +887,31 @@ TEST_F(SwapFixture, AssignedProxySurvivesSwapOfVisitedClusters) {
   EXPECT_EQ(seen, 14);
 }
 
+// A failed swap-out must leave an assign() cursor on its object, not on
+// the replacement it was patched to. The cursor walked within one cluster,
+// which once left one inbound entry per step; the unwind then restored
+// them in forward order and the last restore wrote back the replacement.
+TEST_F(SwapFixture, FailedSwapOutLeavesAssignedCursorOnItsObject) {
+  const int n = 30;
+  BuildClusteredList(world_.rt, world_.manager, node_cls_, n, 10, "head");
+  FaultInjector faults;
+  world_.manager.AttachFaultInjector(&faults);
+  Object* cursor = HeadRef();
+  ASSERT_TRUE(world_.manager.Assign(cursor).ok());
+  Object* current = cursor;
+  for (int i = 0; i < 14; ++i) {
+    current = world_.rt.Invoke(current, "next")->ref();
+  }
+  const SwapClusterId pointed = ProxyTargetSc(cursor);
+  faults.Arm("swap_out.finalize", FaultKind::kError);
+  EXPECT_FALSE(world_.manager.SwapOut(pointed).ok());
+  EXPECT_FALSE(IsReplacement(ProxyTarget(cursor)));
+  auto value = world_.rt.Invoke(cursor, "get_value");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(value->as_int(), 14);
+  world_.manager.AttachFaultInjector(nullptr);
+}
+
 // ---------------------------------------------------------------- identity --
 
 TEST_F(SwapFixture, IdentityThroughDifferentProxies) {
