@@ -243,22 +243,51 @@ class Scanner {
     return tape_.arena_.get() + arena_used_;
   }
 
+  /// The byte a markup escape the writer emits (&lt; &gt; &amp; &quot;
+  /// &apos;) at `pos_` stands for, moving past it; 0 for anything else,
+  /// which DecodeEntity then reads.
+  char TakeMarkupEscape() {
+    const std::string_view rest = input_.substr(pos_, 6);
+    char decoded = 0;
+    size_t length = 4;
+    if (rest.starts_with("&lt;")) {
+      decoded = '<';
+    } else if (rest.starts_with("&gt;")) {
+      decoded = '>';
+    } else if (rest.starts_with("&amp;")) {
+      decoded = '&';
+      length = 5;
+    } else if (rest.starts_with("&quot;")) {
+      decoded = '"';
+      length = 6;
+    } else if (rest.starts_with("&apos;")) {
+      decoded = '\'';
+      length = 6;
+    }
+    if (decoded != 0) pos_ += length;
+    return decoded;
+  }
+
   /// Decodes the input from `pos_` up to `end` at `*dst`, advancing it:
   /// runs of plain bytes are copied in bulk and entities decoded in place.
   /// Stops at `end`, or at the first error: a bad entity, or a '<' (which
   /// only an attribute value's range can hold; element text ends at its
   /// first '<').
   Status DecodeInto(size_t end, char** dst) {
+    char*& out = *dst;
     while (pos_ < end) {
       size_t run_end = pos_;
       while (run_end < end && !Is(input_[run_end], kMarkup)) ++run_end;
-      std::memcpy(*dst, input_.data() + pos_, run_end - pos_);
-      *dst += run_end - pos_;
+      std::memcpy(out, input_.data() + pos_, run_end - pos_);
+      out += run_end - pos_;
       pos_ = run_end;
       if (pos_ == end) break;
-      OBISWAP_RETURN_IF_ERROR(input_[pos_] == '<'
-                                  ? Error("'<' in attribute value")
-                                  : DecodeEntity(dst));
+      if (input_[pos_] == '<') return Error("'<' in attribute value");
+      if (const char decoded = TakeMarkupEscape(); decoded != 0) {
+        *out++ = decoded;
+        continue;
+      }
+      OBISWAP_RETURN_IF_ERROR(DecodeEntity(&out));
     }
     return OkStatus();
   }
