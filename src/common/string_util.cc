@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cerrno>
 #include <cctype>
-#include <cstring>
 
 namespace obiswap {
 
@@ -41,29 +40,11 @@ bool StrEndsWith(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-namespace {
-
-/// Runs `parse` on a NUL-terminated copy of `text`: on the stack when it is
-/// short, as every number a document carries is, so parsing allocates
-/// nothing.
-template <typename Fn>
-auto WithCString(std::string_view text, Fn parse) {
-  char small[64];
-  if (text.size() < sizeof small) {
-    std::memcpy(small, text.data(), text.size());
-    small[text.size()] = '\0';
-    return parse(static_cast<const char*>(small));
-  }
-  const std::string copy(text);
-  return parse(copy.c_str());
-}
-
-}  // namespace
-
 Result<int64_t> ParseInt64(std::string_view text) {
   if (text.empty()) return InvalidArgumentError("empty integer");
   // An optional '-' and at most 18 digits cannot overflow: every integer a
-  // document or envelope carries in practice. strtoll reads the same value.
+  // document or envelope carries in practice, read without a copy.
+  // strtoll reads the same value; it handles everything else.
   const bool negative = text[0] == '-';
   const std::string_view digits = text.substr(negative ? 1 : 0);
   if (!digits.empty() && digits.size() <= 18) {
@@ -73,30 +54,26 @@ Result<int64_t> ParseInt64(std::string_view text) {
       value = value * 10 + (digits[i++] - '0');
     if (i == digits.size()) return negative ? -value : value;
   }
-  return WithCString(text, [text](const char* buf) -> Result<int64_t> {
-    errno = 0;
-    char* end = nullptr;
-    long long v = std::strtoll(buf, &end, 10);
-    if (errno == ERANGE) return InvalidArgumentError("integer out of range");
-    if (end != buf + text.size())
-      return InvalidArgumentError("trailing characters in integer: " +
-                                  std::string(text));
-    return static_cast<int64_t>(v);
-  });
+  std::string buf(text);
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(buf.c_str(), &end, 10);
+  if (errno == ERANGE) return InvalidArgumentError("integer out of range");
+  if (end != buf.c_str() + buf.size())
+    return InvalidArgumentError("trailing characters in integer: " + buf);
+  return static_cast<int64_t>(v);
 }
 
 Result<double> ParseDouble(std::string_view text) {
   if (text.empty()) return InvalidArgumentError("empty double");
-  return WithCString(text, [text](const char* buf) -> Result<double> {
-    errno = 0;
-    char* end = nullptr;
-    double v = std::strtod(buf, &end);
-    if (errno == ERANGE) return InvalidArgumentError("double out of range");
-    if (end != buf + text.size())
-      return InvalidArgumentError("trailing characters in double: " +
-                                  std::string(text));
-    return v;
-  });
+  std::string buf(text);
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(buf.c_str(), &end);
+  if (errno == ERANGE) return InvalidArgumentError("double out of range");
+  if (end != buf.c_str() + buf.size())
+    return InvalidArgumentError("trailing characters in double: " + buf);
+  return v;
 }
 
 std::string StrFormat(const char* format, ...) {
