@@ -42,18 +42,6 @@ bool StrEndsWith(std::string_view text, std::string_view suffix) {
 
 Result<int64_t> ParseInt64(std::string_view text) {
   if (text.empty()) return InvalidArgumentError("empty integer");
-  // An optional '-' and at most 18 digits cannot overflow: every integer a
-  // document or envelope carries in practice, read without a copy.
-  // strtoll reads the same value; it handles everything else.
-  const bool negative = text[0] == '-';
-  const std::string_view digits = text.substr(negative ? 1 : 0);
-  if (!digits.empty() && digits.size() <= 18) {
-    int64_t value = 0;
-    size_t i = 0;
-    while (i < digits.size() && digits[i] >= '0' && digits[i] <= '9')
-      value = value * 10 + (digits[i++] - '0');
-    if (i == digits.size()) return negative ? -value : value;
-  }
   std::string buf(text);
   errno = 0;
   char* end = nullptr;

@@ -120,18 +120,17 @@ std::string ErrorResponse(StatusCode code, const std::string& message) {
 
 Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
     std::string_view response_xml) {
-  xml::PooledTape envelope;
-  OBISWAP_RETURN_IF_ERROR(envelope->Parse(response_xml));
+  xml::Tape envelope;
+  OBISWAP_RETURN_IF_ERROR(envelope.Parse(response_xml));
   Status remote;
-  OBISWAP_RETURN_IF_ERROR(ReadStatus(*envelope, &remote));
+  OBISWAP_RETURN_IF_ERROR(ReadStatus(envelope, &remote));
   OBISWAP_RETURN_IF_ERROR(remote);
-  return xml::BuildTree(*envelope);
+  return xml::BuildTree(envelope);
 }
 
 Result<Response> ParseResponse(std::string_view response_xml) {
-  xml::PooledTape pooled;
-  OBISWAP_RETURN_IF_ERROR(pooled->Parse(response_xml));
-  const xml::Tape& envelope = *pooled;
+  xml::Tape envelope;
+  OBISWAP_RETURN_IF_ERROR(envelope.Parse(response_xml));
   constexpr uint32_t kRoot = 0;
   Response response;
   OBISWAP_RETURN_IF_ERROR(ReadStatus(envelope, &response.status));
@@ -159,11 +158,10 @@ Result<Response> ParseResponse(std::string_view response_xml) {
 
 std::string StoreService::Handle(const std::string& request_xml,
                                  uint64_t now_us, uint64_t* queue_wait_us) {
-  xml::PooledTape pooled;
-  if (Status parsed = pooled->Parse(request_xml); !parsed.ok())
+  xml::Tape request;
+  if (Status parsed = request.Parse(request_xml); !parsed.ok())
     return ErrorResponse(StatusCode::kInvalidArgument,
                          "bad request: " + parsed.message());
-  const xml::Tape& request = *pooled;
   constexpr uint32_t kRoot = 0;
   if (!request.IsElement(kRoot, "request"))
     return ErrorResponse(StatusCode::kInvalidArgument, "not a request");

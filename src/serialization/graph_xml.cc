@@ -145,9 +145,8 @@ Result<std::vector<Object*>> DeserializeCluster(
     Runtime& rt, const std::string& xml_text,
     const DeserializeOptions& options,
     const ResolveExternalFn& resolve_external) {
-  xml::PooledTape pooled;
-  OBISWAP_RETURN_IF_ERROR(pooled->Parse(xml_text));
-  const xml::Tape& tape = *pooled;
+  xml::Tape tape;
+  OBISWAP_RETURN_IF_ERROR(tape.Parse(xml_text));
   constexpr uint32_t kRoot = 0;
   const uint32_t root_end = tape[kRoot].end;
   if (!tape.IsElement(kRoot, "swap-cluster"))

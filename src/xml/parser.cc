@@ -243,31 +243,6 @@ class Scanner {
     return tape_.arena_.get() + arena_used_;
   }
 
-  /// The byte a markup escape the writer emits (&lt; &gt; &amp; &quot;
-  /// &apos;) at `pos_` stands for, moving past it; 0 for anything else,
-  /// which DecodeEntity then reads.
-  char TakeMarkupEscape() {
-    const std::string_view rest = input_.substr(pos_, 6);
-    char decoded = 0;
-    size_t length = 4;
-    if (rest.starts_with("&lt;")) {
-      decoded = '<';
-    } else if (rest.starts_with("&gt;")) {
-      decoded = '>';
-    } else if (rest.starts_with("&amp;")) {
-      decoded = '&';
-      length = 5;
-    } else if (rest.starts_with("&quot;")) {
-      decoded = '"';
-      length = 6;
-    } else if (rest.starts_with("&apos;")) {
-      decoded = '\'';
-      length = 6;
-    }
-    if (decoded != 0) pos_ += length;
-    return decoded;
-  }
-
   /// Decodes the input from `pos_` up to `end` at `*dst`, advancing it:
   /// runs of plain bytes are copied in bulk and entities decoded in place.
   /// Stops at `end`, or at the first error: a bad entity, or a '<' (which
@@ -283,10 +258,6 @@ class Scanner {
       pos_ = run_end;
       if (pos_ == end) break;
       if (input_[pos_] == '<') return Error("'<' in attribute value");
-      if (const char decoded = TakeMarkupEscape(); decoded != 0) {
-        *out++ = decoded;
-        continue;
-      }
       OBISWAP_RETURN_IF_ERROR(DecodeEntity(&out));
     }
     return OkStatus();
@@ -544,21 +515,6 @@ std::string_view Tape::InnerText(uint32_t start, std::string* scratch) const {
   return texts <= 1 ? first : std::string_view(*scratch);
 }
 
-namespace {
-thread_local std::vector<std::unique_ptr<Tape>> tape_pool;
-}  // namespace
-
-PooledTape::PooledTape() {
-  if (tape_pool.empty()) {
-    tape_ = std::make_unique<Tape>();
-  } else {
-    tape_ = std::move(tape_pool.back());
-    tape_pool.pop_back();
-  }
-}
-
-PooledTape::~PooledTape() { tape_pool.push_back(std::move(tape_)); }
-
 std::unique_ptr<Node> BuildTree(const Tape& tape) {
   std::unique_ptr<Node> root;
   std::vector<Node*> open;
@@ -590,9 +546,9 @@ std::unique_ptr<Node> BuildTree(const Tape& tape) {
 }
 
 Result<std::unique_ptr<Node>> Parse(std::string_view input) {
-  PooledTape tape;
-  OBISWAP_RETURN_IF_ERROR(tape->Parse(input));
-  return BuildTree(*tape);
+  Tape tape;
+  OBISWAP_RETURN_IF_ERROR(tape.Parse(input));
+  return BuildTree(tape);
 }
 
 }  // namespace obiswap::xml

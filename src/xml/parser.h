@@ -115,22 +115,6 @@ class Tape {
   std::vector<uint32_t> open_;
 };
 
-/// A tape borrowed for one parse from a per-thread pool, so repeated
-/// parses reuse storage. A nested borrower gets a tape of its own.
-class PooledTape {
- public:
-  PooledTape();
-  ~PooledTape();
-  PooledTape(const PooledTape&) = delete;
-  PooledTape& operator=(const PooledTape&) = delete;
-
-  Tape& operator*() { return *tape_; }
-  Tape* operator->() { return tape_.get(); }
-
- private:
-  std::unique_ptr<Tape> tape_;
-};
-
 /// Builds the Node tree of a parsed tape.
 std::unique_ptr<Node> BuildTree(const Tape& tape);
 

@@ -129,10 +129,6 @@ void AppendEscapedText(std::string* out, std::string_view text) {
   AppendEscaped(out, text, /*attr=*/false);
 }
 
-void AppendEscapedAttr(std::string* out, std::string_view text) {
-  AppendEscaped(out, text, /*attr=*/true);
-}
-
 void AppendAttr(std::string* out, std::string_view name,
                 std::string_view value) {
   *out += ' ';

@@ -22,10 +22,9 @@ std::string EscapeText(std::string_view text);
 /// Escapes `text` for use inside a double-quoted attribute value.
 std::string EscapeAttr(std::string_view text);
 
-/// Append forms of EscapeText and EscapeAttr, for code that writes a
-/// document straight into one string: `out` grows at most once per call.
+/// Append form of EscapeText, for code that writes a document straight
+/// into one string: `out` grows at most once per call.
 void AppendEscapedText(std::string* out, std::string_view text);
-void AppendEscapedAttr(std::string* out, std::string_view text);
 
 /// Appends ` name="value"` as Write writes an attribute: the value escaped,
 /// or an integer in decimal as Node::SetIntAttr stores it.

@@ -1,8 +1,6 @@
 // Tests for src/common: Status/Result, ids, checksums, varint, RNG, strings.
 #include <gtest/gtest.h>
 
-#include <cerrno>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -318,32 +316,6 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("").ok());
   EXPECT_FALSE(ParseInt64("12x").ok());
   EXPECT_FALSE(ParseInt64("999999999999999999999999").ok());
-}
-
-// Short decimal integers are read without strtoll; every input must still
-// get strtoll's value or the same error, on both sides of the 18-digit
-// boundary.
-TEST(StringUtilTest, ParseInt64AgreesWithStrtoll) {
-  for (const std::string text :
-       {"0", "-0", "007", "-", "--1", "+5", " 5", "5 ", "1-2",
-        "999999999999999999", "-999999999999999999", "9223372036854775807",
-        "-9223372036854775808", "9223372036854775808", "0000000000000000001",
-        "281474976710657"}) {
-    errno = 0;
-    char* end = nullptr;
-    const long long expected = std::strtoll(text.c_str(), &end, 10);
-    Result<int64_t> parsed = ParseInt64(text);
-    if (errno == ERANGE) {
-      EXPECT_EQ(parsed.status().message(), "integer out of range") << text;
-    } else if (end != text.c_str() + text.size()) {
-      EXPECT_EQ(parsed.status().message(),
-                "trailing characters in integer: " + text)
-          << text;
-    } else {
-      ASSERT_TRUE(parsed.ok()) << text;
-      EXPECT_EQ(*parsed, expected) << text;
-    }
-  }
 }
 
 TEST(StringUtilTest, ParseDouble) {
