@@ -1,7 +1,7 @@
-// §2 supplement (Communication Services cost): XML serialization /
-// deserialization throughput for cluster documents, XML parse/write, the
-// payload codecs, and the web-service bridge's envelope round trip. Uses
-// google-benchmark.
+// §2 supplement (Communication Services cost): XML and binary (OSWB)
+// serialization / deserialization throughput for cluster documents, the
+// binary delta's diff and apply, XML parse/write, the payload codecs, and
+// the web-service bridge's envelope round trip. Uses google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "obiswap/obiswap.h"
@@ -99,6 +99,77 @@ void BM_DeserializeCluster(benchmark::State& state) {
                           static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DeserializeCluster)->Arg(20)->Arg(100)->Arg(500);
+
+void BM_SerializeClusterBinary(benchmark::State& state) {
+  ClusterGraph graph(static_cast<int>(state.range(0)));
+  size_t bytes = 0;
+  for (auto _ : state) {
+    auto serialized = serialization::SerializeClusterBinary(
+        graph.rt, 1, graph.members, ClusterGraph::SelfContained);
+    OBISWAP_CHECK(serialized.ok());
+    bytes = serialized->payload.size();
+    benchmark::DoNotOptimize(serialized->payload);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) *
+                          static_cast<int64_t>(state.iterations()));
+  state.counters["doc_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SerializeClusterBinary)->Arg(100);
+
+void BM_DeserializeClusterBinary(benchmark::State& state) {
+  ClusterGraph graph(static_cast<int>(state.range(0)));
+  auto serialized = serialization::SerializeClusterBinary(
+      graph.rt, 1, graph.members, ClusterGraph::SelfContained);
+  OBISWAP_CHECK(serialized.ok());
+  auto resolve = [](const serialization::ExternalRef&) -> Result<Object*> {
+    return InternalError("self-contained");
+  };
+  runtime::Runtime target(2);
+  workload::RegisterNodeClass(target);
+  serialization::DeserializeOptions options;
+  options.expected_id = 1;
+  for (auto _ : state) {
+    auto members = serialization::DeserializeClusterBinary(
+        target, serialized->payload, options, resolve);
+    OBISWAP_CHECK(members.ok());
+    benchmark::DoNotOptimize(members);
+    state.PauseTiming();
+    target.heap().Collect();  // keep the heap from accumulating copies
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(serialized->payload.size()) *
+                          static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DeserializeClusterBinary)->Arg(100);
+
+/// DiffClusterPayloads then ApplyClusterDelta for one changed field of an
+/// n-node cluster: a dirty delta swap-out's diff plus its pre-ship check.
+void BM_DeltaDiffApply(benchmark::State& state) {
+  ClusterGraph graph(static_cast<int>(state.range(0)));
+  auto serialize = [&] {
+    auto doc = serialization::SerializeClusterBinary(
+        graph.rt, 1, graph.members, ClusterGraph::SelfContained);
+    OBISWAP_CHECK(doc.ok());
+    return std::move(doc->payload);
+  };
+  const std::string base = serialize();
+  OBISWAP_CHECK(
+      graph.rt.SetField(graph.members[1], "value", Value::Int(-1)).ok());
+  const std::string fresh = serialize();
+  size_t delta_bytes = 0;
+  for (auto _ : state) {
+    auto delta = serialization::DiffClusterPayloads(base, fresh);
+    OBISWAP_CHECK(delta.ok());
+    auto merged = serialization::ApplyClusterDelta(base, *delta);
+    OBISWAP_CHECK(merged.ok() && *merged == fresh);
+    delta_bytes = delta->size();
+    benchmark::DoNotOptimize(merged);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(fresh.size()) *
+                          static_cast<int64_t>(state.iterations()));
+  state.counters["delta_bytes"] = static_cast<double>(delta_bytes);
+}
+BENCHMARK(BM_DeltaDiffApply)->Arg(100);
 
 void BM_XmlParse(benchmark::State& state) {
   ClusterGraph graph(static_cast<int>(state.range(0)));

@@ -14,6 +14,7 @@
 //      the delta-specific fault points recover with full invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "serialization/graph_binary.h"
 #include "test_support.h"
 
@@ -615,6 +618,260 @@ TEST_F(WireFormatFixture, DeltaFuzzRandomMutations) {
     ASSERT_TRUE(self_merged.ok()) << "round " << round;
     EXPECT_EQ(*self_merged, fresh->payload) << "round " << round;
   }
+}
+
+// ------------------------------------------------------- verdict pins --
+// How the binary readers answer damage, pinned: a document with every
+// value kind (negative int, NaN and -0.0 reals, a string with bytes
+// >= 0x80, local refs, external refs with and without a cluster label, one
+// external target referenced twice) and a delta over it are decoded intact
+// and in every damaged copy (cut at every byte, each byte XORed with 0x01
+// and with 0x80, 200 seeded bit flips). The hash covers every verdict,
+// message, resolve call and decoded member state; it was recorded before
+// the readers moved off the parsed-document model.
+
+/// Builds the pinned base document (`fresh` false) or its successor: member
+/// b dropped (a's ref to it becomes external), member e added, two scalars
+/// changed and c's ref retargeted to the unlabelled external.
+std::string VerdictDocument(bool fresh) {
+  Runtime rt;
+  RegisterItem(rt);
+  const ClassInfo* item = rt.types().Find("Item");
+  const ClassInfo* ext =
+      *rt.types().Register(
+          ClassBuilder("Ext").Kind(ObjectKind::kReplicationProxy));
+  LocalScope scope(rt.heap());
+  auto make = [&](const ClassInfo* cls) {
+    Object* obj = rt.New(cls);
+    scope.Add(obj);
+    return obj;
+  };
+  Object* a = make(item);
+  Object* b = make(item);
+  Object* c = make(item);
+  Object* x = make(ext);
+  Object* y = make(ext);
+  Object* e = make(item);
+  a->set_cluster(ClusterId(5));
+  x->set_cluster(ClusterId(9));
+  a->RawSlotMutable(0) = Value::Ref(b);
+  a->RawSlotMutable(1) = Value::Int(-5);
+  a->RawSlotMutable(2) = Value::Real(std::numeric_limits<double>::quiet_NaN());
+  a->RawSlotMutable(3) = Value::Str("caf\xc3\xa9 \xff\x80");
+  a->RawSlotMutable(4) = Value::Ref(x);
+  b->RawSlotMutable(0) = Value::Ref(y);
+  b->RawSlotMutable(1) = Value::Int(std::numeric_limits<int64_t>::min());
+  b->RawSlotMutable(2) = Value::Real(-0.0);
+  b->RawSlotMutable(3) = Value::Str("");
+  b->RawSlotMutable(4) = Value::Ref(x);
+  c->RawSlotMutable(0) = Value::Ref(a);
+  c->RawSlotMutable(1) = Value::Int(300);
+  c->RawSlotMutable(2) = Value::Real(1e300);
+  c->RawSlotMutable(4) = Value::Str("z");
+  std::vector<Object*> members = {a, b, c};
+  if (fresh) {
+    members = {a, c, e};
+    a->RawSlotMutable(1) = Value::Int(-6);
+    c->RawSlotMutable(0) = Value::Ref(y);
+    c->RawSlotMutable(2) = Value::Real(-2.5);
+    e->RawSlotMutable(0) = Value::Ref(c);
+    e->RawSlotMutable(3) = Value::Str("new");
+  }
+  auto describe = [](Object* target) -> Result<ExternalRef> {
+    ExternalRef ref;
+    ref.oid = target->oid();
+    ref.class_name = target->cls().name() == "Item" ? "Ext"
+                                                    : target->cls().name();
+    ref.cluster = target->cluster();
+    return ref;
+  };
+  auto serialized = SerializeClusterBinary(rt, 3, members, describe);
+  OBISWAP_CHECK(serialized.ok());
+  return serialized->payload;
+}
+
+/// Decodes `document` into a fresh runtime and describes the outcome: the
+/// status, or each member's identity and slots (reals by bit pattern), plus
+/// every resolve call.
+std::string BinaryVerdict(const std::string& document, bool verify_checksum,
+                          int64_t expected_id) {
+  Runtime rt;
+  RegisterItem(rt);
+  const ClassInfo* ext =
+      *rt.types().Register(
+          ClassBuilder("Ext").Kind(ObjectKind::kReplicationProxy));
+  LocalScope scope(rt.heap());
+  Object* sink = rt.New(ext);
+  scope.Add(sink);
+  std::string out;
+  auto resolve = [&](const ExternalRef& ref) -> Result<Object*> {
+    out += StrFormat("resolve(%zu,%llu,%s,%s) ", ref.index,
+                     (unsigned long long)ref.oid.value(),
+                     ref.class_name.c_str(), ref.cluster.ToString().c_str());
+    if (ref.class_name != "Ext")
+      return NotFoundError("no external class '" + ref.class_name + "'");
+    return sink;
+  };
+  DeserializeOptions options;
+  options.expected_id = expected_id;
+  options.assign_swap_cluster = SwapClusterId(4);
+  options.verify_checksum = verify_checksum;
+  auto members = DeserializeClusterBinary(rt, document, options, resolve);
+  if (!members.ok()) return out + members.status().ToString();
+  for (Object* obj : *members) {
+    out += StrFormat("[%llu %s %s %s", (unsigned long long)obj->oid().value(),
+                     obj->cls().name().c_str(),
+                     obj->cluster().ToString().c_str(),
+                     obj->swap_cluster().ToString().c_str());
+    for (size_t i = 0; i < obj->slot_count(); ++i) {
+      const Value& slot = obj->RawSlot(i);
+      out += ' ';
+      out += runtime::ValueKindName(slot.kind());
+      out += '=';
+      if (slot.is_real()) {
+        const double real = slot.as_real();
+        uint64_t bits;
+        std::memcpy(&bits, &real, sizeof(bits));
+        out += StrFormat("%016llx", (unsigned long long)bits);
+      } else if (slot.is_int()) {
+        out += std::to_string(slot.as_int());
+      } else if (slot.is_str()) {
+        out += slot.as_str();
+      } else if (slot.is_ref()) {
+        auto it = std::find(members->begin(), members->end(), slot.ref());
+        out += slot.ref() == sink ? std::string("sink")
+                                  : std::to_string(it - members->begin());
+      }
+    }
+    out += ']';
+  }
+  return out;
+}
+
+/// A verdict for a byte-string result: its status, or its length and hash.
+std::string BytesVerdict(const Result<std::string>& result) {
+  if (!result.ok()) return result.status().ToString();
+  return StrFormat("ok %zu %016llx", result->size(),
+                   (unsigned long long)Fnv1a64(*result));
+}
+
+/// `valid` and its damaged copies: cut at every byte, every byte XORed with
+/// 0x01 and with 0x80, and 200 seeded flips of one to three bits.
+std::vector<std::string> DamagedCopies(const std::string& valid,
+                                       uint64_t seed) {
+  std::vector<std::string> out = {valid};
+  for (size_t i = 0; i < valid.size(); ++i) out.push_back(valid.substr(0, i));
+  for (char mask : {'\x01', '\x80'}) {
+    for (size_t i = 0; i < valid.size(); ++i) {
+      out.push_back(valid);
+      out.back()[i] ^= mask;
+    }
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 200; ++i) {
+    std::string copy = valid;
+    for (uint64_t n = 1 + rng.NextBelow(3); n > 0; --n)
+      copy[rng.NextBelow(copy.size())] ^=
+          static_cast<char>(1 << rng.NextBelow(8));
+    out.push_back(std::move(copy));
+  }
+  return out;
+}
+
+TEST(BinaryVerdictTest, DocumentCorpusMatchesReference) {
+  const std::string fresh = VerdictDocument(/*fresh=*/true);
+  std::string all;
+  size_t decoded = 0;
+  for (const std::string& document :
+       DamagedCopies(VerdictDocument(/*fresh=*/false), 23)) {
+    for (bool verify : {true, false}) {
+      for (int64_t expected_id : {3, 4}) {
+        const std::string verdict =
+            BinaryVerdict(document, verify, expected_id);
+        if (verdict.find('[') != std::string::npos) ++decoded;
+        all += verdict;
+        all += '\0';
+      }
+    }
+    // The same document as a diff base and as an apply base.
+    all += BytesVerdict(DiffClusterPayloads(document, fresh));
+    all += '\0';
+  }
+  EXPECT_EQ(decoded, 176u);
+  EXPECT_EQ(Fnv1a64(all), 0xab8c850705064292ull) << std::hex << Fnv1a64(all);
+}
+
+TEST(BinaryVerdictTest, DeltaCorpusMatchesReference) {
+  const std::string base = VerdictDocument(/*fresh=*/false);
+  const std::string fresh = VerdictDocument(/*fresh=*/true);
+  auto delta = DiffClusterPayloads(base, fresh);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_EQ(*ApplyClusterDelta(base, *delta), fresh);
+  std::string all;
+  size_t merged = 0;
+  for (const std::string& damaged : DamagedCopies(*delta, 24)) {
+    const std::string verdict = BytesVerdict(ApplyClusterDelta(base, damaged));
+    if (verdict.rfind("ok ", 0) == 0) ++merged;
+    all += verdict;
+    all += '\0';
+  }
+  for (const std::string& damaged : DamagedCopies(base, 25)) {
+    all += BytesVerdict(ApplyClusterDelta(damaged, *delta));
+    all += '\0';
+  }
+  EXPECT_EQ(merged, 43u);
+  EXPECT_EQ(Fnv1a64(all), 0x3079bdb6c36b6794ull) << std::hex << Fnv1a64(all);
+}
+
+TEST(BinaryVerdictTest, NamedDamageGetsItsMessage) {
+  const std::string valid = VerdictDocument(/*fresh=*/false);
+  auto edited = [&](std::string_view from, std::string_view to,
+                    int occurrence) {
+    std::string damaged = valid;
+    size_t at = damaged.find(from);
+    for (; occurrence > 0; --occurrence) at = damaged.find(from, at + 1);
+    OBISWAP_CHECK(at != std::string::npos);
+    damaged.replace(at, from.size(), to);
+    return damaged;
+  };
+  auto verdict = [&](const std::string& document, bool verify) {
+    return BinaryVerdict(document, verify, 3);
+  };
+  const std::string intact = verdict(valid, true);
+  EXPECT_EQ(std::count(intact.begin(), intact.end(), '['), 3) << intact;
+  EXPECT_EQ(intact.substr(0, intact.find('[')),
+            "resolve(0,281474976710660,Ext,9) "
+            "resolve(1,281474976710661,Ext,4294967295) "
+            "resolve(0,281474976710660,Ext,9) ");
+  EXPECT_EQ(verdict(valid.substr(0, 3), true),
+            "DATA_LOSS: binary doc: bad magic");
+  EXPECT_EQ(verdict(valid.substr(0, valid.size() - 1), true),
+            "DATA_LOSS: truncated or over-long varint");
+  EXPECT_EQ(verdict(valid + "x", true),
+            "DATA_LOSS: binary doc: trailing bytes");
+  EXPECT_EQ(BinaryVerdict(valid, true, 4),
+            "DATA_LOSS: cluster id mismatch: got 3 want 4");
+  EXPECT_EQ(verdict(edited("Item", "Itex", 0), true),
+            "DATA_LOSS: cluster digest mismatch: store-side corruption?");
+  EXPECT_EQ(verdict(edited("Item", "Itex", 0), false),
+            "DATA_LOSS: unknown class 'Itex' in document");
+  EXPECT_EQ(verdict(edited("Ext", "Exu", 1), true),
+            "resolve(0,281474976710660,Ext,9) "
+            "resolve(1,281474976710661,Exu,4294967295) "
+            "NOT_FOUND: no external class 'Exu'");
+  EXPECT_EQ(verdict(edited("Ext", "Exu", 2), true),
+            "DATA_LOSS: binary doc: conflicting identities for external "
+            "index 0");
+  const std::string fresh = VerdictDocument(/*fresh=*/true);
+  auto delta = DiffClusterPayloads(valid, fresh);
+  ASSERT_TRUE(delta.ok());
+  EXPECT_EQ(BytesVerdict(ApplyClusterDelta(fresh, *delta)),
+            "DATA_LOSS: delta apply: delta was made against a different base "
+            "payload");
+  EXPECT_EQ(BytesVerdict(ApplyClusterDelta(valid, delta->substr(0, 9))),
+            "DATA_LOSS: truncated or over-long varint");
+  EXPECT_EQ(BytesVerdict(DiffClusterPayloads(valid, valid + "x")),
+            "DATA_LOSS: binary doc: trailing bytes");
 }
 
 // ----------------------------------------------------- delta swap pipeline --
