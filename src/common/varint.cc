@@ -10,21 +10,4 @@ void PutVarint64(std::string* out, uint64_t value) {
   out->push_back(static_cast<char>(value));
 }
 
-Result<uint64_t> GetVarint64(std::string_view* in) {
-  uint64_t result = 0;
-  int shift = 0;
-  size_t i = 0;
-  while (i < in->size() && shift <= 63) {
-    uint8_t byte = static_cast<uint8_t>((*in)[i]);
-    ++i;
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      in->remove_prefix(i);
-      return result;
-    }
-    shift += 7;
-  }
-  return DataLossError("truncated or over-long varint");
-}
-
 }  // namespace obiswap

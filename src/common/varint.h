@@ -22,8 +22,24 @@ inline void PutVarint32(std::string* out, uint32_t value) {
 }
 
 /// Reads a varint from the front of `*in`, advancing it past the encoding.
-/// Fails with kDataLoss if `*in` is truncated or over-long.
-Result<uint64_t> GetVarint64(std::string_view* in);
+/// Fails with kDataLoss if `*in` is truncated or over-long. Inline: the
+/// binary document scan reads several per member.
+inline Result<uint64_t> GetVarint64(std::string_view* in) {
+  uint64_t result = 0;
+  int shift = 0;
+  size_t i = 0;
+  while (i < in->size() && shift <= 63) {
+    uint8_t byte = static_cast<uint8_t>((*in)[i]);
+    ++i;
+    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      in->remove_prefix(i);
+      return result;
+    }
+    shift += 7;
+  }
+  return DataLossError("truncated or over-long varint");
+}
 
 /// Appends the low `bytes` bytes of `value` (4 or 8), little-endian.
 inline void PutFixed(std::string* out, uint64_t value, int bytes) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/checksum.h"
 #include "common/varint.h"
@@ -33,264 +33,291 @@ constexpr uint8_t kTagExt = 5;
 
 constexpr char kTruncatedString[] = "binary doc: truncated string";
 
-/// Identity of an external target as carried on the wire (index excluded —
-/// indices shift between documents, identity does not).
-struct ExtId {
-  uint64_t oid = 0;
-  std::string class_name;
-  uint64_t cluster_plus1 = 0;  // 0 = no replication-cluster label
-
-  bool operator==(const ExtId& other) const {
-    return oid == other.oid && class_name == other.class_name &&
-           cluster_plus1 == other.cluster_plus1;
-  }
-};
-
-struct FieldRec {
+/// One field as read from or written to the wire. `word` is an int's
+/// zigzag form, a real's bit pattern, or a local/external index; `text` is
+/// a string's bytes or an external target's class name, viewed in the
+/// document it was read from.
+struct FieldView {
   uint8_t tag = kTagNil;
-  int64_t int_value = 0;
-  uint64_t real_bits = 0;
-  std::string str_value;
-  uint64_t index = 0;  // member index (local) or outbound index (ext)
-  ExtId ext;
+  uint64_t word = 0;
+  std::string_view text;
+  uint64_t ext_oid = 0;
+  uint64_t ext_cluster_plus1 = 0;  // 0 = no replication-cluster label
 
-  bool operator==(const FieldRec& other) const {
-    if (tag != other.tag) return false;
-    switch (tag) {
-      case kTagNil:
-        return true;
-      case kTagInt:
-        return int_value == other.int_value;
-      case kTagReal:
-        return real_bits == other.real_bits;
-      case kTagStr:
-        return str_value == other.str_value;
-      case kTagLocal:
-        return index == other.index;
-      case kTagExt:
-        return index == other.index && ext == other.ext;
-      default:
-        return false;
-    }
+  /// Same external target; the index is excluded, since indices shift
+  /// between documents and identity does not.
+  bool SameTarget(const FieldView& other) const {
+    return ext_oid == other.ext_oid && text == other.text &&
+           ext_cluster_plus1 == other.ext_cluster_plus1;
   }
 };
 
-struct MemberRec {
+struct MemberView {
   uint64_t oid = 0;
-  std::string class_name;
+  std::string_view class_name;
   uint64_t cluster_plus1 = 0;
-  std::vector<FieldRec> fields;
+  size_t first_field = 0;  // position of its first field in the field list
+  size_t field_count = 0;
 };
 
-/// Fully parsed document — the model Diff and Apply operate on.
-struct Doc {
-  uint64_t cluster_id = 0;
-  std::vector<MemberRec> members;
-  uint64_t outbound_count = 0;
-  uint32_t embedded_digest = 0;
-};
-
-void EncodeField(std::string* out, const FieldRec& field) {
+void PutField(std::string* out, const FieldView& field) {
   out->push_back(static_cast<char>(field.tag));
   switch (field.tag) {
-    case kTagNil:
-      break;
     case kTagInt:
-      PutVarint64(out, ZigZagEncode(field.int_value));
+    case kTagLocal:
+      PutVarint64(out, field.word);
       break;
     case kTagReal:
-      PutFixed(out, field.real_bits, 8);
+      PutFixed(out, field.word, 8);
       break;
     case kTagStr:
-      PutLengthPrefixed(out, field.str_value);
-      break;
-    case kTagLocal:
-      PutVarint64(out, field.index);
+      PutLengthPrefixed(out, field.text);
       break;
     case kTagExt:
-      PutVarint64(out, field.index);
-      PutVarint64(out, field.ext.oid);
-      PutLengthPrefixed(out, field.ext.class_name);
-      PutVarint64(out, field.ext.cluster_plus1);
+      PutVarint64(out, field.word);
+      PutVarint64(out, field.ext_oid);
+      PutLengthPrefixed(out, field.text);
+      PutVarint64(out, field.ext_cluster_plus1);
       break;
   }
 }
 
-Result<FieldRec> DecodeField(std::string_view* in) {
+Status ReadField(std::string_view* in, FieldView* field) {
   if (in->empty()) return DataLossError("binary doc: truncated field");
-  FieldRec field;
-  field.tag = static_cast<uint8_t>((*in)[0]);
+  field->tag = static_cast<uint8_t>((*in)[0]);
   in->remove_prefix(1);
-  switch (field.tag) {
+  switch (field->tag) {
     case kTagNil:
       break;
-    case kTagInt: {
-      OBISWAP_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(in));
-      field.int_value = ZigZagDecode(raw);
+    case kTagInt:
+    case kTagLocal: {
+      OBISWAP_ASSIGN_OR_RETURN(field->word, GetVarint64(in));
       break;
     }
     case kTagReal: {
       std::optional<uint64_t> bits = GetFixed(in, 8);
       if (!bits.has_value()) return DataLossError("binary doc: truncated real");
-      field.real_bits = *bits;
+      field->word = *bits;
       break;
     }
     case kTagStr: {
-      OBISWAP_ASSIGN_OR_RETURN(field.str_value,
+      OBISWAP_ASSIGN_OR_RETURN(field->text,
                                GetLengthPrefixed(in, kTruncatedString));
-      break;
-    }
-    case kTagLocal: {
-      OBISWAP_ASSIGN_OR_RETURN(field.index, GetVarint64(in));
       break;
     }
     case kTagExt: {
-      OBISWAP_ASSIGN_OR_RETURN(field.index, GetVarint64(in));
-      OBISWAP_ASSIGN_OR_RETURN(field.ext.oid, GetVarint64(in));
-      OBISWAP_ASSIGN_OR_RETURN(field.ext.class_name,
+      OBISWAP_ASSIGN_OR_RETURN(field->word, GetVarint64(in));
+      OBISWAP_ASSIGN_OR_RETURN(field->ext_oid, GetVarint64(in));
+      OBISWAP_ASSIGN_OR_RETURN(field->text,
                                GetLengthPrefixed(in, kTruncatedString));
-      OBISWAP_ASSIGN_OR_RETURN(field.ext.cluster_plus1, GetVarint64(in));
+      OBISWAP_ASSIGN_OR_RETURN(field->ext_cluster_plus1, GetVarint64(in));
       break;
     }
     default:
       return DataLossError("binary doc: unknown field tag " +
-                           std::to_string(field.tag));
+                           std::to_string(field->tag));
   }
-  return field;
+  return OkStatus();
 }
 
-/// The binary document's digest (common/checksum.h): reals are mixed by
-/// *bit pattern* (so NaN payloads and signed zeros are covered exactly),
-/// and field names are not mixed (they are not on the wire — the class
-/// schema supplies them). Computable from a parsed document alone, which
-/// is what lets delta apply verify the merged result without a runtime.
-void MixField(Digest& digest, const FieldRec& field) {
+// The binary document's digest (common/checksum.h) mixes its primitives in
+// wire order: the cluster id and member count; per member its oid, class
+// name, label and field count, then each field; last the outbound count.
+// Reals are mixed by *bit pattern* (so NaN payloads and signed zeros are
+// covered exactly); field names are not on the wire and not mixed, and an
+// external target is mixed by index and oid. Computable from the document
+// alone, which is what lets delta apply verify the merged result without a
+// runtime.
+void MixMember(Digest& digest, const MemberView& member) {
+  digest.Mix(member.oid);
+  digest.Mix(member.class_name);
+  digest.Mix(member.cluster_plus1);
+  digest.Mix(static_cast<uint64_t>(member.field_count));
+}
+
+void MixField(Digest& digest, const FieldView& field) {
   digest.Mix(static_cast<uint64_t>(field.tag));
   switch (field.tag) {
-    case kTagNil:
-      break;
     case kTagInt:
-      digest.Mix(ZigZagEncode(field.int_value));
-      break;
     case kTagReal:
-      digest.Mix(field.real_bits);
+    case kTagLocal:
+      digest.Mix(field.word);
       break;
     case kTagStr:
-      digest.Mix(field.str_value);
-      break;
-    case kTagLocal:
-      digest.Mix(field.index);
+      digest.Mix(field.text);
       break;
     case kTagExt:
-      digest.Mix(field.index);
-      digest.Mix(field.ext.oid);
+      digest.Mix(field.word);
+      digest.Mix(field.ext_oid);
       break;
   }
 }
 
-uint32_t ComputeDocDigest(const Doc& doc) {
-  Digest digest;
-  digest.Mix(doc.cluster_id);
-  digest.Mix(static_cast<uint64_t>(doc.members.size()));
-  for (const MemberRec& member : doc.members) {
-    digest.Mix(member.oid);
-    digest.Mix(member.class_name);
-    digest.Mix(member.cluster_plus1);
-    digest.Mix(static_cast<uint64_t>(member.fields.size()));
-    for (const FieldRec& field : member.fields) MixField(digest, field);
+/// Writes an OSWB document front to back, mixing its digest as it goes.
+/// Canonical: the same content always gives the same bytes, which is what
+/// makes Apply(base, Diff(base, fresh)) byte-identical to fresh.
+class DocWriter {
+ public:
+  DocWriter(std::string* out, uint64_t cluster_id, uint64_t member_count)
+      : out_(out) {
+    out_->assign(kDocMagic, sizeof(kDocMagic));
+    PutVarint64(out_, kDocVersion);
+    PutVarint64(out_, cluster_id);
+    PutVarint64(out_, member_count);
+    digest_.Mix(cluster_id);
+    digest_.Mix(member_count);
   }
-  digest.Mix(doc.outbound_count);
-  return digest.Finish();
-}
 
-/// Canonical encoding: same doc → same bytes, which is what makes
-/// Apply(base, Diff(base, fresh)) byte-identical to fresh.
-std::string EncodeDoc(const Doc& doc) {
-  std::string out(kDocMagic, sizeof(kDocMagic));
-  PutVarint64(&out, kDocVersion);
-  PutVarint64(&out, doc.cluster_id);
-  PutVarint64(&out, doc.members.size());
-  for (const MemberRec& member : doc.members) {
-    PutVarint64(&out, member.oid);
-    PutLengthPrefixed(&out, member.class_name);
-    PutVarint64(&out, member.cluster_plus1);
-    PutVarint64(&out, member.fields.size());
-    for (const FieldRec& field : member.fields) EncodeField(&out, field);
+  void Member(const MemberView& member) {
+    PutVarint64(out_, member.oid);
+    PutLengthPrefixed(out_, member.class_name);
+    PutVarint64(out_, member.cluster_plus1);
+    PutVarint64(out_, member.field_count);
+    MixMember(digest_, member);
   }
-  PutVarint64(&out, doc.outbound_count);
-  PutVarint64(&out, ComputeDocDigest(doc));
-  return out;
-}
 
-/// Parses and structurally validates an OSWB document: local indices in
-/// range, external indices in range with one consistent identity per index
-/// and no index unused (the encoder allocates them densely).
-Result<Doc> ParseDoc(std::string_view payload) {
-  if (payload.size() < 4 ||
-      std::memcmp(payload.data(), kDocMagic, 4) != 0)
+  void Field(const FieldView& field) {
+    PutField(out_, field);
+    MixField(digest_, field);
+  }
+
+  /// Closes the document and returns the digest it embeds.
+  uint32_t Finish(uint64_t outbound_count) {
+    PutVarint64(out_, outbound_count);
+    digest_.Mix(outbound_count);
+    const uint32_t digest = digest_.Finish();
+    PutVarint64(out_, digest);
+    return digest;
+  }
+
+ private:
+  std::string* out_;
+  Digest digest_;
+};
+
+/// An OSWB document read in one validating pass: every view points into
+/// the payload, which must outlive the scan.
+struct DocScan {
+  uint64_t cluster_id = 0;
+  std::vector<MemberView> members;
+  std::vector<FieldView> fields;  // every member's, in document order
+  /// The first reference to each outbound index: the target's identity.
+  std::vector<const FieldView*> outbound;
+  uint32_t embedded_digest = 0;
+  uint32_t digest = 0;  // recomputed over the content as it was read
+
+  const FieldView* FieldsOf(const MemberView& member) const {
+    return fields.data() + member.first_field;
+  }
+
+  /// Reads `payload` and checks its structure: syntax first, then local
+  /// indices in range, external indices in range with one identity per
+  /// index and none unused (the encoder allocates them densely), each
+  /// check reporting the first offending field in document order.
+  Status Read(std::string_view payload);
+
+  /// Read, then the embedded digest.
+  Status ReadVerified(std::string_view payload) {
+    OBISWAP_RETURN_IF_ERROR(Read(payload));
+    if (digest != embedded_digest)
+      return DataLossError("binary doc: digest mismatch");
+    return OkStatus();
+  }
+};
+
+Status DocScan::Read(std::string_view payload) {
+  if (!IsBinaryClusterPayload(payload))
     return DataLossError("binary doc: bad magic");
   std::string_view rest = payload.substr(4);
   OBISWAP_ASSIGN_OR_RETURN(uint64_t version, GetVarint64(&rest));
   if (version != kDocVersion)
     return DataLossError("binary doc: unsupported version " +
                          std::to_string(version));
-  Doc doc;
-  OBISWAP_ASSIGN_OR_RETURN(doc.cluster_id, GetVarint64(&rest));
+  OBISWAP_ASSIGN_OR_RETURN(cluster_id, GetVarint64(&rest));
   OBISWAP_ASSIGN_OR_RETURN(uint64_t member_count, GetVarint64(&rest));
-  doc.members.reserve(
-      static_cast<size_t>(std::min<uint64_t>(member_count, 4096)));
+  Digest mix;
+  mix.Mix(cluster_id);
+  mix.Mix(member_count);
+  // Every member takes at least four bytes and every field one, which
+  // bounds what a damaged count can make us reserve.
+  members.reserve(static_cast<size_t>(
+      std::min<uint64_t>(member_count, rest.size() / 4)));
+  size_t ext_fields = 0;
   for (uint64_t m = 0; m < member_count; ++m) {
-    MemberRec member;
+    MemberView& member = members.emplace_back();
     OBISWAP_ASSIGN_OR_RETURN(member.oid, GetVarint64(&rest));
     OBISWAP_ASSIGN_OR_RETURN(member.class_name,
                              GetLengthPrefixed(&rest, kTruncatedString));
     OBISWAP_ASSIGN_OR_RETURN(member.cluster_plus1, GetVarint64(&rest));
     OBISWAP_ASSIGN_OR_RETURN(uint64_t field_count, GetVarint64(&rest));
-    member.fields.reserve(
-        static_cast<size_t>(std::min<uint64_t>(field_count, 4096)));
+    member.first_field = fields.size();
+    member.field_count = static_cast<size_t>(field_count);
+    MixMember(mix, member);
+    if (m == 0)  // as if every member had the first one's fields
+      fields.reserve(static_cast<size_t>(std::min<uint64_t>(
+          members.capacity() * std::min<uint64_t>(field_count, 4096),
+          rest.size())));
     for (uint64_t f = 0; f < field_count; ++f) {
-      OBISWAP_ASSIGN_OR_RETURN(FieldRec field, DecodeField(&rest));
-      member.fields.push_back(std::move(field));
+      FieldView& field = fields.emplace_back();
+      OBISWAP_RETURN_IF_ERROR(ReadField(&rest, &field));
+      MixField(mix, field);
+      if (field.tag == kTagExt) ++ext_fields;
     }
-    doc.members.push_back(std::move(member));
   }
-  OBISWAP_ASSIGN_OR_RETURN(doc.outbound_count, GetVarint64(&rest));
+  OBISWAP_ASSIGN_OR_RETURN(uint64_t outbound_count, GetVarint64(&rest));
   OBISWAP_ASSIGN_OR_RETURN(uint64_t embedded, GetVarint64(&rest));
   if (embedded > UINT32_MAX) return DataLossError("binary doc: bad digest");
-  doc.embedded_digest = static_cast<uint32_t>(embedded);
+  embedded_digest = static_cast<uint32_t>(embedded);
   if (!rest.empty()) return DataLossError("binary doc: trailing bytes");
+  mix.Mix(outbound_count);
+  digest = mix.Finish();
 
-  std::unordered_map<uint64_t, ExtId> ext_by_index;
-  for (const MemberRec& member : doc.members) {
-    for (const FieldRec& field : member.fields) {
-      if (field.tag == kTagLocal) {
-        if (field.index >= doc.members.size())
-          return DataLossError("binary doc: local ref index out of range");
-      } else if (field.tag == kTagExt) {
-        if (field.index >= doc.outbound_count)
-          return DataLossError("binary doc: external index out of range");
-        auto [it, inserted] = ext_by_index.emplace(field.index, field.ext);
-        if (!inserted && !(it->second == field.ext))
-          return DataLossError(
-              "binary doc: conflicting identities for external index " +
-              std::to_string(field.index));
+  // References. A well-formed document uses every outbound index, so
+  // there are at most as many as external fields; an index past that is
+  // only possible in a document that fails below, and is checked against
+  // the earlier fields instead of the table.
+  outbound.assign(
+      static_cast<size_t>(std::min<uint64_t>(outbound_count, ext_fields)),
+      nullptr);
+  uint64_t used = 0;
+  for (const FieldView& field : fields) {
+    if (field.tag == kTagLocal) {
+      if (field.word >= members.size())
+        return DataLossError("binary doc: local ref index out of range");
+    } else if (field.tag == kTagExt) {
+      if (field.word >= outbound_count)
+        return DataLossError("binary doc: external index out of range");
+      const FieldView* first = nullptr;
+      if (field.word < outbound.size()) {
+        first = outbound[field.word];
+        if (first == nullptr) outbound[field.word] = &field;
+      } else {
+        first = std::find_if<const FieldView*>(
+            fields.data(), &field, [&](const FieldView& earlier) {
+              return earlier.tag == kTagExt && earlier.word == field.word;
+            });
+        if (first == &field) first = nullptr;
+      }
+      if (first == nullptr) {
+        ++used;
+      } else if (!first->SameTarget(field)) {
+        return DataLossError(
+            "binary doc: conflicting identities for external index " +
+            std::to_string(field.word));
       }
     }
   }
-  if (ext_by_index.size() != doc.outbound_count)
+  if (used != outbound_count)
     return DataLossError("binary doc: unused external index");
-  return doc;
-}
-
-Result<Doc> ParseAndVerifyDoc(std::string_view payload) {
-  OBISWAP_ASSIGN_OR_RETURN(Doc doc, ParseDoc(payload));
-  if (ComputeDocDigest(doc) != doc.embedded_digest)
-    return DataLossError("binary doc: digest mismatch");
-  return doc;
+  return OkStatus();
 }
 
 uint64_t ClusterPlus1(ClusterId cluster) {
   return cluster.valid() ? static_cast<uint64_t>(cluster.value()) + 1 : 0;
+}
+
+ClusterId ClusterFromPlus1(uint64_t plus1) {
+  return plus1 ? ClusterId(static_cast<uint32_t>(plus1 - 1)) : ClusterId();
 }
 
 }  // namespace
@@ -310,94 +337,67 @@ Result<SerializedCluster> SerializeClusterBinary(
     const std::vector<Object*>& members,
     const DescribeExternalFn& describe_external) {
   (void)rt;
-  std::unordered_map<const Object*, size_t> member_index;
-  member_index.reserve(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    auto [it, inserted] = member_index.emplace(members[i], i);
-    if (!inserted)
-      return InvalidArgumentError("duplicate member in cluster serialization");
-  }
-
   SerializedCluster out;
-  std::unordered_map<const Object*, size_t> outbound_index;
-  Doc doc;
-  doc.cluster_id = cluster_attr_id;
-  doc.members.reserve(members.size());
-
+  ClusterRefs refs(describe_external, &out.outbound);
+  OBISWAP_RETURN_IF_ERROR(refs.Index(members));
+  DocWriter doc(&out.payload, cluster_attr_id, members.size());
+  ExternalRef ref;  // the current external field's target; `text` views it
   for (Object* member : members) {
-    MemberRec record;
-    record.oid = member->oid().value();
-    record.class_name = member->cls().name();
-    record.cluster_plus1 = ClusterPlus1(member->cluster());
-    const auto& fields = member->cls().fields();
-    record.fields.reserve(fields.size());
-    for (size_t i = 0; i < fields.size(); ++i) {
+    const size_t field_count = member->cls().fields().size();
+    doc.Member({member->oid().value(), member->cls().name(),
+                ClusterPlus1(member->cluster()), 0, field_count});
+    for (size_t i = 0; i < field_count; ++i) {
       const Value& slot = member->RawSlot(i);
-      FieldRec field;
+      FieldView field;
       switch (slot.kind()) {
         case ValueKind::kNil:
-          field.tag = kTagNil;
           break;
         case ValueKind::kInt:
           field.tag = kTagInt;
-          field.int_value = slot.as_int();
+          field.word = ZigZagEncode(slot.as_int());
           break;
         case ValueKind::kReal: {
           field.tag = kTagReal;
-          double real = slot.as_real();
-          std::memcpy(&field.real_bits, &real, sizeof(real));
+          const double real = slot.as_real();
+          std::memcpy(&field.word, &real, sizeof(real));
           break;
         }
         case ValueKind::kStr:
           field.tag = kTagStr;
-          field.str_value = slot.as_str();
+          field.text = slot.as_str();
           break;
         case ValueKind::kRef: {
-          Object* target = slot.ref();
-          auto member_it = member_index.find(target);
-          if (member_it != member_index.end()) {
+          const size_t local = refs.MemberIndex(slot.ref());
+          if (local != ClusterRefs::kNotMember) {
             field.tag = kTagLocal;
-            field.index = member_it->second;
+            field.word = local;
             break;
           }
-          // Same protocol as the XML serializer: describe every external
-          // occurrence (so mediation-invariant violations surface), dedupe
-          // the outbound slot by target.
-          size_t index;
-          auto outbound_it = outbound_index.find(target);
-          ExternalRef ref;
-          if (outbound_it != outbound_index.end()) {
-            index = outbound_it->second;
-            OBISWAP_ASSIGN_OR_RETURN(ref, describe_external(target));
-          } else {
-            OBISWAP_ASSIGN_OR_RETURN(ref, describe_external(target));
-            index = out.outbound.size();
-            outbound_index.emplace(target, index);
-            out.outbound.push_back(target);
-          }
+          OBISWAP_ASSIGN_OR_RETURN(ref, refs.External(slot.ref()));
           field.tag = kTagExt;
-          field.index = index;
-          field.ext.oid = ref.oid.value();
-          field.ext.class_name = ref.class_name;
-          field.ext.cluster_plus1 = ClusterPlus1(ref.cluster);
+          field.word = ref.index;
+          field.ext_oid = ref.oid.value();
+          field.text = ref.class_name;
+          field.ext_cluster_plus1 = ClusterPlus1(ref.cluster);
           break;
         }
       }
-      record.fields.push_back(std::move(field));
+      doc.Field(field);
     }
-    doc.members.push_back(std::move(record));
   }
-  doc.outbound_count = out.outbound.size();
-  out.payload = EncodeDoc(doc);
+  doc.Finish(out.outbound.size());
   out.object_count = members.size();
   return out;
 }
 
-namespace {
-
-Result<std::vector<Object*>> MaterializeDoc(
-    Runtime& rt, const Doc& doc, const DeserializeOptions& options,
+Result<std::vector<Object*>> DeserializeClusterBinary(
+    Runtime& rt, const std::string& payload,
+    const DeserializeOptions& options,
     const ResolveExternalFn& resolve_external) {
+  DocScan doc;
+  OBISWAP_RETURN_IF_ERROR(doc.Read(payload));
+  if (options.verify_checksum && doc.digest != doc.embedded_digest)
+    return DataLossError("cluster digest mismatch: store-side corruption?");
   if (options.expected_id >= 0 &&
       doc.cluster_id != static_cast<uint64_t>(options.expected_id))
     return DataLossError("cluster id mismatch: got " +
@@ -408,61 +408,59 @@ Result<std::vector<Object*>> MaterializeDoc(
   runtime::LocalScope scope(rt.heap());
   std::vector<Object*> members;
   members.reserve(doc.members.size());
-  for (const MemberRec& record : doc.members) {
-    const ClassInfo* cls = rt.types().Find(record.class_name);
+  const ClassInfo* cls = nullptr;
+  for (const MemberView& record : doc.members) {
+    // Members of one class usually come in runs: one lookup per run.
+    if (cls == nullptr || cls->name() != record.class_name)
+      cls = rt.types().Find(record.class_name);
     if (cls == nullptr)
-      return DataLossError("unknown class '" + record.class_name +
+      return DataLossError("unknown class '" + std::string(record.class_name) +
                            "' in document");
-    if (cls->fields().size() != record.fields.size())
-      return DataLossError(
-          "field count mismatch for class " + record.class_name + ": doc has " +
-          std::to_string(record.fields.size()) + ", class has " +
-          std::to_string(cls->fields().size()));
+    if (cls->fields().size() != record.field_count)
+      return DataLossError("field count mismatch for class " +
+                           std::string(record.class_name) + ": doc has " +
+                           std::to_string(record.field_count) +
+                           ", class has " +
+                           std::to_string(cls->fields().size()));
     OBISWAP_ASSIGN_OR_RETURN(Object * obj,
                              rt.TryNewWithId(cls, ObjectId(record.oid)));
     scope.Add(obj);
-    if (record.cluster_plus1 != 0)
-      obj->set_cluster(
-          ClusterId(static_cast<uint32_t>(record.cluster_plus1 - 1)));
+    obj->set_cluster(ClusterFromPlus1(record.cluster_plus1));
     if (options.assign_swap_cluster.valid())
       obj->set_swap_cluster(options.assign_swap_cluster);
     members.push_back(obj);
   }
 
   // Pass 2: fill slots (middleware-level writes, no re-mediation).
-  for (size_t m = 0; m < doc.members.size(); ++m) {
+  ExternalRef ref;
+  for (size_t m = 0; m < members.size(); ++m) {
     Object* obj = members[m];
-    const MemberRec& record = doc.members[m];
-    for (size_t f = 0; f < record.fields.size(); ++f) {
-      const FieldRec& field = record.fields[f];
+    const MemberView& record = doc.members[m];
+    const FieldView* fields = doc.FieldsOf(record);
+    for (size_t f = 0; f < record.field_count; ++f) {
+      const FieldView& field = fields[f];
       Value value;
       switch (field.tag) {
-        case kTagNil:
-          value = Value::Nil();
-          break;
         case kTagInt:
-          value = Value::Int(field.int_value);
+          value = Value::Int(ZigZagDecode(field.word));
           break;
         case kTagReal: {
           double real;
-          std::memcpy(&real, &field.real_bits, sizeof(real));
+          std::memcpy(&real, &field.word, sizeof(real));
           value = Value::Real(real);
           break;
         }
         case kTagStr:
-          value = Value::Str(field.str_value);
+          value = Value::Str(std::string(field.text));
           break;
         case kTagLocal:
-          value = Value::Ref(members[static_cast<size_t>(field.index)]);
+          value = Value::Ref(members[static_cast<size_t>(field.word)]);
           break;
         case kTagExt: {
-          ExternalRef ref;
-          ref.index = static_cast<size_t>(field.index);
-          ref.oid = ObjectId(field.ext.oid);
-          ref.class_name = field.ext.class_name;
-          if (field.ext.cluster_plus1 != 0)
-            ref.cluster =
-                ClusterId(static_cast<uint32_t>(field.ext.cluster_plus1 - 1));
+          ref.index = static_cast<size_t>(field.word);
+          ref.oid = ObjectId(field.ext_oid);
+          ref.class_name.assign(field.text);
+          ref.cluster = ClusterFromPlus1(field.ext_cluster_plus1);
           OBISWAP_ASSIGN_OR_RETURN(Object * target, resolve_external(ref));
           value = Value::Ref(target);
           break;
@@ -473,18 +471,6 @@ Result<std::vector<Object*>> MaterializeDoc(
     rt.heap().RefreshAccounting(obj);
   }
   return members;
-}
-
-}  // namespace
-
-Result<std::vector<Object*>> DeserializeClusterBinary(
-    Runtime& rt, const std::string& payload,
-    const DeserializeOptions& options,
-    const ResolveExternalFn& resolve_external) {
-  OBISWAP_ASSIGN_OR_RETURN(Doc doc, ParseDoc(payload));
-  if (options.verify_checksum && ComputeDocDigest(doc) != doc.embedded_digest)
-    return DataLossError("cluster digest mismatch: store-side corruption?");
-  return MaterializeDoc(rt, doc, options, resolve_external);
 }
 
 Result<std::vector<Object*>> DeserializeClusterAny(
@@ -524,8 +510,9 @@ Result<std::string> DiffClusterPayloads(std::string_view base,
                                         std::string_view fresh) {
   if (!IsBinaryClusterPayload(base) || !IsBinaryClusterPayload(fresh))
     return InvalidArgumentError("delta diff requires two binary documents");
-  OBISWAP_ASSIGN_OR_RETURN(Doc base_doc, ParseAndVerifyDoc(base));
-  OBISWAP_ASSIGN_OR_RETURN(Doc fresh_doc, ParseAndVerifyDoc(fresh));
+  DocScan base_doc, fresh_doc;
+  OBISWAP_RETURN_IF_ERROR(base_doc.ReadVerified(base));
+  OBISWAP_RETURN_IF_ERROR(fresh_doc.ReadVerified(fresh));
   if (base_doc.cluster_id != fresh_doc.cluster_id)
     return InvalidArgumentError("delta diff across different clusters");
 
@@ -543,40 +530,36 @@ Result<std::string> DiffClusterPayloads(std::string_view base,
   // Member identity section: runs of consecutive carried base members
   // interleaved with added-member records, in fresh-document order. The
   // common delta — same membership, same order — is a single carry-run op.
-  std::vector<bool> carried(fresh_doc.members.size(), false);
-  std::vector<size_t> base_index_of(fresh_doc.members.size(), 0);
-  for (size_t i = 0; i < fresh_doc.members.size(); ++i) {
-    const MemberRec& member = fresh_doc.members[i];
+  // base_of[i] is fresh member i's base member, or null when it is added.
+  const size_t count = fresh_doc.members.size();
+  std::vector<const MemberView*> base_of(count, nullptr);
+  for (size_t i = 0; i < count; ++i) {
+    const MemberView& member = fresh_doc.members[i];
     auto it = base_by_oid.find(member.oid);
-    if (it != base_by_oid.end() &&
-        base_doc.members[it->second].class_name == member.class_name &&
-        base_doc.members[it->second].cluster_plus1 ==
-            member.cluster_plus1) {
-      carried[i] = true;
-      base_index_of[i] = it->second;
-    }
+    if (it == base_by_oid.end()) continue;
+    const MemberView& candidate = base_doc.members[it->second];
+    if (candidate.class_name == member.class_name &&
+        candidate.cluster_plus1 == member.cluster_plus1)
+      base_of[i] = &candidate;
   }
-  PutVarint64(&out, fresh_doc.members.size());
+  PutVarint64(&out, count);
   std::string member_ops;
   uint64_t op_count = 0;
-  for (size_t i = 0; i < fresh_doc.members.size(); ++op_count) {
-    if (carried[i]) {
+  for (size_t i = 0; i < count; ++op_count) {
+    if (base_of[i] != nullptr) {
       size_t run = 1;
-      while (i + run < fresh_doc.members.size() && carried[i + run] &&
-             base_index_of[i + run] == base_index_of[i] + run) {
-        ++run;
-      }
+      while (i + run < count && base_of[i + run] == base_of[i] + run) ++run;
       member_ops.push_back(0);
-      PutVarint64(&member_ops, base_index_of[i]);
+      PutVarint64(&member_ops, base_of[i] - base_doc.members.data());
       PutVarint64(&member_ops, run);
       i += run;
     } else {
-      const MemberRec& member = fresh_doc.members[i];
+      const MemberView& member = fresh_doc.members[i];
       member_ops.push_back(1);
       PutVarint64(&member_ops, member.oid);
       PutLengthPrefixed(&member_ops, member.class_name);
       PutVarint64(&member_ops, member.cluster_plus1);
-      PutVarint64(&member_ops, member.fields.size());
+      PutVarint64(&member_ops, member.field_count);
       ++i;
     }
   }
@@ -585,54 +568,33 @@ Result<std::string> DiffClusterPayloads(std::string_view base,
 
   // New outbound table: target oid per index (identity beyond the oid rides
   // on the patched fields; carried fields keep their base identity).
-  std::vector<uint64_t> outbound_oids(
-      static_cast<size_t>(fresh_doc.outbound_count), 0);
-  for (const MemberRec& member : fresh_doc.members) {
-    for (const FieldRec& field : member.fields) {
-      if (field.tag == kTagExt)
-        outbound_oids[static_cast<size_t>(field.index)] = field.ext.oid;
-    }
-  }
-  PutVarint64(&out, fresh_doc.outbound_count);
-  for (uint64_t oid : outbound_oids) PutVarint64(&out, oid);
+  PutVarint64(&out, fresh_doc.outbound.size());
+  for (const FieldView* target : fresh_doc.outbound)
+    PutVarint64(&out, target->ext_oid);
 
   // Patches: any field whose value cannot be predicted from the base.
   std::string patches;
   uint64_t patch_count = 0;
-  for (size_t i = 0; i < fresh_doc.members.size(); ++i) {
-    const MemberRec& member = fresh_doc.members[i];
-    const MemberRec* base_member =
-        carried[i] ? &base_doc.members[base_by_oid.at(member.oid)] : nullptr;
-    for (size_t f = 0; f < member.fields.size(); ++f) {
-      const FieldRec& field = member.fields[f];
-      bool predicted = false;
-      if (base_member != nullptr && f < base_member->fields.size()) {
-        const FieldRec& base_field = base_member->fields[f];
-        if (field.tag == base_field.tag) {
-          switch (field.tag) {
-            case kTagLocal: {
-              // Same target object (by oid) — apply remaps the index.
-              uint64_t base_target =
-                  base_doc.members[static_cast<size_t>(base_field.index)].oid;
-              uint64_t fresh_target =
-                  fresh_doc.members[static_cast<size_t>(field.index)].oid;
-              predicted = base_target == fresh_target;
-              break;
-            }
-            case kTagExt:
-              // Same target identity — apply remaps the index via the
-              // outbound table.
-              predicted = base_field.ext == field.ext;
-              break;
-            default:
-              predicted = base_field == field;
-          }
-        }
+  for (size_t i = 0; i < count; ++i) {
+    const MemberView& member = fresh_doc.members[i];
+    const FieldView* fields = fresh_doc.FieldsOf(member);
+    for (size_t f = 0; f < member.field_count; ++f) {
+      const FieldView& field = fields[f];
+      if (base_of[i] != nullptr && f < base_of[i]->field_count) {
+        // A local ref predicts by target oid and an external by target
+        // identity: apply remaps their indices.
+        const FieldView& was = base_doc.FieldsOf(*base_of[i])[f];
+        if (was.tag == field.tag &&
+            (field.tag == kTagLocal ? base_doc.members[was.word].oid ==
+                                          fresh_doc.members[field.word].oid
+             : field.tag == kTagExt ? was.SameTarget(field)
+                                    : was.word == field.word &&
+                                          was.text == field.text))
+          continue;
       }
-      if (predicted) continue;
       PutVarint64(&patches, i);
       PutVarint64(&patches, f);
-      EncodeField(&patches, field);
+      PutField(&patches, field);
       ++patch_count;
     }
   }
@@ -645,7 +607,8 @@ Result<std::string> ApplyClusterDelta(std::string_view base,
                                       std::string_view delta) {
   if (!IsClusterDeltaPayload(delta))
     return DataLossError("delta apply: not a delta payload");
-  OBISWAP_ASSIGN_OR_RETURN(Doc base_doc, ParseAndVerifyDoc(base));
+  DocScan base_doc;
+  OBISWAP_RETURN_IF_ERROR(base_doc.ReadVerified(base));
 
   std::string_view rest = delta.substr(4);
   OBISWAP_ASSIGN_OR_RETURN(uint64_t version, GetVarint64(&rest));
@@ -661,17 +624,18 @@ Result<std::string> ApplyClusterDelta(std::string_view base,
     return DataLossError(
         "delta apply: delta was made against a different base payload");
 
-  // Member section → new member skeletons (carry-runs copy the base).
-  Doc merged;
-  merged.cluster_id = cluster_id;
+  // Member section → the merged members (carry-runs copy the base's, fields
+  // included); an added member's fields start nil and must all be patched.
+  enum FieldState : uint8_t { kCarried, kPatched, kMustPatch };
   OBISWAP_ASSIGN_OR_RETURN(uint64_t member_count, GetVarint64(&rest));
-  merged.members.reserve(
-      static_cast<size_t>(std::min<uint64_t>(member_count, 4096)));
-  std::vector<bool> member_carried;
-  member_carried.reserve(merged.members.capacity());
+  const size_t reserve =
+      static_cast<size_t>(std::min<uint64_t>(member_count, 4096));
+  std::vector<MemberView> members;
+  std::vector<FieldView> fields;
+  std::vector<uint8_t> state;  // FieldState, per field
+  members.reserve(reserve);
   std::unordered_map<uint64_t, size_t> new_by_oid;
-  new_by_oid.reserve(
-      static_cast<size_t>(std::min<uint64_t>(member_count, 4096)));
+  new_by_oid.reserve(reserve);
   OBISWAP_ASSIGN_OR_RETURN(uint64_t op_count, GetVarint64(&rest));
   for (uint64_t op = 0; op < op_count; ++op) {
     if (rest.empty())
@@ -685,100 +649,102 @@ Result<std::string> ApplyClusterDelta(std::string_view base,
           len > base_doc.members.size() - start)
         return DataLossError("delta apply: carry run out of range");
       for (uint64_t k = 0; k < len; ++k) {
-        const MemberRec& from =
-            base_doc.members[static_cast<size_t>(start + k)];
-        if (!new_by_oid.emplace(from.oid, merged.members.size()).second)
+        MemberView from = base_doc.members[static_cast<size_t>(start + k)];
+        if (!new_by_oid.emplace(from.oid, members.size()).second)
           return DataLossError("delta apply: duplicate member oid");
-        merged.members.push_back(from);
-        member_carried.push_back(true);
+        const FieldView* base_fields = base_doc.FieldsOf(from);
+        from.first_field = fields.size();
+        fields.insert(fields.end(), base_fields,
+                      base_fields + from.field_count);
+        state.resize(fields.size(), kCarried);
+        members.push_back(from);
       }
     } else if (kind == 1) {
-      MemberRec member;
+      MemberView member;
       OBISWAP_ASSIGN_OR_RETURN(member.oid, GetVarint64(&rest));
       OBISWAP_ASSIGN_OR_RETURN(member.class_name,
                                GetLengthPrefixed(&rest, kTruncatedString));
       OBISWAP_ASSIGN_OR_RETURN(member.cluster_plus1, GetVarint64(&rest));
       OBISWAP_ASSIGN_OR_RETURN(uint64_t field_count, GetVarint64(&rest));
-      member.fields.resize(
-          static_cast<size_t>(std::min<uint64_t>(field_count, 4096)));
-      if (member.fields.size() != field_count)
+      if (field_count > 4096)
         return DataLossError("delta apply: absurd field count");
-      if (!new_by_oid.emplace(member.oid, merged.members.size()).second)
+      if (!new_by_oid.emplace(member.oid, members.size()).second)
         return DataLossError("delta apply: duplicate member oid");
-      merged.members.push_back(std::move(member));
-      member_carried.push_back(false);
+      member.first_field = fields.size();
+      member.field_count = static_cast<size_t>(field_count);
+      fields.resize(fields.size() + member.field_count);
+      state.resize(fields.size(), kMustPatch);
+      members.push_back(member);
     } else {
       return DataLossError("delta apply: bad member op");
     }
-    if (merged.members.size() > member_count)
+    if (members.size() > member_count)
       return DataLossError("delta apply: member ops exceed member count");
   }
-  if (merged.members.size() != member_count)
+  if (members.size() != member_count)
     return DataLossError("delta apply: member ops disagree with count");
 
   // Outbound table → oid-to-new-index map for external remapping.
-  OBISWAP_ASSIGN_OR_RETURN(merged.outbound_count, GetVarint64(&rest));
+  OBISWAP_ASSIGN_OR_RETURN(uint64_t outbound_count, GetVarint64(&rest));
   std::unordered_map<uint64_t, uint64_t> ext_index_by_oid;
-  ext_index_by_oid.reserve(static_cast<size_t>(
-      std::min<uint64_t>(merged.outbound_count, 4096)));
-  for (uint64_t i = 0; i < merged.outbound_count; ++i) {
+  ext_index_by_oid.reserve(
+      static_cast<size_t>(std::min<uint64_t>(outbound_count, 4096)));
+  for (uint64_t i = 0; i < outbound_count; ++i) {
     OBISWAP_ASSIGN_OR_RETURN(uint64_t oid, GetVarint64(&rest));
     if (!ext_index_by_oid.emplace(oid, i).second)
       return DataLossError("delta apply: duplicate outbound oid");
   }
 
   // Patches overwrite predicted values.
-  std::vector<std::vector<bool>> patched(merged.members.size());
-  for (size_t i = 0; i < merged.members.size(); ++i)
-    patched[i].assign(merged.members[i].fields.size(), false);
   OBISWAP_ASSIGN_OR_RETURN(uint64_t patch_count, GetVarint64(&rest));
   for (uint64_t p = 0; p < patch_count; ++p) {
     OBISWAP_ASSIGN_OR_RETURN(uint64_t member_index, GetVarint64(&rest));
     OBISWAP_ASSIGN_OR_RETURN(uint64_t field_index, GetVarint64(&rest));
-    if (member_index >= merged.members.size() ||
-        field_index >= merged.members[member_index].fields.size())
+    if (member_index >= members.size() ||
+        field_index >= members[member_index].field_count)
       return DataLossError("delta apply: patch index out of range");
-    OBISWAP_ASSIGN_OR_RETURN(FieldRec field, DecodeField(&rest));
-    merged.members[static_cast<size_t>(member_index)]
-        .fields[static_cast<size_t>(field_index)] = std::move(field);
-    patched[static_cast<size_t>(member_index)]
-           [static_cast<size_t>(field_index)] = true;
+    const size_t at = members[member_index].first_field +
+                      static_cast<size_t>(field_index);
+    fields[at] = FieldView();
+    OBISWAP_RETURN_IF_ERROR(ReadField(&rest, &fields[at]));
+    state[at] = kPatched;
   }
   if (!rest.empty()) return DataLossError("delta apply: trailing bytes");
 
   // Remap the unpatched fields of carried members, and require that every
   // field of an added member was patched.
-  for (size_t i = 0; i < merged.members.size(); ++i) {
-    MemberRec& member = merged.members[i];
-    for (size_t f = 0; f < member.fields.size(); ++f) {
-      if (patched[i][f]) continue;
-      if (!member_carried[i])
-        return DataLossError("delta apply: added member missing field patch");
-      FieldRec& field = member.fields[f];
-      if (field.tag == kTagLocal) {
-        uint64_t target_oid =
-            base_doc.members[static_cast<size_t>(field.index)].oid;
-        auto it = new_by_oid.find(target_oid);
-        if (it == new_by_oid.end())
-          return DataLossError(
-              "delta apply: unpatched local ref to removed member");
-        field.index = it->second;
-      } else if (field.tag == kTagExt) {
-        auto it = ext_index_by_oid.find(field.ext.oid);
-        if (it == ext_index_by_oid.end())
-          return DataLossError(
-              "delta apply: unpatched external ref to removed target");
-        field.index = it->second;
-      }
+  for (size_t at = 0; at < fields.size(); ++at) {
+    if (state[at] == kPatched) continue;
+    if (state[at] == kMustPatch)
+      return DataLossError("delta apply: added member missing field patch");
+    FieldView& field = fields[at];
+    if (field.tag == kTagLocal) {
+      auto it = new_by_oid.find(base_doc.members[field.word].oid);
+      if (it == new_by_oid.end())
+        return DataLossError(
+            "delta apply: unpatched local ref to removed member");
+      field.word = it->second;
+    } else if (field.tag == kTagExt) {
+      auto it = ext_index_by_oid.find(field.ext_oid);
+      if (it == ext_index_by_oid.end())
+        return DataLossError(
+            "delta apply: unpatched external ref to removed target");
+      field.word = it->second;
     }
   }
 
-  std::string encoded = EncodeDoc(merged);
-  // EncodeDoc embeds ComputeDocDigest(merged); the target digest pins the
-  // merged result to exactly what the fresh serialize produced.
-  if (ComputeDocDigest(merged) != target_digest)
+  // The target digest pins the merged result to exactly what the fresh
+  // serialize produced.
+  std::string merged;
+  DocWriter doc(&merged, cluster_id, members.size());
+  for (const MemberView& member : members) {
+    doc.Member(member);
+    for (size_t f = 0; f < member.field_count; ++f)
+      doc.Field(fields[member.first_field + f]);
+  }
+  if (doc.Finish(outbound_count) != target_digest)
     return DataLossError("delta apply: merged document digest mismatch");
-  return encoded;
+  return merged;
 }
 
 }  // namespace obiswap::serialization

@@ -12,9 +12,9 @@
 //   which also makes the missing/duplicate-field damage the XML parser must
 //   check for structurally impossible here. Schema skew is caught by the
 //   class name plus a strict field-count check at decode; the digest covers
-//   every value (reals by bit pattern) and is recomputable from the parsed
-//   document alone, which is what lets delta apply verify a merged document
-//   without a runtime.
+//   every value (reals by bit pattern) and is recomputed by the one
+//   validating scan that reads a document, which is what lets delta apply
+//   verify a merged document without a runtime.
 //
 //   "OSWD" delta document — the difference between two OSWB documents for
 //   the same cluster: the full new member identity list (a carried member

@@ -1,6 +1,6 @@
 #include "serialization/graph_xml.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "common/checksum.h"
 #include "common/string_util.h"
@@ -18,21 +18,42 @@ using runtime::ValueKind;
 using xml::AppendAttr;
 using xml::AppendIntAttr;
 
+Status ClusterRefs::Index(const std::vector<Object*>& members) {
+  members_.reserve(members.size());
+  for (size_t i = 0; i < members.size(); ++i)
+    members_.emplace_back(members[i], i);
+  std::sort(members_.begin(), members_.end());
+  for (size_t i = 1; i < members_.size(); ++i) {
+    if (members_[i].first == members_[i - 1].first)
+      return InvalidArgumentError("duplicate member in cluster serialization");
+  }
+  return OkStatus();
+}
+
+size_t ClusterRefs::MemberIndex(const Object* target) const {
+  auto it = std::lower_bound(
+      members_.begin(), members_.end(), target,
+      [](const auto& entry, const Object* key) { return entry.first < key; });
+  return it != members_.end() && it->first == target ? it->second
+                                                     : kNotMember;
+}
+
+Result<ExternalRef> ClusterRefs::External(Object* target) {
+  OBISWAP_ASSIGN_OR_RETURN(ExternalRef ref, describe_(target));
+  auto [it, inserted] = outbound_index_.emplace(target, outbound_->size());
+  if (inserted) outbound_->push_back(target);
+  ref.index = it->second;
+  return ref;
+}
+
 Result<SerializedCluster> SerializeCluster(
     Runtime& rt, uint32_t cluster_attr_id,
     const std::vector<Object*>& members,
     const DescribeExternalFn& describe_external) {
   (void)rt;
-  std::unordered_map<const Object*, size_t> member_index;
-  member_index.reserve(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    auto [it, inserted] = member_index.emplace(members[i], i);
-    if (!inserted)
-      return InvalidArgumentError("duplicate member in cluster serialization");
-  }
-
   SerializedCluster out;
-  std::unordered_map<const Object*, size_t> outbound_index;
+  ClusterRefs refs(describe_external, &out.outbound);
+  OBISWAP_RETURN_IF_ERROR(refs.Index(members));
   Digest digest;
   digest.Mix(static_cast<uint64_t>(cluster_attr_id));
   digest.Mix(static_cast<uint64_t>(members.size()));
@@ -86,38 +107,23 @@ Result<SerializedCluster> SerializeCluster(
           break;
         }
         case ValueKind::kRef: {
-          Object* target = slot.ref();
-          auto member_it = member_index.find(target);
-          if (member_it != member_index.end()) {
-            AppendIntAttr(&doc, "local",
-                          static_cast<int64_t>(member_it->second));
+          const size_t local = refs.MemberIndex(slot.ref());
+          if (local != ClusterRefs::kNotMember) {
+            AppendIntAttr(&doc, "local", static_cast<int64_t>(local));
             doc += "/>";
-            digest.Mix(member_it->second);
+            digest.Mix(local);
             break;
           }
           // External: describe it (or fail — e.g. a raw cross-swap-cluster
           // reference violates the mediation invariant).
-          size_t index;
-          auto outbound_it = outbound_index.find(target);
-          ExternalRef ref;
-          if (outbound_it != outbound_index.end()) {
-            index = outbound_it->second;
-            OBISWAP_ASSIGN_OR_RETURN(ref, describe_external(target));
-            ref.index = index;
-          } else {
-            OBISWAP_ASSIGN_OR_RETURN(ref, describe_external(target));
-            index = out.outbound.size();
-            ref.index = index;
-            outbound_index.emplace(target, index);
-            out.outbound.push_back(target);
-          }
-          AppendIntAttr(&doc, "out", static_cast<int64_t>(index));
+          OBISWAP_ASSIGN_OR_RETURN(ExternalRef ref, refs.External(slot.ref()));
+          AppendIntAttr(&doc, "out", static_cast<int64_t>(ref.index));
           AppendIntAttr(&doc, "oid", static_cast<int64_t>(ref.oid.value()));
           AppendAttr(&doc, "class", ref.class_name);
           if (ref.cluster.valid())
             AppendIntAttr(&doc, "cluster", ref.cluster.value());
           doc += "/>";
-          digest.Mix(index);
+          digest.Mix(ref.index);
           digest.Mix(ref.oid.value());
           break;
         }

@@ -27,6 +27,8 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -61,6 +63,32 @@ using DescribeExternalFn =
 /// Deserializer callback: produces the object to store for an external ref.
 using ResolveExternalFn =
     std::function<Result<runtime::Object*>(const ExternalRef&)>;
+
+/// The reference walk both cluster serializers share: member indices, and
+/// one outbound slot per distinct external target in first-reference order
+/// (appended to `outbound`). Every external occurrence is described, so a
+/// reference that breaks the mediation invariant fails wherever it sits.
+class ClusterRefs {
+ public:
+  static constexpr size_t kNotMember = static_cast<size_t>(-1);
+  ClusterRefs(const DescribeExternalFn& describe,
+              std::vector<runtime::Object*>* outbound)
+      : describe_(describe), outbound_(outbound) {}
+
+  /// Indexes `members`; fails when one is listed twice.
+  Status Index(const std::vector<runtime::Object*>& members);
+  /// `target`'s member index, or kNotMember.
+  size_t MemberIndex(const runtime::Object* target) const;
+  /// Describes the non-member `target`, `index` set to its outbound slot.
+  Result<ExternalRef> External(runtime::Object* target);
+
+ private:
+  const DescribeExternalFn& describe_;
+  std::vector<runtime::Object*>* outbound_;
+  /// (member, index), sorted by address.
+  std::vector<std::pair<const runtime::Object*, size_t>> members_;
+  std::unordered_map<const runtime::Object*, size_t> outbound_index_;
+};
 
 /// Serializes `members` as one cluster document with the given id attribute.
 /// Each distinct external target appears once in `outbound`.

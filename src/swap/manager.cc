@@ -306,7 +306,7 @@ size_t SwappingManager::ReapDeadCleanImages() {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr || info->state != SwapState::kLoaded) continue;
     if (!info->clean_image.has_value()) continue;
-    if (!registry_.LiveMembers(id).empty()) continue;
+    if (SwapClusterRegistry::HasLiveMember(*info)) continue;
     // Every member died while loaded: the image backs garbage. This is the
     // GC analogue of the replacement-finalizer drop, so it counts as one.
     InvalidateCleanImage(info, /*count_as_drop=*/true);
@@ -1873,17 +1873,25 @@ constexpr SwapOutPoints kCleanSwapOutPoints{
 }  // namespace
 
 Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
-  Result<SwapKey> key = DetachCluster(id);
+  std::vector<Object*> members;
+  Result<SwapKey> key = DetachCluster(id, members);
   // Committed: every inbound proxy now targets the replacement and the
   // swap-out's LocalScope is closed, so only a root can still reach a
-  // member. Free them now rather than at the next collection. The full
-  // path registered every member it folded in, so LiveMembers is the set
-  // it serialized (or, on the clean path, the set the image holds).
-  if (key.ok() && !crashed_) rt_.heap().Reclaim(registry_.LiveMembers(id), id);
+  // member. Free them now rather than at the next collection. `members` is
+  // the set the swap-out serialized (or, on the clean path, the set the
+  // image holds); the full path registered every member it folded in, so
+  // it is also what LiveMembers would return.
+  if (key.ok() && !crashed_) {
+#ifdef OBISWAP_VERIFY_RECLAIM
+    OBISWAP_CHECK(members == registry_.LiveMembers(id));
+#endif
+    rt_.heap().Reclaim(members, id);
+  }
   return key;
 }
 
-Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
+Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
+                                               std::vector<Object*>& members) {
   if (crashed_) return CrashedError();
   PriorityScope priority_scope(this, net::Priority::kSwapOut);
   telemetry::ScopedSpan op_span(telemetry_, "swap_out", "swap",
@@ -1908,7 +1916,7 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id) {
                                    "writes)");
   }
 
-  std::vector<Object*> members = registry_.LiveMembers(id);
+  members = registry_.LiveMembers(id);
   if (members.empty())
     return FailedPreconditionError("swap-cluster " + id.ToString() +
                                    " has no live members");

@@ -782,8 +782,10 @@ class SwappingManager final : public runtime::Interceptor,
   template <typename Target>
   Status PatchInbound(SwapClusterId id, Target&& target,
                       const char* patch_point, const char* finalize_point);
-  /// SwapOut up to its commit: everything but freeing the members.
-  Result<SwapKey> DetachCluster(SwapClusterId id);
+  /// SwapOut up to its commit: everything but freeing the members, which
+  /// it leaves in `members`.
+  Result<SwapKey> DetachCluster(SwapClusterId id,
+                                std::vector<runtime::Object*>& members);
   /// Whether `info`'s retained clean image can still back a zero-transfer
   /// swap-out: every outbound proxy alive (appended to `outbound`, in
   /// external-ref order) and every store group confirmed by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <unordered_set>
 
 namespace obiswap::swap {
 
@@ -109,18 +108,46 @@ std::vector<runtime::Object*> SwapClusterRegistry::LiveMembers(
   std::vector<runtime::Object*> out;
   SwapClusterInfo* info = Find(id);
   if (info == nullptr) return out;
-  std::unordered_set<const runtime::Object*> seen;
+  std::vector<runtime::WeakRef>& members = info->members;
   size_t write = 0;
-  for (size_t read = 0; read < info->members.size(); ++read) {
-    runtime::Object* target = info->members[read]->get();
+  for (size_t read = 0; read < members.size(); ++read) {
+    runtime::Object* target = members[read]->get();
     if (target == nullptr) continue;             // collected: prune
     if (target->swap_cluster() != id) continue;  // moved (split): prune
-    if (!seen.insert(target).second) continue;   // duplicate registration
     out.push_back(target);
-    info->members[write++] = info->members[read];
+    members[write++] = members[read];
   }
-  info->members.resize(write);
+  members.resize(write);
+
+  // A member registered twice keeps its first entry. Duplicates are rare,
+  // so a sorted copy finds whether there are any before anything moves.
+  std::vector<runtime::Object*> sorted = out;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
+    return out;
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<bool> kept(sorted.size(), false);
+  write = 0;
+  for (size_t read = 0; read < out.size(); ++read) {
+    const size_t at =
+        std::lower_bound(sorted.begin(), sorted.end(), out[read]) -
+        sorted.begin();
+    if (kept[at]) continue;
+    kept[at] = true;
+    out[write] = out[read];
+    members[write++] = members[read];
+  }
+  out.resize(write);
+  members.resize(write);
   return out;
+}
+
+bool SwapClusterRegistry::HasLiveMember(const SwapClusterInfo& info) {
+  for (const runtime::WeakRef& weak : info.members) {
+    const runtime::Object* target = weak->get();
+    if (target != nullptr && target->swap_cluster() == info.id) return true;
+  }
+  return false;
 }
 
 void SwapClusterRegistry::RecordCrossing(SwapClusterId id, uint64_t seq) {
@@ -144,15 +171,7 @@ SwapClusterId SwapClusterRegistry::PickLruVictim(
     if (info.state != SwapState::kLoaded) continue;
     if (std::find(exclude.begin(), exclude.end(), id) != exclude.end())
       continue;
-    // Skip clusters with no live members: nothing to free.
-    bool any_live = false;
-    for (const auto& weak : info.members) {
-      if (weak->get() != nullptr) {
-        any_live = true;
-        break;
-      }
-    }
-    if (!any_live) continue;
+    if (!HasLiveMember(info)) continue;  // nothing to free
     if (!found || info.last_crossing_seq < best_seq ||
         (info.last_crossing_seq == best_seq && id < best)) {
       best = id;

@@ -230,9 +230,14 @@ class SwapClusterRegistry {
   Status AddMember(runtime::Heap& heap, runtime::Object* obj,
                    SwapClusterId id);
 
-  /// Live objects still labelled `id` (pruning cleared weak refs, and
-  /// entries whose object a split moved to another cluster, as it goes).
+  /// Live objects still labelled `id` (pruning cleared weak refs, entries
+  /// whose object a split moved to another cluster, and repeated
+  /// registrations, as it goes).
   std::vector<runtime::Object*> LiveMembers(SwapClusterId id);
+
+  /// Whether LiveMembers(info.id) would be non-empty; stops at the first
+  /// live member and prunes nothing.
+  static bool HasLiveMember(const SwapClusterInfo& info);
 
   /// Records a boundary crossing into `id` at logical time `seq`.
   void RecordCrossing(SwapClusterId id, uint64_t seq);
@@ -240,8 +245,8 @@ class SwapClusterRegistry {
   /// Updates recency only (no crossing count) — e.g. membership changes.
   void Touch(SwapClusterId id, uint64_t seq);
 
-  /// Loaded, non-empty cluster with the oldest last crossing, excluding ids
-  /// in `exclude`; invalid id if none qualifies.
+  /// Loaded cluster with a live member and the oldest last crossing,
+  /// excluding ids in `exclude`; invalid id if none qualifies.
   SwapClusterId PickLruVictim(const std::vector<SwapClusterId>& exclude);
 
   /// All registered ids (ascending).

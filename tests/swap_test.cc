@@ -796,6 +796,45 @@ TEST_F(SwapFixture, LruVictimIsLeastRecentlyCrossed) {
   EXPECT_NE(*victim, clusters[0]);
 }
 
+TEST_F(SwapFixture, MemberRegisteredTwiceIsListedAndFreedOnce) {
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     20, 10, "head");
+  SwapClusterRegistry& registry = world_.manager.registry();
+  const std::vector<Object*> members = registry.LiveMembers(clusters[0]);
+  ASSERT_EQ(members.size(), 10u);
+  ASSERT_TRUE(
+      registry.AddMember(world_.rt.heap(), members[3], clusters[0]).ok());
+  ASSERT_TRUE(
+      registry.AddMember(world_.rt.heap(), members[0], clusters[0]).ok());
+  EXPECT_EQ(registry.Find(clusters[0])->members.size(), 12u);
+  // First registrations win, in registration order; the repeats are pruned.
+  EXPECT_EQ(registry.LiveMembers(clusters[0]), members);
+  EXPECT_EQ(registry.Find(clusters[0])->members.size(), 10u);
+
+  ASSERT_TRUE(
+      registry.AddMember(world_.rt.heap(), members[5], clusters[0]).ok());
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  auto sum = SumList(world_.rt, "head");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(*sum, 19 * 20 / 2);
+}
+
+TEST_F(SwapFixture, ClusterWhoseMembersAllMovedIsNoVictim) {
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     20, 10, "head");
+  SwapClusterRegistry& registry = world_.manager.registry();
+  const SwapClusterInfo& info = *registry.Find(clusters[1]);
+  EXPECT_TRUE(SwapClusterRegistry::HasLiveMember(info));
+  // Relabel every member (as a split does) without pruning the entries.
+  const std::vector<Object*> members = registry.LiveMembers(clusters[1]);
+  for (Object* member : members) member->set_swap_cluster(clusters[0]);
+  EXPECT_EQ(info.members.size(), 10u);
+  EXPECT_FALSE(SwapClusterRegistry::HasLiveMember(info));
+  EXPECT_EQ(registry.PickLruVictim({clusters[0]}), SwapClusterId());
+  for (Object* member : members) member->set_swap_cluster(clusters[1]);
+  EXPECT_EQ(registry.PickLruVictim({clusters[0]}), clusters[1]);
+}
+
 TEST_F(SwapFixture, PressureHandlerSwapsOutAutomatically) {
   // Small heap: building a large list forces pressure-driven swap-outs.
   MiddlewareWorld small_world{swap::SwappingManager::Options(),
