@@ -63,10 +63,14 @@ std::string OkResponse(const std::string_view* payload = nullptr) {
 }
 
 /// Reads the status a response envelope names into `*status`, which stays
-/// OK unless the envelope names a remote error. kDataLoss when it names
-/// none. The one status reader of every envelope on the bridge.
+/// OK unless the envelope names a remote error. kDataLoss when the root is
+/// not `<response>` or names no status. The one status reader of every
+/// envelope on the bridge.
 Status ReadStatus(const xml::Tape& envelope, Status* status) {
   constexpr uint32_t kRoot = 0;
+  if (!envelope.IsElement(kRoot, "response"))
+    return DataLossError("not a response: <" +
+                         std::string(envelope[kRoot].text) + ">");
   const std::string_view* name = envelope.FindAttr(kRoot, "status");
   if (name == nullptr) return DataLossError("response missing status");
   if (*name != "OK") {

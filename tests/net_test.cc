@@ -453,7 +453,10 @@ TEST(WireParityTest, EveryErrorCodeRoundTripsThroughTheEnvelope) {
 // (elements dropped, duplicated or given foreign content, attributes
 // removed or set to bad values, truncation at every tag boundary, bit
 // flips). The reference hashes were recorded before the bridge moved off
-// the Node tree.
+// the Node tree. ParseResponse's was re-recorded when the bridge began to
+// reject a root other than <response>: ten bit flips in the root name of a
+// bare envelope that used to parse as a reply (and one whose `status` was
+// also flipped) now fail with "not a response".
 
 /// A cluster-like payload: markup, quotes and a control byte to escape.
 const std::string kVerdictPayload =
@@ -524,8 +527,8 @@ TEST(EnvelopeVerdictTest, ParseResponseCorpusMatchesReference) {
     all += verdict;
     all += '\0';
   }
-  EXPECT_EQ(parsed, 134u);
-  EXPECT_EQ(Fnv1a64(all), 0x15e2161e34f6bf41ull) << std::hex << Fnv1a64(all);
+  EXPECT_EQ(parsed, 124u);
+  EXPECT_EQ(Fnv1a64(all), 0x9a4eecd653d9fb8aull) << std::hex << Fnv1a64(all);
 }
 
 TEST(EnvelopeVerdictTest, HandleCorpusMatchesReference) {
@@ -597,6 +600,20 @@ TEST(EnvelopeVerdictTest, NamedDamageGetsItsReply) {
   EXPECT_EQ(ResponseVerdict("<response status=\"OK\"><payload>a</payload>"),
             "error DATA_LOSS: xml parse error at line 1: unterminated "
             "element <response>");
+}
+
+TEST(EnvelopeVerdictTest, OnlyAResponseRootIsAReply) {
+  const std::string request = "<request status=\"OK\"><payload>x</payload>"
+                              "</request>";
+  EXPECT_EQ(ResponseVerdict(request),
+            "error DATA_LOSS: not a response: <request>");
+  auto parsed = ParseOkEnvelope(request);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().ToString(),
+            "DATA_LOSS: not a response: <request>");
+  EXPECT_EQ(ResponseVerdict("<response status=\"OK\"><payload>x</payload>"
+                            "</response>"),
+            "OK payload=1:x pushback=0 retry_after=0 depth=0");
 }
 
 // ------------------------------------------------------------- discovery --
