@@ -206,10 +206,6 @@ struct DocScan {
   uint32_t embedded_digest = 0;
   uint32_t digest = 0;  // recomputed over the content as it was read
 
-  const FieldView* FieldsOf(const MemberView& member) const {
-    return fields.data() + member.first_field;
-  }
-
   /// Reads `payload` and checks its structure: syntax first, then local
   /// indices in range, external indices in range with one identity per
   /// index and none unused (the encoder allocates them densely), each
@@ -436,7 +432,7 @@ Result<std::vector<Object*>> DeserializeClusterBinary(
   for (size_t m = 0; m < members.size(); ++m) {
     Object* obj = members[m];
     const MemberView& record = doc.members[m];
-    const FieldView* fields = doc.FieldsOf(record);
+    const FieldView* fields = doc.fields.data() + record.first_field;
     for (size_t f = 0; f < record.field_count; ++f) {
       const FieldView& field = fields[f];
       Value value;
@@ -577,13 +573,13 @@ Result<std::string> DiffClusterPayloads(std::string_view base,
   uint64_t patch_count = 0;
   for (size_t i = 0; i < count; ++i) {
     const MemberView& member = fresh_doc.members[i];
-    const FieldView* fields = fresh_doc.FieldsOf(member);
+    const FieldView* fields = fresh_doc.fields.data() + member.first_field;
     for (size_t f = 0; f < member.field_count; ++f) {
       const FieldView& field = fields[f];
       if (base_of[i] != nullptr && f < base_of[i]->field_count) {
         // A local ref predicts by target oid and an external by target
         // identity: apply remaps their indices.
-        const FieldView& was = base_doc.FieldsOf(*base_of[i])[f];
+        const FieldView& was = base_doc.fields[base_of[i]->first_field + f];
         if (was.tag == field.tag &&
             (field.tag == kTagLocal ? base_doc.members[was.word].oid ==
                                           fresh_doc.members[field.word].oid
@@ -652,10 +648,9 @@ Result<std::string> ApplyClusterDelta(std::string_view base,
         MemberView from = base_doc.members[static_cast<size_t>(start + k)];
         if (!new_by_oid.emplace(from.oid, members.size()).second)
           return DataLossError("delta apply: duplicate member oid");
-        const FieldView* base_fields = base_doc.FieldsOf(from);
+        const FieldView* carried = base_doc.fields.data() + from.first_field;
         from.first_field = fields.size();
-        fields.insert(fields.end(), base_fields,
-                      base_fields + from.field_count);
+        fields.insert(fields.end(), carried, carried + from.field_count);
         state.resize(fields.size(), kCarried);
         members.push_back(from);
       }
