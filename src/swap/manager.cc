@@ -1879,7 +1879,8 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   // swap-out's LocalScope is closed, so only a root can still reach a
   // member. Free them now rather than at the next collection. `members` is
   // the set the swap-out serialized (or, on the clean path, the set the
-  // image holds); the full path registered every member it folded in, so
+  // image holds), rooted for the whole operation so no collection inside
+  // it freed one; the full path registered every member it folded in, so
   // it is also what LiveMembers would return.
   if (key.ok() && !crashed_) {
 #ifdef OBISWAP_VERIFY_RECLAIM
@@ -1920,6 +1921,12 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
   if (members.empty())
     return FailedPreconditionError("swap-cluster " + id.ToString() +
                                    " has no live members");
+  // Root the members for the whole operation: once PatchInbound retargets
+  // the proxies only this scope reaches them, and a collection the commit
+  // tail runs (an allocation, a bus subscriber) must not free what SwapOut
+  // hands to Reclaim.
+  LocalScope scope(rt_.heap());
+  for (Object* member : members) scope.Add(member);
 
   // The payload to install comes from one of three sources: the retained
   // image of a cluster untouched since its last swap-in (zero transfer — no
@@ -1938,7 +1945,6 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
     if (!RevalidateCleanImage(info, outbound)) clean_span.reset();
   }
   const bool clean = clean_span.has_value();
-  LocalScope scope(rt_.heap());
   for (Object* proxy : outbound) scope.Add(proxy);
 
   StoredPayload shipped;  // the payload a ship places (delta or full)
@@ -1962,10 +1968,10 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
         if (target->swap_cluster() != id) continue;
         if (!seen.insert(target).second) continue;
         members.push_back(target);
+        scope.Add(target);
         info->members.push_back(rt_.heap().NewWeakRef(target));
       }
     }
-    for (Object* member : members) scope.Add(member);
 
     // Serialize. External targets must be mediation machinery — a raw
     // reference to another swap-cluster would violate the §3 invariant.

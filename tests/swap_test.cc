@@ -439,6 +439,34 @@ TEST_F(SwapFixture, CleanReswapReusesKeyDirtyReswapMintsFresh) {
   EXPECT_EQ(world_.stores[0]->entry_count(), 1u);
 }
 
+TEST_F(SwapFixture, CleanSwapOutSurvivesCollectionOfUnreachableMembers) {
+  // Regression: the clean path handed Reclaim a member list it never
+  // rooted. Once PatchInbound retargets the proxies nothing else reaches
+  // an unreferenced cluster, so a collection in the commit tail freed the
+  // members and Reclaim then read freed memory.
+  auto clusters = BuildClusteredList(world_.rt, world_.manager, node_cls_,
+                                     10, 10, "head");
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  ASSERT_TRUE(world_.manager.SwapIn(clusters[0]).ok());
+  runtime::WeakRef first = world_.rt.heap().NewWeakRef(ProxyTarget(HeadRef()));
+  ASSERT_NE(first->get(), nullptr);
+  // Drop the only root; no collection yet, so the head proxy's weak
+  // registration still lists it as inbound and the cluster stays a victim.
+  world_.rt.RemoveGlobal("head");
+  bool survived = false;
+  world_.bus.Subscribe(context::kEventClusterSwappedOut,
+                       [&](const context::Event&) {
+                         world_.rt.heap().Collect();
+                         survived = first->get() != nullptr;
+                       });
+  const uint64_t reclaims = world_.rt.heap().stats().reclaims;
+  ASSERT_TRUE(world_.manager.SwapOut(clusters[0]).ok());
+  EXPECT_EQ(world_.manager.stats().clean_swap_outs, 1u);
+  EXPECT_TRUE(survived);  // the swap-out still roots its members
+  EXPECT_EQ(world_.rt.heap().stats().reclaims, reclaims + 1);
+  EXPECT_EQ(first->get(), nullptr);
+}
+
 // ----------------------------------------------- clean-image swap cache --
 
 TEST_F(SwapFixture, SwapThrashShipsBytesOnlyOnce) {
