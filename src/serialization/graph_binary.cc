@@ -270,11 +270,12 @@ Status DocScan::Read(std::string_view payload) {
 
   // References. A well-formed document uses every outbound index, so
   // there are at most as many as external fields; an index past that is
-  // only possible in a document that fails below, and is checked against
-  // the earlier fields instead of the table.
+  // only possible in a document that fails below, and goes to a map that
+  // stays empty (unallocated) otherwise.
   outbound.assign(
       static_cast<size_t>(std::min<uint64_t>(outbound_count, ext_fields)),
       nullptr);
+  std::unordered_map<uint64_t, const FieldView*> past_table;
   uint64_t used = 0;
   for (const FieldView& field : fields) {
     if (field.tag == kTagLocal) {
@@ -288,11 +289,8 @@ Status DocScan::Read(std::string_view payload) {
         first = outbound[field.word];
         if (first == nullptr) outbound[field.word] = &field;
       } else {
-        first = std::find_if<const FieldView*>(
-            fields.data(), &field, [&](const FieldView& earlier) {
-              return earlier.tag == kTagExt && earlier.word == field.word;
-            });
-        if (first == &field) first = nullptr;
+        auto [it, fresh] = past_table.try_emplace(field.word, &field);
+        if (!fresh) first = it->second;
       }
       if (first == nullptr) {
         ++used;

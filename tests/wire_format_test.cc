@@ -24,6 +24,7 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "common/string_util.h"
 #include "serialization/graph_binary.h"
 #include "test_support.h"
@@ -872,6 +873,52 @@ TEST(BinaryVerdictTest, NamedDamageGetsItsMessage) {
             "DATA_LOSS: truncated or over-long varint");
   EXPECT_EQ(BytesVerdict(DiffClusterPayloads(valid, valid + "x")),
             "DATA_LOSS: binary doc: trailing bytes");
+}
+
+/// A one-member OSWB document whose fields are all external references,
+/// given as (index, oid) pairs, that claims `outbound_count` identities.
+/// Its digest is zero: the structural checks run first.
+std::string ExternalOnlyDocument(
+    uint64_t outbound_count,
+    const std::vector<std::pair<uint64_t, uint64_t>>& refs) {
+  std::string doc = "OSWB";
+  PutVarint64(&doc, 1);  // version
+  PutVarint64(&doc, 3);  // cluster id
+  PutVarint64(&doc, 1);  // member count
+  PutVarint64(&doc, 1);  // member oid
+  PutLengthPrefixed(&doc, "Item");
+  PutVarint64(&doc, 0);  // no replication-cluster label
+  PutVarint64(&doc, refs.size());
+  for (const auto& [index, oid] : refs) {
+    doc.push_back('\x05');  // external reference
+    PutVarint64(&doc, index);
+    PutVarint64(&doc, oid);
+    PutLengthPrefixed(&doc, "Ext");
+    PutVarint64(&doc, 0);
+  }
+  PutVarint64(&doc, outbound_count);
+  PutVarint64(&doc, 0);  // digest
+  return doc;
+}
+
+TEST(BinaryVerdictTest, InflatedOutboundCountKeepsItsVerdicts) {
+  // An outbound count above the number of external fields puts indices
+  // past the identity table; they still get one identity each, checked in
+  // document order.
+  EXPECT_EQ(BinaryVerdict(ExternalOnlyDocument(100, {{50, 7}, {50, 7},
+                                                     {60, 8}, {60, 9}}),
+                          false, 3),
+            "DATA_LOSS: binary doc: conflicting identities for external "
+            "index 60");
+  EXPECT_EQ(BinaryVerdict(ExternalOnlyDocument(100, {{0, 7}, {50, 7}}),
+                          false, 3),
+            "DATA_LOSS: binary doc: unused external index");
+  // Many distinct indices past the table: one identity each, so the
+  // document fails only on the count.
+  std::vector<std::pair<uint64_t, uint64_t>> many;
+  for (uint64_t i = 0; i < 20000; ++i) many.emplace_back(100000 + i, i);
+  EXPECT_EQ(BinaryVerdict(ExternalOnlyDocument(200000, many), false, 3),
+            "DATA_LOSS: binary doc: unused external index");
 }
 
 // ----------------------------------------------------- delta swap pipeline --
