@@ -1,17 +1,16 @@
 // AIMD pacer for background store-traffic producers.
 //
-// The durability repair sweep, the tier write-back path and the prefetch
-// drain are all open-loop producers: left alone they submit as much work
-// per poll as they can find, which is exactly wrong while the store pool is
-// shedding load. An AimdPacer bounds how many operations one batch (sweep,
-// drain) may launch; the cap opens additively on success and halves on
-// pushback, the classic TCP-style response that converges on the store's
-// actual service rate without any explicit signalling beyond the pushback
-// status itself.
+// The durability repair sweep and the tier write-back path are open-loop
+// producers: left alone they submit as much work per poll as they can find,
+// which is exactly wrong while the store pool is shedding load. An
+// AimdPacer bounds how many operations one batch (sweep, poll) may launch;
+// the cap opens additively on success and halves on pushback, the classic
+// TCP-style response that converges on the store's actual service rate
+// without any explicit signalling beyond the pushback status itself.
 //
 // Deterministic by construction: integer cap, no time source, no
 // randomness. Disabled (the default) it admits everything, so attaching a
-// pacer is byte-parity-safe until a policy or option switches it on.
+// pacer is byte-parity-safe until an option switches it on.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +19,9 @@ namespace obiswap {
 
 class AimdPacer {
  public:
-  struct Options {
-    bool enabled = false;
-    uint32_t min_cap = 1;      ///< floor after repeated pushback
-    uint32_t max_cap = 64;     ///< ceiling the additive increase stops at
-    uint32_t initial_cap = 4;  ///< cap before any feedback arrives
-  };
+  static constexpr uint32_t kMinCap = 1;      ///< floor after pushbacks
+  static constexpr uint32_t kMaxCap = 64;     ///< additive increase stops here
+  static constexpr uint32_t kInitialCap = 4;  ///< cap before any feedback
 
   struct Stats {
     uint64_t windows = 0;    ///< batches started
@@ -35,12 +31,9 @@ class AimdPacer {
     uint64_t backoffs = 0;   ///< multiplicative decreases applied
   };
 
-  AimdPacer() : AimdPacer(Options()) {}
-  explicit AimdPacer(Options options)
-      : options_(options), cap_(ClampCap(options.initial_cap)) {}
+  explicit AimdPacer(bool enabled = false) : enabled_(enabled) {}
 
-  bool enabled() const { return options_.enabled; }
-  void set_enabled(bool enabled) { options_.enabled = enabled; }
+  bool enabled() const { return enabled_; }
   uint32_t cap() const { return cap_; }
   const Stats& stats() const { return stats_; }
 
@@ -54,7 +47,7 @@ class AimdPacer {
   /// True if the current batch may launch one more operation. Disabled
   /// pacers admit everything.
   bool Admit() {
-    if (!options_.enabled) {
+    if (!enabled_) {
       ++stats_.admitted;
       return true;
     }
@@ -69,8 +62,8 @@ class AimdPacer {
 
   /// Additive increase: the store served us, the cap can open one notch.
   void OnSuccess() {
-    if (!options_.enabled) return;
-    if (cap_ < ClampCap(options_.max_cap)) {
+    if (!enabled_) return;
+    if (cap_ < kMaxCap) {
       ++cap_;
       ++stats_.raises;
     }
@@ -78,20 +71,14 @@ class AimdPacer {
 
   /// Multiplicative decrease: the store shed us, halve the cap.
   void OnPushback() {
-    if (!options_.enabled) return;
-    uint32_t halved = cap_ / 2;
-    cap_ = halved < options_.min_cap ? ClampCap(options_.min_cap) : halved;
+    if (!enabled_) return;
+    cap_ = cap_ / 2 < kMinCap ? kMinCap : cap_ / 2;
     ++stats_.backoffs;
   }
 
  private:
-  uint32_t ClampCap(uint32_t cap) const {
-    uint32_t floor = options_.min_cap > 0 ? options_.min_cap : 1;
-    return cap < floor ? floor : cap;
-  }
-
-  Options options_;
-  uint32_t cap_;
+  bool enabled_;
+  uint32_t cap_ = kInitialCap;
   uint32_t in_window_ = 0;
   Stats stats_;
 };

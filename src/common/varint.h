@@ -16,11 +16,6 @@ namespace obiswap {
 /// Appends `value` to `out` as an unsigned LEB128 varint (1..10 bytes).
 void PutVarint64(std::string* out, uint64_t value);
 
-/// Appends a 32-bit value (convenience wrapper).
-inline void PutVarint32(std::string* out, uint32_t value) {
-  PutVarint64(out, value);
-}
-
 /// Reads a varint from the front of `*in`, advancing it past the encoding.
 /// Fails with kDataLoss if `*in` is truncated or over-long. Inline: the
 /// binary document scan reads several per member.

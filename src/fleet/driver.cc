@@ -24,7 +24,7 @@ constexpr uint32_t kStoreIdBase = 1'000'000;
 swap::SwappingManager::Options ManagerOptions(const FleetOptions& options) {
   swap::SwappingManager::Options out;
   out.replication_factor = options.replication_factor;
-  out.write_back_pacer.enabled = options.overload_controls;
+  out.pace_write_backs = options.overload_controls;
   return out;
 }
 }  // namespace
@@ -51,7 +51,7 @@ struct FleetDriver::DeviceWorld {
     }
     swap::DurabilityMonitor::Options monitor_options;
     monitor_options.miss_threshold = options.miss_threshold;
-    monitor_options.repair_pacer.enabled = options.overload_controls;
+    monitor_options.pace_repairs = options.overload_controls;
     monitor = std::make_unique<swap::DurabilityMonitor>(
         manager, discovery, self, bus, nullptr, monitor_options);
     if (options.use_directory) {
@@ -84,7 +84,7 @@ Status FleetDriver::Build() {
     DeviceId store_id(kStoreIdBase + static_cast<uint32_t>(i));
     network_->AddDevice(store_id);
     stores_.push_back(std::make_unique<net::StoreNode>(
-        store_id, options_.store_capacity_bytes));
+        store_id, kStoreCapacityBytes));
     store_dead_.push_back(false);
     discovery_->Announce(stores_.back().get());
   }
@@ -116,7 +116,7 @@ Status FleetDriver::Build() {
 }
 
 void FleetDriver::PollAll() {
-  network_->clock().Advance(options_.poll_period_us);
+  network_->clock().Advance(kPollPeriodUs);
   for (auto& world : devices_) world->monitor->Poll();
 }
 

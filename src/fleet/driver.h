@@ -40,9 +40,7 @@ struct FleetOptions {
   int clusters_per_device = 4;     ///< swap-clusters built on each device
   int objects_per_cluster = 12;    ///< 64-byte list nodes per cluster
   size_t replication_factor = 2;   ///< K replicas per swapped cluster
-  size_t store_capacity_bytes = 8 * 1024 * 1024;
-  uint64_t poll_period_us = 250'000;  ///< durability poll cadence (4 Hz)
-  int miss_threshold = 3;             ///< silent-departure detection window
+  int miss_threshold = 3;          ///< silent-departure detection window
   /// true: rendezvous directory placement (the monitors keep the
   /// directory in sync). false: the nearby-store walk (baseline).
   bool use_directory = true;
@@ -101,6 +99,11 @@ struct StormReport {
 /// scripting calls below advance it. Not copyable; owns every runtime.
 class FleetDriver {
  public:
+  /// Capacity of each store in the shared pool.
+  static constexpr size_t kStoreCapacityBytes = 8 * 1024 * 1024;
+  /// Durability poll cadence (4 Hz).
+  static constexpr uint64_t kPollPeriodUs = 250'000;
+
   explicit FleetDriver(const FleetOptions& options);
   ~FleetDriver();
   FleetDriver(const FleetDriver&) = delete;

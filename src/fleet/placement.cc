@@ -128,11 +128,11 @@ std::vector<DeviceId> PlacementDirectory::Targets(uint64_t key,
 
 uint64_t PlacementDirectory::LoadBound(uint64_t total_load,
                                        size_t live_stores) const {
-  if (live_stores == 0) return options_.min_load_bound;
+  if (live_stores == 0) return kMinLoadBound;
   double mean = static_cast<double>(total_load) / live_stores;
   uint64_t bound =
-      static_cast<uint64_t>(std::ceil(options_.load_bound_factor * mean));
-  return std::max(bound, options_.min_load_bound);
+      static_cast<uint64_t>(std::ceil(kLoadBoundFactor * mean));
+  return std::max(bound, kMinLoadBound);
 }
 
 }  // namespace obiswap::fleet

@@ -45,15 +45,13 @@ namespace obiswap::fleet {
 
 class PlacementDirectory {
  public:
-  struct Options {
-    /// Bounded-load factor c: a store is deferred once it holds more than
-    /// ceil(c * mean) placements. 1.2 keeps max/mean comfortably under the
-    /// fleet_scale gate of 1.35 while rarely overriding pure HRW order.
-    double load_bound_factor = 1.2;
-    /// Floor for the cap so a near-empty fleet doesn't thrash placements
-    /// over a bound of 1.
-    uint64_t min_load_bound = 4;
-  };
+  /// Bounded-load factor c: a store is deferred once it holds more than
+  /// ceil(c * mean) placements. 1.2 keeps max/mean comfortably under the
+  /// fleet_scale gate of 1.35 while rarely overriding pure HRW order.
+  static constexpr double kLoadBoundFactor = 1.2;
+  /// Floor for the cap so a near-empty fleet doesn't thrash placements
+  /// over a bound of 1.
+  static constexpr uint64_t kMinLoadBound = 4;
 
   struct Stats {
     uint64_t selections = 0;     ///< rank/target computations served
@@ -63,7 +61,6 @@ class PlacementDirectory {
   };
 
   PlacementDirectory() = default;
-  explicit PlacementDirectory(const Options& options) : options_(options) {}
 
   /// Adds `store` with the given weight (> 0; clamped to 1e-6). Returns
   /// true if the view changed (new member, or weight changed for an
@@ -98,15 +95,14 @@ class PlacementDirectory {
   /// RankAll(key).
   std::vector<DeviceId> Targets(uint64_t key, size_t k) const;
 
-  /// Bounded-load cap for the current view: max(min_load_bound,
-  /// ceil(load_bound_factor * total_load / live_stores)). `live_stores`
+  /// Bounded-load cap for the current view: max(kMinLoadBound,
+  /// ceil(kLoadBoundFactor * total_load / live_stores)). `live_stores`
   /// of zero returns the floor.
   uint64_t LoadBound(uint64_t total_load, size_t live_stores) const;
 
   /// Stats hook for callers applying the load bound themselves.
   void NoteBoundedSkips(uint64_t skips) { stats_.bounded_skips += skips; }
 
-  const Options& options() const { return options_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -120,7 +116,6 @@ class PlacementDirectory {
   // of insertion order.
   std::map<DeviceId, Entry> stores_;
   uint64_t view_epoch_ = 0;
-  Options options_;
   mutable Stats stats_;
 };
 

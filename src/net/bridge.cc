@@ -456,7 +456,7 @@ Result<Response> StoreClient::Call(DeviceId device, SwapKey key,
 
 bool StoreClient::SpendRetryToken(DeviceId device) {
   auto [it, inserted] =
-      budget_tokens_.try_emplace(device, budget_options_.initial_centitokens);
+      budget_tokens_.try_emplace(device, kInitialRetryCentitokens);
   if (it->second < budget_options_.cost_per_retry) return false;
   it->second -= budget_options_.cost_per_retry;
   stats_.retry_budget_spent += budget_options_.cost_per_retry;
@@ -465,9 +465,9 @@ bool StoreClient::SpendRetryToken(DeviceId device) {
 
 void StoreClient::EarnRetryToken(DeviceId device) {
   auto [it, inserted] =
-      budget_tokens_.try_emplace(device, budget_options_.initial_centitokens);
-  uint32_t headroom = budget_options_.max_centitokens > it->second
-                          ? budget_options_.max_centitokens - it->second
+      budget_tokens_.try_emplace(device, kInitialRetryCentitokens);
+  uint32_t headroom = kMaxRetryCentitokens > it->second
+                          ? kMaxRetryCentitokens - it->second
                           : 0;
   uint32_t earned = std::min(budget_options_.earn_per_success, headroom);
   it->second += earned;

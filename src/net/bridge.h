@@ -135,9 +135,6 @@ class Discovery {
   /// All announced devices, reachable or not (ascending). The durability
   /// monitor diffs this set across polls to spot permanent departures.
   std::vector<DeviceId> AnnouncedDevices() const;
-  bool IsAnnounced(DeviceId device) const {
-    return announced_.count(device) > 0;
-  }
 
  private:
   Network& network_;
@@ -178,11 +175,13 @@ class StoreClient {
   /// rate (10% at the defaults) instead of amplifying the storm.
   struct RetryBudgetOptions {
     bool enabled = false;
-    uint32_t initial_centitokens = 1000;  ///< fresh stores get some slack
-    uint32_t max_centitokens = 1000;
     uint32_t earn_per_success = 10;   ///< 0.1 token per success
     uint32_t cost_per_retry = 100;    ///< 1 token per retry
   };
+  /// A fresh store's bucket level: some slack before any success.
+  static constexpr uint32_t kInitialRetryCentitokens = 1000;
+  /// Successes stop filling a bucket at this level.
+  static constexpr uint32_t kMaxRetryCentitokens = 1000;
 
   StoreClient(Network& network, Discovery& discovery, DeviceId self,
               int max_attempts = 3)

@@ -16,9 +16,6 @@ const char* BreakerStateName(BreakerState state) {
   return "unknown";
 }
 
-HealthTracker::HealthTracker(const SimClock* clock, Options options)
-    : clock_(clock), options_(options) {}
-
 void HealthTracker::Transition(DeviceId device, StoreHealth& health,
                                BreakerState to) {
   BreakerState from = health.state;
@@ -54,7 +51,7 @@ void HealthTracker::RecordOutcome(DeviceId device, bool ok,
                                   uint64_t latency_us) {
   StoreHealth& health = stores_[device];
   ++stats_.outcomes_recorded;
-  double alpha = options_.ewma_alpha;
+  constexpr double alpha = kEwmaAlpha;
   double sample = ok ? 0.0 : 1.0;
   health.ewma_error_rate = health.attempts == 0
                                ? sample
@@ -84,9 +81,9 @@ void HealthTracker::RecordOutcome(DeviceId device, bool ok,
     return;
   }
   if (health.state == BreakerState::kClosed &&
-      (health.consecutive_failures >= options_.failure_trip_threshold ||
-       (health.attempts >= options_.min_attempts_to_trip &&
-        health.ewma_error_rate >= options_.error_rate_trip))) {
+      (health.consecutive_failures >= kFailureTripThreshold ||
+       (health.attempts >= kMinAttemptsToTrip &&
+        health.ewma_error_rate >= kErrorRateTrip))) {
     Transition(device, health, BreakerState::kOpen);
   }
 }
@@ -107,7 +104,6 @@ void HealthTracker::RecordPushback(DeviceId device) {
 }
 
 bool HealthTracker::AllowRequest(DeviceId device) {
-  if (!options_.breakers_enabled) return true;
   auto it = stores_.find(device);
   if (it == stores_.end()) return true;
   StoreHealth& health = it->second;
@@ -115,7 +111,7 @@ bool HealthTracker::AllowRequest(DeviceId device) {
     case BreakerState::kClosed:
       return true;
     case BreakerState::kOpen:
-      if (now_us() - health.opened_at_us >= options_.open_cooldown_us) {
+      if (now_us() - health.opened_at_us >= kOpenCooldownUs) {
         Transition(device, health, BreakerState::kHalfOpen);
         health.probe_in_flight = true;
         ++stats_.probes;
@@ -136,14 +132,12 @@ bool HealthTracker::AllowRequest(DeviceId device) {
 }
 
 bool HealthTracker::IsHealthy(DeviceId device) const {
-  if (!options_.breakers_enabled) return true;
   auto it = stores_.find(device);
   if (it == stores_.end()) return true;
   return it->second.state == BreakerState::kClosed;
 }
 
 bool HealthTracker::IsOpen(DeviceId device) const {
-  if (!options_.breakers_enabled) return false;
   auto it = stores_.find(device);
   if (it == stores_.end()) return false;
   return it->second.state == BreakerState::kOpen;
@@ -167,8 +161,8 @@ size_t HealthTracker::open_count() const {
 }
 
 uint64_t HealthTracker::HedgeDeadlineUs() const {
-  if (latency_.count() < options_.min_hedge_samples) return 0;
-  return latency_.ValueAtPercentile(options_.hedge_percentile);
+  if (latency_.count() < kMinHedgeSamples) return 0;
+  return latency_.ValueAtPercentile(kHedgePercentile);
 }
 
 }  // namespace obiswap::net

@@ -35,31 +35,25 @@ const char* BreakerStateName(BreakerState state);
 
 class HealthTracker {
  public:
-  struct Options {
-    /// Weight of the newest sample in the latency / error-rate EWMAs.
-    double ewma_alpha = 0.3;
-    /// Consecutive transport failures that trip the breaker outright
-    /// (a dead store announces itself quickly).
-    uint32_t failure_trip_threshold = 3;
-    /// EWMA error rate that trips the breaker once the store has at least
-    /// `min_attempts_to_trip` attempts (a lossy store trips slower than a
-    /// dead one, but still trips).
-    double error_rate_trip = 0.65;
-    uint64_t min_attempts_to_trip = 5;
-    /// Virtual time an open breaker waits before allowing one half-open
-    /// probe. Roughly one durability-monitor poll period by default.
-    uint64_t open_cooldown_us = 2'000'000;
-    /// Percentile of the successful-attempt latency distribution that the
-    /// hedge deadline derives from.
-    double hedge_percentile = 95.0;
-    /// Successful samples required before HedgeDeadlineUs() reports a
-    /// deadline at all (hedging on a cold distribution would misfire).
-    uint64_t min_hedge_samples = 8;
-    /// Master switch. Disabled, the tracker still scores every attempt
-    /// (observation only): AllowRequest always grants and IsHealthy is
-    /// always true — the bit-identical-behavior parity mode.
-    bool breakers_enabled = true;
-  };
+  /// Weight of the newest sample in the latency / error-rate EWMAs.
+  static constexpr double kEwmaAlpha = 0.3;
+  /// Consecutive transport failures that trip the breaker outright
+  /// (a dead store announces itself quickly).
+  static constexpr uint32_t kFailureTripThreshold = 3;
+  /// EWMA error rate that trips the breaker once the store has at least
+  /// kMinAttemptsToTrip attempts (a lossy store trips slower than a dead
+  /// one, but still trips).
+  static constexpr double kErrorRateTrip = 0.65;
+  static constexpr uint64_t kMinAttemptsToTrip = 5;
+  /// Virtual time an open breaker waits before allowing one half-open
+  /// probe: roughly one durability-monitor poll period.
+  static constexpr uint64_t kOpenCooldownUs = 2'000'000;
+  /// Percentile of the successful-attempt latency distribution that the
+  /// hedge deadline derives from.
+  static constexpr double kHedgePercentile = 95.0;
+  /// Successful samples required before HedgeDeadlineUs() reports a
+  /// deadline at all (hedging on a cold distribution would misfire).
+  static constexpr uint64_t kMinHedgeSamples = 8;
 
   struct StoreHealth {
     BreakerState state = BreakerState::kClosed;
@@ -83,9 +77,7 @@ class HealthTracker {
     uint64_t pushbacks_recorded = 0;  ///< shed responses observed (neutral)
   };
 
-  explicit HealthTracker(const SimClock* clock)
-      : HealthTracker(clock, Options()) {}
-  HealthTracker(const SimClock* clock, Options options);
+  explicit HealthTracker(const SimClock* clock) : clock_(clock) {}
 
   /// One StoreClient wire attempt completed: `ok` is transport success
   /// (both envelope transfers landed — a parsed remote error still counts
@@ -118,10 +110,10 @@ class HealthTracker {
   size_t open_count() const;
   size_t tracked_count() const { return stores_.size(); }
 
-  /// The p95-derived (by options) hedge deadline in virtual microseconds:
-  /// the latency bucket bound below which `hedge_percentile` of successful
-  /// attempts complete. 0 while fewer than `min_hedge_samples` successes
-  /// have been observed — hedging stays off on a cold start.
+  /// The p95-derived hedge deadline in virtual microseconds: the latency
+  /// bucket bound below which kHedgePercentile of successful attempts
+  /// complete. 0 while fewer than kMinHedgeSamples successes have been
+  /// observed — hedging stays off on a cold start.
   uint64_t HedgeDeadlineUs() const;
   const telemetry::Histogram& success_latency() const { return latency_; }
 
@@ -139,14 +131,12 @@ class HealthTracker {
   void AttachTelemetry(telemetry::Telemetry* t) { telemetry_ = t; }
 
   const Stats& stats() const { return stats_; }
-  const Options& options() const { return options_; }
 
  private:
   uint64_t now_us() const { return clock_ == nullptr ? 0 : clock_->now_us(); }
   void Transition(DeviceId device, StoreHealth& health, BreakerState to);
 
   const SimClock* clock_;
-  Options options_;
   std::unordered_map<DeviceId, StoreHealth> stores_;
   telemetry::Histogram latency_;  ///< successful attempts, all stores
   TransitionObserver observer_;

@@ -5,9 +5,6 @@
 
 namespace obiswap::prefetch {
 
-FaultHistoryRecorder::FaultHistoryRecorder(Options options)
-    : options_(options) {}
-
 FaultHistoryRecorder::~FaultHistoryRecorder() {
   if (bus_ != nullptr) {
     bus_->Unsubscribe(in_token_);
@@ -46,11 +43,11 @@ void FaultHistoryRecorder::Attach(context::EventBus* bus) {
 }
 
 double FaultHistoryRecorder::Decayed(const Edge& edge) const {
-  if (options_.half_life_us == 0 || clock_ == nullptr) return edge.weight;
+  if (clock_ == nullptr) return edge.weight;
   uint64_t now = NowUs();
   if (now <= edge.stamp_us) return edge.weight;
   double half_lives = static_cast<double>(now - edge.stamp_us) /
-                      static_cast<double>(options_.half_life_us);
+                      static_cast<double>(kHalfLifeUs);
   return edge.weight * std::pow(0.5, half_lives);
 }
 
@@ -78,7 +75,7 @@ void FaultHistoryRecorder::OnEnter(SwapClusterId id) {
     EdgeMap& out = edges_[last_entered_];
     auto it = out.find(id);
     if (it == out.end()) {
-      if (out.size() >= options_.max_successors) EvictLightest(out);
+      if (out.size() >= kMaxSuccessors) EvictLightest(out);
       out.emplace(id, Edge{1.0, NowUs()});
     } else {
       it->second.weight = Decayed(it->second) + 1.0;

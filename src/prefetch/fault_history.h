@@ -32,15 +32,13 @@ namespace obiswap::prefetch {
 
 class FaultHistoryRecorder {
  public:
-  struct Options {
-    /// Virtual-time half-life of an edge weight: an edge last reinforced
-    /// this long ago counts half. 0 disables decay (pure counts).
-    uint64_t half_life_us = 30'000'000;
-    /// Outgoing edges kept per cluster; the lightest edge is evicted when a
-    /// new successor appears beyond the cap. Bounds memory on devices whose
-    /// access patterns churn.
-    size_t max_successors = 8;
-  };
+  /// Virtual-time half-life of an edge weight: an edge last reinforced
+  /// this long ago counts half.
+  static constexpr uint64_t kHalfLifeUs = 30'000'000;
+  /// Outgoing edges kept per cluster; the lightest edge is evicted when a
+  /// new successor appears beyond the cap. Bounds memory on devices whose
+  /// access patterns churn.
+  static constexpr size_t kMaxSuccessors = 8;
 
   /// One ranked successor: `confidence` is this edge's share of the source
   /// cluster's total outgoing weight (1.0 = the only successor ever seen).
@@ -57,8 +55,7 @@ class FaultHistoryRecorder {
     uint64_t sequence_breaks = 0;   ///< resets of the "last entered" state
   };
 
-  FaultHistoryRecorder() : FaultHistoryRecorder(Options()) {}
-  explicit FaultHistoryRecorder(Options options);
+  FaultHistoryRecorder() = default;
   ~FaultHistoryRecorder();
 
   FaultHistoryRecorder(const FaultHistoryRecorder&) = delete;
@@ -95,7 +92,6 @@ class FaultHistoryRecorder {
   size_t edge_count() const;
   SwapClusterId last_entered() const { return last_entered_; }
   const Stats& stats() const { return stats_; }
-  const Options& options() const { return options_; }
 
  private:
   struct Edge {
@@ -108,7 +104,6 @@ class FaultHistoryRecorder {
   double Decayed(const Edge& edge) const;
   void EvictLightest(EdgeMap& out);
 
-  Options options_;
   const net::SimClock* clock_ = nullptr;
   context::EventBus* bus_ = nullptr;
   uint64_t in_token_ = 0;

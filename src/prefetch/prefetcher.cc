@@ -30,11 +30,8 @@ Prefetcher::Prefetcher(runtime::Runtime& rt, swap::SwappingManager& manager,
       manager_(manager),
       bus_(bus),
       options_(options),
-      recorder_(FaultHistoryRecorder::Options{options.half_life_us,
-                                              options.max_successors}),
       predictor_(recorder_, Predictor::Options{options.confidence_threshold,
-                                               options.max_predictions}),
-      drain_pacer_(options.drain_pacer) {
+                                               options.max_predictions}) {
   recorder_.Attach(&bus_);
   swapped_in_token_ = bus_.Subscribe(
       context::kEventClusterSwappedIn,
@@ -103,7 +100,7 @@ void Prefetcher::PredictAndEnqueue(SwapClusterId from) {
 
 void Prefetcher::Enqueue(SwapClusterId id) {
   if (queued_.count(id) > 0) return;
-  if (queue_.size() >= options_.queue_capacity) {
+  if (queue_.size() >= kQueueCapacity) {
     ++stats_.queue_overflows;
     return;
   }
@@ -119,20 +116,13 @@ void Prefetcher::Drain() {
   in_drain_ = true;
   telemetry::ScopedSpan span(&manager_.telemetry(), "prefetch_drain",
                              "prefetch");
-  drain_pacer_.BeginWindow();
   while (!queue_.empty()) {
     if (manager_.PrefetchOutstanding() >= options_.budget) {
       ++stats_.budget_deferred;
       break;
     }
-    // AIMD gate: speculative traffic is the first thing to yield when the
-    // stores shed load; deferred entries stay queued for the next drain.
-    if (drain_pacer_.enabled() && !drain_pacer_.Admit()) {
-      ++stats_.paced_deferred;
-      break;
-    }
     double headroom = rt_.heap().free_fraction();
-    if (headroom < options_.stage_headroom) {
+    if (headroom < kStageHeadroom) {
       ++stats_.headroom_blocked;
       break;
     }
@@ -142,20 +132,9 @@ void Prefetcher::Drain() {
     if (manager_.StateOf(id) != swap::SwapState::kSwapped) continue;
 
     bool full_swap_in = options_.mode == PrefetchMode::kFull &&
-                        headroom >= options_.swap_in_headroom;
-    // Feedback via pushback-counter deltas (statuses fold shed fetches
-    // into generic failures).
-    const net::StoreClient::Stats* client = manager_.StoreClientStats();
-    const uint64_t pushbacks_before =
-        client != nullptr ? client->pushbacks : 0;
+                        headroom >= kSwapInHeadroom;
     Status status = full_swap_in ? manager_.SwapIn(id, /*prefetch=*/true)
                                  : manager_.PrefetchStage(id);
-    if (drain_pacer_.enabled()) {
-      if (client != nullptr && client->pushbacks > pushbacks_before)
-        drain_pacer_.OnPushback();
-      else if (status.ok())
-        drain_pacer_.OnSuccess();
-    }
     if (status.ok()) {
       if (full_swap_in) {
         ++stats_.speculative_swap_ins;

@@ -8,12 +8,12 @@
 //   * budget    — at most this many clusters' speculative work outstanding
 //     (staged payloads + speculatively loaded clusters). Caps how much of
 //     the device's memory and link time a wrong guess can burn.
-//   * headroom  — free-heap fraction gates. Below `stage_headroom` nothing
+//   * headroom  — free-heap fraction gates. Below kStageHeadroom nothing
 //     speculative happens at all. Between the two gates the prefetcher only
 //     *stages*: it fetches + decompresses the payload into the existing
 //     PayloadCache (zero heap-object churn — the later demand fault skips
 //     the radio and the codec but still pays deserialize). Above the
-//     stricter `swap_in_headroom`, full mode performs a complete
+//     stricter kSwapInHeadroom, full mode performs a complete
 //     speculative SwapIn, taking the fault off the critical path entirely.
 //
 // A consumed guess publishes "prefetch-hit"; a speculatively loaded cluster
@@ -53,28 +53,21 @@ Result<PrefetchMode> ParsePrefetchMode(const std::string& name);
 
 class Prefetcher {
  public:
+  /// Bounded prediction queue; overflow drops the newest predictions.
+  static constexpr size_t kQueueCapacity = 8;
+  /// Free-heap fraction below which nothing speculative runs.
+  static constexpr double kStageHeadroom = 0.10;
+  /// Stricter gate for full speculative swap-in (kFull only); below it
+  /// the prefetcher degrades to staging.
+  static constexpr double kSwapInHeadroom = 0.25;
+
   struct Options {
     PrefetchMode mode = PrefetchMode::kOff;
     /// Max outstanding speculative clusters (staged + loaded).
     size_t budget = 2;
-    /// Bounded prediction queue; overflow drops the newest predictions.
-    size_t queue_capacity = 8;
     /// Predictor dials (see Predictor::Options).
     double confidence_threshold = 0.4;
     size_t max_predictions = 2;
-    /// Free-heap fraction below which nothing speculative runs.
-    double stage_headroom = 0.10;
-    /// Stricter gate for full speculative swap-in (kFull only); below it
-    /// the prefetcher degrades to staging.
-    double swap_in_headroom = 0.25;
-    /// Recorder dials (see FaultHistoryRecorder::Options).
-    uint64_t half_life_us = 30'000'000;
-    size_t max_successors = 8;
-    /// AIMD pacing of the drain: each drain is one window, speculative ops
-    /// past the cap wait in the queue, and store pushback halves the cap —
-    /// prefetch yields to demand traffic the moment stores saturate.
-    /// Disabled by default.
-    AimdPacer::Options drain_pacer;
   };
 
   struct Stats {
@@ -87,7 +80,6 @@ class Prefetcher {
     uint64_t staged = 0;              ///< payloads staged into the cache
     uint64_t speculative_swap_ins = 0;
     uint64_t errors = 0;              ///< speculative ops that failed
-    uint64_t paced_deferred = 0;      ///< drain stops: AIMD cap reached
   };
 
   /// Subscribes to the bus and installs the manager's crossing observer.
@@ -139,8 +131,6 @@ class Prefetcher {
   std::unordered_set<SwapClusterId> queued_;
   bool in_drain_ = false;  ///< speculative work must not recurse into Drain
   Stats stats_;
-  /// AIMD cap on speculative ops per drain (options_.drain_pacer).
-  AimdPacer drain_pacer_;
 };
 
 }  // namespace obiswap::prefetch

@@ -111,9 +111,10 @@ class ReplicationServer {
 
   const Stats& stats() const { return stats_; }
 
- private:
+  /// The master object with `oid`, or nullptr. Walks the whole heap.
   runtime::Object* FindByOid(ObjectId oid);
 
+ private:
   runtime::Runtime& rt_;
   size_t cluster_size_;
   uint32_t next_cluster_id_ = 1;

@@ -17,7 +17,7 @@ DurabilityMonitor::DurabilityMonitor(SwappingManager& manager,
       bus_(bus),
       props_(props),
       options_(options),
-      repair_pacer_(options.repair_pacer) {
+      repair_pacer_(options.pace_repairs) {
   // Replica state changes flow through the bus; the monitor only re-reads
   // the clusters those events name. A handler never touches the registry
   // directly — Publish is synchronous and may run mid-swap, so it just

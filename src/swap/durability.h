@@ -65,8 +65,8 @@ class DurabilityMonitor {
     /// AIMD pacing of the re-replication sweep: each poll is one window,
     /// repairs past the cap wait for the next poll, and store pushback
     /// halves the cap — a recovery storm stops flooding the surviving
-    /// stores with K×clusters repair traffic at once. Disabled by default.
-    AimdPacer::Options repair_pacer;
+    /// stores with K×clusters repair traffic at once. Off by default.
+    bool pace_repairs = false;
   };
 
   struct Stats {
@@ -165,7 +165,7 @@ class DurabilityMonitor {
   std::unordered_map<DeviceId, int> misses_;
   net::HealthTracker* health_ = nullptr;
   Stats stats_;
-  /// AIMD cap on sweep repairs per poll (options_.repair_pacer).
+  /// AIMD cap on sweep repairs per poll (options_.pace_repairs).
   AimdPacer repair_pacer_;
 
   fleet::PlacementDirectory* directory_ = nullptr;

@@ -2,18 +2,6 @@
 
 namespace obiswap::swap {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kError:
-      return "error";
-    case FaultKind::kDelay:
-      return "delay";
-  }
-  return "unknown";
-}
-
 Result<FaultKind> ParseFaultKind(std::string_view name) {
   if (name == "crash") return FaultKind::kCrash;
   if (name == "error") return FaultKind::kError;

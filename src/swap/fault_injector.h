@@ -42,7 +42,6 @@ enum class FaultKind : uint8_t {
   kDelay,  ///< advance the virtual clock, then proceed
 };
 
-const char* FaultKindName(FaultKind kind);
 Result<FaultKind> ParseFaultKind(std::string_view name);
 
 class FaultInjector {

@@ -273,7 +273,7 @@ Status IntentJournal::Persist() {
   if (!dirty_) return OkStatus();
   const std::string image = EncodeImage();
   const uint64_t busy_before = store_->stats().busy_us;
-  Status stored = store_->Store(options_.key, image);
+  Status stored = store_->Store(kKey, image);
   if (!stored.ok()) {
     // The journal is best-effort durability: a full flash costs crash
     // recoverability, not correctness of the live run. Stay dirty so the
@@ -297,7 +297,7 @@ IntentJournal::LoadForRecovery() {
 
   uint64_t stored_epoch = 0;
   std::vector<JournalRecord> loaded;
-  Result<std::string> image = store_->Fetch(options_.key);
+  Result<std::string> image = store_->Fetch(kKey);
   if (image.ok()) {
     ParseResult parsed = Parse(*image);
     stored_epoch = parsed.epoch;
@@ -384,7 +384,7 @@ IntentJournal::LoadForRecovery() {
 Status IntentJournal::Clear() {
   records_.clear();
   dirty_ = false;
-  Status dropped = store_->Drop(options_.key);
+  Status dropped = store_->Drop(kKey);
   if (dropped.code() == StatusCode::kNotFound) return OkStatus();
   return dropped;
 }

@@ -96,10 +96,11 @@ struct JournalRecord {
 
 class IntentJournal {
  public:
+  /// Reserved flash key the image persists under. High bits set so it
+  /// can never collide with SwappingManager::NextKey (device<<32 | n).
+  static constexpr SwapKey kKey = SwapKey(0xFFFFFFFFFFFF0001ull);
+
   struct Options {
-    /// Reserved flash key the image persists under. High bits set so it
-    /// can never collide with SwappingManager::NextKey (device<<32 | n).
-    SwapKey key = SwapKey(0xFFFFFFFFFFFF0001ull);
     /// Compaction threshold: once the in-memory image holds more than this
     /// many records, records of completed (committed/aborted) operations
     /// are dropped at the next completion. The default (0) compacts at
@@ -188,7 +189,6 @@ class IntentJournal {
   uint64_t epoch() const { return epoch_; }
   size_t record_count() const { return records_.size(); }
   const Stats& stats() const { return stats_; }
-  SwapKey flash_key() const { return options_.key; }
 
  private:
   void Append(JournalRecord record);

@@ -56,7 +56,7 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
       own_telemetry_(std::make_unique<telemetry::Telemetry>()),
       telemetry_(own_telemetry_.get()),
       cache_(options_.swap_in_cache_bytes),
-      write_back_pacer_(options_.write_back_pacer) {
+      write_back_pacer_(options_.pace_write_backs) {
   OBISWAP_CHECK(options_.clusters_per_swap_cluster > 0);
   set_replication_factor(options_.replication_factor);
   OBISWAP_CHECK(compress::FindCodec(options_.codec) != nullptr);
@@ -3324,104 +3324,68 @@ constexpr StatFieldSpec kStatFields[] = {
     {"write_backs_paced", &SwappingManager::Stats::write_backs_paced},
 };
 
-/// Overload-control keys exported from the attached StoreClient's counters
-/// (zeros while no remote store is attached). Emitted unconditionally so
-/// JSON key sets stay uniform across configurations, like the tier keys.
-constexpr const char* kOverloadKeys[] = {
-    "net.pushbacks",
-    "net.pushback_retries",
-    "net.retry_budget_exhausted",
-    "net.retry_budget_earned",
-    "net.retry_budget_spent",
-    "net.shed_demand",
-    "net.shed_swap_out",
-    "net.shed_hedge",
-    "net.shed_prefetch",
-    "net.shed_maintenance",
-    "store_queue_depth",
-};
 }  // namespace
 
 std::vector<std::pair<std::string, uint64_t>> SwappingManager::StatsSnapshot()
     const {
-  // The hot paths bump the plain Stats struct; export time syncs every
-  // field into the registry's named counters, then renders the snapshot
-  // from the registry — so the registry is the single read path while the
-  // keys (spelling and order) stay exactly as before the registry existed.
-  telemetry::MetricsRegistry& metrics = telemetry_->metrics();
-  for (const StatFieldSpec& spec : kStatFields)
-    metrics.GetCounter(spec.name).Set(stats_.*spec.field);
-  if (journal_ != nullptr) {
+  std::vector<std::pair<std::string, uint64_t>> snapshot;
+  for (const StatFieldSpec& spec : kStatFields) {
+    uint64_t value = stats_.*spec.field;
     // Journal costs accrue inside the IntentJournal; exported under the
     // manager's keys so the WAL overhead shows up next to swap latency.
-    metrics.GetCounter("journal_append_us").Set(journal_->stats().append_us);
-    metrics.GetCounter("journal_bytes").Set(journal_->stats().persisted_bytes);
+    if (journal_ != nullptr && spec.field == &Stats::journal_append_us)
+      value = journal_->stats().append_us;
+    if (journal_ != nullptr && spec.field == &Stats::journal_bytes)
+      value = journal_->stats().persisted_bytes;
+    snapshot.emplace_back(spec.name, value);
   }
-  const PayloadCache::Stats& cache = cache_.stats();
-  metrics.GetCounter("payload_cache_hits").Set(cache.hits);
-  metrics.GetCounter("payload_cache_misses").Set(cache.misses);
-  metrics.GetCounter("payload_cache_insertions").Set(cache.insertions);
-  metrics.GetCounter("payload_cache_evictions").Set(cache.evictions);
-  metrics.GetCounter("payload_cache_invalidations").Set(cache.invalidations);
-  metrics.GetCounter("payload_cache_bytes")
-      .Set(static_cast<uint64_t>(cache_.bytes()));
-  metrics.GetCounter("payload_cache_entries")
-      .Set(static_cast<uint64_t>(cache_.entry_count()));
 
-  static constexpr const char* kCacheKeys[] = {
-      "payload_cache_hits",        "payload_cache_misses",
-      "payload_cache_insertions",  "payload_cache_evictions",
-      "payload_cache_invalidations", "payload_cache_bytes",
-      "payload_cache_entries",
+  const PayloadCache::Stats& cache = cache_.stats();
+  const std::pair<const char*, uint64_t> cache_counters[] = {
+      {"payload_cache_hits", cache.hits},
+      {"payload_cache_misses", cache.misses},
+      {"payload_cache_insertions", cache.insertions},
+      {"payload_cache_evictions", cache.evictions},
+      {"payload_cache_invalidations", cache.invalidations},
+      {"payload_cache_bytes", static_cast<uint64_t>(cache_.bytes())},
+      {"payload_cache_entries", static_cast<uint64_t>(cache_.entry_count())},
   };
+  snapshot.insert(snapshot.end(), std::begin(cache_counters),
+                  std::end(cache_counters));
+
   // Tier keys are emitted whether or not a TierManager is attached — zeros
   // when detached — so JSON key sets stay uniform across configurations.
-  const std::vector<std::string_view>& tier_keys =
-      tier::TierManager::StatKeys();
   if (tier_ != nullptr) {
     for (const auto& [key, value] : tier_->StatsSnapshot())
-      metrics.GetCounter(std::string(key)).Set(value);
+      snapshot.emplace_back(key, value);
   } else {
-    for (std::string_view key : tier_keys)
-      metrics.GetCounter(std::string(key)).Set(0);
+    for (std::string_view key : tier::TierManager::StatKeys())
+      snapshot.emplace_back(key, 0);
   }
 
   // Overload-control keys, same uniform-key-set contract: the client-side
   // view of admission control (pushbacks received, per-class sheds, retry
   // budget flow, deepest store queue observed). All zero while the knobs
   // are off or no remote store is attached.
-  {
-    const net::StoreClient::Stats* client = StoreClientStats();
-    static const net::StoreClient::Stats kZeroClientStats{};
-    const net::StoreClient::Stats& c =
-        client != nullptr ? *client : kZeroClientStats;
-    metrics.GetCounter("net.pushbacks").Set(c.pushbacks);
-    metrics.GetCounter("net.pushback_retries").Set(c.pushback_retries);
-    metrics.GetCounter("net.retry_budget_exhausted")
-        .Set(c.retry_budget_exhausted);
-    metrics.GetCounter("net.retry_budget_earned").Set(c.retry_budget_earned);
-    metrics.GetCounter("net.retry_budget_spent").Set(c.retry_budget_spent);
-    metrics.GetCounter("net.shed_demand").Set(c.pushbacks_by_class[0]);
-    metrics.GetCounter("net.shed_swap_out").Set(c.pushbacks_by_class[1]);
-    metrics.GetCounter("net.shed_hedge").Set(c.pushbacks_by_class[2]);
-    metrics.GetCounter("net.shed_prefetch").Set(c.pushbacks_by_class[3]);
-    metrics.GetCounter("net.shed_maintenance").Set(c.pushbacks_by_class[4]);
-    metrics.GetCounter("store_queue_depth").Set(c.max_store_queue_depth);
-  }
-
-  std::vector<std::pair<std::string, uint64_t>> snapshot;
-  snapshot.reserve(std::size(kStatFields) + std::size(kCacheKeys) +
-                   tier_keys.size() + std::size(kOverloadKeys));
-  for (const StatFieldSpec& spec : kStatFields)
-    snapshot.emplace_back(spec.name, metrics.GetCounter(spec.name).value());
-  for (const char* key : kCacheKeys)
-    snapshot.emplace_back(key, metrics.GetCounter(key).value());
-  for (std::string_view key : tier_keys) {
-    std::string name(key);
-    snapshot.emplace_back(name, metrics.GetCounter(name).value());
-  }
-  for (const char* key : kOverloadKeys)
-    snapshot.emplace_back(key, metrics.GetCounter(key).value());
+  const net::StoreClient::Stats* client = StoreClientStats();
+  static const net::StoreClient::Stats kZeroClientStats{};
+  const net::StoreClient::Stats& c =
+      client != nullptr ? *client : kZeroClientStats;
+  const std::pair<const char*, uint64_t> overload_counters[] = {
+      {"net.pushbacks", c.pushbacks},
+      {"net.pushback_retries", c.pushback_retries},
+      {"net.retry_budget_exhausted", c.retry_budget_exhausted},
+      {"net.retry_budget_earned", c.retry_budget_earned},
+      {"net.retry_budget_spent", c.retry_budget_spent},
+      {"net.shed_demand", c.pushbacks_by_class[0]},
+      {"net.shed_swap_out", c.pushbacks_by_class[1]},
+      {"net.shed_hedge", c.pushbacks_by_class[2]},
+      {"net.shed_prefetch", c.pushbacks_by_class[3]},
+      {"net.shed_maintenance", c.pushbacks_by_class[4]},
+      {"store_queue_depth", c.max_store_queue_depth},
+  };
+  snapshot.insert(snapshot.end(), std::begin(overload_counters),
+                  std::end(overload_counters));
   return snapshot;
 }
 

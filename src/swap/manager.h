@@ -109,9 +109,9 @@ class SwappingManager final : public runtime::Interceptor,
     uint64_t op_deadline_us = 0;
     /// AIMD pacing of tier write-backs (ReReplicate's tier-sourced branch):
     /// each durability poll is one window; write-backs past the cap wait
-    /// for the next poll, and store pushback halves the cap. Disabled by
+    /// for the next poll, and store pushback halves the cap. Off by
     /// default — byte-parity.
-    AimdPacer::Options write_back_pacer;
+    bool pace_write_backs = false;
   };
 
   /// Placement gives up after this many consecutive failed store attempts
@@ -555,7 +555,7 @@ class SwappingManager final : public runtime::Interceptor,
   const net::StoreClient::Stats* StoreClientStats() const {
     return store_ == nullptr ? nullptr : &store_->stats();
   }
-  /// The tier write-back pacer (see Options::write_back_pacer). The
+  /// The tier write-back pacer (see Options::pace_write_backs). The
   /// durability monitor begins its window each poll.
   AimdPacer& write_back_pacer() { return write_back_pacer_; }
   SwapState StateOf(SwapClusterId id) const;
@@ -858,7 +858,6 @@ class SwappingManager final : public runtime::Interceptor,
   uint64_t journal_token_ = 0;
 
   /// Owned bundle unless AttachTelemetry() swapped in a shared one.
-  /// Held by pointer so const methods (StatsSnapshot) can sync counters.
   std::unique_ptr<telemetry::Telemetry> own_telemetry_;
   telemetry::Telemetry* telemetry_;
 
@@ -898,7 +897,8 @@ class SwappingManager final : public runtime::Interceptor,
   /// Shedding class stamped on the next remote op (see PriorityScope).
   /// Demand by default: unscoped calls get the most protected class.
   net::Priority call_priority_ = net::Priority::kDemandSwapIn;
-  /// AIMD cap on tier write-backs per durability poll (options_.write_back_pacer).
+  /// AIMD cap on tier write-backs per durability poll
+  /// (options_.pace_write_backs).
   AimdPacer write_back_pacer_;
 
   /// Prefetch bookkeeping: clusters whose payload was staged into the

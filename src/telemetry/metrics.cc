@@ -79,19 +79,12 @@ const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   return it == counter_index_.end() ? nullptr : it->second;
 }
 
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  auto it = gauge_index_.find(name);
-  return it == gauge_index_.end() ? nullptr : it->second;
-}
-
 const Histogram* MetricsRegistry::FindHistogram(
     std::string_view name) const {
   auto it = histogram_index_.find(name);
   return it == histogram_index_.end() ? nullptr : it->second;
 }
 
-namespace {
-// Metric names are identifiers; only quotes/backslashes could upset JSON.
 std::string JsonEscape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
@@ -105,7 +98,6 @@ std::string JsonEscape(const std::string& raw) {
   }
   return out;
 }
-}  // namespace
 
 std::string MetricsRegistry::Json() const {
   std::string json = "{\"counters\":{";

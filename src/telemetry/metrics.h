@@ -20,13 +20,10 @@
 
 namespace obiswap::telemetry {
 
-/// Monotonic event count. Set() exists for layers that keep their own
-/// struct-of-uint64 stats hot and sync them into the registry at export
-/// time (SwappingManager::StatsSnapshot does exactly that).
+/// Monotonic event count.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) { value_ += delta; }
-  void Set(uint64_t value) { value_ = value; }
   uint64_t value() const { return value_; }
 
  private:
@@ -90,25 +87,11 @@ class MetricsRegistry {
 
   /// Lookup without creation; nullptr if the metric was never touched.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
 
   size_t counter_count() const { return counters_.size(); }
   size_t gauge_count() const { return gauges_.size(); }
   size_t histogram_count() const { return histograms_.size(); }
-
-  template <typename Fn>  // Fn(const std::string& name, const Counter&)
-  void ForEachCounter(Fn fn) const {
-    for (const auto& [name, metric] : counters_) fn(name, metric);
-  }
-  template <typename Fn>
-  void ForEachGauge(Fn fn) const {
-    for (const auto& [name, metric] : gauges_) fn(name, metric);
-  }
-  template <typename Fn>
-  void ForEachHistogram(Fn fn) const {
-    for (const auto& [name, metric] : histograms_) fn(name, metric);
-  }
 
   /// Everything, as one JSON object: {"counters":{..},"gauges":{..},
   /// "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,
@@ -123,5 +106,9 @@ class MetricsRegistry {
   std::unordered_map<std::string_view, Gauge*> gauge_index_;
   std::unordered_map<std::string_view, Histogram*> histogram_index_;
 };
+
+/// Escapes quotes, backslashes and newlines for a JSON string literal.
+/// Metric and span names are identifiers, so nothing else needs escaping.
+std::string JsonEscape(const std::string& raw);
 
 }  // namespace obiswap::telemetry

@@ -3,7 +3,7 @@
 namespace obiswap::telemetry {
 
 Telemetry::Telemetry(const Options& options)
-    : tracer_(options.tracer_capacity), journal_(options.journal_capacity) {
+    : tracer_(options.tracer_capacity), journal_(kJournalCapacity) {
   tracer_.SetCompletedSink([this](const SpanTracer::CompletedSpan& span) {
     journal_.Record("span", span.name,
                     "cat=" + span.category +

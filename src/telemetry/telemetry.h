@@ -25,9 +25,11 @@ namespace obiswap::telemetry {
 
 class Telemetry {
  public:
+  /// Entries the event journal keeps before it overwrites the oldest.
+  static constexpr size_t kJournalCapacity = 256;
+
   struct Options {
     size_t tracer_capacity = 8192;
-    size_t journal_capacity = 256;
   };
 
   Telemetry() : Telemetry(Options{}) {}

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "telemetry/metrics.h"
+
 namespace obiswap::telemetry {
 
 SpanTracer::SpanTracer(size_t capacity)
@@ -77,22 +79,6 @@ void SpanTracer::Clear() {
   size_ = 0;
   open_.clear();
 }
-
-namespace {
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-}  // namespace
 
 std::string SpanTracer::ToChromeTraceJson() const {
   std::string json = "{\"traceEvents\":[";

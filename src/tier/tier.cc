@@ -8,6 +8,23 @@
 
 namespace obiswap::tier {
 
+namespace {
+/// Squeezes a store-form payload once more for the RAM pool into `blob`,
+/// keeping it raw when recompression does not pay. Returns whether it was
+/// squeezed: the blob self-describes via this wrapped flag, not the frame,
+/// because the payload is itself a frame.
+bool SqueezeForRam(const std::string& payload, std::string& blob) {
+  Result<std::string> squeezed = compress::FrameCompress(
+      *compress::FindCodec(TierManager::kRamCodec), payload);
+  if (squeezed.ok() && squeezed->size() < payload.size()) {
+    blob = std::move(*squeezed);
+    return true;
+  }
+  blob = payload;
+  return false;
+}
+}  // namespace
+
 const char* TierModeName(TierMode mode) {
   switch (mode) {
     case TierMode::kOff:
@@ -261,19 +278,8 @@ bool TierManager::AdmitRam(SwapClusterId id, uint64_t payload_epoch,
                            uint32_t payload_checksum,
                            const std::string& payload) {
   if (!ram_enabled()) return false;
-  // Squeeze the store-form payload once more for the pool; keep it raw
-  // when recompression does not pay (the blob self-describes via the
-  // wrapped flag, not the frame, because the payload is itself a frame).
   std::string blob;
-  bool wrapped = false;
-  if (const compress::Codec* codec = compress::FindCodec(options_.ram_codec)) {
-    Result<std::string> squeezed = compress::FrameCompress(*codec, payload);
-    if (squeezed.ok() && squeezed->size() < payload.size()) {
-      blob = std::move(*squeezed);
-      wrapped = true;
-    }
-  }
-  if (!wrapped) blob = payload;
+  const bool wrapped = SqueezeForRam(payload, blob);
   // One payload epoch per cluster: a newer admission supersedes every
   // older tier copy, including a flash one under a now-stale key — release
   // first so the superseded copy's budget does not block its replacement.
@@ -388,15 +394,7 @@ void TierManager::PromoteToRam(SwapClusterId id, const std::string& payload) {
   if (!entry.ram_blob.empty()) return;  // already RAM-resident
   if (payload.size() != entry.payload_bytes) return;
   std::string blob;
-  bool wrapped = false;
-  if (const compress::Codec* codec = compress::FindCodec(options_.ram_codec)) {
-    Result<std::string> squeezed = compress::FrameCompress(*codec, payload);
-    if (squeezed.ok() && squeezed->size() < payload.size()) {
-      blob = std::move(*squeezed);
-      wrapped = true;
-    }
-  }
-  if (!wrapped) blob = payload;
+  const bool wrapped = SqueezeForRam(payload, blob);
   if (!EnsureRamRoom(blob.size())) return;
   ram_bytes_used_ += blob.size();
   if (wrapped) stats_.ram_bytes_saved += payload.size() - blob.size();

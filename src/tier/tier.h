@@ -70,13 +70,14 @@ enum class TierHit : uint8_t { kNone, kRam, kFlash };
 
 class TierManager {
  public:
+  /// Codec used to squeeze RAM-pool blobs (a payload is kept raw when
+  /// recompression does not shrink it).
+  static constexpr const char* kRamCodec = "lz77";
+
   struct Options {
     /// Byte budget of the compressed-RAM pool (compressed sizes are
     /// charged). 0 disables the RAM tier.
     size_t ram_bytes = 0;
-    /// Codec used to squeeze RAM-pool blobs (a payload is kept raw when
-    /// recompression does not shrink it).
-    std::string ram_codec = "lz77";
     /// Flash slot granularity: an entry occupies ceil(bytes/slot) slots.
     size_t flash_slot_bytes = 4096;
     /// Number of slots in the tier's flash partition. 0 disables the

@@ -45,14 +45,6 @@ void TxMaster::OnReleased(DeviceId device,
   if (chained_ != nullptr) chained_->OnReleased(device, released);
 }
 
-Object* TxMaster::FindByOid(ObjectId oid) {
-  Object* found = nullptr;
-  server_.rt().heap().ForEachObject([&](Object* obj) {
-    if (obj->oid() == oid) found = obj;
-  });
-  return found;
-}
-
 Result<CommitResult> TxMaster::Commit(const WriteSet& write_set) {
   CommitResult result;
   // Phase 1: validate every read/written version.
@@ -72,7 +64,7 @@ Result<CommitResult> TxMaster::Commit(const WriteSet& write_set) {
       return InvalidArgumentError(
           "transactional writes are value-only (structural changes "
           "replicate through the object graph)");
-    Object* target = FindByOid(update.oid);
+    Object* target = server_.FindByOid(update.oid);
     if (target == nullptr)
       return NotFoundError("no master object with oid " +
                            update.oid.ToString());
@@ -112,13 +104,10 @@ TxManager::TxManager(runtime::Runtime& rt,
   if (swap_ != nullptr) {
     swap_->SetVictimFilter([this](SwapClusterId id) {
       if (!open_) return false;
-      for (const auto& [oid, version] : pending_.validations) {
-        (void)version;
-        // Pin any cluster that holds a written replica.
-        for (const UndoEntry& entry : undo_) {
-          Object* target = entry.target->get();
-          if (target != nullptr && target->swap_cluster() == id) return true;
-        }
+      // Pin any cluster that holds a written replica.
+      for (const UndoEntry& entry : undo_) {
+        Object* target = entry.target->get();
+        if (target != nullptr && target->swap_cluster() == id) return true;
       }
       return false;
     });

@@ -88,8 +88,6 @@ class TxMaster : public replication::ReplicationServer::ShipObserver {
   const Stats& stats() const { return stats_; }
 
  private:
-  runtime::Object* FindByOid(ObjectId oid);
-
   replication::ReplicationServer& server_;
   replication::ReplicationServer::ShipObserver* chained_;
   std::unordered_map<ObjectId, uint64_t> versions_;

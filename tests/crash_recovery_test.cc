@@ -183,7 +183,7 @@ size_t TotalStoredEntries(CrashWorld& w) {
   size_t total = 0;
   for (const auto& store : w.world.stores) total += store->entry_count();
   total += w.flash.entry_count();
-  if (w.flash.Contains(w.journal.flash_key())) --total;  // the journal itself
+  if (w.flash.Contains(IntentJournal::kKey)) --total;  // the journal itself
   return total;
 }
 
@@ -630,7 +630,7 @@ IntentJournal::ParseResult BuildFuzzImage(std::string* image_out) {
   journal.NoteReplicaIntent(torn, DeviceId(3), SwapKey(13));
   journal.NoteProgress(torn, 2);
   OBISWAP_CHECK(journal.Persist().ok());
-  *image_out = *flash.Fetch(journal.flash_key());
+  *image_out = *flash.Fetch(IntentJournal::kKey);
   return IntentJournal::Parse(*image_out);
 }
 
@@ -662,7 +662,7 @@ TEST(IntentJournalImageTest, ImageBytesArePinned) {
     }
   }
   OBISWAP_CHECK(journal.Persist().ok());
-  std::string image = *flash.Fetch(journal.flash_key());
+  std::string image = *flash.Fetch(IntentJournal::kKey);
   EXPECT_EQ(image.size(), 506u);
   EXPECT_EQ(Fnv1a64(image), 0x66480fcfc7915eaaull);
   EXPECT_EQ(IntentJournal::Parse(image).records.size(), 22u);
@@ -699,9 +699,7 @@ TEST(IntentJournalTornWriteTest, TruncatedImageLoadsTheSurvivingOps) {
   for (size_t len = 0; len <= image.size(); ++len) {
     net::SimClock clock;
     persist::FlashStore flash(DeviceId(1), 1 << 20, clock);
-    OBISWAP_CHECK(flash.Store(IntentJournal::Options().key,
-                              image.substr(0, len))
-                      .ok());
+    OBISWAP_CHECK(flash.Store(IntentJournal::kKey, image.substr(0, len)).ok());
     IntentJournal journal(&flash);
     Result<std::vector<IntentJournal::PendingOp>> pending =
         journal.LoadForRecovery();
@@ -760,7 +758,7 @@ TEST(IntentJournalTornWriteTest, BitFlipAtEveryByteIsDetectedNeverInvented) {
     // And the full recovery path stays calm on the same corrupt image.
     net::SimClock clock;
     persist::FlashStore flash(DeviceId(1), 1 << 20, clock);
-    OBISWAP_CHECK(flash.Store(IntentJournal::Options().key, flipped).ok());
+    OBISWAP_CHECK(flash.Store(IntentJournal::kKey, flipped).ok());
     IntentJournal journal(&flash);
     EXPECT_TRUE(journal.LoadForRecovery().ok()) << "pos " << pos;
   }
@@ -778,7 +776,7 @@ TEST(IntentJournalTornWriteTest, StaleEpochRecordsAreFenced) {
     journal.NoteReplicaIntent(seq, DeviceId(2), SwapKey(50));
     OBISWAP_CHECK(journal.Persist().ok());
   }
-  std::string image = *flash.Fetch(IntentJournal::Options().key);
+  std::string image = *flash.Fetch(IntentJournal::kKey);
   // Append a record stamped with the pre-restart epoch: a stale survivor
   // from an older incarnation that compaction never reached.
   swap::JournalRecord stale;
@@ -787,7 +785,7 @@ TEST(IntentJournalTornWriteTest, StaleEpochRecordsAreFenced) {
   stale.type = swap::RecordType::kBegin;
   stale.op = IntentOp::kDrop;
   IntentJournal::EncodeRecord(stale, &image);
-  OBISWAP_CHECK(flash.Store(IntentJournal::Options().key, image).ok());
+  OBISWAP_CHECK(flash.Store(IntentJournal::kKey, image).ok());
 
   IntentJournal journal(&flash);
   Result<std::vector<IntentJournal::PendingOp>> pending =

@@ -2,8 +2,7 @@
 // breaker state machine, the StoreClient's breaker gate / capped jittered
 // backoff / call deadline, the manager's hedged failover fetch, end-to-end
 // operation deadlines, brownout entry/exit with re-replication debt, the
-// bounded pending-drop queue, the degraded policy actions, and the parity
-// guarantee that with every knob off the demand path is bit-identical.
+// bounded pending-drop queue and the degraded policy actions.
 #include <gtest/gtest.h>
 
 #include "policy/engine.h"
@@ -57,7 +56,7 @@ TEST(BreakerTest, HalfOpenProbeClosesOnSuccess) {
   for (int i = 0; i < 3; ++i) tracker.RecordOutcome(kStore, false, 1000);
   ASSERT_TRUE(tracker.IsOpen(kStore));
 
-  clock.Advance(tracker.options().open_cooldown_us);
+  clock.Advance(net::HealthTracker::kOpenCooldownUs);
   EXPECT_TRUE(tracker.AllowRequest(kStore));  // the one half-open probe
   EXPECT_EQ(tracker.StateOf(kStore), net::BreakerState::kHalfOpen);
   EXPECT_FALSE(tracker.AllowRequest(kStore));  // probe already in flight
@@ -74,7 +73,7 @@ TEST(BreakerTest, HalfOpenProbeFailureReopens) {
   net::SimClock clock;
   net::HealthTracker tracker(&clock);
   for (int i = 0; i < 3; ++i) tracker.RecordOutcome(kStore, false, 1000);
-  clock.Advance(tracker.options().open_cooldown_us);
+  clock.Advance(net::HealthTracker::kOpenCooldownUs);
   ASSERT_TRUE(tracker.AllowRequest(kStore));
 
   tracker.RecordOutcome(kStore, false, 1000);  // probe failed
@@ -98,22 +97,7 @@ TEST(BreakerTest, EwmaErrorRateTripsLossyStore) {
   EXPECT_EQ(tracker.StateOf(kStore), net::BreakerState::kOpen);
   EXPECT_LT(tracker.Find(kStore)->consecutive_failures, 3u);
   EXPECT_GE(tracker.Find(kStore)->ewma_error_rate,
-            tracker.options().error_rate_trip);
-}
-
-TEST(BreakerTest, DisabledTrackerObservesWithoutGating) {
-  net::SimClock clock;
-  net::HealthTracker::Options options;
-  options.breakers_enabled = false;
-  net::HealthTracker tracker(&clock, options);
-  for (int i = 0; i < 10; ++i) tracker.RecordOutcome(kStore, false, 1000);
-  // Scores accumulate, but nothing is ever refused or taken out of
-  // rotation: the bit-identical parity mode.
-  EXPECT_EQ(tracker.Find(kStore)->failures, 10u);
-  EXPECT_TRUE(tracker.AllowRequest(kStore));
-  EXPECT_TRUE(tracker.IsHealthy(kStore));
-  EXPECT_FALSE(tracker.IsOpen(kStore));
-  EXPECT_EQ(tracker.stats().rejections, 0u);
+            net::HealthTracker::kErrorRateTrip);
 }
 
 TEST(BreakerTest, HedgeDeadlineNeedsWarmSamples) {
@@ -506,66 +490,6 @@ TEST(DegradedPolicyTest, SetWireFormatAppliesBothParamsOrNeither) {
   EXPECT_EQ(world.manager.wire_format(), "binary");
   EXPECT_TRUE(world.manager.delta_swap_out());
   EXPECT_EQ(engine.stats().action_failures, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Parity: all knobs off == the pre-degraded-mode demand path, bit for bit
-// ---------------------------------------------------------------------------
-
-/// A churny lossy-link workload: swap every cluster out and back in for
-/// three rounds with monitor polls in between, summing the list each round.
-void RunParityWorkload(MiddlewareWorld& world,
-                       swap::DurabilityMonitor& monitor) {
-  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
-  auto clusters = BuildClusteredList(world.rt, world.manager, node_cls,
-                                     kListLength, kListLength / 3, "head");
-  for (int round = 0; round < 3; ++round) {
-    for (SwapClusterId id : clusters) (void)world.manager.SwapOut(id);
-    monitor.Poll();
-    for (SwapClusterId id : clusters) (void)world.manager.SwapIn(id);
-    monitor.Poll();
-    ASSERT_EQ(*SumList(world.rt, "head"), kListSum);
-  }
-}
-
-TEST(DegradedSwapTest, StatsParityWithMachineryDisabled) {
-  net::LinkParams lossy;
-  lossy.loss_rate = 0.25;
-
-  // Baseline: no tracker anywhere (the PR-5 wiring).
-  MiddlewareWorld plain(TwoReplicaOptions());
-  plain.manager.AttachClock(&plain.network.clock());
-  plain.AddStore(2, 1 << 20);
-  plain.AddStore(3, 1 << 20);
-  plain.network.SetLinkParams(MiddlewareWorld::kDevice, DeviceId(2), lossy);
-  plain.network.SetLinkParams(MiddlewareWorld::kDevice, DeviceId(3), lossy);
-  swap::DurabilityMonitor plain_monitor(plain.manager, plain.discovery,
-                                        MiddlewareWorld::kDevice, plain.bus);
-  RunParityWorkload(plain, plain_monitor);
-
-  // Full degraded-mode wiring, every knob off: observation-only tracker,
-  // hedging off, no deadline. Must replay the identical virtual history.
-  MiddlewareWorld wired(TwoReplicaOptions());
-  wired.manager.AttachClock(&wired.network.clock());
-  wired.AddStore(2, 1 << 20);
-  wired.AddStore(3, 1 << 20);
-  wired.network.SetLinkParams(MiddlewareWorld::kDevice, DeviceId(2), lossy);
-  wired.network.SetLinkParams(MiddlewareWorld::kDevice, DeviceId(3), lossy);
-  net::HealthTracker::Options observe_only;
-  observe_only.breakers_enabled = false;
-  net::HealthTracker tracker(&wired.network.clock(), observe_only);
-  wired.client.AttachHealth(&tracker);
-  wired.manager.AttachHealth(&tracker);
-  swap::DurabilityMonitor wired_monitor(wired.manager, wired.discovery,
-                                        MiddlewareWorld::kDevice, wired.bus);
-  wired_monitor.AttachHealth(&tracker);
-  RunParityWorkload(wired, wired_monitor);
-
-  EXPECT_EQ(plain.manager.StatsJson(), wired.manager.StatsJson());
-  EXPECT_EQ(plain.network.clock().now_us(), wired.network.clock().now_us());
-  EXPECT_EQ(plain.client.stats().retries, wired.client.stats().retries);
-  EXPECT_EQ(plain.client.stats().backoff_us, wired.client.stats().backoff_us);
-  EXPECT_GT(tracker.stats().outcomes_recorded, 0u);  // it really was wired
 }
 
 }  // namespace

@@ -235,14 +235,34 @@ TEST(PushbackClientTest, RetryAfterPastTheDeadlineFailsFast) {
   EXPECT_LT(world.network.clock().now_us() - clock_before, 200'000u);
 }
 
+/// Spends the whole of a fresh bucket for store 2 on retries to the store
+/// while it is offline: each call retries twice (three configured
+/// attempts), so the bucket ends empty with no retry refused.
+void SpendFreshRetryBudget(MiddlewareWorld& world) {
+  const uint32_t per_call =
+      2 * world.client.retry_budget().cost_per_retry;
+  ASSERT_EQ(StoreClient::kInitialRetryCentitokens % per_call, 0u);
+  world.network.SetOnline(DeviceId(2), false);
+  for (uint32_t spent = 0; spent < StoreClient::kInitialRetryCentitokens;
+       spent += per_call) {
+    EXPECT_EQ(world.client.Store(DeviceId(2), SwapKey(1000 + spent), "<xml/>")
+                  .code(),
+              StatusCode::kUnavailable);
+  }
+  world.network.SetOnline(DeviceId(2), true);
+  ASSERT_EQ(world.client.stats().retry_budget_spent,
+            StoreClient::kInitialRetryCentitokens);
+  ASSERT_EQ(world.client.stats().retry_budget_exhausted, 0u);
+}
+
 TEST(PushbackClientTest, ExhaustedRetryBudgetFailsWithoutTheRadio) {
   MiddlewareWorld world;
   StoreNode* store = world.AddStore(2, 1 << 20);
-  store->ConfigureQueue(TightQueue());
   StoreClient::RetryBudgetOptions budget;
   budget.enabled = true;
-  budget.initial_centitokens = 0;  // nothing banked: no retry is covered
   world.client.set_retry_budget(budget);
+  SpendFreshRetryBudget(world);  // nothing banked: no retry is covered
+  store->ConfigureQueue(TightQueue());
 
   for (uint64_t k = 1; k <= 3; ++k)
     ASSERT_TRUE(world.client.Store(DeviceId(2), SwapKey(k), "<xml/>").ok());
@@ -254,7 +274,8 @@ TEST(PushbackClientTest, ExhaustedRetryBudgetFailsWithoutTheRadio) {
   EXPECT_EQ(world.client.stats().wire_attempts, attempts_before + 1);
   EXPECT_EQ(world.client.stats().retry_budget_exhausted, 1u);
   EXPECT_EQ(world.client.stats().retry_budget_earned, 30u);
-  EXPECT_EQ(world.client.stats().retry_budget_spent, 0u);
+  EXPECT_EQ(world.client.stats().retry_budget_spent,
+            StoreClient::kInitialRetryCentitokens);
   EXPECT_EQ(world.client.stats().pushback_retries, 0u);
 
   // Offline store, same shape: the one transport failure is not followed
@@ -272,15 +293,15 @@ TEST(PushbackClientTest, SuccessesReplenishTheBudget) {
   world.AddStore(2, 1 << 20);
   StoreClient::RetryBudgetOptions budget;
   budget.enabled = true;
-  budget.initial_centitokens = 0;
-  budget.max_centitokens = 120;
   budget.earn_per_success = 10;
   world.client.set_retry_budget(budget);
+  SpendFreshRetryBudget(world);
+  const uint64_t spent = world.client.stats().retry_budget_spent;
 
-  // Twelve successes fill the bucket to its cap; a thirteenth earns only
-  // the headroom (zero at the cap).
-  for (uint64_t k = 1; k <= 13; ++k)
-    ASSERT_TRUE(world.client.Store(DeviceId(2), SwapKey(k), "<xml/>").ok());
+  // Twelve successes bank 120 centitokens.
+  uint64_t key = 1;
+  for (; key <= 12; ++key)
+    ASSERT_TRUE(world.client.Store(DeviceId(2), SwapKey(key), "<xml/>").ok());
   EXPECT_EQ(world.client.stats().retry_budget_earned, 120u);
 
   // Now a dead store: the bucket covers one 100-centitoken retry, then
@@ -290,8 +311,17 @@ TEST(PushbackClientTest, SuccessesReplenishTheBudget) {
   Status down = world.client.Store(DeviceId(2), SwapKey(99), "<xml/>");
   EXPECT_EQ(down.code(), StatusCode::kUnavailable);
   EXPECT_EQ(world.client.stats().wire_attempts, attempts_before + 2);
-  EXPECT_EQ(world.client.stats().retry_budget_spent, 100u);
+  EXPECT_EQ(world.client.stats().retry_budget_spent, spent + 100);
   EXPECT_EQ(world.client.stats().retry_budget_exhausted, 1u);
+
+  // Back online, successes fill the 20 left to the cap; the one after
+  // that earns only the headroom (zero at the cap).
+  world.network.SetOnline(DeviceId(2), true);
+  const uint64_t to_cap = (StoreClient::kMaxRetryCentitokens - 20) / 10;
+  for (uint64_t end = key + to_cap + 1; key < end; ++key)
+    ASSERT_TRUE(world.client.Store(DeviceId(2), SwapKey(key), "<xml/>").ok());
+  EXPECT_EQ(world.client.stats().retry_budget_earned,
+            120u + StoreClient::kMaxRetryCentitokens - 20);
 }
 
 // ------------------------------------------------ health: pushback neutral --
@@ -330,7 +360,7 @@ TEST(HealthPushbackTest, ShedHalfOpenProbeClosesTheBreaker) {
   for (int i = 0; i < 3; ++i) health.RecordOutcome(store, false, 1000);
   ASSERT_EQ(health.StateOf(store), net::BreakerState::kOpen);
 
-  clock.Advance(health.options().open_cooldown_us + 1);
+  clock.Advance(HealthTracker::kOpenCooldownUs + 1);
   ASSERT_TRUE(health.AllowRequest(store));  // the half-open probe
   ASSERT_EQ(health.StateOf(store), net::BreakerState::kHalfOpen);
   // The probe reached a live-but-saturated store: transport worked, so the
@@ -351,33 +381,31 @@ TEST(AimdPacerTest, DisabledAdmitsEverything) {
 }
 
 TEST(AimdPacerTest, CapOpensAdditivelyAndHalvesOnPushback) {
-  AimdPacer::Options options;
-  options.enabled = true;
-  options.initial_cap = 4;
-  options.min_cap = 1;
-  options.max_cap = 6;
-  AimdPacer pacer(options);
+  AimdPacer pacer(/*enabled=*/true);
+  ASSERT_EQ(pacer.cap(), AimdPacer::kInitialCap);
 
   pacer.BeginWindow();
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(pacer.Admit()) << i;
+  for (uint32_t i = 0; i < AimdPacer::kInitialCap; ++i)
+    EXPECT_TRUE(pacer.Admit()) << i;
   EXPECT_FALSE(pacer.Admit());  // cap reached within the window
   EXPECT_EQ(pacer.stats().deferred, 1u);
 
-  pacer.OnSuccess();
-  pacer.OnSuccess();
-  pacer.OnSuccess();  // saturates at max_cap
-  EXPECT_EQ(pacer.cap(), 6u);
+  const uint32_t raises = AimdPacer::kMaxCap - AimdPacer::kInitialCap;
+  for (uint32_t i = 0; i < raises; ++i) pacer.OnSuccess();
+  EXPECT_EQ(pacer.cap(), AimdPacer::kMaxCap);
+  pacer.OnSuccess();  // saturates at kMaxCap
+  EXPECT_EQ(pacer.cap(), AimdPacer::kMaxCap);
+  EXPECT_EQ(pacer.stats().raises, raises);
   pacer.BeginWindow();  // fresh window, carried-over cap
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(pacer.Admit()) << i;
+  for (uint32_t i = 0; i < AimdPacer::kMaxCap; ++i)
+    EXPECT_TRUE(pacer.Admit()) << i;
   EXPECT_FALSE(pacer.Admit());
 
   pacer.OnPushback();
-  EXPECT_EQ(pacer.cap(), 3u);
-  pacer.OnPushback();
-  pacer.OnPushback();
-  pacer.OnPushback();
-  EXPECT_EQ(pacer.cap(), 1u);  // floored at min_cap
-  EXPECT_EQ(pacer.stats().backoffs, 4u);
+  EXPECT_EQ(pacer.cap(), AimdPacer::kMaxCap / 2);
+  for (int i = 0; i < 6; ++i) pacer.OnPushback();  // 16, 8, 4, 2, 1, 1
+  EXPECT_EQ(pacer.cap(), AimdPacer::kMinCap);  // floored at kMinCap
+  EXPECT_EQ(pacer.stats().backoffs, 7u);
 }
 
 // ------------------------------------------------------------ policy knobs --
@@ -465,8 +493,7 @@ TEST(OverloadParityTest, DisabledKnobsAreByteIdentical) {
   };
 
   swap::SwappingManager::Options wired_options;
-  wired_options.write_back_pacer.enabled = false;
-  wired_options.write_back_pacer.initial_cap = 2;  // ignored while disabled
+  wired_options.pace_write_backs = false;
 
   MiddlewareWorld plain;
   MiddlewareWorld wired(wired_options);
@@ -479,7 +506,6 @@ TEST(OverloadParityTest, DisabledKnobsAreByteIdentical) {
   }
   StoreClient::RetryBudgetOptions budget;
   budget.enabled = false;
-  budget.initial_centitokens = 0;  // would fast-fail everything if live
   wired.client.set_retry_budget(budget);
   wired.client.set_annotate_priority(false);
 

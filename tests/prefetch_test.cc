@@ -73,15 +73,13 @@ TEST(FaultHistoryTest, ConfidenceSplitsAcrossSuccessors) {
 
 TEST(FaultHistoryTest, EdgeWeightsDecayInVirtualTime) {
   net::SimClock clock;
-  FaultHistoryRecorder::Options options;
-  options.half_life_us = 1000;
-  FaultHistoryRecorder recorder(options);
+  FaultHistoryRecorder recorder;
   recorder.AttachClock(&clock);
 
   recorder.OnEnter(SwapClusterId(1));
   recorder.OnEnter(SwapClusterId(2));
   recorder.BreakSequence();
-  clock.Advance(1000);  // one half-life
+  clock.Advance(FaultHistoryRecorder::kHalfLifeUs);  // one half-life
   recorder.OnEnter(SwapClusterId(1));
   recorder.OnEnter(SwapClusterId(3));
 
@@ -95,26 +93,29 @@ TEST(FaultHistoryTest, EdgeWeightsDecayInVirtualTime) {
 }
 
 TEST(FaultHistoryTest, EvictsLightestSuccessorBeyondCap) {
-  FaultHistoryRecorder::Options options;
-  options.max_successors = 2;
-  FaultHistoryRecorder recorder(options);
-
-  for (int i = 0; i < 2; ++i) {  // 1->2 twice: the heavy edge
-    recorder.OnEnter(SwapClusterId(1));
-    recorder.OnEnter(SwapClusterId(2));
-    recorder.BreakSequence();
-  }
-  recorder.OnEnter(SwapClusterId(1));
-  recorder.OnEnter(SwapClusterId(3));  // the light edge
-  recorder.BreakSequence();
-  recorder.OnEnter(SwapClusterId(1));
-  recorder.OnEnter(SwapClusterId(4));  // cap hit: evicts 1->3
+  FaultHistoryRecorder recorder;
+  auto follow = [&](uint32_t to, int times) {
+    for (int i = 0; i < times; ++i) {
+      recorder.OnEnter(SwapClusterId(1));
+      recorder.OnEnter(SwapClusterId(to));
+      recorder.BreakSequence();
+    }
+  };
+  const uint32_t cap = FaultHistoryRecorder::kMaxSuccessors;
+  follow(2, 3);  // the heavy edge
+  follow(3, 1);  // the one light edge
+  for (uint32_t to = 4; to <= cap + 1; ++to) follow(to, 2);  // fills the cap
+  ASSERT_EQ(recorder.Successors(SwapClusterId(1)).size(), cap);
+  EXPECT_EQ(recorder.stats().edges_evicted, 0u);
+  follow(cap + 2, 1);  // cap hit: evicts 1->3
 
   EXPECT_EQ(recorder.stats().edges_evicted, 1u);
   auto successors = recorder.Successors(SwapClusterId(1));
-  ASSERT_EQ(successors.size(), 2u);
-  EXPECT_EQ(successors[0].id, SwapClusterId(2));
-  EXPECT_EQ(successors[1].id, SwapClusterId(4));
+  ASSERT_EQ(successors.size(), cap);
+  EXPECT_EQ(successors.front().id, SwapClusterId(2));
+  EXPECT_EQ(successors.back().id, SwapClusterId(cap + 2));
+  for (const auto& successor : successors)
+    EXPECT_NE(successor.id, SwapClusterId(3));
 }
 
 TEST(FaultHistoryTest, ForgetRemovesClusterFromBothSides) {
@@ -211,6 +212,21 @@ class PrefetchFixture : public ::testing::Test {
     world_.AddStore(2, 10 * 1024 * 1024);
     clusters_ = BuildClusteredList(world_.rt, world_.manager, node_cls_,
                                    /*n=*/60, /*per_cluster=*/20, "head");
+  }
+
+  /// Roots a 1 MiB ballast object and shrinks the heap's capacity so that
+  /// `free_fraction` of it stays free. Each demand fault that follows adds
+  /// a few KiB, far too little to move the free fraction across a gate.
+  void FillHeapLeaving(double free_fraction) {
+    const runtime::ClassInfo* ballast = *world_.rt.types().Register(
+        runtime::ClassBuilder("Ballast").PayloadBytes(1 << 20));
+    ASSERT_TRUE(world_.rt
+                    .SetGlobal("ballast",
+                               runtime::Value::Ref(world_.rt.New(ballast)))
+                    .ok());
+    runtime::Heap& heap = world_.rt.heap();
+    heap.set_capacity_bytes(
+        static_cast<size_t>(heap.used_bytes() / (1.0 - free_fraction)));
   }
 
   MiddlewareWorld world_;
@@ -343,19 +359,19 @@ TEST_F(PrefetchFixture, BudgetZeroDefersAllSpeculation) {
 }
 
 TEST_F(PrefetchFixture, InsufficientHeadroomBlocksAllSpeculation) {
-  // free_fraction() is at most 1.0, so a stage gate above 1 is
-  // unsatisfiable — every drain attempt must stop at the headroom check
-  // and nothing speculative may touch the store.
+  // Half the stage gate's headroom left: every drain attempt must stop at
+  // the headroom check and nothing speculative may touch the store.
   Prefetcher::Options options;
   options.mode = PrefetchMode::kFull;
-  options.stage_headroom = 1.1;
   Prefetcher prefetcher(world_.rt, world_.manager, world_.bus, options);
 
   ASSERT_TRUE(SumList(world_.rt, "head").ok());
   for (SwapClusterId id : clusters_) {
     ASSERT_TRUE(world_.manager.SwapOut(id).ok());
   }
+  FillHeapLeaving(Prefetcher::kStageHeadroom / 2);
   ASSERT_TRUE(world_.manager.SwapIn(clusters_[0]).ok());
+  EXPECT_LT(world_.rt.heap().free_fraction(), Prefetcher::kStageHeadroom);
 
   EXPECT_EQ(world_.manager.stats().prefetched_swap_ins, 0u);
   EXPECT_EQ(world_.manager.stats().prefetch_stages, 0u);
@@ -363,22 +379,24 @@ TEST_F(PrefetchFixture, InsufficientHeadroomBlocksAllSpeculation) {
 }
 
 TEST_F(PrefetchFixture, FullModeDegradesToStagingBelowSwapInHeadroom) {
-  // Stage gate satisfiable, swap-in gate not: kFull must fall back to
-  // staging payloads instead of fully swapping clusters in.
+  // Free heap between the two gates: kFull must fall back to staging
+  // payloads instead of fully swapping clusters in.
   Prefetcher::Options options;
   options.mode = PrefetchMode::kFull;
-  options.stage_headroom = 0.0;
-  options.swap_in_headroom = 1.1;
   Prefetcher prefetcher(world_.rt, world_.manager, world_.bus, options);
 
   ASSERT_TRUE(SumList(world_.rt, "head").ok());
   for (SwapClusterId id : clusters_) {
     ASSERT_TRUE(world_.manager.SwapOut(id).ok());
   }
+  FillHeapLeaving(
+      (Prefetcher::kStageHeadroom + Prefetcher::kSwapInHeadroom) / 2);
   // Enable the cache only now: the swap-outs above did not retain their
   // payloads, so every stage below is a real speculative fetch.
   world_.manager.set_swap_in_cache_bytes(1 << 20);
   ASSERT_TRUE(SumList(world_.rt, "head").ok());
+  EXPECT_GE(world_.rt.heap().free_fraction(), Prefetcher::kStageHeadroom);
+  EXPECT_LT(world_.rt.heap().free_fraction(), Prefetcher::kSwapInHeadroom);
 
   EXPECT_EQ(world_.manager.stats().prefetched_swap_ins, 0u);
   EXPECT_EQ(prefetcher.stats().speculative_swap_ins, 0u);

@@ -494,8 +494,8 @@ TEST(TelemetryPipelineTest, StatsJsonIsByteIdenticalWithTelemetryOff) {
   };
   std::string with_telemetry = run(true);
   std::string without_telemetry = run(false);
-  // Same keys, same order, same values: the registry rebuild of
-  // StatsSnapshot must not leak telemetry state into the stats contract.
+  // Same keys, same order, same values: StatsSnapshot must not leak
+  // telemetry state into the stats contract.
   EXPECT_EQ(with_telemetry, without_telemetry);
   EXPECT_TRUE(JsonChecker(with_telemetry).Valid());
   EXPECT_NE(with_telemetry.find("\"swap_outs\":2"), std::string::npos);

@@ -589,10 +589,7 @@ struct DeltaTierWorld : TierWorld {
     options.wire_format = "binary";
     options.delta_swap_out = true;
     options.swap_in_cache_bytes = 64 * 1024;
-    // Cap 1 per window, windows opened by hand: the write-back test
-    // decides when the base may be written back.
-    options.write_back_pacer.enabled = true;
-    options.write_back_pacer.initial_cap = 1;
+    options.pace_write_backs = true;
     return options;
   }
   static TierManager::Options FlashOnly() {
@@ -600,7 +597,12 @@ struct DeltaTierWorld : TierWorld {
     options.mode = TierMode::kFlash;
     return options;
   }
-  DeltaTierWorld() : TierWorld(FlashOnly(), /*attach_tier=*/true, Options()) {}
+  DeltaTierWorld() : TierWorld(FlashOnly(), /*attach_tier=*/true, Options()) {
+    // Cap 1 per window (two halvings of the initial 4), windows opened by
+    // hand: the write-back test decides when the base may be written back.
+    world.manager.write_back_pacer().OnPushback();
+    world.manager.write_back_pacer().OnPushback();
+  }
 
   /// Tier-admitted full swap-out, swap-in, one mediated write to the head
   /// (cluster 0), then the dirty swap-out that ships a delta against the

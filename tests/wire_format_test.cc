@@ -1209,7 +1209,7 @@ size_t DeltaStoredEntries(DeltaCrashWorld& w) {
   size_t total = 0;
   for (const auto& store : w.world.stores) total += store->entry_count();
   total += w.flash.entry_count();
-  if (w.flash.Contains(w.journal.flash_key())) --total;  // the journal
+  if (w.flash.Contains(swap::IntentJournal::kKey)) --total;  // the journal
   return total;
 }
 
