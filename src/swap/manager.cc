@@ -3323,7 +3323,6 @@ constexpr StatFieldSpec kStatFields[] = {
     {"fleet_placements", &SwappingManager::Stats::fleet_placements},
     {"write_backs_paced", &SwappingManager::Stats::write_backs_paced},
 };
-
 }  // namespace
 
 std::vector<std::pair<std::string, uint64_t>> SwappingManager::StatsSnapshot()
