@@ -105,6 +105,38 @@ TEST(SchemaXmlTest, DumpLoadRoundTrip) {
   EXPECT_EQ(node->FieldIndex("value"), 1u);
 }
 
+// The exact bytes of a dump, indentation included: a class with a
+// payload, typed, untyped and method members, one with neither payload nor
+// methods, an empty one, and a name that needs escaping.
+TEST(SchemaXmlTest, DumpBytesArePinned) {
+  Runtime rt;
+  EXPECT_EQ(DumpClassesXml(rt.types()), "<classes/>\n");
+  NativeMethods methods = Methods();
+  ASSERT_TRUE(LoadClassesXml(rt, kSchema, &methods).ok());
+  ASSERT_TRUE(rt.types().Register(runtime::ClassBuilder("Empty")).ok());
+  ASSERT_TRUE(rt.types()
+                  .Register(runtime::ClassBuilder("A&B<\"C\">")
+                                .Field("x'y", ValueKind::kInt))
+                  .ok());
+  EXPECT_EQ(DumpClassesXml(rt.types()),
+            "<classes>\n"
+            "  <class name=\"Node\" payload=\"64\">\n"
+            "    <field name=\"next\" type=\"ref\"/>\n"
+            "    <field name=\"value\" type=\"int\"/>\n"
+            "    <field name=\"tag\" type=\"any\"/>\n"
+            "    <method name=\"get_value\"/>\n"
+            "  </class>\n"
+            "  <class name=\"Blob\">\n"
+            "    <field name=\"bytes\" type=\"str\"/>\n"
+            "    <field name=\"weight\" type=\"real\"/>\n"
+            "  </class>\n"
+            "  <class name=\"Empty\"/>\n"
+            "  <class name=\"A&amp;B&lt;&quot;C&quot;&gt;\">\n"
+            "    <field name=\"x&apos;y\" type=\"int\"/>\n"
+            "  </class>\n"
+            "</classes>\n");
+}
+
 TEST(SchemaXmlTest, DumpSkipsMiddlewareClasses) {
   Runtime rt;
   swap::SwappingManager manager(rt);  // registers proxy + replacement classes
