@@ -175,10 +175,10 @@ void BM_XmlParse(benchmark::State& state) {
   ClusterGraph graph(static_cast<int>(state.range(0)));
   auto serialized = graph.Serialize();
   OBISWAP_CHECK(serialized.ok());
+  xml::Tape tape;
   for (auto _ : state) {
-    auto doc = xml::Parse(serialized->payload);
-    OBISWAP_CHECK(doc.ok());
-    benchmark::DoNotOptimize(doc);
+    OBISWAP_CHECK(tape.Parse(serialized->payload).ok());
+    benchmark::DoNotOptimize(tape);
   }
   state.SetBytesProcessed(static_cast<int64_t>(serialized->payload.size()) *
                           static_cast<int64_t>(state.iterations()));
@@ -229,7 +229,7 @@ void BM_BridgeFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_BridgeFetch)->Arg(0)->Arg(1);
 
-/// xml::Parse of the fetch response envelope that carries an OSWB + lz77
+/// Tape::Parse of the fetch response envelope that carries an OSWB + lz77
 /// payload: the escaped-binary case, about one entity per three bytes.
 void BM_XmlParseEscapedPayload(benchmark::State& state) {
   ClusterGraph graph(50);
@@ -239,10 +239,10 @@ void BM_XmlParseEscapedPayload(benchmark::State& state) {
   const std::string response =
       world.discovery.ServiceFor(BridgeWorld::kStore)
           ->Handle(net::FetchRequest(SwapKey(1)));
+  xml::Tape tape;
   for (auto _ : state) {
-    auto doc = xml::Parse(response);
-    OBISWAP_CHECK(doc.ok());
-    benchmark::DoNotOptimize(doc);
+    OBISWAP_CHECK(tape.Parse(response).ok());
+    benchmark::DoNotOptimize(tape);
   }
   state.SetBytesProcessed(static_cast<int64_t>(response.size()) *
                           static_cast<int64_t>(state.iterations()));

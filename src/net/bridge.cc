@@ -57,7 +57,7 @@ size_t EnvelopeCapacity(const std::string_view* payload) {
 std::string OkResponse(const std::string_view* payload = nullptr) {
   std::string response;
   response.reserve(EnvelopeCapacity(payload));
-  response += "<response status=\"OK\"";
+  response += kOkResponseOpen;
   FinishEnvelope(&response, payload, "response");
   return response;
 }
@@ -122,14 +122,31 @@ std::string ErrorResponse(StatusCode code, const std::string& message) {
   return ErrorEnvelope(code, message) + "/>";
 }
 
-Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
-    std::string_view response_xml) {
+Result<xml::Tape> ParseOkEnvelope(std::string_view response_xml) {
   xml::Tape envelope;
   OBISWAP_RETURN_IF_ERROR(envelope.Parse(response_xml));
   Status remote;
   OBISWAP_RETURN_IF_ERROR(ReadStatus(envelope, &remote));
   OBISWAP_RETURN_IF_ERROR(remote);
-  return xml::BuildTree(envelope);
+  return envelope;
+}
+
+Result<std::string_view> ParseRequest(std::string_view request_xml,
+                                      std::string_view bad_request,
+                                      xml::Tape* request) {
+  if (Status parsed = request->Parse(request_xml); !parsed.ok())
+    return InvalidArgumentError(parsed.message());
+  constexpr uint32_t kRoot = 0;
+  const std::string_view* op = request->FindAttr(kRoot, "op");
+  if (!request->IsElement(kRoot, "request") || op == nullptr)
+    return InvalidArgumentError(std::string(bad_request));
+  return *op;
+}
+
+std::optional<DeviceId> AsDeviceId(int64_t value) {
+  if (value < 0 || value > static_cast<int64_t>(UINT32_MAX))
+    return std::nullopt;
+  return DeviceId(static_cast<uint32_t>(value));
 }
 
 Result<Response> ParseResponse(std::string_view response_xml) {

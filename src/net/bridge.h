@@ -20,7 +20,7 @@
 #include "net/network.h"
 #include "net/store_node.h"
 #include "telemetry/telemetry.h"
-#include "xml/node.h"
+#include "xml/parser.h"
 
 namespace obiswap::net {
 
@@ -46,14 +46,32 @@ inline bool IsPushback(const Status& status) {
 // an envelope with no status at all is kDataLoss "response missing
 // status".
 
+/// `<response status="OK"`: the open start tag of every service's OK
+/// envelope, for the caller to finish with its attributes and body.
+inline constexpr std::string_view kOkResponseOpen = "<response status=\"OK\"";
+
 /// `<response status="CODE" message="..."/>`: the envelope every service
 /// on the bridge answers a failed request with.
 std::string ErrorResponse(StatusCode code, const std::string& message);
 
 /// Parses a response envelope and fails with its remote status unless it
 /// is OK: how the replication and transaction clients read their replies.
-Result<std::unique_ptr<xml::Node>> ParseOkEnvelope(
-    std::string_view response_xml);
+/// The tape's views point into `response_xml`, which must outlive it.
+Result<xml::Tape> ParseOkEnvelope(std::string_view response_xml);
+
+/// The request prologue of the replication and transaction services:
+/// parses `request_xml` into `*request` and returns the root's `op`. Fails
+/// with kInvalidArgument: the parser's message when the request is not
+/// well-formed, else `bad_request` (each service names its own) when the
+/// root is not <request> or names no op.
+Result<std::string_view> ParseRequest(std::string_view request_xml,
+                                      std::string_view bad_request,
+                                      xml::Tape* request);
+
+/// A request's `device` attribute as a device id. A device id is 32 bits
+/// wide: a value outside that range is malformed (nullopt), not another
+/// device's id after truncation.
+std::optional<DeviceId> AsDeviceId(int64_t value);
 
 /// The request envelopes StoreClient sends. `priority` rides as the `pri`
 /// attribute when given; `StoreRequest` also carries the payload's

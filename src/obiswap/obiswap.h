@@ -44,6 +44,5 @@
 #include "tier/tier.h"                  // compressed-RAM + flash swap tiers
 #include "tx/transaction.h"             // optimistic replica transactions
 #include "tx/transport.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 
 namespace obiswap::policy {
@@ -41,32 +40,37 @@ Status PolicyEngine::AddRule(PolicyRule rule) {
 }
 
 Result<size_t> PolicyEngine::LoadXml(const std::string& xml_text) {
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
-  if (doc->name() != "policies")
+  xml::Tape doc;
+  OBISWAP_RETURN_IF_ERROR(doc.Parse(xml_text));
+  constexpr uint32_t kRoot = 0;
+  if (!doc.IsElement(kRoot, "policies"))
     return InvalidArgumentError("expected <policies> root");
   size_t added = 0;
-  for (const xml::Node* policy_el : doc->FindChildren("policy")) {
+  for (uint32_t policy_el = doc.FindChild(kRoot, "policy"); policy_el != 0;
+       policy_el = doc.FindSibling(policy_el, "policy")) {
     PolicyRule rule;
-    OBISWAP_ASSIGN_OR_RETURN(rule.name, policy_el->GetAttr("name"));
-    OBISWAP_ASSIGN_OR_RETURN(rule.on_event, policy_el->GetAttr("on"));
+    OBISWAP_ASSIGN_OR_RETURN(rule.name, doc.GetAttr(policy_el, "name"));
+    OBISWAP_ASSIGN_OR_RETURN(rule.on_event, doc.GetAttr(policy_el, "on"));
     OBISWAP_ASSIGN_OR_RETURN(int64_t priority,
-                             policy_el->GetIntAttrOr("priority", 0));
+                             doc.GetIntAttrOr(policy_el, "priority", 0));
     rule.priority = static_cast<int>(priority);
-    if (const std::string* when = policy_el->FindAttr("when");
+    if (const std::string_view* when = doc.FindAttr(policy_el, "when");
         when != nullptr) {
       rule.condition_text = *when;
-      OBISWAP_ASSIGN_OR_RETURN(rule.condition, ParseExpr(*when));
+      OBISWAP_ASSIGN_OR_RETURN(rule.condition, ParseExpr(rule.condition_text));
     }
-    const xml::Node* action_el = policy_el->FindChild("action");
-    if (action_el == nullptr)
+    const uint32_t action_el = doc.FindChild(policy_el, "action");
+    if (action_el == 0)
       return InvalidArgumentError("policy '" + rule.name +
                                   "' has no <action>");
-    OBISWAP_ASSIGN_OR_RETURN(rule.action, action_el->GetAttr("name"));
-    for (const xml::Node* param_el : action_el->FindChildren("param")) {
-      OBISWAP_ASSIGN_OR_RETURN(std::string key, param_el->GetAttr("name"));
-      OBISWAP_ASSIGN_OR_RETURN(std::string value,
-                               param_el->GetAttr("value"));
-      rule.params[key] = value;
+    OBISWAP_ASSIGN_OR_RETURN(rule.action, doc.GetAttr(action_el, "name"));
+    for (uint32_t param_el = doc.FindChild(action_el, "param"); param_el != 0;
+         param_el = doc.FindSibling(param_el, "param")) {
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view key,
+                               doc.GetAttr(param_el, "name"));
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view value,
+                               doc.GetAttr(param_el, "value"));
+      rule.params[std::string(key)] = value;
     }
     OBISWAP_RETURN_IF_ERROR(AddRule(std::move(rule)));
     ++added;

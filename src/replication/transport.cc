@@ -1,7 +1,6 @@
 #include "replication/transport.h"
 
 #include "net/bridge.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -11,90 +10,108 @@ using net::ErrorResponse;
 using net::ParseOkEnvelope;
 
 namespace {
-/// A device id is 32 bits wide: a `device` attribute outside that range is
-/// malformed, not another device's id after truncation.
-bool IsDeviceValue(int64_t value) {
-  return value >= 0 && value <= static_cast<int64_t>(UINT32_MAX);
+
+constexpr uint32_t kRoot = 0;
+
+/// The `device` and `oid` a cluster or snapshot request names.
+Status ReadTarget(const xml::Tape& request, DeviceId* device, ObjectId* oid) {
+  Result<int64_t> device_attr = request.GetIntAttr(kRoot, "device");
+  Result<int64_t> oid_attr = request.GetIntAttr(kRoot, "oid");
+  if (!device_attr.ok() || !oid_attr.ok())
+    return InvalidArgumentError("missing device/oid");
+  std::optional<DeviceId> id = net::AsDeviceId(*device_attr);
+  if (!id.has_value()) return InvalidArgumentError("bad device");
+  *device = *id;
+  *oid = ObjectId(static_cast<uint64_t>(*oid_attr));
+  return OkStatus();
 }
+
+/// `<request op="op" device="d" oid="o"/>`.
+std::string TargetRequest(std::string_view op, DeviceId device,
+                          ObjectId oid) {
+  std::string request = "<request";
+  xml::AppendAttr(&request, "op", op);
+  xml::AppendIntAttr(&request, "device", device.value());
+  xml::AppendIntAttr(&request, "oid", static_cast<int64_t>(oid.value()));
+  request += "/>";
+  return request;
+}
+
 }  // namespace
 
 std::string ReplicationService::Handle(const std::string& request_xml) {
-  auto parsed = xml::Parse(request_xml);
-  if (!parsed.ok())
-    return ErrorResponse(StatusCode::kInvalidArgument,
-                         parsed.status().message());
-  const xml::Node& request = **parsed;
-  const std::string* op = request.FindAttr("op");
-  if (request.name() != "request" || op == nullptr)
-    return ErrorResponse(StatusCode::kInvalidArgument, "bad request");
+  xml::Tape request;
+  Result<std::string_view> op =
+      net::ParseRequest(request_xml, "bad request", &request);
+  if (!op.ok()) return ErrorResponse(op.status().code(), op.status().message());
 
   if (*op == "root") {
-    const std::string* name = request.FindAttr("name");
+    const std::string_view* name = request.FindAttr(kRoot, "name");
     if (name == nullptr)
       return ErrorResponse(StatusCode::kInvalidArgument, "missing name");
-    Result<RootInfo> info = server_.GetRoot(*name);
+    Result<RootInfo> info = server_.GetRoot(std::string(*name));
     if (!info.ok())
       return ErrorResponse(info.status().code(), info.status().message());
-    auto response = xml::Node::Element("response");
-    response->SetAttr("status", "OK");
-    response->SetIntAttr("oid", static_cast<int64_t>(info->oid.value()));
-    response->SetAttr("class", info->class_name);
-    return xml::Write(*response);
+    std::string response(net::kOkResponseOpen);
+    xml::AppendIntAttr(&response, "oid",
+                       static_cast<int64_t>(info->oid.value()));
+    xml::AppendAttr(&response, "class", info->class_name);
+    response += "/>";
+    return response;
   }
+  if (*op != "cluster" && *op != "snapshot")
+    return ErrorResponse(StatusCode::kInvalidArgument, "unknown op");
+  DeviceId device;
+  ObjectId oid;
+  if (Status target = ReadTarget(request, &device, &oid); !target.ok())
+    return ErrorResponse(target.code(), target.message());
   if (*op == "cluster") {
-    auto device_attr = request.GetIntAttr("device");
-    auto oid_attr = request.GetIntAttr("oid");
-    if (!device_attr.ok() || !oid_attr.ok())
-      return ErrorResponse(StatusCode::kInvalidArgument,
-                           "missing device/oid");
-    if (!IsDeviceValue(*device_attr))
-      return ErrorResponse(StatusCode::kInvalidArgument, "bad device");
-    Result<ClusterReply> reply = server_.FetchCluster(
-        DeviceId(static_cast<uint32_t>(*device_attr)),
-        ObjectId(static_cast<uint64_t>(*oid_attr)));
+    Result<ClusterReply> reply = server_.FetchCluster(device, oid);
     if (!reply.ok())
       return ErrorResponse(reply.status().code(), reply.status().message());
-    auto response = xml::Node::Element("response");
-    response->SetAttr("status", "OK");
-    response->SetIntAttr("cluster",
-                         static_cast<int64_t>(reply->cluster.value()));
-    response->SetIntAttr("count", static_cast<int64_t>(reply->object_count));
-    for (const auto& [oid, version] : reply->versions) {
-      xml::Node* version_el = response->AddElement("version");
-      version_el->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
-      version_el->SetIntAttr("v", static_cast<int64_t>(version));
+    std::string response(net::kOkResponseOpen);
+    xml::AppendIntAttr(&response, "cluster",
+                       static_cast<int64_t>(reply->cluster.value()));
+    xml::AppendIntAttr(&response, "count",
+                       static_cast<int64_t>(reply->object_count));
+    response += '>';
+    for (const auto& [member, version] : reply->versions) {
+      response += "<version";
+      xml::AppendIntAttr(&response, "oid",
+                         static_cast<int64_t>(member.value()));
+      xml::AppendIntAttr(&response, "v", static_cast<int64_t>(version));
+      response += "/>";
     }
-    response->AddElement("payload")->AddText(reply->xml);
-    return xml::Write(*response);
+    response += "<payload>";
+    xml::AppendEscapedText(&response, reply->xml);
+    response += "</payload></response>";
+    return response;
   }
-  if (*op == "snapshot") {
-    auto device_attr = request.GetIntAttr("device");
-    auto oid_attr = request.GetIntAttr("oid");
-    if (!device_attr.ok() || !oid_attr.ok())
-      return ErrorResponse(StatusCode::kInvalidArgument,
-                           "missing device/oid");
-    if (!IsDeviceValue(*device_attr))
-      return ErrorResponse(StatusCode::kInvalidArgument, "bad device");
-    Result<ReplicationServer::ValueSnapshot> snapshot =
-        server_.SnapshotValues(DeviceId(static_cast<uint32_t>(*device_attr)),
-                               ObjectId(static_cast<uint64_t>(*oid_attr)));
-    if (!snapshot.ok())
-      return ErrorResponse(snapshot.status().code(),
-                           snapshot.status().message());
-    auto response = xml::Node::Element("response");
-    response->SetAttr("status", "OK");
-    response->SetIntAttr("oid", static_cast<int64_t>(snapshot->oid.value()));
-    response->SetIntAttr("v", static_cast<int64_t>(snapshot->version));
-    for (const auto& [field, value] : snapshot->fields) {
-      xml::Node* field_el = response->AddElement("f");
-      field_el->SetAttr("n", field);
-      field_el->SetAttr("t", runtime::ValueKindName(value.kind()));
-      if (!value.is_nil() && !value.is_ref())
-        field_el->AddText(runtime::ScalarText(value));
+  Result<ReplicationServer::ValueSnapshot> snapshot =
+      server_.SnapshotValues(device, oid);
+  if (!snapshot.ok())
+    return ErrorResponse(snapshot.status().code(),
+                         snapshot.status().message());
+  std::string response(net::kOkResponseOpen);
+  xml::AppendIntAttr(&response, "oid",
+                     static_cast<int64_t>(snapshot->oid.value()));
+  xml::AppendIntAttr(&response, "v", static_cast<int64_t>(snapshot->version));
+  if (snapshot->fields.empty()) return response + "/>";
+  response += '>';
+  for (const auto& [field, value] : snapshot->fields) {
+    response += "<f";
+    xml::AppendAttr(&response, "n", field);
+    xml::AppendAttr(&response, "t", runtime::ValueKindName(value.kind()));
+    if (value.is_nil() || value.is_ref()) {
+      response += "/>";
+      continue;
     }
-    return xml::Write(*response);
+    response += '>';
+    xml::AppendEscapedText(&response, runtime::ScalarText(value));
+    response += "</f>";
   }
-  return ErrorResponse(StatusCode::kInvalidArgument, "unknown op");
+  response += "</response>";
+  return response;
 }
 
 Result<std::string> NetworkLink::Call(const std::string& request_xml) {
@@ -125,61 +142,70 @@ Result<std::string> NetworkLink::Call(const std::string& request_xml) {
 }
 
 Result<RootInfo> NetworkLink::GetRoot(const std::string& name) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "root");
-  request->SetAttr("name", name);
-  OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
-  OBISWAP_ASSIGN_OR_RETURN(int64_t oid, doc->GetIntAttr("oid"));
-  OBISWAP_ASSIGN_OR_RETURN(std::string class_name, doc->GetAttr("class"));
-  return RootInfo{ObjectId(static_cast<uint64_t>(oid)), class_name};
+  std::string request = "<request";
+  xml::AppendAttr(&request, "op", "root");
+  xml::AppendAttr(&request, "name", name);
+  request += "/>";
+  OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(request));
+  OBISWAP_ASSIGN_OR_RETURN(xml::Tape doc, ParseOkEnvelope(response));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t oid, doc.GetIntAttr(kRoot, "oid"));
+  OBISWAP_ASSIGN_OR_RETURN(std::string_view class_name,
+                           doc.GetAttr(kRoot, "class"));
+  return RootInfo{ObjectId(static_cast<uint64_t>(oid)),
+                  std::string(class_name)};
 }
 
 Result<ReplicationServer::ValueSnapshot> NetworkLink::SnapshotValues(
     DeviceId device, ObjectId oid) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "snapshot");
-  request->SetIntAttr("device", device.value());
-  request->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
-  OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
+  OBISWAP_ASSIGN_OR_RETURN(std::string response,
+                           Call(TargetRequest("snapshot", device, oid)));
+  OBISWAP_ASSIGN_OR_RETURN(xml::Tape doc, ParseOkEnvelope(response));
   ReplicationServer::ValueSnapshot snapshot;
-  OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr, doc->GetIntAttr("oid"));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t oid_attr, doc.GetIntAttr(kRoot, "oid"));
   snapshot.oid = ObjectId(static_cast<uint64_t>(oid_attr));
-  OBISWAP_ASSIGN_OR_RETURN(int64_t version, doc->GetIntAttr("v"));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t version, doc.GetIntAttr(kRoot, "v"));
   snapshot.version = static_cast<uint64_t>(version);
-  for (const xml::Node* field_el : doc->FindChildren("f")) {
-    OBISWAP_ASSIGN_OR_RETURN(std::string name, field_el->GetAttr("n"));
-    OBISWAP_ASSIGN_OR_RETURN(std::string kind_name, field_el->GetAttr("t"));
+  std::string scratch;
+  for (uint32_t field_el = doc.FindChild(kRoot, "f"); field_el != 0;
+       field_el = doc.FindSibling(field_el, "f")) {
+    OBISWAP_ASSIGN_OR_RETURN(std::string_view name,
+                             doc.GetAttr(field_el, "n"));
+    OBISWAP_ASSIGN_OR_RETURN(std::string_view kind_name,
+                             doc.GetAttr(field_el, "t"));
     std::optional<runtime::ValueKind> kind =
         runtime::ParseValueKind(kind_name);
     if (!kind.has_value() || *kind == runtime::ValueKind::kRef)
-      return DataLossError("bad snapshot field kind '" + kind_name + "'");
+      return DataLossError("bad snapshot field kind '" +
+                           std::string(kind_name) + "'");
     OBISWAP_ASSIGN_OR_RETURN(
         runtime::Value value,
-        runtime::ParseScalar(*kind, field_el->InnerText()));
-    snapshot.fields.emplace_back(std::move(name), std::move(value));
+        runtime::ParseScalar(*kind, doc.InnerText(field_el, &scratch)));
+    snapshot.fields.emplace_back(std::string(name), std::move(value));
   }
   return snapshot;
 }
 
 Result<ClusterReply> NetworkLink::FetchCluster(DeviceId device,
                                                ObjectId oid) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "cluster");
-  request->SetIntAttr("device", device.value());
-  request->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
-  OBISWAP_ASSIGN_OR_RETURN(std::string response, Call(xml::Write(*request)));
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, ParseOkEnvelope(response));
-  OBISWAP_ASSIGN_OR_RETURN(int64_t cluster, doc->GetIntAttr("cluster"));
-  OBISWAP_ASSIGN_OR_RETURN(int64_t count, doc->GetIntAttr("count"));
-  OBISWAP_ASSIGN_OR_RETURN(const xml::Node* payload, doc->GetChild("payload"));
+  OBISWAP_ASSIGN_OR_RETURN(std::string response,
+                           Call(TargetRequest("cluster", device, oid)));
+  OBISWAP_ASSIGN_OR_RETURN(xml::Tape doc, ParseOkEnvelope(response));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t cluster, doc.GetIntAttr(kRoot, "cluster"));
+  OBISWAP_ASSIGN_OR_RETURN(int64_t count, doc.GetIntAttr(kRoot, "count"));
+  const uint32_t payload = doc.FindChild(kRoot, "payload");
+  if (payload == 0)
+    return NotFoundError("missing child <payload> in <response>");
   ClusterReply reply{ClusterId(static_cast<uint32_t>(cluster)),
-                     payload->InnerText(), static_cast<size_t>(count), {}};
-  for (const xml::Node* version_el : doc->FindChildren("version")) {
-    OBISWAP_ASSIGN_OR_RETURN(int64_t oid, version_el->GetIntAttr("oid"));
-    OBISWAP_ASSIGN_OR_RETURN(int64_t version, version_el->GetIntAttr("v"));
-    reply.versions.emplace_back(ObjectId(static_cast<uint64_t>(oid)),
+                     {},
+                     static_cast<size_t>(count),
+                     {}};
+  const std::string_view text = doc.InnerText(payload, &reply.xml);
+  if (text.data() != reply.xml.data()) reply.xml.assign(text);
+  for (uint32_t version_el = doc.FindChild(kRoot, "version");
+       version_el != 0; version_el = doc.FindSibling(version_el, "version")) {
+    OBISWAP_ASSIGN_OR_RETURN(int64_t member, doc.GetIntAttr(version_el, "oid"));
+    OBISWAP_ASSIGN_OR_RETURN(int64_t version, doc.GetIntAttr(version_el, "v"));
+    reply.versions.emplace_back(ObjectId(static_cast<uint64_t>(member)),
                                 static_cast<uint64_t>(version));
   }
   return reply;

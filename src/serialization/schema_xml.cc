@@ -1,6 +1,5 @@
 #include "serialization/schema_xml.h"
 
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -13,37 +12,44 @@ using runtime::ValueKind;
 Result<size_t> LoadClassesXml(runtime::Runtime& rt,
                               const std::string& xml_text,
                               const NativeMethods* methods) {
-  OBISWAP_ASSIGN_OR_RETURN(auto doc, xml::Parse(xml_text));
-  if (doc->name() != "classes")
+  xml::Tape doc;
+  OBISWAP_RETURN_IF_ERROR(doc.Parse(xml_text));
+  constexpr uint32_t kRoot = 0;
+  if (!doc.IsElement(kRoot, "classes"))
     return InvalidArgumentError("expected <classes> root");
   size_t registered = 0;
-  for (const xml::Node* class_el : doc->FindChildren("class")) {
-    OBISWAP_ASSIGN_OR_RETURN(std::string name, class_el->GetAttr("name"));
+  for (uint32_t class_el = doc.FindChild(kRoot, "class"); class_el != 0;
+       class_el = doc.FindSibling(class_el, "class")) {
+    OBISWAP_ASSIGN_OR_RETURN(std::string_view name,
+                             doc.GetAttr(class_el, "name"));
     OBISWAP_ASSIGN_OR_RETURN(int64_t payload,
-                             class_el->GetIntAttrOr("payload", 0));
+                             doc.GetIntAttrOr(class_el, "payload", 0));
     if (payload < 0) return InvalidArgumentError("negative payload");
-    ClassBuilder builder(name);
+    ClassBuilder builder{std::string(name)};
     builder.PayloadBytes(static_cast<size_t>(payload));
-    for (const xml::Node* field_el : class_el->FindChildren("field")) {
-      OBISWAP_ASSIGN_OR_RETURN(std::string field_name,
-                               field_el->GetAttr("name"));
+    for (uint32_t field_el = doc.FindChild(class_el, "field"); field_el != 0;
+         field_el = doc.FindSibling(field_el, "field")) {
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view field_name,
+                               doc.GetAttr(field_el, "name"));
       // An absent, empty or "any" type declares an untyped (nil) field.
-      const std::string* type = field_el->FindAttr("type");
+      const std::string_view* type = doc.FindAttr(field_el, "type");
       std::optional<ValueKind> kind = ValueKind::kNil;
       if (type != nullptr && !type->empty() && *type != "any")
         kind = runtime::ParseValueKind(*type);
       if (!kind.has_value())
-        return InvalidArgumentError("unknown field type '" + *type + "'");
-      builder.Field(std::move(field_name), *kind);
+        return InvalidArgumentError("unknown field type '" +
+                                    std::string(*type) + "'");
+      builder.Field(std::string(field_name), *kind);
     }
-    for (const xml::Node* method_el : class_el->FindChildren("method")) {
-      OBISWAP_ASSIGN_OR_RETURN(std::string method_name,
-                               method_el->GetAttr("name"));
-      std::string key = name + "." + method_name;
+    for (uint32_t method_el = doc.FindChild(class_el, "method");
+         method_el != 0; method_el = doc.FindSibling(method_el, "method")) {
+      OBISWAP_ASSIGN_OR_RETURN(std::string_view method_name,
+                               doc.GetAttr(method_el, "name"));
+      std::string key = std::string(name) + "." + std::string(method_name);
       if (methods == nullptr || methods->count(key) == 0)
         return NotFoundError("no native implementation for method '" + key +
                              "'");
-      builder.Method(std::move(method_name), methods->at(key));
+      builder.Method(std::string(method_name), methods->at(key));
     }
     OBISWAP_ASSIGN_OR_RETURN(const ClassInfo* info,
                              rt.types().Register(builder));
@@ -53,31 +59,43 @@ Result<size_t> LoadClassesXml(runtime::Runtime& rt,
   return registered;
 }
 
+// Indented two spaces per level, one element per line, as the schema
+// example in schema_xml.h shows.
 std::string DumpClassesXml(const runtime::TypeRegistry& types) {
-  auto root = xml::Node::Element("classes");
+  std::string out = "<classes";
+  bool any = false;
   for (uint32_t id = 0; id < types.size(); ++id) {
     const ClassInfo* info = types.Find(ClassId(id));
     if (info == nullptr || info->kind() != runtime::ObjectKind::kRegular)
       continue;
-    xml::Node* class_el = root->AddElement("class");
-    class_el->SetAttr("name", info->name());
+    out += any ? "  <class" : ">\n  <class";
+    any = true;
+    xml::AppendAttr(&out, "name", info->name());
     if (info->payload_bytes() > 0)
-      class_el->SetIntAttr("payload",
-                           static_cast<int64_t>(info->payload_bytes()));
+      xml::AppendIntAttr(&out, "payload",
+                         static_cast<int64_t>(info->payload_bytes()));
+    if (info->fields().empty() && info->methods().empty()) {
+      out += "/>\n";
+      continue;
+    }
+    out += ">\n";
     for (const runtime::FieldInfo& field : info->fields()) {
-      xml::Node* field_el = class_el->AddElement("field");
-      field_el->SetAttr("name", field.name);
-      field_el->SetAttr("type", field.kind == ValueKind::kNil
-                                    ? "any"
-                                    : ValueKindName(field.kind));
+      out += "    <field";
+      xml::AppendAttr(&out, "name", field.name);
+      xml::AppendAttr(&out, "type", field.kind == ValueKind::kNil
+                                        ? "any"
+                                        : ValueKindName(field.kind));
+      out += "/>\n";
     }
     for (const runtime::MethodInfo& method : info->methods()) {
-      class_el->AddElement("method")->SetAttr("name", method.name);
+      out += "    <method";
+      xml::AppendAttr(&out, "name", method.name);
+      out += "/>\n";
     }
+    out += "  </class>\n";
   }
-  xml::WriteOptions options;
-  options.pretty = true;
-  return xml::Write(*root, options);
+  out += any ? "</classes>\n" : "/>\n";
+  return out;
 }
 
 }  // namespace obiswap::serialization

@@ -1,7 +1,6 @@
 #include "tx/transport.h"
 
 #include "net/bridge.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -11,83 +10,104 @@ using net::ErrorResponse;
 using runtime::Value;
 using runtime::ValueKind;
 
+namespace {
+constexpr uint32_t kRoot = 0;
+}  // namespace
+
 std::string EncodeCommitRequest(const WriteSet& write_set) {
-  auto request = xml::Node::Element("request");
-  request->SetAttr("op", "commit");
-  request->SetIntAttr("tx", static_cast<int64_t>(write_set.tx_id));
+  std::string request = "<request";
+  xml::AppendAttr(&request, "op", "commit");
+  xml::AppendIntAttr(&request, "tx", static_cast<int64_t>(write_set.tx_id));
+  if (write_set.validations.empty() && write_set.updates.empty())
+    return request + "/>";
+  request += '>';
   for (const auto& [oid, version] : write_set.validations) {
-    xml::Node* val_el = request->AddElement("val");
-    val_el->SetIntAttr("oid", static_cast<int64_t>(oid.value()));
-    val_el->SetIntAttr("v", static_cast<int64_t>(version));
+    request += "<val";
+    xml::AppendIntAttr(&request, "oid", static_cast<int64_t>(oid.value()));
+    xml::AppendIntAttr(&request, "v", static_cast<int64_t>(version));
+    request += "/>";
   }
   for (const FieldUpdate& update : write_set.updates) {
-    xml::Node* set_el = request->AddElement("set");
-    set_el->SetIntAttr("oid", static_cast<int64_t>(update.oid.value()));
-    set_el->SetAttr("f", update.field);
-    set_el->SetAttr("t", ValueKindName(update.new_value.kind()));
+    request += "<set";
+    xml::AppendIntAttr(&request, "oid",
+                       static_cast<int64_t>(update.oid.value()));
+    xml::AppendAttr(&request, "f", update.field);
+    xml::AppendAttr(&request, "t", ValueKindName(update.new_value.kind()));
     // Nil has no text; a ref was rejected earlier by TxManager::Write.
-    if (!update.new_value.is_nil() && !update.new_value.is_ref())
-      set_el->AddText(ScalarText(update.new_value));
+    if (update.new_value.is_nil() || update.new_value.is_ref()) {
+      request += "/>";
+      continue;
+    }
+    request += '>';
+    xml::AppendEscapedText(&request, ScalarText(update.new_value));
+    request += "</set>";
   }
-  return xml::Write(*request);
+  request += "</request>";
+  return request;
 }
 
 std::string TxService::Handle(const std::string& request_xml) {
-  auto parsed = xml::Parse(request_xml);
-  if (!parsed.ok())
-    return ErrorResponse(StatusCode::kInvalidArgument,
-                         parsed.status().message());
-  const xml::Node& request = **parsed;
-  const std::string* op = request.FindAttr("op");
-  if (request.name() != "request" || op == nullptr || *op != "commit")
+  xml::Tape request;
+  Result<std::string_view> op =
+      net::ParseRequest(request_xml, "bad commit request", &request);
+  if (!op.ok()) return ErrorResponse(op.status().code(), op.status().message());
+  if (*op != "commit")
     return ErrorResponse(StatusCode::kInvalidArgument, "bad commit request");
 
   WriteSet write_set;
-  Result<int64_t> tx_id = request.GetIntAttrOr("tx", 0);
+  Result<int64_t> tx_id = request.GetIntAttrOr(kRoot, "tx", 0);
   if (!tx_id.ok())
     return ErrorResponse(StatusCode::kInvalidArgument, "bad tx");
   write_set.tx_id = static_cast<uint64_t>(*tx_id);
-  for (const xml::Node* val_el : request.FindChildren("val")) {
-    auto oid = val_el->GetIntAttr("oid");
-    auto version = val_el->GetIntAttr("v");
+  for (uint32_t val_el = request.FindChild(kRoot, "val"); val_el != 0;
+       val_el = request.FindSibling(val_el, "val")) {
+    auto oid = request.GetIntAttr(val_el, "oid");
+    auto version = request.GetIntAttr(val_el, "v");
     if (!oid.ok() || !version.ok())
       return ErrorResponse(StatusCode::kInvalidArgument, "bad <val>");
     write_set.validations.emplace_back(
         ObjectId(static_cast<uint64_t>(*oid)),
         static_cast<uint64_t>(*version));
   }
-  for (const xml::Node* set_el : request.FindChildren("set")) {
-    auto oid = set_el->GetIntAttr("oid");
-    auto field = set_el->GetAttr("f");
+  std::string scratch;
+  for (uint32_t set_el = request.FindChild(kRoot, "set"); set_el != 0;
+       set_el = request.FindSibling(set_el, "set")) {
+    auto oid = request.GetIntAttr(set_el, "oid");
+    auto field = request.GetAttr(set_el, "f");
     if (!oid.ok() || !field.ok())
       return ErrorResponse(StatusCode::kInvalidArgument, "bad <set>");
-    auto kind_name = set_el->GetAttr("t");
+    auto kind_name = request.GetAttr(set_el, "t");
     if (!kind_name.ok())
       return ErrorResponse(kind_name.status().code(),
                            kind_name.status().message());
     std::optional<ValueKind> kind = runtime::ParseValueKind(*kind_name);
     if (!kind.has_value() || *kind == ValueKind::kRef)
       return ErrorResponse(StatusCode::kDataLoss,
-                           "bad value kind '" + *kind_name +
+                           "bad value kind '" + std::string(*kind_name) +
                                "' in commit envelope");
-    Result<Value> value = ParseScalar(*kind, set_el->InnerText());
+    Result<Value> value =
+        ParseScalar(*kind, request.InnerText(set_el, &scratch));
     if (!value.ok())
       return ErrorResponse(value.status().code(), value.status().message());
     write_set.updates.push_back(FieldUpdate{
-        ObjectId(static_cast<uint64_t>(*oid)), *field, *std::move(value)});
+        ObjectId(static_cast<uint64_t>(*oid)), std::string(*field),
+        *std::move(value)});
   }
 
   Result<CommitResult> outcome = master_.Commit(write_set);
   if (!outcome.ok())
     return ErrorResponse(outcome.status().code(), outcome.status().message());
-  auto response = xml::Node::Element("response");
-  response->SetAttr("status", "OK");
-  response->SetIntAttr("committed", outcome->committed ? 1 : 0);
+  std::string response(net::kOkResponseOpen);
+  xml::AppendIntAttr(&response, "committed", outcome->committed ? 1 : 0);
+  if (outcome->conflicts.empty()) return response + "/>";
+  response += '>';
   for (ObjectId oid : outcome->conflicts) {
-    response->AddElement("conflict")->SetIntAttr(
-        "oid", static_cast<int64_t>(oid.value()));
+    response += "<conflict";
+    xml::AppendIntAttr(&response, "oid", static_cast<int64_t>(oid.value()));
+    response += "/>";
   }
-  return xml::Write(*response);
+  response += "</response>";
+  return response;
 }
 
 CommitFn NetworkCommit(net::Network& network, DeviceId self,
@@ -120,13 +140,17 @@ CommitFn NetworkCommit(net::Network& network, DeviceId self,
             "commit outcome unknown: response lost (tx " +
             std::to_string(write_set.tx_id) + ")");
       }
-      OBISWAP_ASSIGN_OR_RETURN(auto doc, net::ParseOkEnvelope(response_xml));
+      OBISWAP_ASSIGN_OR_RETURN(xml::Tape doc,
+                               net::ParseOkEnvelope(response_xml));
       CommitResult result;
       OBISWAP_ASSIGN_OR_RETURN(int64_t committed,
-                               doc->GetIntAttr("committed"));
+                               doc.GetIntAttr(kRoot, "committed"));
       result.committed = committed != 0;
-      for (const xml::Node* conflict_el : doc->FindChildren("conflict")) {
-        OBISWAP_ASSIGN_OR_RETURN(int64_t oid, conflict_el->GetIntAttr("oid"));
+      for (uint32_t conflict_el = doc.FindChild(kRoot, "conflict");
+           conflict_el != 0;
+           conflict_el = doc.FindSibling(conflict_el, "conflict")) {
+        OBISWAP_ASSIGN_OR_RETURN(int64_t oid,
+                                 doc.GetIntAttr(conflict_el, "oid"));
         result.conflicts.push_back(ObjectId(static_cast<uint64_t>(oid)));
       }
       return result;

@@ -34,6 +34,11 @@ bool Is(char c, uint8_t byte_class) {
   return (kByteClasses[static_cast<unsigned char>(c)] & byte_class) != 0;
 }
 
+Status MissingAttrError(std::string_view attr, std::string_view element) {
+  return NotFoundError("missing attribute '" + std::string(attr) + "' on <" +
+                       std::string(element) + ">");
+}
+
 }  // namespace
 
 // Scanning works on runs: character data is sized by its delimiter, plain
@@ -490,9 +495,16 @@ Result<int64_t> Tape::GetIntAttrOr(uint32_t start, std::string_view name,
 }
 
 uint32_t Tape::FindChild(uint32_t start, std::string_view name) const {
-  for (uint32_t child = start + 1; child < events_[start].end;
-       child = Next(child)) {
-    if (IsElement(child, name)) return child;
+  return FindFrom(start + 1, name);
+}
+
+uint32_t Tape::FindSibling(uint32_t child, std::string_view name) const {
+  return FindFrom(Next(child), name);
+}
+
+uint32_t Tape::FindFrom(uint32_t index, std::string_view name) const {
+  for (; events_[index].kind != Event::Kind::kEnd; index = Next(index)) {
+    if (IsElement(index, name)) return index;
   }
   return 0;
 }
@@ -513,42 +525,6 @@ std::string_view Tape::InnerText(uint32_t start, std::string* scratch) const {
     ++texts;
   }
   return texts <= 1 ? first : std::string_view(*scratch);
-}
-
-std::unique_ptr<Node> BuildTree(const Tape& tape) {
-  std::unique_ptr<Node> root;
-  std::vector<Node*> open;
-  for (uint32_t i = 0; i < tape.size(); ++i) {
-    const Event& event = tape[i];
-    switch (event.kind) {
-      case Event::Kind::kStart: {
-        auto node = Node::Element(std::string(event.text));
-        for (const TapeAttr& attr : tape.attrs(i))
-          node->SetAttr(attr.name, attr.value);
-        Node* element = node.get();
-        if (open.empty()) {
-          root = std::move(node);
-        } else {
-          open.back()->AddChild(std::move(node));
-        }
-        open.push_back(element);
-        break;
-      }
-      case Event::Kind::kText:
-        open.back()->AddText(std::string(event.text));
-        break;
-      case Event::Kind::kEnd:
-        open.pop_back();
-        break;
-    }
-  }
-  return root;
-}
-
-Result<std::unique_ptr<Node>> Parse(std::string_view input) {
-  Tape tape;
-  OBISWAP_RETURN_IF_ERROR(tape.Parse(input));
-  return BuildTree(tape);
 }
 
 }  // namespace obiswap::xml

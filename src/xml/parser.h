@@ -5,10 +5,10 @@
 // CDATA sections, processing instructions / XML declaration, and the five
 // predefined entities plus numeric character references.
 //
-// Tape::Parse is the only scanner. Readers on the hot path (the cluster
-// decoder, the store envelopes) walk the tape directly; xml::Parse builds
-// a Node tree from it for readers that want one (policy, schema, tx,
-// replication).
+// Tape::Parse is the only scanner and the tape the only document model:
+// every reader (the cluster decoder, the store, replication and transaction
+// envelopes, policy files, class schemas) walks the events it leaves, and
+// every writer appends text through xml/writer.h.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "xml/node.h"
 
 namespace obiswap::xml {
 
@@ -84,8 +83,9 @@ class Tape {
   /// The value of attribute `name` of start event `start`, or nullptr.
   const std::string_view* FindAttr(uint32_t start,
                                    std::string_view name) const;
-  /// As Node::GetAttr, Node::GetIntAttr and Node::GetIntAttrOr: the
-  /// attribute, or parsed as an integer, with the same errors.
+  /// The attribute, or parsed as an integer. A missing attribute is
+  /// kNotFound "missing attribute 'a' on <element>"; GetIntAttrOr answers
+  /// `fallback` for it instead.
   Result<std::string_view> GetAttr(uint32_t start,
                                    std::string_view name) const;
   Result<int64_t> GetIntAttr(uint32_t start, std::string_view name) const;
@@ -95,14 +95,23 @@ class Tape {
   /// First element child named `name` of start event `start`, or 0 (the
   /// root, which is nobody's child).
   uint32_t FindChild(uint32_t start, std::string_view name) const;
+  /// The next element named `name` among the siblings after `child` (any
+  /// event but the root's start or end), or 0. With FindChild it walks
+  /// every child of one name:
+  /// `for (c = FindChild(p, n); c != 0; c = FindSibling(c, n))`.
+  uint32_t FindSibling(uint32_t child, std::string_view name) const;
 
-  /// As Node::InnerText: the concatenation of the direct text children of
+  /// The concatenation of the direct text children of
   /// start event `start`. A view of the one text child when there is only
   /// one; otherwise the children are joined in `*scratch`.
   std::string_view InnerText(uint32_t start, std::string* scratch) const;
 
  private:
   friend class Scanner;
+
+  /// The first element named `name` from event `index` up to the end of
+  /// the parent it lies in, or 0.
+  uint32_t FindFrom(uint32_t index, std::string_view name) const;
 
   std::vector<Event> events_;
   std::vector<TapeAttr> attrs_;
@@ -114,12 +123,5 @@ class Tape {
   /// Start events still open, innermost last (scratch for Parse).
   std::vector<uint32_t> open_;
 };
-
-/// Builds the Node tree of a parsed tape.
-std::unique_ptr<Node> BuildTree(const Tape& tape);
-
-/// Parses a complete document into a Node tree: Tape::Parse, then
-/// BuildTree. Errors carry a line number.
-Result<std::unique_ptr<Node>> Parse(std::string_view input);
 
 }  // namespace obiswap::xml

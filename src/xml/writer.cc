@@ -90,39 +90,6 @@ void AppendEscaped(std::string* out, std::string_view text, bool attr) {
   }
 }
 
-void WriteNode(const Node& node, const WriteOptions& options, int depth,
-               std::string* out) {
-  if (node.is_text()) {
-    AppendEscaped(out, node.text(), /*attr=*/false);
-    return;
-  }
-  auto indent = [&](int d) {
-    if (options.pretty) out->append(static_cast<size_t>(d) * 2, ' ');
-  };
-  indent(depth);
-  *out += '<';
-  *out += node.name();
-  for (const Attr& attr : node.attrs()) AppendAttr(out, attr.name, attr.value);
-  if (node.children().empty()) {
-    *out += "/>";
-    if (options.pretty) *out += '\n';
-    return;
-  }
-  *out += '>';
-  bool has_element_children = false;
-  for (const auto& child : node.children()) {
-    if (!child->is_text()) has_element_children = true;
-  }
-  if (options.pretty && has_element_children) *out += '\n';
-  for (const auto& child : node.children()) {
-    WriteNode(*child, options, depth + 1, out);
-  }
-  if (options.pretty && has_element_children) indent(depth);
-  *out += "</";
-  *out += node.name();
-  *out += '>';
-  if (options.pretty) *out += '\n';
-}
 }  // namespace
 
 void AppendEscapedText(std::string* out, std::string_view text) {
@@ -159,16 +126,6 @@ std::string EscapeAttr(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   AppendEscaped(&out, text, /*attr=*/true);
-  return out;
-}
-
-std::string Write(const Node& node, const WriteOptions& options) {
-  std::string out;
-  if (options.declaration) {
-    out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    if (options.pretty) out += '\n';
-  }
-  WriteNode(node, options, 0, &out);
   return out;
 }
 

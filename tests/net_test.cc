@@ -442,7 +442,7 @@ TEST(WireParityTest, EveryErrorCodeRoundTripsThroughTheEnvelope) {
   EXPECT_EQ(no_status.status().message(), "response missing status");
   auto ok = ParseOkEnvelope("<response status=\"OK\" oid=\"3\"/>");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(*(*ok)->FindAttr("oid"), "3");
+  EXPECT_EQ(*ok->FindAttr(0, "oid"), "3");
 }
 
 // ------------------------------------------------------ envelope verdicts --

@@ -1,17 +1,16 @@
 // Damaged copies of a valid XML document, for pinning how a reader of that
 // document answers structural damage: each helper yields the documents, a
-// test decodes them and hashes the verdicts and messages.
+// test decodes them and hashes the verdicts and messages. WriteTape writes
+// a parsed document again, for the parser's round-trip properties.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -19,101 +18,104 @@ namespace obiswap::testing {
 
 namespace xml_mutations_internal {
 
-/// One edit to the element numbered `target` in document order (root 0).
+/// One edit to the element whose start event is `target`.
 struct Edit {
-  enum Kind { kDrop, kDuplicate, kForeignChild, kForeignText, kRemoveAttr,
-              kSetAttr };
-  Kind kind = kDrop;
-  int target = 0;
+  enum Kind { kNone, kDrop, kDuplicate, kForeignChild, kForeignText,
+              kRemoveAttr, kSetAttr };
+  Kind kind = kNone;
+  uint32_t target = 0;
   std::string attr;   ///< kRemoveAttr / kSetAttr
   std::string value;  ///< kSetAttr
 };
 
-inline std::unique_ptr<xml::Node> CopyEdited(const xml::Node& src,
-                                             const Edit& edit, int* counter);
-
-/// Copies the children of `src` into `dst`, dropping or duplicating the
-/// target element when the edit says so.
-inline void CopyChildren(const xml::Node& src, xml::Node* dst,
-                         const Edit& edit, int* counter) {
-  for (const auto& child : src.children()) {
-    if (child->is_text()) {
-      dst->AddText(child->text());
-      continue;
-    }
-    const int index = *counter;
-    std::unique_ptr<xml::Node> copy = CopyEdited(*child, edit, counter);
-    if (index == edit.target && edit.kind == Edit::kDrop) continue;
-    if (index == edit.target && edit.kind == Edit::kDuplicate) {
-      int unused = -1'000'000;  // the second copy is never the target
-      dst->AddChild(CopyEdited(*copy, Edit{}, &unused));
-    }
-    dst->AddChild(std::move(copy));
-  }
-}
-
-inline std::unique_ptr<xml::Node> CopyEdited(const xml::Node& src,
-                                             const Edit& edit, int* counter) {
-  const bool is_target = (*counter)++ == edit.target;
-  auto dst = xml::Node::Element(src.name());
-  for (const xml::Attr& attr : src.attrs()) {
+/// Appends the element at start event `start`, with `edit` applied, as the
+/// writers in src/ write one: attributes in order, `<name .../>` when it
+/// has no children, text and values escaped.
+inline void AppendEdited(const xml::Tape& tape, uint32_t start,
+                         const Edit& edit, std::string* out) {
+  const bool is_target = start == edit.target;
+  const std::string_view name = tape[start].text;
+  *out += '<';
+  *out += name;
+  for (const xml::TapeAttr& attr : tape.attrs(start)) {
     if (is_target && attr.name == edit.attr) {
       if (edit.kind == Edit::kRemoveAttr) continue;
       if (edit.kind == Edit::kSetAttr) {
-        dst->SetAttr(attr.name, edit.value);
+        xml::AppendAttr(out, attr.name, edit.value);
         continue;
       }
     }
-    dst->SetAttr(attr.name, attr.value);
+    xml::AppendAttr(out, attr.name, attr.value);
   }
-  if (is_target && edit.kind == Edit::kForeignChild) dst->AddElement("zz");
-  if (is_target && edit.kind == Edit::kForeignText) dst->AddText("junk");
-  CopyChildren(src, dst.get(), edit, counter);
-  return dst;
-}
-
-inline void CountElements(const xml::Node& node,
-                          std::vector<const xml::Node*>* out) {
-  out->push_back(&node);
-  for (const auto& child : node.children()) {
-    if (!child->is_text()) CountElements(*child, out);
+  *out += '>';
+  const size_t body = out->size();
+  if (is_target && edit.kind == Edit::kForeignChild) *out += "<zz/>";
+  if (is_target && edit.kind == Edit::kForeignText) *out += "junk";
+  for (uint32_t child = start + 1; child < tape[start].end;
+       child = tape.Next(child)) {
+    if (tape[child].kind == xml::Event::Kind::kText) {
+      xml::AppendEscapedText(out, tape[child].text);
+      continue;
+    }
+    if (child == edit.target && edit.kind == Edit::kDrop) continue;
+    AppendEdited(tape, child, edit, out);
+    if (child == edit.target && edit.kind == Edit::kDuplicate)
+      AppendEdited(tape, child, edit, out);
   }
+  // Every child writes at least one byte: the tape holds no empty text.
+  if (out->size() == body) {
+    out->pop_back();
+    *out += "/>";
+    return;
+  }
+  *out += "</";
+  *out += name;
+  *out += '>';
 }
 
 }  // namespace xml_mutations_internal
 
-/// Every document one edit away from `valid`, written by xml::Write: for
-/// each element in document order, the element dropped and duplicated
+/// The document a parsed tape holds, written again: elements with no
+/// children as `<name .../>`, text and attribute values escaped by the
+/// append writer, so a document that writer wrote is rewritten byte for
+/// byte.
+inline std::string WriteTape(const xml::Tape& tape) {
+  std::string out;
+  xml_mutations_internal::AppendEdited(tape, 0, {}, &out);
+  return out;
+}
+
+/// Every document one edit away from `valid`, written as WriteTape writes:
+/// for each element in document order, the element dropped and duplicated
 /// (not the root), a foreign child element `<zz/>` and foreign text "junk"
 /// put first in it, and each of its attributes removed or set to each of
 /// `values`.
 inline std::vector<std::string> EditedDocuments(
     std::string_view valid, const std::vector<std::string>& values) {
   using xml_mutations_internal::Edit;
-  auto parsed = xml::Parse(valid);
-  OBISWAP_CHECK(parsed.ok());
-  std::vector<const xml::Node*> elements;
-  xml_mutations_internal::CountElements(**parsed, &elements);
+  xml::Tape tape;
+  OBISWAP_CHECK(tape.Parse(valid).ok());
   std::vector<Edit> edits;
-  for (int t = 0; t < static_cast<int>(elements.size()); ++t) {
+  for (uint32_t t = 0; t < tape.size(); ++t) {
+    if (tape[t].kind != xml::Event::Kind::kStart) continue;
     if (t > 0) {
       edits.push_back(Edit{Edit::kDrop, t, "", ""});
       edits.push_back(Edit{Edit::kDuplicate, t, "", ""});
     }
     edits.push_back(Edit{Edit::kForeignChild, t, "", ""});
     edits.push_back(Edit{Edit::kForeignText, t, "", ""});
-    for (const xml::Attr& attr : elements[t]->attrs()) {
-      edits.push_back(Edit{Edit::kRemoveAttr, t, attr.name, ""});
+    for (const xml::TapeAttr& attr : tape.attrs(t)) {
+      edits.push_back(Edit{Edit::kRemoveAttr, t, std::string(attr.name), ""});
       for (const std::string& value : values)
-        edits.push_back(Edit{Edit::kSetAttr, t, attr.name, value});
+        edits.push_back(Edit{Edit::kSetAttr, t, std::string(attr.name), value});
     }
   }
   std::vector<std::string> out;
   out.reserve(edits.size());
   for (const Edit& edit : edits) {
-    int counter = 0;
-    out.push_back(xml::Write(
-        *xml_mutations_internal::CopyEdited(**parsed, edit, &counter)));
+    std::string document;
+    xml_mutations_internal::AppendEdited(tape, 0, edit, &document);
+    out.push_back(std::move(document));
   }
   return out;
 }

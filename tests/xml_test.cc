@@ -1,4 +1,4 @@
-// Tests for the XML document model, writer and parser.
+// Tests for the XML writer and parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,164 +9,132 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
-#include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
+#include "xml_mutations.h"
 
 namespace obiswap::xml {
 namespace {
 
-// ------------------------------------------------------------------ node --
-
-TEST(XmlNodeTest, ElementBasics) {
-  auto node = Node::Element("swap-cluster");
-  EXPECT_FALSE(node->is_text());
-  EXPECT_EQ(node->name(), "swap-cluster");
-  EXPECT_TRUE(node->children().empty());
-}
-
-TEST(XmlNodeTest, SetAndFindAttr) {
-  auto node = Node::Element("object");
-  node->SetAttr("class", "Node");
-  node->SetIntAttr("oid", 42);
-  ASSERT_NE(node->FindAttr("class"), nullptr);
-  EXPECT_EQ(*node->FindAttr("class"), "Node");
-  EXPECT_EQ(*node->GetIntAttr("oid"), 42);
-  EXPECT_EQ(node->FindAttr("missing"), nullptr);
-}
-
-TEST(XmlNodeTest, SetAttrReplacesExisting) {
-  auto node = Node::Element("x");
-  node->SetAttr("k", "1");
-  node->SetAttr("k", "2");
-  EXPECT_EQ(node->attrs().size(), 1u);
-  EXPECT_EQ(*node->FindAttr("k"), "2");
-}
-
-TEST(XmlNodeTest, GetAttrErrors) {
-  auto node = Node::Element("x");
-  EXPECT_FALSE(node->GetAttr("absent").ok());
-  node->SetAttr("n", "abc");
-  EXPECT_FALSE(node->GetIntAttr("n").ok());
-  EXPECT_EQ(*node->GetIntAttrOr("absent", 9), 9);
-}
-
-TEST(XmlNodeTest, ChildrenAndInnerText) {
-  auto root = Node::Element("root");
-  root->AddElement("a");
-  root->AddText("hello ");
-  root->AddElement("b")->SetAttr("x", "1");
-  root->AddText("world");
-  EXPECT_EQ(root->InnerText(), "hello world");
-  EXPECT_NE(root->FindChild("a"), nullptr);
-  EXPECT_NE(root->FindChild("b"), nullptr);
-  EXPECT_EQ(root->FindChild("c"), nullptr);
-  EXPECT_EQ(root->FindChildren("a").size(), 1u);
-  EXPECT_EQ(root->SubtreeSize(), 5u);
-}
+using ::obiswap::testing::WriteTape;
 
 // ---------------------------------------------------------------- writer --
 
 TEST(XmlWriterTest, EmptyElement) {
-  auto node = Node::Element("empty");
-  EXPECT_EQ(Write(*node), "<empty/>");
+  // An empty value still writes its quotes; empty text writes nothing.
+  std::string out = "<empty";
+  AppendAttr(&out, "a", "");
+  AppendEscapedText(&out, "");
+  out += "/>";
+  EXPECT_EQ(out, "<empty a=\"\"/>");
 }
 
 TEST(XmlWriterTest, AttributesAndText) {
-  auto node = Node::Element("f");
-  node->SetAttr("n", "next");
-  node->AddText("12");
-  EXPECT_EQ(Write(*node), "<f n=\"next\">12</f>");
+  std::string out = "<f";
+  AppendAttr(&out, "n", "next");
+  AppendIntAttr(&out, "i", -12);
+  out += '>';
+  AppendEscapedText(&out, "12");
+  out += "</f>";
+  EXPECT_EQ(out, "<f n=\"next\" i=\"-12\">12</f>");
 }
 
 TEST(XmlWriterTest, EscapesTextAndAttrs) {
-  auto node = Node::Element("e");
-  node->SetAttr("a", "x<y&\"z'");
-  node->AddText("1<2 & 3>2");
-  std::string out = Write(*node);
+  std::string out = "<e";
+  AppendAttr(&out, "a", "x<y&\"z'");
+  out += '>';
+  AppendEscapedText(&out, "1<2 & 3>2");
+  out += "</e>";
   EXPECT_EQ(out,
             "<e a=\"x&lt;y&amp;&quot;z&apos;\">1&lt;2 &amp; 3&gt;2</e>");
 }
 
-TEST(XmlWriterTest, Declaration) {
-  auto node = Node::Element("r");
-  WriteOptions options;
-  options.declaration = true;
-  std::string out = Write(*node, options);
-  EXPECT_TRUE(out.find("<?xml") == 0);
-}
-
-TEST(XmlWriterTest, PrettyNests) {
-  auto root = Node::Element("a");
-  root->AddElement("b")->AddElement("c");
-  WriteOptions options;
-  options.pretty = true;
-  std::string out = Write(*root, options);
-  EXPECT_NE(out.find("  <b>"), std::string::npos);
-  EXPECT_NE(out.find("    <c/>"), std::string::npos);
-}
-
 // ---------------------------------------------------------------- parser --
 
+constexpr uint32_t kRoot = 0;
+
 TEST(XmlParserTest, MinimalDocument) {
-  auto result = Parse("<root/>");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ((*result)->name(), "root");
+  Tape tape;
+  Status status = tape.Parse("<root/>");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(tape.IsElement(kRoot, "root"));
 }
 
 TEST(XmlParserTest, AttributesBothQuoteStyles) {
-  auto result = Parse("<o class=\"Node\" oid='7'/>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*(*result)->FindAttr("class"), "Node");
-  EXPECT_EQ(*(*result)->GetIntAttr("oid"), 7);
+  Tape tape;
+  ASSERT_TRUE(tape.Parse("<o class=\"Node\" oid='7'/>").ok());
+  EXPECT_EQ(*tape.FindAttr(kRoot, "class"), "Node");
+  EXPECT_EQ(*tape.GetIntAttr(kRoot, "oid"), 7);
 }
 
 TEST(XmlParserTest, NestedElementsAndText) {
-  auto result = Parse("<a><b>hi</b><c x=\"1\"/>tail</a>");
-  ASSERT_TRUE(result.ok());
-  const Node& root = **result;
-  ASSERT_NE(root.FindChild("b"), nullptr);
-  EXPECT_EQ(root.FindChild("b")->InnerText(), "hi");
-  EXPECT_EQ(root.InnerText(), "tail");
+  Tape tape;
+  std::string scratch;
+  ASSERT_TRUE(tape.Parse("<a><b>hi</b><c x=\"1\"/>tail</a>").ok());
+  const uint32_t b = tape.FindChild(kRoot, "b");
+  ASSERT_NE(b, 0u);
+  EXPECT_EQ(tape.InnerText(b, &scratch), "hi");
+  EXPECT_EQ(tape.InnerText(kRoot, &scratch), "tail");
+}
+
+TEST(XmlParserTest, FindSiblingWalksTheChildrenOfOneName) {
+  Tape tape;
+  ASSERT_TRUE(
+      tape.Parse("<r><p n=\"1\"><p n=\"x\"/></p>t<q/><p n=\"2\"/><p/></r>")
+          .ok());
+  std::vector<std::string> names;
+  for (uint32_t p = tape.FindChild(kRoot, "p"); p != 0;
+       p = tape.FindSibling(p, "p")) {
+    const std::string_view* n = tape.FindAttr(p, "n");
+    names.push_back(n != nullptr ? std::string(*n) : "-");
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"1", "2", "-"}));
+  EXPECT_EQ(tape.FindChild(kRoot, "zz"), 0u);
+  EXPECT_EQ(tape.FindSibling(tape.FindChild(kRoot, "q"), "q"), 0u);
 }
 
 TEST(XmlParserTest, EntityDecoding) {
-  auto result = Parse("<t a=\"&lt;&amp;&gt;\">&quot;&apos;&#65;&#x42;</t>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*(*result)->FindAttr("a"), "<&>");
-  EXPECT_EQ((*result)->InnerText(), "\"'AB");
+  Tape tape;
+  std::string scratch;
+  ASSERT_TRUE(
+      tape.Parse("<t a=\"&lt;&amp;&gt;\">&quot;&apos;&#65;&#x42;</t>").ok());
+  EXPECT_EQ(*tape.FindAttr(kRoot, "a"), "<&>");
+  EXPECT_EQ(tape.InnerText(kRoot, &scratch), "\"'AB");
 }
 
 TEST(XmlParserTest, NumericEntityUtf8) {
-  auto result = Parse("<t>&#233;&#x20AC;</t>");  // é €
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->InnerText(), "\xC3\xA9\xE2\x82\xAC");
+  Tape tape;
+  std::string scratch;
+  ASSERT_TRUE(tape.Parse("<t>&#233;&#x20AC;</t>").ok());  // é €
+  EXPECT_EQ(tape.InnerText(kRoot, &scratch), "\xC3\xA9\xE2\x82\xAC");
 }
 
 TEST(XmlParserTest, CommentsSkipped) {
-  auto result = Parse("<!-- head --><a><!-- in -->x<!-- out --></a>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->InnerText(), "x");
+  Tape tape;
+  std::string scratch;
+  ASSERT_TRUE(tape.Parse("<!-- head --><a><!-- in -->x<!-- out --></a>").ok());
+  EXPECT_EQ(tape.InnerText(kRoot, &scratch), "x");
 }
 
 TEST(XmlParserTest, CdataPreserved) {
-  auto result = Parse("<a><![CDATA[1<2&3]]></a>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->InnerText(), "1<2&3");
+  Tape tape;
+  std::string scratch;
+  ASSERT_TRUE(tape.Parse("<a><![CDATA[1<2&3]]></a>").ok());
+  EXPECT_EQ(tape.InnerText(kRoot, &scratch), "1<2&3");
 }
 
 TEST(XmlParserTest, DeclarationAndDoctypeSkipped) {
-  auto result = Parse(
-      "<?xml version=\"1.0\"?><!DOCTYPE policies><policies/>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->name(), "policies");
+  Tape tape;
+  ASSERT_TRUE(
+      tape.Parse("<?xml version=\"1.0\"?><!DOCTYPE policies><policies/>").ok());
+  EXPECT_TRUE(tape.IsElement(kRoot, "policies"));
 }
 
 TEST(XmlParserTest, WhitespaceInTags) {
-  auto result = Parse("<a  x = \"1\"   y='2' ></a>");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*(*result)->FindAttr("x"), "1");
-  EXPECT_EQ(*(*result)->FindAttr("y"), "2");
+  Tape tape;
+  ASSERT_TRUE(tape.Parse("<a  x = \"1\"   y='2' ></a>").ok());
+  EXPECT_EQ(*tape.FindAttr(kRoot, "x"), "1");
+  EXPECT_EQ(*tape.FindAttr(kRoot, "y"), "2");
 }
 
 // Every rejection is kDataLoss with an exact message. The line number in
@@ -183,10 +151,11 @@ void PrintTo(const BadInput& input, std::ostream* os) { *os << input.label; }
 class XmlParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(XmlParserErrorTest, RejectsMalformedInput) {
-  auto result = Parse(GetParam().text);
-  ASSERT_FALSE(result.ok()) << GetParam().label;
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(result.status().message(), GetParam().message);
+  Tape tape;
+  Status status = tape.Parse(GetParam().text);
+  ASSERT_FALSE(status.ok()) << GetParam().label;
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), GetParam().message);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -231,44 +200,57 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(XmlParserTest, ErrorsReportLineNumbers) {
-  auto result = Parse("<a>\n<b>\n</c>\n</a>");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().message(),
+  Tape tape;
+  Status status = tape.Parse("<a>\n<b>\n</c>\n</a>");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(),
             "xml parse error at line 3: mismatched close tag </c> for <b>");
 }
 
 // ------------------------------------------------------------ round trip --
 
-// Property: Write(Parse(Write(tree))) == Write(tree) for random trees.
-std::unique_ptr<Node> RandomTree(Rng& rng, int depth) {
-  auto node = Node::Element("n" + std::to_string(rng.NextBelow(5)));
-  int attrs = static_cast<int>(rng.NextBelow(3));
-  for (int i = 0; i < attrs; ++i) {
-    node->SetAttr("a" + std::to_string(i),
-                  "v<&\"'" + std::to_string(rng.Next() % 1000));
+// A random document as the append writer writes one: elements with no
+// children as `<name .../>`, text and attribute values escaped.
+void AppendRandomTree(Rng& rng, int depth, std::string* out) {
+  const std::string name = "n" + std::to_string(rng.NextBelow(5));
+  *out += '<' + name;
+  for (uint64_t i = 0, n = rng.NextBelow(3); i < n; ++i) {
+    AppendAttr(out, "a" + std::to_string(i),
+               "v<&\"'" + std::to_string(rng.Next() % 1000));
   }
-  if (depth < 3) {
-    int children = static_cast<int>(rng.NextBelow(4));
-    for (int i = 0; i < children; ++i) {
-      if (rng.NextBool(0.3)) {
-        node->AddText("text & <stuff> " + std::to_string(rng.NextBelow(100)));
-      } else {
-        node->AddChild(RandomTree(rng, depth + 1));
-      }
+  const uint64_t children = depth < 3 ? rng.NextBelow(4) : 0;
+  if (children == 0) {
+    *out += "/>";
+    return;
+  }
+  *out += '>';
+  for (uint64_t i = 0; i < children; ++i) {
+    if (rng.NextBool(0.3)) {
+      AppendEscapedText(out,
+                        "text & <stuff> " + std::to_string(rng.NextBelow(100)));
+    } else {
+      AppendRandomTree(rng, depth + 1, out);
     }
   }
-  return node;
+  *out += "</" + name + '>';
 }
 
+std::string RandomTree(Rng& rng) {
+  std::string out;
+  AppendRandomTree(rng, 0, &out);
+  return out;
+}
+
+// Property: WriteTape(Parse(doc)) == doc for random written documents.
 class XmlRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(XmlRoundTripTest, WriteParseWriteIsStable) {
   Rng rng(GetParam());
-  auto tree = RandomTree(rng, 0);
-  std::string first = Write(*tree);
-  auto parsed = Parse(first);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << first;
-  EXPECT_EQ(Write(**parsed), first);
+  const std::string first = RandomTree(rng);
+  Tape tape;
+  Status status = tape.Parse(first);
+  ASSERT_TRUE(status.ok()) << status.ToString() << "\n" << first;
+  EXPECT_EQ(WriteTape(tape), first);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripTest,
@@ -280,8 +262,8 @@ class XmlFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(XmlFuzzTest, MutatedDocumentsFailCleanly) {
   Rng rng(GetParam() * 7919);
-  auto tree = RandomTree(rng, 0);
-  std::string valid = Write(*tree);
+  const std::string valid = RandomTree(rng);
+  Tape tape;
   for (int round = 0; round < 200; ++round) {
     std::string mutated = valid;
     int edits = 1 + static_cast<int>(rng.NextBelow(4));
@@ -299,27 +281,26 @@ TEST_P(XmlFuzzTest, MutatedDocumentsFailCleanly) {
           break;
       }
     }
-    auto result = Parse(mutated);
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+    Status status = tape.Parse(mutated);
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss);
     } else {
       // A surviving parse must itself round-trip.
-      std::string rewritten = Write(**result);
-      auto reparsed = Parse(rewritten);
-      ASSERT_TRUE(reparsed.ok()) << rewritten;
+      const std::string rewritten = WriteTape(tape);
+      ASSERT_TRUE(tape.Parse(rewritten).ok()) << rewritten;
     }
   }
 }
 
 TEST_P(XmlFuzzTest, TruncationsFailCleanly) {
   Rng rng(GetParam() * 104729);
-  auto tree = RandomTree(rng, 0);
-  std::string valid = Write(*tree);
+  const std::string valid = RandomTree(rng);
+  Tape tape;
   for (size_t cut = 0; cut < valid.size(); cut += 1 + rng.NextBelow(3)) {
-    auto result = Parse(valid.substr(0, cut));
-    if (result.ok()) {
+    const std::string prefix = valid.substr(0, cut);
+    if (tape.Parse(prefix).ok()) {
       // Only possible when the prefix happens to be a complete document.
-      EXPECT_EQ(Write(**result), valid.substr(0, cut));
+      EXPECT_EQ(WriteTape(tape), prefix);
     }
   }
 }
@@ -363,21 +344,26 @@ const char* RandomName(Rng& rng) {
   return kNames[rng.NextBelow(std::size(kNames))];
 }
 
-std::unique_ptr<Node> RandomByteTree(Rng& rng, int depth) {
-  auto node = Node::Element(RandomName(rng));
+void AppendRandomByteTree(Rng& rng, int depth, std::string* out) {
+  const std::string name = RandomName(rng);
+  *out += '<' + name;
   for (uint64_t i = 0, n = rng.NextBelow(4); i < n; ++i)
-    node->SetAttr(std::string{'a', static_cast<char>('0' + i)},
-                  RandomBytes(rng, 24));
-  if (depth < 4) {
-    for (uint64_t i = 0, n = rng.NextBelow(5); i < n; ++i) {
-      if (rng.NextBool(0.4)) {
-        node->AddText(RandomBytes(rng, 48));
-      } else {
-        node->AddChild(RandomByteTree(rng, depth + 1));
-      }
+    AppendAttr(out, std::string{'a', static_cast<char>('0' + i)},
+               RandomBytes(rng, 24));
+  const uint64_t children = depth < 4 ? rng.NextBelow(5) : 0;
+  if (children == 0) {
+    *out += "/>";
+    return;
+  }
+  *out += '>';
+  for (uint64_t i = 0; i < children; ++i) {
+    if (rng.NextBool(0.4)) {
+      AppendEscapedText(out, RandomBytes(rng, 48));
+    } else {
+      AppendRandomByteTree(rng, depth + 1, out);
     }
   }
-  return node;
+  *out += "</" + name + '>';
 }
 
 void AppendSpace(Rng& rng, std::string* out) {
@@ -512,16 +498,16 @@ constexpr int kDamagedPerDocument = 100;
 CorpusRun RunCorpus(uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ull);
   CorpusRun run;
-  run.tree_xml = Write(*RandomByteTree(rng, 0));
+  AppendRandomByteTree(rng, 0, &run.tree_xml);
   run.document = RandomDocument(rng);
-  auto parsed = Parse(run.document);
-  if (parsed.ok()) run.document_xml = Write(**parsed);
+  Tape tape;
+  if (tape.Parse(run.document).ok()) run.document_xml = WriteTape(tape);
   for (const std::string* valid : {&run.tree_xml, &run.document}) {
     for (int i = 0; i < kDamagedPerDocument; ++i) {
-      auto result = Parse(Damage(rng, *valid));
-      run.damaged_outcomes.push_back(result.ok()
-                                         ? Write(**result)
-                                         : result.status().ToString());
+      const std::string damaged = Damage(rng, *valid);
+      Status status = tape.Parse(damaged);
+      run.damaged_outcomes.push_back(status.ok() ? WriteTape(tape)
+                                                 : status.ToString());
     }
   }
   return run;
@@ -531,28 +517,30 @@ class XmlByteFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(XmlByteFuzzTest, RandomTreesRewriteIdentically) {
   const CorpusRun run = RunCorpus(GetParam());
-  auto parsed = Parse(run.tree_xml);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(Write(**parsed), run.tree_xml);
+  Tape tape;
+  Status status = tape.Parse(run.tree_xml);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(WriteTape(tape), run.tree_xml);
 }
 
 TEST_P(XmlByteFuzzTest, HandBuiltDocumentsRewriteIdentically) {
   const CorpusRun run = RunCorpus(GetParam());
-  auto parsed = Parse(run.document);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto reparsed = Parse(run.document_xml);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(Write(**reparsed), run.document_xml);
+  Tape tape;
+  Status status = tape.Parse(run.document);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  status = tape.Parse(run.document_xml);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(WriteTape(tape), run.document_xml);
 }
 
 TEST_P(XmlByteFuzzTest, DamagedDocumentsParseOrFailWithDataLoss) {
   const CorpusRun run = RunCorpus(GetParam());
+  Tape tape;
   for (const std::string& outcome : run.damaged_outcomes) {
     if (outcome.rfind("DATA_LOSS: xml parse error at line ", 0) == 0)
       continue;
-    auto reparsed = Parse(outcome);
-    ASSERT_TRUE(reparsed.ok()) << outcome;
-    EXPECT_EQ(Write(**reparsed), outcome);
+    ASSERT_TRUE(tape.Parse(outcome).ok()) << outcome;
+    EXPECT_EQ(WriteTape(tape), outcome);
   }
 }
 
