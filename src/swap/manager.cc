@@ -3253,6 +3253,10 @@ namespace {
 struct StatFieldSpec {
   const char* name;
   uint64_t SwappingManager::Stats::*field;
+  /// Set instead of `field` for the journal's costs, which accrue inside
+  /// the IntentJournal (0 with none attached): exported under the
+  /// manager's keys so the WAL overhead shows up next to swap latency.
+  uint64_t IntentJournal::Stats::*journal_field = nullptr;
 };
 constexpr StatFieldSpec kStatFields[] = {
     {"proxies_created", &SwappingManager::Stats::proxies_created},
@@ -3299,8 +3303,8 @@ constexpr StatFieldSpec kStatFields[] = {
     {"prefetch_fetch_us", &SwappingManager::Stats::prefetch_fetch_us},
     {"recoveries", &SwappingManager::Stats::recoveries},
     {"recovery_us", &SwappingManager::Stats::recovery_us},
-    {"journal_append_us", &SwappingManager::Stats::journal_append_us},
-    {"journal_bytes", &SwappingManager::Stats::journal_bytes},
+    {"journal_append_us", nullptr, &IntentJournal::Stats::append_us},
+    {"journal_bytes", nullptr, &IntentJournal::Stats::persisted_bytes},
     {"hedged_fetches", &SwappingManager::Stats::hedged_fetches},
     {"hedge_wins", &SwappingManager::Stats::hedge_wins},
     {"hedge_wastes", &SwappingManager::Stats::hedge_wastes},
@@ -3329,13 +3333,12 @@ std::vector<std::pair<std::string, uint64_t>> SwappingManager::StatsSnapshot()
     const {
   std::vector<std::pair<std::string, uint64_t>> snapshot;
   for (const StatFieldSpec& spec : kStatFields) {
-    uint64_t value = stats_.*spec.field;
-    // Journal costs accrue inside the IntentJournal; exported under the
-    // manager's keys so the WAL overhead shows up next to swap latency.
-    if (journal_ != nullptr && spec.field == &Stats::journal_append_us)
-      value = journal_->stats().append_us;
-    if (journal_ != nullptr && spec.field == &Stats::journal_bytes)
-      value = journal_->stats().persisted_bytes;
+    uint64_t value = 0;
+    if (spec.field != nullptr) {
+      value = stats_.*spec.field;
+    } else if (journal_ != nullptr) {
+      value = journal_->stats().*spec.journal_field;
+    }
     snapshot.emplace_back(spec.name, value);
   }
 

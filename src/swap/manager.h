@@ -175,8 +175,6 @@ class SwappingManager final : public runtime::Interceptor,
     // --- crash consistency ----------------------------------------------------
     uint64_t recoveries = 0;         ///< Recover() completions
     uint64_t recovery_us = 0;        ///< virtual time spent recovering
-    uint64_t journal_append_us = 0;  ///< flash time persisting the journal
-    uint64_t journal_bytes = 0;      ///< journal bytes written to flash
     // --- degraded mode --------------------------------------------------------
     uint64_t hedged_fetches = 0;   ///< first fetches abandoned at the hedge
     uint64_t hedge_wins = 0;       ///< hedges served by another replica
