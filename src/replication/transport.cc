@@ -195,12 +195,10 @@ Result<ClusterReply> NetworkLink::FetchCluster(DeviceId device,
   const uint32_t payload = doc.FindChild(kRoot, "payload");
   if (payload == 0)
     return NotFoundError("missing child <payload> in <response>");
+  std::string scratch;
   ClusterReply reply{ClusterId(static_cast<uint32_t>(cluster)),
-                     {},
-                     static_cast<size_t>(count),
-                     {}};
-  const std::string_view text = doc.InnerText(payload, &reply.xml);
-  if (text.data() != reply.xml.data()) reply.xml.assign(text);
+                     std::string(doc.InnerText(payload, &scratch)),
+                     static_cast<size_t>(count), {}};
   for (uint32_t version_el = doc.FindChild(kRoot, "version");
        version_el != 0; version_el = doc.FindSibling(version_el, "version")) {
     OBISWAP_ASSIGN_OR_RETURN(int64_t member, doc.GetIntAttr(version_el, "oid"));
