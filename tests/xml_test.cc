@@ -67,6 +67,20 @@ TEST(XmlParserTest, AttributesBothQuoteStyles) {
   EXPECT_EQ(*tape.GetIntAttr(kRoot, "oid"), 7);
 }
 
+TEST(XmlParserTest, AttributeLookupErrors) {
+  Tape tape;
+  ASSERT_TRUE(tape.Parse("<x n=\"abc\" i=\"-9\"/>").ok());
+  EXPECT_EQ(tape.FindAttr(kRoot, "absent"), nullptr);
+  EXPECT_EQ(tape.GetAttr(kRoot, "absent").status().ToString(),
+            "NOT_FOUND: missing attribute 'absent' on <x>");
+  EXPECT_EQ(tape.GetIntAttr(kRoot, "absent").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(tape.GetIntAttr(kRoot, "n").ok());
+  EXPECT_FALSE(tape.GetIntAttrOr(kRoot, "n", 9).ok());
+  EXPECT_EQ(*tape.GetIntAttr(kRoot, "i"), -9);
+  EXPECT_EQ(*tape.GetIntAttrOr(kRoot, "absent", 9), 9);
+}
+
 TEST(XmlParserTest, NestedElementsAndText) {
   Tape tape;
   std::string scratch;
