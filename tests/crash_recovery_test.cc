@@ -294,6 +294,49 @@ TEST(CrashSweepTest, DelayFaultsOnlyCostVirtualTime) {
   ExpectWorldIntact(w, "delay");
 }
 
+/// The (point, hits) universe a clean run of `scenario` traverses, in
+/// hit_counts() order.
+std::vector<std::pair<std::string, uint64_t>> CleanUniverse(
+    void (*scenario)(CrashWorld&), CrashWorld& w) {
+  scenario(w);
+  EXPECT_FALSE(w.world.manager.crashed());
+  return {w.faults.hit_counts().begin(), w.faults.hit_counts().end()};
+}
+
+// The sweeps crash only at points a clean run reaches, so a change that
+// drops or moves a fault point shrinks them without failing. These pins
+// fail instead: a deliberate change to the pipeline's points edits them.
+TEST(CrashSweepTest, FaultPointUniverseIsPinned) {
+  CrashWorld w;
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"clean_swap_out.build_replacement", 1},
+      {"clean_swap_out.finalize", 1},
+      {"clean_swap_out.journal_commit", 1},
+      {"clean_swap_out.patch_proxy", 1},
+      {"clean_swap_out.revalidate", 1},
+      {"drop.release_replica", 2},
+      {"durability.poll", 1},
+      {"evacuate.drop_old", 2},
+      {"evacuate.place", 2},
+      {"re_replicate.fetch", 1},
+      {"re_replicate.place", 1},
+      {"swap_in.finalize", 3},
+      {"swap_in.journal_begin", 3},
+      {"swap_in.journal_commit", 3},
+      {"swap_in.materialize", 3},
+      {"swap_in.patch_proxy", 3},
+      {"swap_out.build_replacement", 3},
+      {"swap_out.compress", 3},
+      {"swap_out.finalize", 3},
+      {"swap_out.journal_begin", 3},
+      {"swap_out.journal_commit", 3},
+      {"swap_out.patch_proxy", 3},
+      {"swap_out.serialize", 3},
+      {"swap_out.ship_replica", 6},
+  };
+  EXPECT_EQ(CleanUniverse(RunScenario, w), expected);
+}
+
 // ------------------------------------------------ tiered chaos sweeps -----
 
 TEST(TierCrashSweepTest, EveryFaultPointCrashRecoversWithTiers) {
@@ -339,6 +382,33 @@ TEST(TierCrashSweepTest, EveryFaultPointCrashRecoversWithTiers) {
       ExpectWorldIntact(w, label);
     }
   }
+}
+
+TEST(TierCrashSweepTest, FaultPointUniverseIsPinned) {
+  CrashWorld w(FlashTierOptions());
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"drop.release_replica", 2},
+      {"durability.poll", 2},
+      {"prefetch_stage.stage", 1},
+      {"re_replicate.place", 6},
+      {"swap_in.finalize", 2},
+      {"swap_in.journal_begin", 2},
+      {"swap_in.journal_commit", 2},
+      {"swap_in.materialize", 1},
+      {"swap_in.patch_proxy", 2},
+      {"swap_in.tier_fetch", 1},
+      {"swap_out.build_replacement", 3},
+      {"swap_out.compress", 3},
+      {"swap_out.finalize", 3},
+      {"swap_out.journal_begin", 3},
+      {"swap_out.journal_commit", 3},
+      {"swap_out.patch_proxy", 3},
+      {"swap_out.serialize", 3},
+      {"swap_out.tier_flash", 3},
+      {"tier.promote", 1},
+      {"tier.write_back", 3},
+  };
+  EXPECT_EQ(CleanUniverse(RunTierScenario, w), expected);
 }
 
 TEST(TierCrashSweepTest, EveryFaultPointErrorUnwindsCleanlyWithTiers) {

@@ -195,6 +195,43 @@ TEST(LocalFallbackTest, FlashTakesOverWhenStoresWanderOff) {
   EXPECT_EQ(blocked.code(), StatusCode::kUnavailable);
 }
 
+TEST(LocalFallbackTest, FlashTakesOverAfterBoundedStoreFailures) {
+  // Five stores in range that crash on every op, one more than the bound:
+  // the walk gives up on them after the bound, and the flash still takes
+  // the copy.
+  constexpr size_t kBound =
+      swap::SwappingManager::kMaxConsecutiveStoreFailures;
+  MiddlewareWorld world;
+  const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
+  std::vector<net::StoreNode*> dead;
+  for (uint32_t device = 2; device <= kBound + 2; ++device) {
+    net::StoreNode* node = world.AddStore(device, 1 << 20);
+    net::StoreNode::FaultPlan plan;
+    plan.crash_after_ops = 0;
+    node->InjectFaults(plan);
+    dead.push_back(node);
+  }
+  FlashStore flash(MiddlewareWorld::kDevice, 1 << 20,
+                   world.network.clock());
+  world.manager.AttachLocalStore(&flash);
+  swap::FaultInjector faults;
+  world.manager.AttachFaultInjector(&faults);
+  auto clusters =
+      BuildClusteredList(world.rt, world.manager, node_cls, 10, 10, "head");
+  auto key = world.manager.SwapOut(clusters[0]);
+  ASSERT_TRUE(key.ok()) << key.status().ToString();
+  size_t stores_tried = 0;
+  for (net::StoreNode* node : dead) {
+    if (node->stats().faulted_ops > 0) ++stores_tried;
+  }
+  EXPECT_EQ(stores_tried, kBound);
+  EXPECT_EQ(flash.entry_count(), 1u);
+  EXPECT_EQ(world.manager.stats().local_swap_outs, 1u);
+  EXPECT_EQ(faults.hits("swap_out.local_store"), 1u);
+  EXPECT_EQ(world.manager.StateOf(clusters[0]), swap::SwapState::kSwapped);
+  EXPECT_EQ(*SumList(world.rt, "head"), 45);  // reloads from the flash
+}
+
 TEST(LocalFallbackTest, DropPathReachesFlash) {
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
