@@ -11,6 +11,7 @@
 // every writer appends text through xml/writer.h.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,6 +58,12 @@ class Tape {
   /// Errors are kDataLoss and carry a line number; the first error in
   /// document order is the one reported.
   Status Parse(std::string_view input);
+  /// A temporary std::string would die before the views into it: refused
+  /// at compile time. (A template, so a string literal still takes the
+  /// string_view overload above.)
+  template <typename String>
+    requires std::same_as<String, std::string>
+  Status Parse(String&& input) = delete;
 
   size_t size() const { return events_.size(); }
   const Event& operator[](size_t index) const { return events_[index]; }

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <iterator>
 #include <ostream>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.h"
@@ -17,6 +19,16 @@ namespace obiswap::xml {
 namespace {
 
 using ::obiswap::testing::WriteTape;
+
+// The tape keeps views into its input, so Parse refuses a temporary string
+// (its views would dangle) and still takes a literal or a named string.
+template <typename Input>
+concept Parses = requires(Tape& tape, Input&& input) {
+  tape.Parse(std::forward<Input>(input));
+};
+static_assert(!Parses<std::string>);
+static_assert(Parses<const char (&)[5]>);
+static_assert(Parses<std::string&>);
 
 // ---------------------------------------------------------------- writer --
 
