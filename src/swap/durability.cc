@@ -312,7 +312,7 @@ void DurabilityMonitor::Poll() {
     ReReplicationSweep();
   }
 
-  stats_.drops_drained += manager_.FlushPendingDrops();
+  stats_.drops_drained += manager_.replicas().FlushPendingDrops();
 
   if (props_ != nullptr) {
     RebuildIfStale();  // a re-replicated listener may have moved K too
@@ -327,8 +327,9 @@ void DurabilityMonitor::Poll() {
     props_->SetInt("swap.store_churn",
                    static_cast<int64_t>(stats_.stores_departed));
     props_->SetInt("swap.under_replicated", under);
-    props_->SetInt("swap.pending_drops",
-                   static_cast<int64_t>(manager_.pending_drop_count()));
+    props_->SetInt(
+        "swap.pending_drops",
+        static_cast<int64_t>(manager_.replicas().pending_drop_count()));
     props_->SetInt("durability.scan_replicas",
                    static_cast<int64_t>(stats_.scan_replicas));
     props_->SetInt("durability.dirty_stores",
@@ -419,7 +420,7 @@ void DurabilityMonitor::ReReplicationSweep() {
     // Feedback reads pushback-counter deltas — ReReplicate folds shed
     // placements into its placement walk, so statuses alone cannot tell a
     // saturated store from a departed one.
-    const net::StoreClient::Stats* client = manager_.StoreClientStats();
+    const net::StoreClient::Stats* client = manager_.replicas().client_stats();
     const uint64_t pushbacks_before =
         client != nullptr ? client->pushbacks : 0;
     Result<size_t> added = manager_.ReReplicate(id);

@@ -20,6 +20,7 @@ using runtime::Object;
 using runtime::ObjectKind;
 using runtime::Value;
 using runtime::ValueKind;
+using PriorityScope = ReplicaService::PriorityScope;
 
 namespace {
 /// Event properties live in unordered maps; the journal renders them with
@@ -54,8 +55,9 @@ SwappingManager::SwappingManager(runtime::Runtime& rt, Options options)
     : rt_(rt),
       options_(std::move(options)),
       own_telemetry_(std::make_unique<telemetry::Telemetry>()),
-      telemetry_(own_telemetry_.get()),
+      pipe_{.telemetry = own_telemetry_.get()},
       cache_(options_.swap_in_cache_bytes),
+      replicas_(pipe_, stats_),
       write_back_pacer_(options_.pace_write_backs) {
   OBISWAP_CHECK(options_.clusters_per_swap_cluster > 0);
   set_replication_factor(options_.replication_factor);
@@ -112,33 +114,27 @@ SwappingManager::~SwappingManager() {
   }
 }
 
-void SwappingManager::AttachStore(net::StoreClient* client,
-                                  net::Discovery* discovery) {
-  store_ = client;
-  discovery_ = discovery;
-}
-
 void SwappingManager::AttachTelemetry(telemetry::Telemetry* t) {
   if (t == nullptr) return;
-  telemetry_ = t;
-  if (clock_ != nullptr) telemetry_->AttachClock(clock_);
+  pipe_.telemetry = t;
+  if (pipe_.clock != nullptr) pipe_.telemetry->AttachClock(pipe_.clock);
 }
 
 void SwappingManager::AttachHealth(net::HealthTracker* health) {
-  health_ = health;
-  if (health_ == nullptr) return;
+  replicas_.SetHealth(health);
+  if (health == nullptr) return;
   // The manager owns the bus and the journal, so it relays every breaker
   // transition for the tracker (which links only net + telemetry).
-  health_->SetTransitionObserver([this](DeviceId device,
-                                        net::BreakerState from,
-                                        net::BreakerState to) {
-    telemetry_->journal().Record(
+  health->SetTransitionObserver([this, health](DeviceId device,
+                                               net::BreakerState from,
+                                               net::BreakerState to) {
+    pipe_.telemetry->journal().Record(
         "degraded", "breaker-transition",
         "device=" + std::to_string(device.value()) + " " +
             net::BreakerStateName(from) + "->" + net::BreakerStateName(to));
-    telemetry_->metrics()
+    pipe_.telemetry->metrics()
         .GetGauge("swap.open_breakers")
-        .Set(static_cast<int64_t>(health_->open_count()));
+        .Set(static_cast<int64_t>(health->open_count()));
     if (bus_ != nullptr) {
       bus_->Publish(context::Event(context::kEventBreakerTransition)
                         .Set("device", static_cast<int64_t>(device.value()))
@@ -161,8 +157,8 @@ void SwappingManager::EnterBrownout(const char* reason) {
   if (brownout_) return;
   brownout_ = true;
   ++stats_.brownout_entries;
-  telemetry_->metrics().GetGauge("swap.brownout").Set(1);
-  telemetry_->journal().Record("degraded", "brownout-entered", reason);
+  pipe_.telemetry->metrics().GetGauge("swap.brownout").Set(1);
+  pipe_.telemetry->journal().Record("degraded", "brownout-entered", reason);
   if (bus_ != nullptr) {
     bus_->Publish(
         context::Event(context::kEventBrownoutEntered)
@@ -176,37 +172,14 @@ void SwappingManager::ExitBrownout() {
   if (!brownout_) return;
   brownout_ = false;
   ++stats_.brownout_exits;
-  telemetry_->metrics().GetGauge("swap.brownout").Set(0);
-  telemetry_->journal().Record("degraded", "brownout-exited", "");
+  pipe_.telemetry->metrics().GetGauge("swap.brownout").Set(0);
+  pipe_.telemetry->journal().Record("degraded", "brownout-exited", "");
   if (bus_ != nullptr) {
     bus_->Publish(
         context::Event(context::kEventBrownoutExited)
             .Set("effective_k",
                  static_cast<int64_t>(EffectiveReplicationFactor())));
   }
-}
-
-uint64_t SwappingManager::OpBudgetLeft(uint64_t op_start_us) const {
-  if (options_.op_deadline_us == 0 || clock_ == nullptr) return UINT64_MAX;
-  uint64_t used = clock_->now_us() - op_start_us;
-  return used >= options_.op_deadline_us ? 0
-                                         : options_.op_deadline_us - used;
-}
-
-bool SwappingManager::EnqueuePendingDrop(DeviceId device, SwapKey key) {
-  for (const PendingDrop& pending : pending_drops_) {
-    if (pending.device == device && pending.key == key) return false;
-  }
-  if (pending_drops_.size() >= kMaxPendingDrops) {
-    // A store that never returns must not grow the queue forever: the
-    // oldest obligation is abandoned (its entry leaks on that store — the
-    // store will reconcile it if it ever rejoins with state intact).
-    pending_drops_.erase(pending_drops_.begin());
-    ++stats_.pending_drop_overflow;
-  }
-  pending_drops_.push_back(PendingDrop{device, key});
-  ++stats_.drops_deferred;
-  return true;
 }
 
 void SwappingManager::AttachBus(context::EventBus* bus) {
@@ -218,13 +191,13 @@ void SwappingManager::AttachBus(context::EventBus* bus) {
   // while their store was out of range.
   conn_token_ = bus_->Subscribe(
       context::kEventConnectivityChanged,
-      [this](const context::Event&) { FlushPendingDrops(); });
+      [this](const context::Event&) { replicas_.FlushPendingDrops(); });
   // Mirror every bus event into the telemetry journal; a post-mortem dump
   // then interleaves middleware events with the spans around them. Record
   // only appends to a preallocated ring, so handlers that publish further
   // events (delivered re-entrantly) are safe.
   journal_token_ = bus_->SubscribeAll([this](const context::Event& event) {
-    telemetry_->journal().Record("event", event.type(),
+    pipe_.telemetry->journal().Record("event", event.type(),
                                  RenderEventDetail(event));
   });
 }
@@ -288,8 +261,7 @@ void SwappingManager::InvalidateCleanImage(SwapClusterInfo* info,
                                            bool count_as_drop) {
   if (!info->clean_image.has_value()) return;
   for (const StoreGroup& group : info->clean_image->Groups()) {
-    if (store_ != nullptr || local_ != nullptr)
-      JournaledRelease(info->id, *group.replicas, count_as_drop);
+    JournaledRelease(info->id, *group.replicas, count_as_drop);
     // The tier copy of this exact payload generation dies with the image
     // (epoch-scoped: a fresh swap-out's just-admitted newer entry
     // survives).
@@ -795,44 +767,12 @@ Result<Value> SwappingManager::MediateReturn(Object* proxy, Value result) {
 }
 
 // ---------------------------------------------------------------------------
-// Swap-out / swap-in
-// ---------------------------------------------------------------------------
-
-SwapKey SwappingManager::NextKey() {
-  uint64_t self = store_ != nullptr ? store_->self().value() : 0;
-  return SwapKey((self << 32) | next_key_++);
-}
-
-Status SwappingManager::StoreAt(DeviceId device, SwapKey key,
-                                const std::string& payload,
-                                uint64_t deadline_us) {
-  if (IsLocalDevice(device)) return local_->Store(key, payload);
-  OBISWAP_CHECK(store_ != nullptr);
-  return store_->Store(device, key, payload, deadline_us, call_priority_);
-}
-
-Result<std::string> SwappingManager::FetchFrom(DeviceId device, SwapKey key,
-                                               uint64_t deadline_us) {
-  if (IsLocalDevice(device)) return local_->Fetch(key);
-  if (store_ == nullptr)
-    return FailedPreconditionError("no store client attached");
-  return store_->Fetch(device, key, deadline_us, call_priority_);
-}
-
-Status SwappingManager::DropAt(DeviceId device, SwapKey key) {
-  if (IsLocalDevice(device)) return local_->Drop(key);
-  if (store_ == nullptr)
-    return FailedPreconditionError("no store client attached");
-  return store_->Drop(device, key, /*deadline_us=*/0, call_priority_);
-}
-
-// ---------------------------------------------------------------------------
 // Crash consistency: fault points + write-ahead intent journaling
 // ---------------------------------------------------------------------------
 
-Status SwappingManager::CheckFaultPoint(const char* point) {
-  if (faults_ == nullptr || point == nullptr) return OkStatus();
-  FaultInjector::Outcome outcome = faults_->Hit(point);
+Status PipelineContext::CheckFaultPoint(const char* point) {
+  if (faults == nullptr || point == nullptr) return OkStatus();
+  FaultInjector::Outcome outcome = faults->Hit(point);
   switch (outcome.action) {
     case FaultInjector::Action::kError:
       return UnavailableError(std::string("injected fault at ") + point);
@@ -840,8 +780,8 @@ Status SwappingManager::CheckFaultPoint(const char* point) {
       // The operation is abandoned at this instruction boundary: heap,
       // flash and remote stores keep whatever the op mutated so far, and
       // every entry point refuses until Recover().
-      crashed_ = true;
-      telemetry_->journal().Record("fault", "crash", point);
+      crashed = true;
+      telemetry->journal().Record("fault", "crash", point);
       return InternalError(std::string("simulated crash at ") + point);
     case FaultInjector::Action::kNone:
     case FaultInjector::Action::kDelay:
@@ -868,16 +808,11 @@ enum class TierStep : uint8_t {
 struct LadderSteps {
   bool cache = false;  ///< the payload cache at the group's epoch first
   TierStep tier = TierStep::kNone;
-  const char* fetch_fault = nullptr;       ///< before each replica fetch
-  const char* decompress_fault = nullptr;  ///< before each decompress
   bool budget = false;  ///< Options::op_deadline_us caps every fetch
   bool hedge = false;   ///< Options::hedged_fetch applies
-  /// Swap-ins only: the span category of the per-step spans. Also turns on
-  /// failover_fetches and the unusable-replica warnings.
-  const char* swap_in = nullptr;
-  /// A replica copy must match the group checksum, not only its frame's.
-  bool checksum = false;
-  bool data_loss = true;  ///< kDataLoss failures count data_loss_failovers
+  /// The replica step's checks and counters. Its `swap_in` category also
+  /// names the tier step's spans.
+  ReplicaService::ReplicaRead replica = {};
 };
 
 /// Indexed by SwappingManager::FetchPurpose. Each row keeps its caller's
@@ -887,23 +822,26 @@ struct LadderSteps {
 /// write-back runs.
 constexpr LadderSteps kLadderSteps[] = {
     // kDemand
-    {.cache = true, .tier = TierStep::kServe, .fetch_fault = "swap_in.fetch",
-     .decompress_fault = "swap_in.decompress", .budget = true, .hedge = true,
-     .swap_in = "swap"},
+    {.cache = true, .tier = TierStep::kServe, .budget = true, .hedge = true,
+     .replica = {.fetch_fault = "swap_in.fetch",
+                 .decompress_fault = "swap_in.decompress", .swap_in = "swap"}},
     // kSpeculative
-    {.cache = true, .tier = TierStep::kServe, .fetch_fault = "swap_in.fetch",
-     .decompress_fault = "swap_in.decompress", .budget = true,
-     .swap_in = "prefetch"},
+    {.cache = true, .tier = TierStep::kServe, .budget = true,
+     .replica = {.fetch_fault = "swap_in.fetch",
+                 .decompress_fault = "swap_in.decompress",
+                 .swap_in = "prefetch"}},
     // kStage
-    {.tier = TierStep::kProbe, .fetch_fault = "prefetch_stage.fetch",
-     .decompress_fault = "prefetch_stage.decompress", .checksum = true},
+    {.tier = TierStep::kProbe,
+     .replica = {.fetch_fault = "prefetch_stage.fetch",
+                 .decompress_fault = "prefetch_stage.decompress",
+                 .checksum = true}},
     // kDeltaBase
-    {.cache = true, .tier = TierStep::kServe,
-     .fetch_fault = "swap_in.fetch_base", .budget = true, .checksum = true},
+    {.cache = true, .tier = TierStep::kServe, .budget = true,
+     .replica = {.fetch_fault = "swap_in.fetch_base", .checksum = true}},
     // kRepairSource
     {.tier = TierStep::kWriteBack},
     // kRecoveryVerify
-    {.checksum = true, .data_loss = false},
+    {.replica = {.checksum = true, .data_loss = false}},
 };
 }  // namespace
 
@@ -913,9 +851,9 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
     uint64_t op_start_us, Accept&& accept, const ReplicaLocation* first) {
   const LadderSteps& steps = kLadderSteps[static_cast<size_t>(purpose)];
   const SwapClusterId id = info.id;
-  telemetry::Telemetry* trace =
-      steps.swap_in != nullptr ? telemetry_ : nullptr;
-  const char* category = steps.swap_in != nullptr ? steps.swap_in : "";
+  const char* swap_in = steps.replica.swap_in;
+  telemetry::Telemetry* trace = swap_in != nullptr ? pipe_.telemetry : nullptr;
+  const char* category = swap_in != nullptr ? swap_in : "";
   Status last = UnavailableError("swap-cluster " + id.ToString() +
                                  " has no copy to fetch from");
   FetchedCopy copy;
@@ -932,7 +870,7 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
         copy.source = FetchSource::kCache;
         copy.cached = cached;
         Status accepted = accept(copy);
-        if (crashed_) return accepted;
+        if (pipe_.crashed) return accepted;
         if (accepted.ok()) return copy;
         copy.cached = nullptr;
       }
@@ -953,7 +891,7 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
            ? tier_ != nullptr && group.replicas->empty()
            : steps.tier != TierStep::kNone && TierActive());
   if (tier_step) {
-    const uint64_t tier_begin_us = clock_ != nullptr ? clock_->now_us() : 0;
+    const uint64_t tier_begin_us = pipe_.now_us();
     telemetry::ScopedSpan tier_span(trace, "tier_fetch", category,
                                     telemetry::Hist(trace, "tier_fetch_us"));
     tier::TierHit hit = tier::TierHit::kNone;
@@ -962,7 +900,7 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
     const bool serve = steps.tier == TierStep::kServe;
     Status fault = probed.ok() && serve ? CheckFaultPoint("swap_in.tier_fetch")
                                         : OkStatus();
-    if (crashed_) return fault;
+    if (pipe_.crashed) return fault;
     if (!fault.ok()) {
       last = fault;  // injected miss: fall through to the replicas
     } else if (probed.ok()) {
@@ -972,21 +910,21 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
         copy.decompressed = std::move(*text);
         copy.stored = std::move(*probed);
         Status accepted = accept(copy);
-        if (crashed_) return accepted;
+        if (pipe_.crashed) return accepted;
         if (accepted.ok()) {
           if (hit == tier::TierHit::kFlash && serve) {
             // Volatile-only — crash-safe at any instruction; the flash copy
             // stays.
             Status promote = CheckFaultPoint("tier.promote");
-            if (crashed_) return promote;
+            if (pipe_.crashed) return promote;
             if (promote.ok()) tier_->PromoteToRam(id, copy.stored);
           }
           tier_span.Close();
-          if (trace != nullptr && clock_ != nullptr) {
+          if (trace != nullptr && pipe_.clock != nullptr) {
             telemetry::Hist(trace, hit == tier::TierHit::kRam
                                        ? "tier_ram_fetch_us"
                                        : "tier_flash_fetch_us")
-                ->Record(clock_->now_us() - tier_begin_us);
+                ->Record(pipe_.clock->now_us() - tier_begin_us);
           }
           return copy;
         }
@@ -1001,118 +939,22 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
     }
   }
 
-  // Replica failover: reachable stores first, until one copy survives its
-  // checks and `accept`. Hedged fetch (demand faults only): the first
-  // attempt is capped at the HealthTracker's p95-derived deadline; past it
-  // the next healthy replica is tried immediately and the abandoned one is
-  // re-queued at the back for one final uncapped attempt — a slow primary
-  // costs one hedge window, never the full retry pyramid, and availability
-  // matches the sequential walk's.
-  std::vector<ReplicaLocation> order = ReplicaFetchOrder(*group.replicas);
-  if (first != nullptr) order.insert(order.begin(), *first);
-  const uint64_t hedge_deadline_us =
-      (steps.hedge && options_.hedged_fetch && health_ != nullptr &&
-       order.size() > 1)
-          ? health_->HedgeDeadlineUs()
-          : 0;
-  bool hedge_fired = false;
-  size_t hedge_retry_index = SIZE_MAX;
-  for (size_t attempt = 0; attempt < order.size(); ++attempt) {
-    const ReplicaLocation replica = order[attempt];
-    uint64_t fetch_cap = steps.budget ? OpBudgetLeft(op_start_us) : UINT64_MAX;
-    if (fetch_cap == 0) {
-      // End-to-end budget spent: fail fast and cleanly (callers mutate
-      // nothing before a copy is accepted).
-      last = DeadlineExceededError("budget exhausted at replica " +
-                                   std::to_string(attempt) +
-                                   " of swap-cluster " + id.ToString());
-      break;
-    }
-    bool hedge_capped = false;
-    if (attempt == 0 && hedge_deadline_us > 0 &&
-        hedge_deadline_us < fetch_cap) {
-      fetch_cap = hedge_deadline_us;
-      hedge_capped = true;
-    }
-    // The first replica tried is the plain fetch; every further attempt is
-    // a failover, except the one a fired hedge launched.
-    const char* attempt_name =
-        attempt == 0 ? "fetch"
-                     : (hedge_fired && attempt == 1 ? "hedged_fetch"
-                                                    : "failover_fetch");
-    telemetry::ScopedSpan attempt_span(
-        trace, attempt_name, category,
-        telemetry::Hist(trace, "swap_in_fetch_us"));
-    // A fired hedge is speculative work: it demotes from demand class so a
-    // saturated failover target sheds it before anyone's blocking fault.
-    std::optional<PriorityScope> hedge_priority;
-    if (hedge_fired && attempt == 1)
-      hedge_priority.emplace(this, net::Priority::kHedgedFetch);
-    Status failure = CheckFaultPoint(steps.fetch_fault);
-    if (crashed_) return failure;
-    Result<std::string> fetched{std::string()};
-    if (failure.ok()) {
-      fetched = FetchFrom(replica.device, replica.key,
-                          fetch_cap == UINT64_MAX ? 0 : fetch_cap);
-      failure = fetched.status();
-    }
-    if (failure.ok()) {
-      telemetry::ScopedSpan decompress_span(
-          trace, "decompress", category,
-          telemetry::Hist(trace, "swap_in_decompress_us"));
-      Status fault = CheckFaultPoint(steps.decompress_fault);
-      if (crashed_) return fault;
-      Result<std::string> text = fault.ok()
-                                     ? compress::FrameDecompress(*fetched)
-                                     : Result<std::string>(fault);
-      decompress_span.Close();
-      if (text.ok() && steps.checksum && Adler32(*text) != group.checksum) {
-        text = DataLossError("payload checksum mismatch for swap-cluster " +
-                             id.ToString());
-      }
-      failure = text.status();
-      if (failure.ok()) {
-        copy.source = FetchSource::kReplica;
-        copy.decompressed = std::move(*text);
-        copy.stored = std::move(*fetched);
-        failure = accept(copy);
-        if (crashed_) return failure;
-      }
-    }
-    if (failure.ok()) {
-      if (steps.swap_in != nullptr && attempt > 0) ++stats_.failover_fetches;
-      // Served by the re-queued primary after all: the hedge only burned
-      // its window. Served by anyone else: the hedge won.
-      if (hedge_fired) {
-        if (attempt == hedge_retry_index)
-          ++stats_.hedge_wastes;
-        else
-          ++stats_.hedge_wins;
-      }
-      return copy;
-    }
-    if (steps.data_loss && failure.code() == StatusCode::kDataLoss)
-      ++stats_.data_loss_failovers;
-    if (failure.code() == StatusCode::kDeadlineExceeded) {
-      if (!hedge_capped) {
-        last = failure;  // the op budget, not the hedge, ran out
-        break;
-      }
-      hedge_fired = true;
-      ++stats_.hedged_fetches;
-      hedge_retry_index = order.size();
-      order.push_back(replica);
-    }
-    if (steps.swap_in != nullptr) {
-      OBISWAP_LOG(kWarn) << "replica of swap-cluster " << id.ToString()
-                         << " on device " << replica.device.value()
-                         << " unusable: " << failure.ToString();
-    }
-    last = failure;
-  }
-  if (hedge_fired) ++stats_.hedge_wastes;
-  return last;
+  ReplicaService::ReplicaRead read = steps.replica;
+  if (steps.budget) read.budget = Budget(op_start_us);
+  read.hedge = steps.hedge && options_.hedged_fetch;
+  read.first = first;
+  copy.source = FetchSource::kReplica;
+  Status fetched = replicas_.FetchReplicas(
+      id, group, read, copy, [&copy, &accept] { return accept(copy); },
+      std::move(last));
+  if (!fetched.ok()) return fetched;
+  return copy;
 }
+// Recovery (recovery.cc) reads with the default acceptance.
+template Result<SwappingManager::FetchedCopy>
+SwappingManager::FetchGroup<SwappingManager::AcceptAny>(
+    const SwapClusterInfo&, const StoreGroup&, FetchPurpose, uint64_t,
+    AcceptAny&&, const ReplicaLocation*);
 
 namespace {
 Status CrashedError() {
@@ -1134,31 +976,31 @@ Result<bool> SwappingManager::TryTierAdmit(SwapClusterInfo* info, uint64_t seq,
   const uint64_t epoch = info->swap_epoch + 1;
   if (tier_->ram_enabled()) {
     if (Status fault = CheckFaultPoint("swap_out.tier_ram"); !fault.ok()) {
-      if (crashed_) return fault;
+      if (pipe_.crashed) return fault;
       // Injected clean error: skip the RAM tier this once, fall through.
     } else if (tier_->AdmitRam(id, epoch, wire_checksum, payload)) {
       // RAM placement leaves a progress breadcrumb on the op record: if
       // the op stays torn, recovery sees a payload that lived nowhere
       // durable and rolls the cluster back off the live heap.
-      if (journal_ != nullptr) {
-        journal_->NoteProgress(seq, kProgressTierRamPlacement);
-        (void)journal_->Persist();
+      if (pipe_.journal != nullptr) {
+        pipe_.journal->NoteProgress(seq, kProgressTierRamPlacement);
+        (void)pipe_.journal->Persist();
       }
       // Caller-visible identity only — nothing is stored under this key.
-      *tier_key = NextKey();
+      *tier_key = replicas_.NextKey();
       return true;
     }
   }
   if (tier_->flash_enabled()) {
-    const SwapKey key = NextKey();
-    if (journal_ != nullptr) {
+    const SwapKey key = replicas_.NextKey();
+    if (pipe_.journal != nullptr) {
       // Intent before the flash write, exactly like a remote replica: a
       // crash inside the write leaves the key reclaimable.
-      journal_->NoteReplicaIntent(seq, tier_->flash_device(), key);
-      (void)journal_->Persist();
+      pipe_.journal->NoteReplicaIntent(seq, tier_->flash_device(), key);
+      (void)pipe_.journal->Persist();
     }
     if (Status fault = CheckFaultPoint("swap_out.tier_flash"); !fault.ok()) {
-      if (crashed_) return fault;
+      if (pipe_.crashed) return fault;
       return false;  // clean error: the orphan intent unwinds with the op
     }
     if (tier_->AdmitFlash(id, epoch, wire_checksum, key, payload).ok()) {
@@ -1182,7 +1024,7 @@ void SwappingManager::MaybeCompleteTierWriteBack(SwapClusterInfo* info) {
     const auto remote = std::count_if(
         group.replicas->begin(), group.replicas->end(),
         [this](const ReplicaLocation& replica) {
-          return !IsLocalDevice(replica.device) &&
+          return !replicas_.IsLocalDevice(replica.device) &&
                  !(tier_->flash_device().valid() &&
                    replica.device == tier_->flash_device());
         });
@@ -1203,588 +1045,21 @@ std::vector<uint64_t> SwappingManager::LiveInboundProxyOids(SwapClusterId id) {
   return oids;
 }
 
-std::vector<Object*> SwappingManager::HeapProxiesTargeting(SwapClusterId id) {
-  std::vector<Object*> proxies;
-  rt_.heap().ForEachObject([&](Object* obj) {
-    if (obj->kind() != ObjectKind::kSwapClusterProxy) return;
-    if (ProxyTargetSc(obj) != id) return;
-    proxies.push_back(obj);
-  });
-  return proxies;
-}
-
 void SwappingManager::JournaledRelease(
     SwapClusterId id, const std::vector<ReplicaLocation>& replicas,
     bool count_as_drop) {
   if (replicas.empty()) return;
   uint64_t seq = 0;
-  if (journal_ != nullptr) {
-    seq = journal_->BeginOp(IntentOp::kDrop, id, /*swap_epoch=*/0,
+  if (pipe_.journal != nullptr) {
+    seq = pipe_.journal->BeginOp(IntentOp::kDrop, id, /*swap_epoch=*/0,
                             /*payload_checksum=*/0, {}, {});
     for (const ReplicaLocation& replica : replicas)
-      journal_->NoteReplicaIntent(seq, replica.device, replica.key);
-    (void)journal_->Persist();
+      pipe_.journal->NoteReplicaIntent(seq, replica.device, replica.key);
+    (void)pipe_.journal->Persist();
   }
-  ReleaseReplicas(replicas, count_as_drop);
-  if (crashed_) return;  // torn mid-release: recovery finishes from the seq
-  if (journal_ != nullptr) (void)journal_->Commit(seq);
-}
-
-// ---------------------------------------------------------------------------
-// Recovery (simulated restart)
-// ---------------------------------------------------------------------------
-
-namespace {
-bool IntentsContain(const std::vector<ReplicaLocation>& intents,
-                    const ReplicaLocation& replica) {
-  for (const ReplicaLocation& intent : intents)
-    if (intent == replica) return true;
-  return false;
-}
-/// Appends the entries of `from` that `into` does not list yet.
-void AppendNew(std::vector<ReplicaLocation>& into,
-               const std::vector<ReplicaLocation>& from) {
-  for (const ReplicaLocation& replica : from)
-    if (!IntentsContain(into, replica)) into.push_back(replica);
-}
-}  // namespace
-
-void SwappingManager::EnqueueOrphanDrops(
-    const std::vector<ReplicaLocation>& intents, RecoveryReport* report) {
-  // Recovery never talks to stores beyond read-only verification; orphaned
-  // keys go through the pending-drop queue and drain once the system is
-  // healthy again.
-  for (const ReplicaLocation& intent : intents) {
-    if (EnqueuePendingDrop(intent.device, intent.key))
-      ++report->orphan_drops_enqueued;
-  }
-}
-
-const char* SwappingManager::RecoverTornSwapOut(
-    const IntentJournal::PendingOp& op, SwapClusterInfo* info,
-    RecoveryReport* report) {
-  if (info == nullptr) {
-    // The cluster record is gone (merged or removed since the journal was
-    // written): only the journaled keys matter — reclaim them.
-    EnqueueOrphanDrops(op.replica_intents, report);
-    ++report->rolled_back;
-    return "rolled_back";
-  }
-  std::unordered_map<uint64_t, Object*> members_by_oid;
-  for (Object* member : registry_.LiveMembers(info->id))
-    members_by_oid[member->oid().value()] = member;
-  std::vector<Object*> proxies = HeapProxiesTargeting(info->id);
-
-  // Roll back only if the heap still holds the whole cluster: every
-  // journaled member alive, and every proxy the torn op patched can be
-  // re-pointed at a live member.
-  bool can_roll_back = true;
-  for (ObjectId oid : op.member_oids) {
-    if (members_by_oid.count(oid.value()) == 0) {
-      can_roll_back = false;
-      break;
-    }
-  }
-  if (can_roll_back) {
-    for (Object* proxy : proxies) {
-      Object* target = ProxyTarget(proxy);
-      if (target != nullptr && IsReplacement(target) &&
-          members_by_oid.count(ProxyTargetOid(proxy).value()) == 0) {
-        can_roll_back = false;
-        break;
-      }
-    }
-  }
-  if (can_roll_back) {
-    for (Object* proxy : proxies) {
-      Object* target = ProxyTarget(proxy);
-      if (target == nullptr || !IsReplacement(target)) continue;
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(
-          members_by_oid.find(ProxyTargetOid(proxy).value())->second);
-      ++report->proxies_restored;
-    }
-    info->state = SwapState::kLoaded;
-    info->dirty = true;
-    // The registry may list keys beyond the journaled intents: committed
-    // maintenance ops (re-replication, evacuation) run between the torn
-    // swap-out and the restart. Rolling back retires every one of them —
-    // including a delta swap-out's carried base group; the next swap-out
-    // ships a full payload.
-    RetireListedKeys(info, report);
-    EnqueueOrphanDrops(op.replica_intents, report);
-    ++report->rolled_back;
-    return "rolled_back";
-  }
-
-  // Roll forward: the heap copy is gone; adopt the journaled replicas —
-  // plus any keys committed maintenance ops added to the registry after
-  // the torn op, which carry the same payload — if one of them verifiably
-  // serves the journaled payload.
-  const bool delta = op.op == IntentOp::kDeltaSwapOut;
-  std::vector<ReplicaLocation> intents;
-  AppendNew(intents, op.replica_intents);
-  AppendNew(intents, info->replicas);
-  Result<FetchedCopy> verified =
-      FetchGroup(*info, {&intents, op.swap_epoch, op.payload_checksum, delta},
-                 FetchPurpose::kRecoveryVerify);
-  // A torn delta swap-out is only recoverable if a full base document also
-  // survives: the journaled base epoch/checksum identify it, and its keys
-  // live in the registry record — base_replicas if the state transition
-  // happened, otherwise the retained image's full-document group. A flash
-  // tier copy of that document (re-verified by the tier reconcile) backs
-  // the group as well as a store copy would.
-  std::vector<ReplicaLocation> base_intents;
-  bool base_verified = true;
-  if (delta) {
-    AppendNew(base_intents, info->base_replicas);
-    if (info->clean_image.has_value())
-      AppendNew(base_intents, *info->clean_image->Groups().back().replicas);
-    const StoreGroup base{&base_intents, op.base_epoch, op.base_checksum};
-    base_verified =
-        FetchGroup(*info, base, FetchPurpose::kRecoveryVerify).ok() ||
-        FlashBacked(info->id, base);
-  }
-  // The torn op's replacement survives as the heap object labelled with
-  // this cluster id — found by scan, since the crash may have hit before
-  // any proxy was patched to reference it.
-  Object* replacement = nullptr;
-  rt_.heap().ForEachObject([&](Object* obj) {
-    if (replacement == nullptr && IsReplacement(obj) &&
-        ReplacementCluster(obj) == info->id) {
-      replacement = obj;
-    }
-  });
-  if (!verified.ok() || !base_verified || replacement == nullptr) {
-    // Either no candidate replica holds a usable copy (for a delta: of the
-    // delta or of its base), or there is no replacement to carry the
-    // outbound references a future swap-in would need. With the heap copy
-    // also gone, the cluster is lost.
-    EnqueueOrphanDrops(intents, report);
-    EnqueueOrphanDrops(base_intents, report);
-    info->state = SwapState::kDropped;
-    RetireListedKeys(info, report);
-    ++report->clusters_lost;
-    return "lost";
-  }
-  for (Object* proxy : proxies) {
-    Object* target = ProxyTarget(proxy);
-    if (target != nullptr && !IsReplacement(target)) {
-      // Finish the torn patch: un-patched proxies join the swapped state.
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(replacement);
-      ++report->proxies_restored;
-    }
-  }
-  info->state = SwapState::kSwapped;
-  info->replicas = std::move(intents);  // the sweep prunes unverifiable ones
-  info->swap_epoch = std::max(info->swap_epoch, op.swap_epoch);
-  if (op.op == IntentOp::kSwapOut || delta) info->payload_epoch = op.swap_epoch;
-  info->payload_checksum = op.payload_checksum;
-  info->oids = op.member_oids;
-  info->object_count = op.member_oids.size();
-  info->payload_bytes = verified->stored.size();
-  info->replacement = rt_.heap().NewWeakRef(replacement);
-  replacement->RawSlotMutable(kReplSlotEpoch) =
-      Value::Int(static_cast<int64_t>(info->swap_epoch));
-  info->ClearBaseGroup();
-  if (delta) {
-    // Adopt the verified base group alongside the delta; the sweep prunes
-    // whatever fails verification against the journaled base checksum.
-    // The merged document's checksum is unknown after a crash: a zero
-    // sends the next swap-in down the verified fetch path.
-    info->base_replicas = std::move(base_intents);
-    info->base_epoch = op.base_epoch;
-    info->base_checksum = op.base_checksum;
-  }
-  if (info->clean_image.has_value()) {
-    // Any image replica not adopted above (into the delta or base group)
-    // serves a stale payload now.
-    std::vector<ReplicaLocation> remnants;
-    for (const StoreGroup& group : info->clean_image->Groups()) {
-      for (const ReplicaLocation& replica : *group.replicas)
-        if (!info->Lists(replica)) remnants.push_back(replica);
-    }
-    EnqueueOrphanDrops(remnants, report);
-    info->clean_image.reset();
-    ++stats_.clean_image_invalidations;
-  }
-  ++report->rolled_forward;
-  return "rolled_forward";
-}
-
-void SwappingManager::RetireListedKeys(SwapClusterInfo* info,
-                                       RecoveryReport* report) {
-  EnqueueOrphanDrops(info->replicas, report);
-  EnqueueOrphanDrops(info->base_replicas, report);
-  info->replicas.clear();
-  info->ClearBaseGroup();
-  info->oids.clear();
-  info->replacement = runtime::WeakRef();
-  if (info->clean_image.has_value()) {
-    for (const StoreGroup& group : info->clean_image->Groups())
-      EnqueueOrphanDrops(*group.replicas, report);
-    info->clean_image.reset();
-    ++stats_.clean_image_invalidations;
-  }
-  cache_.Invalidate(info->id);
-}
-
-const char* SwappingManager::RecoverTornSwapIn(
-    const IntentJournal::PendingOp& op, SwapClusterInfo* info,
-    RecoveryReport* report) {
-  if (info == nullptr) {
-    EnqueueOrphanDrops(op.replica_intents, report);
-    ++report->rolled_back;
-    return "rolled_back";
-  }
-  if (info->state != SwapState::kSwapped) {
-    // The swap-in finalized before the crash; only the commit (and, when
-    // no image was retained, the stale-replica release) is missing. Any
-    // journaled key the cluster no longer accounts for is an orphan.
-    std::vector<ReplicaLocation> orphans;
-    for (const ReplicaLocation& intent : op.replica_intents)
-      if (!info->Accounts(intent)) orphans.push_back(intent);
-    EnqueueOrphanDrops(orphans, report);
-    ++report->rolled_forward;
-    return "rolled_forward";
-  }
-  std::vector<Object*> proxies = HeapProxiesTargeting(info->id);
-  Object* replacement =
-      info->replacement != nullptr ? info->replacement->get() : nullptr;
-  if (replacement != nullptr) {
-    // Roll back: any proxy already patched to a fresh object returns to
-    // the replacement; the half-materialized objects become garbage.
-    for (Object* proxy : proxies) {
-      Object* target = ProxyTarget(proxy);
-      if (target == nullptr || IsReplacement(target)) continue;
-      proxy->RawSlotMutable(kProxySlotTarget) = Value::Ref(replacement);
-      ++report->proxies_restored;
-    }
-    ++report->rolled_back;
-    return "rolled_back";
-  }
-  // Replacement dead: every proxy was already patched (a proxy's strong
-  // ref would otherwise keep the replacement alive), so the swap-in went
-  // too far to unwind. Complete it from the heap — the patched proxies
-  // kept the materialized objects alive; members no proxy's graph reaches
-  // were never reachable to the application anyway.
-  info->members.clear();
-  rt_.heap().ForEachObject([&](Object* obj) {
-    if (obj->kind() != ObjectKind::kRegular) return;
-    if (obj->swap_cluster() != info->id) return;
-    info->members.push_back(rt_.heap().NewWeakRef(obj));
-  });
-  std::vector<ReplicaLocation> stale = std::move(info->replicas);
-  AppendNew(stale, info->base_replicas);
-  info->state = SwapState::kLoaded;
-  info->dirty = true;
-  info->replicas.clear();
-  info->ClearBaseGroup();
-  info->oids.clear();
-  info->replacement = runtime::WeakRef();
-  EnqueueOrphanDrops(stale, report);
-  cache_.Invalidate(info->id);
-  registry_.RecordCrossing(info->id, ++crossing_seq_);
-  ++report->rolled_forward;
-  return "rolled_forward";
-}
-
-const char* SwappingManager::RecoverTornDrop(
-    const IntentJournal::PendingOp& op, SwapClusterInfo* info,
-    RecoveryReport* report) {
-  // A drop's outcome was decided before its first RPC; finish reclaiming.
-  EnqueueOrphanDrops(op.replica_intents, report);
-  // When the torn op was releasing `groups`, queues the keys they list
-  // beyond its intents (a delta image releases its two groups as separate
-  // drop ops) and returns true.
-  auto finish = [&](const auto& groups) {
-    std::vector<ReplicaLocation> rest;
-    bool torn = false;
-    for (const StoreGroup& group : groups) {
-      for (const ReplicaLocation& replica : *group.replicas) {
-        if (IntentsContain(op.replica_intents, replica))
-          torn = true;
-        else
-          rest.push_back(replica);
-      }
-    }
-    if (torn) EnqueueOrphanDrops(rest, report);
-    return torn;
-  };
-  if (info != nullptr) {
-    if (info->clean_image.has_value() &&
-        finish(info->clean_image->Groups())) {
-      // Torn image release: drop the remnant without re-releasing.
-      info->clean_image.reset();
-      cache_.Invalidate(info->id);
-      ++stats_.clean_image_invalidations;
-    }
-    if (info->state == SwapState::kSwapped && finish(info->Groups())) {
-      // Torn GC drop (the replacement died): finish retiring the cluster,
-      // both payload groups included.
-      info->state = SwapState::kDropped;
-      info->replacement = runtime::WeakRef();
-      cache_.Invalidate(info->id);
-    }
-    if (info->state == SwapState::kDropped) {
-      info->replicas.clear();
-      info->ClearBaseGroup();
-    }
-  }
-  ++report->rolled_forward;
-  return "rolled_forward";
-}
-
-const char* SwappingManager::RecoverTornMaintenance(
-    const IntentJournal::PendingOp& op, SwapClusterInfo* info,
-    RecoveryReport* report) {
-  // Keys a replica list adopted before the crash stay; the rest (placed
-  // but never adopted, or evacuated away) are orphans.
-  std::vector<ReplicaLocation> orphans;
-  for (const ReplicaLocation& intent : op.replica_intents)
-    if (info == nullptr || !info->Accounts(intent)) orphans.push_back(intent);
-  EnqueueOrphanDrops(orphans, report);
-  ++report->rolled_back;
-  return "rolled_back";
-}
-
-void SwappingManager::RecoverOp(const IntentJournal::PendingOp& op,
-                                RecoveryReport* report) {
-  SwapClusterInfo* info =
-      op.cluster.valid() ? registry_.Find(op.cluster) : nullptr;
-  const char* action = "ignored";
-  switch (op.op) {
-    case IntentOp::kSwapOut:
-    case IntentOp::kCleanSwapOut:
-    case IntentOp::kDeltaSwapOut:
-      action = RecoverTornSwapOut(op, info, report);
-      break;
-    case IntentOp::kSwapIn:
-      action = RecoverTornSwapIn(op, info, report);
-      break;
-    case IntentOp::kDrop:
-      action = RecoverTornDrop(op, info, report);
-      break;
-    case IntentOp::kReplicaMaintenance:
-      action = RecoverTornMaintenance(op, info, report);
-      break;
-  }
-  telemetry_->journal().Record("recovery", IntentOpName(op.op), action);
-  if (bus_ != nullptr) {
-    bus_->Publish(
-        context::Event(context::kEventRecoveryOp)
-            .Set("swap_cluster", static_cast<int64_t>(op.cluster.value()))
-            .Set("op", std::string(IntentOpName(op.op)))
-            .Set("action", std::string(action)));
-  }
-}
-
-void SwappingManager::VerifySwappedClusters(RecoveryReport* report) {
-  for (SwapClusterId id : registry_.Ids()) {
-    SwapClusterInfo* info = registry_.Find(id);
-    if (info == nullptr || info->state != SwapState::kSwapped) continue;
-    // Each group verifies against its own checksum: the shipped payload
-    // (full document or delta) and — for a delta-swapped cluster — the
-    // base document the delta applies to.
-    bool lost = false;
-    for (const StoreGroup& group : info->Groups()) {
-      const bool was_empty = group.replicas->empty();
-      std::vector<ReplicaLocation> keep;
-      bool any_unverifiable = false;
-      for (const ReplicaLocation& replica : *group.replicas) {
-        Result<std::string> fetched = FetchFrom(replica.device, replica.key);
-        if (!fetched.ok()) {
-          if (fetched.status().code() == StatusCode::kNotFound) {
-            // The store is reachable and the key is gone: forget it.
-            ++report->replicas_discarded;
-          } else {
-            // Out of range (or no client attached): unverifiable — the
-            // benefit of the doubt, like the failover fetch gives it.
-            keep.push_back(replica);
-            any_unverifiable = true;
-          }
-          continue;
-        }
-        Result<std::string> xml_text = compress::FrameDecompress(*fetched);
-        if (xml_text.ok() && Adler32(*xml_text) == group.checksum) {
-          keep.push_back(replica);
-          ++report->replicas_verified;
-        } else {
-          // Corrupt bytes under a live key: reclaim them.
-          ++stats_.data_loss_failovers;
-          ++report->replicas_discarded;
-          (void)EnqueuePendingDrop(replica.device, replica.key);
-        }
-      }
-      *group.replicas = std::move(keep);
-      if (!group.replicas->empty() || any_unverifiable) continue;
-      // No copy left. A flash-tier copy (already re-verified by the tier
-      // reconcile, which runs first) still serves the group and the
-      // durability sweep writes it back. A group that had no replica to
-      // begin with only ever lived in a tier: without a flash copy, its
-      // payload was in the RAM pool, which did not survive the restart.
-      if (!FlashBacked(id, group) && (!was_empty || tier_ != nullptr))
-        lost = true;
-    }
-    if (lost) ++report->clusters_lost;
-  }
-}
-
-void SwappingManager::ReconcileCleanImages(RecoveryReport* report) {
-  for (SwapClusterId id : registry_.Ids()) {
-    SwapClusterInfo* info = registry_.Find(id);
-    if (info == nullptr || info->state != SwapState::kLoaded) continue;
-    if (!info->clean_image.has_value()) continue;
-    // The image is only usable while every group keeps a copy: a delta is
-    // useless without its base, and a base without its delta. A verified
-    // flash-tier copy backs a replica-less group the same way a store copy
-    // would (the ladder serves it and the durability sweep writes it back).
-    const StoreGroups<StoreGroup> groups = info->clean_image->Groups();
-    bool usable = true;
-    for (const StoreGroup& group : groups) {
-      // Out of range: the benefit of the doubt.
-      PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/true);
-      if (group.replicas->empty() && !FlashBacked(id, group)) usable = false;
-    }
-    if (usable) continue;
-    for (const StoreGroup& group : groups) {
-      for (const ReplicaLocation& replica : *group.replicas)
-        (void)EnqueuePendingDrop(replica.device, replica.key);
-      if (tier_ != nullptr) tier_->Release(id, group.epoch, group.checksum);
-    }
-    info->clean_image.reset();
-    cache_.Invalidate(id);
-    ++stats_.clean_image_invalidations;
-    ++report->clean_images_dropped;
-  }
-}
-
-void SwappingManager::PruneUnconfirmed(std::vector<ReplicaLocation>& replicas,
-                                       bool keep_unreachable) {
-  const bool can_check = store_ != nullptr && discovery_ != nullptr;
-  std::erase_if(replicas, [&](const ReplicaLocation& replica) {
-    bool keep = keep_unreachable;
-    if (IsLocalDevice(replica.device)) {
-      keep = local_->Contains(replica.key);
-    } else if (can_check &&
-               discovery_->IsNearby(store_->self(), replica.device)) {
-      net::StoreNode* node = discovery_->NodeFor(replica.device);
-      if (node != nullptr)
-        keep = !node->crashed() && node->Contains(replica.key);
-    }
-    if (!keep) (void)EnqueuePendingDrop(replica.device, replica.key);
-    return !keep;
-  });
-}
-
-void SwappingManager::ReconcilePayloadCache() {
-  if (cache_.budget_bytes() == 0) return;
-  for (SwapClusterId id : registry_.Ids()) {
-    SwapClusterInfo* info = registry_.Find(id);
-    if (info == nullptr) continue;
-    const StoreGroups<StoreGroup> groups = info->Groups();
-    if (groups.empty()) {
-      cache_.Invalidate(id);
-      continue;
-    }
-    // The legitimate entry is the full document: for a delta, the BASE
-    // document under the base epoch, not the shipped delta.
-    const StoreGroup& document = groups.back();
-    const std::string* cached = cache_.Get(id, document.epoch);
-    if (cached != nullptr && Adler32(*cached) != document.checksum)
-      cache_.Invalidate(id);
-  }
-}
-
-Result<SwappingManager::RecoveryReport> SwappingManager::Recover() {
-  telemetry::ScopedSpan span(telemetry_, "recover", "recovery",
-                             telemetry::Hist(telemetry_, "recovery_us"));
-  const uint64_t begin_us = clock_ != nullptr ? clock_->now_us() : 0;
-  RecoveryReport report;
-
-  std::vector<IntentJournal::PendingOp> pending;
-  if (journal_ != nullptr) {
-    OBISWAP_ASSIGN_OR_RETURN(pending, journal_->LoadForRecovery());
-    report.journal_records_skipped = journal_->stats().records_skipped;
-    report.journal_bad_tail_bytes = journal_->stats().bad_tail_bytes;
-  }
-  report.pending_ops = pending.size();
-  // The strictest restart assumption for the tier stack: the compressed
-  // RAM pool is volatile and did not survive. Flash-tier entries are
-  // reconciled below, after replay has settled the registry.
-  if (tier_ != nullptr)
-    report.tier_ram_entries_lost = tier_->DropRamPoolForRecovery();
-  // Newest first: a nested operation (the pressure handler's swap-out
-  // firing inside another op's allocation) must unwind before the op that
-  // triggered it.
-  for (auto it = pending.rbegin(); it != pending.rend(); ++it)
-    RecoverOp(*it, &report);
-
-  if (tier_ != nullptr) {
-    // Flash-tier reconcile, both directions: entries whose cluster rolled
-    // back, dropped, or re-swapped at another epoch are retired (slots
-    // freed — a subsequent pending drop of the key tolerates kNotFound),
-    // and entries whose flash bytes are gone or corrupt are discarded.
-    // Survivors are re-verified and stay pinned, so the durability sweep
-    // re-queues their write-back. Runs before VerifySwappedClusters so a
-    // verified flash copy can veto a loss verdict below.
-    tier::TierManager::ReconcileOutcome outcome = tier_->ReconcileAfterRestart(
-        [this](SwapClusterId id, uint64_t epoch, uint32_t checksum) {
-          const SwapClusterInfo* info = registry_.Find(id);
-          if (info == nullptr) return false;
-          // The tiers hold full documents: a plain payload or a delta's
-          // base.
-          for (const ConstStoreGroup& group : info->Groups()) {
-            if (!group.delta && group.epoch == epoch &&
-                group.checksum == checksum)
-              return true;
-          }
-          return false;
-        });
-    report.tier_flash_verified = outcome.verified;
-    report.tier_flash_discarded = outcome.discarded;
-    // A torn flash-tier admission replays like any replica intent, so
-    // roll-forward may have adopted the tier's own flash key into the
-    // cluster's replica list. When the tier entry also survived reconcile,
-    // the one flash entry would be owned twice — and the first owner to
-    // drop it would strand the other with a dangling key. The tier keeps
-    // it (its copy is the verified, wear-accounted one); the replica-list
-    // alias is removed.
-    for (SwapClusterId id : registry_.Ids()) {
-      SwapClusterInfo* info = registry_.Find(id);
-      if (info == nullptr) continue;
-      const SwapKey tier_key = tier_->FlashKey(id);
-      if (!tier_key.valid()) continue;
-      auto alias = [&](const ReplicaLocation& replica) {
-        return replica.device == tier_->flash_device() &&
-               replica.key == tier_key;
-      };
-      for (const StoreGroup& group : info->Groups())
-        std::erase_if(*group.replicas, alias);
-    }
-  }
-  VerifySwappedClusters(&report);
-  ReconcileCleanImages(&report);
-  ReconcilePayloadCache();
-
-  if (journal_ != nullptr) OBISWAP_RETURN_IF_ERROR(journal_->Clear());
-  crashed_ = false;
-  ++stats_.recoveries;
-  if (clock_ != nullptr) stats_.recovery_us += clock_->now_us() - begin_us;
-  if (bus_ != nullptr) {
-    bus_->Publish(
-        context::Event(context::kEventRecoveryCompleted)
-            .Set("pending_ops", static_cast<int64_t>(report.pending_ops))
-            .Set("rolled_back", static_cast<int64_t>(report.rolled_back))
-            .Set("rolled_forward",
-                 static_cast<int64_t>(report.rolled_forward))
-            .Set("proxies_restored",
-                 static_cast<int64_t>(report.proxies_restored))
-            .Set("orphan_drops",
-                 static_cast<int64_t>(report.orphan_drops_enqueued))
-            .Set("clusters_lost",
-                 static_cast<int64_t>(report.clusters_lost)));
-  }
-  return report;
+  replicas_.ReleaseReplicas(replicas, count_as_drop);
+  if (pipe_.crashed) return;  // torn mid-release: recovery finishes it
+  if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
 }
 
 Status SwappingManager::set_wire_format(const std::string& format) {
@@ -1848,7 +1123,7 @@ Status SwappingManager::PatchInbound(SwapClusterId id, Target&& target,
   if (fault.ok()) fault = CheckFaultPoint(finalize_point);
   // A crash leaves the patch torn for Recover(); a clean error unwinds it,
   // last patch first, so a proxy listed twice ends on its first old target.
-  if (!fault.ok() && !crashed_) {
+  if (!fault.ok() && !pipe_.crashed) {
     for (auto it = patched.rbegin(); it != patched.rend(); ++it)
       it->first->RawSlotMutable(kProxySlotTarget) = Value::Ref(it->second);
   }
@@ -1882,7 +1157,7 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
   // image holds), rooted for the whole operation so no collection inside
   // it freed one; the full path registered every member it folded in, so
   // it is also what LiveMembers would return.
-  if (key.ok() && !crashed_) {
+  if (key.ok() && !pipe_.crashed) {
 #ifdef OBISWAP_VERIFY_RECLAIM
     OBISWAP_CHECK(members == registry_.LiveMembers(id));
 #endif
@@ -1893,18 +1168,19 @@ Result<SwapKey> SwappingManager::SwapOut(SwapClusterId id) {
 
 Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
                                                std::vector<Object*>& members) {
-  if (crashed_) return CrashedError();
-  PriorityScope priority_scope(this, net::Priority::kSwapOut);
-  telemetry::ScopedSpan op_span(telemetry_, "swap_out", "swap",
-                                telemetry::Hist(telemetry_, "swap_out_us"));
-  const uint64_t op_begin_us = clock_ != nullptr ? clock_->now_us() : 0;
+  if (pipe_.crashed) return CrashedError();
+  PriorityScope priority_scope(replicas_, net::Priority::kSwapOut);
+  telemetry::ScopedSpan op_span(
+      pipe_.telemetry, "swap_out", "swap",
+      telemetry::Hist(pipe_.telemetry, "swap_out_us"));
+  const uint64_t op_begin_us = pipe_.now_us();
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr)
     return NotFoundError("no swap-cluster " + id.ToString());
   if (info->state != SwapState::kLoaded)
     return FailedPreconditionError("swap-cluster " + id.ToString() + " is " +
                                    SwapStateName(info->state));
-  if ((store_ == nullptr || discovery_ == nullptr) && local_ == nullptr)
+  if (!replicas_.attached())
     return FailedPreconditionError("no store client or local store attached");
   for (SwapClusterId active : rt_.context_stack()) {
     if (active == id)
@@ -1936,8 +1212,8 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
   std::vector<Object*> outbound;  // the replacement's proxies, ref order
   std::optional<telemetry::ScopedSpan> clean_span;
   if (info->LoadedClean()) {
-    clean_span.emplace(telemetry_, "clean_swap_out", "swap",
-                       telemetry::Hist(telemetry_, "clean_swap_out_us"));
+    clean_span.emplace(pipe_.telemetry, "clean_swap_out", "swap",
+                       telemetry::Hist(pipe_.telemetry, "clean_swap_out_us"));
     // Nothing mutated yet: the cluster stays loaded and keeps its image.
     OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("clean_swap_out.revalidate"));
     // An unusable image (dead outbound proxy or every replica of a group
@@ -1991,8 +1267,8 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
     };
     {
       telemetry::ScopedSpan span(
-          telemetry_, "serialize", "swap",
-          telemetry::Hist(telemetry_, "swap_out_serialize_us"));
+          pipe_.telemetry, "serialize", "swap",
+          telemetry::Hist(pipe_.telemetry, "swap_out_serialize_us"));
       OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.serialize"));
       OBISWAP_ASSIGN_OR_RETURN(
           serialized, SerializeForWire(id.value(), members, describe));
@@ -2043,8 +1319,8 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
 
     {
       telemetry::ScopedSpan span(
-          telemetry_, "compress", "swap",
-          telemetry::Hist(telemetry_, "swap_out_compress_us"));
+          pipe_.telemetry, "compress", "swap",
+          telemetry::Hist(pipe_.telemetry, "swap_out_compress_us"));
       OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_out.compress"));
       const compress::Codec* codec = compress::FindCodec(options_.codec);
       OBISWAP_ASSIGN_OR_RETURN(payload,
@@ -2071,21 +1347,21 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
   // re-adopted delta image journals as a delta swap-out (the base fields
   // tell recovery which base document the payload applies to).
   uint64_t seq = 0;
-  if (journal_ != nullptr) {
+  if (pipe_.journal != nullptr) {
     std::vector<uint64_t> member_oids;
     member_oids.reserve(source.oids.size());
     for (ObjectId oid : source.oids) member_oids.push_back(oid.value());
     const IntentOp op = source.HasDelta() ? IntentOp::kDeltaSwapOut
                         : clean           ? IntentOp::kCleanSwapOut
                                           : IntentOp::kSwapOut;
-    seq = journal_->BeginOp(op, id, info->swap_epoch + 1,
+    seq = pipe_.journal->BeginOp(op, id, info->swap_epoch + 1,
                             source.payload_checksum, std::move(member_oids),
                             LiveInboundProxyOids(id), source.base_epoch,
                             source.base_checksum);
     if (clean) {
       for (const ReplicaLocation& replica : source.replicas)
-        journal_->NoteReplicaIntent(seq, replica.device, replica.key);
-      (void)journal_->Persist();
+        pipe_.journal->NoteReplicaIntent(seq, replica.device, replica.key);
+      (void)pipe_.journal->Persist();
     }
   }
 
@@ -2096,7 +1372,8 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
         !fault.ok()) {
       // A clean (non-crash) error must seal the op or the dangling begin
       // record would be persisted by a later operation and replayed.
-      if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
+      if (!pipe_.crashed && pipe_.journal != nullptr)
+        (void)pipe_.journal->Abort(seq);
       return fault;
     }
 
@@ -2117,7 +1394,7 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
     // in any nearby device with wireless connectivity and available
     // storage"). The first placement is mandatory; extra replicas are
     // best-effort durability against store departure. The local flash is
-    // last resort only — it is part of the device's own scarce resources.
+    // the walk's last candidate, tried only when no store took a copy.
     // Brownout lowers the placement target; the shortfall is
     // re-replication debt the DurabilityMonitor repays once the
     // neighborhood recovers.
@@ -2125,35 +1402,24 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
     size_t want = EffectiveReplicationFactor();
     std::vector<ReplicaLocation>& placed = shipped.replicas;
     telemetry::ScopedSpan ship_span(
-        telemetry_, "ship", "swap",
-        telemetry::Hist(telemetry_, "swap_out_ship_us"));
+        pipe_.telemetry, "ship", "swap",
+        telemetry::Hist(pipe_.telemetry, "swap_out_ship_us"));
     Status stored = OkStatus();
     if (!tier_admitted) {
       // A partial placement still completes the swap-out (under-replicated).
-      stored = PlaceReplicas(id, payload, want, placed, seq,
-                             "swap_out.ship_replica", op_begin_us);
-      if (crashed_) return stored;
-    }
-    if (!tier_admitted && placed.empty() && local_ != nullptr &&
-        local_->free_bytes() >= payload.size()) {
-      SwapKey key = NextKey();
-      if (journal_ != nullptr) {
-        journal_->NoteReplicaIntent(seq, local_->device(), key);
-        (void)journal_->Persist();
-      }
-      stored = CheckFaultPoint("swap_out.local_store");
-      if (stored.ok()) stored = local_->Store(key, payload);
-      if (crashed_) return stored;
-      if (stored.ok()) {
-        placed.push_back(ReplicaLocation{local_->device(), key});
-        ++stats_.local_swap_outs;
-      }
+      stored = replicas_.PlaceReplicas(
+          id, payload, want, placed,
+          {.journal_seq = seq,
+           .fault_point = "swap_out.ship_replica",
+           .budget = Budget(op_begin_us),
+           .local_fault_point = "swap_out.local_store"});
+      if (pipe_.crashed) return stored;
     }
     ship_span.Close();
     if (!tier_admitted && placed.empty()) {
       // Clean placement failure: every journaled key is known-unstored (the
       // failed stores never recorded them); seal the op as unwound.
-      if (journal_ != nullptr) (void)journal_->Abort(seq);
+      if (pipe_.journal != nullptr) (void)pipe_.journal->Abort(seq);
       ++stats_.swap_out_failures;
       if (stored.code() == StatusCode::kDeadlineExceeded)
         ++stats_.deadline_aborts;
@@ -2178,7 +1444,8 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
   // re-adoption keeps its own fault-point names and has no "patch" span
   // (its whole op is the clean_swap_out span).
   const SwapOutPoints& points = clean ? kCleanSwapOutPoints : kSwapOutPoints;
-  telemetry::Telemetry* const patch_telemetry = clean ? nullptr : telemetry_;
+  telemetry::Telemetry* const patch_telemetry =
+      clean ? nullptr : pipe_.telemetry;
   telemetry::ScopedSpan patch_span(
       patch_telemetry, "patch", "swap",
       telemetry::Hist(patch_telemetry, "swap_out_patch_us"));
@@ -2202,11 +1469,11 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
     // re-adoption); the cluster stays loaded. Failed drops (store out of
     // range) are queued for retry — a placed replica must never leak just
     // because the rollback could not reach its store.
-    if (crashed_) return patched;
-    ReleaseReplicas(shipped.replicas, /*count_as_drop=*/false);
+    if (pipe_.crashed) return patched;
+    replicas_.ReleaseReplicas(shipped.replicas, /*count_as_drop=*/false);
     if (tier_admitted) tier_->Release(id);
-    if (crashed_) return InternalError("simulated crash during rollback");
-    if (journal_ != nullptr) (void)journal_->Abort(seq);
+    if (pipe_.crashed) return InternalError("simulated crash during rollback");
+    if (pipe_.journal != nullptr) (void)pipe_.journal->Abort(seq);
     ++stats_.swap_out_failures;
     return patched;
   }
@@ -2225,7 +1492,7 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
   // as fully applied. A crash here replays as a torn (uncommitted) op and
   // rolls forward off the verified replicas.
   OBISWAP_RETURN_IF_ERROR(CheckFaultPoint(points.journal_commit));
-  if (journal_ != nullptr) (void)journal_->Commit(seq);
+  if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
 
   // A shipped payload supersedes a retained (dirty) image, consumed now,
   // after commit. A delta ship adopted its base group above and merely
@@ -2316,7 +1583,7 @@ bool SwappingManager::RevalidateCleanImage(SwapClusterInfo* info,
   // is useless without its base document.
   for (const StoreGroup& group : image.Groups()) {
     if (!usable) break;
-    PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/false);
+    replicas_.PruneUnconfirmed(*group.replicas, /*keep_unreachable=*/false);
     usable = !group.replicas->empty();
   }
   if (usable) return true;
@@ -2326,7 +1593,7 @@ bool SwappingManager::RevalidateCleanImage(SwapClusterInfo* info,
 }
 
 Result<SwapClusterId> SwappingManager::SwapOutVictim() {
-  if (crashed_) return CrashedError();
+  if (pipe_.crashed) return CrashedError();
   std::vector<SwapClusterId> exclude = rt_.context_stack();
   if (brownout_) {
     // Degraded neighborhood: prefer victims with a retained clean image —
@@ -2353,7 +1620,7 @@ Result<SwapClusterId> SwappingManager::SwapOutVictim() {
     // No placement target at all means every further victim would pay the
     // serialize+compress cost only to hit the same dead network; fail fast.
     if (key.status().code() == StatusCode::kUnavailable &&
-        !AnyStoreReachable()) {
+        !replicas_.AnyStoreReachable()) {
       return key.status();
     }
     // This victim failed (e.g. store full for its payload); try the next.
@@ -2371,8 +1638,8 @@ Result<std::string> SwappingManager::ResolveDeltaBase(
     SwapClusterInfo* info, const std::string& delta_payload,
     uint64_t op_start_us) {
   telemetry::ScopedSpan span(
-      telemetry_, "resolve_delta_base", "swap",
-      telemetry::Hist(telemetry_, "swap_in_delta_base_us"));
+      pipe_.telemetry, "resolve_delta_base", "swap",
+      telemetry::Hist(pipe_.telemetry, "swap_in_delta_base_us"));
   if (!info->DeltaSwapped()) {
     return UnavailableError("swap-cluster " + info->id.ToString() +
                             " has no base group to merge a delta over");
@@ -2401,17 +1668,17 @@ Result<std::string> SwappingManager::ResolveDeltaBase(
 }
 
 Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
-  if (crashed_) return CrashedError();
-  PriorityScope priority_scope(this, prefetch
+  if (pipe_.crashed) return CrashedError();
+  PriorityScope priority_scope(replicas_, prefetch
                                          ? net::Priority::kPrefetch
                                          : net::Priority::kDemandSwapIn);
-  const uint64_t begin_us = clock_ != nullptr ? clock_->now_us() : 0;
+  const uint64_t begin_us = pipe_.now_us();
   // Demand faults and speculative loads get distinct categories and
   // histograms: the trace separates application stall from prefetch work.
   const char* span_category = prefetch ? "prefetch" : "swap";
   telemetry::ScopedSpan op_span(
-      telemetry_, "swap_in", span_category,
-      telemetry::Hist(telemetry_, prefetch ? "swap_in_prefetch_us"
+      pipe_.telemetry, "swap_in", span_category,
+      telemetry::Hist(pipe_.telemetry, prefetch ? "swap_in_prefetch_us"
                                            : "swap_in_demand_us"));
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr) return NotFoundError("no swap-cluster " + id.ToString());
@@ -2461,8 +1728,8 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // A tier copy decodes inside its tier_fetch span, with no fault point.
     std::optional<telemetry::ScopedSpan> span;
     if (copy.source != FetchSource::kTier) {
-      span.emplace(telemetry_, "materialize", span_category,
-                   telemetry::Hist(telemetry_, "swap_in_materialize_us"));
+      span.emplace(pipe_.telemetry, "materialize", span_category,
+                   telemetry::Hist(pipe_.telemetry, "swap_in_materialize_us"));
       OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_in.materialize"));
     }
     OBISWAP_ASSIGN_OR_RETURN(members, serialization::DeserializeClusterAny(
@@ -2486,7 +1753,7 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   std::unordered_map<uint64_t, Object*> by_oid;
   for (Object* member : members) by_oid[member->oid().value()] = member;
 
-  telemetry::ScopedSpan patch_span(telemetry_, "patch", span_category);
+  telemetry::ScopedSpan patch_span(pipe_.telemetry, "patch", span_category);
   // All-or-nothing: every live inbound proxy must resolve against the
   // restored payload BEFORE anything is mutated. Bailing out mid-patch
   // would leave the cluster torn — membership clobbered, some proxies
@@ -2508,11 +1775,11 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   // objects (patched proxies keep them alive); the proxy oids are the
   // patch set to cross-check.
   uint64_t seq = 0;
-  if (journal_ != nullptr) {
+  if (pipe_.journal != nullptr) {
     std::vector<uint64_t> member_oids;
     member_oids.reserve(info->oids.size());
     for (ObjectId oid : info->oids) member_oids.push_back(oid.value());
-    seq = journal_->BeginOp(IntentOp::kSwapIn, id, info->swap_epoch,
+    seq = pipe_.journal->BeginOp(IntentOp::kSwapIn, id, info->swap_epoch,
                             info->payload_checksum, std::move(member_oids),
                             LiveInboundProxyOids(id));
     // The current replicas ride along as intents: if the swap-in ends up
@@ -2521,12 +1788,13 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
     // swap-in accounts for both groups — delta and base.
     for (const StoreGroup& group : info->Groups()) {
       for (const ReplicaLocation& replica : *group.replicas)
-        journal_->NoteReplicaIntent(seq, replica.device, replica.key);
+        pipe_.journal->NoteReplicaIntent(seq, replica.device, replica.key);
     }
-    (void)journal_->Persist();
+    (void)pipe_.journal->Persist();
   }
   if (Status fault = CheckFaultPoint("swap_in.journal_begin"); !fault.ok()) {
-    if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
+    if (!pipe_.crashed && pipe_.journal != nullptr)
+      (void)pipe_.journal->Abort(seq);
     return fault;
   }
 
@@ -2544,7 +1812,8 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   if (!patch_fault.ok()) {
     // A clean error was unwound to the replacement; the materialized
     // objects are unrooted past this frame and die at the next collection.
-    if (!crashed_ && journal_ != nullptr) (void)journal_->Abort(seq);
+    if (!pipe_.crashed && pipe_.journal != nullptr)
+      (void)pipe_.journal->Abort(seq);
     return patch_fault;
   }
   info->members.clear();
@@ -2621,10 +1890,10 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   registry_.RecordCrossing(id, ++crossing_seq_);
 
   OBISWAP_RETURN_IF_ERROR(CheckFaultPoint("swap_in.journal_commit"));
-  if (journal_ != nullptr) (void)journal_->Commit(seq);
+  if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
   if (!stale_replicas.empty()) {
     JournaledRelease(id, stale_replicas, /*count_as_drop=*/false);
-    if (crashed_)
+    if (pipe_.crashed)
       return InternalError("simulated crash releasing stale replicas");
   }
 
@@ -2664,8 +1933,7 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
   if (prefetch) {
     ++stats_.prefetched_swap_ins;
     speculative_loaded_.insert(id);
-    if (clock_ != nullptr)
-      stats_.prefetch_fetch_us += clock_->now_us() - begin_us;
+    stats_.prefetch_fetch_us += pipe_.now_us() - begin_us;
   } else {
     if (was_staged) {
       if (from_cache) {
@@ -2676,8 +1944,7 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
         PublishPrefetchEvent(context::kEventPrefetchWaste, id, "staged");
       }
     }
-    if (clock_ != nullptr)
-      stats_.demand_fault_stall_us += clock_->now_us() - begin_us;
+    stats_.demand_fault_stall_us += pipe_.now_us() - begin_us;
   }
 
   if (bus_ != nullptr) {
@@ -2693,11 +1960,11 @@ Status SwappingManager::SwapIn(SwapClusterId id, bool prefetch) {
 }
 
 Status SwappingManager::PrefetchStage(SwapClusterId id) {
-  if (crashed_) return CrashedError();
-  PriorityScope priority_scope(this, net::Priority::kPrefetch);
+  if (pipe_.crashed) return CrashedError();
+  PriorityScope priority_scope(replicas_, net::Priority::kPrefetch);
   telemetry::ScopedSpan op_span(
-      telemetry_, "prefetch_stage", "prefetch",
-      telemetry::Hist(telemetry_, "prefetch_stage_us"));
+      pipe_.telemetry, "prefetch_stage", "prefetch",
+      telemetry::Hist(pipe_.telemetry, "prefetch_stage_us"));
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr) return NotFoundError("no swap-cluster " + id.ToString());
   if (info->state != SwapState::kSwapped)
@@ -2721,7 +1988,7 @@ Status SwappingManager::PrefetchStage(SwapClusterId id) {
   // A tier-resident payload fills the cache without touching the radio,
   // making speculation nearly free; any tier problem falls through to the
   // replica fetch.
-  const uint64_t begin_us = clock_ != nullptr ? clock_->now_us() : 0;
+  const uint64_t begin_us = pipe_.now_us();
   OBISWAP_ASSIGN_OR_RETURN(
       FetchedCopy copy,
       FetchGroup(*info, info->Groups().front(), FetchPurpose::kStage));
@@ -2737,8 +2004,7 @@ Status SwappingManager::PrefetchStage(SwapClusterId id) {
   staged_.insert(id);
   ++stats_.prefetch_stages;
   stats_.prefetch_stage_bytes += payload_bytes;
-  if (clock_ != nullptr)
-    stats_.prefetch_fetch_us += clock_->now_us() - begin_us;
+  stats_.prefetch_fetch_us += pipe_.now_us() - begin_us;
   return OkStatus();
 }
 
@@ -2779,185 +2045,6 @@ void SwappingManager::set_replication_factor(size_t k) {
   options_.replication_factor = k > 0 ? k : size_t{1};
 }
 
-bool SwappingManager::AnyStoreReachable() const {
-  if (store_ != nullptr && discovery_ != nullptr &&
-      !discovery_->NearbyStores(store_->self()).empty()) {
-    return true;
-  }
-  return local_ != nullptr && local_->free_bytes() > 0;
-}
-
-std::vector<ReplicaLocation> SwappingManager::ReplicaFetchOrder(
-    const std::vector<ReplicaLocation>& replicas) const {
-  // O(1) per replica: a K-replica fetch must not pay an O(fleet) discovery
-  // walk just to order K candidates.
-  const bool can_check = store_ != nullptr && discovery_ != nullptr;
-  auto in_reach = [&](const ReplicaLocation& replica) {
-    return IsLocalDevice(replica.device) ||
-           (can_check &&
-            discovery_->IsNearby(store_->self(), replica.device));
-  };
-  auto healthy = [&](const ReplicaLocation& replica) {
-    return health_ == nullptr || IsLocalDevice(replica.device) ||
-           health_->IsHealthy(replica.device);
-  };
-  std::vector<ReplicaLocation> order;
-  order.reserve(replicas.size());
-  // Three tiers, placement order within each: reachable-and-healthy,
-  // reachable with a tripped breaker (still worth a try — it fails fast at
-  // the breaker gate and carries the half-open probe), then unreachable.
-  // Unreachable replicas still get a try at the end — discovery lags the
-  // radio, and a doomed fetch only costs a fast kUnavailable.
-  for (const ReplicaLocation& replica : replicas)
-    if (in_reach(replica) && healthy(replica)) order.push_back(replica);
-  for (const ReplicaLocation& replica : replicas)
-    if (in_reach(replica) && !healthy(replica)) order.push_back(replica);
-  for (const ReplicaLocation& replica : replicas)
-    if (!in_reach(replica)) order.push_back(replica);
-  return order;
-}
-
-Status SwappingManager::PlaceReplicas(SwapClusterId id,
-                                      const std::string& payload, size_t want,
-                                      std::vector<ReplicaLocation>& group,
-                                      uint64_t journal_seq,
-                                      const char* fault_point,
-                                      std::optional<uint64_t> op_begin_us) {
-  const size_t need = payload.size();
-  Status last = UnavailableError("no nearby store device with " +
-                                 FormatBytes(need) + " free");
-  if (store_ == nullptr || discovery_ == nullptr) return last;
-  const bool via_directory = DirectoryActive();
-  std::vector<net::StoreNode*> candidates =
-      via_directory ? DirectoryCandidates(id, want, need)
-                    : discovery_->NearbyStores(store_->self(), need);
-  if (health_ != nullptr) {
-    // Healthy stores first (rank or most-free order within each group);
-    // stores with a tripped breaker sink to the back — still reachable as
-    // last-resort probe pressure, never the first choice.
-    std::stable_partition(candidates.begin(), candidates.end(),
-                          [this](net::StoreNode* node) {
-                            return health_->IsHealthy(node->device());
-                          });
-  }
-  // A key minted for a failed store attempt is reused for the next
-  // candidate (the failed store never recorded it) — the key space is not
-  // burned by flaky placements. A run of consecutive failures aborts the
-  // walk: every candidate failing in a row means the network is sick, and
-  // retrying down a long candidate list only stalls the caller.
-  SwapKey key;
-  size_t consecutive_failures = 0;
-  for (net::StoreNode* candidate : candidates) {
-    if (group.size() >= want) break;
-    if (consecutive_failures >= kMaxConsecutiveStoreFailures) break;
-    const DeviceId device = candidate->device();
-    if (std::any_of(group.begin(), group.end(),
-                    [&](const ReplicaLocation& replica) {
-                      return replica.device == device;
-                    }))
-      continue;
-    const uint64_t budget =
-        op_begin_us.has_value() ? OpBudgetLeft(*op_begin_us) : UINT64_MAX;
-    if (budget == 0) {
-      // The operation's end-to-end budget is spent: fail fast rather than
-      // stacking retries across the remaining candidates.
-      return DeadlineExceededError("placement budget exhausted after " +
-                                   std::to_string(group.size()) +
-                                   " replicas");
-    }
-    if (!key.valid()) key = NextKey();
-    if (journal_ != nullptr && journal_seq != 0) {
-      // Intent before RPC: if the crash lands inside the store call, the
-      // persisted intent is the only record this key ever existed.
-      journal_->NoteReplicaIntent(journal_seq, device, key);
-      (void)journal_->Persist();
-    }
-    Status attempt = CheckFaultPoint(fault_point);
-    if (attempt.ok())
-      attempt =
-          StoreAt(device, key, payload, budget == UINT64_MAX ? 0 : budget);
-    if (crashed_) return attempt;
-    if (attempt.ok()) {
-      group.push_back(ReplicaLocation{device, key});
-      if (via_directory) ++stats_.fleet_placements;
-      key = SwapKey();
-      consecutive_failures = 0;
-    } else {
-      last = attempt;
-      ++consecutive_failures;
-    }
-  }
-  return group.size() >= want ? OkStatus() : last;
-}
-
-bool SwappingManager::DirectoryActive() const {
-  return directory_ != nullptr && directory_->size() > 0 &&
-         store_ != nullptr && discovery_ != nullptr;
-}
-
-std::vector<net::StoreNode*> SwappingManager::DirectoryCandidates(
-    SwapClusterId id, size_t k, size_t need) {
-  // Rank the whole fleet for this cluster's placement key, keep the
-  // reachable stores with room, then apply the bounded-load rule against
-  // actual store fill: while the first k slots are being chosen, a store
-  // at or over the cap is deferred behind the under-cap candidates (never
-  // dropped — a full fleet still places somewhere) so pure-HRW hot spots
-  // flatten out while the order stays deterministic for a given view.
-  const uint64_t key = fleet::PlacementDirectory::KeyFor(store_->self(), id);
-  std::vector<net::StoreNode*> ranked;
-  uint64_t total_load = 0;
-  for (DeviceId device : directory_->RankAll(key)) {
-    if (device == store_->self()) continue;
-    if (!discovery_->IsNearby(store_->self(), device)) continue;
-    net::StoreNode* node = discovery_->NodeFor(device);
-    if (node == nullptr || node->free_bytes() < need) continue;
-    ranked.push_back(node);
-    total_load += node->entry_count();
-  }
-  ++stats_.fleet_selections;
-  const uint64_t bound = directory_->LoadBound(total_load, ranked.size());
-  std::vector<net::StoreNode*> out;
-  std::vector<net::StoreNode*> deferred;
-  out.reserve(ranked.size());
-  uint64_t skips = 0;
-  for (net::StoreNode* node : ranked) {
-    if (out.size() < k && node->entry_count() >= bound) {
-      deferred.push_back(node);
-      ++skips;
-    } else {
-      out.push_back(node);
-    }
-  }
-  out.insert(out.end(), deferred.begin(), deferred.end());
-  if (skips > 0) directory_->NoteBoundedSkips(skips);
-  return out;
-}
-
-void SwappingManager::ReleaseReplicas(
-    const std::vector<ReplicaLocation>& replicas, bool count_as_drop) {
-  // Drops are reclamation, never on the stall path: lowest shedding class.
-  PriorityScope priority_scope(this, net::Priority::kMaintenance);
-  for (const ReplicaLocation& replica : replicas) {
-    Status dropped = CheckFaultPoint("drop.release_replica");
-    if (crashed_) return;  // abandon mid-release; recovery reclaims the rest
-    if (dropped.ok()) dropped = DropAt(replica.device, replica.key);
-    if (dropped.ok()) {
-      if (count_as_drop) ++stats_.drops;
-      continue;
-    }
-    if (dropped.code() == StatusCode::kNotFound) continue;  // already gone
-    ++stats_.drop_failures;
-    if (dropped.code() == StatusCode::kUnavailable ||
-        net::IsPushback(dropped)) {
-      // Store out of range (or shedding maintenance load) right now: park
-      // the obligation; the queue drains on a later poll or reconnection.
-      (void)EnqueuePendingDrop(replica.device, replica.key);
-    } else {
-      OBISWAP_LOG(kWarn) << "store drop failed: " << dropped.ToString();
-    }
-  }
-}
-
 size_t SwappingManager::ForgetReplica(SwapClusterId id, DeviceId device) {
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr) return 0;
@@ -2968,7 +2055,7 @@ size_t SwappingManager::ForgetReplica(SwapClusterId id, DeviceId device) {
       if (!(replica.device == device)) return false;
       // Should the store ever return, its now-orphaned payload must still
       // be reclaimed — keep the drop obligation alive.
-      (void)EnqueuePendingDrop(device, replica.key);
+      (void)replicas_.EnqueuePendingDrop(device, replica.key);
       ++forgotten;
       return true;
     });
@@ -2993,11 +2080,11 @@ size_t SwappingManager::ForgetReplica(SwapClusterId id, DeviceId device) {
 }
 
 Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
-  if (crashed_) return CrashedError();
-  PriorityScope priority_scope(this, net::Priority::kMaintenance);
+  if (pipe_.crashed) return CrashedError();
+  PriorityScope priority_scope(replicas_, net::Priority::kMaintenance);
   telemetry::ScopedSpan op_span(
-      telemetry_, "re_replicate", "durability",
-      telemetry::Hist(telemetry_, "re_replicate_us"));
+      pipe_.telemetry, "re_replicate", "durability",
+      telemetry::Hist(pipe_.telemetry, "re_replicate_us"));
   SwapClusterInfo* info = registry_.Find(id);
   if (info == nullptr)
     return NotFoundError("no swap-cluster " + id.ToString());
@@ -3049,24 +2136,25 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
     // RPC; an uncommitted maintenance op's keys that never made it into
     // the replica list are dropped at recovery.
     uint64_t seq = 0;
-    if (journal_ != nullptr) {
-      seq = journal_->BeginOp(IntentOp::kReplicaMaintenance, id,
+    if (pipe_.journal != nullptr) {
+      seq = pipe_.journal->BeginOp(IntentOp::kReplicaMaintenance, id,
                               info->swap_epoch, info->payload_checksum, {},
                               {});
     }
     // Pacer feedback reads pushback-counter deltas, not statuses —
     // PlaceReplicas folds per-store failures into its walk.
-    const net::StoreClient::Stats* client = StoreClientStats();
+    const net::StoreClient::Stats* client = replicas_.client_stats();
     const uint64_t pushbacks_before = client != nullptr ? client->pushbacks
                                                         : 0;
     const size_t before = replicas->size();
-    Status place_failure =
-        PlaceReplicas(id, payload, want, *replicas, seq, "re_replicate.place");
+    Status place_failure = replicas_.PlaceReplicas(
+        id, payload, want, *replicas,
+        {.journal_seq = seq, .fault_point = "re_replicate.place"});
     // A partial top-up still counts as progress.
     const size_t added = replicas->size() - before;
     stats_.re_replications += added;
     stats_.bytes_re_replicated += added * payload.size();
-    if (crashed_) return place_failure;
+    if (pipe_.crashed) return place_failure;
     if (tier_sourced && write_back_pacer_.enabled()) {
       if (client != nullptr && client->pushbacks > pushbacks_before)
         write_back_pacer_.OnPushback();
@@ -3074,11 +2162,11 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
         write_back_pacer_.OnSuccess();
     }
     if (added == 0 && !place_failure.ok()) {
-      if (journal_ != nullptr) (void)journal_->Abort(seq);
+      if (pipe_.journal != nullptr) (void)pipe_.journal->Abort(seq);
       if (added_total > 0) break;
       return place_failure;
     }
-    if (journal_ != nullptr) (void)journal_->Commit(seq);
+    if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
     added_total += added;
   }
   // A remote group may have just reached K: the tier entry stops being its
@@ -3098,9 +2186,9 @@ Result<size_t> SwappingManager::ReReplicate(SwapClusterId id) {
 }
 
 Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
-  if (crashed_) return CrashedError();
-  PriorityScope priority_scope(this, net::Priority::kMaintenance);
-  telemetry::ScopedSpan op_span(telemetry_, "evacuate_replicas",
+  if (pipe_.crashed) return CrashedError();
+  PriorityScope priority_scope(replicas_, net::Priority::kMaintenance);
+  telemetry::ScopedSpan op_span(pipe_.telemetry, "evacuate_replicas",
                                 "durability");
   size_t moved = 0;
   for (SwapClusterId id : registry_.Ids()) {
@@ -3131,19 +2219,20 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
       // so every crash window resolves: before the list update the fresh
       // copy is the orphan to drop; after it, the old copy is.
       uint64_t seq = 0;
-      if (journal_ != nullptr) {
-        seq = journal_->BeginOp(IntentOp::kReplicaMaintenance, id,
+      if (pipe_.journal != nullptr) {
+        seq = pipe_.journal->BeginOp(IntentOp::kReplicaMaintenance, id,
                                 info->swap_epoch, info->payload_checksum, {},
                                 {});
-        journal_->NoteReplicaIntent(seq, old.device, old.key);
+        pipe_.journal->NoteReplicaIntent(seq, old.device, old.key);
       }
       // The walk appends the fresh copy (it never picks a listed device,
       // so never `leaving`); it then takes the old replica's slot.
-      Status placed = PlaceReplicas(id, source->stored, replicas.size() + 1,
-                                    replicas, seq, "evacuate.place");
-      if (crashed_) return placed;
+      Status placed = replicas_.PlaceReplicas(
+          id, source->stored, replicas.size() + 1, replicas,
+          {.journal_seq = seq, .fault_point = "evacuate.place"});
+      if (pipe_.crashed) return placed;
       if (!placed.ok()) {
-        if (journal_ != nullptr) (void)journal_->Abort(seq);
+        if (pipe_.journal != nullptr) (void)pipe_.journal->Abort(seq);
         OBISWAP_LOG(kWarn) << "no evacuation target for swap-cluster "
                            << id.ToString() << ": " << placed.ToString();
         continue;
@@ -3151,12 +2240,12 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
       replicas[at] = replicas.back();
       replicas.pop_back();
       Status dropped = CheckFaultPoint("evacuate.drop_old");
-      if (crashed_) return dropped;
-      if (dropped.ok()) dropped = DropAt(old.device, old.key);
+      if (pipe_.crashed) return dropped;
+      if (dropped.ok()) dropped = replicas_.DropAt(old.device, old.key);
       if (!dropped.ok() && dropped.code() != StatusCode::kNotFound) {
-        (void)EnqueuePendingDrop(old.device, old.key);
+        (void)replicas_.EnqueuePendingDrop(old.device, old.key);
       }
-      if (journal_ != nullptr) (void)journal_->Commit(seq);
+      if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
       ++cluster_moved;
       ++stats_.evacuated_replicas;
     }
@@ -3170,35 +2259,6 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
     }
   }
   return moved;
-}
-
-size_t SwappingManager::FlushPendingDrops() {
-  if (crashed_) return 0;  // no store traffic while torn; Recover() first
-  if (pending_drops_.empty()) return 0;
-  // Deferred drops are reclamation: lowest shedding class, first refused.
-  PriorityScope priority_scope(this, net::Priority::kMaintenance);
-  size_t drained = 0;
-  size_t write = 0;
-  for (size_t read = 0; read < pending_drops_.size(); ++read) {
-    const PendingDrop pending = pending_drops_[read];
-    Status dropped = DropAt(pending.device, pending.key);
-    if (dropped.ok() || dropped.code() == StatusCode::kNotFound) {
-      ++drained;
-      ++stats_.drops_drained;
-      continue;
-    }
-    if (dropped.code() == StatusCode::kUnavailable ||
-        net::IsPushback(dropped)) {
-      // Out of range or shed by a saturated store: the obligation stands,
-      // retry on a later poll.
-      pending_drops_[write++] = pending;
-      continue;
-    }
-    OBISWAP_LOG(kWarn) << "deferred drop failed permanently: "
-                       << dropped.ToString();
-  }
-  pending_drops_.resize(write);
-  return drained;
 }
 
 // ---------------------------------------------------------------------------
@@ -3227,13 +2287,11 @@ void SwappingManager::OnReplacementFinalized(Object* replacement) {
   }
   info->state = SwapState::kDropped;
   info->replacement = runtime::WeakRef();
-  if (store_ != nullptr || local_ != nullptr) {
-    // One journaled release covers both groups: the shipped payload and —
-    // for a delta-swapped cluster — the base document it applied to.
-    std::vector<ReplicaLocation> all = info->replicas;
-    AppendNew(all, info->base_replicas);
-    JournaledRelease(id, all, /*count_as_drop=*/true);
-  }
+  // One journaled release covers both groups: the shipped payload and —
+  // for a delta-swapped cluster — the base document it applied to.
+  std::vector<ReplicaLocation> all = info->replicas;
+  AppendNew(all, info->base_replicas);
+  JournaledRelease(id, all, /*count_as_drop=*/true);
   // A dead cluster's tier copies (and their flash slots) go with it.
   if (tier_ != nullptr) tier_->Release(id);
   info->replicas.clear();
@@ -3336,8 +2394,8 @@ std::vector<std::pair<std::string, uint64_t>> SwappingManager::StatsSnapshot()
     uint64_t value = 0;
     if (spec.field != nullptr) {
       value = stats_.*spec.field;
-    } else if (journal_ != nullptr) {
-      value = journal_->stats().*spec.journal_field;
+    } else if (pipe_.journal != nullptr) {
+      value = pipe_.journal->stats().*spec.journal_field;
     }
     snapshot.emplace_back(spec.name, value);
   }
@@ -3369,7 +2427,7 @@ std::vector<std::pair<std::string, uint64_t>> SwappingManager::StatsSnapshot()
   // view of admission control (pushbacks received, per-class sheds, retry
   // budget flow, deepest store queue observed). All zero while the knobs
   // are off or no remote store is attached.
-  const net::StoreClient::Stats* client = StoreClientStats();
+  const net::StoreClient::Stats* client = replicas_.client_stats();
   static const net::StoreClient::Stats kZeroClientStats{};
   const net::StoreClient::Stats& c =
       client != nullptr ? *client : kZeroClientStats;

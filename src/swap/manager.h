@@ -42,21 +42,17 @@
 #include "context/events.h"
 #include "net/bridge.h"
 #include "net/sim_clock.h"
-#include "persist/flash_store.h"
 #include "runtime/runtime.h"
 #include "serialization/graph_xml.h"
 #include "swap/fault_injector.h"
 #include "swap/intent_journal.h"
 #include "swap/payload_cache.h"
 #include "swap/proxy.h"
+#include "swap/replica_service.h"
 #include "swap/reuse_index.h"
 #include "swap/swap_cluster.h"
 #include "telemetry/telemetry.h"
 #include "tier/tier.h"
-
-namespace obiswap::fleet {
-class PlacementDirectory;
-}  // namespace obiswap::fleet
 
 namespace obiswap::swap {
 
@@ -114,92 +110,12 @@ class SwappingManager final : public runtime::Interceptor,
     bool pace_write_backs = false;
   };
 
-  /// Placement gives up after this many consecutive failed store attempts
-  /// (stores that advertise space but fail the write — crashed, racing
-  /// another device, flaky link). Successes reset the count. Guards against
-  /// walking an arbitrarily long candidate list when the neighborhood is
-  /// sick.
-  static constexpr size_t kMaxConsecutiveStoreFailures = 4;
   /// Replicas a swap-out places while in brownout: degraded placement ships
   /// fewer copies now and queues the re-replication debt for the
   /// DurabilityMonitor to repay on recovery.
   static constexpr size_t kBrownoutReplicationFactor = 1;
-  /// Bound on the deferred-drop retry queue. At the cap the oldest
-  /// obligation is evicted (counted as pending_drop_overflow) — a store
-  /// that never returns must not grow the queue forever.
-  static constexpr size_t kMaxPendingDrops = 1024;
 
-  struct Stats {
-    uint64_t proxies_created = 0;
-    uint64_t proxies_reused = 0;
-    uint64_t proxies_dismantled = 0;
-    uint64_t proxies_finalized = 0;
-    uint64_t boundary_crossings = 0;
-    uint64_t assigned_patches = 0;
-    uint64_t swap_outs = 0;
-    uint64_t swap_ins = 0;
-    uint64_t drops = 0;
-    uint64_t drop_failures = 0;
-    uint64_t swap_out_failures = 0;
-    uint64_t bytes_swapped_out = 0;
-    uint64_t bytes_swapped_in = 0;
-    uint64_t local_swap_outs = 0;  ///< clusters parked on the local flash
-    uint64_t merges = 0;
-    uint64_t splits = 0;
-    // --- durability layer ---------------------------------------------------
-    uint64_t replicas_placed = 0;      ///< store placements, incl. primaries
-    uint64_t under_replicated_outs = 0;  ///< swap-outs that got < K replicas
-    uint64_t failover_fetches = 0;   ///< swap-ins that skipped ≥1 replica
-    uint64_t data_loss_failovers = 0;  ///< replicas skipped: checksum mismatch
-    uint64_t replicas_forgotten = 0;   ///< replica records lost to departure
-    uint64_t re_replications = 0;      ///< replicas placed to restore K
-    uint64_t bytes_re_replicated = 0;
-    uint64_t evacuated_replicas = 0;   ///< replicas moved off a leaving store
-    uint64_t drops_deferred = 0;       ///< drop ops parked in the retry queue
-    uint64_t drops_drained = 0;        ///< deferred drops completed later
-    // --- clean-image swap cache ---------------------------------------------
-    uint64_t clean_swap_outs = 0;  ///< swap-outs served by a retained image
-    uint64_t clean_image_invalidations = 0;  ///< images released (write,
-                                             ///< churn, merge/split, GC)
-    uint64_t clean_images_reaped = 0;  ///< images of fully-dead clusters
-    uint64_t cache_hits = 0;       ///< swap-ins served from the payload cache
-    uint64_t bytes_swap_transfer_saved = 0;  ///< link bytes those avoided
-    // --- predictive prefetch ------------------------------------------------
-    uint64_t prefetched_swap_ins = 0;  ///< swap-ins marked speculative
-    uint64_t prefetch_stages = 0;      ///< payloads staged into the cache
-    uint64_t prefetch_stage_bytes = 0;
-    uint64_t prefetch_hits = 0;    ///< speculative work the app consumed
-    uint64_t prefetch_wastes = 0;  ///< speculative work discarded untouched
-    uint64_t demand_fault_stall_us = 0;  ///< virtual time in demand SwapIns
-    uint64_t prefetch_fetch_us = 0;      ///< virtual time in speculative work
-    // --- crash consistency ----------------------------------------------------
-    uint64_t recoveries = 0;         ///< Recover() completions
-    uint64_t recovery_us = 0;        ///< virtual time spent recovering
-    // --- degraded mode --------------------------------------------------------
-    uint64_t hedged_fetches = 0;   ///< first fetches abandoned at the hedge
-    uint64_t hedge_wins = 0;       ///< hedges served by another replica
-    uint64_t hedge_wastes = 0;     ///< hedges that fell back to replica 0
-    uint64_t deadline_aborts = 0;  ///< ops abandoned at their budget
-    uint64_t brownout_entries = 0;
-    uint64_t brownout_exits = 0;
-    uint64_t brownout_swap_outs = 0;  ///< placements at reduced K
-    uint64_t pending_drop_overflow = 0;  ///< oldest obligations evicted
-    // --- binary deltas --------------------------------------------------------
-    uint64_t delta_swap_outs = 0;   ///< swap-outs that shipped an OSWD delta
-    uint64_t delta_fallbacks = 0;   ///< delta-eligible outs that shipped full
-    uint64_t delta_bytes_shipped = 0;  ///< compressed delta bytes placed
-    uint64_t delta_bytes_saved = 0;    ///< full-payload bytes those avoided
-    uint64_t delta_base_cache_hits = 0;  ///< delta swap-ins with cached base
-    uint64_t fields_marked_dirty = 0;  ///< write-barrier slot notifications
-    // --- tiered swap hierarchy ------------------------------------------------
-    uint64_t tier_swap_outs = 0;  ///< swap-outs placed in a local tier
-    uint64_t tier_swap_ins = 0;   ///< swap-ins served from a local tier
-    // --- fleet placement directory --------------------------------------------
-    uint64_t fleet_selections = 0;  ///< placement walks served by the directory
-    uint64_t fleet_placements = 0;  ///< replicas placed on directory targets
-    // --- overload controls ----------------------------------------------------
-    uint64_t write_backs_paced = 0;  ///< tier write-backs deferred by AIMD cap
-  };
+  using Stats = SwapStats;
 
   /// What Recover() found and did — the restart post-mortem.
   struct RecoveryReport {
@@ -232,12 +148,16 @@ class SwappingManager final : public runtime::Interceptor,
 
   // --- wiring (each optional) ---------------------------------------------
   /// Enables actual swap-out/in through nearby store devices.
-  void AttachStore(net::StoreClient* client, net::Discovery* discovery);
+  void AttachStore(net::StoreClient* client, net::Discovery* discovery) {
+    replicas_.SetStores(client, discovery);
+  }
   /// Local-persistence fallback (Figure 1's Persistence module / the .Net
   /// Micro flash approach): used when no nearby store can take a cluster.
   /// Remote stores are always preferred — flash wears out and is part of
   /// the device's own scarce resources.
-  void AttachLocalStore(persist::FlashStore* store) { local_ = store; }
+  void AttachLocalStore(persist::FlashStore* store) {
+    replicas_.SetLocalStore(store);
+  }
   /// Joins the middleware event bus (replication grouping + swap events).
   void AttachBus(context::EventBus* bus);
   /// The bus the manager publishes on (null until AttachBus).
@@ -248,8 +168,8 @@ class SwappingManager final : public runtime::Interceptor,
   /// clock the simulated network advances). Optional; without it the
   /// *_us counters stay 0 and telemetry spans are stamped 0.
   void AttachClock(const net::SimClock* clock) {
-    clock_ = clock;
-    telemetry_->AttachClock(clock);
+    pipe_.clock = clock;
+    pipe_.telemetry->AttachClock(clock);
   }
   /// Shares an externally owned telemetry bundle (benches pass one bundle
   /// to the manager and the store client so RPC spans land in the same
@@ -262,7 +182,6 @@ class SwappingManager final : public runtime::Interceptor,
   /// tracker, and every breaker transition is journaled and published on
   /// the bus as a breaker-transition event.
   void AttachHealth(net::HealthTracker* health);
-  net::HealthTracker* health() const { return health_; }
   /// Rendezvous placement directory over the store fleet. While attached
   /// and populated, the placement walk that SwapOut / ReReplicate /
   /// EvacuateReplicas share takes its candidates from the directory's
@@ -272,11 +191,11 @@ class SwappingManager final : public runtime::Interceptor,
   /// (null) or empty, the walk uses the nearby stores; attaching or
   /// detaching is the one switch between the two.
   void AttachPlacementDirectory(fleet::PlacementDirectory* directory) {
-    directory_ = directory;
+    replicas_.SetDirectory(directory);
   }
-  fleet::PlacementDirectory* placement_directory() const {
-    return directory_;
-  }
+  /// Where payload copies live: the store handles, placement, replica
+  /// reads and the pending-drop queue.
+  ReplicaService& replicas() { return replicas_; }
 
   // --- swap-cluster management ----------------------------------------------
   /// Creates a fresh swap-cluster for locally built graphs.
@@ -418,16 +337,6 @@ class SwappingManager final : public runtime::Interceptor,
   /// whose payload could not be re-homed keep their replica on `leaving`.
   Result<size_t> EvacuateReplicas(DeviceId leaving);
 
-  /// Retries queued drop notifications (stores that were unreachable when
-  /// their entry became stale). Returns the number drained; entries whose
-  /// store is still unreachable stay queued.
-  size_t FlushPendingDrops();
-  size_t pending_drop_count() const { return pending_drops_.size(); }
-
-  /// True if any placement target (nearby store with ≥1 free byte, or the
-  /// local flash) is currently available.
-  bool AnyStoreReachable() const;
-
   // --- degraded mode (brownout) ---------------------------------------------
   /// Enters brownout: swap-outs place only kBrownoutReplicationFactor
   /// replicas (the shortfall is queued as re-replication debt), victim
@@ -468,8 +377,8 @@ class SwappingManager final : public runtime::Interceptor,
   /// before heap patching) so a crash anywhere leaves a recoverable trail.
   /// Attach before swapping activity; without one the manager behaves
   /// exactly as before (no journal writes, no recovery trail).
-  void AttachIntentJournal(IntentJournal* journal) { journal_ = journal; }
-  IntentJournal* intent_journal() const { return journal_; }
+  void AttachIntentJournal(IntentJournal* journal) { pipe_.journal = journal; }
+  IntentJournal* intent_journal() const { return pipe_.journal; }
   /// Tiered swap hierarchy: a compressed-RAM pool and a flash-slot
   /// partition in front of the remote stores. Swap-outs then land in the
   /// fastest tier with headroom (remote replicas stay the durability tier
@@ -485,26 +394,28 @@ class SwappingManager final : public runtime::Interceptor,
     // demotes an evicted RAM-only entry down to flash, so demoted keys can
     // never collide with replica or journal keys.
     if (tier_ != nullptr)
-      tier_->set_key_source([this] { return NextKey(); });
+      tier_->set_key_source([this] { return replicas_.NextKey(); });
   }
   tier::TierManager* tier_manager() const { return tier_; }
   /// Deterministic fault injection: named points threaded through every
   /// pipeline stage consult the injector's scripts (crash / error / delay
   /// at the Nth hit). Scriptable at runtime via the "inject-fault" policy
   /// action.
-  void AttachFaultInjector(FaultInjector* faults) { faults_ = faults; }
-  FaultInjector* fault_injector() const { return faults_; }
+  void AttachFaultInjector(FaultInjector* faults) { pipe_.faults = faults; }
+  FaultInjector* fault_injector() const { return pipe_.faults; }
   /// True after an injected crash abandoned an operation mid-flight: the
   /// heap and stores hold torn state and every swapping entry point
   /// refuses with kFailedPrecondition until Recover() runs.
-  bool crashed() const { return crashed_; }
+  bool crashed() const { return pipe_.crashed; }
   /// Evaluates the named fault point (free no-op without an injector).
   /// kCrash marks the manager crashed and returns kInternal — the caller
   /// must abandon its operation at that instruction boundary. kError
   /// returns kUnavailable (routed through the stage's normal error path).
   /// kDelay advances the injector's clock and returns OK. Public so layers
   /// above the manager (the DurabilityMonitor) share the same scripts.
-  Status CheckFaultPoint(const char* point);
+  Status CheckFaultPoint(const char* point) {
+    return pipe_.CheckFaultPoint(point);
+  }
   /// Simulated-restart recovery: replays the intent journal against the
   /// store fleet. Torn operations are rolled back when the heap still
   /// holds a live copy (proxies re-pointed from the journaled list, orphan
@@ -538,7 +449,7 @@ class SwappingManager final : public runtime::Interceptor,
   const Stats& stats() const { return stats_; }
   /// The manager's telemetry bundle (own or attached): metrics registry,
   /// span tracer, post-mortem event journal. Always valid.
-  telemetry::Telemetry& telemetry() const { return *telemetry_; }
+  telemetry::Telemetry& telemetry() const { return *pipe_.telemetry; }
   /// Every manager counter plus the payload cache's, as ordered
   /// (name, value) pairs — the single source benches and tests dump
   /// instead of hand-rolling counter lists.
@@ -546,13 +457,6 @@ class SwappingManager final : public runtime::Interceptor,
   /// StatsSnapshot rendered as a flat JSON object.
   std::string StatsJson() const;
   const Options& options() const { return options_; }
-  /// The attached StoreClient's counters (retry budgets, pushbacks, wire
-  /// attempts); nullptr while no remote store is attached. Pacers and
-  /// benches read pushback deltas from here — remote op statuses fold
-  /// pushback into fallback logic, the counters do not lie.
-  const net::StoreClient::Stats* StoreClientStats() const {
-    return store_ == nullptr ? nullptr : &store_->stats();
-  }
   /// The tier write-back pacer (see Options::pace_write_backs). The
   /// durability monitor begins its window each poll.
   AimdPacer& write_back_pacer() { return write_back_pacer_; }
@@ -603,50 +507,11 @@ class SwappingManager final : public runtime::Interceptor,
   void PublishPrefetchEvent(const char* type, SwapClusterId id,
                             const char* kind);
 
-  SwapKey NextKey();
-
   runtime::Runtime& rt_;
   Options options_;
   SwapClusterRegistry registry_;
   const runtime::ClassInfo* proxy_cls_ = nullptr;
   const runtime::ClassInfo* replacement_cls_ = nullptr;
-
-  /// Store plumbing shared by swap-out, swap-in and the drop path.
-  /// `deadline_us` caps the RPC's virtual time (0 = none; the local flash
-  /// ignores it — flash writes are not subject to link weather). Every
-  /// remote op ships the manager's current priority class (call_priority_,
-  /// scoped per operation) so saturated stores shed the right traffic.
-  Status StoreAt(DeviceId device, SwapKey key, const std::string& payload,
-                 uint64_t deadline_us = 0);
-  Result<std::string> FetchFrom(DeviceId device, SwapKey key,
-                                uint64_t deadline_us = 0);
-  Status DropAt(DeviceId device, SwapKey key);
-
-  /// RAII priority scope: the manager's operations nest (a swap-in can
-  /// trigger an eviction swap-out, a sweep calls ReReplicate), so the
-  /// class rides a member, set on operation entry and restored on exit.
-  class PriorityScope {
-   public:
-    PriorityScope(SwappingManager* manager, net::Priority priority)
-        : manager_(manager), saved_(manager->call_priority_) {
-      manager_->call_priority_ = priority;
-    }
-    ~PriorityScope() { manager_->call_priority_ = saved_; }
-    PriorityScope(const PriorityScope&) = delete;
-    PriorityScope& operator=(const PriorityScope&) = delete;
-
-   private:
-    SwappingManager* manager_;
-    net::Priority saved_;
-  };
-  bool IsLocalDevice(DeviceId device) const {
-    return local_ != nullptr && local_->device() == device;
-  }
-
-  /// Replica try order for fetches: reachable stores first (placement order
-  /// within each group) — every fetch-ladder caller shares it.
-  std::vector<ReplicaLocation> ReplicaFetchOrder(
-      const std::vector<ReplicaLocation>& replicas) const;
 
   // --- the fetch ladder ---------------------------------------------------
   /// Why a store group is being read; selects the ladder's steps and
@@ -660,14 +525,13 @@ class SwappingManager final : public runtime::Interceptor,
     kRecoveryVerify,  ///< roll-forward check of journaled replicas
   };
   enum class FetchSource : uint8_t { kCache, kTier, kReplica };
-  /// One verified copy of a store group's payload.
-  struct FetchedCopy {
+  /// One verified copy of a store group's payload: `stored` is the store
+  /// form (tier and replica sources).
+  struct FetchedCopy : ReplicaService::ReplicaCopy {
     FetchSource source = FetchSource::kReplica;
     /// Cache hit: the cached document (valid until the cache's next
     /// mutation). Otherwise null and the document is `decompressed`.
     const std::string* cached = nullptr;
-    std::string decompressed;
-    std::string stored;  ///< store form (tier and replica sources)
     const std::string& text() const {
       return cached != nullptr ? *cached : decompressed;
     }
@@ -686,36 +550,6 @@ class SwappingManager final : public runtime::Interceptor,
                                  const StoreGroup& group, FetchPurpose purpose,
                                  uint64_t op_start_us = 0, Accept&& accept = {},
                                  const ReplicaLocation* first = nullptr);
-  /// The one replica placement walk (swap-out, ReReplicate and
-  /// EvacuateReplicas): appends copies of `payload` to `group` until it
-  /// holds `want`, each on a device the group does not list yet. One
-  /// candidate list per walk — the directory rank for cluster `id`, else
-  /// nearby stores most-free-first; healthy stores first either way. A key
-  /// minted for a failed attempt is reused for the next candidate, and
-  /// kMaxConsecutiveStoreFailures failures in a row end the walk. Each
-  /// key is journaled under `journal_seq` (0 = unjournaled) before its
-  /// StoreAt write, `fault_point` is consulted before each attempt, and
-  /// with `op_begin_us` set the operation's budget caps the walk. OK once
-  /// the group holds `want`; otherwise the last failure (kUnavailable if
-  /// no store was tried). Returns at once on a crash.
-  Status PlaceReplicas(SwapClusterId id, const std::string& payload,
-                       size_t want, std::vector<ReplicaLocation>& group,
-                       uint64_t journal_seq, const char* fault_point,
-                       std::optional<uint64_t> op_begin_us = std::nullopt);
-
-  /// Directory placement is attached and populated.
-  bool DirectoryActive() const;
-  /// Store candidates for placing `k` replicas of cluster `id`: the
-  /// directory's HRW rank filtered to reachable stores with `need` free
-  /// bytes, bounded-load candidates first.
-  std::vector<net::StoreNode*> DirectoryCandidates(SwapClusterId id, size_t k,
-                                                   size_t need);
-  /// Drop notification to every replica; failures against unreachable
-  /// stores are parked in the retry queue. `count_as_drop` selects whether
-  /// successful ops bump stats_.drops (GC path) or not (swap-in path).
-  void ReleaseReplicas(const std::vector<ReplicaLocation>& replicas,
-                       bool count_as_drop);
-
   /// Drops a clean image: releases its store replicas (`count_as_drop`
   /// follows the GC-vs-staleness distinction above) and evicts the cached
   /// payload. No-op without an image.
@@ -760,12 +594,6 @@ class SwappingManager final : public runtime::Interceptor,
   void ReconcileCleanImages(RecoveryReport* report);
   /// Drops cached payloads that no longer match any live epoch/checksum.
   void ReconcilePayloadCache();
-  /// Removes from `replicas` every entry its store does not confirm it
-  /// still holds, queuing the drop obligation (the store may merely be out
-  /// of range). An entry on an out-of-range store stays when
-  /// `keep_unreachable` is set.
-  void PruneUnconfirmed(std::vector<ReplicaLocation>& replicas,
-                        bool keep_unreachable);
   /// Builds the replacement-object of `info`'s next swap incarnation (the
   /// swap_epoch is bumped) holding `outbound` in external-ref index order,
   /// rooted in `scope`. `fault_point` models an allocation failure.
@@ -810,20 +638,10 @@ class SwappingManager final : public runtime::Interceptor,
                                        const std::string& delta_payload,
                                        uint64_t op_start_us);
 
-  struct PendingDrop {
-    DeviceId device;
-    SwapKey key;
-  };
-
-  /// Queues a drop obligation (deduplicated; bounded by kMaxPendingDrops
-  /// — at the cap the oldest entry is evicted and counted). Returns true,
-  /// and counts stats_.drops_deferred, if the obligation was newly queued.
-  bool EnqueuePendingDrop(DeviceId device, SwapKey key);
-
-  /// Remaining virtual time of the operation that started at
-  /// `op_start_us`; UINT64_MAX when no deadline is configured (or no
-  /// clock), 0 when the budget is spent.
-  uint64_t OpBudgetLeft(uint64_t op_start_us) const;
+  /// The budget of the operation that started at `op_start_us`.
+  OpBudget Budget(uint64_t op_start_us) const {
+    return OpBudget{pipe_.clock, op_start_us, options_.op_deadline_us};
+  }
 
   // --- tiered-hierarchy internals -------------------------------------------
   /// A tier is attached and admitting: every tier code path on the hot
@@ -847,9 +665,6 @@ class SwappingManager final : public runtime::Interceptor,
   /// epoch and checksum it holds) has K remote replicas (write-back done).
   void MaybeCompleteTierWriteBack(SwapClusterInfo* info);
 
-  net::StoreClient* store_ = nullptr;
-  net::Discovery* discovery_ = nullptr;
-  persist::FlashStore* local_ = nullptr;
   context::EventBus* bus_ = nullptr;
   uint64_t bus_token_ = 0;
   uint64_t conn_token_ = 0;
@@ -857,11 +672,9 @@ class SwappingManager final : public runtime::Interceptor,
 
   /// Owned bundle unless AttachTelemetry() swapped in a shared one.
   std::unique_ptr<telemetry::Telemetry> own_telemetry_;
-  telemetry::Telemetry* telemetry_;
-
-  /// Drop notifications that could not be delivered (store unreachable);
-  /// drained on reconnection.
-  std::vector<PendingDrop> pending_drops_;
+  /// The telemetry bundle, clock, intent journal and fault gate, shared
+  /// with the replica service.
+  PipelineContext pipe_;
 
   /// (source swap-cluster, target oid) → proxy, for stored-reference reuse.
   ReuseIndex reuse_;
@@ -887,14 +700,11 @@ class SwappingManager final : public runtime::Interceptor,
   size_t clusters_in_group_ = 0;
 
   uint64_t crossing_seq_ = 0;
-  uint64_t next_key_ = 1;
   VictimFilter victim_filter_;
   PayloadCache cache_;
   Stats stats_;
-
-  /// Shedding class stamped on the next remote op (see PriorityScope).
-  /// Demand by default: unscoped calls get the most protected class.
-  net::Priority call_priority_ = net::Priority::kDemandSwapIn;
+  /// Where payload copies live (store handles, placement, drop queue).
+  ReplicaService replicas_;
   /// AIMD cap on tier write-backs per durability poll
   /// (options_.pace_write_backs).
   AimdPacer write_back_pacer_;
@@ -905,23 +715,11 @@ class SwappingManager final : public runtime::Interceptor,
   std::unordered_set<SwapClusterId> staged_;
   std::unordered_set<SwapClusterId> speculative_loaded_;
   CrossingObserver crossing_observer_;
-  const net::SimClock* clock_ = nullptr;
 
-  /// Crash-consistency wiring (both optional; null = zero-cost).
-  FaultInjector* faults_ = nullptr;
-  IntentJournal* journal_ = nullptr;
-  /// Set by an injected kCrash; cleared only by Recover().
-  bool crashed_ = false;
-
-  /// Degraded-mode wiring (optional; null = the PR-5 behavior).
-  net::HealthTracker* health_ = nullptr;
   bool brownout_ = false;
 
   /// Tiered swap hierarchy (optional; null = remote-only placement).
   tier::TierManager* tier_ = nullptr;
-
-  /// Fleet placement directory (optional; null = nearby-store walk).
-  fleet::PlacementDirectory* directory_ = nullptr;
 
   /// The proxy and replacement classes' finalizers, registered once per
   /// runtime. They call the manager that currently owns the runtime's swap

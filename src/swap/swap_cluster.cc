@@ -53,11 +53,20 @@ StoreGroups<ConstStoreGroup> SwapClusterInfo::Groups() const {
   return StateGroupsOf(*this);
 }
 
-bool StoredPayload::Lists(const ReplicaLocation& replica) const {
+bool Contains(const std::vector<ReplicaLocation>& replicas,
+              const ReplicaLocation& replica) {
   return std::find(replicas.begin(), replicas.end(), replica) !=
-             replicas.end() ||
-         std::find(base_replicas.begin(), base_replicas.end(), replica) !=
-             base_replicas.end();
+         replicas.end();
+}
+
+void AppendNew(std::vector<ReplicaLocation>& into,
+               const std::vector<ReplicaLocation>& from) {
+  for (const ReplicaLocation& replica : from)
+    if (!Contains(into, replica)) into.push_back(replica);
+}
+
+bool StoredPayload::Lists(const ReplicaLocation& replica) const {
+  return Contains(replicas, replica) || Contains(base_replicas, replica);
 }
 
 void StoredPayload::ClearBaseGroup() {

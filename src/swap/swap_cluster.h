@@ -42,6 +42,13 @@ struct ReplicaLocation {
   }
 };
 
+/// True when `replicas` lists `replica`.
+bool Contains(const std::vector<ReplicaLocation>& replicas,
+              const ReplicaLocation& replica);
+/// Appends the entries of `from` that `into` does not list yet.
+void AppendNew(std::vector<ReplicaLocation>& into,
+               const std::vector<ReplicaLocation>& from);
+
 /// One store group: the replicas holding one payload, plus that payload's
 /// identity. A cluster (or retained image) holds one group for the payload
 /// it shipped and, when that payload is a delta, a second group for the

@@ -230,7 +230,7 @@ TEST_P(ChaosFixture, RandomOperationsMatchShadowModel) {
   // entries; dirty everything and drain deferred drops, then the stores
   // must hold nothing.
   for (SwapClusterId id : clusters_) world_.manager.MarkDirty(id);
-  world_.manager.FlushPendingDrops();
+  world_.manager.replicas().FlushPendingDrops();
   EXPECT_EQ(store_a_->entry_count() + store_b_->entry_count(), 0u);
 }
 

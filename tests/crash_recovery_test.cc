@@ -199,8 +199,8 @@ void ExpectWorldIntact(CrashWorld& w, const std::string& label) {
   Result<int64_t> sum = SumList(w.world.rt, "head");
   ASSERT_TRUE(sum.ok()) << label << ": " << sum.status().ToString();
   EXPECT_EQ(*sum, kExpectedSum) << label;
-  w.world.manager.FlushPendingDrops();
-  EXPECT_EQ(w.world.manager.pending_drop_count(), 0u) << label;
+  w.world.manager.replicas().FlushPendingDrops();
+  EXPECT_EQ(w.world.manager.replicas().pending_drop_count(), 0u) << label;
   const size_t tier_entries = w.tiers != nullptr ? w.tiers->entry_count() : 0;
   EXPECT_EQ(TotalStoredEntries(w),
             TotalActiveReplicas(w.world.manager) + tier_entries)
@@ -533,7 +533,7 @@ TEST(CrashRecoveryTest, CrashedManagerRefusesEverythingUntilRecovered) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(w.world.manager.EvacuateReplicas(DeviceId(2)).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(w.world.manager.FlushPendingDrops(), 0u);
+  EXPECT_EQ(w.world.manager.replicas().FlushPendingDrops(), 0u);
   const uint64_t polls_before = w.monitor.stats().polls;
   w.monitor.Poll();  // a crashed manager is not driven by maintenance
   EXPECT_EQ(w.monitor.stats().polls, polls_before);
@@ -583,7 +583,7 @@ TEST(CrashRecoveryTest, FailedSwapOutReleasesPartiallyPlacedReplicas) {
   Result<SwapKey> key = w.world.manager.SwapOut(w.clusters[1]);
   ASSERT_FALSE(key.ok());
   ASSERT_FALSE(w.world.manager.crashed());
-  w.world.manager.FlushPendingDrops();
+  w.world.manager.replicas().FlushPendingDrops();
   EXPECT_EQ(TotalStoredEntries(w), entries_before)
       << "partially placed replicas leaked";
   EXPECT_EQ(w.world.manager.stats().swap_out_failures, 1u);

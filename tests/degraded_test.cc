@@ -394,7 +394,7 @@ TEST(DegradedSwapTest, BrownoutPrefersCleanImageVictims) {
 }
 
 TEST(DegradedSwapTest, PendingDropQueueBoundedOnPermanentDeparture) {
-  constexpr size_t kCap = swap::SwappingManager::kMaxPendingDrops;
+  constexpr size_t kCap = swap::ReplicaService::kMaxPendingDrops;
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
   world.AddStore(2, 64 << 20);
@@ -415,12 +415,12 @@ TEST(DegradedSwapTest, PendingDropQueueBoundedOnPermanentDeparture) {
   EXPECT_EQ(monitor.stats().stores_departed, 1u);
   EXPECT_EQ(monitor.stats().replicas_lost, kCap + 2);
   // The queue holds the cap; the oldest obligations were evicted, counted.
-  EXPECT_EQ(world.manager.pending_drop_count(), kCap);
+  EXPECT_EQ(world.manager.replicas().pending_drop_count(), kCap);
   EXPECT_EQ(world.manager.stats().pending_drop_overflow, 2u);
 
   // Further polls must not grow it.
   for (int i = 0; i < 5; ++i) monitor.Poll();
-  EXPECT_LE(world.manager.pending_drop_count(), kCap);
+  EXPECT_LE(world.manager.replicas().pending_drop_count(), kCap);
 }
 
 // ---------------------------------------------------------------------------

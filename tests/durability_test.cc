@@ -60,7 +60,7 @@ TEST(ReplicationTest, SwapOutPlacesKReplicasOnDistinctDevices) {
   EXPECT_EQ(*SumList(world.rt, "head"), kListSum);  // walk reads, no writes
   world.manager.MarkDirty(clusters[0]);
   EXPECT_EQ(store_a->entry_count() + store_b->entry_count(), 0u);
-  EXPECT_EQ(world.manager.pending_drop_count(), 0u);
+  EXPECT_EQ(world.manager.replicas().pending_drop_count(), 0u);
 }
 
 TEST(ReplicationTest, SwapInSurvivesPermanentPrimaryDeparture) {
@@ -86,14 +86,14 @@ TEST(ReplicationTest, SwapInSurvivesPermanentPrimaryDeparture) {
   EXPECT_EQ(NodeFor(world, survivor)->entry_count(), 1u);
   world.manager.MarkDirty(clusters[0]);
   EXPECT_EQ(NodeFor(world, survivor)->entry_count(), 0u);
-  EXPECT_EQ(world.manager.pending_drop_count(), 1u);
+  EXPECT_EQ(world.manager.replicas().pending_drop_count(), 1u);
   EXPECT_EQ(world.manager.stats().drops_deferred, 1u);
   EXPECT_EQ(NodeFor(world, primary)->entry_count(), 1u);
 
   // ...and drained when it reconnects.
   world.network.SetOnline(primary, true);
-  EXPECT_EQ(world.manager.FlushPendingDrops(), 1u);
-  EXPECT_EQ(world.manager.pending_drop_count(), 0u);
+  EXPECT_EQ(world.manager.replicas().FlushPendingDrops(), 1u);
+  EXPECT_EQ(world.manager.replicas().pending_drop_count(), 0u);
   EXPECT_EQ(NodeFor(world, primary)->entry_count(), 0u);
 }
 
@@ -426,7 +426,7 @@ TEST(DurabilityMonitorTest, EveryParkedDropIsCountedAsDeferred) {
     const swap::SwappingManager::Stats& stats = world.manager.stats();
     EXPECT_EQ(stats.drops_deferred,
               stats.drops_drained + stats.pending_drop_overflow +
-                  world.manager.pending_drop_count())
+                  world.manager.replicas().pending_drop_count())
         << "after poll " << poll;
   };
   int poll = 0;
@@ -437,11 +437,11 @@ TEST(DurabilityMonitorTest, EveryParkedDropIsCountedAsDeferred) {
   for (int i = 0; i < 3; ++i) poll_balanced(poll++);
   EXPECT_EQ(monitor.stats().stores_departed, 1u);
   EXPECT_GT(world.manager.stats().replicas_forgotten, 0u);
-  EXPECT_GT(world.manager.pending_drop_count(), 0u);
+  EXPECT_GT(world.manager.replicas().pending_drop_count(), 0u);
 
   world.network.SetOnline(lost, true);
   for (int i = 0; i < 2; ++i) poll_balanced(poll++);
-  EXPECT_EQ(world.manager.pending_drop_count(), 0u);
+  EXPECT_EQ(world.manager.replicas().pending_drop_count(), 0u);
   EXPECT_EQ(world.manager.stats().drops_drained,
             world.manager.stats().replicas_forgotten);
 }

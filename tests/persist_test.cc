@@ -200,7 +200,7 @@ TEST(LocalFallbackTest, FlashTakesOverAfterBoundedStoreFailures) {
   // the walk gives up on them after the bound, and the flash still takes
   // the copy.
   constexpr size_t kBound =
-      swap::SwappingManager::kMaxConsecutiveStoreFailures;
+      swap::ReplicaService::kMaxConsecutiveStoreFailures;
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
   std::vector<net::StoreNode*> dead;

@@ -588,7 +588,7 @@ TEST(SwapPlacementTest, SwapOutGivesUpAfterBoundedStoreFailures) {
   // long, retrying forever against a sick neighborhood. Five dead stores,
   // one more than the bound.
   constexpr size_t kBound =
-      swap::SwappingManager::kMaxConsecutiveStoreFailures;
+      swap::ReplicaService::kMaxConsecutiveStoreFailures;
   MiddlewareWorld world;
   const runtime::ClassInfo* node_cls = RegisterNodeClass(world.rt);
   std::vector<net::StoreNode*> dead;

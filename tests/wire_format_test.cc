@@ -1029,7 +1029,7 @@ TEST_F(DeltaSwapFixture, SecondDirtyRoundDiffsAgainstTheSameBase) {
   EXPECT_EQ(m.stats().delta_swap_outs, 2u);
   ASSERT_TRUE(m.SwapIn(clusters_[0]).ok());
   EXPECT_EQ(Sum(), kBaseSum + 200);
-  m.FlushPendingDrops();
+  m.replicas().FlushPendingDrops();
   // Store-key accounting: every stored entry is a current replica record
   // (delta group + base group + any retained image groups).
   size_t recorded = 0;
@@ -1219,8 +1219,8 @@ void ExpectDeltaWorldIntact(DeltaCrashWorld& w, int64_t expected_sum,
   Result<int64_t> sum = SumList(w.world.rt, "head");
   ASSERT_TRUE(sum.ok()) << label << ": " << sum.status().ToString();
   EXPECT_EQ(*sum, expected_sum) << label;
-  w.world.manager.FlushPendingDrops();
-  EXPECT_EQ(w.world.manager.pending_drop_count(), 0u) << label;
+  w.world.manager.replicas().FlushPendingDrops();
+  EXPECT_EQ(w.world.manager.replicas().pending_drop_count(), 0u) << label;
   EXPECT_EQ(DeltaStoredEntries(w), DeltaKeyLedger(w))
       << label << ": leaked or lost store keys";
 }
