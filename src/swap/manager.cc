@@ -940,7 +940,8 @@ Result<SwappingManager::FetchedCopy> SwappingManager::FetchGroup(
   }
 
   ReplicaService::ReplicaRead read = steps.replica;
-  if (steps.budget) read.budget = Budget(op_start_us);
+  if (steps.budget)
+    read.budget = {pipe_.clock, op_start_us, options_.op_deadline_us};
   read.hedge = steps.hedge && options_.hedged_fetch;
   read.first = first;
   copy.source = FetchSource::kReplica;
@@ -1411,7 +1412,7 @@ Result<SwapKey> SwappingManager::DetachCluster(SwapClusterId id,
           id, payload, want, placed,
           {.journal_seq = seq,
            .fault_point = "swap_out.ship_replica",
-           .budget = Budget(op_begin_us),
+           .budget = {pipe_.clock, op_begin_us, options_.op_deadline_us},
            .local_fault_point = "swap_out.local_store"});
       if (pipe_.crashed) return stored;
     }

@@ -1,5 +1,13 @@
 // SwappingManager: the paper's core contribution, orchestrated.
 //
+// The manager mediates every cross-swap-cluster reference (§4) and runs
+// the swap pipelines: swap-out, swap-in, prefetch staging and replica
+// maintenance. Where a payload's copies live is not its concern: the
+// ReplicaService it owns (replica_service.h) holds the store handles,
+// places and reads the copies and keeps the drop obligations. Recover()
+// lives in recovery.cc; the DurabilityMonitor (durability.h) drives the
+// maintenance from outside.
+//
 // The manager plugs into the runtime purely through its user-level hooks —
 // no VM modification, mirroring the paper's portability argument:
 //
@@ -183,13 +191,9 @@ class SwappingManager final : public runtime::Interceptor,
   /// the bus as a breaker-transition event.
   void AttachHealth(net::HealthTracker* health);
   /// Rendezvous placement directory over the store fleet. While attached
-  /// and populated, the placement walk that SwapOut / ReReplicate /
-  /// EvacuateReplicas share takes its candidates from the directory's
-  /// weighted-HRW rank (bounded-load order against actual store fill)
-  /// instead of every nearby store most-free-first — O(fleet) sorts and
-  /// free-byte-sensitive orders are gone from the placement path. Detached
-  /// (null) or empty, the walk uses the nearby stores; attaching or
-  /// detaching is the one switch between the two.
+  /// and populated, the placement walk ranks its candidates by it (see
+  /// ReplicaService::PlaceReplicas); detached or empty, the walk takes the
+  /// nearby stores most-free-first.
   void AttachPlacementDirectory(fleet::PlacementDirectory* directory) {
     replicas_.SetDirectory(directory);
   }
@@ -540,11 +544,11 @@ class SwappingManager final : public runtime::Interceptor,
     Status operator()(const FetchedCopy&) const { return OkStatus(); }
   };
   /// The one read path for a store group: payload cache, then the local
-  /// tiers (RAM then flash), then the replicas in ReplicaFetchOrder, each
-  /// step as `purpose` enables it. A copy must pass its checks and then
-  /// `accept` (a non-OK status falls through to the next copy, like a
-  /// corrupt one) to be returned. `op_start_us` anchors the op budget;
-  /// `first`, when set, is tried before the ordered replicas.
+  /// tiers (RAM then flash), then the replicas (ReplicaService's
+  /// failover), each step as `purpose` enables it. A copy must pass its
+  /// checks and then `accept` (a non-OK status falls through to the next
+  /// copy, like a corrupt one) to be returned. `op_start_us` anchors the
+  /// op budget; `first`, when set, is tried before the ordered replicas.
   template <typename Accept = AcceptAny>
   Result<FetchedCopy> FetchGroup(const SwapClusterInfo& info,
                                  const StoreGroup& group, FetchPurpose purpose,
@@ -638,10 +642,6 @@ class SwappingManager final : public runtime::Interceptor,
                                        const std::string& delta_payload,
                                        uint64_t op_start_us);
 
-  /// The budget of the operation that started at `op_start_us`.
-  OpBudget Budget(uint64_t op_start_us) const {
-    return OpBudget{pipe_.clock, op_start_us, options_.op_deadline_us};
-  }
 
   // --- tiered-hierarchy internals -------------------------------------------
   /// A tier is attached and admitting: every tier code path on the hot
