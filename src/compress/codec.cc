@@ -72,6 +72,12 @@ inline uint32_t HashAt(const char* p) {
 }
 }  // namespace
 
+// Aligned to 64 bytes so the byte-compare match loop sits the same way
+// whatever code the linker places ahead of it: moving this function from
+// offset 0 to 48 within a 64-byte line (no change to its code) took its
+// median call on the system bench's payloads from ~12 us to ~18 us on an
+// AMD EPYC host.
+__attribute__((aligned(64)))
 Result<std::string> Lz77Codec::Compress(std::string_view input) const {
   // The hash chains below (`head`/`prev`) store positions as int32_t; a
   // position at or past 2^31 would truncate and make the match finder copy
