@@ -210,8 +210,6 @@ class ReplicaService {
   /// One store op on `device`, a nearby store or the local flash.
   /// `deadline_us` caps the RPC's virtual time (0 = none; the local flash
   /// ignores it — flash writes are not subject to link weather).
-  Status StoreAt(DeviceId device, SwapKey key, const std::string& payload,
-                 uint64_t deadline_us = 0);
   Result<std::string> FetchFrom(DeviceId device, SwapKey key,
                                 uint64_t deadline_us = 0);
   Status DropAt(DeviceId device, SwapKey key);
@@ -292,6 +290,8 @@ class ReplicaService {
   size_t pending_drop_count() const { return pending_drops_.size(); }
 
  private:
+  Status StoreAt(DeviceId device, SwapKey key, const std::string& payload,
+                 uint64_t deadline_us = 0);
   /// Replica try order for fetches: reachable stores first (placement order
   /// within each group).
   std::vector<ReplicaLocation> ReplicaFetchOrder(
