@@ -30,9 +30,6 @@ inline constexpr const char* kEventClusterDropped = "cluster-dropped";
 inline constexpr const char* kEventReplicaLost = "replica-lost";
 inline constexpr const char* kEventReReplicated = "re-replicated";
 inline constexpr const char* kEventStoreDeparted = "store-departed";
-// One per cluster EvacuateReplicas re-homed ("swap_cluster", "device" = the
-// withdrawing store, "moved" = replicas moved off it).
-inline constexpr const char* kEventReplicasEvacuated = "replicas-evacuated";
 // Prefetch subsystem: a speculative guess was consumed by the application
 // ("prefetch-hit") or discarded untouched ("prefetch-waste"). Properties:
 // "swap_cluster", and "kind" = "staged" (payload in the cache) | "loaded"

@@ -18,7 +18,7 @@ DurabilityMonitor::DurabilityMonitor(SwappingManager& manager,
       props_(props),
       options_(options),
       repair_pacer_(options.pace_repairs) {
-  // Replica state changes flow through the bus; the monitor only re-reads
+  // Replica-count changes flow through the bus; the monitor only re-reads
   // the clusters those events name. A handler never touches the registry
   // directly — Publish is synchronous and may run mid-swap, so it just
   // queues the id for the next poll.
@@ -30,15 +30,9 @@ DurabilityMonitor::DurabilityMonitor(SwappingManager& manager,
   for (const char* type :
        {context::kEventClusterSwappedOut, context::kEventClusterSwappedIn,
         context::kEventClusterDropped, context::kEventReReplicated,
-        context::kEventReplicaLost, context::kEventReplicasEvacuated}) {
+        context::kEventReplicaLost}) {
     bus_tokens_.push_back(bus_.Subscribe(type, mark_cluster));
   }
-  bus_tokens_.push_back(bus_.Subscribe(
-      context::kEventBreakerTransition, [this](const context::Event& event) {
-        int64_t device = event.GetIntOr("device", -1);
-        if (device >= 0)
-          dirty_stores_.insert(DeviceId(static_cast<uint32_t>(device)));
-      }));
 }
 
 DurabilityMonitor::~DurabilityMonitor() {
@@ -65,74 +59,22 @@ size_t DurabilityMonitor::ReplicaRecords(const SwapClusterInfo* info) {
 
 void DurabilityMonitor::RefreshCluster(SwapClusterId id) {
   const SwapClusterInfo* info = manager_.registry().Find(id);
-  if (info == nullptr) {
-    EvictClusterFromIndex(id);
-    return;
-  }
-  std::vector<DeviceId> devices;
-  for (const ConstStoreGroup& group : info->Groups()) {
-    for (const ReplicaLocation& replica : *group.replicas) {
-      if (std::find(devices.begin(), devices.end(), replica.device) ==
-          devices.end())
-        devices.push_back(replica.device);
-    }
-  }
-
-  auto old_it = cluster_devices_.find(id);
-  if (old_it != cluster_devices_.end()) {
-    for (DeviceId device : old_it->second) {
-      if (std::find(devices.begin(), devices.end(), device) != devices.end())
-        continue;
-      auto bucket = index_.find(device);
-      if (bucket == index_.end()) continue;
-      bucket->second.erase(id);
-      if (bucket->second.empty()) index_.erase(bucket);
-    }
-  }
-  for (DeviceId device : devices) index_[device].insert(id);
-
   const size_t records = ReplicaRecords(info);
   auto rec_it = cluster_records_.find(id);
   total_records_ -= rec_it == cluster_records_.end() ? 0 : rec_it->second;
   total_records_ += records;
-  if (devices.empty())
-    cluster_devices_.erase(id);
-  else
-    cluster_devices_[id] = std::move(devices);
-  if (records == 0)
-    cluster_records_.erase(id);
-  else
+  if (records == 0) {
+    if (rec_it != cluster_records_.end()) cluster_records_.erase(rec_it);
+  } else {
     cluster_records_[id] = records;
-
-  const size_t want = manager_.options().replication_factor;
-  if (UnderReplicated(info, want))
+  }
+  if (UnderReplicated(info, manager_.options().replication_factor))
     under_replicated_.insert(id);
   else
     under_replicated_.erase(id);
 }
 
-void DurabilityMonitor::EvictClusterFromIndex(SwapClusterId id) {
-  auto old_it = cluster_devices_.find(id);
-  if (old_it != cluster_devices_.end()) {
-    for (DeviceId device : old_it->second) {
-      auto bucket = index_.find(device);
-      if (bucket == index_.end()) continue;
-      bucket->second.erase(id);
-      if (bucket->second.empty()) index_.erase(bucket);
-    }
-    cluster_devices_.erase(old_it);
-  }
-  auto rec_it = cluster_records_.find(id);
-  if (rec_it != cluster_records_.end()) {
-    total_records_ -= rec_it->second;
-    cluster_records_.erase(rec_it);
-  }
-  under_replicated_.erase(id);
-}
-
-void DurabilityMonitor::RebuildIndex() {
-  index_.clear();
-  cluster_devices_.clear();
+void DurabilityMonitor::Rebuild() {
   cluster_records_.clear();
   total_records_ = 0;
   under_replicated_.clear();
@@ -153,7 +95,7 @@ bool DurabilityMonitor::RebuildIfStale() {
   if (!rebuild_pending_) return false;
   rebuild_pending_ = false;
   dirty_clusters_.clear();
-  RebuildIndex();
+  Rebuild();
   return true;
 }
 
@@ -196,8 +138,8 @@ void DurabilityMonitor::SyncDirectory(const std::vector<DeviceId>& announced) {
 }
 
 void DurabilityMonitor::Poll() {
-  // The bus is the index's only input: a manager publishing elsewhere
-  // would leave every repair silently undone.
+  // The bus is the under-replicated set's only input: a manager publishing
+  // elsewhere would leave every repair silently undone.
   OBISWAP_CHECK(manager_.bus() == &bus_);
   // A crashed manager must not be driven by maintenance: every repair
   // action would hit the crash gate anyway, and the poll's own bookkeeping
@@ -215,19 +157,6 @@ void DurabilityMonitor::Poll() {
   // up front means the departure/sweep passes below see the registry as
   // it stands.
   DrainDirtyClusters();
-  std::set<DeviceId> flipped;
-  flipped.swap(dirty_stores_);
-  for (DeviceId device : flipped) {
-    ++stats_.dirty_stores;
-    auto bucket = index_.find(device);
-    if (bucket == index_.end()) continue;
-    std::vector<SwapClusterId> ids(bucket->second.begin(),
-                                   bucket->second.end());
-    for (SwapClusterId id : ids) {
-      stats_.scan_replicas += ReplicaRecords(manager_.registry().Find(id));
-      RefreshCluster(id);
-    }
-  }
 
   // A withdrawn announcement is an explicit departure.
   for (DeviceId device : last_announced_) {
@@ -358,31 +287,21 @@ void DurabilityMonitor::HandleDeparture(DeviceId device) {
                    .Set("device", static_cast<int64_t>(device.value())));
   // What a full scan of the registry would examine here.
   stats_.full_scan_replicas += total_records_;
-  // Only the clusters the reverse index maps to the departed store, in
+  // Only the clusters the holdings index maps to the departed store, in
   // ascending cluster order, each re-checked against the registry.
-  std::vector<SwapClusterId> candidates;
-  auto bucket = index_.find(device);
-  if (bucket != index_.end())
-    candidates.assign(bucket->second.begin(), bucket->second.end());
-  for (SwapClusterId id : candidates) {
+  ReplicaService& replicas = manager_.replicas();
+  for (SwapClusterId id : replicas.Holders(device)) {
     const SwapClusterInfo* info = manager_.registry().Find(id);
     stats_.scan_replicas += ReplicaRecords(info);
     // Both swapped payloads and retained clean images hold store replicas;
     // HasReplicaOn / ForgetReplica cover every group the state holds.
     if (info != nullptr && info->HasReplicaOn(device))
       stats_.replicas_lost += manager_.ForgetReplica(id, device);
-    RefreshCluster(id);  // a stale index entry drops out here too
+    RefreshCluster(id);
   }
-  // A departed store holds nothing; whatever the index still maps to it is
-  // pure staleness. Drop the bucket wholesale — re-placements on a
-  // returning store re-index through the swap-out events.
-  bucket = index_.find(device);
-  if (bucket != index_.end()) {
-    std::vector<SwapClusterId> leftover(bucket->second.begin(),
-                                        bucket->second.end());
-    for (SwapClusterId id : leftover) RefreshCluster(id);
-    index_.erase(device);
-  }
+  // A departed store holds nothing now; whatever the index still maps to
+  // it is pure staleness.
+  replicas.ForgetHolder(device);
 }
 
 void DurabilityMonitor::ReReplicationSweep() {
@@ -403,10 +322,6 @@ void DurabilityMonitor::ReReplicationSweep() {
   for (SwapClusterId id : candidates) {
     const SwapClusterInfo* info = manager_.registry().Find(id);
     stats_.scan_replicas += ReplicaRecords(info);
-    if (info == nullptr) {
-      EvictClusterFromIndex(id);
-      continue;
-    }
     if (!UnderReplicated(info, want)) {
       RefreshCluster(id);  // stale set entry: reconcile it
       continue;
@@ -439,8 +354,6 @@ void DurabilityMonitor::ReReplicationSweep() {
 
 Result<size_t> DurabilityMonitor::OnStoreWithdrawing(DeviceId device) {
   ++stats_.dirty_stores;
-  // The moved clusters reach the index through the manager's
-  // replicas-evacuated events, drained by the next poll.
   OBISWAP_ASSIGN_OR_RETURN(size_t moved, manager_.EvacuateReplicas(device));
   stats_.evacuated_replicas += moved;
   return moved;

@@ -16,24 +16,27 @@
 // "swap.pending_drops") so rules can, e.g., raise the replication factor
 // when churn is high.
 //
-// The scan is incremental. The monitor keeps a per-store reverse index
-// (store → clusters holding a replica there) plus an ordered under-
-// replicated set, both fed by a dirty-cluster queue. The bus fills that
-// queue: the manager publishes cluster-swapped-out/in/dropped,
-// replica-lost (ForgetReplica), re-replicated (ReReplicate) and
-// replicas-evacuated (EvacuateReplicas), so direct calls of those paths
-// reach the index too. The first poll rebuilds the index in one pass, as
-// do a recovery and a replication-factor change. A departure then touches
-// only the departed store's indexed clusters and the sweep only the
-// under-replicated set, both in ascending cluster order, so poll cost
-// scales with *changed* stores, not fleet size. The index is maintained as
-// a superset (every handler re-checks registry state before acting), so a
-// stale entry costs one lookup and never a wrong repair. The monitor must
-// share its manager's bus; Poll checks that.
+// The scan is incremental. Which clusters a store holds is the manager's
+// ReplicaService's to say: its holdings index is fed by the placement walk
+// itself, so it is current however late the monitor is built. The monitor
+// keeps only its own state — per-cluster replica-record counts and an
+// ordered under-replicated set — fed by a dirty-cluster queue the bus
+// fills: the manager publishes cluster-swapped-out/in/dropped, replica-lost
+// (ForgetReplica) and re-replicated (ReReplicate), so direct calls of those
+// paths reach it too. An evacuation moves a replica without changing
+// either, and store health does not enter them (under-replication counts
+// replicas). The first poll rebuilds the set in one pass, as do a recovery
+// and a replication-factor change. A departure then touches only the
+// clusters the holdings index maps to the departed store and the sweep only
+// the under-replicated set, both in ascending cluster order, so poll cost
+// scales with *changed* stores, not fleet size. Both are supersets (every
+// handler re-checks registry state before acting), so a stale entry costs
+// one lookup and never a wrong repair. The monitor must share its manager's
+// bus; Poll checks that.
 //
 // `scan_replicas` counts replica records the poll actually examined and
 // `full_scan_replicas` what a full registry scan would have examined in
-// its place — the indexed record total at the start of every departure
+// its place — the tracked record total at the start of every departure
 // handled and of every sweep that runs — so the sub-linear claim is
 // measurable.
 #pragma once
@@ -83,8 +86,7 @@ class DurabilityMonitor {
     // --- scan-cost visibility -----------------------------------------------
     uint64_t scan_replicas = 0;      ///< replica records actually examined
     uint64_t full_scan_replicas = 0;  ///< records a full scan would examine
-    uint64_t dirty_stores = 0;  ///< departed/withdrawn/breaker-flip stores
-                                ///< processed
+    uint64_t dirty_stores = 0;  ///< departed/withdrawn stores processed
   };
 
   DurabilityMonitor(SwappingManager& manager, net::Discovery& discovery,
@@ -130,20 +132,18 @@ class DurabilityMonitor {
   void HandleDeparture(DeviceId device);
   void ReReplicationSweep();
 
-  // --- the reverse index ----------------------------------------------------
+  // --- the under-replicated set ---------------------------------------------
   /// Records currently backing `info`: the replicas of every store group
   /// its state holds.
   static size_t ReplicaRecords(const SwapClusterInfo* info);
-  /// Re-reads one cluster's registry state into the reverse index, the
-  /// record totals and the under-replicated set (removing it everywhere
-  /// when it no longer holds store replicas).
+  /// Re-reads one cluster's registry state into the record totals and the
+  /// under-replicated set (removing it from both when it no longer holds
+  /// store replicas).
   void RefreshCluster(SwapClusterId id);
-  /// Drops every trace of `id` from the index structures.
-  void EvictClusterFromIndex(SwapClusterId id);
   /// Full rebuild: one honest O(clusters) pass (first poll, recovery,
   /// replication-factor change).
-  void RebuildIndex();
-  /// Rebuilds when one is pending or the registry/K moved under the index;
+  void Rebuild();
+  /// Rebuilds when one is pending or the registry/K moved under the set;
   /// true if it did.
   bool RebuildIfStale();
   /// Drains the event-fed dirty-cluster queue into RefreshCluster calls,
@@ -170,13 +170,8 @@ class DurabilityMonitor {
 
   fleet::PlacementDirectory* directory_ = nullptr;
 
-  // --- the reverse index ----------------------------------------------------
+  // --- the under-replicated set ---------------------------------------------
   std::vector<uint64_t> bus_tokens_;
-  /// store → clusters believed to hold a replica there (superset; ordered
-  /// so departure repairs run in ascending-cluster order).
-  std::unordered_map<DeviceId, std::set<SwapClusterId>> index_;
-  /// cluster → devices it is indexed under, for cheap index updates.
-  std::unordered_map<SwapClusterId, std::vector<DeviceId>> cluster_devices_;
   /// cluster → active replica records at last refresh.
   std::unordered_map<SwapClusterId, size_t> cluster_records_;
   uint64_t total_records_ = 0;
@@ -186,9 +181,7 @@ class DurabilityMonitor {
   /// Bus-fed queue of clusters whose replica state changed since the last
   /// poll (ordered set: drained ascending, deduplicated).
   std::set<SwapClusterId> dirty_clusters_;
-  /// Bus-fed queue of stores whose breaker flipped since the last poll.
-  std::set<DeviceId> dirty_stores_;
-  bool rebuild_pending_ = true;  // the first poll builds the index
+  bool rebuild_pending_ = true;  // the first poll builds the set
   size_t last_want_ = 0;
   uint64_t last_recoveries_ = 0;
 };

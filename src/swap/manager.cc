@@ -2192,11 +2192,12 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
   telemetry::ScopedSpan op_span(pipe_.telemetry, "evacuate_replicas",
                                 "durability");
   size_t moved = 0;
-  for (SwapClusterId id : registry_.Ids()) {
+  // Only the clusters the holdings index maps to `leaving`, ascending; the
+  // group scan below re-checks each.
+  for (SwapClusterId id : replicas_.Holders(leaving)) {
     SwapClusterInfo* info = registry_.Find(id);
     if (info == nullptr) continue;
     if (info->state == SwapState::kLoaded && !info->LoadedClean()) continue;
-    size_t cluster_moved = 0;
     // Every store group evacuates: a base document stranded on a departing
     // store would make every delta shipped against it unrecoverable.
     for (const StoreGroup& group : info->Groups()) {
@@ -2247,16 +2248,8 @@ Result<size_t> SwappingManager::EvacuateReplicas(DeviceId leaving) {
         (void)replicas_.EnqueuePendingDrop(old.device, old.key);
       }
       if (pipe_.journal != nullptr) (void)pipe_.journal->Commit(seq);
-      ++cluster_moved;
+      ++moved;
       ++stats_.evacuated_replicas;
-    }
-    moved += cluster_moved;
-    if (cluster_moved > 0 && bus_ != nullptr) {
-      bus_->Publish(
-          context::Event(context::kEventReplicasEvacuated)
-              .Set("swap_cluster", static_cast<int64_t>(id.value()))
-              .Set("device", static_cast<int64_t>(leaving.value()))
-              .Set("moved", static_cast<int64_t>(cluster_moved)));
     }
   }
   return moved;

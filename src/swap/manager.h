@@ -167,6 +167,7 @@ class SwappingManager final : public runtime::Interceptor,
     replicas_.SetLocalStore(store);
   }
   /// Joins the middleware event bus (replication grouping + swap events).
+  /// The bus must outlive the manager, whose destructor unsubscribes.
   void AttachBus(context::EventBus* bus);
   /// The bus the manager publishes on (null until AttachBus).
   context::EventBus* bus() const { return bus_; }
@@ -336,9 +337,10 @@ class SwappingManager final : public runtime::Interceptor,
 
   /// Proactive evacuation: moves every replica held by `leaving` (which
   /// announced its withdrawal and is still reachable) onto a store the
-  /// placement walk picks, and publishes one "replicas-evacuated" event
-  /// per cluster it moved. Returns the number of replicas moved; clusters
-  /// whose payload could not be re-homed keep their replica on `leaving`.
+  /// placement walk picks, visiting the clusters the replica service's
+  /// holdings index maps to `leaving` in ascending order. Returns the
+  /// number of replicas moved; clusters whose payload could not be
+  /// re-homed keep their replica on `leaving`.
   Result<size_t> EvacuateReplicas(DeviceId leaving);
 
   // --- degraded mode (brownout) ---------------------------------------------
@@ -382,7 +384,6 @@ class SwappingManager final : public runtime::Interceptor,
   /// Attach before swapping activity; without one the manager behaves
   /// exactly as before (no journal writes, no recovery trail).
   void AttachIntentJournal(IntentJournal* journal) { pipe_.journal = journal; }
-  IntentJournal* intent_journal() const { return pipe_.journal; }
   /// Tiered swap hierarchy: a compressed-RAM pool and a flash-slot
   /// partition in front of the remote stores. Swap-outs then land in the
   /// fastest tier with headroom (remote replicas stay the durability tier
@@ -400,7 +401,6 @@ class SwappingManager final : public runtime::Interceptor,
     if (tier_ != nullptr)
       tier_->set_key_source([this] { return replicas_.NextKey(); });
   }
-  tier::TierManager* tier_manager() const { return tier_; }
   /// Deterministic fault injection: named points threaded through every
   /// pipeline stage consult the injector's scripts (crash / error / delay
   /// at the Nth hit). Scriptable at runtime via the "inject-fault" policy
@@ -443,12 +443,6 @@ class SwappingManager final : public runtime::Interceptor,
   bool SameObject(const runtime::Object* a,
                   const runtime::Object* b) override;
 
-  /// Resolves `value` for use from `context`: raw if same cluster,
-  /// dismantled if it is a proxy back into `context`, otherwise a (reused
-  /// or fresh) proxy. Exposed for tests and the baselines.
-  Result<runtime::Object*> ResolveForContext(SwapClusterId context,
-                                             runtime::Object* value);
-
   // --- introspection ------------------------------------------------------------
   const Stats& stats() const { return stats_; }
   /// The manager's telemetry bundle (own or attached): metrics registry,
@@ -480,6 +474,11 @@ class SwappingManager final : public runtime::Interceptor,
   /// nullopt-style: returns false if `value` is not swap-managed
   /// (replication proxies pass through raw).
   bool ResolveUltimate(runtime::Object* value, Resolved* out) const;
+  /// Resolves `value` for use from `context`: raw if same cluster,
+  /// dismantled if it is a proxy back into `context`, otherwise a (reused
+  /// or fresh) proxy.
+  Result<runtime::Object*> ResolveForContext(SwapClusterId context,
+                                             runtime::Object* value);
 
   Result<runtime::Object*> CreateProxy(SwapClusterId source,
                                        const Resolved& resolved);

@@ -71,12 +71,34 @@ Status ReplicaService::PlaceReplicas(SwapClusterId id,
                             return health_->IsHealthy(node->device());
                           });
   }
-  // A key minted for a failed store attempt is reused for the next
-  // candidate (the failed store never recorded it) — the key space is not
-  // burned by flaky placements. A run of consecutive failures aborts the
-  // walk: every candidate failing in a row means the network is sick, and
-  // retrying down a long candidate list only stalls the caller.
+  // A key minted for a failed attempt is reused for the next candidate,
+  // the local flash included (the failed store never recorded it) — the
+  // key space is not burned by flaky placements. A run of consecutive
+  // failures aborts the walk over the stores: every candidate failing in a
+  // row means the network is sick, and retrying down a long candidate list
+  // only stalls the caller.
   SwapKey key;
+  // One attempt, on a store or the local flash. The holder is indexed and
+  // the key journaled before the write, so every replica recovery may
+  // adopt from the journal is already indexed.
+  auto attempt = [&](DeviceId device, const char* fault_point,
+                     uint64_t deadline_us) {
+    if (!key.valid()) key = NextKey();
+    holdings_[device].insert(id);
+    if (pipe_.journal != nullptr && how.journal_seq != 0) {
+      // Intent before RPC: if the crash lands inside the store call, the
+      // persisted intent is the only record this key ever existed.
+      pipe_.journal->NoteReplicaIntent(how.journal_seq, device, key);
+      (void)pipe_.journal->Persist();
+    }
+    Status status = pipe_.CheckFaultPoint(fault_point);
+    if (status.ok()) status = StoreAt(device, key, payload, deadline_us);
+    if (status.ok()) {
+      group.push_back(ReplicaLocation{device, key});
+      key = SwapKey();
+    }
+    return status;
+  };
   size_t consecutive_failures = 0;
   for (net::StoreNode* candidate : candidates) {
     if (group.size() >= want) break;
@@ -96,49 +118,34 @@ Status ReplicaService::PlaceReplicas(SwapClusterId id,
                                    " replicas");
       break;
     }
-    if (!key.valid()) key = NextKey();
-    if (pipe_.journal != nullptr && how.journal_seq != 0) {
-      // Intent before RPC: if the crash lands inside the store call, the
-      // persisted intent is the only record this key ever existed.
-      pipe_.journal->NoteReplicaIntent(how.journal_seq, device, key);
-      (void)pipe_.journal->Persist();
-    }
-    Status attempt = pipe_.CheckFaultPoint(how.fault_point);
-    if (attempt.ok())
-      attempt =
-          StoreAt(device, key, payload, budget == UINT64_MAX ? 0 : budget);
-    if (pipe_.crashed) return attempt;
-    if (attempt.ok()) {
-      group.push_back(ReplicaLocation{device, key});
+    Status placed =
+        attempt(device, how.fault_point, budget == UINT64_MAX ? 0 : budget);
+    if (pipe_.crashed) return placed;
+    if (placed.ok()) {
       if (via_directory) ++stats_.fleet_placements;
-      key = SwapKey();
       consecutive_failures = 0;
     } else {
-      last = attempt;
+      last = placed;
       ++consecutive_failures;
     }
   }
   // The last candidate: the local flash, for a swap-out no store took a
   // copy of. It is part of the device's own scarce resources and wears
   // out, so it never competes with a store, but neither the failure bound
-  // nor the budget holds it back. It takes a key of its own.
+  // nor the budget holds it back.
   if (how.local_fault_point != nullptr && group.empty() && local_ != nullptr &&
       local_->free_bytes() >= need) {
-    const SwapKey local_key = NextKey();
-    if (pipe_.journal != nullptr && how.journal_seq != 0) {
-      pipe_.journal->NoteReplicaIntent(how.journal_seq, local_->device(),
-                                       local_key);
-      (void)pipe_.journal->Persist();
-    }
-    last = pipe_.CheckFaultPoint(how.local_fault_point);
-    if (last.ok()) last = StoreAt(local_->device(), local_key, payload);
+    last = attempt(local_->device(), how.local_fault_point, 0);
     if (pipe_.crashed) return last;
-    if (last.ok()) {
-      group.push_back(ReplicaLocation{local_->device(), local_key});
-      ++stats_.local_swap_outs;
-    }
+    if (last.ok()) ++stats_.local_swap_outs;
   }
   return group.size() >= want ? OkStatus() : last;
+}
+
+std::vector<SwapClusterId> ReplicaService::Holders(DeviceId device) const {
+  auto bucket = holdings_.find(device);
+  if (bucket == holdings_.end()) return {};
+  return {bucket->second.begin(), bucket->second.end()};
 }
 
 bool ReplicaService::DirectoryActive() const {

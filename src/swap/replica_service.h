@@ -10,10 +10,23 @@
 // manager decides what to place, read or drop; the service decides where.
 // It holds no pointer back to the manager, which lends it the pipeline's
 // counters (SwapStats) and shared plumbing (PipelineContext).
+//
+// It also keeps the one holdings index: store → the clusters with a copy
+// there, read by evacuation and by departure handling. The index is a
+// superset. The placement walk indexes every device it attempts, store or
+// local flash, before the attempt's journaled intent, so every replica any
+// store group lists — including one recovery adopts from the journal — has
+// its cluster in its device's bucket. Nothing else writes it: a replica
+// that moves between groups keeps its cluster id. Entries are pruned only
+// where they are read — a reader re-checks each cluster against the
+// registry (SwapClusterInfo::HasReplicaOn) — and a departed store's bucket
+// is dropped whole once its replicas are forgotten.
 #pragma once
 
 #include <functional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -231,9 +244,10 @@ class ReplicaService {
   /// minted for a failed attempt is reused for the next candidate, and
   /// kMaxConsecutiveStoreFailures failures in a row end the walk over the
   /// stores. The local flash, when enabled, is tried after that only if no
-  /// store took a copy. Each key is journaled before its write. OK once
-  /// the group holds `want`; otherwise the last failure (kUnavailable if
-  /// nothing was tried). Returns at once on a crash.
+  /// store took a copy, with the key the failed attempts left. Each device
+  /// attempted is indexed (Holders) and each key journaled before its
+  /// write. OK once the group holds `want`; otherwise the last failure
+  /// (kUnavailable if nothing was tried). Returns at once on a crash.
   Status PlaceReplicas(SwapClusterId id, const std::string& payload,
                        size_t want, std::vector<ReplicaLocation>& group,
                        const Placement& how);
@@ -266,6 +280,15 @@ class ReplicaService {
   Status FetchReplicas(SwapClusterId id, const StoreGroup& group,
                        const ReplicaRead& read, ReplicaCopy& copy,
                        const std::function<Status()>& accept, Status last);
+
+  /// The clusters that may hold a copy on `device`, ascending: a superset
+  /// of those whose registry groups list a replica there, so the caller
+  /// re-checks each against the registry.
+  std::vector<SwapClusterId> Holders(DeviceId device) const;
+  /// Drops `device`'s bucket: the store departed and every replica it
+  /// held has been forgotten. A store that returns is re-indexed by the
+  /// placements it takes.
+  void ForgetHolder(DeviceId device) { holdings_.erase(device); }
 
   /// Removes from `replicas` every entry its store does not confirm it
   /// still holds, queuing the drop obligation (the store may merely be out
@@ -317,6 +340,9 @@ class ReplicaService {
   };
   /// Drops owed to stores that were unreachable; drained on reconnection.
   std::vector<PendingDrop> pending_drops_;
+  /// The holdings index: device → clusters it may hold a copy of (see the
+  /// file comment). Ordered, so readers visit clusters ascending.
+  std::unordered_map<DeviceId, std::set<SwapClusterId>> holdings_;
   uint64_t next_key_ = 1;
   /// Shedding class stamped on the next remote op (see PriorityScope).
   /// Demand by default: unscoped calls get the most protected class.

@@ -5,6 +5,7 @@
 //   * values and graph structure always match the model, through any
 //     interleaving of swap-outs, faults, and GC;
 //   * the mediation invariant never breaks;
+//   * the replica service's holdings index covers every listed replica;
 //   * kUnavailable is the only acceptable deviation, and only while the
 //     needed store is out of range.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@ namespace {
 
 using runtime::Object;
 using runtime::Value;
+using ::obiswap::testing::CheckHoldingsIndex;
 using ::obiswap::testing::CheckMediationInvariant;
 using ::obiswap::testing::MiddlewareWorld;
 
@@ -212,6 +214,7 @@ TEST_P(ChaosFixture, RandomOperationsMatchShadowModel) {
     }
     std::string violation = CheckMediationInvariant(world_.rt);
     ASSERT_EQ(violation, "") << "after op " << op;
+    ASSERT_EQ(CheckHoldingsIndex(world_.manager), "") << "after op " << op;
   }
 
   // Final: bring every store back, reload everything, verify all objects.
@@ -350,6 +353,7 @@ TEST(ChurnChaosTest, LossyLinksAndChurningStoresLoseNoDataWithTwoReplicas) {
     }
     std::string violation = CheckMediationInvariant(world.rt);
     ASSERT_EQ(violation, "") << "after op " << op;
+    ASSERT_EQ(CheckHoldingsIndex(world.manager), "") << "after op " << op;
   }
 
   // Settle: survivors online, links clean, monitor finishes recovery.

@@ -32,6 +32,7 @@ using swap::IntentOp;
 using swap::ReplicaLocation;
 using swap::SwapState;
 using ::obiswap::testing::BuildClusteredList;
+using ::obiswap::testing::CheckHoldingsIndex;
 using ::obiswap::testing::CheckMediationInvariant;
 using ::obiswap::testing::MiddlewareWorld;
 using ::obiswap::testing::RegisterNodeClass;
@@ -188,14 +189,16 @@ size_t TotalStoredEntries(CrashWorld& w) {
 }
 
 /// The post-recovery acceptance bar, applied after every chaos run: the
-/// mediation invariant holds, every value is still readable through the
-/// mediated path, and — once deferred drops drain — the stores hold
+/// mediation invariant holds, the holdings index covers every listed
+/// replica, every value is still readable through the mediated path, and
+/// — once deferred drops drain — the stores hold
 /// exactly the keys the replica lists (plus, in a tiered world, the
 /// tier-owned flash entries) account for. The tier term is exact because
 /// the chaos worlds run the flash tier only: every tier entry is
 /// flash-resident, so `entry_count()` is its share of the stored keys.
 void ExpectWorldIntact(CrashWorld& w, const std::string& label) {
   EXPECT_EQ(CheckMediationInvariant(w.world.rt), "") << label;
+  EXPECT_EQ(CheckHoldingsIndex(w.world.manager), "") << label;
   Result<int64_t> sum = SumList(w.world.rt, "head");
   ASSERT_TRUE(sum.ok()) << label << ": " << sum.status().ToString();
   EXPECT_EQ(*sum, kExpectedSum) << label;

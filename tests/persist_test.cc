@@ -229,6 +229,12 @@ TEST(LocalFallbackTest, FlashTakesOverAfterBoundedStoreFailures) {
   EXPECT_EQ(world.manager.stats().local_swap_outs, 1u);
   EXPECT_EQ(faults.hits("swap_out.local_store"), 1u);
   EXPECT_EQ(world.manager.StateOf(clusters[0]), swap::SwapState::kSwapped);
+  // The flash copy takes the key minted for the failed store attempts —
+  // the first this device minted — so the failures burned none.
+  const swap::SwapClusterInfo* info =
+      world.manager.registry().Find(clusters[0]);
+  ASSERT_EQ(info->replicas.size(), 1u);
+  EXPECT_EQ(info->replicas[0].key.value() & 0xffffffffu, 1u);
   EXPECT_EQ(*SumList(world.rt, "head"), 45);  // reloads from the flash
 }
 

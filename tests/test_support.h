@@ -2,6 +2,7 @@
 // builders, a fully wired middleware world, and graph invariant checkers.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,6 +181,36 @@ inline std::string CheckMediationInvariant(runtime::Runtime& rt) {
     }
   });
   return violation;
+}
+
+/// Checks the replica service's holdings index covers the registry: every
+/// replica any registry entry lists — swapped payload, delta base, retained
+/// image — has its cluster among `Holders(device)`. The device's own flash
+/// never departs or withdraws, so its copies are skipped. Returns a
+/// description of the first violation, or "".
+inline std::string CheckHoldingsIndex(swap::SwappingManager& manager) {
+  swap::ReplicaService& service = manager.replicas();
+  for (SwapClusterId id : manager.registry().Ids()) {
+    const swap::SwapClusterInfo* info = manager.registry().Find(id);
+    if (info == nullptr) continue;
+    std::vector<const swap::StoredPayload*> payloads = {info};
+    if (info->clean_image.has_value()) payloads.push_back(&*info->clean_image);
+    for (const swap::StoredPayload* payload : payloads) {
+      for (const auto* list : {&payload->replicas, &payload->base_replicas}) {
+        for (const swap::ReplicaLocation& replica : *list) {
+          if (service.IsLocalDevice(replica.device)) continue;
+          const std::vector<SwapClusterId> held =
+              service.Holders(replica.device);
+          if (!std::binary_search(held.begin(), held.end(), id)) {
+            return "swap-cluster " + id.ToString() + " lists a replica on " +
+                   "device " + std::to_string(replica.device.value()) +
+                   " missing from its holdings";
+          }
+        }
+      }
+    }
+  }
+  return "";
 }
 
 /// Sums `get_value` along a list by repeated mediated invocation starting
