@@ -56,9 +56,9 @@ RunResult RunChurn(size_t replication_factor, uint64_t churn_period_us,
   const runtime::ClassInfo* cls = workload::RegisterNodeClass(rt);
   swap::SwappingManager::Options options;
   options.replication_factor = replication_factor;
+  context::EventBus bus;  // outlives the manager, which unsubscribes on exit
   swap::SwappingManager manager(rt, options);
   net::StoreClient client(network, discovery, pda);
-  context::EventBus bus;
   manager.AttachStore(&client, &discovery);
   manager.AttachBus(&bus);
   trace->tracer().BeginTrack("churn K=" + std::to_string(replication_factor) +

@@ -93,9 +93,9 @@ RunResult RunScenario(const Scenario& scenario, bool hedging,
   const runtime::ClassInfo* cls = workload::RegisterNodeClass(rt);
   swap::SwappingManager::Options options;
   options.replication_factor = 2;
+  context::EventBus bus;  // outlives the manager, which unsubscribes on exit
   swap::SwappingManager manager(rt, options);
   net::StoreClient client(network, discovery, pda);
-  context::EventBus bus;
   manager.AttachStore(&client, &discovery);
   manager.AttachBus(&bus);
   manager.AttachClock(&network.clock());
