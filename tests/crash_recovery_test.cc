@@ -191,9 +191,9 @@ size_t TotalStoredEntries(CrashWorld& w) {
 /// The post-recovery acceptance bar, applied after every chaos run: the
 /// mediation invariant holds, the holdings index covers every listed
 /// replica, every value is still readable through the mediated path, and
-/// — once deferred drops drain — the stores hold
-/// exactly the keys the replica lists (plus, in a tiered world, the
-/// tier-owned flash entries) account for. The tier term is exact because
+/// — once deferred drops drain — the stores hold exactly the keys the
+/// replica lists (plus, in a tiered world, the tier-owned flash entries)
+/// account for. The tier term is exact because
 /// the chaos worlds run the flash tier only: every tier entry is
 /// flash-resident, so `entry_count()` is its share of the stored keys.
 void ExpectWorldIntact(CrashWorld& w, const std::string& label) {
