@@ -17,10 +17,10 @@
 // local flash, before the attempt's journaled intent, so every replica any
 // store group lists — including one recovery adopts from the journal — has
 // its cluster in its device's bucket. Nothing else writes it: a replica
-// that moves between groups keeps its cluster id. Entries are pruned only
-// where they are read — a reader re-checks each cluster against the
-// registry (SwapClusterInfo::HasReplicaOn) — and a departed store's bucket
-// is dropped whole once its replicas are forgotten.
+// that moves between groups keeps its cluster id. A reader re-checks each
+// cluster against the registry (SwapClusterInfo::HasReplicaOn), so a stale
+// entry costs one lookup; a departed store's bucket is dropped whole once
+// its replicas are forgotten.
 #pragma once
 
 #include <functional>
