@@ -231,23 +231,32 @@ Result<std::string> FrameCompress(const Codec& codec,
   return out;
 }
 
-Result<std::string> FrameDecompress(std::string_view frame) {
+Result<FrameHeader> ReadFrameHeader(std::string_view frame) {
   if (frame.substr(0, 4) != "OSWC")
     return DataLossError("frame: bad magic");
   std::string_view rest = frame.substr(4);
-  OBISWAP_ASSIGN_OR_RETURN(std::string_view name,
+  FrameHeader header;
+  OBISWAP_ASSIGN_OR_RETURN(header.codec,
                            GetLengthPrefixed(&rest, "frame: truncated name"));
-  OBISWAP_ASSIGN_OR_RETURN(uint64_t original_size, GetVarint64(&rest));
-  std::optional<uint64_t> expected = GetFixed(&rest, 4);
-  if (!expected.has_value())
+  OBISWAP_ASSIGN_OR_RETURN(header.original_size, GetVarint64(&rest));
+  std::optional<uint64_t> checksum = GetFixed(&rest, 4);
+  if (!checksum.has_value())
     return DataLossError("frame: truncated checksum");
-  const Codec* codec = FindCodec(name);
+  header.adler32 = static_cast<uint32_t>(*checksum);
+  header.body = rest;
+  return header;
+}
+
+Result<std::string> FrameDecompress(std::string_view frame) {
+  OBISWAP_ASSIGN_OR_RETURN(FrameHeader header, ReadFrameHeader(frame));
+  const Codec* codec = FindCodec(header.codec);
   if (codec == nullptr)
-    return DataLossError("frame: unknown codec '" + std::string(name) + "'");
-  OBISWAP_ASSIGN_OR_RETURN(std::string payload, codec->Decompress(rest));
-  if (payload.size() != original_size)
+    return DataLossError("frame: unknown codec '" + std::string(header.codec) +
+                         "'");
+  OBISWAP_ASSIGN_OR_RETURN(std::string payload, codec->Decompress(header.body));
+  if (payload.size() != header.original_size)
     return DataLossError("frame: size mismatch");
-  if (Adler32(payload) != *expected)
+  if (Adler32(payload) != header.adler32)
     return DataLossError("frame: checksum mismatch");
   return payload;
 }

@@ -6,6 +6,7 @@
 // available as an optional transform for swapped XML payloads.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,6 +77,19 @@ std::vector<std::string> CodecNames();
 /// Propagates the codec's Compress error (e.g. oversized input).
 Result<std::string> FrameCompress(const Codec& codec,
                                   std::string_view payload);
+
+/// The header FrameCompress writes, read without decoding the body. `codec`
+/// and `body` view into the frame they were read from.
+struct FrameHeader {
+  std::string_view codec;      ///< name of the codec that packed the body
+  uint64_t original_size = 0;  ///< size of the payload before packing
+  uint32_t adler32 = 0;        ///< Adler-32 of the payload before packing
+  std::string_view body;       ///< the codec's output
+};
+
+/// Reads a frame's header; kDataLoss when `frame` does not start with one.
+/// Does not check that the codec exists or that the body decodes.
+Result<FrameHeader> ReadFrameHeader(std::string_view frame);
 
 /// Inverse of FrameCompress: detects codec from the frame, verifies checksum.
 Result<std::string> FrameDecompress(std::string_view frame);

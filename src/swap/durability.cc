@@ -261,8 +261,6 @@ void DurabilityMonitor::Poll() {
         static_cast<int64_t>(manager_.replicas().pending_drop_count()));
     props_->SetInt("durability.scan_replicas",
                    static_cast<int64_t>(stats_.scan_replicas));
-    props_->SetInt("durability.dirty_stores",
-                   static_cast<int64_t>(stats_.dirty_stores));
     if (directory_ != nullptr) {
       props_->SetInt("fleet.view_epoch",
                      static_cast<int64_t>(directory_->view_epoch()));
@@ -276,7 +274,6 @@ void DurabilityMonitor::Poll() {
 
 void DurabilityMonitor::HandleDeparture(DeviceId device) {
   ++stats_.stores_departed;
-  ++stats_.dirty_stores;
   // Refresh the churn gauge before publishing so policy rules triggered by
   // this very event ("store-departed" → raise K) see the current count.
   if (props_ != nullptr) {
@@ -353,7 +350,6 @@ void DurabilityMonitor::ReReplicationSweep() {
 }
 
 Result<size_t> DurabilityMonitor::OnStoreWithdrawing(DeviceId device) {
-  ++stats_.dirty_stores;
   OBISWAP_ASSIGN_OR_RETURN(size_t moved, manager_.EvacuateReplicas(device));
   stats_.evacuated_replicas += moved;
   return moved;

@@ -86,7 +86,6 @@ class DurabilityMonitor {
     // --- scan-cost visibility -----------------------------------------------
     uint64_t scan_replicas = 0;      ///< replica records actually examined
     uint64_t full_scan_replicas = 0;  ///< records a full scan would examine
-    uint64_t dirty_stores = 0;  ///< departed/withdrawn stores processed
   };
 
   DurabilityMonitor(SwappingManager& manager, net::Discovery& discovery,

@@ -9,16 +9,21 @@
 namespace obiswap::tier {
 
 namespace {
-/// Squeezes a store-form payload once more for the RAM pool into `blob`,
-/// keeping it raw when recompression does not pay. Returns whether it was
-/// squeezed: the blob self-describes via this wrapped flag, not the frame,
-/// because the payload is itself a frame.
+/// Puts a store-form payload into its RAM-pool form, `blob`. A payload the
+/// pool's own codec already packed is held as it is: a second pass over
+/// that codec's output almost never shrinks it, so it is not tried. Any
+/// other payload is squeezed once more, and kept raw when that does not
+/// pay. Returns whether it was squeezed: the blob self-describes via this
+/// wrapped flag, not the frame, because the payload is itself a frame.
 bool SqueezeForRam(const std::string& payload, std::string& blob) {
-  Result<std::string> squeezed = compress::FrameCompress(
-      *compress::FindCodec(TierManager::kRamCodec), payload);
-  if (squeezed.ok() && squeezed->size() < payload.size()) {
-    blob = std::move(*squeezed);
-    return true;
+  const compress::Codec& codec = *compress::FindCodec(TierManager::kRamCodec);
+  Result<compress::FrameHeader> header = compress::ReadFrameHeader(payload);
+  if (!header.ok() || header->codec != codec.name()) {
+    Result<std::string> squeezed = compress::FrameCompress(codec, payload);
+    if (squeezed.ok() && squeezed->size() < payload.size()) {
+      blob = std::move(*squeezed);
+      return true;
+    }
   }
   blob = payload;
   return false;
@@ -223,11 +228,15 @@ std::vector<size_t> TierManager::AllocateSlots(size_t count) {
     if (!slot_used_[i]) free.push_back(i);
   if (free.size() < count) return {};
   // Least-write-count-first: spread erase load across the partition
-  // (ties broken by slot index, keeping placement deterministic).
-  std::sort(free.begin(), free.end(), [&](size_t a, size_t b) {
-    if (slot_wear_[a] != slot_wear_[b]) return slot_wear_[a] < slot_wear_[b];
-    return a < b;
-  });
+  // (ties broken by slot index, keeping placement deterministic). The
+  // order is strict, so ordering only the `count` slots kept picks the
+  // same slots as a full sort.
+  std::partial_sort(free.begin(), free.begin() + count, free.end(),
+                    [&](size_t a, size_t b) {
+                      if (slot_wear_[a] != slot_wear_[b])
+                        return slot_wear_[a] < slot_wear_[b];
+                      return a < b;
+                    });
   free.resize(count);
   for (size_t slot : free) {
     slot_used_[slot] = 1;

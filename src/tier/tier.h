@@ -33,8 +33,10 @@
 //
 // Payloads are held in store form (the frame-compressed document a remote
 // store would hold), so the caller's existing decompress/verify machinery
-// works on a tier hit unchanged. The RAM pool additionally wraps each
-// payload in an Lz77 frame when that actually shrinks it.
+// works on a tier hit unchanged. The RAM pool holds a payload that its own
+// codec (kRamCodec) already packed exactly as it arrived, since a second
+// pass almost never shrinks it; any other payload (an identity or rle
+// frame) it wraps in a kRamCodec frame when that actually shrinks it.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +72,9 @@ enum class TierHit : uint8_t { kNone, kRam, kFlash };
 
 class TierManager {
  public:
-  /// Codec used to squeeze RAM-pool blobs (a payload is kept raw when
-  /// recompression does not shrink it).
+  /// Codec used to squeeze RAM-pool blobs. A payload already framed by this
+  /// codec is held as it is; any other is kept raw when recompression does
+  /// not shrink it.
   static constexpr const char* kRamCodec = "lz77";
 
   struct Options {
@@ -260,7 +263,7 @@ class TierManager {
     uint64_t last_use = 0;     ///< LRU tick
     // RAM copy (empty string = not RAM-resident).
     std::string ram_blob;
-    bool ram_wrapped = false;  ///< blob is an extra Lz77 frame around payload
+    bool ram_wrapped = false;  ///< blob wraps payload in a kRamCodec frame
     // Flash copy (invalid key = not flash-resident).
     SwapKey flash_key;
     std::vector<size_t> slots;

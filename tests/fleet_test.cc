@@ -375,7 +375,7 @@ TEST(IncrementalDurabilityTest, RepairSequenceMatchesLegacyByteForByte) {
   EXPECT_EQ(stats.drops_drained, 0u);
   EXPECT_EQ(stats.clean_images_reaped, 0u);
   EXPECT_EQ(stats.repairs_paced, 0u);
-  EXPECT_EQ(stats.dirty_stores, 1u);
+  EXPECT_EQ(*w.props.GetInt("swap.store_churn"), 1);
 
   // Same work, fewer records examined: the computed full-scan meter is
   // what the legacy monitor actually examined.
@@ -418,7 +418,8 @@ TEST(IncrementalDurabilityTest, FleetPollSyncsTheDirectoryFromDiscovery) {
   monitor.Poll();
   EXPECT_EQ(w.directory.size(), 3u);
   EXPECT_FALSE(w.directory.Contains(DeviceId(5)));
-  EXPECT_GE(*props.GetInt("durability.dirty_stores"), 1);
+  EXPECT_EQ(monitor.stats().stores_departed, 1u);
+  EXPECT_EQ(*props.GetInt("swap.store_churn"), 1);
 }
 
 // ----------------------------------------------------------- policy hooks --
